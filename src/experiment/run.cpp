@@ -1,13 +1,17 @@
 #include "experiment/run.h"
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "memsim/prefetch.h"
+#include "memsim/replay.h"
+#include "obs/trace.h"
 #include "perf/runner.h"
 #include "service/batch.h"
 #include "service/session.h"
@@ -75,6 +79,102 @@ std::vector<std::shared_ptr<const workload::Loop>> ResolveWorkload(
 std::string LoopLabel(const workload::Loop& loop, std::size_t index) {
   return loop.ddg.name().empty() ? "loop-" + std::to_string(index)
                                  : loop.ddg.name();
+}
+
+/// One memory replay of the post-batch phase, shared by every cell with
+/// the same (batch request, loop.trip, loop.invocations). The request
+/// fixes the graph, schedule, overrides and machine latencies; trip and
+/// invocations are the rest of what ReplayLoop reads. The first cell with
+/// the key lends its loop and machine.
+struct ReplayJob {
+  const workload::Loop* loop;
+  const MachineConfig* machine;
+  const core::ScheduleResult* result;
+};
+
+/// One report cell: its slot in data[plan].cells, where its inputs live,
+/// and the replay it copies stall cycles from.
+struct CellJob {
+  std::size_t plan;
+  std::size_t idx;
+  std::size_t machine;
+  std::size_t loop;
+  std::size_t request;
+  std::size_t replay;  ///< kNoReplay when the cell simulates no memory.
+};
+
+constexpr std::size_t kNoReplay = static_cast<std::size_t>(-1);
+
+/// Computes every cell's LoopMetrics from the batch: each distinct memory
+/// replay once, then every cell, both fanned out over the session's
+/// workers. Each job writes only its own slot, so the result is
+/// independent of the width.
+std::vector<ExperimentData> CellMetrics(const std::vector<Plan>& plans,
+                                        const service::BatchReport& batch,
+                                        bool smoke,
+                                        service::SchedulerService& session,
+                                        ReproReport* report) {
+  std::vector<ExperimentData> data(plans.size());
+  std::vector<CellJob> cells;
+  std::vector<ReplayJob> replays;
+  std::map<std::tuple<std::size_t, long, long>, std::size_t> replay_of;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    const Plan& plan = plans[p];
+    const Experiment* def = plan.def;
+    ExperimentData& d = data[p];
+    d.def = def;
+    d.smoke = smoke;
+    d.loops.reserve(plan.loops.size());
+    for (const auto& loop : plan.loops) d.loops.push_back(loop.get());
+    d.cells.resize(plan.cell_request.size());
+    const std::size_t per_machine = def->engines.size() * plan.loops.size();
+    for (std::size_t idx = 0; idx < plan.cell_request.size(); ++idx) {
+      CellJob cell;
+      cell.plan = p;
+      cell.idx = idx;
+      cell.machine = idx / per_machine;
+      cell.loop = idx % plan.loops.size();
+      cell.request = plan.cell_request[idx];
+      cell.replay = kNoReplay;
+      const std::size_t engine = (idx % per_machine) / plan.loops.size();
+      const core::ScheduleResult& sr = batch.items[cell.request].result;
+      if (def->engines[engine].simulate_memory && sr.ok) {
+        const workload::Loop& loop = *plan.loops[cell.loop];
+        const auto [it, inserted] = replay_of.emplace(
+            std::make_tuple(cell.request, loop.trip, loop.invocations),
+            replays.size());
+        if (inserted) {
+          replays.push_back(
+              {&loop, &def->machines[cell.machine].machine, &sr});
+        }
+        cell.replay = it->second;
+        ++report->replayed_cells;
+      }
+      cells.push_back(cell);
+    }
+  }
+  report->distinct_replays = static_cast<int>(replays.size());
+
+  std::vector<long> stall_cycles(replays.size());
+  session.ParallelFor(replays.size(), [&](std::size_t i) {
+    const ReplayJob& job = replays[i];
+    stall_cycles[i] =
+        memsim::ReplayLoop(*job.loop, *job.result, *job.machine).stall_cycles;
+  });
+
+  // Metrics derive deterministically from the schedule (cache-served
+  // results are bit-identical to fresh ones) and the replay, so a warm
+  // run reproduces every cell exactly.
+  session.ParallelFor(cells.size(), [&](std::size_t i) {
+    const CellJob& cell = cells[i];
+    const Plan& plan = plans[cell.plan];
+    perf::LoopMetrics lm = perf::MetricsFromResult(
+        *plan.loops[cell.loop], plan.def->machines[cell.machine].machine,
+        batch.items[cell.request].result, /*simulate_memory=*/false);
+    if (cell.replay != kNoReplay) lm.stall_cycles = stall_cycles[cell.replay];
+    data[cell.plan].cells[cell.idx] = lm;
+  });
+  return data;
 }
 
 }  // namespace
@@ -157,29 +257,16 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   report.seconds = batch.seconds;
   report.timing = batch.timing;
 
-  for (const Plan& plan : plans) {
-    const Experiment* def = plan.def;
-    ExperimentData data;
-    data.def = def;
-    data.smoke = opt.smoke;
-    data.loops.reserve(plan.loops.size());
-    for (const auto& loop : plan.loops) data.loops.push_back(loop.get());
-    data.cells.resize(plan.cell_request.size());
-    for (std::size_t idx = 0; idx < plan.cell_request.size(); ++idx) {
-      const std::size_t per_machine = def->engines.size() * plan.loops.size();
-      const std::size_t m = idx / per_machine;
-      const std::size_t e = (idx % per_machine) / plan.loops.size();
-      const std::size_t l = idx % plan.loops.size();
-      const service::BatchItem& item = batch.items[plan.cell_request[idx]];
-      // Metrics derive deterministically from the schedule (cache-served
-      // results are bit-identical to fresh ones); the memory replay runs
-      // per cell, so a warm run reproduces stall cycles exactly.
-      data.cells[idx] =
-          perf::MetricsFromResult(*plan.loops[l], def->machines[m].machine,
-                                  item.result,
-                                  def->engines[e].simulate_memory);
-    }
+  const auto metrics_t0 = std::chrono::steady_clock::now();
+  obs::TraceSpan metrics_span("experiment", "metrics");
+  const std::vector<ExperimentData> metrics =
+      CellMetrics(plans, batch, opt.smoke, session, &report);
 
+  // Failure notes, aggregation and reference joins: serial, registry order.
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    const Plan& plan = plans[p];
+    const Experiment* def = plan.def;
+    const ExperimentData& data = metrics[p];
     ExperimentResult res;
     res.name = def->name;
     res.title = def->title;
@@ -235,6 +322,9 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     }
     report.experiments.push_back(std::move(res));
   }
+  report.metrics_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - metrics_t0)
+                               .count();
   return report;
 }
 

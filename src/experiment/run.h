@@ -7,8 +7,10 @@
 // appears in Tables 1 and 6) is scheduled once — and backed by the
 // persistent ScheduleCache: a warm rerun of the whole paper is served
 // from disk. Binding-prefetch cells carry their per-loop latency
-// overrides in the BatchRequest (part of the cache key); memory-system
-// stall cycles are replayed deterministically after the batch.
+// overrides in the BatchRequest (part of the cache key). After the batch,
+// a parallel metrics phase derives every cell's LoopMetrics on the same
+// workers, replaying memory-system stall cycles once per distinct (batch
+// request, loop trip, loop invocations).
 //
 // Reports are deterministic: rows, reference deltas and verdicts only, no
 // timings or cache flags — a cold and a warm run emit byte-identical CSV
@@ -81,7 +83,12 @@ struct ReproReport {
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.
   int ref_failures = 0;  ///< Enforced reference values out of tolerance.
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< Scheduling-batch wall.
+  /// Post-batch wall: cell metrics, memory replay, aggregation and
+  /// reference joins (stdout summary only).
+  double metrics_seconds = 0.0;
+  int replayed_cells = 0;    ///< Cells whose stall cycles come from replay.
+  int distinct_replays = 0;  ///< ReplayLoop runs those cells share.
   /// Summed per-request phase timings of the scheduling batch (stdout
   /// summary only, like `cache`: reports stay byte-identical cold/warm).
   service::RequestTiming timing;

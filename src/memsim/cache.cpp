@@ -1,12 +1,27 @@
 #include "memsim/cache.h"
 
-#include <cstddef>
+#include <bit>
+
+#include "core/check.h"
 
 namespace hcrf::memsim {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  ways_.assign(static_cast<size_t>(cfg_.NumSets()) *
-                   static_cast<size_t>(cfg_.associativity),
+  const long sets = cfg_.NumSets();
+  HCRF_CHECK(cfg_.associativity >= 1, "cache associativity %d",
+             cfg_.associativity);
+  HCRF_CHECK(cfg_.line_bytes > 0 &&
+                 std::has_single_bit(static_cast<unsigned>(cfg_.line_bytes)),
+             "cache line size %d B is not a power of two", cfg_.line_bytes);
+  HCRF_CHECK(sets > 0 && std::has_single_bit(static_cast<unsigned long>(sets)),
+             "cache set count %ld (%ld B / (%d B x %d ways)) is not a power "
+             "of two",
+             sets, cfg_.size_bytes, cfg_.line_bytes, cfg_.associativity);
+  line_shift_ = std::countr_zero(static_cast<unsigned>(cfg_.line_bytes));
+  set_bits_ = std::countr_zero(static_cast<unsigned long>(sets));
+  set_mask_ = static_cast<std::uint64_t>(sets) - 1;
+  ways_.assign(static_cast<std::size_t>(sets) *
+                   static_cast<std::size_t>(cfg_.associativity),
                Way{});
 }
 
@@ -15,48 +30,6 @@ void Cache::Reset() {
   tick_ = 0;
   hits_ = 0;
   misses_ = 0;
-}
-
-bool Cache::Access(std::uint64_t addr) {
-  const std::uint64_t line = addr / static_cast<std::uint64_t>(cfg_.line_bytes);
-  const std::uint64_t set =
-      line % static_cast<std::uint64_t>(cfg_.NumSets());
-  const std::uint64_t tag = line / static_cast<std::uint64_t>(cfg_.NumSets());
-  Way* base = &ways_[static_cast<size_t>(set) *
-                     static_cast<size_t>(cfg_.associativity)];
-  ++tick_;
-  Way* victim = base;
-  for (int a = 0; a < cfg_.associativity; ++a) {
-    Way& w = base[a];
-    if (w.valid && w.tag == tag) {
-      w.lru = tick_;
-      ++hits_;
-      return true;
-    }
-    if (!w.valid || w.lru < victim->lru) {
-      if (!victim->valid && w.valid) continue;  // prefer invalid victims
-      victim = &w;
-    }
-  }
-  // Miss: fill.
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  ++misses_;
-  return false;
-}
-
-bool Cache::Probe(std::uint64_t addr) const {
-  const std::uint64_t line = addr / static_cast<std::uint64_t>(cfg_.line_bytes);
-  const std::uint64_t set =
-      line % static_cast<std::uint64_t>(cfg_.NumSets());
-  const std::uint64_t tag = line / static_cast<std::uint64_t>(cfg_.NumSets());
-  const Way* base = &ways_[static_cast<size_t>(set) *
-                           static_cast<size_t>(cfg_.associativity)];
-  for (int a = 0; a < cfg_.associativity; ++a) {
-    if (base[a].valid && base[a].tag == tag) return true;
-  }
-  return false;
 }
 
 }  // namespace hcrf::memsim

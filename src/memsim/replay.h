@@ -13,6 +13,13 @@
 // against the warm state; we simulate one cold and one warm invocation and
 // scale (the paper simulates the whole program; all Figure 6 numbers are
 // relative, see DESIGN.md).
+//
+// `cache_cfg` must meet the cache's power-of-two geometry contract
+// (cache.h: line size and set count) and have at least one MSHR; both are
+// HCRF_CHECKed. The result depends only on the schedule (graph, cycles,
+// overrides), the machine's load latencies and `loop.trip` /
+// `loop.invocations`, so callers may share one replay among cells that
+// agree on all of them.
 #pragma once
 
 #include "core/mirs.h"

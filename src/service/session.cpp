@@ -96,6 +96,14 @@ TierStats SchedulerService::memory_stats() const {
   return memory_ != nullptr ? memory_->tier_stats() : TierStats{};
 }
 
+void SchedulerService::ParallelFor(
+    std::size_t n, const std::function<void(std::size_t)>& fn) const {
+  perf::ThreadPool& pool = perf::ThreadPool::Shared();
+  const int width =
+      config_.threads > 0 ? config_.threads : pool.num_workers() + 1;
+  pool.ParallelFor(n, width, fn);
+}
+
 BatchReport SchedulerService::RunBatch(
     const std::vector<BatchRequest>& requests) {
   BatchReport report;
@@ -106,10 +114,7 @@ BatchReport SchedulerService::RunBatch(
   const TierStats mem_before = memory_stats();
 
   const auto wall0 = std::chrono::steady_clock::now();
-  perf::ThreadPool& pool = perf::ThreadPool::Shared();
-  const int max_workers =
-      config_.threads > 0 ? config_.threads : pool.num_workers() + 1;
-  pool.ParallelFor(requests.size(), max_workers, [&](size_t i) {
+  ParallelFor(requests.size(), [&](size_t i) {
     static obs::Counter& req_count = obs::GetCounter("service.requests");
     static obs::Counter& hit_count = obs::GetCounter("service.cache_hits");
     static obs::Histogram& req_hist =

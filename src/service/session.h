@@ -28,6 +28,8 @@
 // internally synchronized.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,6 +79,14 @@ class SchedulerService {
   /// write-behind on, `writes` may still be in flight at return (Drain()
   /// for exact totals — the one-shot wrappers do).
   BatchReport RunBatch(const std::vector<BatchRequest>& requests);
+
+  /// Runs fn(0) .. fn(n-1) on the shared worker pool, `config().threads`
+  /// wide (0 = every pool worker plus the caller). The one home of the
+  /// session's width rule: RunBatch and the post-batch phase of
+  /// experiment::RunExperiments both fan out through it. Like RunBatch,
+  /// must not be called from inside a pool job.
+  void ParallelFor(std::size_t n,
+                   const std::function<void(std::size_t)>& fn) const;
 
   /// Loads `manifest_path`, resolves its requests and runs them through
   /// this session. Unloadable entries become failed items; a malformed

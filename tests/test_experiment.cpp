@@ -184,6 +184,41 @@ TEST(ExperimentRun, SmokeColdThenWarmIsBitIdentical) {
   fs::remove_all(cache);
 }
 
+// The post-batch metrics phase fans out over the session's workers and
+// replays each distinct (request, trip, invocations) once: a serial and a
+// 4-wide run of the memory-replay experiments must render byte-identical
+// reports and count the same cells. fig6's selective cells on S64,
+// 4C32/1-1 and 4C32S16/1-1 are also ablation_prefetch cells, so some
+// replays are shared.
+TEST(ExperimentRun, MetricsFanOutIsWidthIndependent) {
+  const std::vector<const Experiment*> sel = {
+      FindExperiment("fig6"), FindExperiment("ablation_prefetch")};
+  ReproOptions opt;
+  opt.smoke = true;
+  opt.threads = 1;
+  const ReproReport serial = RunExperiments(sel, opt);
+  opt.threads = 4;
+  const ReproReport wide = RunExperiments(sel, opt);
+
+  EXPECT_EQ(ReproCsv(serial), ReproCsv(wide));
+  EXPECT_EQ(ReproMarkdown(serial), ReproMarkdown(wide));
+  ASSERT_EQ(serial.experiments.size(), wide.experiments.size());
+  for (std::size_t i = 0; i < serial.experiments.size(); ++i) {
+    const experiment::ExperimentResult& a = serial.experiments[i];
+    const experiment::ExperimentResult& b = wide.experiments[i];
+    SCOPED_TRACE(a.name);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.num_loops, b.num_loops);
+    EXPECT_EQ(a.cells, b.cells);
+    EXPECT_EQ(a.cells_failed, b.cells_failed);
+    EXPECT_EQ(a.failure_notes, b.failure_notes);
+  }
+  EXPECT_GT(serial.replayed_cells, serial.distinct_replays);
+  EXPECT_GT(serial.distinct_replays, 0);
+  EXPECT_EQ(serial.replayed_cells, wide.replayed_cells);
+  EXPECT_EQ(serial.distinct_replays, wide.distinct_replays);
+}
+
 // Table 4's comparison must account for failures per engine, explicitly:
 // the experiment emits a "failures" row (noniter_only / mirs_only / both /
 // compared) and the compared count plus every failure class partitions

@@ -1,12 +1,22 @@
 // Unit tests for the cache model, the loop replay and the binding-prefetch
-// classifier.
+// classifier. The cache is checked against an independent division-based
+// reference model, and the replay against golden values recorded from the
+// original division/priority-queue implementation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/mirs.h"
+#include "hwmodel/characterize.h"
 #include "memsim/cache.h"
 #include "memsim/prefetch.h"
 #include "memsim/replay.h"
 #include "workload/kernels.h"
+#include "workload/suite_cache.h"
 
 namespace hcrf::memsim {
 namespace {
@@ -56,6 +66,105 @@ TEST(Cache, ResetClears) {
   c.Reset();
   EXPECT_FALSE(c.Probe(0x80));
   EXPECT_EQ(c.misses(), 0);
+}
+
+// Reference model: per-set recency lists, decomposed with plain division
+// and modulo -- deliberately nothing like Cache's shift/mask layout.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : cfg_(cfg), sets_(static_cast<std::size_t>(cfg.NumSets())) {}
+
+  bool Access(std::uint64_t addr) {
+    const std::uint64_t line = addr / static_cast<std::uint64_t>(cfg_.line_bytes);
+    const std::uint64_t num_sets = static_cast<std::uint64_t>(cfg_.NumSets());
+    std::list<std::uint64_t>& set = sets_[line % num_sets];
+    const std::uint64_t tag = line / num_sets;
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (*it == tag) {
+        set.splice(set.begin(), set, it);  // most recent first
+        return true;
+      }
+    }
+    set.push_front(tag);
+    if (set.size() > static_cast<std::size_t>(cfg_.associativity)) {
+      set.pop_back();
+    }
+    return false;
+  }
+
+ private:
+  CacheConfig cfg_;
+  std::vector<std::list<std::uint64_t>> sets_;
+};
+
+CacheConfig Geometry(long size_bytes, int line_bytes, int associativity) {
+  CacheConfig cfg;
+  cfg.size_bytes = size_bytes;
+  cfg.line_bytes = line_bytes;
+  cfg.associativity = associativity;
+  return cfg;
+}
+
+// Strided, aliasing (same-set, many tags) and uniformly random address
+// streams through several power-of-two geometries: every hit/miss verdict,
+// every Probe and the final counters must match the reference model.
+TEST(Cache, MatchesDivisionReferenceModel) {
+  const CacheConfig geometries[] = {
+      Geometry(32 * 1024, 32, 2),  // the paper's L1
+      Geometry(1024, 16, 1),       // direct mapped
+      Geometry(4096, 64, 4),
+      Geometry(2048, 32, 8),
+      Geometry(256, 32, 8),        // one set: fully associative
+  };
+  for (const CacheConfig& cfg : geometries) {
+    const std::uint64_t set_span =
+        static_cast<std::uint64_t>(cfg.NumSets()) *
+        static_cast<std::uint64_t>(cfg.line_bytes);
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      SCOPED_TRACE("size " + std::to_string(cfg.size_bytes) + " line " +
+                   std::to_string(cfg.line_bytes) + " ways " +
+                   std::to_string(cfg.associativity) + " pattern " +
+                   std::to_string(pattern));
+      std::mt19937 rng(static_cast<std::mt19937::result_type>(
+          cfg.size_bytes + pattern * 7919));
+      Cache cache(cfg);
+      ReferenceCache ref(cfg);
+      long hits = 0;
+      long misses = 0;
+      for (int i = 0; i < 20000; ++i) {
+        std::uint64_t addr = 0;
+        if (pattern == 0) {
+          // Interleaved strided streams, strides up to 4 lines.
+          const std::uint64_t stream = rng() % 4;
+          addr = (stream << 24) + static_cast<std::uint64_t>(i) *
+                                      (8u << (stream % 4));
+        } else if (pattern == 1) {
+          // Aliasing: 2x associativity tags competing for a few sets.
+          const std::uint64_t tag = rng() % (2u * cfg.associativity + 1);
+          const std::uint64_t set = rng() % 3;
+          addr = tag * set_span + set * cfg.line_bytes + rng() % 8;
+        } else {
+          addr = (static_cast<std::uint64_t>(rng()) << 8) ^ rng();
+        }
+        const bool expected = ref.Access(addr);
+        ASSERT_EQ(cache.Probe(addr), expected) << "access " << i;
+        ASSERT_EQ(cache.Access(addr), expected) << "access " << i;
+        ASSERT_TRUE(cache.Probe(addr));
+        (expected ? hits : misses) += 1;
+      }
+      EXPECT_EQ(cache.hits(), hits);
+      EXPECT_EQ(cache.misses(), misses);
+      EXPECT_GT(misses, 0);
+    }
+  }
+}
+
+TEST(CacheDeathTest, NonPowerOfTwoGeometryFailsCheck) {
+  // 3 KiB / (32 B * 2 ways) = 48 sets.
+  EXPECT_DEATH(Cache(Geometry(3 * 1024, 32, 2)), "power of two");
+  // 24-byte lines.
+  EXPECT_DEATH(Cache(Geometry(24 * 64, 24, 2)), "power of two");
 }
 
 // ---------------------------------------------------------------------------
@@ -117,6 +226,112 @@ TEST(Replay, StridedLoopMissesMore) {
   const ReplayResult r1 = ReplayLoop(unit, s1, m);
   const ReplayResult r2 = ReplayLoop(strided, s2, m);
   EXPECT_GT(r2.misses, 3 * r1.misses);
+}
+
+// Golden ReplayResults recorded from the original kernel (division-based
+// cache indexing, priority-queue MSHR model). Covers unit-stride, every-
+// access-misses (MSHR-bound), short-trip warm invocations and generated
+// loops, across the Figure 6 organizations and every prefetch policy.
+struct GoldenReplay {
+  const char* loop;
+  const char* org;
+  PrefetchMode mode;
+  long stall_cycles;
+  long useful_cycles;
+  long accesses;
+  long misses;
+};
+
+workload::Loop GoldenLoop(const std::string& name) {
+  if (name == "cmul") {
+    workload::Loop loop = workload::MakeCmul();
+    loop.invocations = 3;
+    return loop;
+  }
+  if (name == "daxpy-stride256") {
+    workload::Loop loop = workload::MakeDaxpy(600);
+    loop.invocations = 2;
+    for (NodeId v = 0; v < loop.ddg.NumSlots(); ++v) {
+      Node& n = loop.ddg.node(v);
+      if (n.mem.has_value()) n.mem->stride = 256;
+    }
+    return loop;
+  }
+  if (name == "hydro-trip32") {
+    workload::Loop loop = workload::MakeHydro(32);
+    loop.invocations = 50;
+    return loop;
+  }
+  const workload::Suite* synth = workload::SharedSuiteByName("synth");
+  for (std::size_t i = 0; i < synth->size(); ++i) {
+    if ((*synth)[i].ddg.name() == name) return (*synth)[i];
+  }
+  ADD_FAILURE() << "unknown golden loop " << name;
+  return {};
+}
+
+TEST(Replay, GoldenResultsAcrossOrganizationsAndPolicies) {
+  const GoldenReplay golden[] = {
+    {"cmul", "S64", PrefetchMode::kNone, 12852, 4830, 9600, 1977},
+    {"cmul", "S64", PrefetchMode::kAll, 0, 4860, 9600, 1977},
+    {"cmul", "S64", PrefetchMode::kSelective, 0, 4860, 9600, 1977},
+    {"cmul", "4C32/1-1", PrefetchMode::kNone, 31212, 9660, 9600, 1977},
+    {"cmul", "4C32/1-1", PrefetchMode::kAll, 0, 9708, 9600, 1977},
+    {"cmul", "4C32/1-1", PrefetchMode::kSelective, 0, 9708, 9600, 1977},
+    {"cmul", "4C32S16/1-1", PrefetchMode::kNone, 33048, 9672, 9600, 1977},
+    {"cmul", "4C32S16/1-1", PrefetchMode::kAll, 0, 9720, 9600, 1977},
+    {"cmul", "4C32S16/1-1", PrefetchMode::kSelective, 0, 9720, 9600, 1977},
+    {"daxpy-stride256", "S64", PrefetchMode::kNone, 16800, 1222, 3600, 2400},
+    {"daxpy-stride256", "S64", PrefetchMode::kAll, 0, 1236, 3600, 2400},
+    {"daxpy-stride256", "S64", PrefetchMode::kSelective, 0, 1236, 3600, 2400},
+    {"daxpy-stride256", "4C32/1-1", PrefetchMode::kNone, 40800, 1234, 3600, 2400},
+    {"daxpy-stride256", "4C32/1-1", PrefetchMode::kAll, 0, 2464, 3600, 2400},
+    {"daxpy-stride256", "4C32/1-1", PrefetchMode::kSelective, 0, 2464, 3600, 2400},
+    {"daxpy-stride256", "4C32S16/1-1", PrefetchMode::kNone, 43200, 2440, 3600, 2400},
+    {"daxpy-stride256", "4C32S16/1-1", PrefetchMode::kAll, 0, 2476, 3600, 2400},
+    {"daxpy-stride256", "4C32S16/1-1", PrefetchMode::kSelective, 0, 2476, 3600, 2400},
+    {"hydro-trip32", "S64", PrefetchMode::kNone, 119, 2550, 256, 25},
+    {"hydro-trip32", "S64", PrefetchMode::kAll, 0, 2900, 256, 25},
+    {"hydro-trip32", "S64", PrefetchMode::kSelective, 119, 2550, 256, 25},
+    {"hydro-trip32", "4C32/1-1", PrefetchMode::kNone, 289, 4700, 256, 25},
+    {"hydro-trip32", "4C32/1-1", PrefetchMode::kAll, 0, 5600, 256, 25},
+    {"hydro-trip32", "4C32/1-1", PrefetchMode::kSelective, 289, 4700, 256, 25},
+    {"hydro-trip32", "4C32S16/1-1", PrefetchMode::kNone, 306, 6600, 256, 25},
+    {"hydro-trip32", "4C32S16/1-1", PrefetchMode::kAll, 0, 7500, 256, 25},
+    {"hydro-trip32", "4C32S16/1-1", PrefetchMode::kSelective, 306, 6600, 256, 25},
+    {"synth-stream-0", "S64", PrefetchMode::kNone, 59857, 13152, 24058, 7159},
+    {"synth-stream-0", "S64", PrefetchMode::kAll, 0, 13176, 24058, 7157},
+    {"synth-stream-0", "S64", PrefetchMode::kSelective, 0, 13176, 24058, 7157},
+    {"synth-stream-0", "4C32/1-1", PrefetchMode::kNone, 145367, 13152, 24058, 7159},
+    {"synth-stream-0", "4C32/1-1", PrefetchMode::kAll, 0, 15428, 26150, 7421},
+    {"synth-stream-0", "4C32/1-1", PrefetchMode::kSelective, 0, 15428, 26150, 7421},
+    {"synth-stream-0", "4C32S16/1-1", PrefetchMode::kNone, 153918, 24112, 24058, 7159},
+    {"synth-stream-0", "4C32S16/1-1", PrefetchMode::kAll, 0, 24156, 24058, 7159},
+    {"synth-stream-0", "4C32S16/1-1", PrefetchMode::kSelective, 0, 24156, 24058, 7159},
+    {"synth-stream-1", "S64", PrefetchMode::kNone, 226617, 44562, 170802, 41039},
+    {"synth-stream-1", "S64", PrefetchMode::kAll, 5543, 47745, 170802, 41039},
+    {"synth-stream-1", "S64", PrefetchMode::kSelective, 5543, 47745, 170802, 41039},
+    {"synth-stream-1", "4C32/1-1", PrefetchMode::kNone, 563817, 54128, 189780, 41834},
+    {"synth-stream-1", "4C32/1-1", PrefetchMode::kAll, 26986, 57312, 227736, 46631},
+    {"synth-stream-1", "4C32/1-1", PrefetchMode::kSelective, 26986, 57312, 227736, 46631},
+  };
+  for (const GoldenReplay& g : golden) {
+    SCOPED_TRACE(std::string(g.loop) + " " + g.org + " " +
+                 std::string(ToString(g.mode)));
+    const workload::Loop loop = GoldenLoop(g.loop);
+    const MachineConfig m = hw::ApplyCharacterization(
+        MachineConfig::WithRF(RFConfig::Parse(g.org)),
+        hw::RFModelMode::kPaperTable);
+    const sched::LatencyOverrides ov =
+        ClassifyBindingPrefetch(loop.ddg, m, loop.trip, g.mode);
+    const core::ScheduleResult sr = core::MirsHC(loop.ddg, m, {}, ov);
+    ASSERT_TRUE(sr.ok);
+    const ReplayResult rr = ReplayLoop(loop, sr, m);
+    EXPECT_EQ(rr.stall_cycles, g.stall_cycles);
+    EXPECT_EQ(rr.useful_cycles, g.useful_cycles);
+    EXPECT_EQ(rr.accesses, g.accesses);
+    EXPECT_EQ(rr.misses, g.misses);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1052,6 +1052,9 @@ void PrintReproSummary(const experiment::ReproReport& report,
       "(summed per-request phases)\n",
       report.timing.cache_probe_seconds, report.timing.mii_seconds,
       report.timing.schedule_seconds, report.timing.serialize_seconds);
+  std::printf(
+      "post-batch: %.3f s wall, %d replayed cells in %d distinct replays\n",
+      report.metrics_seconds, report.replayed_cells, report.distinct_replays);
   if (!cache_dir.empty()) {
     std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
                 report.cache.hits, report.cache.misses, report.cache.rejects,
