@@ -8,11 +8,13 @@
 //   $ ./examples/design_space [loops]      (default 120 synthetic loops)
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "hwmodel/characterize.h"
 #include "perf/runner.h"
+#include "service/session.h"
 #include "workload/perfect_synth.h"
 
 using namespace hcrf;
@@ -43,20 +45,42 @@ int main(int argc, char** argv) {
       "4C16S16/2-1", "8C32S16/1-1", "8C16S16/1-1", "4C16S64/2-1",
       "8C16S32/1-1"};
 
+  // One batch schedules every (organization, loop) pair.
   std::vector<Point> points;
+  std::vector<MachineConfig> machines;
+  std::vector<service::BatchRequest> requests;
   for (const char* name : configs) {
     MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(name));
     const hw::Characterization c =
         hw::Characterize(m, hw::RFModelMode::kPaperTable);
     m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
-    const perf::SuiteMetrics sm = perf::RunSuite(suite, m);
     Point p;
     p.name = name;
     p.area = c.total_area_mlambda2;
     p.clock = c.clock_ns;
-    p.cycles = static_cast<double>(sm.ExecCycles());
-    p.time = p.cycles * c.clock_ns;
     points.push_back(p);
+    machines.push_back(m);
+    for (size_t i = 0; i < suite.size(); ++i) {
+      service::BatchRequest req;
+      // Non-owning alias: the suite outlives the batch.
+      req.loop = std::shared_ptr<const workload::Loop>(
+          std::shared_ptr<const void>(), &suite[i]);
+      req.machine = m;
+      requests.push_back(std::move(req));
+    }
+  }
+  const service::BatchReport report =
+      service::RunBatch(requests, service::ServiceConfig{});
+  for (size_t c = 0; c < points.size(); ++c) {
+    std::vector<perf::LoopMetrics> loops;
+    for (size_t i = 0; i < suite.size(); ++i) {
+      loops.push_back(perf::MetricsFromResult(
+          suite[i], machines[c],
+          report.items[c * suite.size() + i].result));
+    }
+    const perf::SuiteMetrics sm = perf::Aggregate(loops);
+    points[c].cycles = static_cast<double>(sm.ExecCycles());
+    points[c].time = points[c].cycles * points[c].clock;
   }
 
   // Pareto front on (time, area), both minimized.

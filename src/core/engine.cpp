@@ -703,7 +703,7 @@ ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
 }
 
 ScheduleResult EngineDriver::RunSpeculative(const MIIInfo& mii) {
-  perf::SpeculationPool& pool = perf::SpeculationPool::Shared();
+  perf::WorkerPool& pool = perf::WorkerPool::Shared();
   // On a worker-less pool every attempt runs on this thread anyway, so all
   // slots share ONE context — the serial driver's cache behaviour (one hot
   // working graph + MRT) instead of cycling k cold ones.

@@ -11,7 +11,7 @@
 // selector, budget, instrumentation, scratch buffers). The serial driver
 // reuses one context across the escalation walk exactly as before; the
 // speculative driver races several contexts — one per candidate II — on the
-// process-wide perf::SpeculationPool and commits the lowest II that
+// process-wide perf::WorkerPool and commits the lowest II that
 // validates, with bit-identical schedules AND stats (every candidate below
 // the winner still runs and its counters merge in escalation order).
 #pragma once

@@ -61,7 +61,7 @@ struct MirsOptions {
   bool incremental = true;
   /// Speculative II racing: values >= 2 race that many candidate IIs of
   /// the serial escalation sequence concurrently on the process-wide
-  /// perf::SpeculationPool, each on its own self-contained AttemptContext,
+  /// perf::WorkerPool, each on its own self-contained AttemptContext,
   /// and commit the lowest II that validates (losing attempts above it are
   /// cancelled early). Schedules AND stats are bit-identical to the serial
   /// path — every candidate below the winner is still attempted and its
@@ -82,7 +82,7 @@ struct MirsOptions {
   // ---- policy-layer hooks (null = defaults from the enums above) -------
   /// Creates the per-run cluster selector; overrides `cluster_policy` when
   /// set. A factory (not an instance) so one MirsOptions value can be
-  /// shared across the parallel suite runner's concurrent runs.
+  /// shared across a batch's concurrent runs.
   ClusterSelectorFactory cluster_selector;
   /// Node-ordering policy (default: HRMS ordering).
   std::shared_ptr<const NodeOrderPolicy> ordering;
@@ -92,7 +92,7 @@ struct MirsOptions {
   /// must outlive the MirsHC call. Callbacks run on the scheduling thread.
   EventSink* event_sink = nullptr;
 
-  /// Precomputed MII of the loop (the suite runner's sweep cache); when
+  /// Precomputed MII of the loop (the batch's MII sweep cache); when
   /// set, the engine skips its own ComputeMII. Must match the loop/machine.
   std::optional<MIIInfo> precomputed_mii;
 

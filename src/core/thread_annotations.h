@@ -1,6 +1,6 @@
 // Clang thread-safety annotations and the annotated mutex vocabulary.
 //
-// The concurrency machinery (perf::ThreadPool, perf::SpeculationPool, the
+// The concurrency machinery (perf::WorkerPool and its TaskGroups, the
 // MII sweep cache, the metrics registry, the tracer) documents its lock
 // discipline with these macros; under clang, `-Wthread-safety` then proves
 // at compile time that every access to a HCRF_GUARDED_BY member happens

@@ -8,7 +8,7 @@
 // into the artifact's report rows. The specs are data; execution is the
 // experiment runner's job (run.h), which dispatches every scheduling cell
 // of every selected experiment through service::RunBatch — one flat,
-// deduplicated, cache-backed batch on the shared thread pool, so a warm
+// deduplicated, cache-backed batch on the process worker pool, so a warm
 // rerun of the whole paper is served from the persistent schedule cache.
 //
 // Reference values live in paper_ref.h as structured data; the runner

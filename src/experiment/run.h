@@ -5,8 +5,8 @@
 // flat service::RunBatch call — deduplicated by schedule-cache key, so a
 // cell shared between experiments (e.g. the characterized S128 baseline
 // appears in Tables 1 and 6) is scheduled once — and backed by the
-// persistent ScheduleCache: a warm rerun of the whole paper is served
-// from disk. Binding-prefetch cells carry their per-loop latency
+// session's cache tiers: a warm rerun of the whole paper is served from
+// disk. Binding-prefetch cells carry their per-loop latency
 // overrides in the BatchRequest (part of the cache key). After the batch,
 // a parallel metrics phase derives every cell's LoopMetrics on the same
 // workers, replaying memory-system stall cycles once per distinct (batch
@@ -24,7 +24,7 @@
 #include "experiment/experiment.h"
 #include "experiment/paper_ref.h"
 #include "service/batch.h"
-#include "service/sched_cache.h"
+#include "service/cache_tier.h"
 
 namespace hcrf::service {
 class SchedulerService;
@@ -39,7 +39,7 @@ struct ReproOptions {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default.
   long cache_mem_bytes = 0;
-  /// Parallelism (perf::RunOptions convention: 0 = hardware concurrency).
+  /// Parallelism (ServiceConfig::threads: 0 = hardware concurrency).
   int threads = 0;
   /// Run each experiment on its bounded smoke slice instead of the full
   /// workload. Workload-dependent reference values are reported but not
@@ -78,7 +78,7 @@ struct ReproReport {
   bool smoke = false;
   std::vector<ExperimentResult> experiments;
   /// Batch/cache run metadata (stdout summary only; never in reports).
-  service::ScheduleCache::Stats cache;
+  service::TierStats cache;
   int requests = 0;   ///< Deduplicated scheduling requests dispatched.
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.

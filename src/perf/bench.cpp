@@ -368,7 +368,7 @@ BenchReport RunBench(const BenchOptions& opt) {
   report.speculate_k = opt.speculate_k;
   report.speculate_eager = opt.speculate_eager;
   report.speculation_pool_workers =
-      opt.speculate_k >= 2 ? SpeculationPool::Shared().num_workers() : 0;
+      opt.speculate_k >= 2 ? WorkerPool::Shared().num_workers() : 0;
   report.host = QueryHostInfo();
   report.mii_cache = GetMiiCacheStats();
   return report;
@@ -377,8 +377,7 @@ BenchReport RunBench(const BenchOptions& opt) {
 HostInfo QueryHostInfo() {
   HostInfo h;
   h.hardware_concurrency = std::thread::hardware_concurrency();
-  h.thread_pool_workers = ThreadPool::Shared().num_workers();
-  h.speculation_pool_workers = SpeculationPool::Shared().num_workers();
+  h.speculation_pool_workers = WorkerPool::Shared().num_workers();
   h.degraded = h.speculation_pool_workers == 0;
 #ifdef NDEBUG
   h.build_type = "release";
@@ -394,8 +393,6 @@ std::string BenchJson(const BenchReport& report) {
   out += "  \"generated_by\": \"hcrf_sched bench\",\n";
   out += "  \"host\": {\"hardware_concurrency\": " +
          std::to_string(report.host.hardware_concurrency) +
-         ", \"thread_pool_workers\": " +
-         std::to_string(report.host.thread_pool_workers) +
          ", \"speculation_pool_workers\": " +
          std::to_string(report.host.speculation_pool_workers) +
          ",\n           \"degraded\": " +

@@ -1,7 +1,7 @@
 // Engine A/B/C bench: times the scheduling hot path in reference mode
 // (full ComputePressure per spill check, linear priority scan), incremental
 // mode (pressure tracker + indexed priority pick, MirsOptions::incremental)
-// and speculative mode (incremental + II racing on the SpeculationPool,
+// and speculative mode (incremental + II racing on the WorkerPool,
 // MirsOptions::speculate_k), asserts all modes produce bit-identical
 // schedules on every loop, and reports speedups, per-loop latency tails and
 // speculation telemetry.
@@ -15,7 +15,7 @@
 //  * Per-(suite, organization) cases, fixed repetition counts; wall time
 //    covers MirsHC only (suite construction, MII bounds and serialization
 //    are outside the timed region). The reference and incremental legs are
-//    single-threaded; the speculative leg uses the process SpeculationPool.
+//    single-threaded; the speculative leg uses the process WorkerPool.
 //  * Each loop's MII is precomputed once and handed to every mode via
 //    MirsOptions::precomputed_mii, so the comparison isolates the engine.
 //  * Latency quantiles are nearest-rank over the per-loop mean wall time
@@ -163,10 +163,11 @@ struct BaselineComparison {
 /// commit-message footnote to explain exactly that).
 struct HostInfo {
   unsigned hardware_concurrency = 0;
-  int thread_pool_workers = 0;
+  /// Workers of the process WorkerPool (the key keeps its historical
+  /// name so `--baseline` reads the checked-in reports).
   int speculation_pool_workers = 0;
   std::string build_type;  ///< "release" (NDEBUG) or "debug".
-  /// True when the speculation pool has no workers (single-core host):
+  /// True when the worker pool has no workers (single-core host):
   /// the speculative leg degrades to inline racing and its numbers are
   /// not comparable to a multi-core run. Stamped into the JSON so
   /// baseline comparison can skip the incomparable legs.
@@ -262,7 +263,7 @@ struct BaselineCheck {
 /// Compares `current` against a checked-in BENCH_*.json (the deterministic
 /// output of BenchJson — this is a targeted scanner, not a JSON library,
 /// and relies on that shape). Per (suite, rf) present in both reports it
-/// checks the serial p95 and, when BOTH hosts ran with speculation pool
+/// checks the serial p95 and, when BOTH hosts ran with worker pool
 /// workers, the speculative p95; a leg is a regression when current p95 >
 /// baseline p95 * (1 + tolerance). Legs whose host block makes them
 /// incomparable (speculation_pool_workers == 0 on either side) are counted

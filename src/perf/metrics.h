@@ -29,11 +29,6 @@ struct LoopMetrics {
   int loadr_ops = 0;   ///< LoadR nodes (shared->cluster copies).
   int storer_ops = 0;  ///< StoreR nodes (cluster->shared copies).
   int spill_memory_ops = 0;
-  /// Wall time actually spent on this loop (MII lookup + scheduling).
-  /// With the sweep cache warm (RunOptions::reuse_mii_cache) only the
-  /// first configuration of a sweep pays ComputeMII; disable the cache
-  /// for order-independent cross-configuration time comparisons.
-  double sched_seconds = 0.0;
 
   // Scheduler-effort counters (core::ScheduleStats, see instrument.h).
   long ejections = 0;       ///< Force-and-eject victims.
@@ -53,7 +48,6 @@ struct SuiteMetrics {
   long stall_cycles = 0;
   long mem_traffic = 0;
   long ops_executed = 0;
-  double sched_seconds = 0.0;
 
   // Aggregated scheduler-effort counters (over scheduled loops).
   long ejections = 0;

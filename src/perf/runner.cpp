@@ -1,7 +1,5 @@
 #include "perf/runner.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -11,7 +9,6 @@
 #include "memsim/replay.h"
 #include "obs/metrics.h"
 #include "perf/dual_hash.h"
-#include "perf/thread_pool.h"
 
 namespace hcrf::perf {
 
@@ -134,7 +131,7 @@ class MiiCache {
 
   // The hit/miss/eviction counters live in the process-wide metrics
   // registry (sharded atomics, not fields guarded by mu_) so that
-  // GetMiiCacheStats never races with — or contends against — runner
+  // GetMiiCacheStats never races with — or contends against — batch
   // threads in the middle of a sweep; the entry count takes the lock (it
   // reads the map).
   MiiCacheStats stats() const HCRF_EXCLUDES(mu_) {
@@ -164,32 +161,6 @@ class MiiCache {
   obs::Counter& evictions_;
   obs::Gauge& entries_;
 };
-
-// ---------------------------------------------------------------------------
-// Per-loop run
-// ---------------------------------------------------------------------------
-
-LoopMetrics RunOne(const workload::Loop& loop, const MachineConfig& m,
-                   const RunOptions& opt) {
-  LoopMetrics lm;
-  const sched::LatencyOverrides overrides = memsim::ClassifyBindingPrefetch(
-      loop.ddg, m, loop.trip, opt.prefetch);
-
-  core::MirsOptions mirs = opt.mirs;
-  // The MII lookup stays inside the timed region: sched_seconds reports
-  // the time actually spent on this loop (ComputeMII on a cold miss, a
-  // hash lookup on a sweep hit; see the LoopMetrics::sched_seconds doc).
-  const auto t0 = std::chrono::steady_clock::now();
-  if (opt.reuse_mii_cache && !mirs.precomputed_mii) {
-    mirs.precomputed_mii = MiiCache::Shared().Get(loop.ddg, m, overrides);
-  }
-  const core::ScheduleResult sr = core::MirsHC(loop.ddg, m, mirs, overrides);
-  const auto t1 = std::chrono::steady_clock::now();
-  lm = MetricsFromResult(loop, m, sr, opt.simulate_memory);
-  lm.sched_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
-  return lm;
-}
 
 }  // namespace
 
@@ -227,23 +198,6 @@ LoopMetrics MetricsFromResult(const workload::Loop& loop,
     lm.stall_cycles = rr.stall_cycles;
   }
   return lm;
-}
-
-std::vector<LoopMetrics> RunSuiteDetailed(const workload::Suite& suite,
-                                          const MachineConfig& m,
-                                          const RunOptions& opt) {
-  std::vector<LoopMetrics> out(suite.size());
-  ThreadPool& pool = ThreadPool::Shared();
-  const int max_workers =
-      opt.threads > 0 ? opt.threads : pool.num_workers() + 1;
-  pool.ParallelFor(suite.size(), max_workers,
-                   [&](size_t i) { out[i] = RunOne(suite[i], m, opt); });
-  return out;
-}
-
-SuiteMetrics RunSuite(const workload::Suite& suite, const MachineConfig& m,
-                      const RunOptions& opt) {
-  return Aggregate(RunSuiteDetailed(suite, m, opt));
 }
 
 MiiCacheStats GetMiiCacheStats() { return MiiCache::Shared().stats(); }

@@ -1,64 +1,31 @@
-// Suite runner: schedules every loop of a workload on a machine
-// configuration and aggregates the paper's metrics.
+// Loop metrics and the MII sweep cache.
 //
-// Scheduling is embarrassingly parallel across loops; the runner feeds the
-// suite through the shared ThreadPool's work queue (thread_pool.h) instead
-// of spawning threads per call. Multi-configuration sweeps (the tables /
-// figures benches call RunSuite once per RF organization over the same
-// suite) additionally reuse each loop's MII: the bound depends only on the
-// graph, the latency table and the global FU / memory-port counts, all of
-// which are shared across the RF organizations of one sweep, so the
-// process-wide cache turns the per-configuration ComputeMII into a hash
-// lookup.
+// Scheduling runs through service::SchedulerService::RunBatch; this
+// module holds what surrounds it. MetricsFromResult derives a loop's
+// paper metrics from a finished schedule. The MII sweep cache serves each
+// loop's MII across the configurations of a design-space sweep: the bound
+// depends only on the graph, the latency table and the global FU /
+// memory-port counts, all shared across the RF organizations of one
+// sweep, so the process-wide cache turns the per-configuration
+// ComputeMII into a hash lookup.
 #pragma once
 
-#include <vector>
-
 #include "ddg/mii.h"
-#include "memsim/prefetch.h"
 #include "perf/metrics.h"
 #include "sched/lifetime.h"
 #include "workload/workload.h"
 
 namespace hcrf::perf {
 
-struct RunOptions {
-  core::MirsOptions mirs;
-  memsim::PrefetchMode prefetch = memsim::PrefetchMode::kNone;
-  /// Simulate the cache to obtain stall cycles (Figure 6's real-memory
-  /// scenario); otherwise stalls are 0 (ideal memory).
-  bool simulate_memory = false;
-  /// Parallelism of one RunSuite call (including the calling thread);
-  /// 0 = hardware concurrency, 1 = strictly serial. Widths beyond the
-  /// shared pool's size are clamped to it (the pool never oversubscribes
-  /// the machine; scheduling is CPU-bound).
-  int threads = 0;
-  /// Reuse per-loop MII computations across RunSuite calls (safe: the
-  /// cache key covers everything the MII depends on). Disable to measure
-  /// cold-start scheduling times.
-  bool reuse_mii_cache = true;
-};
-
-/// Per-loop results, in suite order.
-std::vector<LoopMetrics> RunSuiteDetailed(const workload::Suite& suite,
-                                          const MachineConfig& m,
-                                          const RunOptions& opt = {});
-
 /// Derives a loop's metrics from an already-computed schedule: the
 /// Section 2.3 formulas (useful cycles, memory traffic, ops executed) plus
-/// the memory-simulation stall cycles when `simulate_memory` is set. This
-/// is the post-scheduling half of the suite runner, shared with the
-/// experiment layer, which obtains its ScheduleResults through the
-/// cache-backed batch service instead of fresh MirsHC calls (a cache-served
-/// result yields metrics bit-identical to a fresh one). `sched_seconds` is
-/// left zero — wall time is the caller's to attribute.
+/// the memory-simulation stall cycles (Figure 6's real-memory scenario)
+/// when `simulate_memory` is set; otherwise stalls are 0 (ideal memory).
+/// A cache-served result yields metrics bit-identical to a fresh one.
 LoopMetrics MetricsFromResult(const workload::Loop& loop,
                               const MachineConfig& m,
                               const core::ScheduleResult& result,
                               bool simulate_memory = false);
-
-SuiteMetrics RunSuite(const workload::Suite& suite, const MachineConfig& m,
-                      const RunOptions& opt = {});
 
 /// Counters of the process-wide MII sweep cache (observability for the
 /// benches and the sweep service; hits mean a configuration skipped

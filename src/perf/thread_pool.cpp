@@ -8,116 +8,22 @@
 
 namespace hcrf::perf {
 
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* pool = [] {
-    auto* p = new ThreadPool();  // leaked: lives for the process
-    obs::GetGauge("thread_pool.workers").Set(p->num_workers());
+WorkerPool& WorkerPool::Shared() {
+  static WorkerPool* pool = [] {
+    auto* p = new WorkerPool();  // leaked: lives for the process
+    obs::GetGauge("pool.workers").Set(p->num_workers());
     return p;
   }();
   return *pool;
 }
 
-ThreadPool::ThreadPool(int threads) {
-  const int n =
-      threads > 0
-          ? threads
-          : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  // The calling thread participates in every job, so n workers give n+1-way
-  // parallelism; keep the worker count at n-1 to match the historical
-  // "threads" semantics of RunOptions.
-  workers_.reserve(static_cast<size_t>(std::max(0, n - 1)));
-  for (int i = 0; i < n - 1; ++i) {
-    workers_.emplace_back([this, i] {
-      obs::Tracer::SetThreadName("pool-worker-" + std::to_string(i + 1));
-      WorkerLoop();
-    });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::RunItems() {
-  while (job_.active && job_.next < job_.n) {
-    const std::size_t i = job_.next++;
-    const auto* fn = job_.fn;
-    mu_.unlock();
-    (*fn)(i);
-    mu_.lock();
-    if (--job_.remaining == 0) done_cv_.NotifyAll();
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  std::uint64_t seen = 0;
-  mu_.lock();
-  while (true) {
-    while (!stop_ && !(job_.active && job_.generation != seen)) {
-      work_cv_.Wait(mu_);
-    }
-    if (stop_) break;
-    seen = job_.generation;
-    if (job_.entrants_left <= 0) continue;  // width cap reached
-    --job_.entrants_left;
-    RunItems();
-  }
-  mu_.unlock();
-}
-
-void ThreadPool::ParallelFor(std::size_t n, int max_workers,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  static obs::Counter& jobs = obs::GetCounter("thread_pool.jobs");
-  static obs::Counter& items = obs::GetCounter("thread_pool.items");
-  jobs.Add(1);
-  items.Add(static_cast<long>(n));
-  if (max_workers <= 1 || n == 1 || workers_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  MutexLock session(session_mu_);
-  mu_.lock();
-  job_.fn = &fn;
-  job_.n = n;
-  job_.next = 0;
-  job_.remaining = n;
-  job_.entrants_left = max_workers - 1;  // the caller takes one slot
-  ++job_.generation;
-  job_.active = true;
-  mu_.unlock();
-  work_cv_.NotifyAll();
-  mu_.lock();
-  RunItems();
-  while (job_.remaining != 0) done_cv_.Wait(mu_);
-  job_.active = false;
-  mu_.unlock();
-}
-
-// ---------------------------------------------------------------------------
-// SpeculationPool / TaskGroup
-// ---------------------------------------------------------------------------
-
-SpeculationPool& SpeculationPool::Shared() {
-  static SpeculationPool* pool = [] {
-    auto* p = new SpeculationPool();  // leaked: lives for the process
-    obs::GetGauge("spec_pool.workers").Set(p->num_workers());
-    return p;
-  }();
-  return *pool;
-}
-
-SpeculationPool::SpeculationPool(int threads) {
+WorkerPool::WorkerPool(int threads) {
   // Default: hardware_concurrency - 1 workers. The submitter participates
   // through TaskGroup::RunAndWait's stealing, so hw-1 workers + the caller
   // saturate the machine without oversubscribing it; on a single-core host
-  // that is 0 workers and racing degrades to in-order inline execution
-  // (above-winner candidates then cancel at entry, costing nothing).
+  // that is 0 workers: batches run serially on the caller and racing
+  // degrades to in-order inline execution (above-winner candidates then
+  // cancel at entry, costing nothing).
   const int n =
       threads >= 0
           ? threads
@@ -126,13 +32,13 @@ SpeculationPool::SpeculationPool(int threads) {
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] {
-      obs::Tracer::SetThreadName("spec-worker-" + std::to_string(i + 1));
+      obs::Tracer::SetThreadName("pool-worker-" + std::to_string(i + 1));
       WorkerLoop();
     });
   }
 }
 
-SpeculationPool::~SpeculationPool() {
+WorkerPool::~WorkerPool() {
   {
     MutexLock lk(mu_);
     stop_ = true;
@@ -141,7 +47,7 @@ SpeculationPool::~SpeculationPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void SpeculationPool::WorkerLoop() {
+void WorkerPool::WorkerLoop() {
   mu_.lock();
   while (true) {
     while (!stop_ && queue_.empty()) work_cv_.Wait(mu_);
@@ -159,14 +65,21 @@ void SpeculationPool::WorkerLoop() {
 }
 
 void TaskGroup::Submit(std::function<void()> fn) {
-  static obs::Counter& tasks = obs::GetCounter("spec_pool.tasks");
+  static obs::Counter& tasks = obs::GetCounter("pool.tasks");
   tasks.Add(1);
   {
     MutexLock lk(pool_.mu_);
-    pool_.queue_.push_back(SpeculationPool::Task{this, std::move(fn)});
+    pool_.queue_.push_back(WorkerPool::Task{this, std::move(fn)});
     ++pending_;
   }
   pool_.work_cv_.NotifyOne();
+}
+
+bool TaskGroup::OthersWaiting() {
+  MutexLock lk(pool_.mu_);
+  return std::any_of(
+      pool_.queue_.begin(), pool_.queue_.end(),
+      [this](const WorkerPool::Task& t) { return t.group != this; });
 }
 
 void TaskGroup::RunAndWait() {
@@ -180,7 +93,7 @@ void TaskGroup::RunAndWait() {
       if (it->group == this) break;
     }
     if (it != pool_.queue_.end()) {
-      static obs::Counter& steals = obs::GetCounter("spec_pool.inline_steals");
+      static obs::Counter& steals = obs::GetCounter("pool.inline_steals");
       steals.Add(1);
       std::function<void()> fn = std::move(it->fn);
       pool_.queue_.erase(it);

@@ -1,21 +1,23 @@
-// Shared worker pool for the suite runner.
+// The process worker pool.
 //
-// The paper-reproduction benches run dozens of multi-configuration sweeps
-// per process, each previously spawning (and joining) hardware_concurrency
-// threads. This pool starts its workers once and feeds them a work queue;
-// ParallelFor distributes item indices through an atomic cursor, the
-// calling thread participates, and `max_workers` caps the parallelism of
-// one call (1 = strictly serial on the caller, preserving the serial
-// debugging path).
+// One pool runs all of the process's parallel work: the loops of a
+// scheduling batch (SchedulerService::ParallelFor), speculative II racing
+// inside one request, and the schedule cache's write-behind. Work arrives
+// as TaskGroup fan-outs on one plain multi-group task queue that any
+// thread — including one of the pool's own workers — may feed. Saturation
+// can never deadlock: a thread waiting on its group steals that group's
+// still-queued tasks and runs them inline, so a fully busy (or even
+// worker-less) pool degrades to serial execution on the submitter, nested
+// fan-outs are safe, and concurrent fan-outs interleave on the queue
+// instead of waiting for one another.
 //
-// Lock discipline (machine-checked under clang -Wthread-safety): `mu_`
-// guards the job slot and the stop flag; `session_mu_` serializes whole
-// ParallelFor sessions and is always acquired before `mu_`. Blocking
-// regions use explicit Mutex::lock/unlock pairs rather than scoped locks
-// because the work loops drop the mutex around each item.
+// Lock discipline (machine-checked under clang -Wthread-safety): the
+// pool's `mu_` guards the queue, the stop flag and every group's pending
+// count. Blocking regions use explicit Mutex::lock/unlock pairs rather
+// than scoped locks because the work loops drop the mutex around each
+// task.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -25,81 +27,23 @@
 
 namespace hcrf::perf {
 
-class ThreadPool {
- public:
-  /// The process-wide pool (hardware_concurrency workers, lazily started).
-  static ThreadPool& Shared();
-
-  /// `threads` = total parallelism including the calling thread (the pool
-  /// starts threads-1 workers; the caller participates in every job);
-  /// 0 = hardware concurrency.
-  explicit ThreadPool(int threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  /// Runs fn(0) .. fn(n-1), distributing items across up to `max_workers`
-  /// threads (including the caller; <= 1 runs serially on the caller).
-  /// Returns when every item has finished. Concurrent ParallelFor calls
-  /// from different threads are serialized. Must not be called from inside
-  /// a pool job (the session mutex is not reentrant) — hence the EXCLUDES.
-  void ParallelFor(std::size_t n, int max_workers,
-                   const std::function<void(std::size_t)>& fn)
-      HCRF_EXCLUDES(session_mu_, mu_);
-
- private:
-  struct Job {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t n = 0;
-    std::size_t next = 0;       ///< Next item index to hand out.
-    std::size_t remaining = 0;  ///< Items not yet finished.
-    int entrants_left = 0;      ///< Worker-entry slots left (caps width).
-    std::uint64_t generation = 0;
-    bool active = false;
-  };
-
-  void WorkerLoop() HCRF_EXCLUDES(mu_);
-  /// Pulls items until the queue drains; drops `mu_` around each item.
-  void RunItems() HCRF_REQUIRES(mu_);
-
-  Mutex session_mu_;  ///< Serializes ParallelFor sessions; outranks mu_.
-  Mutex mu_;
-  CondVar work_cv_;
-  CondVar done_cv_;
-  Job job_ HCRF_GUARDED_BY(mu_);
-  bool stop_ HCRF_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;  ///< Written in ctor/dtor only.
-};
-
 class TaskGroup;
 
-/// Bounded sub-pool for parallelism *inside* one scheduling request
-/// (speculative II racing). ThreadPool::ParallelFor runs one job at a time
-/// behind a session mutex, so submitting nested work from one of its
-/// workers would deadlock; this pool instead keeps a plain multi-group task
-/// queue that any thread — including a ThreadPool worker or one of its own
-/// workers — may feed through a TaskGroup. Saturation can never deadlock:
-/// a thread waiting on its group steals that group's still-queued tasks and
-/// runs them inline, so a fully busy (or even worker-less) pool degrades to
-/// serial execution on the submitter.
-class SpeculationPool {
+class WorkerPool {
  public:
   /// The process-wide pool (hardware_concurrency - 1 workers — the
   /// submitting thread is the remaining lane — lazily started).
-  static SpeculationPool& Shared();
+  static WorkerPool& Shared();
 
-  /// `threads` = worker-thread count. Unlike ThreadPool, the submitter is
-  /// not counted here (it participates through TaskGroup::RunAndWait's
-  /// stealing), so 0 is a valid, fully inline configuration; negative
-  /// values select the hardware_concurrency - 1 default.
-  explicit SpeculationPool(int threads = -1);
-  ~SpeculationPool();
+  /// `threads` = worker-thread count. The submitter is not counted here
+  /// (it participates through TaskGroup::RunAndWait's stealing), so 0 is a
+  /// valid, fully inline configuration; negative values select the
+  /// hardware_concurrency - 1 default.
+  explicit WorkerPool(int threads = -1);
+  ~WorkerPool();
 
-  SpeculationPool(const SpeculationPool&) = delete;
-  SpeculationPool& operator=(const SpeculationPool&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
@@ -119,15 +63,16 @@ class SpeculationPool {
   std::vector<std::thread> workers_;  ///< Written in ctor/dtor only.
 };
 
-/// One fan-out of concurrent tasks on a SpeculationPool: Submit each task,
+/// One fan-out of concurrent tasks on a WorkerPool: Submit each task,
 /// then RunAndWait — the calling thread runs its own still-queued tasks
 /// while waiting, which is what makes nested submission (a pool task that
 /// opens its own TaskGroup) safe at any saturation level. The group must
-/// outlive its tasks; the destructor drains. Tasks must not Submit to
-/// their own group.
+/// outlive its tasks; the destructor drains. A task may Submit to its own
+/// group (a yielding task re-queues its remainder that way): the new task
+/// is pending before the submitting one completes.
 class TaskGroup {
  public:
-  explicit TaskGroup(SpeculationPool& pool) : pool_(pool) {}
+  explicit TaskGroup(WorkerPool& pool) : pool_(pool) {}
   ~TaskGroup() { RunAndWait(); }
 
   TaskGroup(const TaskGroup&) = delete;
@@ -141,8 +86,14 @@ class TaskGroup {
   /// group is reusable for another Submit round afterwards.
   void RunAndWait() HCRF_EXCLUDES(pool_.mu_);
 
+  /// True while tasks of other groups wait in the pool's queue. A
+  /// long-running task polls it between units of work and, when set,
+  /// re-submits its remainder and returns, so queued work elsewhere
+  /// (write-behind, another fan-out) never starves behind it.
+  bool OthersWaiting() HCRF_EXCLUDES(pool_.mu_);
+
  private:
-  friend class SpeculationPool;
+  friend class WorkerPool;
 
   /// Completion bookkeeping for a task a pool worker just ran, called with
   /// the worker's pool mutex held. `pending_` is guarded by `pool_.mu_`,
@@ -155,7 +106,7 @@ class TaskGroup {
     if (--pending_ == 0) done_cv_.NotifyAll();
   }
 
-  SpeculationPool& pool_;
+  WorkerPool& pool_;
   int pending_ HCRF_GUARDED_BY(pool_.mu_) = 0;  ///< Submitted, unfinished.
   CondVar done_cv_;
 };

@@ -117,24 +117,24 @@ BatchRequest ResolveManifestEntry(const ManifestEntry& e,
 // write-behind (a fresh session's lifetime totals ARE the batch totals).
 
 BatchReport RunBatch(const std::vector<BatchRequest>& requests,
-                     const BatchOptions& opt) {
-  SchedulerService session(ServiceConfig::FromBatch(opt));
+                     const ServiceConfig& config) {
+  SchedulerService session(config);
   BatchReport report = session.RunBatch(requests);
   session.Drain();
   if (session.has_cache()) {
-    report.cache = session.cache_stats();
+    report.cache = session.tier_stats();
     report.mem_cache = session.memory_stats();
   }
   return report;
 }
 
 BatchReport RunManifest(const std::string& manifest_path,
-                        const BatchOptions& opt) {
-  SchedulerService session(ServiceConfig::FromBatch(opt));
+                        const ServiceConfig& config) {
+  SchedulerService session(config);
   BatchReport report = session.RunManifest(manifest_path);
   session.Drain();
   if (session.has_cache()) {
-    report.cache = session.cache_stats();
+    report.cache = session.tier_stats();
     report.mem_cache = session.memory_stats();
   }
   return report;

@@ -2,9 +2,10 @@
 //
 // A manifest (`hcl 1 manifest`) lists scheduling requests — a dependence
 // graph file plus the machine configuration and options to schedule it
-// under. The batch scheduler loads the requests, dispatches them through
-// the shared perf::ThreadPool, and backs them with the persistent
-// ScheduleCache so repeated sweeps over a corpus skip scheduling entirely.
+// under. The batch scheduler loads the requests, runs them through a
+// SchedulerService (service/session.h), which fans them out on the
+// process worker pool and backs them with its cache tiers, so repeated
+// sweeps over a corpus skip scheduling entirely.
 //
 // Manifest grammar (one request per line, `#` comments allowed):
 //     hcl 1 manifest
@@ -28,7 +29,7 @@
 #include "hwmodel/characterize.h"
 #include "machine/machine_config.h"
 #include "sched/lifetime.h"
-#include "service/sched_cache.h"
+#include "service/cache_tier.h"
 #include "workload/workload.h"
 
 namespace hcrf::service {
@@ -78,29 +79,6 @@ struct BatchRequest {
   bool allow_warm_start = false;
 };
 
-struct BatchOptions {
-  /// Persistent cache directory; empty disables caching.
-  std::string cache_dir;
-  /// In-memory hot-tier bound in entries; 0 disables the memory tier
-  /// (`--cache-mem=N`). When both tiers are on they stack as a
-  /// TieredCache with write-behind to disk.
-  long cache_mem_entries = 0;
-  /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
-  long cache_mem_bytes = 0;
-  /// Parallelism (perf::RunOptions convention: 0 = hardware concurrency,
-  /// 1 = strictly serial on the caller).
-  int threads = 0;
-  /// Hardware model used when a manifest entry asks for characterization.
-  hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-  /// Speculative II racing inside each request (MirsOptions::speculate_k;
-  /// >= 2 races that many candidate IIs on the process SpeculationPool).
-  /// An execution-strategy knob like `threads`, not part of the request:
-  /// schedules are bit-identical either way, so it stays outside the
-  /// cache key and cache entries are shared across modes.
-  int speculate_k = 0;
-  bool speculate_eager = false;
-};
-
 /// Wall-clock decomposition of one request's trip through the service.
 /// Phases that did not run stay zero (mii/schedule/serialize on a cache
 /// hit; cache_probe/serialize when caching is disabled).
@@ -139,7 +117,7 @@ struct BatchReport {
   /// Whole-stack cache counters for this batch (hits from any tier;
   /// misses/writes at the durable boundary). Zeroes when caching is
   /// disabled.
-  ScheduleCache::Stats cache;
+  TierStats cache;
   /// Memory-tier counters for this batch; zeroes without `--cache-mem`.
   /// entries/bytes are the residency at batch end, not a delta.
   TierStats mem_cache;
@@ -159,16 +137,19 @@ BatchRequest ResolveManifestEntry(const ManifestEntry& entry,
                                   const std::string& base_dir,
                                   hw::RFModelMode rf_model);
 
+struct ServiceConfig;
+
 /// Schedules every request (in parallel, cache-backed) on a transient
-/// single-batch session (see service/session.h for the resident form).
-/// Never throws for per-request failures; they surface as failed items.
+/// single-batch session built from `config` (see service/session.h for
+/// the resident form). Never throws for per-request failures; they
+/// surface as failed items.
 BatchReport RunBatch(const std::vector<BatchRequest>& requests,
-                     const BatchOptions& opt);
+                     const ServiceConfig& config);
 
 /// Loads `manifest_path`, resolves its requests and runs them. Entries
 /// whose graph/machine files fail to load become failed items (the rest
 /// of the batch still runs); a malformed manifest itself throws.
 BatchReport RunManifest(const std::string& manifest_path,
-                        const BatchOptions& opt);
+                        const ServiceConfig& config);
 
 }  // namespace hcrf::service

@@ -323,7 +323,7 @@ void TieredCache::Put(const CacheKey& key, const core::ScheduleResult& result) {
   memory_->PutSized(key, result, static_cast<long>(body.size()));
   if (write_behind_) {
     // The scheduling worker returns immediately; the filesystem write runs
-    // on the speculation pool (safe to feed from any thread, including
+    // on the process worker pool (safe to feed from any thread, including
     // pool workers). Racing writers of one key produce identical bytes and
     // DiskTier writes are atomic, so ordering does not matter.
     DiskTier* disk = disk_.get();

@@ -1,11 +1,11 @@
 // Tiered schedule-cache interface: the storage layers behind the
 // scheduling service.
 //
-// PRs 2-7 grew one on-disk, content-addressed schedule store
-// (service::ScheduleCache). The resident daemon needs that store to be a
-// *tier* of a stack rather than a per-run local: a sharded in-memory hot
-// tier absorbs the traffic of repeated submissions without lock
-// contention or disk parses, and the on-disk tier keeps the durable,
+// The scheduling service began with one on-disk, content-addressed
+// schedule store (service::DiskTier). The resident daemon needs that
+// store to be a *tier* of a stack rather than a per-run local: a sharded
+// in-memory hot tier absorbs the traffic of repeated submissions without
+// lock contention or disk parses, and the on-disk tier keeps the durable,
 // process-crossing view. This header extracts the common interface —
 // CacheKey, Get/Put/Drain, per-tier counters — and provides the two new
 // layers:
@@ -17,7 +17,7 @@
 //    bound means what an operator thinks it means.
 //  * TieredCache — MemoryTier in front of DiskTier. Gets probe memory
 //    first, then disk (promoting hits); Puts land in memory and are
-//    written behind to disk on the process SpeculationPool, so the
+//    written behind to disk on the process WorkerPool, so the
 //    scheduling worker never waits on the filesystem. Drain() settles
 //    every queued write (the daemon calls it on SIGTERM; one-shot runs
 //    drain before reporting).
@@ -289,7 +289,7 @@ class TieredCache : public CacheTier {
   bool write_behind_ = true;
   /// Queued disk writes; destructed (and therefore drained) before the
   /// tiers above it, so tasks never outlive the DiskTier they target.
-  perf::TaskGroup writes_{perf::SpeculationPool::Shared()};
+  perf::TaskGroup writes_{perf::WorkerPool::Shared()};
 };
 
 }  // namespace hcrf::service

@@ -101,22 +101,12 @@ void DiskTier::PutBody(const CacheKey& key, const std::string& body) {
   }
 }
 
-DiskTier::Stats DiskTier::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.rejects = rejects_.load(std::memory_order_relaxed);
-  s.writes = writes_.load(std::memory_order_relaxed);
-  return s;
-}
-
 TierStats DiskTier::tier_stats() const {
-  const Stats s = stats();
   TierStats t;
-  t.hits = s.hits;
-  t.misses = s.misses;
-  t.rejects = s.rejects;
-  t.writes = s.writes;
+  t.hits = hits_.load(std::memory_order_relaxed);
+  t.misses = misses_.load(std::memory_order_relaxed);
+  t.rejects = rejects_.load(std::memory_order_relaxed);
+  t.writes = writes_.load(std::memory_order_relaxed);
   return t;
 }
 

@@ -18,7 +18,7 @@
 // falls through to a fresh schedule; corrupt entries never surface.
 //
 // Thread safety: Get/Put may be called concurrently (the batch scheduler
-// runs requests on the shared thread pool). Counters are atomics; writes
+// runs requests on the process worker pool). Counters are atomics; writes
 // go through io::WriteFileAtomic (temp + rename), so readers never observe
 // torn entries. Two threads writing the same key write identical bytes.
 #pragma once
@@ -51,16 +51,11 @@ class DiskTier : public CacheTier {
   /// tier's size accounting.
   void PutBody(const CacheKey& key, const std::string& body);
 
-  struct Stats {
-    long hits = 0;
-    long misses = 0;
-    long rejects = 0;  ///< Stale key, bad checksum or unparsable entry.
-    long writes = 0;
-  };
-  Stats stats() const;
+  /// Flow counters only (`rejects`: stale key, bad checksum or
+  /// unparsable entry); the directory census is Scan's.
   TierStats tier_stats() const override;
 
-  /// Offline directory census for `hcrf_sched cache-stats`.
+  /// Offline directory census for `hcrf_sched stats <dir>`.
   struct DirStats {
     long entries = 0;
     long bytes = 0;
@@ -76,9 +71,5 @@ class DiskTier : public CacheTier {
   std::atomic<long> rejects_{0};
   std::atomic<long> writes_{0};
 };
-
-/// Historical name: the disk store predates the tier stack, and the batch /
-/// sweep / repro layers (and their tests) refer to it as ScheduleCache.
-using ScheduleCache = DiskTier;
 
 }  // namespace hcrf::service

@@ -43,15 +43,16 @@
 // the next connection must bounce.
 //
 // Concurrency model: accepted connections run as TaskGroup tasks on a
-// SpeculationPool the server owns, sized to `max_inflight` — NOT the
+// WorkerPool the server owns, sized to `max_inflight` — NOT the
 // process-shared pool, whose hardware_concurrency - 1 sizing is zero
 // workers on a single-core host (tasks would then only run when the
 // drain path steals them, i.e. never while serving). A dedicated pool
 // guarantees every admitted connection a lane and keeps connection
-// handling out of the speculative-II racing lanes. Handlers schedule
-// through the shared SchedulerService; concurrent RunBatch calls
-// serialize on the ThreadPool's session mutex, so batches execute back
-// to back while their connections overlap on parsing and serialization.
+// handling out of the scheduling lanes. Handlers schedule through the
+// shared SchedulerService. Concurrent RunBatch calls interleave their
+// items on the process pool: each handler runs a lane of its own batch,
+// so a one-request `delta` never waits for a large batch to finish; it
+// competes with that batch's lanes for the CPUs.
 //
 // Drain semantics: RequestStop() is async-signal-safe (it only writes
 // the self-pipe; the CLI wires SIGTERM/SIGINT to it). The poll loop then
@@ -119,8 +120,8 @@ class Server {
   ServerOptions opt_;
   SchedulerService session_;
   /// One worker per admission slot, so an admitted connection always has
-  /// a thread even where the shared pools have none (see file comment).
-  perf::SpeculationPool conn_pool_;
+  /// a thread even where the shared pool has none (see file comment).
+  perf::WorkerPool conn_pool_;
   int listen_fd_ = -1;
   /// True only once bind() succeeded, i.e. this process created the
   /// socket file. Gates every unlink: a Start() that lost the bind race

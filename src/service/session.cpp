@@ -1,5 +1,7 @@
 #include "service/session.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 
@@ -14,16 +16,6 @@ namespace hcrf::service {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// The legacy four-field view of a stack-level TierStats.
-ScheduleCache::Stats StackStats(const TierStats& t) {
-  ScheduleCache::Stats s;
-  s.hits = t.hits;
-  s.misses = t.misses;
-  s.rejects = t.rejects;
-  s.writes = t.writes;
-  return s;
-}
 
 TierStats FlowDelta(const TierStats& after, const TierStats& before) {
   TierStats d = after;
@@ -40,18 +32,6 @@ TierStats FlowDelta(const TierStats& after, const TierStats& before) {
 }
 
 }  // namespace
-
-ServiceConfig ServiceConfig::FromBatch(const BatchOptions& opt) {
-  ServiceConfig c;
-  c.cache_dir = opt.cache_dir;
-  c.cache_mem_entries = opt.cache_mem_entries;
-  c.cache_mem_bytes = opt.cache_mem_bytes;
-  c.threads = opt.threads;
-  c.rf_model = opt.rf_model;
-  c.speculate_k = opt.speculate_k;
-  c.speculate_eager = opt.speculate_eager;
-  return c;
-}
 
 SchedulerService::SchedulerService(const ServiceConfig& config)
     : config_(config) {
@@ -84,10 +64,6 @@ void SchedulerService::Drain() {
   if (cache_) cache_->Drain();
 }
 
-ScheduleCache::Stats SchedulerService::cache_stats() const {
-  return StackStats(tier_stats());
-}
-
 TierStats SchedulerService::tier_stats() const {
   return cache_ ? cache_->tier_stats() : TierStats{};
 }
@@ -98,10 +74,38 @@ TierStats SchedulerService::memory_stats() const {
 
 void SchedulerService::ParallelFor(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  perf::ThreadPool& pool = perf::ThreadPool::Shared();
+  perf::WorkerPool& pool = perf::WorkerPool::Shared();
+  const int max_width = pool.num_workers() + 1;
   const int width =
-      config_.threads > 0 ? config_.threads : pool.num_workers() + 1;
-  pool.ParallelFor(n, width, fn);
+      config_.threads > 0 ? std::min(config_.threads, max_width) : max_width;
+  const std::size_t lanes = std::min(static_cast<std::size_t>(width), n);
+  if (lanes <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // Each lane pulls item indices from one shared cursor until it runs
+  // dry; the caller is a lane too, then steals whichever lane tasks no
+  // worker has picked up yet. A lane on a pool worker yields between
+  // items while other groups' tasks wait (write-behind, another batch),
+  // re-queueing itself behind them, so it never holds a worker for the
+  // whole batch. The group's completion wait orders every item's writes
+  // before this call returns.
+  std::atomic<std::size_t> next{0};
+  std::function<void(bool)> lane;  // outlives the group's tasks
+  perf::TaskGroup group(pool);
+  lane = [&](bool yields) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+      if (yields && group.OthersWaiting()) {
+        group.Submit([&] { lane(true); });
+        return;
+      }
+    }
+  };
+  for (std::size_t l = 1; l < lanes; ++l) group.Submit([&] { lane(true); });
+  lane(false);
+  group.RunAndWait();
 }
 
 BatchReport SchedulerService::RunBatch(
@@ -153,9 +157,9 @@ BatchReport SchedulerService::RunBatch(
     }
     if (!item.cache_hit) {
       core::MirsOptions mirs = req.options;
-      // Execution strategy, not request semantics (see BatchOptions): the
+      // Execution strategy, not request semantics (see ServiceConfig): the
       // speculative engine commits bit-identical results, and the nested
-      // racing rides the SpeculationPool, so a 1-thread batch still races.
+      // racing rides the WorkerPool, so a 1-thread batch still races.
       // Session-level knob wins when set; otherwise the request's own
       // value (e.g. from `hcrf_sched schedule --speculate`) stands.
       if (config_.speculate_k > 0) {
@@ -231,7 +235,7 @@ BatchReport SchedulerService::RunBatch(
     // Per-batch deltas of the session-lifetime counters. With write-behind
     // on, disk `writes` queued by this batch may still be in flight; the
     // one-shot wrappers Drain() and re-snapshot for exact totals.
-    report.cache = StackStats(FlowDelta(tier_stats(), stack_before));
+    report.cache = FlowDelta(tier_stats(), stack_before);
     report.mem_cache = FlowDelta(memory_stats(), mem_before);
   }
   return report;

@@ -1,31 +1,30 @@
 // SchedulerService: the resident scheduling session.
 //
-// Before this layer, every front-end call (`RunBatch`, `RunSweep`,
-// `RunExperiments`, each CLI invocation) constructed its own
-// ScheduleCache, read its own flags and flushed its own stats — process
-// state lived as locals of one run. A resident daemon inverts that: the
-// cache stack, the parallelism/speculation configuration and the stats
-// views are fields of one long-lived SchedulerService, and every request
-// path — one-shot CLI, sweep, repro, the Unix-socket server — schedules
-// through the same session object. One code path, one set of counters,
-// one drain point.
+// The cache stack, the parallelism/speculation configuration and the
+// stats views are fields of one long-lived SchedulerService, and every
+// request path — one-shot CLI, sweep, repro, tests, examples, the
+// Unix-socket server — schedules through the same session object. One
+// code path, one set of counters, one drain point.
 //
 // Ownership model:
 //  * The session owns the cache stack (MemoryTier / DiskTier /
 //    TieredCache, per ServiceConfig) for its whole lifetime; batch calls
 //    borrow it. Per-batch stats are deltas of the stack counters around
 //    the call.
-//  * The worker pools stay process-wide (perf::ThreadPool::Shared(),
-//    perf::SpeculationPool::Shared()); the session only carries the
-//    parallelism cap and speculation knobs applied per batch.
+//  * The worker pool stays process-wide (perf::WorkerPool::Shared());
+//    the session only carries the parallelism cap and speculation knobs
+//    applied per batch.
 //  * Drain() settles the write-behind queue; the destructor drains too.
 //    A one-shot wrapper drains before reporting (exact counters), the
 //    daemon drains on SIGTERM.
 //
-// Thread safety: RunBatch may be called from multiple threads (the server
-// dispatches concurrent submissions); calls serialize on the shared
-// pool's session mutex, and the cache stack and stats snapshots are
-// internally synchronized.
+// Thread safety: RunBatch and ParallelFor may be called from multiple
+// threads (the server dispatches concurrent submissions). Concurrent
+// calls interleave their items on the shared pool; the cache stack and
+// stats snapshots are internally synchronized. A batch's tier deltas
+// (report.cache / report.mem_cache) are taken around the call, so they
+// can include a concurrent batch's traffic; the per-item `cache_hit`
+// flags stay exact.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +39,9 @@
 
 namespace hcrf::service {
 
-/// Durable configuration of a scheduling session — what used to arrive
-/// as per-call BatchOptions, fixed at session construction.
+/// Configuration of a scheduling session, fixed at construction. The
+/// one-shot wrappers (service::RunBatch / RunManifest / RunSweep) take it
+/// too and build a transient session from it.
 struct ServiceConfig {
   /// Persistent cache directory; empty disables the disk tier.
   std::string cache_dir;
@@ -49,18 +49,20 @@ struct ServiceConfig {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Disk writes ride the SpeculationPool (Drain() settles them). Tests
+  /// Disk writes ride the WorkerPool (Drain() settles them). Tests
   /// that need deterministic write counts mid-run switch to synchronous.
   bool write_behind = true;
-  /// Parallelism cap per batch (0 = hardware concurrency).
+  /// Parallelism of one batch, including the calling thread (0 = every
+  /// pool worker plus the caller, 1 = serial on the caller). Clamped to
+  /// the pool's workers + 1: scheduling is CPU-bound.
   int threads = 0;
   hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
   /// Speculative II racing (MirsOptions::speculate_k) applied to every
-  /// request of every batch when > 0.
+  /// request of every batch when > 0. An execution-strategy knob like
+  /// `threads`, not part of the request: schedules are bit-identical
+  /// either way, so it stays outside the cache key.
   int speculate_k = 0;
   bool speculate_eager = false;
-
-  static ServiceConfig FromBatch(const BatchOptions& opt);
 };
 
 class SchedulerService {
@@ -81,10 +83,13 @@ class SchedulerService {
   BatchReport RunBatch(const std::vector<BatchRequest>& requests);
 
   /// Runs fn(0) .. fn(n-1) on the shared worker pool, `config().threads`
-  /// wide (0 = every pool worker plus the caller). The one home of the
-  /// session's width rule: RunBatch and the post-batch phase of
-  /// experiment::RunExperiments both fan out through it. Like RunBatch,
-  /// must not be called from inside a pool job.
+  /// wide (0 = every pool worker plus the caller), and returns when every
+  /// item has finished. The one home of the session's width rule:
+  /// RunBatch and the post-batch phase of experiment::RunExperiments both
+  /// fan out through it. The caller runs one lane itself, so calls may
+  /// nest (an item may call ParallelFor) and concurrent calls never wait
+  /// for one another's items; lanes on pool workers yield between items
+  /// to other queued work (write-behind, another call's lanes).
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& fn) const;
 
@@ -103,11 +108,8 @@ class SchedulerService {
   MemoryTier* memory_tier() { return memory_; }
   DiskTier* disk_tier() { return disk_; }
 
-  /// Whole-stack counters since session construction, in the legacy
-  /// four-field shape (hits from any tier; misses/rejects/writes at the
-  /// durable boundary).
-  ScheduleCache::Stats cache_stats() const;
-  /// Whole-stack counters since session construction.
+  /// Whole-stack counters since session construction (hits from any
+  /// tier; misses/rejects/writes at the durable boundary).
   TierStats tier_stats() const;
   /// Memory-tier counters since session construction; zeroes when the
   /// memory tier is not configured.

@@ -291,7 +291,7 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
     throw std::runtime_error("sweep workload is empty");
   }
 
-  // Organization-major expansion: one flat batch keeps the thread pool
+  // Organization-major expansion: one flat batch keeps the worker pool
   // saturated across the whole grid instead of per-organization waves.
   std::vector<BatchRequest> requests;
   requests.reserve(plan.machines.size() * loops.size());
@@ -345,17 +345,11 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
 }
 
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
-                     const SweepOptions& opt) {
-  ServiceConfig config;
-  config.cache_dir = opt.cache_dir;
-  config.cache_mem_entries = opt.cache_mem_entries;
-  config.cache_mem_bytes = opt.cache_mem_bytes;
-  config.threads = opt.threads;
-  config.rf_model = opt.rf_model;
+                     const ServiceConfig& config) {
   SchedulerService session(config);
   SweepReport report = RunSweep(spec, base_dir, session);
   session.Drain();
-  if (session.has_cache()) report.cache = session.cache_stats();
+  if (session.has_cache()) report.cache = session.tier_stats();
   return report;
 }
 

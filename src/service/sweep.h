@@ -6,9 +6,9 @@
 // graph files) and a grid of RF organizations: explicit paper-notation
 // names plus an optional generative cross product of cluster counts ×
 // per-cluster register capacities × shared-bank capacities. The executor
-// expands the grid into per-(loop, machine) requests, dispatches them
-// through the batch scheduler (shared perf::ThreadPool + persistent
-// ScheduleCache, so a warm rerun is fully cache-served and the shared MII
+// expands the grid into per-(loop, machine) requests, runs them as one
+// SchedulerService::RunBatch (the process worker pool plus the session's
+// cache tiers, so a warm rerun is fully cache-served and the shared MII
 // cache amortizes across configurations), and aggregates the results into
 // per-organization comparison tables — achieved II vs MII, bound-class
 // breakdown, communication / spill op counts — emitted as CSV and
@@ -91,18 +91,6 @@ struct SweepPlan {
 SweepPlan ExpandSweepMachines(const SweepSpec& spec,
                               hw::RFModelMode rf_model);
 
-struct SweepOptions {
-  /// Persistent schedule cache directory; empty disables caching.
-  std::string cache_dir;
-  /// Memory-tier entry bound (`--cache-mem`); 0 disables the hot tier.
-  long cache_mem_entries = 0;
-  /// Memory-tier byte bound; 0 = the MemoryTier default.
-  long cache_mem_bytes = 0;
-  /// Parallelism (perf::RunOptions convention: 0 = hardware concurrency).
-  int threads = 0;
-  hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-};
-
 /// One (organization, loop) cell of the sweep matrix — the deterministic
 /// subset of a ScheduleResult the reports are built from.
 struct SweepCell {
@@ -125,7 +113,7 @@ struct SweepReport {
   std::vector<std::string> loops;   ///< Workload order.
   std::vector<std::string> skipped; ///< Invalid grid combinations.
   std::vector<SweepCell> cells;     ///< Organization-major, loop-minor.
-  ScheduleCache::Stats cache;       ///< Zeroes when caching is disabled.
+  TierStats cache;                  ///< Zeroes when caching is disabled.
   int scheduled = 0;
   int hits = 0;
   int failed = 0;
@@ -133,6 +121,7 @@ struct SweepReport {
 };
 
 class SchedulerService;
+struct ServiceConfig;
 
 /// Expands `spec` (graph paths resolved against `base_dir`, the spec
 /// file's directory) and schedules every (organization, loop) pair
@@ -140,11 +129,11 @@ class SchedulerService;
 /// empty expansion; per-cell scheduling failures surface as failed cells.
 /// The session form schedules through an existing resident session (its
 /// cache stack and parallelism config; report.cache is the per-call
-/// delta); the options form wraps a transient, drained session.
+/// delta); the config form wraps a transient, drained session.
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
                      SchedulerService& session);
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
-                     const SweepOptions& opt);
+                     const ServiceConfig& config);
 
 /// Deterministic report renderings (identical for cold and warm runs).
 /// CSV: one row per cell — org,loop,status,ii,mii,sc,bound,comm_ops,

@@ -218,7 +218,7 @@ TEST_F(CacheTierTest, SynchronousStackWritesInline) {
   EXPECT_EQ(stack->tier_stats().writes, 1);
 }
 
-TEST_F(CacheTierTest, StackStatsAggregateAcrossTiers) {
+TEST_F(CacheTierTest, TierStatsAggregateAcrossTiers) {
   const workload::Loop loop = workload::MakeHydro();
   const core::ScheduleResult fresh = ScheduleKernel(loop);
   const CacheKey key = KeyOf(loop);

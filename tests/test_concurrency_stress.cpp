@@ -1,7 +1,7 @@
 // Sanitizer-shaped concurrency stress tests.
 //
 // These suites are the TSan gate for the lock-free trace buffers, the
-// sharded metric counters and the SpeculationPool's queue / pending / CV
+// sharded metric counters and the WorkerPool's queue / pending / CV
 // machinery: they hammer exactly the cross-thread paths a race would
 // corrupt, with enough iterations for TSan's happens-before engine to see
 // every interleaving class. They run in the normal suite too (the
@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf/thread_pool.h"
+#include "service/session.h"
 
 namespace hcrf {
 namespace {
@@ -86,15 +87,15 @@ TEST(ConcurrencyStress, TraceAndMetricsHammer) {
             static_cast<long>(kEpochs) * kThreads * kSpansPerThread);
 }
 
-// SpeculationPool drain stress with randomized wave shapes and a CAS-min
+// WorkerPool drain stress with randomized wave shapes and a CAS-min
 // cancellation token shaped like the engine's speculative II racing: every
 // task tries to publish its candidate unless a strictly better one already
 // won. Waves vary task count, candidate distribution and nesting (a task
 // that opens its own TaskGroup on the same pool — the documented
 // saturation-safe pattern), and groups are reused across rounds.
-TEST(ConcurrencyStress, SpeculationPoolCancellationDrain) {
+TEST(ConcurrencyStress, WorkerPoolCancellationDrain) {
   std::mt19937 rng(0xC0FFEEu);
-  perf::SpeculationPool pool(3);  // dedicated pool: also stresses teardown
+  perf::WorkerPool pool(3);  // dedicated pool: also stresses teardown
 
   for (int wave = 0; wave < 30; ++wave) {
     const int tasks = 1 + static_cast<int>(rng() % 24);
@@ -151,8 +152,8 @@ TEST(ConcurrencyStress, SpeculationPoolCancellationDrain) {
 
 // A worker-less pool degrades to inline execution on the submitter; the
 // drain logic must not deadlock waiting for workers that do not exist.
-TEST(ConcurrencyStress, SpeculationPoolWorkerlessDrain) {
-  perf::SpeculationPool pool(0);
+TEST(ConcurrencyStress, WorkerPoolWorkerlessDrain) {
+  perf::WorkerPool pool(0);
   std::atomic<int> ran{0};
   perf::TaskGroup group(pool);
   for (int i = 0; i < 64; ++i) {
@@ -162,17 +163,17 @@ TEST(ConcurrencyStress, SpeculationPoolWorkerlessDrain) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 64);
 }
 
-// Concurrent ParallelFor sessions from independent threads: sessions are
-// serialized by the pool's session mutex, every item of every session must
-// run exactly once, and item distribution races only through the guarded
-// job slot. This is the TSan probe for the ThreadPool's job handoff. A
-// dedicated 4-wide pool (not Shared()) guarantees real worker threads even
-// on single-core hosts, where the shared pool is worker-less and would
-// degrade every session to the serial fallback.
-TEST(ConcurrencyStress, ThreadPoolConcurrentSessions) {
+// Concurrent ParallelFor calls from independent threads on the shared
+// pool, one of them nesting a ParallelFor inside every item: the calls'
+// lane tasks interleave on one queue, every item of every call must run
+// exactly once, and the nested fan-outs must finish although the outer
+// lanes may hold every worker. This is the TSan probe for the lane
+// cursor and the TaskGroup handoff under contention.
+TEST(ConcurrencyStress, ParallelForConcurrentAndNestedCalls) {
   constexpr int kCallers = 4;
   constexpr int kItems = 512;
-  perf::ThreadPool pool(4);
+  constexpr int kInner = 8;
+  const service::SchedulerService session(service::ServiceConfig{});
 
   std::vector<std::thread> callers;
   std::vector<std::vector<std::atomic<int>>> hits(kCallers);
@@ -180,11 +181,17 @@ TEST(ConcurrencyStress, ThreadPoolConcurrentSessions) {
     h = std::vector<std::atomic<int>>(kItems);
     for (auto& c : h) c.store(0, std::memory_order_relaxed);
   }
+  std::vector<std::atomic<int>> inner(kItems * kInner);
+  for (auto& c : inner) c.store(0, std::memory_order_relaxed);
   callers.reserve(kCallers);
   for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &hits, c] {
-      pool.ParallelFor(kItems, /*max_workers=*/4, [&hits, c](std::size_t i) {
+    callers.emplace_back([&session, &hits, &inner, c] {
+      session.ParallelFor(kItems, [&](std::size_t i) {
         hits[c][i].fetch_add(1, std::memory_order_relaxed);
+        if (c != 0) return;
+        session.ParallelFor(kInner, [&](std::size_t j) {
+          inner[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+        });
       });
     });
   }
@@ -192,8 +199,11 @@ TEST(ConcurrencyStress, ThreadPoolConcurrentSessions) {
   for (int c = 0; c < kCallers; ++c) {
     for (int i = 0; i < kItems; ++i) {
       ASSERT_EQ(hits[c][i].load(std::memory_order_relaxed), 1)
-          << "session " << c << " item " << i;
+          << "call " << c << " item " << i;
     }
+  }
+  for (int k = 0; k < kItems * kInner; ++k) {
+    ASSERT_EQ(inner[k].load(std::memory_order_relaxed), 1) << "nested " << k;
   }
 }
 

@@ -91,7 +91,7 @@ TEST_F(DaemonTest, SubmitMatchesDirectRunBatchByteForByte) {
 
   const std::vector<service::BatchRequest> requests = KernelRequests();
   const service::BatchReport direct =
-      service::RunBatch(requests, service::BatchOptions{});
+      service::RunBatch(requests, service::ServiceConfig{});
 
   service::Client client(SocketPath());
   ASSERT_TRUE(client.Ping());

@@ -17,6 +17,7 @@
 #include "hwmodel/characterize.h"
 #include "io/hcl.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/suite_cache.h"
 
 namespace hcrf {
@@ -255,11 +256,11 @@ TEST(Speculation, RepeatedEagerRacesAreDeterministic) {
   }
 }
 
-// Regression for the nested-parallelism deadlock: a 1-thread batch keeps
-// the ThreadPool session serial on the caller while each request races on
-// the SpeculationPool. This must complete (not deadlock) and match the
-// serial batch bit for bit; a parallel batch (pool workers feeding the
-// SpeculationPool from inside a session) must too.
+// Regression for the nested-parallelism deadlock: a 1-thread batch runs
+// serially on the caller while each request races on the WorkerPool. This
+// must complete (not deadlock) and match the serial batch bit for bit; a
+// parallel batch (lanes on pool workers opening nested racing fan-outs on
+// the same pool) must too.
 TEST(Speculation, RacesInsideSingleThreadAndParallelBatches) {
   const workload::Suite& kernels = workload::SharedKernelSuite();
   const MachineConfig m = OrgMachine("4C16S64/2-1");
@@ -271,12 +272,12 @@ TEST(Speculation, RacesInsideSingleThreadAndParallelBatches) {
     req.machine = m;
     reqs.push_back(std::move(req));
   }
-  service::BatchOptions serial_opt;
+  service::ServiceConfig serial_opt;
   serial_opt.threads = 1;
-  service::BatchOptions spec1_opt = serial_opt;
+  service::ServiceConfig spec1_opt = serial_opt;
   spec1_opt.speculate_k = 4;
   spec1_opt.speculate_eager = true;
-  service::BatchOptions spec2_opt = spec1_opt;
+  service::ServiceConfig spec2_opt = spec1_opt;
   spec2_opt.threads = 2;
 
   const service::BatchReport a = service::RunBatch(reqs, serial_opt);

@@ -14,6 +14,7 @@
 #include "experiment/run.h"
 #include "memsim/prefetch.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/suite_cache.h"
 
@@ -281,7 +282,7 @@ TEST(ExperimentRun, PrefetchOverridesAreKeyedIntoTheCache) {
                service::MakeCacheKey(loop->ddg, m, prefetch.options,
                                      prefetch.overrides));
 
-  service::BatchOptions bopt;
+  service::ServiceConfig bopt;
   bopt.cache_dir = cache;
   bopt.threads = 1;
   const service::BatchReport cold =

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <vector>
 
 #include "core/mirs.h"
 #include "hwmodel/characterize.h"
 #include "perf/runner.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/perfect_synth.h"
 
@@ -157,13 +160,24 @@ TEST(Instrumentation, SuiteMetricsAggregateSchedulerCounters) {
   workload::SynthParams p;
   p.num_loops = 40;
   const workload::Suite suite = workload::PerfectSynthetic(p);
-  const perf::SuiteMetrics sm = perf::RunSuite(suite, m);
+  std::vector<service::BatchRequest> requests(suite.size());
+  for (size_t i = 0; i < suite.size(); ++i) {
+    requests[i].loop = std::shared_ptr<const workload::Loop>(
+        std::shared_ptr<const void>(), &suite[i]);
+    requests[i].machine = m;
+  }
+  const service::BatchReport report =
+      service::RunBatch(requests, service::ServiceConfig{});
+  std::vector<perf::LoopMetrics> det;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    det.push_back(perf::MetricsFromResult(suite[i], m, report.items[i].result));
+  }
+  const perf::SuiteMetrics sm = perf::Aggregate(det);
   EXPECT_GT(sm.ejections, 0);
   EXPECT_GT(sm.ii_restarts, 0);
   EXPECT_GT(sm.budget_spent, 0.0);
 
   // The aggregate equals the sum of the per-loop metrics.
-  const auto det = perf::RunSuiteDetailed(suite, m);
   long ej = 0;
   long rs = 0;
   for (const auto& lm : det) {

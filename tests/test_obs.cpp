@@ -29,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/suite_cache.h"
 
 namespace hcrf {
@@ -468,7 +469,7 @@ TEST(Service, RequestTimingDecomposesColdAndWarmPaths) {
     reqs.push_back(std::move(req));
   }
 
-  service::BatchOptions opt;
+  service::ServiceConfig opt;
   std::error_code ec;
   opt.cache_dir = (fs::temp_directory_path() /
                    ("hcrf-test-obs-" + std::to_string(::getpid())))

@@ -1,25 +1,56 @@
 // Tests of the performance-metric layer: the paper's formulas, the
-// aggregation, and the parallel suite runner's determinism.
+// aggregation, metrics of batch-scheduled suites (determinism across
+// widths, memory stalls, prefetching) and the MII sweep cache.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "memsim/prefetch.h"
 #include "perf/runner.h"
 #include "perf/tables.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/perfect_synth.h"
 
 namespace hcrf::perf {
 namespace {
 
+// Schedules every loop of `suite` on `m` in one batch `threads` wide and
+// derives each loop's metrics, in suite order.
+std::vector<LoopMetrics> ScheduleSuite(
+    const workload::Suite& suite, const MachineConfig& m, int threads = 0,
+    memsim::PrefetchMode prefetch = memsim::PrefetchMode::kNone,
+    bool simulate_memory = false) {
+  std::vector<service::BatchRequest> requests(suite.size());
+  for (size_t i = 0; i < suite.size(); ++i) {
+    const workload::Loop& loop = suite[i];
+    // Non-owning alias: the suite outlives the batch.
+    requests[i].loop = std::shared_ptr<const workload::Loop>(
+        std::shared_ptr<const void>(), &loop);
+    requests[i].machine = m;
+    requests[i].overrides =
+        memsim::ClassifyBindingPrefetch(loop.ddg, m, loop.trip, prefetch);
+  }
+  service::ServiceConfig config;
+  config.threads = threads;
+  const service::BatchReport report = service::RunBatch(requests, config);
+  std::vector<LoopMetrics> out;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    out.push_back(MetricsFromResult(suite[i], m, report.items[i].result,
+                                    simulate_memory));
+  }
+  return out;
+}
+
 TEST(Metrics, ExecCycleFormula) {
   // ExecCycles = II*(N + (SC-1)*E) + Stall.
   const MachineConfig m = MachineConfig::Baseline();
   workload::Loop loop = workload::MakeVadd(100);
   loop.invocations = 3;
-  RunOptions opt;
-  opt.threads = 1;
   workload::Suite suite;
   suite.Add(loop);
-  const auto det = RunSuiteDetailed(suite, m, opt);
+  const auto det = ScheduleSuite(suite, m, /*threads=*/1);
   ASSERT_EQ(det.size(), 1u);
   ASSERT_TRUE(det[0].ok);
   const long expected = static_cast<long>(det[0].ii) *
@@ -62,17 +93,13 @@ TEST(Metrics, IPCUsesOriginalOps) {
   EXPECT_DOUBLE_EQ(sm.IPC(), 6.0);
 }
 
-TEST(Runner, ParallelMatchesSerial) {
+TEST(BatchMetrics, ParallelMatchesSerial) {
   workload::SynthParams p;
   p.num_loops = 60;
   const workload::Suite suite = workload::PerfectSynthetic(p);
   const MachineConfig m = MachineConfig::Baseline();
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 8;
-  const auto a = RunSuiteDetailed(suite, m, serial);
-  const auto b = RunSuiteDetailed(suite, m, parallel);
+  const auto a = ScheduleSuite(suite, m, /*threads=*/1);
+  const auto b = ScheduleSuite(suite, m, /*threads=*/8);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].ok, b[i].ok) << i;
@@ -82,31 +109,27 @@ TEST(Runner, ParallelMatchesSerial) {
   }
 }
 
-TEST(Runner, RealMemoryAddsStalls) {
+TEST(BatchMetrics, RealMemoryAddsStalls) {
   workload::Suite suite;
   suite.Add(workload::MakeVadd(512));
   const MachineConfig m = MachineConfig::Baseline();
-  RunOptions ideal;
-  RunOptions real;
-  real.simulate_memory = true;
-  const SuiteMetrics a = RunSuite(suite, m, ideal);
-  const SuiteMetrics b = RunSuite(suite, m, real);
+  const SuiteMetrics a = Aggregate(ScheduleSuite(suite, m));
+  const SuiteMetrics b = Aggregate(ScheduleSuite(
+      suite, m, 0, memsim::PrefetchMode::kNone, /*simulate_memory=*/true));
   EXPECT_EQ(a.stall_cycles, 0);
   EXPECT_GT(b.stall_cycles, 0);
   EXPECT_EQ(a.useful_cycles, b.useful_cycles);
 }
 
-TEST(Runner, PrefetchCutsStalls) {
+TEST(BatchMetrics, PrefetchCutsStalls) {
   workload::Suite suite;
   suite.Add(workload::MakeVadd(512));
   const MachineConfig m = MachineConfig::Baseline();
-  RunOptions none;
-  none.simulate_memory = true;
-  RunOptions sel;
-  sel.simulate_memory = true;
-  sel.prefetch = memsim::PrefetchMode::kSelective;
-  const SuiteMetrics a = RunSuite(suite, m, none);
-  const SuiteMetrics b = RunSuite(suite, m, sel);
+  const SuiteMetrics a = Aggregate(ScheduleSuite(
+      suite, m, 0, memsim::PrefetchMode::kNone, /*simulate_memory=*/true));
+  const SuiteMetrics b = Aggregate(ScheduleSuite(
+      suite, m, 0, memsim::PrefetchMode::kSelective,
+      /*simulate_memory=*/true));
   EXPECT_LT(b.stall_cycles, a.stall_cycles);
 }
 
@@ -120,24 +143,21 @@ TEST(MiiCache, OverridesArePartOfTheKey) {
   m.lat.fadd = 6;
   workload::Suite suite;
   suite.Add(workload::MakeVadd(512));
-  RunOptions none;
-  none.threads = 1;
-  RunOptions all = none;
-  all.prefetch = memsim::PrefetchMode::kAll;
+  const memsim::PrefetchMode all = memsim::PrefetchMode::kAll;
 
   const MiiCacheStats s0 = GetMiiCacheStats();
-  RunSuiteDetailed(suite, m, none);
+  ScheduleSuite(suite, m, /*threads=*/1);
   const MiiCacheStats s1 = GetMiiCacheStats();
   EXPECT_EQ(s1.misses, s0.misses + 1);
 
   // Non-empty overrides -> a distinct entry, not a hit on the plain one.
-  RunSuiteDetailed(suite, m, all);
+  ScheduleSuite(suite, m, /*threads=*/1, all);
   const MiiCacheStats s2 = GetMiiCacheStats();
   EXPECT_EQ(s2.misses, s1.misses + 1);
   EXPECT_EQ(s2.hits, s1.hits);
 
   // Rerunning with the same overrides is served from its own entry.
-  RunSuiteDetailed(suite, m, all);
+  ScheduleSuite(suite, m, /*threads=*/1, all);
   const MiiCacheStats s3 = GetMiiCacheStats();
   EXPECT_EQ(s3.misses, s2.misses);
   EXPECT_EQ(s3.hits, s2.hits + 1);
@@ -150,12 +170,10 @@ TEST(MiiCache, CapacityBoundsResidencyWithEviction) {
 
   workload::Suite suite;
   suite.Add(workload::MakeDot());
-  RunOptions opt;
-  opt.threads = 1;
   for (int i = 0; i < 6; ++i) {
     MachineConfig m = MachineConfig::Baseline();
     m.lat.fmul = 40 + i;  // six distinct latency tables -> six keys
-    RunSuiteDetailed(suite, m, opt);
+    ScheduleSuite(suite, m, /*threads=*/1);
   }
   const MiiCacheStats after = GetMiiCacheStats();
   EXPECT_EQ(after.misses, trimmed.misses + 6);

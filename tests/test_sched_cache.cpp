@@ -16,8 +16,9 @@ namespace {
 
 namespace fs = std::filesystem;
 using service::CacheKey;
+using service::DiskTier;
 using service::MakeCacheKey;
-using service::ScheduleCache;
+using service::TierStats;
 
 class SchedCacheTest : public ::testing::Test {
  protected:
@@ -44,7 +45,7 @@ TEST_F(SchedCacheTest, HitReturnsBitIdenticalResult) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   EXPECT_FALSE(cache.Get(key).has_value());  // cold
   cache.Put(key, fresh);
@@ -52,7 +53,7 @@ TEST_F(SchedCacheTest, HitReturnsBitIdenticalResult) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
 
-  const ScheduleCache::Stats s = cache.stats();
+  const TierStats s = cache.tier_stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.rejects, 0);
@@ -67,10 +68,10 @@ TEST_F(SchedCacheTest, EntriesPersistAcrossCacheInstances) {
   ASSERT_TRUE(fresh.ok);
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   {
-    ScheduleCache writer(dir_.string());
+    DiskTier writer(dir_.string());
     writer.Put(key, fresh);
   }
-  ScheduleCache reader(dir_.string());
+  DiskTier reader(dir_.string());
   const auto hit = reader.Get(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
@@ -83,7 +84,7 @@ TEST_F(SchedCacheTest, CorruptedEntryIsRejectedAndFallsThrough) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   cache.Put(key, fresh);
 
@@ -96,7 +97,7 @@ TEST_F(SchedCacheTest, CorruptedEntryIsRejectedAndFallsThrough) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 
   EXPECT_FALSE(cache.Get(key).has_value());
-  EXPECT_EQ(cache.stats().rejects, 1);
+  EXPECT_EQ(cache.tier_stats().rejects, 1);
 
   // Fall through: re-scheduling and re-putting heals the entry.
   cache.Put(key, fresh);
@@ -112,7 +113,7 @@ TEST_F(SchedCacheTest, TruncatedEntryIsRejected) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   cache.Put(key, fresh);
 
@@ -122,7 +123,7 @@ TEST_F(SchedCacheTest, TruncatedEntryIsRejected) {
       << text.substr(0, text.size() / 2);
 
   EXPECT_FALSE(cache.Get(key).has_value());
-  EXPECT_EQ(cache.stats().rejects, 1);
+  EXPECT_EQ(cache.tier_stats().rejects, 1);
 }
 
 TEST_F(SchedCacheTest, StaleEntryUnderTheWrongKeyIsRejected) {
@@ -132,7 +133,7 @@ TEST_F(SchedCacheTest, StaleEntryUnderTheWrongKeyIsRejected) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   cache.Put(key, fresh);
 
@@ -144,7 +145,7 @@ TEST_F(SchedCacheTest, StaleEntryUnderTheWrongKeyIsRejected) {
   ASSERT_FALSE(other == key);
   fs::copy_file(EntryPathOf(key), EntryPathOf(other));
   EXPECT_FALSE(cache.Get(other).has_value());
-  EXPECT_EQ(cache.stats().rejects, 1);
+  EXPECT_EQ(cache.tier_stats().rejects, 1);
 }
 
 TEST_F(SchedCacheTest, KeySeparatesScheduleRelevantContent) {
@@ -221,7 +222,7 @@ TEST_F(SchedCacheTest, PaddedOverrideVectorsKeyIdentically) {
 TEST_F(SchedCacheTest, ScanCountsEntries) {
   const MachineConfig m = MachineConfig::Baseline();
   const core::MirsOptions opt;
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   int stored = 0;
   for (const workload::Loop& loop :
        {workload::MakeDaxpy(), workload::MakeDot(), workload::MakeVdiv()}) {
@@ -230,7 +231,7 @@ TEST_F(SchedCacheTest, ScanCountsEntries) {
     cache.Put(MakeCacheKey(loop.ddg, m, opt), r);
     ++stored;
   }
-  const ScheduleCache::DirStats ds = ScheduleCache::Scan(dir_.string());
+  const DiskTier::DirStats ds = DiskTier::Scan(dir_.string());
   EXPECT_EQ(ds.entries, stored);
   EXPECT_GT(ds.bytes, 0);
 }

@@ -9,6 +9,7 @@
 
 #include "io/hcl.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 
 namespace hcrf {
@@ -105,7 +106,7 @@ TEST(BatchService, CorpusManifestColdThenWarmIsBitIdentical) {
   const std::string manifest = CorpusPath("kernels.manifest");
   ASSERT_TRUE(fs::exists(manifest)) << manifest;
 
-  service::BatchOptions opt;
+  service::ServiceConfig opt;
   const fs::path cache_dir =
       fs::path(::testing::TempDir()) / "hcrf-corpus-cache";
   fs::remove_all(cache_dir);

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "io/hcl.h"
+#include "service/session.h"
 #include "service/sweep.h"
 
 namespace hcrf {
@@ -150,7 +151,7 @@ TEST(Sweep, ColdThenWarmIsBitIdenticalAndFullyCacheServed) {
 
   const fs::path dir = fs::path(::testing::TempDir()) / "hcrf-sweep-accept";
   fs::remove_all(dir);
-  service::SweepOptions opt;
+  service::ServiceConfig opt;
   opt.cache_dir = (dir / "cache").string();
   opt.threads = 2;
 

@@ -15,10 +15,10 @@ mode it guards against:
                   bit-reproducible across runs and machines; rand()/
                   srand()/std::random_device are banned in src/ (seeded
                   mt19937 et al. are fine — the seed is part of the spec).
-  naked-thread    All parallelism goes through perf::ThreadPool /
-                  perf::SpeculationPool so saturation, tracing and
-                  shutdown stay centralized; raw std::thread construction
-                  outside src/perf/ is a smell (std::thread::id and
+  naked-thread    All parallelism goes through perf::WorkerPool (and its
+                  TaskGroups) so saturation, tracing and shutdown stay
+                  centralized; raw std::thread construction outside
+                  src/perf/ is a smell (std::thread::id and
                   std::this_thread remain free).
   raw-socket      Socket syscalls (socket/bind/listen/accept/connect/
                   setsockopt/recv/send) concentrate in the daemon's
@@ -239,7 +239,7 @@ class Linter:
                                                 line):
                 self.report(rel, lineno, "naked-thread",
                             "raw std::thread outside perf/; go through "
-                            "perf::ThreadPool / perf::SpeculationPool")
+                            "perf::WorkerPool")
             if (not rel.startswith(PLACEMENT_FUNNEL_ALLOWED_DIRS)
                     and rel not in PLACEMENT_FUNNEL_ALLOWLIST):
                 if re.search(r"\bsched(?:ule)?\s*(?:->|\.)\s*"

@@ -103,7 +103,6 @@ commands:
                          folds a disk census of that schedule cache in as
                          sched_cache.disk_entries / sched_cache.disk_bytes
       --json               JSON instead of the aligned table
-                         (`cache-stats <dir>` is the pre-PR7 alias)
   smoke <manifest>       run twice (cold, warm cache); verify the warm run
                          hits the cache and its output is bit-identical
   bench                  time the scheduling hot path: reference engine vs
@@ -116,7 +115,7 @@ commands:
       --baseline=FILE      compare against a checked-in BENCH_*.json:
                            exit 1 when any comparable leg's p95 regresses
                            by more than 15%% (legs that are incomparable —
-                           e.g. a degraded speculation pool on either
+                           e.g. a degraded worker pool on either
                            host — are skipped, never failed)
       --rf=A,B,...         organizations to bench (paper notation)
       --reps=N             kernel-suite repetitions per timed mode
@@ -397,10 +396,10 @@ int CmdSchedule(const Args& args) {
   req.machine = m;
   req.options = opt;
 
-  service::BatchOptions bopt;
-  if (const std::string* c = args.Flag("cache")) bopt.cache_dir = *c;
-  CacheMemFromFlags(args, &bopt.cache_mem_entries, &bopt.cache_mem_bytes);
-  const service::BatchReport report = service::RunBatch({req}, bopt);
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
+  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
+  const service::BatchReport report = service::RunBatch({req}, config);
   const service::BatchItem& item = report.items[0];
   PrintItem(item);
   if (!item.ok) return 1;
@@ -415,10 +414,10 @@ int CmdSchedule(const Args& args) {
 }
 
 int RunManifestOnce(const std::string& manifest,
-                    const service::BatchOptions& bopt, bool quiet,
+                    const service::ServiceConfig& config, bool quiet,
                     const std::string* out_dir,
                     service::BatchReport* out_report) {
-  const service::BatchReport report = service::RunManifest(manifest, bopt);
+  const service::BatchReport report = service::RunManifest(manifest, config);
   for (const service::BatchItem& item : report.items) {
     if (!quiet) PrintItem(item);
     if (out_dir != nullptr && item.ok) {
@@ -435,12 +434,12 @@ int RunManifestOnce(const std::string& manifest,
       "%.3f s wall\n",
       report.items.size(), report.scheduled, report.hits, report.failed,
       report.seconds);
-  if (!bopt.cache_dir.empty()) {
+  if (!config.cache_dir.empty()) {
     std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
                 report.cache.hits, report.cache.misses, report.cache.rejects,
-                report.cache.writes, bopt.cache_dir.c_str());
+                report.cache.writes, config.cache_dir.c_str());
   }
-  if (bopt.cache_mem_entries > 0) {
+  if (config.cache_mem_entries > 0) {
     std::printf(
         "mem-cache: %ld hits, %ld near hits, %ld near misses, %ld writes, "
         "%ld evictions, %ld oversize; %ld entries, %ld bytes resident\n",
@@ -460,21 +459,21 @@ int CmdRun(const Args& args) {
                          "stats"})) {
     return Usage();
   }
-  service::BatchOptions bopt;
-  if (const std::string* c = args.Flag("cache")) bopt.cache_dir = *c;
-  CacheMemFromFlags(args, &bopt.cache_mem_entries, &bopt.cache_mem_bytes);
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
+  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
   if (const std::string* t = args.Flag("threads")) {
-    bopt.threads = ParseIntFlag("threads", *t);
+    config.threads = ParseIntFlag("threads", *t);
   }
   if (const std::string* v = args.Flag("speculate")) {
-    bopt.speculate_k = ParseIntFlag("speculate", *v);
-    if (bopt.speculate_k < 0) {
+    config.speculate_k = ParseIntFlag("speculate", *v);
+    if (config.speculate_k < 0) {
       throw std::runtime_error("--speculate: expected a non-negative count, "
                                "got '" + *v + "'");
     }
   }
-  if (args.Flag("eager") != nullptr) bopt.speculate_eager = true;
-  return RunManifestOnce(args.positional[0], bopt,
+  if (args.Flag("eager") != nullptr) config.speculate_eager = true;
+  return RunManifestOnce(args.positional[0], config,
                          args.Flag("quiet") != nullptr, args.Flag("out-dir"),
                          nullptr);
 }
@@ -509,11 +508,11 @@ int CmdSweep(const Args& args) {
   const service::SweepSpec spec = service::LoadSweepSpecFile(spec_path);
   const std::string base_dir = fs::path(spec_path).parent_path().string();
 
-  service::SweepOptions sopt;
-  if (const std::string* c = args.Flag("cache")) sopt.cache_dir = *c;
-  CacheMemFromFlags(args, &sopt.cache_mem_entries, &sopt.cache_mem_bytes);
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
+  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
   if (const std::string* t = args.Flag("threads")) {
-    sopt.threads = ParseIntFlag("threads", *t);
+    config.threads = ParseIntFlag("threads", *t);
   }
 
   const bool smoke = args.Flag("smoke") != nullptr;
@@ -521,18 +520,18 @@ int CmdSweep(const Args& args) {
   if (smoke) {
     // Same cold-cache contract as `hcrf_sched smoke`: never delete a
     // user-supplied directory, refuse one with existing contents.
-    if (sopt.cache_dir.empty()) {
-      sopt.cache_dir =
+    if (config.cache_dir.empty()) {
+      config.cache_dir =
           (fs::temp_directory_path() /
            ("hcrf-sweep-smoke-" + std::to_string(::getpid())))
               .string();
-      fs::remove_all(sopt.cache_dir, ec);
-    } else if (fs::exists(sopt.cache_dir, ec) &&
-               !fs::is_empty(sopt.cache_dir, ec)) {
+      fs::remove_all(config.cache_dir, ec);
+    } else if (fs::exists(config.cache_dir, ec) &&
+               !fs::is_empty(config.cache_dir, ec)) {
       std::fprintf(stderr,
                    "sweep --smoke: --cache=%s exists and is not empty; the "
                    "cold run needs a fresh cache\n",
-                   sopt.cache_dir.c_str());
+                   config.cache_dir.c_str());
       return 1;
     }
   }
@@ -547,19 +546,13 @@ int CmdSweep(const Args& args) {
     // the same cache stack the cold run populated, so with --cache-mem it
     // is served from the memory tier. (The pre-session smoke built a
     // fresh cache per run and could only ever warm-hit disk.)
-    service::ServiceConfig config;
-    config.cache_dir = sopt.cache_dir;
-    config.cache_mem_entries = sopt.cache_mem_entries;
-    config.cache_mem_bytes = sopt.cache_mem_bytes;
-    config.threads = sopt.threads;
-    config.rf_model = sopt.rf_model;
     service::SchedulerService session(config);
     report = service::RunSweep(spec, base_dir, session);
     session.Drain();  // cold writes land before the warm leg probes disk
-    PrintSweepSummary(report, sopt.cache_dir);
+    PrintSweepSummary(report, config.cache_dir);
     const service::SweepReport warm =
         service::RunSweep(spec, base_dir, session);
-    PrintSweepSummary(warm, sopt.cache_dir);
+    PrintSweepSummary(warm, config.cache_dir);
     if (warm.scheduled != 0 ||
         warm.hits != static_cast<int>(warm.cells.size())) {
       std::fprintf(stderr,
@@ -574,17 +567,17 @@ int CmdSweep(const Args& args) {
                    "sweep --smoke: warm reports differ from cold reports\n");
       ok = false;
     }
-    if (sopt.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
+    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
       std::fprintf(stderr,
                    "sweep --smoke: --cache-mem warm run never hit the "
                    "memory tier\n");
       ok = false;
     }
-    if (args.Flag("cache") == nullptr) fs::remove_all(sopt.cache_dir, ec);
+    if (args.Flag("cache") == nullptr) fs::remove_all(config.cache_dir, ec);
     std::printf("sweep smoke: %s\n", ok ? "PASS" : "FAIL");
   } else {
-    report = service::RunSweep(spec, base_dir, sopt);
-    PrintSweepSummary(report, sopt.cache_dir);
+    report = service::RunSweep(spec, base_dir, config);
+    PrintSweepSummary(report, config.cache_dir);
   }
   const std::string csv = service::SweepCsv(report);
   const std::string md = service::SweepMarkdown(report);
@@ -696,19 +689,19 @@ int CmdExport(const Args& args) {
   return 0;
 }
 
-// Metrics-registry dump (`stats`, with `cache-stats` as the pre-PR7
-// alias). A fresh process has mostly-zero instruments — the interesting
-// use is `--stats` on the scheduling commands, which dumps the registry
-// the run just populated — but a cache directory argument always works:
-// its disk census is folded into the registry as gauges so the table and
-// the JSON render it like every other instrument.
+// Metrics-registry dump (`stats`). A fresh process has mostly-zero
+// instruments — the interesting use is `--stats` on the scheduling
+// commands, which dumps the registry the run just populated — but a cache
+// directory argument always works: its disk census is folded into the
+// registry as gauges so the table and the JSON render it like every other
+// instrument.
 int CmdStats(const Args& args) {
   if (args.positional.size() > 1 || !CheckFlags(args, {"json"})) {
     return Usage();
   }
   if (!args.positional.empty()) {
-    const service::ScheduleCache::DirStats ds =
-        service::ScheduleCache::Scan(args.positional[0]);
+    const service::DiskTier::DirStats ds =
+        service::DiskTier::Scan(args.positional[0]);
     obs::GetGauge("sched_cache.disk_entries").Set(ds.entries);
     obs::GetGauge("sched_cache.disk_bytes").Set(ds.bytes);
     if (args.Flag("json") == nullptr) {
@@ -730,37 +723,38 @@ int CmdSmoke(const Args& args) {
   if (args.positional.size() != 1 || !CheckFlags(args, {"cache"})) {
     return Usage();
   }
-  service::BatchOptions bopt;
+  service::ServiceConfig config;
   std::error_code ec;
   if (const std::string* c = args.Flag("cache")) {
     // Never delete a user-supplied directory; the cold run just needs it
     // empty, so refuse anything with existing contents.
-    bopt.cache_dir = *c;
-    if (fs::exists(bopt.cache_dir, ec) && !fs::is_empty(bopt.cache_dir, ec)) {
+    config.cache_dir = *c;
+    if (fs::exists(config.cache_dir, ec) &&
+        !fs::is_empty(config.cache_dir, ec)) {
       std::fprintf(stderr,
                    "smoke: --cache=%s exists and is not empty; smoke needs a "
                    "cold cache and will not delete user data\n",
-                   bopt.cache_dir.c_str());
+                   config.cache_dir.c_str());
       return 1;
     }
   } else {
-    bopt.cache_dir =
+    config.cache_dir =
         (fs::temp_directory_path() /
          ("hcrf-smoke-cache-" + std::to_string(::getpid())))
             .string();
-    fs::remove_all(bopt.cache_dir, ec);
+    fs::remove_all(config.cache_dir, ec);
   }
 
   std::printf("== cold run ==\n");
   service::BatchReport cold;
-  if (RunManifestOnce(args.positional[0], bopt, /*quiet=*/true, nullptr,
+  if (RunManifestOnce(args.positional[0], config, /*quiet=*/true, nullptr,
                       &cold) != 0) {
     std::fprintf(stderr, "smoke: cold run had failures\n");
     return 1;
   }
   std::printf("== warm run ==\n");
   service::BatchReport warm;
-  if (RunManifestOnce(args.positional[0], bopt, /*quiet=*/true, nullptr,
+  if (RunManifestOnce(args.positional[0], config, /*quiet=*/true, nullptr,
                       &warm) != 0) {
     std::fprintf(stderr, "smoke: warm run had failures\n");
     return 1;
@@ -787,7 +781,7 @@ int CmdSmoke(const Args& args) {
       }
     }
   }
-  if (args.Flag("cache") == nullptr) fs::remove_all(bopt.cache_dir, ec);
+  if (args.Flag("cache") == nullptr) fs::remove_all(config.cache_dir, ec);
   std::printf("smoke: %s (%d loops, warm run served %d from cache)\n",
               ok ? "PASS" : "FAIL", static_cast<int>(warm.items.size()),
               warm.hits);
@@ -821,12 +815,12 @@ perf::ServiceLeg RunServiceTimingLeg() {
     requests.push_back(std::move(req));
   }
 
-  service::BatchOptions sopt;
+  service::ServiceConfig config;
   std::error_code ec;
-  sopt.cache_dir = (fs::temp_directory_path() /
+  config.cache_dir = (fs::temp_directory_path() /
                     ("hcrf-bench-service-" + std::to_string(::getpid())))
                        .string();
-  fs::remove_all(sopt.cache_dir, ec);
+  fs::remove_all(config.cache_dir, ec);
 
   const auto phases = [](const service::RequestTiming& t) {
     perf::ServicePhaseSeconds p;
@@ -837,9 +831,9 @@ perf::ServiceLeg RunServiceTimingLeg() {
     p.serialize = t.serialize_seconds;
     return p;
   };
-  const service::BatchReport cold = service::RunBatch(requests, sopt);
-  const service::BatchReport warm = service::RunBatch(requests, sopt);
-  fs::remove_all(sopt.cache_dir, ec);
+  const service::BatchReport cold = service::RunBatch(requests, config);
+  const service::BatchReport warm = service::RunBatch(requests, config);
+  fs::remove_all(config.cache_dir, ec);
 
   leg.present = true;
   leg.requests = static_cast<int>(cold.items.size());
@@ -979,7 +973,7 @@ int CmdBench(const Args& args) {
   }
   if (report.host.degraded) {
     std::fprintf(stderr,
-                 "bench: warning: speculation pool has no workers "
+                 "bench: warning: worker pool has no workers "
                  "(single-core host) — the speculative leg raced inline "
                  "and its numbers are not comparable across hosts "
                  "(host marked \"degraded\": true in the report)\n");
@@ -1256,40 +1250,40 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "serve: --socket=PATH is required\n");
     return 1;
   }
-  service::ServerOptions sopt;
-  sopt.socket_path = *socket;
+  service::ServerOptions config;
+  config.socket_path = *socket;
   if (const std::string* v = args.Flag("max-inflight")) {
-    sopt.max_inflight = ParseIntFlag("max-inflight", *v);
-    if (sopt.max_inflight < 1) {
+    config.max_inflight = ParseIntFlag("max-inflight", *v);
+    if (config.max_inflight < 1) {
       throw std::runtime_error(
           "--max-inflight: expected a positive count, got '" + *v + "'");
     }
   }
   if (const std::string* v = args.Flag("timeout-ms")) {
-    sopt.read_timeout_ms = ParseIntFlag("timeout-ms", *v);
-    if (sopt.read_timeout_ms < 0) {
+    config.read_timeout_ms = ParseIntFlag("timeout-ms", *v);
+    if (config.read_timeout_ms < 0) {
       throw std::runtime_error(
           "--timeout-ms: expected a non-negative timeout, got '" + *v + "'");
     }
   }
   if (const std::string* c = args.Flag("cache")) {
-    sopt.service.cache_dir = *c;
+    config.service.cache_dir = *c;
   }
-  CacheMemFromFlags(args, &sopt.service.cache_mem_entries,
-                    &sopt.service.cache_mem_bytes);
+  CacheMemFromFlags(args, &config.service.cache_mem_entries,
+                    &config.service.cache_mem_bytes);
   if (const std::string* t = args.Flag("threads")) {
-    sopt.service.threads = ParseIntFlag("threads", *t);
+    config.service.threads = ParseIntFlag("threads", *t);
   }
   if (const std::string* v = args.Flag("speculate")) {
-    sopt.service.speculate_k = ParseIntFlag("speculate", *v);
-    if (sopt.service.speculate_k < 0) {
+    config.service.speculate_k = ParseIntFlag("speculate", *v);
+    if (config.service.speculate_k < 0) {
       throw std::runtime_error("--speculate: expected a non-negative count, "
                                "got '" + *v + "'");
     }
   }
-  if (args.Flag("eager") != nullptr) sopt.service.speculate_eager = true;
+  if (args.Flag("eager") != nullptr) config.service.speculate_eager = true;
 
-  service::Server server(sopt);
+  service::Server server(config);
   server.Start();
   g_serve_instance.store(&server, std::memory_order_relaxed);
   // Socket writes already use MSG_NOSIGNAL (wire::Conn::WriteAll), but a
@@ -1300,10 +1294,10 @@ int CmdServe(const Args& args) {
   std::signal(SIGINT, HandleServeSignal);
   std::printf("serve: listening on %s (max-inflight %d, cache %s, "
               "cache-mem %ld)\n",
-              sopt.socket_path.c_str(), sopt.max_inflight,
-              sopt.service.cache_dir.empty() ? "off"
-                                             : sopt.service.cache_dir.c_str(),
-              sopt.service.cache_mem_entries);
+              config.socket_path.c_str(), config.max_inflight,
+              config.service.cache_dir.empty() ? "off"
+                                             : config.service.cache_dir.c_str(),
+              config.service.cache_mem_entries);
   std::fflush(stdout);  // readiness marker for scripted clients
   server.Serve();
   std::signal(SIGTERM, SIG_DFL);
@@ -1478,7 +1472,7 @@ int main(int argc, char** argv) {
     if (cmd == "dump") return CmdDump(args);
     if (cmd == "validate") return CmdValidate(args);
     if (cmd == "export") return CmdExport(args);
-    if (cmd == "stats" || cmd == "cache-stats") return CmdStats(args);
+    if (cmd == "stats") return CmdStats(args);
     if (cmd == "smoke") return CmdSmoke(args);
     if (cmd == "bench") return RunTraced(args, [&] { return CmdBench(args); });
     if (cmd == "repro") return RunTraced(args, [&] { return CmdRepro(args); });
