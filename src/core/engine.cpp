@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <optional>
 
@@ -10,7 +9,6 @@
 #include "ddg/mii.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "perf/thread_pool.h"
 #include "sched/banks.h"
 #include "sched/mrt.h"
 #include "sched/validate.h"
@@ -19,33 +17,6 @@ namespace hcrf::core {
 
 using sched::BankId;
 using sched::kSharedBank;
-
-namespace {
-
-/// Field-wise merge of per-attempt stat deltas. Escalation-order merging of
-/// exact per-attempt sums reproduces the serial driver's running totals
-/// bit-for-bit: the long counters trivially, and the doubles because every
-/// increment (1.0 spends, budget_ratio-multiple grants) is exactly
-/// representable at workload magnitudes, making the sums associative.
-void Accumulate(ScheduleStats& into, const ScheduleStats& d) {
-  into.attempts += d.attempts;
-  into.ejections += d.ejections;
-  into.force_places += d.force_places;
-  into.restarts += d.restarts;
-  into.comm_ops += d.comm_ops;
-  into.spill_stores += d.spill_stores;
-  into.spill_loads += d.spill_loads;
-  into.storer_ops += d.storer_ops;
-  into.loadr_ops += d.loadr_ops;
-  into.move_ops += d.move_ops;
-  into.spills_inserted += d.spills_inserted;
-  into.chains_built += d.chains_built;
-  into.chains_undone += d.chains_undone;
-  into.budget_spent += d.budget_spent;
-  into.budget_granted += d.budget_granted;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // AttemptContext
@@ -291,15 +262,15 @@ int AttemptContext::SelectCluster(NodeId u) {
 // One II attempt
 // ---------------------------------------------------------------------------
 
-AttemptStatus AttemptContext::TryII(int ii, const SpeculationToken* cancel) {
-  if (!obs::TraceEnabled()) return RunAttempt(ii, cancel);
-  obs::TraceSpan span("sched", "attempt", ii);
-  const AttemptStatus st = RunAttempt(ii, cancel);
-  span.set_detail(std::string(ToString(st)));
-  if (st == AttemptStatus::kCancelled) {
-    obs::Tracer::Shared().Instant("spec", "cancelled", ii,
-                                  static_cast<int>(kNoNode));
+AttemptStatus AttemptContext::TryII(int ii) {
+  if (!obs::TraceEnabled()) {
+    BeginAttempt(ii);
+    return FinishAttempt(ii);
   }
+  obs::TraceSpan span("sched", "attempt", ii);
+  BeginAttempt(ii);
+  const AttemptStatus st = FinishAttempt(ii);
+  span.set_detail(std::string(ToString(st)));
   return st;
 }
 
@@ -309,7 +280,7 @@ AttemptStatus AttemptContext::TryIISeeded(const ScheduleResult& seed, int ii,
   BeginAttempt(ii);
   const int seeded = SeedFrom(seed);
   if (seeded_out != nullptr) *seeded_out = seeded;
-  const AttemptStatus st = FinishAttempt(ii, nullptr);
+  const AttemptStatus st = FinishAttempt(ii);
   span.set_detail(std::string(ToString(st)) + " seeded=" +
                   std::to_string(seeded));
   return st;
@@ -372,13 +343,6 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
   return seeded;
 }
 
-AttemptStatus AttemptContext::RunAttempt(int ii,
-                                         const SpeculationToken* cancel) {
-  if (cancel != nullptr && cancel->Cancels(ii)) return AttemptStatus::kCancelled;
-  BeginAttempt(ii);
-  return FinishAttempt(ii, cancel);
-}
-
 void AttemptContext::BeginAttempt(int ii) {
   st_.Reset(original_, base_overrides_, ii, opt_.incremental);
   comm_.Reset();
@@ -395,20 +359,13 @@ void AttemptContext::BeginAttempt(int ii) {
                 8.0 * opt_.budget_ratio * std::max(4, original_.NumNodes()));
 }
 
-AttemptStatus AttemptContext::FinishAttempt(int ii,
-                                            const SpeculationToken* cancel) {
+AttemptStatus AttemptContext::FinishAttempt(int ii) {
   while (true) {
     {
     // One "placement" span per drain of the priority list (a spill fixpoint
     // iteration that reschedules reloads opens another).
     obs::TraceSpan place_span("phase", "placement", ii);
     while (st_.num_unscheduled > 0) {
-      // Cancellation point: once a strictly lower II has validated this
-      // attempt is moot, wherever it stands — including mid-ejection-cascade
-      // (the next TryII resets the context wholesale).
-      if (cancel != nullptr && cancel->Cancels(ii)) {
-        return AttemptStatus::kCancelled;
-      }
       if (st_.churning) {
         return AttemptStatus::kFailed;  // livelocked ping-pong: bump the II
       }
@@ -593,7 +550,7 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineDriver: serial escalation and speculative II racing
+// EngineDriver: warm-start gate and II escalation
 // ---------------------------------------------------------------------------
 
 EngineDriver::EngineDriver(const DDG& loop, const MachineConfig& m,
@@ -627,22 +584,16 @@ ScheduleResult EngineDriver::Run() {
     obs::TraceSpan order_span("phase", "ordering");
     order_ = ordering_->Order(original_, m_);
   }
-  // Warm-start gate: one seeded attempt before the cold dispatch. A failed
-  // (or rejected) seed falls through to the regular path with the fallback
-  // counted on the result — never silent.
+  // Warm-start gate: one seeded attempt before the cold walk. A failed (or
+  // rejected) seed falls through to the cold path with the fallback counted
+  // on the result — never silent.
   WarmStartTelemetry warm;
   if (opt_.warm_start != nullptr && opt_.warm_start->ok) {
     if (std::optional<ScheduleResult> res = RunWarm(mii)) return *res;
     warm.attempted = true;
     warm.fallback = true;
   }
-  // An attached event sink no longer forces the serial path: the
-  // speculative driver captures each attempt's sink events and replays
-  // them in escalation order after the wave commits (the same protocol
-  // that keeps the per-attempt stats deltas serial-identical), so the sink
-  // stays single-threaded and attempt-ordered while attempts race.
-  ScheduleResult res =
-      opt_.speculate_k >= 2 ? RunSpeculative(mii) : RunSerial(mii);
+  ScheduleResult res = RunSerial(mii);
   res.warm = warm;
   return res;
 }
@@ -694,205 +645,12 @@ ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
     if (ctx.TryII(ii) == AttemptStatus::kScheduled) {
       return ctx.Finalize(mii, ii);
     }
+    // Escalation accelerates after 24 consecutive failures.
     ++failures;
-    const int next = NextCandidateII(ii, failures);
-    ctx.instr().IIRestart(next);
-    ii = next;
+    ii += failures > 24 ? std::max(1, ii / 8) : 1;
+    ctx.instr().IIRestart(ii);
   }
   return FailResult(mii, ctx.instr().stats());
-}
-
-ScheduleResult EngineDriver::RunSpeculative(const MIIInfo& mii) {
-  perf::WorkerPool& pool = perf::WorkerPool::Shared();
-  // On a worker-less pool every attempt runs on this thread anyway, so all
-  // slots share ONE context — the serial driver's cache behaviour (one hot
-  // working graph + MRT) instead of cycling k cold ones.
-  const bool inline_serial = pool.num_workers() == 0;
-  std::vector<std::unique_ptr<AttemptContext>> ctxs;  // reused across waves
-  SpeculationTelemetry spec;
-  // Stats of the failed waves so far, merged in escalation order (the
-  // serial driver's running totals at the same point of the walk).
-  ScheduleStats carry;
-
-  // Per-wave buffers, reused so the escalation loop of a deep walk does
-  // not allocate per wave.
-  std::vector<int> wave;
-  std::vector<AttemptStatus> status;
-  std::vector<ScheduleStats> attempt_stats;
-  std::vector<std::vector<SinkEvent>> attempt_events;
-  std::vector<double> seconds;
-
-  // With a sink attached, each attempt captures its events privately and
-  // the driver replays them below in escalation order — the sink observes
-  // the exact serial sequence (attempt events, then the restart separator)
-  // while the attempts themselves race.
-  const bool capture = opt_.event_sink != nullptr;
-  const auto replay_log = [&](size_t i) {
-    for (const SinkEvent& ev : attempt_events[i]) {
-      opt_.event_sink->OnEvent(ev.e, ev.node, ev.ii);
-    }
-  };
-  // The restart separator between candidates. The serial driver emits it
-  // through Instrumentation (sink + trace instant); here the attempts are
-  // already done, so the driver emits both itself.
-  const auto emit_restart = [&](int next) {
-    if (capture) {
-      opt_.event_sink->OnEvent(SchedEvent::kIIRestart, kNoNode, next);
-    }
-    if (obs::TraceEnabled()) {
-      obs::Tracer::Shared().Instant("sched", "restart", next,
-                                    static_cast<int>(kNoNode));
-    }
-  };
-
-  int failures = 0;
-  int next_ii = mii.MII();
-  bool first_wave = true;
-  while (next_ii <= opt_.max_ii) {
-    // Assemble the wave: the next `width` candidates of the serial
-    // escalation sequence. The first wave tries MII alone unless eager
-    // racing is requested — most loops schedule at MII and racing them
-    // would only burn pool slots.
-    const int width = (first_wave && !opt_.speculate_eager)
-                          ? 1
-                          : std::max(2, opt_.speculate_k);
-    first_wave = false;
-    wave.clear();
-    int ii = next_ii;
-    int f = failures;
-    while (static_cast<int>(wave.size()) < width && ii <= opt_.max_ii) {
-      wave.push_back(ii);
-      ++f;
-      ii = NextCandidateII(wave.back(), f);
-    }
-    const size_t n = wave.size();
-    const size_t slots = inline_serial ? 1 : n;
-    if (ctxs.size() < slots) ctxs.resize(slots);  // slots fill lazily below
-
-    status.assign(n, AttemptStatus::kFailed);
-    attempt_stats.assign(n, ScheduleStats{});
-    attempt_events.assign(n, {});
-    seconds.assign(n, 0.0);
-    SpeculationToken token;
-    const auto run_one = [&](size_t i, const SpeculationToken* cancel) {
-      // Cancelled before starting (a lower II already validated while this
-      // slot sat in the queue): skip even the context construction — on an
-      // undersubscribed pool the above-winner slots cost nothing.
-      if (cancel != nullptr && cancel->Cancels(wave[i])) {
-        status[i] = AttemptStatus::kCancelled;
-        if (obs::TraceEnabled()) {
-          obs::Tracer::Shared().Instant("spec", "cancelled", wave[i],
-                                        static_cast<int>(kNoNode));
-        }
-        return;
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      std::unique_ptr<AttemptContext>& slot = ctxs[inline_serial ? 0 : i];
-      if (slot == nullptr) {
-        // Each slot index is touched by exactly one task of the wave, so
-        // the lazy fill is race-free.
-        slot = std::make_unique<AttemptContext>(original_, m_, opt_,
-                                                base_overrides_, order_);
-      }
-      slot->instr().ResetStats();  // capture this attempt's deltas only
-      if (capture) slot->BeginSinkCapture();
-      status[i] = slot->TryII(wave[i], cancel);
-      attempt_stats[i] = slot->instr().stats();
-      if (capture) attempt_events[i] = slot->TakeSinkEvents();
-      if (status[i] == AttemptStatus::kScheduled) token.Commit(wave[i]);
-      seconds[i] = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-    };
-    if (n == 1) {
-      run_one(0, nullptr);
-    } else if (pool.num_workers() == 0) {
-      // Worker-less pool (single-core host): racing degrades to the serial
-      // walk — run the candidates ascending on this thread; once one
-      // validates, the slots above it cancel at entry, so the queue
-      // round-trip would buy nothing.
-      spec.raced += static_cast<int>(n) - 1;
-      for (size_t i = 0; i < n; ++i) run_one(i, &token);
-    } else {
-      spec.raced += static_cast<int>(n) - 1;
-      perf::TaskGroup group(pool);
-      for (size_t i = 1; i < n; ++i) {
-        group.Submit([&run_one, &token, i] { run_one(i, &token); });
-      }
-      // The lowest candidate — the one most likely to be the answer — runs
-      // on the calling thread; RunAndWait then steals any still-queued
-      // sibling, so a saturated pool degrades to serial.
-      run_one(0, &token);
-      group.RunAndWait();
-    }
-    for (double s : seconds) spec.attempt_seconds += s;
-
-    size_t win = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (status[i] == AttemptStatus::kScheduled) {
-        win = i;
-        break;
-      }
-    }
-    if (win < n) {
-      if (n > 1 && win > 0) ++spec.raced_wins;
-      if (n > 1 && obs::TraceEnabled()) {
-        obs::Tracer::Shared().Instant("spec", "win", wave[win],
-                                      static_cast<int>(kNoNode));
-      }
-      // Commit: merge the failed candidates below the winner, then the
-      // winner itself, onto the carried totals — exactly the serial walk's
-      // accumulation order — and let the winner's context finalize. The
-      // captured sink events replay in the same order, restart separators
-      // between candidates, none after the winner.
-      ScheduleStats merged = carry;
-      for (size_t i = 0; i < win; ++i) {
-        HCRF_CHECK(status[i] == AttemptStatus::kFailed,
-                   "attempt below the winning II was cancelled (ii=%d, "
-                   "winner=%d): cancellation requires a success strictly "
-                   "below, which the winner refutes",
-                   wave[i], wave[win]);
-        Accumulate(merged, attempt_stats[i]);
-        if (capture) replay_log(i);
-        emit_restart(wave[i + 1]);
-      }
-      Accumulate(merged, attempt_stats[win]);
-      if (capture) replay_log(win);
-      for (size_t i = win + 1; i < n; ++i) {
-        if (status[i] == AttemptStatus::kCancelled) {
-          ++spec.cancelled;
-        } else {
-          ++spec.discarded;
-        }
-      }
-      // The context that ran the winning attempt (shared slot 0 when the
-      // pool is worker-less: slots above the winner cancelled at entry, so
-      // its last TryII is the winner's).
-      AttemptContext& wctx = *ctxs[inline_serial ? 0 : win];
-      wctx.instr().stats() = merged;
-      ScheduleResult res = wctx.Finalize(mii, wave[win]);
-      res.spec = spec;
-      return res;
-    }
-
-    // Whole wave failed: carry every attempt's stats forward (and replay
-    // its events, each followed by the restart the serial walk would emit —
-    // the last one names the post-wave candidate), then continue the
-    // escalation where the serial walk would.
-    for (size_t i = 0; i < n; ++i) {
-      HCRF_CHECK(status[i] == AttemptStatus::kFailed,
-                 "attempt at II=%d cancelled without any success in the wave",
-                 wave[i]);
-      Accumulate(carry, attempt_stats[i]);
-      if (capture) replay_log(i);
-      emit_restart(i + 1 < n ? wave[i + 1] : ii);
-    }
-    failures = f;
-    next_ii = ii;
-  }
-  ScheduleResult res = FailResult(mii, carry);
-  res.spec = spec;
-  return res;
 }
 
 }  // namespace hcrf::core

@@ -5,20 +5,15 @@
 // register-pressure handling in the spill engine (spill.h), and counters /
 // events in the instrumentation layer (instrument.h).
 //
-// Since PR 6 the per-attempt machinery is packaged as an AttemptContext: a
-// fully self-contained bundle of everything one II attempt mutates (working
+// The per-attempt machinery is packaged as an AttemptContext: a
+// self-contained bundle of everything one II attempt mutates (working
 // graph, schedule/MRT, priority list, comm rewriter, spill engine, cluster
-// selector, budget, instrumentation, scratch buffers). The serial driver
-// reuses one context across the escalation walk exactly as before; the
-// speculative driver races several contexts — one per candidate II — on the
-// process-wide perf::WorkerPool and commits the lowest II that
-// validates, with bit-identical schedules AND stats (every candidate below
-// the winner still runs and its counters merge in escalation order).
+// selector, budget, instrumentation, scratch buffers). The driver reuses
+// one context across the whole II-escalation walk, and the warm-start gate
+// runs its seeded attempt on a context of its own.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -66,48 +61,22 @@ struct BudgetAccount {
   void Spend(double amount) { remaining -= amount; }
 };
 
-/// Cancellation token shared by the attempts of one speculative race: the
-/// lowest II that has validated so far. An attempt at a higher II is moot
-/// once a lower one succeeds, so it aborts at its next scheduling step —
-/// including in the middle of an ejection cascade (the context is simply
-/// Reset by its next TryII). Attempts at IIs *below* every success are
-/// never cancelled: their failure is part of the serial-equivalent stats.
-class SpeculationToken {
- public:
-  /// True when a strictly lower II has already validated.
-  bool Cancels(int ii) const {
-    return best_ii_.load(std::memory_order_relaxed) < ii;
-  }
-  /// Records a validated II (keeps the minimum).
-  void Commit(int ii) {
-    int cur = best_ii_.load(std::memory_order_relaxed);
-    while (ii < cur &&
-           !best_ii_.compare_exchange_weak(cur, ii,
-                                           std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<int> best_ii_{std::numeric_limits<int>::max()};
-};
-
 /// Outcome of one II attempt.
-enum class AttemptStatus : std::uint8_t { kScheduled, kFailed, kCancelled };
+enum class AttemptStatus : std::uint8_t { kScheduled, kFailed };
 
 constexpr std::string_view ToString(AttemptStatus s) {
   switch (s) {
     case AttemptStatus::kScheduled: return "scheduled";
     case AttemptStatus::kFailed: return "failed";
-    case AttemptStatus::kCancelled: return "cancelled";
   }
   return "?";
 }
 
 /// Everything one II attempt owns and mutates. A context is reusable
-/// (TryII resets it) and fully self-contained — no state is shared between
-/// two contexts beyond the immutable inputs (original graph, machine,
-/// options, canonicalized overrides, node order), which is what makes
-/// racing contexts on concurrent threads sound. The context is the only
+/// (TryII resets it) and self-contained — no state is shared between two
+/// contexts beyond the immutable inputs (original graph, machine, options,
+/// canonicalized overrides, node order), so concurrent runs of one loop
+/// never interfere. The context is the only
 /// layer that mutates the reservation table through placement, so it
 /// implements NodePlacer for the comm rewriter and spill engine it owns.
 class AttemptContext : public NodePlacer {
@@ -117,9 +86,8 @@ class AttemptContext : public NodePlacer {
                  const sched::LatencyOverrides& base_overrides,
                  const std::vector<NodeId>& order);
 
-  /// Runs one scheduling attempt at `ii` from a fresh state. `cancel`
-  /// (optional) aborts the attempt as soon as a strictly lower II commits.
-  AttemptStatus TryII(int ii, const SpeculationToken* cancel = nullptr);
+  /// Runs one scheduling attempt at `ii` from a fresh state.
+  AttemptStatus TryII(int ii);
 
   /// Warm-started attempt: resets to a fresh state, replays the seed's
   /// compatible placements (SeedFrom), then runs the normal placement /
@@ -129,19 +97,6 @@ class AttemptContext : public NodePlacer {
   /// the cold escalation walk.
   AttemptStatus TryIISeeded(const ScheduleResult& seed, int ii,
                             int* seeded_out = nullptr);
-
-  /// Redirects this context's sink callbacks into an internal per-attempt
-  /// buffer. The speculative driver captures each attempt and replays the
-  /// buffers to the user's sink in escalation order after the wave commits
-  /// (same protocol as the per-attempt stats deltas), so the sink observes
-  /// the exact serial event sequence while attempts race concurrently.
-  void BeginSinkCapture() {
-    event_log_.clear();
-    instr_.CaptureTo(&event_log_);
-  }
-  /// Takes the captured events of the last attempt (the capture buffer
-  /// stays attached and is cleared by the next BeginSinkCapture).
-  std::vector<SinkEvent> TakeSinkEvents() { return std::move(event_log_); }
 
   /// Builds the final ScheduleResult from a successful TryII (normalizes
   /// the schedule, recounts ops, classifies the bound; moves the graph and
@@ -155,16 +110,12 @@ class AttemptContext : public NodePlacer {
   bool PlaceNode(NodeId u, int cluster, int src_cluster) override;
 
  private:
-  /// TryII's body (TryII itself is a thin wrapper that brackets the body
-  /// in an "attempt" trace span carrying the outcome).
-  AttemptStatus RunAttempt(int ii, const SpeculationToken* cancel);
-
   /// Resets every layer for an attempt at `ii` and refills the priority
-  /// list — the common prologue of RunAttempt and TryIISeeded.
+  /// list — the common prologue of TryII and TryIISeeded.
   void BeginAttempt(int ii);
   /// The placement / eject / spill cascade through final validation: the
   /// remainder of an attempt after BeginAttempt (and optional seeding).
-  AttemptStatus FinishAttempt(int ii, const SpeculationToken* cancel);
+  AttemptStatus FinishAttempt(int ii);
   /// Replays `seed`'s placements that are still compatible with the
   /// current graph, machine and latencies (window re-checked against the
   /// live SchedState, so nodes whose constraints changed are skipped and
@@ -182,7 +133,7 @@ class AttemptContext : public NodePlacer {
   /// unconstrained nodes.
   int SelectCluster(NodeId u);
 
-  // ---- immutable inputs (shared across racing contexts) ----------------
+  // ---- immutable inputs -------------------------------------------------
   const DDG& original_;
   const MachineConfig& m_;
   const MirsOptions& opt_;
@@ -201,7 +152,6 @@ class AttemptContext : public NodePlacer {
   // ---- per-attempt state -----------------------------------------------
   BudgetAccount budget_;
   int since_spill_check_ = 0;
-  std::vector<SinkEvent> event_log_;  ///< Capture buffer (BeginSinkCapture).
 
   // Scratch buffers reused across (non-reentrant) forced placements so the
   // hot loop never allocates.
@@ -214,21 +164,12 @@ class EngineDriver {
   EngineDriver(const DDG& loop, const MachineConfig& m, const MirsOptions& opt,
                const sched::LatencyOverrides& base_overrides);
 
-  /// Runs the II-escalation loop from MII to opt.max_ii — serially, or
-  /// racing candidate IIs when opt.speculate_k >= 2.
+  /// Runs the warm-start gate (when a seed is attached), then the
+  /// II-escalation walk from MII to opt.max_ii.
   ScheduleResult Run();
-
-  /// Next candidate II of the escalation sequence once `failures` attempts
-  /// have failed (escalation accelerates after 24 consecutive failures).
-  /// Shared by the serial and speculative drivers so they can never
-  /// diverge on which IIs get attempted.
-  static int NextCandidateII(int ii, int failures) {
-    return ii + (failures > 24 ? std::max(1, ii / 8) : 1);
-  }
 
  private:
   ScheduleResult RunSerial(const MIIInfo& mii);
-  ScheduleResult RunSpeculative(const MIIInfo& mii);
   /// Warm-start gate: one seeded attempt at max(MII, seed.ii). Returns the
   /// finalized result when it validates (warm.used); nullopt sends the
   /// caller down the cold path with warm.fallback stamped on its result.

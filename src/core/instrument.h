@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "ddg/ddg.h"
 #include "obs/trace.h"
@@ -50,17 +49,6 @@ class EventSink {
   virtual void OnEvent(SchedEvent e, NodeId node, int ii) = 0;
 };
 
-/// One buffered sink callback. The speculative driver records each
-/// attempt's events into a private log and replays the logs to the user's
-/// sink in escalation order after the wave commits — the same protocol
-/// that keeps the per-attempt ScheduleStats deltas bit-identical to the
-/// serial walk.
-struct SinkEvent {
-  SchedEvent e;
-  NodeId node;
-  int ii;
-};
-
 /// Counters accumulated over one MirsHC run (all II attempts).
 struct ScheduleStats {
   long attempts = 0;    ///< Budget spent (nodes scheduled, incl. rescheds).
@@ -84,16 +72,10 @@ struct ScheduleStats {
 class Instrumentation {
  public:
   Instrumentation() = default;
-  explicit Instrumentation(EventSink* sink) : user_sink_(sink), sink_(sink) {}
+  explicit Instrumentation(EventSink* sink) : sink_(sink) {}
 
   ScheduleStats& stats() { return stats_; }
   const ScheduleStats& stats() const { return stats_; }
-
-  /// Zeroes the counters. The serial engine driver accumulates across II
-  /// attempts (a MirsHC run's stats cover every attempt); the speculative
-  /// driver instead captures per-attempt deltas from reused contexts and
-  /// re-merges them in escalation order, so it resets before each attempt.
-  void ResetStats() { stats_ = ScheduleStats{}; }
 
   void NodePlaced(NodeId n, int ii) {
     ++stats_.attempts;
@@ -129,36 +111,7 @@ class Instrumentation {
   void BudgetSpent(double amount) { stats_.budget_spent += amount; }
   void BudgetGranted(double amount) { stats_.budget_granted += amount; }
 
-  /// Redirects sink callbacks into `log` (pass nullptr to restore direct
-  /// delivery). While capturing, the attached sink sees nothing; the
-  /// owner replays the log later. Tracer instants are NOT captured — they
-  /// carry real timestamps and belong on the thread that did the work.
-  ///
-  /// Implemented by swapping `sink_` to an internal buffering sink so the
-  /// hot Emit path keeps a single branch; an Instrumentation must not be
-  /// copied or moved while a capture is installed (sink_ would alias the
-  /// source's buffer). The engine owns its Instrumentation by value and
-  /// never moves it, so this never bites in practice.
-  void CaptureTo(std::vector<SinkEvent>* log) {
-    if (log != nullptr) {
-      capture_.log = log;
-      sink_ = &capture_;
-    } else {
-      capture_.log = nullptr;
-      sink_ = user_sink_;
-    }
-  }
-
  private:
-  /// Buffers callbacks during speculative capture (see CaptureTo).
-  class CaptureSink final : public EventSink {
-   public:
-    void OnEvent(SchedEvent e, NodeId node, int ii) override {
-      log->push_back(SinkEvent{e, node, ii});
-    }
-    std::vector<SinkEvent>* log = nullptr;
-  };
-
   void Emit(SchedEvent e, NodeId n, int ii) {
     if (sink_ != nullptr) {
       sink_->OnEvent(e, n, ii);
@@ -170,9 +123,7 @@ class Instrumentation {
   }
 
   ScheduleStats stats_;
-  EventSink* user_sink_ = nullptr;  ///< The externally attached sink.
-  EventSink* sink_ = nullptr;       ///< Active target: user_sink_ or capture_.
-  CaptureSink capture_;
+  EventSink* sink_ = nullptr;
 };
 
 }  // namespace hcrf::core

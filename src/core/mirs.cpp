@@ -25,9 +25,6 @@ void RecordRunMetrics(const ScheduleResult& res, double seconds) {
   static obs::Counter& spills = obs::GetCounter("engine.spills_inserted");
   static obs::Counter& chains_built = obs::GetCounter("engine.chains_built");
   static obs::Counter& chains_undone = obs::GetCounter("engine.chains_undone");
-  static obs::Counter& raced = obs::GetCounter("engine.spec_raced");
-  static obs::Counter& raced_wins = obs::GetCounter("engine.spec_raced_wins");
-  static obs::Counter& cancelled = obs::GetCounter("engine.spec_cancelled");
   static obs::Histogram& latency = obs::GetHistogram("engine.schedule_seconds");
   runs.Add(1);
   if (!res.ok) failed.Add(1);
@@ -38,9 +35,6 @@ void RecordRunMetrics(const ScheduleResult& res, double seconds) {
   spills.Add(res.stats.spills_inserted);
   chains_built.Add(res.stats.chains_built);
   chains_undone.Add(res.stats.chains_undone);
-  raced.Add(res.spec.raced);
-  raced_wins.Add(res.spec.raced_wins);
-  cancelled.Add(res.spec.cancelled);
   latency.Record(seconds);
 }
 

@@ -59,24 +59,6 @@ struct MirsOptions {
   /// spill check, linear priority scan) — schedules are bit-identical
   /// either way; `hcrf_sched bench` runs both and asserts it.
   bool incremental = true;
-  /// Speculative II racing: values >= 2 race that many candidate IIs of
-  /// the serial escalation sequence concurrently on the process-wide
-  /// perf::WorkerPool, each on its own self-contained AttemptContext,
-  /// and commit the lowest II that validates (losing attempts above it are
-  /// cancelled early). Schedules AND stats are bit-identical to the serial
-  /// path — every candidate below the winner is still attempted and its
-  /// per-attempt counters merged in escalation order — so the mode is
-  /// outside the schedule cache key, like `incremental`. 0/1 = serial.
-  /// Composes with event_sink: each racing attempt captures its events
-  /// privately and the driver replays them to the sink in escalation
-  /// order after the wave commits, so the sink observes the exact serial
-  /// sequence on a single thread.
-  int speculate_k = 0;
-  /// Race eagerly: the very first wave already has speculate_k candidates
-  /// (MII included) instead of trying MII alone first. Cuts the latency of
-  /// loops known to fail their first attempts at the price of wasted raced
-  /// attempts on loops that schedule at MII.
-  bool speculate_eager = false;
   ClusterPolicy cluster_policy = ClusterPolicy::kBalanced;
 
   // ---- policy-layer hooks (null = defaults from the enums above) -------
@@ -112,24 +94,8 @@ enum class BoundClass : std::uint8_t { kFU, kMemPort, kRecurrence, kComm };
 
 std::string_view ToString(BoundClass b);
 
-/// Telemetry of the speculative II-racing driver (all zero in serial mode).
-/// Deliberately NOT serialized into `.hcl` result dumps: the speculative
-/// and serial paths must stay bit-identical on disk, and a cache-served
-/// result reports no speculation of its own.
-struct SpeculationTelemetry {
-  int raced = 0;      ///< Attempts run concurrently beyond the serial walk.
-  int raced_wins = 0;  ///< Races whose committed schedule came from a raced
-                       ///< attempt (the serial walk would have reached it
-                       ///< only after failing the candidates below).
-  int cancelled = 0;  ///< Raced attempts aborted by a lower-II success.
-  int discarded = 0;  ///< Raced attempts finished above the winning II.
-  double attempt_seconds = 0;  ///< Summed wall time of every II attempt
-                               ///< (the serial-equivalent work).
-};
-
-/// Telemetry of the warm-start path (all zero on a cold run). Like
-/// SpeculationTelemetry it is deliberately NOT serialized into `.hcl`
-/// result dumps: a fallback result must stay bit-identical to a cold run,
+/// Telemetry of the warm-start path (all zero on a cold run). It is
+/// deliberately NOT serialized into `.hcl` result dumps: a fallback result must stay bit-identical to a cold run,
 /// and warm-started results never enter the exact-key cache anyway (the
 /// cache contract serves only cold bytes).
 struct WarmStartTelemetry {
@@ -161,7 +127,6 @@ struct ScheduleResult {
   /// Loads+stores per iteration in the final graph: the paper's `trf`
   /// factor of the memory-traffic metric (N * trf).
   int mem_ops_per_iter = 0;
-  SpeculationTelemetry spec;
   WarmStartTelemetry warm;
 };
 

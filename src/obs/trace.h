@@ -2,15 +2,14 @@
 //
 // The scheduling stack is instrumented with RAII `TraceSpan`s (loop,
 // II attempt, placement / spill / validate / eject-cascade phases) and
-// instant events (the SchedEvent funnel, speculation win/cancel markers).
+// instant events (the SchedEvent funnel).
 // When the tracer is stopped — the default — every instrumentation site
 // collapses to one relaxed atomic load, so tracing support costs nothing
 // on the hot path. When started, each thread appends to its own private
 // buffer (no locks, no cross-thread cacheline traffic), and ExportJson
 // renders everything in the Chrome `trace_event` format that
 // chrome://tracing and https://ui.perfetto.dev load directly: one track
-// per thread, speculative II attempts visible side by side on the worker
-// tracks.
+// per thread, so a batch's loops show side by side on the worker tracks.
 //
 // Concurrency contract: Start / Stop / ExportJson / Snapshot require
 // quiescence — no thread may be inside an instrumented region while the
@@ -80,7 +79,7 @@ class Tracer {
   /// Appends a thread-scoped instant event at the current time.
   void Instant(const char* cat, const char* name, int ii, int node);
 
-  /// Names the calling thread's track ("main", "spec-worker-2", ...).
+  /// Names the calling thread's track ("main", "pool-worker-2", ...).
   /// Unnamed threads render as "thread-N" in registration order.
   static void SetThreadName(std::string name);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "core/mirs.h"
@@ -12,7 +13,6 @@
 #include "io/hcl.h"
 #include "machine/machine_config.h"
 #include "machine/rf_config.h"
-#include "perf/thread_pool.h"
 #include "workload/suite_cache.h"
 
 namespace hcrf::perf {
@@ -58,18 +58,12 @@ struct ModeOut {
   std::vector<double> per_loop;  ///< Mean seconds per loop across reps.
   long placements = 0;
   long ejections = 0;
-  int raced = 0;
-  int wins = 0;
-  int cancelled = 0;
-  int discarded = 0;
-  double attempt_seconds = 0;
   std::vector<core::ScheduleResult> results;  ///< Last repetition's.
 };
 
 /// One timed mode over one case: accumulates wall time (total and
-/// per-loop), throughput stats, the last repetition's results for the
-/// identity check, and — on the last repetition only, so the counts cover
-/// one pass of the suite — the speculation telemetry.
+/// per-loop), throughput stats and the last repetition's results for the
+/// identity check.
 ModeOut RunMode(const workload::Suite& suite, const MachineConfig& m,
                 const std::vector<MIIInfo>& mii,
                 const core::MirsOptions& mirs, int reps) {
@@ -88,14 +82,7 @@ ModeOut RunMode(const workload::Suite& suite, const MachineConfig& m,
       out.per_loop[i] += dt;
       out.placements += res.stats.attempts;
       out.ejections += res.stats.ejections;
-      if (last) {
-        out.raced += res.spec.raced;
-        out.wins += res.spec.raced_wins;
-        out.cancelled += res.spec.cancelled;
-        out.discarded += res.spec.discarded;
-        out.attempt_seconds += res.spec.attempt_seconds;
-        out.results.push_back(std::move(res));
-      }
+      if (last) out.results.push_back(std::move(res));
     }
   }
   for (double& s : out.per_loop) s /= reps;
@@ -103,10 +90,10 @@ ModeOut RunMode(const workload::Suite& suite, const MachineConfig& m,
 }
 
 /// Dump-level identity of two modes' results; counts unschedulable loops
-/// once via `failed` (only from the first comparison, against `count_fails`).
+/// via `failed`.
 void CompareResults(const std::vector<core::ScheduleResult>& ref,
                     const std::vector<core::ScheduleResult>& alt,
-                    bool count_fails, BenchCase& c) {
+                    BenchCase& c) {
   for (size_t i = 0; i < ref.size(); ++i) {
     const core::ScheduleResult& a = ref[i];
     const core::ScheduleResult& b = alt[i];
@@ -115,7 +102,7 @@ void CompareResults(const std::vector<core::ScheduleResult>& ref,
       continue;
     }
     if (!a.ok) {
-      if (count_fails) ++c.failed;
+      ++c.failed;
       continue;
     }
     if (io::DumpResult(a) != io::DumpResult(b)) c.identical = false;
@@ -124,7 +111,7 @@ void CompareResults(const std::vector<core::ScheduleResult>& ref,
 
 BenchCase RunCase(const std::string& suite_name,
                   const workload::Suite& suite, const std::string& rf_name,
-                  int reps, int speculate_k, bool speculate_eager) {
+                  int reps) {
   BenchCase c;
   c.suite = suite_name;
   c.rf = rf_name;
@@ -149,21 +136,7 @@ BenchCase RunCase(const std::string& suite_name,
   c.placements = inc.placements;
   c.ejections = inc.ejections;
   c.serial_latency = ComputeQuantiles(inc.per_loop);
-  CompareResults(ref.results, inc.results, /*count_fails=*/true, c);
-
-  if (speculate_k >= 2) {
-    mirs.speculate_k = speculate_k;
-    mirs.speculate_eager = speculate_eager;
-    const ModeOut spec = RunMode(suite, m, mii, mirs, reps);
-    c.speculative_seconds = spec.seconds;
-    c.speculative_latency = ComputeQuantiles(spec.per_loop);
-    c.spec_raced = spec.raced;
-    c.spec_wins = spec.wins;
-    c.spec_losses = spec.discarded;
-    c.spec_cancelled = spec.cancelled;
-    c.spec_attempt_seconds = spec.attempt_seconds;
-    CompareResults(inc.results, spec.results, /*count_fails=*/false, c);
-  }
+  CompareResults(ref.results, inc.results, c);
   return c;
 }
 
@@ -288,23 +261,10 @@ void Append(std::string& out, const BenchCase& c) {
          ",\n";
   out += "     \"incremental_seconds\": " +
          io::FormatDouble(c.incremental_seconds) + ",\n";
-  out += "     \"speculative_seconds\": " +
-         io::FormatDouble(c.speculative_seconds) + ",\n";
   out += "     \"speedup\": " + io::FormatDouble(c.Speedup()) + ",\n";
   out += "     \"latency\": {";
   AppendQuantiles(out, "serial", c.serial_latency);
-  out += ",\n                 ";
-  AppendQuantiles(out, "speculative", c.speculative_latency);
-  out += ",\n                 \"p95_speedup\": " +
-         io::FormatDouble(c.SpecP95Speedup()) + "},\n";
-  out += "     \"speculation\": {\"raced\": " + std::to_string(c.spec_raced) +
-         ", \"wins\": " + std::to_string(c.spec_wins) +
-         ", \"losses\": " + std::to_string(c.spec_losses) +
-         ", \"cancelled\": " + std::to_string(c.spec_cancelled) + ",\n" +
-         "                     \"attempt_seconds\": " +
-         io::FormatDouble(c.spec_attempt_seconds) +
-         ", \"effective_parallelism\": " +
-         io::FormatDouble(c.EffectiveParallelism()) + "},\n";
+  out += "},\n";
   out += "     \"placements\": " + std::to_string(c.placements) +
          ", \"ejections\": " + std::to_string(c.ejections) + ",\n";
   out += "     \"placements_per_sec\": " +
@@ -350,25 +310,18 @@ BenchReport RunBench(const BenchOptions& opt) {
   }
 
   for (const std::string& rf : orgs) {
-    report.cases.push_back(RunCase("kernels", kernels, rf, kernel_reps,
-                                   opt.speculate_k, opt.speculate_eager));
-    report.cases.push_back(RunCase("synth", *synth, rf, synth_reps,
-                                   opt.speculate_k, opt.speculate_eager));
+    report.cases.push_back(RunCase("kernels", kernels, rf, kernel_reps));
+    report.cases.push_back(RunCase("synth", *synth, rf, synth_reps));
     report.delta.push_back(RunDeltaCase(kernels, rf, kernel_reps));
   }
 
   for (const BenchCase& c : report.cases) {
     report.reference_seconds += c.reference_seconds;
     report.incremental_seconds += c.incremental_seconds;
-    report.speculative_seconds += c.speculative_seconds;
     report.placements += c.placements;
     report.ejections += c.ejections;
     if (!c.identical) report.identical = false;
   }
-  report.speculate_k = opt.speculate_k;
-  report.speculate_eager = opt.speculate_eager;
-  report.speculation_pool_workers =
-      opt.speculate_k >= 2 ? WorkerPool::Shared().num_workers() : 0;
   report.host = QueryHostInfo();
   report.mii_cache = GetMiiCacheStats();
   return report;
@@ -377,8 +330,6 @@ BenchReport RunBench(const BenchOptions& opt) {
 HostInfo QueryHostInfo() {
   HostInfo h;
   h.hardware_concurrency = std::thread::hardware_concurrency();
-  h.speculation_pool_workers = WorkerPool::Shared().num_workers();
-  h.degraded = h.speculation_pool_workers == 0;
 #ifdef NDEBUG
   h.build_type = "release";
 #else
@@ -389,21 +340,12 @@ HostInfo QueryHostInfo() {
 
 std::string BenchJson(const BenchReport& report) {
   std::string out = "{\n";
-  out += "  \"format\": \"hcrf-bench-4\",\n";
+  out += "  \"format\": \"hcrf-bench-5\",\n";
   out += "  \"generated_by\": \"hcrf_sched bench\",\n";
   out += "  \"host\": {\"hardware_concurrency\": " +
          std::to_string(report.host.hardware_concurrency) +
-         ", \"speculation_pool_workers\": " +
-         std::to_string(report.host.speculation_pool_workers) +
-         ",\n           \"degraded\": " +
-         std::string(report.host.degraded ? "true" : "false") +
          ", \"build_type\": \"" + report.host.build_type + "\"},\n";
   out += "  \"threads\": 1,\n";
-  out += "  \"speculate_k\": " + std::to_string(report.speculate_k) + ",\n";
-  out += "  \"speculate_eager\": " +
-         std::string(report.speculate_eager ? "true" : "false") + ",\n";
-  out += "  \"speculation_pool_workers\": " +
-         std::to_string(report.speculation_pool_workers) + ",\n";
   out += "  \"identical\": " +
          std::string(report.identical ? "true" : "false") + ",\n";
   out += "  \"cases\": [\n";
@@ -458,11 +400,7 @@ std::string BenchJson(const BenchReport& report) {
          io::FormatDouble(report.reference_seconds) + ",\n";
   out += "    \"incremental_seconds\": " +
          io::FormatDouble(report.incremental_seconds) + ",\n";
-  out += "    \"speculative_seconds\": " +
-         io::FormatDouble(report.speculative_seconds) + ",\n";
   out += "    \"speedup\": " + io::FormatDouble(report.Speedup()) + ",\n";
-  out += "    \"speculative_speedup\": " +
-         io::FormatDouble(report.SpecSpeedup()) + ",\n";
   out += "    \"placements\": " + std::to_string(report.placements) + ",\n";
   out += "    \"ejections\": " + std::to_string(report.ejections) + ",\n";
   out += "    \"placements_per_sec\": " +
@@ -552,17 +490,6 @@ BaselineCheck CompareAgainstBaseline(const BenchReport& current,
     out.error = "baseline is not an hcrf-bench JSON report";
     return out;
   }
-  // The first occurrence is the host block's (the top-level copy of the
-  // knob comes later in BenchJson's field order).
-  double base_workers = 0;
-  if (!ScanNumber(baseline_json, 0, baseline_json.size(),
-                  "\"speculation_pool_workers\": ", &base_workers)) {
-    out.error = "baseline has no host block";
-    return out;
-  }
-  const bool base_spec = base_workers > 0;
-  const bool cur_spec = current.host.speculation_pool_workers > 0;
-
   const std::size_t cases_at = baseline_json.find("\"cases\": [");
   if (cases_at == std::string::npos) {
     out.error = "baseline has no cases array";
@@ -580,7 +507,6 @@ BaselineCheck CompareAgainstBaseline(const BenchReport& current,
     std::string suite;
     std::string rf;
     double serial_p95 = 0;
-    double spec_p95 = 0;
     const bool named =
         ScanString(baseline_json, cursor, next, "\"suite\": \"", &suite) &&
         ScanString(baseline_json, cursor, next, "\"rf\": \"", &rf);
@@ -588,11 +514,6 @@ BaselineCheck CompareAgainstBaseline(const BenchReport& current,
         FindIn(baseline_json, cursor, next, "\"serial\": {");
     if (serial_at != std::string::npos) {
       ScanNumber(baseline_json, serial_at, next, "\"p95\": ", &serial_p95);
-    }
-    const std::size_t spec_at =
-        FindIn(baseline_json, cursor, next, "\"speculative\": {");
-    if (spec_at != std::string::npos) {
-      ScanNumber(baseline_json, spec_at, next, "\"p95\": ", &spec_p95);
     }
 
     const BenchCase* cur = nullptr;
@@ -608,31 +529,11 @@ BaselineCheck CompareAgainstBaseline(const BenchReport& current,
       BaselineCaseCheck chk;
       chk.suite = suite;
       chk.rf = rf;
-      chk.metric = "serial_p95";
       chk.baseline = serial_p95;
       chk.current = cur->serial_latency.p95;
       chk.regressed = chk.current > chk.baseline * (1.0 + tolerance);
       ++out.compared;
       if (chk.regressed) ++out.regressions;
-      out.checks.push_back(std::move(chk));
-    }
-    if (cur != nullptr && spec_p95 > 0 && cur->speculative_latency.p95 > 0) {
-      BaselineCaseCheck chk;
-      chk.suite = suite;
-      chk.rf = rf;
-      chk.metric = "speculative_p95";
-      chk.baseline = spec_p95;
-      chk.current = cur->speculative_latency.p95;
-      if (!base_spec || !cur_spec) {
-        // A degraded host (no speculation workers) races inline; its
-        // speculative tail is not comparable to a parallel run's.
-        chk.skipped = true;
-        ++out.skipped;
-      } else {
-        chk.regressed = chk.current > chk.baseline * (1.0 + tolerance);
-        ++out.compared;
-        if (chk.regressed) ++out.regressions;
-      }
       out.checks.push_back(std::move(chk));
     }
     cursor = next == end ? std::string::npos : next;

@@ -21,9 +21,7 @@ WorkerPool::WorkerPool(int threads) {
   // Default: hardware_concurrency - 1 workers. The submitter participates
   // through TaskGroup::RunAndWait's stealing, so hw-1 workers + the caller
   // saturate the machine without oversubscribing it; on a single-core host
-  // that is 0 workers: batches run serially on the caller and racing
-  // degrades to in-order inline execution (above-winner candidates then
-  // cancel at entry, costing nothing).
+  // that is 0 workers and batches run serially on the caller.
   const int n =
       threads >= 0
           ? threads

@@ -1,8 +1,8 @@
 // The process worker pool.
 //
 // One pool runs all of the process's parallel work: the loops of a
-// scheduling batch (SchedulerService::ParallelFor), speculative II racing
-// inside one request, and the schedule cache's write-behind. Work arrives
+// scheduling batch (SchedulerService::ParallelFor) and the schedule
+// cache's write-behind. Work arrives
 // as TaskGroup fan-outs on one plain multi-group task queue that any
 // thread — including one of the pool's own workers — may feed. Saturation
 // can never deadlock: a thread waiting on its group steals that group's

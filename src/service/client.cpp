@@ -31,6 +31,23 @@ std::vector<std::string> ReadReplyLine(wire::Conn& conn) {
   return toks;
 }
 
+/// Called after a request write failed. A daemon that bounces a connection
+/// (`busy` at accept, or an `error` reply) writes its reply line and closes,
+/// possibly before the request lands, so the write fails with EPIPE while
+/// the reply is already waiting. Returns that pending `busy`/`error` reply
+/// for HandleCommonReply; throws std::runtime_error(`lost`) when no such
+/// reply line is there.
+std::vector<std::string> ReadBouncedReply(wire::Conn& conn,
+                                          const std::string& lost) {
+  try {
+    std::vector<std::string> toks = ReadReplyLine(conn);
+    if (toks[2] == "busy" || toks[2] == "error") return toks;
+  } catch (const wire::WireError&) {
+    // No reply line: EOF, a read error or a malformed line.
+  }
+  throw std::runtime_error(lost);
+}
+
 /// Decodes the replies every verb can get: `busy` (returns true) and
 /// `error <bytes>` (throws with the server's message).
 bool HandleCommonReply(wire::Conn& conn, const std::vector<std::string>& toks) {
@@ -99,10 +116,10 @@ int Client::Connect() const {
 
 bool Client::Ping() {
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 ping\n")) {
-    throw std::runtime_error("submit: connection lost while pinging");
-  }
-  const std::vector<std::string> toks = ReadReplyLine(conn);
+  const std::vector<std::string> toks =
+      conn.WriteAll("hcrf 1 ping\n")
+          ? ReadReplyLine(conn)
+          : ReadBouncedReply(conn, "submit: connection lost while pinging");
   if (HandleCommonReply(conn, toks)) return false;
   if (toks[2] != "ok") throw wire::WireError("unexpected ping reply");
   return true;
@@ -122,20 +139,24 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
     throw wire::WireError("batch exceeds the protocol request cap");
   }
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 " + verb + " " + std::to_string(requests.size()) +
-                     "\n")) {
-    throw std::runtime_error(verb + ": connection lost while submitting");
-  }
-  for (const BatchRequest& req : requests) {
-    if (verb == "delta") {
-      wire::WriteDeltaRequest(conn, req);
-    } else {
-      wire::WriteRequest(conn, req);
+  std::vector<std::string> toks;
+  if (conn.WriteAll("hcrf 1 " + verb + " " + std::to_string(requests.size()) +
+                    "\n")) {
+    // Request writes that fail past the header are not fatal: the reply
+    // read below picks up a bounce just the same.
+    for (const BatchRequest& req : requests) {
+      if (verb == "delta") {
+        wire::WriteDeltaRequest(conn, req);
+      } else {
+        wire::WriteRequest(conn, req);
+      }
     }
+    toks = ReadReplyLine(conn);
+  } else {
+    toks = ReadBouncedReply(conn, verb + ": connection lost while submitting");
   }
 
   SubmitReply reply;
-  const std::vector<std::string> toks = ReadReplyLine(conn);
   if (HandleCommonReply(conn, toks)) {
     reply.busy = true;
     return reply;
@@ -160,10 +181,10 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
 
 std::string Client::Stats() {
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 stats\n")) {
-    throw std::runtime_error("submit: connection lost requesting stats");
-  }
-  const std::vector<std::string> toks = ReadReplyLine(conn);
+  const std::vector<std::string> toks =
+      conn.WriteAll("hcrf 1 stats\n")
+          ? ReadReplyLine(conn)
+          : ReadBouncedReply(conn, "submit: connection lost requesting stats");
   if (HandleCommonReply(conn, toks)) {
     throw std::runtime_error("server busy; stats unavailable");
   }
@@ -175,10 +196,10 @@ std::string Client::Stats() {
 
 std::string Client::CacheStats() {
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 cache-stats\n")) {
-    throw std::runtime_error("submit: connection lost requesting stats");
-  }
-  const std::vector<std::string> toks = ReadReplyLine(conn);
+  const std::vector<std::string> toks =
+      conn.WriteAll("hcrf 1 cache-stats\n")
+          ? ReadReplyLine(conn)
+          : ReadBouncedReply(conn, "submit: connection lost requesting stats");
   if (HandleCommonReply(conn, toks)) {
     throw std::runtime_error("server busy; cache-stats unavailable");
   }

@@ -29,6 +29,11 @@ class Client {
   /// Batch submissions schedule on the far side before the reply, so the
   /// default is generous.
   explicit Client(std::string socket_path, int read_timeout_ms = 120000);
+  virtual ~Client() = default;
+  Client(const Client&) = default;
+  Client& operator=(const Client&) = default;
+  Client(Client&&) = default;
+  Client& operator=(Client&&) = default;
 
   const std::string& socket_path() const { return socket_path_; }
 
@@ -57,9 +62,12 @@ class Client {
   /// document.
   std::string CacheStats();
 
- private:
+ protected:
   /// Connects and returns the fd; throws std::runtime_error on failure.
-  int Connect() const;
+  /// Virtual so a test can hand the client a prepared socket.
+  virtual int Connect() const;
+
+ private:
   /// Submit/SubmitDelta body: verb + request blocks, then the results
   /// reply.
   SubmitReply SubmitVerb(const std::string& verb,

@@ -79,8 +79,7 @@ struct ServerOptions {
   /// Per-recv timeout: a wedged client cannot hold a slot (or the drain)
   /// hostage forever. 0 = no timeout.
   int read_timeout_ms = 30000;
-  /// The resident session's configuration (cache stack, parallelism,
-  /// speculation).
+  /// The resident session's configuration (cache stack, parallelism).
   ServiceConfig service;
 };
 

@@ -157,15 +157,6 @@ BatchReport SchedulerService::RunBatch(
     }
     if (!item.cache_hit) {
       core::MirsOptions mirs = req.options;
-      // Execution strategy, not request semantics (see ServiceConfig): the
-      // speculative engine commits bit-identical results, and the nested
-      // racing rides the WorkerPool, so a 1-thread batch still races.
-      // Session-level knob wins when set; otherwise the request's own
-      // value (e.g. from `hcrf_sched schedule --speculate`) stands.
-      if (config_.speculate_k > 0) {
-        mirs.speculate_k = config_.speculate_k;
-        mirs.speculate_eager = config_.speculate_eager;
-      }
       if (req.allow_warm_start && cache != nullptr) {
         // Near-key probe: the closest resident entry for the same loop ×
         // machine (differing options/overrides) seeds the engine, which

@@ -1,10 +1,10 @@
 // SchedulerService: the resident scheduling session.
 //
-// The cache stack, the parallelism/speculation configuration and the
-// stats views are fields of one long-lived SchedulerService, and every
-// request path — one-shot CLI, sweep, repro, tests, examples, the
-// Unix-socket server — schedules through the same session object. One
-// code path, one set of counters, one drain point.
+// The cache stack, the parallelism configuration and the stats views
+// are fields of one long-lived SchedulerService, and every request path —
+// one-shot CLI, sweep, repro, tests, examples, the Unix-socket server —
+// schedules through the same session object. One code path, one set of
+// counters, one drain point.
 //
 // Ownership model:
 //  * The session owns the cache stack (MemoryTier / DiskTier /
@@ -12,8 +12,7 @@
 //    borrow it. Per-batch stats are deltas of the stack counters around
 //    the call.
 //  * The worker pool stays process-wide (perf::WorkerPool::Shared());
-//    the session only carries the parallelism cap and speculation knobs
-//    applied per batch.
+//    the session only carries the parallelism cap applied per batch.
 //  * Drain() settles the write-behind queue; the destructor drains too.
 //    A one-shot wrapper drains before reporting (exact counters), the
 //    daemon drains on SIGTERM.
@@ -57,12 +56,6 @@ struct ServiceConfig {
   /// the pool's workers + 1: scheduling is CPU-bound.
   int threads = 0;
   hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-  /// Speculative II racing (MirsOptions::speculate_k) applied to every
-  /// request of every batch when > 0. An execution-strategy knob like
-  /// `threads`, not part of the request: schedules are bit-identical
-  /// either way, so it stays outside the cache key.
-  int speculate_k = 0;
-  bool speculate_eager = false;
 };
 
 class SchedulerService {

@@ -87,12 +87,11 @@ TEST(ConcurrencyStress, TraceAndMetricsHammer) {
             static_cast<long>(kEpochs) * kThreads * kSpansPerThread);
 }
 
-// WorkerPool drain stress with randomized wave shapes and a CAS-min
-// cancellation token shaped like the engine's speculative II racing: every
-// task tries to publish its candidate unless a strictly better one already
-// won. Waves vary task count, candidate distribution and nesting (a task
-// that opens its own TaskGroup on the same pool — the documented
-// saturation-safe pattern), and groups are reused across rounds.
+// WorkerPool drain stress with randomized wave shapes and a CAS-min shared
+// result: every task tries to publish its candidate unless a strictly
+// better one already won. Waves vary task count, candidate distribution
+// and nesting (a task that opens its own TaskGroup on the same pool — the
+// documented saturation-safe pattern), and groups are reused across rounds.
 TEST(ConcurrencyStress, WorkerPoolCancellationDrain) {
   std::mt19937 rng(0xC0FFEEu);
   perf::WorkerPool pool(3);  // dedicated pool: also stresses teardown
@@ -110,8 +109,7 @@ TEST(ConcurrencyStress, WorkerPoolCancellationDrain) {
       expected_min = std::min(expected_min, candidate);
       group.Submit([&pool, &best, &ran, candidate, nested] {
         ran.fetch_add(1, std::memory_order_relaxed);
-        // CAS-min: cancelled (no publish) iff a strictly lower candidate
-        // already won — the SpeculationToken discipline.
+        // CAS-min: no publish iff a strictly lower candidate already won.
         int cur = best.load(std::memory_order_relaxed);
         while (candidate < cur &&
                !best.compare_exchange_weak(cur, candidate,
@@ -137,8 +135,7 @@ TEST(ConcurrencyStress, WorkerPoolCancellationDrain) {
     EXPECT_EQ(ran.load(std::memory_order_relaxed), tasks);
     EXPECT_EQ(best.load(std::memory_order_relaxed), expected_min);
 
-    // Reuse the drained group for a second round (the engine reuses one
-    // group across II escalation rounds).
+    // Reuse the drained group for a second round.
     std::atomic<int> second{0};
     const int extra = 1 + static_cast<int>(rng() % 8);
     for (int i = 0; i < extra; ++i) {

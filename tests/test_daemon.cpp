@@ -14,6 +14,8 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -197,6 +199,67 @@ TEST_F(DaemonTest, SaturationAnswersBusy) {
     if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(served);
+}
+
+/// A client whose every connection is one end of a socketpair whose peer
+/// has already written `reply` and hung up — the shape of a daemon that
+/// bounces a connection before the client's request lands.
+class BouncedClient final : public service::Client {
+ public:
+  explicit BouncedClient(std::string reply)
+      : Client("unused"), reply_(std::move(reply)) {}
+
+ protected:
+  int Connect() const override {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      throw std::runtime_error("socketpair failed");
+    }
+    const ssize_t n = ::write(fds[1], reply_.data(), reply_.size());
+    ::close(fds[1]);
+    if (n != static_cast<ssize_t>(reply_.size())) {
+      ::close(fds[0]);
+      throw std::runtime_error("could not stage the bounce reply");
+    }
+    return fds[0];
+  }
+
+ private:
+  std::string reply_;
+};
+
+/// The message `call` throws as std::runtime_error; "" when it returns.
+template <typename F>
+std::string ThrownMessage(F&& call) {
+  try {
+    call();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The request write of every verb fails with EPIPE here, deterministically:
+// the pending reply decides the outcome, and only a missing reply line is a
+// lost connection.
+TEST(ClientBounce, FailedWriteReadsThePendingReply) {
+  BouncedClient busy("hcrf 1 busy\n");
+  EXPECT_FALSE(busy.Ping());
+  EXPECT_TRUE(busy.Submit(KernelRequests()).busy);
+  EXPECT_TRUE(busy.SubmitDelta(KernelRequests()).busy);
+  EXPECT_EQ(ThrownMessage([&] { busy.Stats(); }),
+            "server busy; stats unavailable");
+  EXPECT_EQ(ThrownMessage([&] { busy.CacheStats(); }),
+            "server busy; cache-stats unavailable");
+
+  BouncedClient error("hcrf 1 error 4\nboom");
+  EXPECT_EQ(ThrownMessage([&] { error.Ping(); }), "server error: boom");
+
+  BouncedClient silent("");
+  EXPECT_EQ(ThrownMessage([&] { silent.Ping(); }),
+            "submit: connection lost while pinging");
+  EXPECT_EQ(ThrownMessage([&] { silent.Submit(KernelRequests()); }),
+            "submit: connection lost while submitting");
 }
 
 TEST_F(DaemonTest, MalformedRequestGetsErrorReplyAndDaemonSurvives) {

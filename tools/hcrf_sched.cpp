@@ -66,9 +66,6 @@ commands:
       --machine=FILE       full `hcl 1 machine` document instead of --rf
       --no-characterize    skip the hardware model (keep baseline clock)
       --budget=X --max-ii=N --policy=NAME --non-iterative
-      --speculate=K        race K candidate IIs per wave (bit-identical
-                           schedules; K < 2 = serial)
-      --eager              race the first wave too (with --speculate)
       --cache=DIR          persistent schedule cache
       --cache-mem=N        in-memory hot tier bounded to N entries
                            (stacks in front of --cache with write-behind)
@@ -79,7 +76,6 @@ commands:
   run <manifest>         run every request of a batch manifest
       --cache=DIR --cache-mem=N --cache-mem-bytes=B
       --threads=N --out-dir=DIR --quiet
-      --speculate=K --eager  speculative II racing inside each request
       --trace=FILE --stats[=json]
   sweep <spec.hcl>       run a design-space sweep over RF organizations
       --cache=DIR          persistent schedule cache
@@ -106,26 +102,19 @@ commands:
   smoke <manifest>       run twice (cold, warm cache); verify the warm run
                          hits the cache and its output is bit-identical
   bench                  time the scheduling hot path: reference engine vs
-                         incremental vs speculative II racing, asserting
-                         all modes produce bit-identical schedules (exit 1
-                         if not); reports per-loop latency tails
-                         (p50/p95/p99/max) and speculation telemetry
+                         incremental, asserting both modes produce
+                         bit-identical schedules (exit 1 if not); reports
+                         per-loop latency tails (p50/p95/p99/max)
       --out=FILE           write the BENCH_*.json report (default
                            BENCH_PR10.json; '-' = stdout only)
       --baseline=FILE      compare against a checked-in BENCH_*.json:
-                           exit 1 when any comparable leg's p95 regresses
-                           by more than 15%% (legs that are incomparable —
-                           e.g. a degraded worker pool on either
-                           host — are skipped, never failed)
+                           exit 1 when any leg's serial p95 regresses by
+                           more than 15%%
       --rf=A,B,...         organizations to bench (paper notation)
       --reps=N             kernel-suite repetitions per timed mode
       --synth-n=N          synthetic loops per case (default: whole suite)
-      --speculate=K        candidate IIs per speculative wave (default 4;
-                           K < 2 skips the speculative leg)
-      --eager              race the first wave too
       --smoke              small slice + one organization: the identity
-                           assertions (incl. one speculative case) at CI
-                           cost
+                           assertions at CI cost
       --baseline-seconds=X --current-seconds=Y --baseline-note=STR
                            record a comparison against a separately timed
                            older binary (e.g. the pre-PR engine) in the
@@ -155,7 +144,7 @@ commands:
       --cache=DIR          persistent schedule cache (disk tier)
       --cache-mem=N        in-memory hot tier bounded to N entries
       --cache-mem-bytes=B  hot-tier byte bound (default 64 MiB)
-      --threads=N --speculate=K --eager
+      --threads=N
       --max-inflight=N     connections in service at once before the
                            server answers `busy` (default 4)
       --timeout-ms=N       per-connection socket timeout (default 30000)
@@ -353,14 +342,6 @@ core::MirsOptions OptionsFromFlags(const Args& args) {
     if (!p) throw std::runtime_error("unknown --policy=" + *v);
     opt.cluster_policy = *p;
   }
-  if (const std::string* v = args.Flag("speculate")) {
-    opt.speculate_k = ParseIntFlag("speculate", *v);
-    if (opt.speculate_k < 0) {
-      throw std::runtime_error("--speculate: expected a non-negative count, "
-                               "got '" + *v + "'");
-    }
-  }
-  if (args.Flag("eager") != nullptr) opt.speculate_eager = true;
   return opt;
 }
 
@@ -380,9 +361,9 @@ void PrintItem(const service::BatchItem& item) {
 int CmdSchedule(const Args& args) {
   if (args.positional.size() != 1 ||
       !CheckFlags(args, {"rf", "machine", "no-characterize", "budget",
-                         "max-ii", "policy", "non-iterative", "speculate",
-                         "eager", "cache", "cache-mem", "cache-mem-bytes",
-                         "out", "trace", "stats"})) {
+                         "max-ii", "policy", "non-iterative", "cache",
+                         "cache-mem", "cache-mem-bytes", "out", "trace",
+                         "stats"})) {
     return Usage();
   }
   const auto loop =
@@ -455,8 +436,7 @@ int RunManifestOnce(const std::string& manifest,
 int CmdRun(const Args& args) {
   if (args.positional.size() != 1 ||
       !CheckFlags(args, {"cache", "cache-mem", "cache-mem-bytes", "threads",
-                         "out-dir", "quiet", "speculate", "eager", "trace",
-                         "stats"})) {
+                         "out-dir", "quiet", "trace", "stats"})) {
     return Usage();
   }
   service::ServiceConfig config;
@@ -465,14 +445,6 @@ int CmdRun(const Args& args) {
   if (const std::string* t = args.Flag("threads")) {
     config.threads = ParseIntFlag("threads", *t);
   }
-  if (const std::string* v = args.Flag("speculate")) {
-    config.speculate_k = ParseIntFlag("speculate", *v);
-    if (config.speculate_k < 0) {
-      throw std::runtime_error("--speculate: expected a non-negative count, "
-                               "got '" + *v + "'");
-    }
-  }
-  if (args.Flag("eager") != nullptr) config.speculate_eager = true;
   return RunManifestOnce(args.positional[0], config,
                          args.Flag("quiet") != nullptr, args.Flag("out-dir"),
                          nullptr);
@@ -850,22 +822,13 @@ perf::ServiceLeg RunServiceTimingLeg() {
 // Writes the BENCH_*.json trajectory artifact; CI runs `bench --smoke`.
 int CmdBench(const Args& args) {
   if (!args.positional.empty() ||
-      !CheckFlags(args, {"out", "rf", "reps", "synth-n", "speculate",
-                         "eager", "smoke", "baseline", "baseline-seconds",
-                         "current-seconds", "baseline-note", "trace",
-                         "stats"})) {
+      !CheckFlags(args, {"out", "rf", "reps", "synth-n", "smoke", "baseline",
+                         "baseline-seconds", "current-seconds",
+                         "baseline-note", "trace", "stats"})) {
     return Usage();
   }
   perf::BenchOptions bopt;
   bopt.smoke = args.Flag("smoke") != nullptr;
-  if (const std::string* v = args.Flag("speculate")) {
-    bopt.speculate_k = ParseIntFlag("speculate", *v);
-    if (bopt.speculate_k < 0) {
-      throw std::runtime_error("--speculate: expected a non-negative count, "
-                               "got '" + *v + "'");
-    }
-  }
-  bopt.speculate_eager = args.Flag("eager") != nullptr;
   if (const std::string* rf = args.Flag("rf")) {
     bopt.rf_names.clear();
     size_t start = 0;
@@ -924,15 +887,6 @@ int CmdBench(const Args& args) {
         c.suite.c_str(), c.rf.c_str(), c.loops, c.reps, c.reference_seconds,
         c.incremental_seconds, c.Speedup(),
         c.identical ? "identical" : "MISMATCH");
-    if (c.speculative_seconds > 0) {
-      std::printf(
-          "         spec %8.3f s  p95 %.3f -> %.3f ms (%.2fx)  "
-          "raced %d won %d lost %d cancelled %d  parallelism %.2f\n",
-          c.speculative_seconds, c.serial_latency.p95 * 1e3,
-          c.speculative_latency.p95 * 1e3, c.SpecP95Speedup(), c.spec_raced,
-          c.spec_wins, c.spec_losses, c.spec_cancelled,
-          c.EffectiveParallelism());
-    }
   }
   std::printf(
       "total: ref %.3f s, incr %.3f s, speedup %.2fx, %.0f placements/s, "
@@ -971,13 +925,6 @@ int CmdBench(const Args& args) {
         d.repair_placements, d.rebuild_placements, d.seeded, d.fallbacks,
         d.skipped, d.ii_never_worse ? "never worse" : "WORSE THAN COLD");
   }
-  if (report.host.degraded) {
-    std::fprintf(stderr,
-                 "bench: warning: worker pool has no workers "
-                 "(single-core host) — the speculative leg raced inline "
-                 "and its numbers are not comparable across hosts "
-                 "(host marked \"degraded\": true in the report)\n");
-  }
 
   const std::string* out = args.Flag("out");
   const std::string path = out != nullptr ? *out : "BENCH_PR10.json";
@@ -987,8 +934,8 @@ int CmdBench(const Args& args) {
   }
   if (!report.identical) {
     std::fprintf(stderr,
-                 "bench: incremental/speculative engine diverged from the "
-                 "reference schedules\n");
+                 "bench: incremental engine diverged from the reference "
+                 "schedules\n");
     return 1;
   }
   for (const perf::DeltaCase& d : report.delta) {
@@ -1003,22 +950,17 @@ int CmdBench(const Args& args) {
     const perf::BaselineCheck check =
         perf::CompareAgainstBaseline(report, io::ReadFile(*b));
     for (const perf::BaselineCaseCheck& chk : check.checks) {
-      std::printf("baseline %-8s x %-12s %-16s %9.3f -> %9.3f ms  %s\n",
-                  chk.suite.c_str(), chk.rf.c_str(), chk.metric.c_str(),
-                  chk.baseline * 1e3, chk.current * 1e3,
-                  chk.skipped ? "skipped (incomparable)"
-                  : chk.regressed
-                      ? "REGRESSED"
-                      : "ok");
+      std::printf("baseline %-8s x %-12s serial p95 %9.3f -> %9.3f ms  %s\n",
+                  chk.suite.c_str(), chk.rf.c_str(), chk.baseline * 1e3,
+                  chk.current * 1e3, chk.regressed ? "REGRESSED" : "ok");
     }
     if (!check.ok) {
       std::fprintf(stderr, "bench: --baseline=%s: %s\n", b->c_str(),
                    check.error.c_str());
       return 1;
     }
-    std::printf("baseline: %d compared, %d skipped, %d regressions (%s)\n",
-                check.compared, check.skipped, check.regressions,
-                b->c_str());
+    std::printf("baseline: %d compared, %d regressions (%s)\n",
+                check.compared, check.regressions, b->c_str());
     if (check.regressions > 0) {
       std::fprintf(stderr,
                    "bench: p95 regression of more than 15%% against %s\n",
@@ -1236,13 +1178,12 @@ extern "C" void HandleServeSignal(int) {
 }
 
 // Resident scheduling daemon: one SchedulerService (cache stack, thread
-// budget, speculation config) serving line-framed submissions on a Unix
-// socket until SIGTERM/SIGINT drains it.
+// budget) serving line-framed submissions on a Unix socket until
+// SIGTERM/SIGINT drains it.
 int CmdServe(const Args& args) {
   if (!args.positional.empty() ||
       !CheckFlags(args, {"socket", "cache", "cache-mem", "cache-mem-bytes",
-                         "threads", "speculate", "eager", "max-inflight",
-                         "timeout-ms"})) {
+                         "threads", "max-inflight", "timeout-ms"})) {
     return Usage();
   }
   const std::string* socket = args.Flag("socket");
@@ -1274,14 +1215,6 @@ int CmdServe(const Args& args) {
   if (const std::string* t = args.Flag("threads")) {
     config.service.threads = ParseIntFlag("threads", *t);
   }
-  if (const std::string* v = args.Flag("speculate")) {
-    config.service.speculate_k = ParseIntFlag("speculate", *v);
-    if (config.service.speculate_k < 0) {
-      throw std::runtime_error("--speculate: expected a non-negative count, "
-                               "got '" + *v + "'");
-    }
-  }
-  if (args.Flag("eager") != nullptr) config.service.speculate_eager = true;
 
   service::Server server(config);
   server.Start();
