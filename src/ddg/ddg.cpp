@@ -17,6 +17,13 @@ std::string_view ToString(DepKind kind) {
   return "?";
 }
 
+void DDG::Reserve(int slots) {
+  const auto n = static_cast<size_t>(slots);
+  nodes_.reserve(n);
+  in_.reserve(n);
+  out_.reserve(n);
+}
+
 NodeId DDG::AddNode(Node node) {
   node.alive = true;
   nodes_.push_back(std::move(node));

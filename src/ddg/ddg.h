@@ -98,6 +98,10 @@ class DDG {
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
 
+  /// Pre-sizes the node tables for `slots` nodes in total (a parser knows
+  /// the count up front). Changes no content.
+  void Reserve(int slots);
+
   NodeId AddNode(Node node);
   NodeId AddNode(OpClass op) {
     Node n;

@@ -4,11 +4,15 @@
 
 #include <atomic>
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <concepts>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -18,7 +22,7 @@ namespace hcrf::io {
 
 // ---------------------------------------------------------------------------
 // Scanner implementation (declared in io/scanner.h; shared with the
-// manifest parser in service/batch.cpp)
+// manifest and sweep-spec parsers in service/)
 // ---------------------------------------------------------------------------
 
 [[noreturn]] void Fail(std::string_view file, int line,
@@ -26,39 +30,48 @@ namespace hcrf::io {
   throw HclError(file, line, message);
 }
 
-Scanner Tokenize(std::string_view text, std::string_view file) {
-  Scanner sc;
-  sc.file = file;
-  int number = 0;
-  size_t begin = 0;
-  while (begin <= text.size()) {
-    size_t nl = text.find('\n', begin);
-    const size_t end = nl == std::string_view::npos ? text.size() : nl;
-    std::string_view line = text.substr(begin, end - begin);
-    ++number;
-    begin = end + 1;
-    if (nl == std::string_view::npos && line.empty()) break;
+namespace {
 
-    TokLine tl;
-    tl.number = number;
-    size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
-                                 line[i] == '\r')) {
+/// Token boundaries: the separators (space, tab, CR) and the newline.
+bool IsBreak(char c) {
+  constexpr std::uint64_t kBreaks =
+      1ull << ' ' | 1ull << '\t' | 1ull << '\r' | 1ull << '\n';
+  const auto u = static_cast<unsigned char>(c);
+  return u <= ' ' && ((kBreaks >> u) & 1) != 0;
+}
+
+}  // namespace
+
+bool Scanner::Fill() {
+  std::vector<std::string_view>& toks = line_.toks;
+  const char* const data = text_.data();
+  const std::size_t size = text_.size();
+  std::size_t i = begin_;
+  while (i < size) {
+    ++number_;
+    toks.clear();
+    while (i < size && data[i] != '\n') {
+      if (IsBreak(data[i])) {
         ++i;
+        continue;
       }
-      size_t start = i;
-      while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-             line[i] != '\r') {
-        ++i;
+      const std::size_t start = i;
+      while (i < size && !IsBreak(data[i])) ++i;
+      if (toks.empty() && data[start] == '#') {  // comment: skip the line
+        while (i < size && data[i] != '\n') ++i;
+        break;
       }
-      if (i > start) tl.toks.push_back(line.substr(start, i - start));
+      toks.emplace_back(data + start, i - start);
     }
-    if (tl.toks.empty() || tl.toks[0].front() == '#') continue;
-    sc.lines.push_back(std::move(tl));
-    if (nl == std::string_view::npos) break;
+    ++i;  // past the newline
+    if (toks.empty()) continue;  // blank or comment line
+    begin_ = i;
+    line_.number = last_ = number_;
+    pending_ = true;
+    return true;
   }
-  return sc;
+  begin_ = i;
+  return false;
 }
 
 std::optional<long> TryParseLong(std::string_view tok) {
@@ -83,7 +96,7 @@ long ScanLong(const Scanner& sc, int line, std::string_view tok,
               std::string_view what) {
   const std::optional<long> v = TryParseLong(tok);
   if (!v) {
-    Fail(sc.file, line,
+    Fail(sc.file(), line,
          "expected integer for " + std::string(what) + ", got '" +
              std::string(tok) + "'");
   }
@@ -94,7 +107,7 @@ int ScanInt(const Scanner& sc, int line, std::string_view tok,
             std::string_view what) {
   const long v = ScanLong(sc, line, tok, what);
   if (v < INT32_MIN || v > INT32_MAX) {
-    Fail(sc.file, line, std::string(what) + " out of range");
+    Fail(sc.file(), line, std::string(what) + " out of range");
   }
   return static_cast<int>(v);
 }
@@ -103,7 +116,7 @@ double ScanDouble(const Scanner& sc, int line, std::string_view tok,
                   std::string_view what) {
   const std::optional<double> v = TryParseDouble(tok);
   if (!v) {
-    Fail(sc.file, line,
+    Fail(sc.file(), line,
          "expected number for " + std::string(what) + ", got '" +
              std::string(tok) + "'");
   }
@@ -112,7 +125,7 @@ double ScanDouble(const Scanner& sc, int line, std::string_view tok,
 
 void WantToks(const Scanner& sc, const TokLine& tl, size_t n) {
   if (tl.toks.size() != n) {
-    Fail(sc.file, tl.number,
+    Fail(sc.file(), tl.number,
          "directive '" + std::string(tl.toks[0]) + "' expects " +
              std::to_string(n - 1) + " operand(s), got " +
              std::to_string(tl.toks.size() - 1));
@@ -120,48 +133,115 @@ void WantToks(const Scanner& sc, const TokLine& tl, size_t n) {
 }
 
 void ExpectHeader(Scanner& sc, std::string_view kind) {
-  if (sc.Done()) Fail(sc.file, 1, "empty document");
+  if (sc.Done()) Fail(sc.file(), 1, "empty document");
   const TokLine& tl = sc.Next();
   if (tl.toks[0] != "hcl" || tl.toks.size() != 3) {
-    Fail(sc.file, tl.number, "expected header 'hcl <version> <kind>'");
+    Fail(sc.file(), tl.number, "expected header 'hcl <version> <kind>'");
   }
   const int version = ScanInt(sc, tl.number, tl.toks[1], "version");
   if (version != kHclVersion) {
-    Fail(sc.file, tl.number,
+    Fail(sc.file(), tl.number,
          "unsupported hcl version " + std::to_string(version) +
              " (this build reads version " + std::to_string(kHclVersion) +
              ")");
   }
   if (tl.toks[2] != kind) {
-    Fail(sc.file, tl.number,
+    Fail(sc.file(), tl.number,
          "expected a '" + std::string(kind) + "' document, got '" +
              std::string(tl.toks[2]) + "'");
   }
 }
 
+namespace {
+
+/// Builds a dump in one buffer, sized up front from the document's shape.
+/// Every piece is written in place through a cursor: literals by memcpy,
+/// numbers by std::to_chars (doubles in shortest round-trip form), so a
+/// dump makes no temporary strings and, unless the size guess was short,
+/// exactly one allocation.
+class TextOut {
+ public:
+  explicit TextOut(std::size_t expected_bytes) { buf_.resize(expected_bytes); }
+
+  /// The finished document.
+  std::string Take() && {
+    buf_.resize(len_);
+    return std::move(buf_);
+  }
+
+  TextOut& operator<<(std::string_view s) {
+    std::memcpy(Room(s.size()), s.data(), s.size());
+    len_ += s.size();
+    return *this;
+  }
+  TextOut& operator<<(char c) {
+    *Room(1) = c;
+    ++len_;
+    return *this;
+  }
+  template <std::integral T>
+    requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+  TextOut& operator<<(T v) {
+    return Chars(v, 24);
+  }
+  TextOut& operator<<(double v) { return Chars(v, 32); }
+
+ private:
+  /// A cursor with at least `n` writable bytes behind it.
+  char* Room(std::size_t n) {
+    if (len_ + n > buf_.size()) {
+      buf_.resize(std::max(2 * buf_.size(), len_ + n));
+    }
+    return buf_.data() + len_;
+  }
+  /// `max_chars` bounds the longest rendering of a T.
+  template <typename T>
+  TextOut& Chars(T v, std::size_t max_chars) {
+    char* const p = Room(max_chars);
+    len_ = static_cast<std::size_t>(std::to_chars(p, p + max_chars, v).ptr -
+                                    buf_.data());
+    return *this;
+  }
+
+  std::string buf_;
+  std::size_t len_ = 0;  ///< Bytes written; buf_ beyond them is scratch.
+};
+
+}  // namespace
+
 std::string FormatDouble(double v) {
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;
-  return std::string(buf, ptr);
+  TextOut out(32);
+  out << v;
+  return std::move(out).Take();
 }
 
 namespace {
 
 OpClass ParseOpClass(const Scanner& sc, int line, std::string_view tok) {
+  static const std::array<std::string_view, kNumOpClasses> kNames = [] {
+    std::array<std::string_view, kNumOpClasses> names;
+    for (int i = 0; i < kNumOpClasses; ++i) {
+      names[static_cast<size_t>(i)] = ToString(static_cast<OpClass>(i));
+    }
+    return names;
+  }();
   for (int i = 0; i < kNumOpClasses; ++i) {
-    const OpClass op = static_cast<OpClass>(i);
-    if (tok == ToString(op)) return op;
+    if (tok == kNames[static_cast<size_t>(i)]) return static_cast<OpClass>(i);
   }
-  Fail(sc.file, line, "unknown op class '" + std::string(tok) + "'");
+  Fail(sc.file(), line, "unknown op class '" + std::string(tok) + "'");
 }
 
 DepKind ParseDepKind(const Scanner& sc, int line, std::string_view tok) {
-  for (DepKind k : {DepKind::kFlow, DepKind::kAnti, DepKind::kOutput,
-                    DepKind::kMem}) {
-    if (tok == ToString(k)) return k;
+  static const std::array<std::pair<std::string_view, DepKind>, 4> kKinds = {{
+      {ToString(DepKind::kFlow), DepKind::kFlow},
+      {ToString(DepKind::kAnti), DepKind::kAnti},
+      {ToString(DepKind::kOutput), DepKind::kOutput},
+      {ToString(DepKind::kMem), DepKind::kMem},
+  }};
+  for (const auto& [name, kind] : kKinds) {
+    if (tok == name) return kind;
   }
-  Fail(sc.file, line, "unknown dependence kind '" + std::string(tok) + "'");
+  Fail(sc.file(), line, "unknown dependence kind '" + std::string(tok) + "'");
 }
 
 core::BoundClass ParseBound(const Scanner& sc, int line,
@@ -171,7 +251,7 @@ core::BoundClass ParseBound(const Scanner& sc, int line,
         core::BoundClass::kRecurrence, core::BoundClass::kComm}) {
     if (tok == core::ToString(b)) return b;
   }
-  Fail(sc.file, line, "unknown bound class '" + std::string(tok) + "'");
+  Fail(sc.file(), line, "unknown bound class '" + std::string(tok) + "'");
 }
 
 core::ClusterPolicy ParsePolicy(const Scanner& sc, int line,
@@ -179,53 +259,58 @@ core::ClusterPolicy ParsePolicy(const Scanner& sc, int line,
   if (std::optional<core::ClusterPolicy> p = ClusterPolicyFromName(tok)) {
     return *p;
   }
-  Fail(sc.file, line, "unknown cluster policy '" + std::string(tok) + "'");
+  Fail(sc.file(), line, "unknown cluster policy '" + std::string(tok) + "'");
 }
 
 // ---------------------------------------------------------------------------
 // Graph body: shared between loop documents and embedded result graphs.
 // ---------------------------------------------------------------------------
 
-// Graph names are serialized as a single token: whitespace/control
-// characters become '_' (and a leading '#' would read as a comment), so
-// every dump reparses. Kernel and synthetic names are already clean.
-std::string TokenSafeName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (static_cast<unsigned char>(c) <= ' ') c = '_';
-  }
-  if (!out.empty() && out[0] == '#') out[0] = '_';
-  return out;
+/// Bytes a graph body dumps to, rounded up: sizes a dump's one buffer (a
+/// short guess costs one regrowth, never correctness).
+std::size_t GraphBodyBytes(const DDG& g) {
+  return 64 + g.name().size() + 32 * static_cast<std::size_t>(g.NumSlots()) +
+         24 * static_cast<std::size_t>(g.NumEdges());
 }
 
-void DumpGraphBody(const DDG& g, std::string& out) {
-  if (!g.name().empty()) out += "name " + TokenSafeName(g.name()) + "\n";
-  out += "invariants " + std::to_string(g.num_invariants()) + "\n";
-  out += "slots " + std::to_string(g.NumSlots()) + "\n";
+void DumpGraphBody(const DDG& g, TextOut& out) {
+  // Graph names are serialized as a single token: whitespace/control
+  // characters become '_' (and a leading '#' would read as a comment), so
+  // every dump reparses. Kernel and synthetic names are already clean.
+  const std::string& name = g.name();
+  if (!name.empty()) {
+    out << "name ";
+    for (std::size_t i = 0; i < name.size(); ++i) {
+      const char c = name[i];
+      const bool unsafe =
+          static_cast<unsigned char>(c) <= ' ' || (i == 0 && c == '#');
+      out << (unsafe ? '_' : c);
+    }
+    out << '\n';
+  }
+  out << "invariants " << g.num_invariants() << '\n';
+  out << "slots " << g.NumSlots() << '\n';
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
     if (!g.IsAlive(v)) continue;
     const Node& n = g.node(v);
-    out += "node " + std::to_string(v) + " " + std::string(ToString(n.op));
+    out << "node " << v << ' ' << ToString(n.op);
     if (n.mem.has_value()) {
-      out += " mem " + std::to_string(n.mem->array_id) + " " +
-             std::to_string(n.mem->base) + " " + std::to_string(n.mem->stride);
+      out << " mem " << n.mem->array_id << ' ' << n.mem->base << ' '
+          << n.mem->stride;
     }
     if (!n.invariant_uses.empty()) {
-      out += " inv " + std::to_string(n.invariant_uses.size());
-      for (std::int32_t inv : n.invariant_uses) {
-        out += " " + std::to_string(inv);
-      }
+      out << " inv " << n.invariant_uses.size();
+      for (std::int32_t inv : n.invariant_uses) out << ' ' << inv;
     }
-    if (n.inserted) out += " inserted";
-    if (n.spill) out += " spill";
-    out += "\n";
+    if (n.inserted) out << " inserted";
+    if (n.spill) out << " spill";
+    out << '\n';
   }
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
     if (!g.IsAlive(v)) continue;
     for (const Edge& e : g.OutEdges(v)) {
-      out += "edge " + std::to_string(e.src) + " " + std::to_string(e.dst) +
-             " " + std::string(ToString(e.kind)) + " " +
-             std::to_string(e.distance) + "\n";
+      out << "edge " << e.src << ' ' << e.dst << ' ' << ToString(e.kind) << ' '
+          << e.distance << '\n';
     }
   }
 }
@@ -260,14 +345,15 @@ struct GraphBuilder {
     if (d == "invariants") {
       WantToks(sc, tl, 2);
       invariants = ScanInt(sc, tl.number, tl.toks[1], "invariants");
-      if (invariants < 0) Fail(sc.file, tl.number, "invariants < 0");
+      if (invariants < 0) Fail(sc.file(), tl.number, "invariants < 0");
       return true;
     }
     if (d == "slots") {
       WantToks(sc, tl, 2);
       slots = ScanInt(sc, tl.number, tl.toks[1], "slots");
-      if (slots < 0) Fail(sc.file, tl.number, "slots < 0");
+      if (slots < 0) Fail(sc.file(), tl.number, "slots < 0");
       nodes.assign(static_cast<size_t>(slots), NodeRec{});
+      edges.reserve(static_cast<size_t>(slots));  // typical: about one each
       return true;
     }
     if (d == "node") {
@@ -290,20 +376,20 @@ struct GraphBuilder {
 
   void ConsumeNode(const Scanner& sc, const TokLine& tl) {
     if (slots < 0) {
-      Fail(sc.file, tl.number, "'node' before 'slots' declaration");
+      Fail(sc.file(), tl.number, "'node' before 'slots' declaration");
     }
     if (tl.toks.size() < 3) {
-      Fail(sc.file, tl.number, "'node' expects '<id> <op> [attrs...]'");
+      Fail(sc.file(), tl.number, "'node' expects '<id> <op> [attrs...]'");
     }
     const int id = ScanInt(sc, tl.number, tl.toks[1], "node id");
     if (id < 0 || id >= slots) {
-      Fail(sc.file, tl.number,
+      Fail(sc.file(), tl.number,
            "node id " + std::to_string(id) + " outside [0, " +
                std::to_string(slots) + ")");
     }
     NodeRec& rec = nodes[static_cast<size_t>(id)];
     if (rec.defined) {
-      Fail(sc.file, tl.number, "duplicate node id " + std::to_string(id));
+      Fail(sc.file(), tl.number, "duplicate node id " + std::to_string(id));
     }
     rec.defined = true;
     rec.node.op = ParseOpClass(sc, tl.number, tl.toks[2]);
@@ -312,7 +398,7 @@ struct GraphBuilder {
       const std::string_view attr = tl.toks[i];
       if (attr == "mem") {
         if (tl.toks.size() < i + 4) {
-          Fail(sc.file, tl.number, "'mem' expects '<array> <base> <stride>'");
+          Fail(sc.file(), tl.number, "'mem' expects '<array> <base> <stride>'");
         }
         MemRef mr;
         mr.array_id = ScanInt(sc, tl.number, tl.toks[i + 1], "mem array");
@@ -322,11 +408,11 @@ struct GraphBuilder {
         i += 4;
       } else if (attr == "inv") {
         if (i + 1 >= tl.toks.size()) {
-          Fail(sc.file, tl.number, "'inv' expects '<count> <ids...>'");
+          Fail(sc.file(), tl.number, "'inv' expects '<count> <ids...>'");
         }
         const int count = ScanInt(sc, tl.number, tl.toks[i + 1], "inv count");
         if (count < 0 || i + 2 + static_cast<size_t>(count) > tl.toks.size()) {
-          Fail(sc.file, tl.number, "'inv' id list shorter than its count");
+          Fail(sc.file(), tl.number, "'inv' id list shorter than its count");
         }
         for (int k = 0; k < count; ++k) {
           rec.node.invariant_uses.push_back(
@@ -340,18 +426,20 @@ struct GraphBuilder {
         rec.node.spill = true;
         ++i;
       } else {
-        Fail(sc.file, tl.number,
+        Fail(sc.file(), tl.number,
              "unknown node attribute '" + std::string(attr) + "'");
       }
     }
   }
 
-  DDG Build(const Scanner& sc, int end_line) const {
-    if (slots < 0) Fail(sc.file, end_line, "graph missing 'slots'");
-    DDG g(name);
+  /// Moves the accumulated nodes into the graph: call once.
+  DDG Build(const Scanner& sc, int end_line) {
+    if (slots < 0) Fail(sc.file(), end_line, "graph missing 'slots'");
+    DDG g(std::move(name));
+    g.Reserve(slots);
     for (int i = 0; i < invariants; ++i) g.AddInvariant();
     for (int id = 0; id < slots; ++id) {
-      g.AddNode(nodes[static_cast<size_t>(id)].node);
+      g.AddNode(std::move(nodes[static_cast<size_t>(id)].node));
       if (!nodes[static_cast<size_t>(id)].defined) {
         g.RemoveNode(id, /*force=*/true);
       }
@@ -360,23 +448,23 @@ struct GraphBuilder {
       auto check_endpoint = [&](NodeId v, const char* which) {
         if (v < 0 || v >= slots ||
             !nodes[static_cast<size_t>(v)].defined) {
-          Fail(sc.file, e.line,
+          Fail(sc.file(), e.line,
                std::string("dangling edge: ") + which + " node " +
                    std::to_string(v) + " is not defined");
         }
       };
       check_endpoint(e.src, "source");
       check_endpoint(e.dst, "destination");
-      if (e.distance < 0) Fail(sc.file, e.line, "edge distance < 0");
+      if (e.distance < 0) Fail(sc.file(), e.line, "edge distance < 0");
       if (e.src == e.dst && e.distance == 0) {
-        Fail(sc.file, e.line, "zero-distance self edge");
+        Fail(sc.file(), e.line, "zero-distance self edge");
       }
       g.AddEdge(e.src, e.dst, e.kind, e.distance);
     }
-    for (int id = 0; id < slots; ++id) {
-      for (std::int32_t inv : nodes[static_cast<size_t>(id)].node.invariant_uses) {
+    for (NodeId id = 0; id < slots; ++id) {
+      for (std::int32_t inv : g.node(id).invariant_uses) {
         if (inv < 0 || inv >= invariants) {
-          Fail(sc.file, end_line,
+          Fail(sc.file(), end_line,
                "node " + std::to_string(id) + " uses invariant " +
                    std::to_string(inv) + " outside [0, " +
                    std::to_string(invariants) + ")");
@@ -385,7 +473,7 @@ struct GraphBuilder {
     }
     std::string why;
     if (!g.Check(&why)) {
-      Fail(sc.file, end_line, "graph check failed: " + why);
+      Fail(sc.file(), end_line, "graph check failed: " + why);
     }
     return g;
   }
@@ -414,43 +502,44 @@ std::optional<core::ClusterPolicy> ClusterPolicyFromName(
 // ---------------------------------------------------------------------------
 
 std::string DumpLoop(const workload::Loop& loop) {
-  std::string out = "hcl 1 loop\n";
-  out += "trip " + std::to_string(loop.trip) + "\n";
-  out += "invocations " + std::to_string(loop.invocations) + "\n";
+  TextOut out(64 + GraphBodyBytes(loop.ddg));
+  out << "hcl 1 loop\n";
+  out << "trip " << loop.trip << '\n';
+  out << "invocations " << loop.invocations << '\n';
   DumpGraphBody(loop.ddg, out);
-  out += "end\n";
-  return out;
+  out << "end\n";
+  return std::move(out).Take();
 }
 
 workload::Loop ParseLoop(std::string_view text, std::string_view filename) {
-  Scanner sc = Tokenize(text, filename);
+  Scanner sc(text, filename);
   ExpectHeader(sc, "loop");
   workload::Loop loop;
   GraphBuilder gb;
   while (true) {
-    if (sc.Done()) Fail(sc.file, sc.LastLine(), "missing 'end'");
+    if (sc.Done()) Fail(sc.file(), sc.LastLine(), "missing 'end'");
     const TokLine& tl = sc.Next();
     const std::string_view d = tl.toks[0];
     if (d == "end") {
       loop.ddg = gb.Build(sc, tl.number);
       if (!sc.Done()) {
-        Fail(sc.file, sc.Peek().number, "content after 'end'");
+        Fail(sc.file(), sc.Peek().number, "content after 'end'");
       }
       return loop;
     }
     if (d == "trip") {
       WantToks(sc, tl, 2);
       loop.trip = ScanLong(sc, tl.number, tl.toks[1], "trip");
-      if (loop.trip <= 0) Fail(sc.file, tl.number, "trip must be positive");
+      if (loop.trip <= 0) Fail(sc.file(), tl.number, "trip must be positive");
     } else if (d == "invocations") {
       WantToks(sc, tl, 2);
       loop.invocations =
           ScanLong(sc, tl.number, tl.toks[1], "invocations");
       if (loop.invocations <= 0) {
-        Fail(sc.file, tl.number, "invocations must be positive");
+        Fail(sc.file(), tl.number, "invocations must be positive");
       }
     } else if (!gb.Consume(sc, tl)) {
-      Fail(sc.file, tl.number, "unknown directive '" + std::string(d) + "'");
+      Fail(sc.file(), tl.number, "unknown directive '" + std::string(d) + "'");
     }
   }
 }
@@ -460,41 +549,38 @@ workload::Loop ParseLoop(std::string_view text, std::string_view filename) {
 // ---------------------------------------------------------------------------
 
 std::string DumpMachine(const MachineConfig& m) {
-  std::string out = "hcl 1 machine\n";
-  out += "fus " + std::to_string(m.num_fus) + "\n";
-  out += "mem_ports " + std::to_string(m.num_mem_ports) + "\n";
-  out += "rf clusters " + std::to_string(m.rf.clusters) + " cregs " +
-         std::to_string(m.rf.cluster_regs) + " sregs " +
-         std::to_string(m.rf.shared_regs) + " lp " + std::to_string(m.rf.lp) +
-         " sp " + std::to_string(m.rf.sp) + " buses " +
-         std::to_string(m.rf.buses) + "\n";
-  out += "clock_ns " + FormatDouble(m.clock_ns) + "\n";
+  TextOut out(256);
+  out << "hcl 1 machine\n";
+  out << "fus " << m.num_fus << '\n';
+  out << "mem_ports " << m.num_mem_ports << '\n';
+  out << "rf clusters " << m.rf.clusters << " cregs " << m.rf.cluster_regs
+      << " sregs " << m.rf.shared_regs << " lp " << m.rf.lp << " sp "
+      << m.rf.sp << " buses " << m.rf.buses << '\n';
+  out << "clock_ns " << m.clock_ns << '\n';
   const LatencyTable& lat = m.lat;
-  out += "lat fadd " + std::to_string(lat.fadd) + " fmul " +
-         std::to_string(lat.fmul) + " fdiv " + std::to_string(lat.fdiv) +
-         " fsqrt " + std::to_string(lat.fsqrt) + " load_hit " +
-         std::to_string(lat.load_hit) + " store " + std::to_string(lat.store) +
-         " load_miss " + std::to_string(lat.load_miss) + " move " +
-         std::to_string(lat.move) + " loadr " + std::to_string(lat.loadr) +
-         " storer " + std::to_string(lat.storer) + "\n";
-  out += "end\n";
-  return out;
+  out << "lat fadd " << lat.fadd << " fmul " << lat.fmul << " fdiv "
+      << lat.fdiv << " fsqrt " << lat.fsqrt << " load_hit " << lat.load_hit
+      << " store " << lat.store << " load_miss " << lat.load_miss << " move "
+      << lat.move << " loadr " << lat.loadr << " storer " << lat.storer
+      << '\n';
+  out << "end\n";
+  return std::move(out).Take();
 }
 
 MachineConfig ParseMachine(std::string_view text, std::string_view filename) {
-  Scanner sc = Tokenize(text, filename);
+  Scanner sc(text, filename);
   ExpectHeader(sc, "machine");
   MachineConfig m;
   while (true) {
-    if (sc.Done()) Fail(sc.file, sc.LastLine(), "missing 'end'");
+    if (sc.Done()) Fail(sc.file(), sc.LastLine(), "missing 'end'");
     const TokLine& tl = sc.Next();
     const std::string_view d = tl.toks[0];
     if (d == "end") {
       std::string why;
       if (!m.IsValid(&why)) {
-        Fail(sc.file, tl.number, "invalid machine configuration: " + why);
+        Fail(sc.file(), tl.number, "invalid machine configuration: " + why);
       }
-      if (!sc.Done()) Fail(sc.file, sc.Peek().number, "content after 'end'");
+      if (!sc.Done()) Fail(sc.file(), sc.Peek().number, "content after 'end'");
       return m;
     }
     if (d == "fus") {
@@ -508,7 +594,7 @@ MachineConfig ParseMachine(std::string_view text, std::string_view filename) {
         try {
           m.rf = RFConfig::Parse(tl.toks[2]);
         } catch (const std::invalid_argument& e) {
-          Fail(sc.file, tl.number, e.what());
+          Fail(sc.file(), tl.number, e.what());
         }
       } else {
         WantToks(sc, tl, 13);
@@ -522,7 +608,7 @@ MachineConfig ParseMachine(std::string_view text, std::string_view filename) {
           else if (key == "lp") rf.lp = v;
           else if (key == "sp") rf.sp = v;
           else if (key == "buses") rf.buses = v;
-          else Fail(sc.file, tl.number, "unknown rf field '" + std::string(key) + "'");
+          else Fail(sc.file(), tl.number, "unknown rf field '" + std::string(key) + "'");
         }
         m.rf = rf;
       }
@@ -531,7 +617,7 @@ MachineConfig ParseMachine(std::string_view text, std::string_view filename) {
       m.clock_ns = ScanDouble(sc, tl.number, tl.toks[1], "clock_ns");
     } else if (d == "lat") {
       if (tl.toks.size() % 2 == 0) {
-        Fail(sc.file, tl.number, "'lat' expects key/value pairs");
+        Fail(sc.file(), tl.number, "'lat' expects key/value pairs");
       }
       for (size_t i = 1; i + 1 < tl.toks.size(); i += 2) {
         const std::string_view key = tl.toks[i];
@@ -546,10 +632,10 @@ MachineConfig ParseMachine(std::string_view text, std::string_view filename) {
         else if (key == "move") m.lat.move = v;
         else if (key == "loadr") m.lat.loadr = v;
         else if (key == "storer") m.lat.storer = v;
-        else Fail(sc.file, tl.number, "unknown latency '" + std::string(key) + "'");
+        else Fail(sc.file(), tl.number, "unknown latency '" + std::string(key) + "'");
       }
     } else {
-      Fail(sc.file, tl.number, "unknown directive '" + std::string(d) + "'");
+      Fail(sc.file(), tl.number, "unknown directive '" + std::string(d) + "'");
     }
   }
 }
@@ -559,27 +645,27 @@ MachineConfig ParseMachine(std::string_view text, std::string_view filename) {
 // ---------------------------------------------------------------------------
 
 std::string DumpOptions(const core::MirsOptions& opt) {
-  std::string out = "hcl 1 options\n";
-  out += "budget_ratio " + FormatDouble(opt.budget_ratio) + "\n";
-  out += "max_ii " + std::to_string(opt.max_ii) + "\n";
-  out += "iterative " + std::to_string(opt.iterative ? 1 : 0) + "\n";
-  out += "cluster_policy " + std::string(core::ToString(opt.cluster_policy)) +
-         "\n";
-  out += "end\n";
-  return out;
+  TextOut out(128);
+  out << "hcl 1 options\n";
+  out << "budget_ratio " << opt.budget_ratio << '\n';
+  out << "max_ii " << opt.max_ii << '\n';
+  out << "iterative " << (opt.iterative ? 1 : 0) << '\n';
+  out << "cluster_policy " << core::ToString(opt.cluster_policy) << '\n';
+  out << "end\n";
+  return std::move(out).Take();
 }
 
 core::MirsOptions ParseOptions(std::string_view text,
                                std::string_view filename) {
-  Scanner sc = Tokenize(text, filename);
+  Scanner sc(text, filename);
   ExpectHeader(sc, "options");
   core::MirsOptions opt;
   while (true) {
-    if (sc.Done()) Fail(sc.file, sc.LastLine(), "missing 'end'");
+    if (sc.Done()) Fail(sc.file(), sc.LastLine(), "missing 'end'");
     const TokLine& tl = sc.Next();
     const std::string_view d = tl.toks[0];
     if (d == "end") {
-      if (!sc.Done()) Fail(sc.file, sc.Peek().number, "content after 'end'");
+      if (!sc.Done()) Fail(sc.file(), sc.Peek().number, "content after 'end'");
       return opt;
     }
     if (d == "budget_ratio") {
@@ -595,7 +681,7 @@ core::MirsOptions ParseOptions(std::string_view text,
       WantToks(sc, tl, 2);
       opt.cluster_policy = ParsePolicy(sc, tl.number, tl.toks[1]);
     } else {
-      Fail(sc.file, tl.number, "unknown directive '" + std::string(d) + "'");
+      Fail(sc.file(), tl.number, "unknown directive '" + std::string(d) + "'");
     }
   }
 }
@@ -605,57 +691,51 @@ core::MirsOptions ParseOptions(std::string_view text,
 // ---------------------------------------------------------------------------
 
 std::string DumpResult(const core::ScheduleResult& r) {
-  std::string out = "hcl 1 result\n";
-  out += "ok " + std::to_string(r.ok ? 1 : 0) + "\n";
-  out += "ii " + std::to_string(r.ii) + "\n";
-  out += "sc " + std::to_string(r.sc) + "\n";
-  out += "mii " + std::to_string(r.mii) + "\n";
-  out += "res_mii " + std::to_string(r.res_mii) + "\n";
-  out += "rec_mii " + std::to_string(r.rec_mii) + "\n";
-  out += "bound " + std::string(core::ToString(r.bound)) + "\n";
-  out += "mem_ops_per_iter " + std::to_string(r.mem_ops_per_iter) + "\n";
+  const std::vector<int>& overrides = r.overrides.producer_latency;
+  TextOut out(512 + GraphBodyBytes(r.graph) + 16 * overrides.size() +
+              24 * static_cast<std::size_t>(r.graph.NumSlots()));
+  out << "hcl 1 result\n";
+  out << "ok " << (r.ok ? 1 : 0) << '\n';
+  out << "ii " << r.ii << '\n';
+  out << "sc " << r.sc << '\n';
+  out << "mii " << r.mii << '\n';
+  out << "res_mii " << r.res_mii << '\n';
+  out << "rec_mii " << r.rec_mii << '\n';
+  out << "bound " << core::ToString(r.bound) << '\n';
+  out << "mem_ops_per_iter " << r.mem_ops_per_iter << '\n';
   const core::ScheduleStats& s = r.stats;
-  out += "stats attempts " + std::to_string(s.attempts) + " ejections " +
-         std::to_string(s.ejections) + " force_places " +
-         std::to_string(s.force_places) + " restarts " +
-         std::to_string(s.restarts) + " comm_ops " +
-         std::to_string(s.comm_ops) + " spill_stores " +
-         std::to_string(s.spill_stores) + " spill_loads " +
-         std::to_string(s.spill_loads) + " storer_ops " +
-         std::to_string(s.storer_ops) + " loadr_ops " +
-         std::to_string(s.loadr_ops) + " move_ops " +
-         std::to_string(s.move_ops) + " spills_inserted " +
-         std::to_string(s.spills_inserted) + " chains_built " +
-         std::to_string(s.chains_built) + " chains_undone " +
-         std::to_string(s.chains_undone) + " budget_spent " +
-         FormatDouble(s.budget_spent) + " budget_granted " +
-         FormatDouble(s.budget_granted) + "\n";
-  out += "overrides " + std::to_string(r.overrides.producer_latency.size()) +
-         "\n";
-  for (size_t i = 0; i < r.overrides.producer_latency.size(); ++i) {
-    if (r.overrides.producer_latency[i] > 0) {
-      out += "override " + std::to_string(i) + " " +
-             std::to_string(r.overrides.producer_latency[i]) + "\n";
+  out << "stats attempts " << s.attempts << " ejections " << s.ejections
+      << " force_places " << s.force_places << " restarts " << s.restarts
+      << " comm_ops " << s.comm_ops << " spill_stores " << s.spill_stores
+      << " spill_loads " << s.spill_loads << " storer_ops " << s.storer_ops
+      << " loadr_ops " << s.loadr_ops << " move_ops " << s.move_ops
+      << " spills_inserted " << s.spills_inserted << " chains_built "
+      << s.chains_built << " chains_undone " << s.chains_undone
+      << " budget_spent " << s.budget_spent << " budget_granted "
+      << s.budget_granted << '\n';
+  out << "overrides " << overrides.size() << '\n';
+  for (std::size_t i = 0; i < overrides.size(); ++i) {
+    if (overrides[i] > 0) {
+      out << "override " << i << ' ' << overrides[i] << '\n';
     }
   }
-  out += "graph\n";
+  out << "graph\n";
   DumpGraphBody(r.graph, out);
-  out += "endgraph\n";
-  out += "schedule " + std::to_string(r.schedule.ii()) + "\n";
+  out << "endgraph\n";
+  out << "schedule " << r.schedule.ii() << '\n';
   for (NodeId v = 0; v < r.graph.NumSlots(); ++v) {
     if (!r.schedule.IsScheduled(v)) continue;
     const sched::Placement& p = r.schedule.Of(v);
-    out += "place " + std::to_string(v) + " " + std::to_string(p.cycle) +
-           " " + std::to_string(p.cluster) + " " +
-           std::to_string(p.src_cluster) + "\n";
+    out << "place " << v << ' ' << p.cycle << ' ' << p.cluster << ' '
+        << p.src_cluster << '\n';
   }
-  out += "end\n";
-  return out;
+  out << "end\n";
+  return std::move(out).Take();
 }
 
 core::ScheduleResult ParseResult(std::string_view text,
                                  std::string_view filename) {
-  Scanner sc = Tokenize(text, filename);
+  Scanner sc(text, filename);
   ExpectHeader(sc, "result");
   core::ScheduleResult r;
   bool have_graph = false;
@@ -667,23 +747,37 @@ core::ScheduleResult ParseResult(std::string_view text,
   std::vector<Place> places;
   bool have_schedule = false;
   while (true) {
-    if (sc.Done()) Fail(sc.file, sc.LastLine(), "missing 'end'");
+    if (sc.Done()) Fail(sc.file(), sc.LastLine(), "missing 'end'");
     const TokLine& tl = sc.Next();
     const std::string_view d = tl.toks[0];
     if (d == "end") {
-      if (!sc.Done()) Fail(sc.file, sc.Peek().number, "content after 'end'");
+      const int end_line = tl.number;  // the lookahead below reuses `tl`
+      if (!sc.Done()) Fail(sc.file(), sc.Peek().number, "content after 'end'");
       r.schedule = sched::PartialSchedule(have_schedule ? schedule_ii : 1);
       for (const Place& pl : places) {
         if (pl.node < 0 || pl.node >= r.graph.NumSlots() ||
             !r.graph.IsAlive(pl.node)) {
-          Fail(sc.file, tl.number,
+          Fail(sc.file(), end_line,
                "placement of undefined node " + std::to_string(pl.node));
         }
         r.schedule.Assign(pl.node, pl.p);
       }
       return r;
     }
-    if (d == "ok") {
+    // The most frequent directive first; the others are one-off lines.
+    if (d == "place") {
+      WantToks(sc, tl, 5);
+      if (!have_schedule) {
+        Fail(sc.file(), tl.number, "'place' before 'schedule' declaration");
+      }
+      Place pl;
+      pl.node = ScanInt(sc, tl.number, tl.toks[1], "place node");
+      pl.p.cycle = ScanInt(sc, tl.number, tl.toks[2], "place cycle");
+      pl.p.cluster = ScanInt(sc, tl.number, tl.toks[3], "place cluster");
+      pl.p.src_cluster =
+          ScanInt(sc, tl.number, tl.toks[4], "place src_cluster");
+      places.push_back(pl);
+    } else if (d == "ok") {
       WantToks(sc, tl, 2);
       r.ok = ScanInt(sc, tl.number, tl.toks[1], d) != 0;
     } else if (d == "ii") {
@@ -709,7 +803,7 @@ core::ScheduleResult ParseResult(std::string_view text,
       r.mem_ops_per_iter = ScanInt(sc, tl.number, tl.toks[1], d);
     } else if (d == "stats") {
       if (tl.toks.size() % 2 == 0) {
-        Fail(sc.file, tl.number, "'stats' expects key/value pairs");
+        Fail(sc.file(), tl.number, "'stats' expects key/value pairs");
       }
       core::ScheduleStats& s = r.stats;
       for (size_t i = 1; i + 1 < tl.toks.size(); i += 2) {
@@ -730,12 +824,12 @@ core::ScheduleResult ParseResult(std::string_view text,
         else if (key == "chains_undone") s.chains_undone = ScanLong(sc, tl.number, val, key);
         else if (key == "budget_spent") s.budget_spent = ScanDouble(sc, tl.number, val, key);
         else if (key == "budget_granted") s.budget_granted = ScanDouble(sc, tl.number, val, key);
-        else Fail(sc.file, tl.number, "unknown stat '" + std::string(key) + "'");
+        else Fail(sc.file(), tl.number, "unknown stat '" + std::string(key) + "'");
       }
     } else if (d == "overrides") {
       WantToks(sc, tl, 2);
       const int n = ScanInt(sc, tl.number, tl.toks[1], d);
-      if (n < 0) Fail(sc.file, tl.number, "overrides size < 0");
+      if (n < 0) Fail(sc.file(), tl.number, "overrides size < 0");
       r.overrides.producer_latency.assign(static_cast<size_t>(n), 0);
     } else if (d == "override") {
       WantToks(sc, tl, 3);
@@ -743,7 +837,7 @@ core::ScheduleResult ParseResult(std::string_view text,
       const int lat = ScanInt(sc, tl.number, tl.toks[2], "override latency");
       if (id < 0 ||
           static_cast<size_t>(id) >= r.overrides.producer_latency.size()) {
-        Fail(sc.file, tl.number,
+        Fail(sc.file(), tl.number,
              "override node " + std::to_string(id) +
                  " outside the declared 'overrides' size");
       }
@@ -752,7 +846,7 @@ core::ScheduleResult ParseResult(std::string_view text,
       WantToks(sc, tl, 1);
       GraphBuilder gb;
       while (true) {
-        if (sc.Done()) Fail(sc.file, sc.LastLine(), "missing 'endgraph'");
+        if (sc.Done()) Fail(sc.file(), sc.LastLine(), "missing 'endgraph'");
         const TokLine& gl = sc.Next();
         if (gl.toks[0] == "endgraph") {
           r.graph = gb.Build(sc, gl.number);
@@ -760,32 +854,21 @@ core::ScheduleResult ParseResult(std::string_view text,
           break;
         }
         if (!gb.Consume(sc, gl)) {
-          Fail(sc.file, gl.number,
+          Fail(sc.file(), gl.number,
                "unknown graph directive '" + std::string(gl.toks[0]) + "'");
         }
       }
     } else if (d == "schedule") {
       WantToks(sc, tl, 2);
       schedule_ii = ScanInt(sc, tl.number, tl.toks[1], "schedule ii");
-      if (schedule_ii < 1) Fail(sc.file, tl.number, "schedule ii < 1");
+      if (schedule_ii < 1) Fail(sc.file(), tl.number, "schedule ii < 1");
       if (!have_graph) {
-        Fail(sc.file, tl.number, "'schedule' before 'graph' section");
+        Fail(sc.file(), tl.number, "'schedule' before 'graph' section");
       }
       have_schedule = true;
-    } else if (d == "place") {
-      WantToks(sc, tl, 5);
-      if (!have_schedule) {
-        Fail(sc.file, tl.number, "'place' before 'schedule' declaration");
-      }
-      Place pl;
-      pl.node = ScanInt(sc, tl.number, tl.toks[1], "place node");
-      pl.p.cycle = ScanInt(sc, tl.number, tl.toks[2], "place cycle");
-      pl.p.cluster = ScanInt(sc, tl.number, tl.toks[3], "place cluster");
-      pl.p.src_cluster =
-          ScanInt(sc, tl.number, tl.toks[4], "place src_cluster");
-      places.push_back(pl);
+      places.reserve(static_cast<size_t>(r.graph.NumSlots()));
     } else {
-      Fail(sc.file, tl.number, "unknown directive '" + std::string(d) + "'");
+      Fail(sc.file(), tl.number, "unknown directive '" + std::string(d) + "'");
     }
   }
 }
@@ -797,10 +880,16 @@ core::ScheduleResult ParseResult(std::string_view text,
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string text(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  // A file with no size (a pipe) or one that grew since file_size has
+  // more to read; one that shrank hit EOF above.
+  if (in) text.append(std::istreambuf_iterator<char>(in), {});
   if (in.bad()) throw std::runtime_error("error reading " + path);
-  return ss.str();
+  return text;
 }
 
 void WriteFileAtomic(const std::string& path, std::string_view text) {

@@ -15,7 +15,7 @@ namespace fs = std::filesystem;
 
 ManifestEntry ParseRequestLine(const io::Scanner& sc, const io::TokLine& tl) {
   if (tl.toks.size() % 2 != 1) {
-    io::Fail(sc.file, tl.number, "'request' expects key/value pairs");
+    io::Fail(sc.file(), tl.number, "'request' expects key/value pairs");
   }
   ManifestEntry e;
   e.line = tl.number;
@@ -41,19 +41,19 @@ ManifestEntry ParseRequestLine(const io::Scanner& sc, const io::TokLine& tl) {
     } else if (key == "policy") {
       e.policy = io::ClusterPolicyFromName(val);
       if (!e.policy) {
-        io::Fail(sc.file, tl.number,
+        io::Fail(sc.file(), tl.number,
                  "unknown cluster policy '" + std::string(val) + "'");
       }
     } else {
-      io::Fail(sc.file, tl.number,
+      io::Fail(sc.file(), tl.number,
                "unknown request field '" + std::string(key) + "'");
     }
   }
   if (e.graph.empty()) {
-    io::Fail(sc.file, tl.number, "'request' missing the 'graph' field");
+    io::Fail(sc.file(), tl.number, "'request' missing the 'graph' field");
   }
   if (!e.machine.empty() && (e.rf_set || e.characterize_set)) {
-    io::Fail(sc.file, tl.number,
+    io::Fail(sc.file(), tl.number,
              "'machine' is mutually exclusive with 'rf'/'characterize'");
   }
   return e;
@@ -63,7 +63,7 @@ ManifestEntry ParseRequestLine(const io::Scanner& sc, const io::TokLine& tl) {
 
 std::vector<ManifestEntry> ParseManifest(std::string_view text,
                                          std::string_view filename) {
-  io::Scanner sc = io::Tokenize(text, filename);
+  io::Scanner sc(text, filename);
   io::ExpectHeader(sc, "manifest");
   std::vector<ManifestEntry> entries;
   while (true) {

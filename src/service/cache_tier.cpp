@@ -308,18 +308,18 @@ TieredCache::~TieredCache() { Drain(); }
 
 std::optional<core::ScheduleResult> TieredCache::Get(const CacheKey& key) {
   if (auto hot = memory_->Get(key)) return hot;
-  auto cold = disk_->Get(key);
+  long bytes = 0;
+  auto cold = disk_->GetSized(key, &bytes);
   if (cold.has_value()) {
-    // Promote: the next Get for this key is memory-served. Sizing dumps
-    // the result once, but only on this cold path.
-    memory_->PutSized(key, *cold,
-                      static_cast<long>(io::DumpResult(*cold).size()));
+    // Promote: the next Get for this key is memory-served, priced at the
+    // size of the document it was parsed from (a canonical dump).
+    memory_->PutSized(key, *cold, bytes);
   }
   return cold;
 }
 
 void TieredCache::Put(const CacheKey& key, const core::ScheduleResult& result) {
-  const std::string body = io::DumpResult(result);
+  std::string body = io::DumpResult(result);
   memory_->PutSized(key, result, static_cast<long>(body.size()));
   if (write_behind_) {
     // The scheduling worker returns immediately; the filesystem write runs
@@ -327,7 +327,8 @@ void TieredCache::Put(const CacheKey& key, const core::ScheduleResult& result) {
     // pool workers). Racing writers of one key produce identical bytes and
     // DiskTier writes are atomic, so ordering does not matter.
     DiskTier* disk = disk_.get();
-    writes_.Submit([disk, key, body] { disk->PutBody(key, body); });
+    writes_.Submit(
+        [disk, key, body = std::move(body)] { disk->PutBody(key, body); });
   } else {
     disk_->PutBody(key, body);
   }

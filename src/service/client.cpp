@@ -18,15 +18,16 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-/// Reads the `hcrf 1 <verb> ...` reply line; throws on EOF.
-std::vector<std::string> ReadReplyLine(wire::Conn& conn) {
-  std::string line;
-  if (!conn.ReadLine(&line)) {
+/// Reads the `hcrf 1 <verb> ...` reply line into `*line` and returns its
+/// tokens, which view `*line`; throws on EOF.
+std::vector<std::string_view> ReadReplyLine(wire::Conn& conn,
+                                            std::string* line) {
+  if (!conn.ReadLine(line)) {
     throw wire::WireError("connection closed before a reply");
   }
-  std::vector<std::string> toks = wire::SplitTokens(line);
+  std::vector<std::string_view> toks = wire::SplitTokens(*line);
   if (toks.size() < 3 || toks[0] != "hcrf" || toks[1] != "1") {
-    throw wire::WireError("bad reply line: " + line);
+    throw wire::WireError("bad reply line: " + *line);
   }
   return toks;
 }
@@ -37,10 +38,11 @@ std::vector<std::string> ReadReplyLine(wire::Conn& conn) {
 /// the reply is already waiting. Returns that pending `busy`/`error` reply
 /// for HandleCommonReply; throws std::runtime_error(`lost`) when no such
 /// reply line is there.
-std::vector<std::string> ReadBouncedReply(wire::Conn& conn,
-                                          const std::string& lost) {
+std::vector<std::string_view> ReadBouncedReply(wire::Conn& conn,
+                                               std::string* line,
+                                               const std::string& lost) {
   try {
-    std::vector<std::string> toks = ReadReplyLine(conn);
+    std::vector<std::string_view> toks = ReadReplyLine(conn, line);
     if (toks[2] == "busy" || toks[2] == "error") return toks;
   } catch (const wire::WireError&) {
     // No reply line: EOF, a read error or a malformed line.
@@ -50,7 +52,8 @@ std::vector<std::string> ReadBouncedReply(wire::Conn& conn,
 
 /// Decodes the replies every verb can get: `busy` (returns true) and
 /// `error <bytes>` (throws with the server's message).
-bool HandleCommonReply(wire::Conn& conn, const std::vector<std::string>& toks) {
+bool HandleCommonReply(wire::Conn& conn,
+                       const std::vector<std::string_view>& toks) {
   if (toks[2] == "busy") return true;
   if (toks[2] == "error" && toks.size() == 4) {
     const std::optional<long> bytes = io::TryParseLong(toks[3]);
@@ -66,15 +69,16 @@ bool HandleCommonReply(wire::Conn& conn, const std::vector<std::string>& toks) {
 
 /// Reads the sized payload of a `hcrf 1 <verb> <bytes>` reply.
 std::string ReadReplyPayload(wire::Conn& conn,
-                             const std::vector<std::string>& toks) {
+                             const std::vector<std::string_view>& toks) {
   if (toks.size() != 4) {
-    throw wire::WireError("expected a sized reply, got verb '" + toks[2] +
-                          "' with " + std::to_string(toks.size()) +
+    throw wire::WireError("expected a sized reply, got verb '" +
+                          std::string(toks[2]) + "' with " +
+                          std::to_string(toks.size()) +
                           " tokens");
   }
   const std::optional<long> bytes = io::TryParseLong(toks[3]);
   if (!bytes || *bytes < 0 || *bytes > wire::kMaxPayloadBytes) {
-    throw wire::WireError("bad reply byte count: " + toks[3]);
+    throw wire::WireError("bad reply byte count: " + std::string(toks[3]));
   }
   std::string payload;
   conn.ReadExact(static_cast<std::size_t>(*bytes), &payload);
@@ -116,10 +120,12 @@ int Client::Connect() const {
 
 bool Client::Ping() {
   wire::Conn conn(Connect());
-  const std::vector<std::string> toks =
+  std::string line;
+  const std::vector<std::string_view> toks =
       conn.WriteAll("hcrf 1 ping\n")
-          ? ReadReplyLine(conn)
-          : ReadBouncedReply(conn, "submit: connection lost while pinging");
+          ? ReadReplyLine(conn, &line)
+          : ReadBouncedReply(conn, &line,
+                             "submit: connection lost while pinging");
   if (HandleCommonReply(conn, toks)) return false;
   if (toks[2] != "ok") throw wire::WireError("unexpected ping reply");
   return true;
@@ -139,7 +145,8 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
     throw wire::WireError("batch exceeds the protocol request cap");
   }
   wire::Conn conn(Connect());
-  std::vector<std::string> toks;
+  std::string line;
+  std::vector<std::string_view> toks;
   if (conn.WriteAll("hcrf 1 " + verb + " " + std::to_string(requests.size()) +
                     "\n")) {
     // Request writes that fail past the header are not fatal: the reply
@@ -151,9 +158,10 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
         wire::WriteRequest(conn, req);
       }
     }
-    toks = ReadReplyLine(conn);
+    toks = ReadReplyLine(conn, &line);
   } else {
-    toks = ReadBouncedReply(conn, verb + ": connection lost while submitting");
+    toks = ReadBouncedReply(conn, &line,
+                            verb + ": connection lost while submitting");
   }
 
   SubmitReply reply;
@@ -162,11 +170,12 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
     return reply;
   }
   if (toks[2] != "results" || toks.size() != 4) {
-    throw wire::WireError("unexpected submit reply verb: " + toks[2]);
+    throw wire::WireError("unexpected submit reply verb: " +
+                          std::string(toks[2]));
   }
   const std::optional<long> n = io::TryParseLong(toks[3]);
   if (!n || *n < 0 || *n > wire::kMaxBatchRequests) {
-    throw wire::WireError("bad results count: " + toks[3]);
+    throw wire::WireError("bad results count: " + std::string(toks[3]));
   }
   reply.items.reserve(static_cast<std::size_t>(*n));
   for (long i = 0; i < *n; ++i) {
@@ -181,30 +190,36 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
 
 std::string Client::Stats() {
   wire::Conn conn(Connect());
-  const std::vector<std::string> toks =
+  std::string line;
+  const std::vector<std::string_view> toks =
       conn.WriteAll("hcrf 1 stats\n")
-          ? ReadReplyLine(conn)
-          : ReadBouncedReply(conn, "submit: connection lost requesting stats");
+          ? ReadReplyLine(conn, &line)
+          : ReadBouncedReply(conn, &line,
+                             "submit: connection lost requesting stats");
   if (HandleCommonReply(conn, toks)) {
     throw std::runtime_error("server busy; stats unavailable");
   }
   if (toks[2] != "stats") {
-    throw wire::WireError("unexpected stats reply verb: " + toks[2]);
+    throw wire::WireError("unexpected stats reply verb: " +
+                          std::string(toks[2]));
   }
   return ReadReplyPayload(conn, toks);
 }
 
 std::string Client::CacheStats() {
   wire::Conn conn(Connect());
-  const std::vector<std::string> toks =
+  std::string line;
+  const std::vector<std::string_view> toks =
       conn.WriteAll("hcrf 1 cache-stats\n")
-          ? ReadReplyLine(conn)
-          : ReadBouncedReply(conn, "submit: connection lost requesting stats");
+          ? ReadReplyLine(conn, &line)
+          : ReadBouncedReply(conn, &line,
+                             "submit: connection lost requesting stats");
   if (HandleCommonReply(conn, toks)) {
     throw std::runtime_error("server busy; cache-stats unavailable");
   }
   if (toks[2] != "cache-stats") {
-    throw wire::WireError("unexpected cache-stats reply verb: " + toks[2]);
+    throw wire::WireError("unexpected cache-stats reply verb: " +
+                          std::string(toks[2]));
   }
   return ReadReplyPayload(conn, toks);
 }

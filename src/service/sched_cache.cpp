@@ -36,6 +36,12 @@ std::string DiskTier::EntryPath(const CacheKey& key) const {
 }
 
 std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key) {
+  long body_bytes = 0;
+  return GetSized(key, &body_bytes);
+}
+
+std::optional<core::ScheduleResult> DiskTier::GetSized(const CacheKey& key,
+                                                       long* body_bytes) {
   const std::string path = EntryPath(key);
   std::string text;
   try {
@@ -76,6 +82,7 @@ std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key) {
 
   try {
     core::ScheduleResult r = io::ParseResult(body, path);
+    *body_bytes = static_cast<long>(body.size());
     hits_.fetch_add(1, std::memory_order_relaxed);
     obs::GetCounter("sched_cache.hits").Add(1);
     return r;
@@ -89,9 +96,17 @@ void DiskTier::Put(const CacheKey& key, const core::ScheduleResult& result) {
 }
 
 void DiskTier::PutBody(const CacheKey& key, const std::string& body) {
-  std::string text = "hclc 1 " + key.Hex() + "\n";
+  const std::string hex = key.Hex();
+  const std::string checksum = ToHex(Fnv1a(body));
+  std::string text;
+  text.reserve(8 + hex.size() + body.size() + 10 + checksum.size());
+  text += "hclc 1 ";
+  text += hex;
+  text += '\n';
   text += body;
-  text += "checksum " + ToHex(Fnv1a(body)) + "\n";
+  text += "checksum ";
+  text += checksum;
+  text += '\n';
   try {
     io::WriteFileAtomic(EntryPath(key), text);
     writes_.fetch_add(1, std::memory_order_relaxed);

@@ -42,6 +42,12 @@ class DiskTier : public CacheTier {
   /// Returns the cached result for `key`, or nullopt (miss or reject).
   std::optional<core::ScheduleResult> Get(const CacheKey& key) override;
 
+  /// Get that also sets `*body_bytes` on a hit to the size of the entry's
+  /// result document: the canonical dump size the tiered stack prices a
+  /// promoted entry at, known here without dumping the result again.
+  std::optional<core::ScheduleResult> GetSized(const CacheKey& key,
+                                               long* body_bytes);
+
   /// Stores `result` under `key` (atomic write; errors are swallowed —
   /// the cache is an accelerator, never a correctness dependency).
   void Put(const CacheKey& key, const core::ScheduleResult& result) override;

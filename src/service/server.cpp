@@ -222,34 +222,29 @@ void Server::HandleConnection(int fd) {
   conn_count.Add(1);
 
   const auto send_error = [&conn](const std::string& message) {
-    conn.WriteAll("hcrf 1 error " + std::to_string(message.size()) + "\n" +
-                  message);
+    wire::WritePayload(conn, "hcrf 1 error", message);
   };
 
   try {
     std::string line;
     if (!conn.ReadLine(&line)) return;  // closed or timed out: no reply
-    std::vector<std::string> toks = wire::SplitTokens(line);
+    const std::vector<std::string_view> toks = wire::SplitTokens(line);
     if (toks.size() < 3 || toks[0] != "hcrf" || toks[1] != "1") {
       send_error("bad request line: " + line);
       return;
     }
-    const std::string& verb = toks[2];
+    const std::string verb(toks[2]);
 
     if (verb == "ping" && toks.size() == 3) {
       conn.WriteAll("hcrf 1 ok\n");
     } else if (verb == "stats" && toks.size() == 3) {
-      const std::string json = obs::Registry::Shared().Json();
-      conn.WriteAll("hcrf 1 stats " + std::to_string(json.size()) + "\n" +
-                    json);
+      wire::WritePayload(conn, "hcrf 1 stats", obs::Registry::Shared().Json());
     } else if (verb == "cache-stats" && toks.size() == 3) {
-      const std::string doc = CacheStatsDoc(session_);
-      conn.WriteAll("hcrf 1 cache-stats " + std::to_string(doc.size()) +
-                    "\n" + doc);
+      wire::WritePayload(conn, "hcrf 1 cache-stats", CacheStatsDoc(session_));
     } else if ((verb == "submit" || verb == "delta") && toks.size() == 4) {
       const std::optional<long> n = io::TryParseLong(toks[3]);
       if (!n || *n < 0 || *n > wire::kMaxBatchRequests) {
-        send_error("bad " + verb + " count: " + toks[3]);
+        send_error("bad " + verb + " count: " + std::string(toks[3]));
         return;
       }
       std::vector<BatchRequest> requests;

@@ -35,16 +35,16 @@ std::string JoinInts(const std::vector<int>& values) {
 void ParseGridAxis(const io::Scanner& sc, const io::TokLine& tl,
                    std::vector<int>* axis, int min_value) {
   if (!axis->empty()) {
-    io::Fail(sc.file, tl.number,
+    io::Fail(sc.file(), tl.number,
              "duplicate 'grid " + std::string(tl.toks[1]) + "' axis");
   }
   if (tl.toks.size() < 3) {
-    io::Fail(sc.file, tl.number, "'grid' axis needs at least one value");
+    io::Fail(sc.file(), tl.number, "'grid' axis needs at least one value");
   }
   for (size_t i = 2; i < tl.toks.size(); ++i) {
     const int v = io::ScanInt(sc, tl.number, tl.toks[i], "grid value");
     if (v < min_value) {
-      io::Fail(sc.file, tl.number,
+      io::Fail(sc.file(), tl.number,
                "grid value " + std::to_string(v) + " below minimum " +
                    std::to_string(min_value));
     }
@@ -55,7 +55,7 @@ void ParseGridAxis(const io::Scanner& sc, const io::TokLine& tl,
 }  // namespace
 
 SweepSpec ParseSweepSpec(std::string_view text, std::string_view filename) {
-  io::Scanner sc = io::Tokenize(text, filename);
+  io::Scanner sc(text, filename);
   io::ExpectHeader(sc, "sweep");
   SweepSpec spec;
   int first_grid_line = 0;

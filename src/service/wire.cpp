@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 #include "io/hcl.h"
@@ -16,6 +17,43 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 
 [[noreturn]] void FailTruncated(const std::string& what) {
   throw WireError("truncated stream while reading " + what);
+}
+
+template <typename T>
+void AppendNumber(std::string& out, T v) {
+  char digits[24];
+  const std::to_chars_result r =
+      std::to_chars(digits, digits + sizeof(digits), v);
+  out.append(digits, r.ptr);
+}
+
+/// Appends `<keyword> <bytes>\n` + payload to a block being built.
+void AppendPayload(std::string& block, std::string_view keyword,
+                   std::string_view payload) {
+  block.reserve(block.size() + keyword.size() + 24 + payload.size());
+  block += keyword;
+  block += ' ';
+  AppendNumber(block, payload.size());
+  block += '\n';
+  block += payload;
+}
+
+/// The `request` block: id line plus the loop, machine and options
+/// payloads.
+std::string RequestBlock(const BatchRequest& request) {
+  const std::string loop = io::DumpLoop(*request.loop);
+  const std::string machine = io::DumpMachine(request.machine);
+  const std::string options = io::DumpOptions(request.options);
+  std::string block;
+  block.reserve(128 + request.id.size() + loop.size() + machine.size() +
+                options.size());
+  block += "request ";
+  block += request.id;
+  block += '\n';
+  AppendPayload(block, "loop", loop);
+  AppendPayload(block, "machine", machine);
+  AppendPayload(block, "options", options);
+  return block;
 }
 
 }  // namespace
@@ -92,8 +130,8 @@ bool Conn::WriteAll(std::string_view text) {
   return true;
 }
 
-std::vector<std::string> SplitTokens(std::string_view line) {
-  std::vector<std::string> toks;
+std::vector<std::string_view> SplitTokens(std::string_view line) {
+  std::vector<std::string_view> toks;
   std::size_t i = 0;
   while (i < line.size()) {
     const std::size_t sp = line.find(' ', i);
@@ -110,23 +148,25 @@ std::vector<std::string> SplitTokens(std::string_view line) {
 std::string ReadPayload(Conn& conn, const std::string& keyword) {
   std::string line;
   if (!conn.ReadLine(&line)) FailTruncated("'" + keyword + "' frame");
-  const std::vector<std::string> toks = SplitTokens(line);
+  const std::vector<std::string_view> toks = SplitTokens(line);
   if (toks.size() != 2 || toks[0] != keyword) {
     throw WireError("expected '" + keyword + " <bytes>', got: " + line);
   }
   const std::optional<long> bytes = io::TryParseLong(toks[1]);
   if (!bytes || *bytes < 0 || *bytes > kMaxPayloadBytes) {
-    throw WireError("bad '" + keyword + "' byte count: " + toks[1]);
+    throw WireError("bad '" + keyword + "' byte count: " +
+                    std::string(toks[1]));
   }
   std::string payload;
   conn.ReadExact(static_cast<std::size_t>(*bytes), &payload);
   return payload;
 }
 
-void WritePayload(Conn& conn, const std::string& keyword,
+void WritePayload(Conn& conn, std::string_view keyword,
                   std::string_view payload) {
-  conn.WriteAll(keyword + " " + std::to_string(payload.size()) + "\n");
-  conn.WriteAll(payload);
+  std::string block;
+  AppendPayload(block, keyword, payload);
+  conn.WriteAll(block);
 }
 
 void WriteRequest(Conn& conn, const BatchRequest& request) {
@@ -137,10 +177,7 @@ void WriteRequest(Conn& conn, const BatchRequest& request) {
                       "does not transmit");
     }
   }
-  conn.WriteAll("request " + request.id + "\n");
-  WritePayload(conn, "loop", io::DumpLoop(*request.loop));
-  WritePayload(conn, "machine", io::DumpMachine(request.machine));
-  WritePayload(conn, "options", io::DumpOptions(request.options));
+  conn.WriteAll(RequestBlock(request));
 }
 
 BatchRequest ReadRequest(Conn& conn) {
@@ -164,10 +201,7 @@ BatchRequest ReadRequest(Conn& conn) {
 }
 
 void WriteDeltaRequest(Conn& conn, const BatchRequest& request) {
-  conn.WriteAll("request " + request.id + "\n");
-  WritePayload(conn, "loop", io::DumpLoop(*request.loop));
-  WritePayload(conn, "machine", io::DumpMachine(request.machine));
-  WritePayload(conn, "options", io::DumpOptions(request.options));
+  std::string block = RequestBlock(request);
   // Only the active (index, latency) pairs travel: zero entries are
   // behaviorally inert (LatencyOverrides::For falls back), and the server
   // re-canonicalizes anyway.
@@ -176,20 +210,26 @@ void WriteDeltaRequest(Conn& conn, const BatchRequest& request) {
   for (int v : pl) {
     if (v > 0) ++active;
   }
-  conn.WriteAll("overrides " + std::to_string(active) + "\n");
+  block += "overrides ";
+  AppendNumber(block, active);
+  block += '\n';
   for (std::size_t i = 0; i < pl.size(); ++i) {
     if (pl[i] > 0) {
-      conn.WriteAll("override " + std::to_string(i) + " " +
-                    std::to_string(pl[i]) + "\n");
+      block += "override ";
+      AppendNumber(block, i);
+      block += ' ';
+      AppendNumber(block, pl[i]);
+      block += '\n';
     }
   }
+  conn.WriteAll(block);
 }
 
 BatchRequest ReadDeltaRequest(Conn& conn) {
   BatchRequest req = ReadRequest(conn);
   std::string line;
   if (!conn.ReadLine(&line)) FailTruncated("an 'overrides' count");
-  std::vector<std::string> toks = SplitTokens(line);
+  std::vector<std::string_view> toks = SplitTokens(line);
   const int num_slots = req.loop->ddg.NumSlots();
   std::optional<long> count;
   if (toks.size() == 2 && toks[0] == "overrides") {
@@ -226,20 +266,26 @@ BatchRequest ReadDeltaRequest(Conn& conn) {
 }
 
 void WriteItem(Conn& conn, std::size_t index, const BatchItem& item) {
-  conn.WriteAll("item " + std::to_string(index) + " " +
-                (item.ok ? "ok" : "failed") + " " +
-                (item.cache_hit ? "hit" : "fresh") + "\n");
+  const std::string result =
+      item.error.empty() ? io::DumpResult(item.result) : std::string();
+  std::string block;
+  block.reserve(64 + item.error.size() + result.size());
+  block += "item ";
+  AppendNumber(block, index);
+  block += item.ok ? " ok" : " failed";
+  block += item.cache_hit ? " hit\n" : " fresh\n";
   if (!item.error.empty()) {
-    WritePayload(conn, "error", item.error);
+    AppendPayload(block, "error", item.error);
   } else {
-    WritePayload(conn, "result", io::DumpResult(item.result));
+    AppendPayload(block, "result", result);
   }
+  conn.WriteAll(block);
 }
 
 ReplyItem ReadItem(Conn& conn) {
   std::string line;
   if (!conn.ReadLine(&line)) FailTruncated("an 'item' block");
-  const std::vector<std::string> toks = SplitTokens(line);
+  const std::vector<std::string_view> toks = SplitTokens(line);
   if (toks.size() != 4 || toks[0] != "item" ||
       (toks[2] != "ok" && toks[2] != "failed") ||
       (toks[3] != "hit" && toks[3] != "fresh")) {
@@ -247,20 +293,20 @@ ReplyItem ReadItem(Conn& conn) {
                     line);
   }
   ReplyItem item;
-  item.id = toks[1];
+  item.id = std::string(toks[1]);
   item.ok = toks[2] == "ok";
   item.cache_hit = toks[3] == "hit";
   // The payload keyword discriminates: items with an error message carry
   // it verbatim; everything else carries the result document.
   std::string header;
   if (!conn.ReadLine(&header)) FailTruncated("an item payload");
-  const std::vector<std::string> htoks = SplitTokens(header);
+  const std::vector<std::string_view> htoks = SplitTokens(header);
   if (htoks.size() != 2 || (htoks[0] != "result" && htoks[0] != "error")) {
     throw WireError("expected 'result'/'error' payload, got: " + header);
   }
   const std::optional<long> bytes = io::TryParseLong(htoks[1]);
   if (!bytes || *bytes < 0 || *bytes > kMaxPayloadBytes) {
-    throw WireError("bad item payload byte count: " + htoks[1]);
+    throw WireError("bad item payload byte count: " + std::string(htoks[1]));
   }
   std::string payload;
   conn.ReadExact(static_cast<std::size_t>(*bytes), &payload);

@@ -65,12 +65,18 @@ class Conn {
 };
 
 /// Splits on single spaces (the protocol never uses other whitespace).
-std::vector<std::string> SplitTokens(std::string_view line);
+/// The tokens view `line`, which must outlive them.
+std::vector<std::string_view> SplitTokens(std::string_view line);
+
+// Every Write* below builds its whole block in one buffer and sends it
+// with one WriteAll: a block is never split across writes, and per-block
+// writes let the peer decode block i while block i+1 is being encoded.
 
 /// Reads `<keyword> <bytes>` + payload; enforces kMaxPayloadBytes.
 std::string ReadPayload(Conn& conn, const std::string& keyword);
-/// Writes `<keyword> <bytes>\n` + payload.
-void WritePayload(Conn& conn, const std::string& keyword,
+/// Writes `<keyword> <bytes>\n` + payload (the server's sized replies use
+/// it with a `hcrf 1 <verb>` keyword).
+void WritePayload(Conn& conn, std::string_view keyword,
                   std::string_view payload);
 
 /// One `request` block: encode on the client, decode on the server.

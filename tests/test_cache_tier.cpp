@@ -188,6 +188,26 @@ TEST_F(CacheTierTest, TieredColdWarmHotBitIdentity) {
   EXPECT_EQ(stack->memory().tier_stats().hits, 1);
 }
 
+// A promoted disk hit is priced at the size of the document it was parsed
+// from, which is the size of the canonical dump a fresh Put would price.
+TEST_F(CacheTierTest, PromotionPricesTheEntryAtItsDocumentSize) {
+  const workload::Loop loop = workload::MakeHydro();
+  const core::ScheduleResult fresh = ScheduleKernel(loop);
+  const CacheKey key = KeyOf(loop);
+  const long canonical_bytes = static_cast<long>(io::DumpResult(fresh).size());
+
+  DiskTier(dir_.string()).Put(key, fresh);
+  long body_bytes = 0;
+  ASSERT_TRUE(DiskTier(dir_.string()).GetSized(key, &body_bytes).has_value());
+  EXPECT_EQ(body_bytes, canonical_bytes);
+
+  auto stack = MakeStack(/*mem_entries=*/16);
+  ASSERT_TRUE(stack->Get(key).has_value());  // disk hit, promoted
+  const TierStats mem = stack->memory().tier_stats();
+  EXPECT_EQ(mem.entries, 1);
+  EXPECT_EQ(mem.bytes, canonical_bytes);
+}
+
 TEST_F(CacheTierTest, WriteBehindDurableAfterDrain) {
   const workload::Loop loop = workload::MakeHydro();
   const core::ScheduleResult fresh = ScheduleKernel(loop);

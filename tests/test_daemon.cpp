@@ -19,11 +19,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/mirs.h"
 #include "io/hcl.h"
 #include "obs/metrics.h"
 #include "service/batch.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "service/wire.h"
 #include "workload/kernels.h"
 
 namespace hcrf {
@@ -260,6 +262,92 @@ TEST(ClientBounce, FailedWriteReadsThePendingReply) {
             "submit: connection lost while pinging");
   EXPECT_EQ(ThrownMessage([&] { silent.Submit(KernelRequests()); }),
             "submit: connection lost while submitting");
+}
+
+/// The separate send() calls `write` makes on a connection: over a
+/// SOCK_SEQPACKET pair every send stays a record of its own.
+template <typename F>
+std::vector<std::string> SendsOf(F&& write) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds) != 0) {
+    throw std::runtime_error("socketpair failed");
+  }
+  {
+    service::wire::Conn conn(fds[0]);
+    write(conn);
+  }  // closes the writing end: the reads below end at EOF
+  std::vector<std::string> sends;
+  std::vector<char> buf(1 << 20);
+  ssize_t n = 0;
+  while ((n = ::recv(fds[1], buf.data(), buf.size(), 0)) > 0) {
+    sends.emplace_back(buf.data(), static_cast<size_t>(n));
+  }
+  ::close(fds[1]);
+  return sends;
+}
+
+/// Decodes `bytes` with `read`, as the peer of a stream connection would.
+template <typename F>
+auto ReadBack(const std::string& bytes, F&& read) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw std::runtime_error("socketpair failed");
+  }
+  {
+    service::wire::Conn writer(fds[0]);
+    writer.WriteAll(bytes);
+  }
+  service::wire::Conn conn(fds[1]);
+  return read(conn);
+}
+
+// Each wire block is built in one buffer and sent with one write, and the
+// single write decodes back to what was sent.
+TEST(WireBlocks, EachBlockIsOneWrite) {
+  namespace wire = service::wire;
+  const std::vector<service::BatchRequest> requests = KernelRequests();
+
+  std::vector<std::string> sends = SendsOf(
+      [&](wire::Conn& conn) { wire::WriteRequest(conn, requests[0]); });
+  ASSERT_EQ(sends.size(), 1u);
+  const service::BatchRequest request = ReadBack(
+      sends[0], [](wire::Conn& conn) { return wire::ReadRequest(conn); });
+  EXPECT_EQ(request.id, requests[0].id);
+  EXPECT_EQ(io::DumpLoop(*request.loop), io::DumpLoop(*requests[0].loop));
+  EXPECT_EQ(io::DumpMachine(request.machine),
+            io::DumpMachine(requests[0].machine));
+
+  service::BatchRequest delta = requests[1];
+  delta.overrides.producer_latency = {0, 7};
+  sends = SendsOf(
+      [&](wire::Conn& conn) { wire::WriteDeltaRequest(conn, delta); });
+  ASSERT_EQ(sends.size(), 1u);
+  const service::BatchRequest delta_back = ReadBack(
+      sends[0], [](wire::Conn& conn) { return wire::ReadDeltaRequest(conn); });
+  EXPECT_EQ(delta_back.overrides.producer_latency, (std::vector<int>{0, 7}));
+
+  service::BatchItem item;
+  item.ok = true;
+  item.result = core::MirsHC(requests[2].loop->ddg, requests[2].machine);
+  const std::string doc = io::DumpResult(item.result);
+  sends = SendsOf([&](wire::Conn& conn) { wire::WriteItem(conn, 3, item); });
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0], "item 3 ok fresh\nresult " + std::to_string(doc.size()) +
+                          "\n" + doc);
+  const wire::ReplyItem reply =
+      ReadBack(sends[0], [](wire::Conn& conn) { return wire::ReadItem(conn); });
+  EXPECT_EQ(io::DumpResult(reply.result), doc);
+
+  service::BatchItem failed;
+  failed.cache_hit = true;
+  failed.error = "boom";
+  sends = SendsOf([&](wire::Conn& conn) { wire::WriteItem(conn, 0, failed); });
+  EXPECT_EQ(sends,
+            (std::vector<std::string>{"item 0 failed hit\nerror 4\nboom"}));
+
+  sends = SendsOf(
+      [](wire::Conn& conn) { wire::WritePayload(conn, "stats", "{}"); });
+  EXPECT_EQ(sends, (std::vector<std::string>{"stats 2\n{}"}));
 }
 
 TEST_F(DaemonTest, MalformedRequestGetsErrorReplyAndDaemonSurvives) {
