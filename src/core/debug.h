@@ -27,8 +27,7 @@ inline bool DebugLifetimesEnabled() {
 /// True when the incremental pressure tracker must be cross-validated
 /// against the full ComputePressure recompute at every spill check: always
 /// in debug (!NDEBUG) builds, and in release builds when
-/// HCRF_CHECK_PRESSURE is set (used by the differential tests and the
-/// bench self-check).
+/// HCRF_CHECK_PRESSURE is set.
 inline bool PressureCrossCheckEnabled() {
 #ifndef NDEBUG
   return true;

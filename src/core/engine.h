@@ -173,10 +173,11 @@ class EngineDriver {
   /// Warm-start gate: one seeded attempt at max(MII, seed.ii). Returns the
   /// finalized result when it validates (warm.used); nullopt sends the
   /// caller down the cold path with warm.fallback stamped on its result.
-  /// The II-no-worse half of the gate holds whenever seed.ii <= the cold
-  /// II — always true for seed.ii <= MII, and analytically true for
-  /// hardening perturbations (latency increases shrink the feasible-II
-  /// set); see ARCHITECTURE.md for the contract.
+  /// Warm II <= cold II is not guaranteed: a used seed lands at
+  /// max(MII, seed.ii), but the heuristic cold walk can find a lower II
+  /// than the seed's even under a latency increase. The property is only
+  /// measured on the test and CI samples; a wider sweep finds it violated
+  /// (ROADMAP open item 2).
   std::optional<ScheduleResult> RunWarm(const MIIInfo& mii);
   ScheduleResult FailResult(const MIIInfo& mii,
                             const ScheduleStats& stats) const;

@@ -57,7 +57,9 @@ struct MirsOptions {
   /// / spill deltas (sched/pressure_tracker.h) and an indexed priority
   /// pick. false selects the reference path (full ComputePressure at every
   /// spill check, linear priority scan) — schedules are bit-identical
-  /// either way; `hcrf_sched bench` runs both and asserts it.
+  /// either way. Production always runs incremental; the only caller that
+  /// sets false is the `PressureTrackerEngine.BitIdenticalSchedules` ctest
+  /// (tests/test_pressure_tracker.cpp), which asserts that identity.
   bool incremental = true;
   ClusterPolicy cluster_policy = ClusterPolicy::kBalanced;
 

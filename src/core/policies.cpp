@@ -130,10 +130,6 @@ std::unique_ptr<ClusterSelector> MakeClusterSelector(ClusterPolicy p) {
   return std::make_unique<BalancedClusterSelector>();
 }
 
-ClusterSelectorFactory MakeClusterSelectorFactory(ClusterPolicy p) {
-  return [p] { return MakeClusterSelector(p); };
-}
-
 // ---------------------------------------------------------------------------
 // Spill victim selection
 // ---------------------------------------------------------------------------

@@ -104,7 +104,6 @@ using ClusterSelectorFactory =
     std::function<std::unique_ptr<ClusterSelector>()>;
 
 std::unique_ptr<ClusterSelector> MakeClusterSelector(ClusterPolicy p);
-ClusterSelectorFactory MakeClusterSelectorFactory(ClusterPolicy p);
 
 // ---------------------------------------------------------------------------
 // Spill victim selection

@@ -48,8 +48,8 @@ struct SchedState {
   /// from its ordering policy. `incremental` selects the incremental
   /// pressure tracker + indexed priority pick; false is the reference path
   /// (full ComputePressure per spill check, linear priority scan) that
-  /// `hcrf_sched bench` runs to prove both produce bit-identical
-  /// schedules.
+  /// tests/test_pressure_tracker.cpp runs to prove both produce
+  /// bit-identical schedules.
   void Reset(const DDG& original, const sched::LatencyOverrides& base, int ii,
              bool use_incremental = true);
 

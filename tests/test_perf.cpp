@@ -1,16 +1,13 @@
 // Tests of the performance-metric layer: the paper's formulas, the
 // aggregation, metrics of batch-scheduled suites (determinism across
-// widths, memory stalls, prefetching), the MII sweep cache and the bench
-// report's baseline comparator.
+// widths, memory stalls, prefetching) and the MII sweep cache.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "io/hcl.h"
 #include "memsim/prefetch.h"
-#include "perf/bench.h"
 #include "perf/runner.h"
 #include "perf/tables.h"
 #include "service/session.h"
@@ -195,65 +192,6 @@ TEST(Tables, Formatting) {
   t.Print(os);
   EXPECT_NE(os.str().find("bb"), std::string::npos);
   EXPECT_NE(os.str().find("---"), std::string::npos);
-}
-
-/// A report with one leg per (suite, organization) of the full bench, each
-/// with serial p95 `p95` seconds.
-BenchReport SixLegReport(double p95) {
-  BenchReport report;
-  for (const char* rf : {"4C16S64/2-1", "4C32/1-1", "S64"}) {
-    for (const char* suite : {"kernels", "synth"}) {
-      BenchCase c;
-      c.suite = suite;
-      c.rf = rf;
-      c.serial_latency.p95 = p95;
-      report.cases.push_back(c);
-    }
-  }
-  return report;
-}
-
-TEST(BenchBaseline, ComparesTheSerialLegsOfTheCheckedInReport) {
-  const std::string pr10 =
-      io::ReadFile(std::string(HCRF_SOURCE_DIR) + "/BENCH_PR10.json");
-  // One second per loop regresses every leg: each check then shows which
-  // baseline number it read.
-  const BaselineCheck check = CompareAgainstBaseline(SixLegReport(1.0), pr10);
-  ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.compared, 6);
-  EXPECT_EQ(check.regressions, 6);
-  ASSERT_EQ(check.checks.size(), 6u);
-  // kernels x 4C16S64/2-1: the serial p95, not the p95 of the file's
-  // second latency block (0.000631961...).
-  EXPECT_EQ(check.checks[0].suite, "kernels");
-  EXPECT_EQ(check.checks[0].rf, "4C16S64/2-1");
-  EXPECT_DOUBLE_EQ(check.checks[0].baseline, 0.0005915769500000001);
-}
-
-TEST(BenchBaseline, NewReportIsItsOwnBaseline) {
-  const BenchReport report = SixLegReport(0.002);
-  const std::string json = BenchJson(report);
-  EXPECT_NE(json.find("\"format\": \"hcrf-bench-5\""), std::string::npos);
-  const BaselineCheck check = CompareAgainstBaseline(report, json);
-  ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.compared, 6);
-  EXPECT_EQ(check.regressions, 0);
-  for (const BaselineCaseCheck& c : check.checks) {
-    EXPECT_DOUBLE_EQ(c.baseline, 0.002) << c.suite << " x " << c.rf;
-  }
-}
-
-TEST(BenchBaseline, RejectsNonBenchAndCaselessJson) {
-  const BenchReport report = SixLegReport(0.002);
-  for (const std::string& bad :
-       {std::string("{\"traceEvents\": []}\n"),
-        std::string("{\n  \"format\": \"hcrf-bench-5\",\n  \"cases\": [\n  ]\n}\n"),
-        std::string("{\n  \"format\": \"hcrf-bench-5\"\n}\n")}) {
-    const BaselineCheck check = CompareAgainstBaseline(report, bad);
-    EXPECT_FALSE(check.ok) << bad;
-    EXPECT_FALSE(check.error.empty()) << bad;
-    EXPECT_EQ(check.compared, 0) << bad;
-  }
 }
 
 }  // namespace

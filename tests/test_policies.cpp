@@ -1,6 +1,5 @@
-// Tests of the policy layer: enum-selected and factory-injected cluster
-// selectors agree, custom policies plug in through MirsOptions, and the
-// engine respects their decisions.
+// Tests of the policy layer: custom policies plug in through MirsOptions,
+// and the engine respects their decisions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,30 +20,6 @@ MachineConfig Machine(const std::string& rf) {
     m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
   }
   return m;
-}
-
-TEST(Policies, FactoryMatchesEnumSelection) {
-  const MachineConfig m = Machine("4C32/1-1");
-  workload::SynthParams p;
-  p.num_loops = 20;
-  const workload::Suite suite = workload::PerfectSynthetic(p);
-  for (ClusterPolicy pol : {ClusterPolicy::kBalanced,
-                            ClusterPolicy::kRoundRobin,
-                            ClusterPolicy::kFirstFit}) {
-    MirsOptions via_enum;
-    via_enum.cluster_policy = pol;
-    MirsOptions via_factory;
-    via_factory.cluster_selector = MakeClusterSelectorFactory(pol);
-    for (const auto& loop : suite.loops()) {
-      const ScheduleResult a = MirsHC(loop.ddg, m, via_enum);
-      const ScheduleResult b = MirsHC(loop.ddg, m, via_factory);
-      ASSERT_EQ(a.ok, b.ok) << loop.ddg.name() << " " << ToString(pol);
-      if (!a.ok) continue;
-      EXPECT_EQ(a.ii, b.ii) << loop.ddg.name() << " " << ToString(pol);
-      EXPECT_EQ(a.stats.comm_ops, b.stats.comm_ops)
-          << loop.ddg.name() << " " << ToString(pol);
-    }
-  }
 }
 
 /// Pins every free node to cluster 0 and counts how often it was asked.

@@ -3,15 +3,18 @@
 // ComputePressure ground truth at every step, across the pure-clustered,
 // hierarchical (clustered and not) and monolithic organization families —
 // plus engine-level A/B runs asserting the incremental and reference
-// engines produce bit-identical schedules.
+// engines produce bit-identical schedules on every kernel and a synthetic
+// slice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/mirs.h"
 #include "core/sched_state.h"
+#include "hwmodel/characterize.h"
 #include "io/hcl.h"
 #include "machine/rf_config.h"
 #include "sched/lifetime.h"
@@ -221,31 +224,48 @@ TEST(PressureTracker, UnboundedOrganizationsDetach) {
 
 // ---------------------------------------------------------------------------
 // Engine-level A/B: the incremental engine must produce bit-identical
-// schedules to the reference (non-incremental) engine.
+// schedules to the reference (non-incremental) engine. This is the only
+// check of MirsOptions::incremental = false, so it covers every kernel and
+// a 64-loop synthetic slice on characterized machines of every
+// organization family.
 // ---------------------------------------------------------------------------
 
-void ExpectEngineIdentical(const std::string& rf_name) {
-  SCOPED_TRACE(rf_name);
+MachineConfig CharacterizedMachine(const std::string& rf_name) {
   MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf_name));
-  const workload::Suite& kernels = workload::SharedKernelSuite();
-  for (size_t i = 0; i < kernels.size(); i += 2) {
-    core::MirsOptions ref_opt;
-    ref_opt.incremental = false;
-    core::MirsOptions inc_opt;
-    inc_opt.incremental = true;
-    const core::ScheduleResult a = core::MirsHC(kernels[i].ddg, m, ref_opt);
-    const core::ScheduleResult b = core::MirsHC(kernels[i].ddg, m, inc_opt);
-    ASSERT_EQ(a.ok, b.ok) << kernels[i].ddg.name();
+  if (!m.rf.UnboundedClusterRegs() && !m.rf.UnboundedSharedRegs()) {
+    m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
+  }
+  return m;
+}
+
+void ExpectEngineIdentical(const workload::Suite& suite,
+                           const MachineConfig& m) {
+  core::MirsOptions ref_opt;
+  ref_opt.incremental = false;
+  const core::MirsOptions inc_opt;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    const DDG& g = suite[i].ddg;
+    const core::ScheduleResult a = core::MirsHC(g, m, ref_opt);
+    const core::ScheduleResult b = core::MirsHC(g, m, inc_opt);
+    ASSERT_EQ(a.ok, b.ok) << g.name();
     if (!a.ok) continue;
-    EXPECT_EQ(io::DumpResult(a), io::DumpResult(b)) << kernels[i].ddg.name();
+    EXPECT_EQ(io::DumpResult(a), io::DumpResult(b)) << g.name();
   }
 }
 
 TEST(PressureTrackerEngine, BitIdenticalSchedules) {
-  ExpectEngineIdentical("4C16S64/2-1");
-  ExpectEngineIdentical("4C32/1-1");
-  ExpectEngineIdentical("S32");
-  ExpectEngineIdentical("2C16S16/1-1");
+  const workload::Suite& kernels = workload::SharedKernelSuite();
+  const workload::Suite synth =
+      workload::SuiteSlice(workload::SharedSyntheticSuite(), 64);
+  ASSERT_GT(kernels.size(), 0u);
+  ASSERT_EQ(synth.size(), 64u);
+  for (const char* rf :
+       {"4C16S64/2-1", "4C32/1-1", "S64", "S32", "2C16S16/1-1"}) {
+    SCOPED_TRACE(rf);
+    const MachineConfig m = CharacterizedMachine(rf);
+    ExpectEngineIdentical(kernels, m);
+    ExpectEngineIdentical(synth, m);
+  }
 }
 
 }  // namespace

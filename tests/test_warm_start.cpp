@@ -37,9 +37,10 @@ NodeId FirstAliveLoad(const DDG& g) {
 }
 
 /// Hardens one load's producer latency (toward, at least past, its hit
-/// latency). Hardening only shrinks the feasible-II set, so warm II <=
-/// cold II is an analytic guarantee on these perturbations, not just a
-/// measured one.
+/// latency). Warm II <= cold II holds on this sample (the first alive
+/// load of each kernel) as a measured property, not a guarantee: a wider
+/// sweep of single-load raises finds warm II above cold II (ROADMAP open
+/// item 2).
 sched::LatencyOverrides HardenLoad(const DDG& g, NodeId load,
                                    const MachineConfig& m) {
   sched::LatencyOverrides ov;

@@ -70,7 +70,7 @@ CONSOLE_IO_ALLOWLIST = {
         "HCRF_DEBUG-gated stderr diagnostics for rewrite bookkeeping; "
         "silent unless the env switch is set",
     "src/perf/tables.h":
-        "the bench layer's report-rendering surface: Print(std::ostream&) "
+        "the perf layer's report-rendering surface: Print(std::ostream&) "
         "defaults to std::cout for the CLI table dumps",
 }
 

@@ -8,14 +8,13 @@
 //   hcrf_sched export [options]                write a suite as .hcl corpus
 //   hcrf_sched stats [dir]                     metrics registry (+ cache census)
 //   hcrf_sched smoke <manifest>                cold+warm cache self-check
-//   hcrf_sched bench [options]                 engine A/B perf baseline
 //   hcrf_sched repro [options]                 paper-reproduction experiments
 //   hcrf_sched serve --socket=PATH [options]   resident scheduling daemon
 //   hcrf_sched submit [manifest] [options]     client for a running daemon
 //
-// The scheduling commands (schedule / run / bench / repro) additionally
-// accept `--trace=FILE` (write a Chrome trace_event JSON of the run; open
-// in Perfetto or chrome://tracing) and `--stats[=json]` (dump the metrics
+// The scheduling commands (schedule / run / repro) additionally accept
+// `--trace=FILE` (write a Chrome trace_event JSON of the run; open in
+// Perfetto or chrome://tracing) and `--stats[=json]` (dump the metrics
 // registry after the run). Tracing is a pure observer: schedules and
 // serialized stats are bit-identical with or without it.
 //
@@ -42,7 +41,6 @@
 #include "machine/machine_config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "perf/bench.h"
 #include "perf/runner.h"
 #include "service/batch.h"
 #include "service/client.h"
@@ -101,25 +99,6 @@ commands:
       --json               JSON instead of the aligned table
   smoke <manifest>       run twice (cold, warm cache); verify the warm run
                          hits the cache and its output is bit-identical
-  bench                  time the scheduling hot path: reference engine vs
-                         incremental, asserting both modes produce
-                         bit-identical schedules (exit 1 if not); reports
-                         per-loop latency tails (p50/p95/p99/max)
-      --out=FILE           write the BENCH_*.json report (default
-                           BENCH_PR10.json; '-' = stdout only)
-      --baseline=FILE      compare against a checked-in BENCH_*.json:
-                           exit 1 when any leg's serial p95 regresses by
-                           more than 15%%
-      --rf=A,B,...         organizations to bench (paper notation)
-      --reps=N             kernel-suite repetitions per timed mode
-      --synth-n=N          synthetic loops per case (default: whole suite)
-      --smoke              small slice + one organization: the identity
-                           assertions at CI cost
-      --baseline-seconds=X --current-seconds=Y --baseline-note=STR
-                           record a comparison against a separately timed
-                           older binary (e.g. the pre-PR engine) in the
-                           report's pre_pr block
-      --trace=FILE --stats[=json]
   repro                  run the registered paper-reproduction experiments
                          (figures 1/4/6, tables 1-6, the ablations) through
                          the cache-backed batch service and render the
@@ -760,217 +739,6 @@ int CmdSmoke(const Args& args) {
   return ok ? 0 : 1;
 }
 
-// Service-timing leg of the bench: the kernel corpus scheduled through
-// service::RunBatch against a fresh temp cache (cold), then again over
-// the populated cache (warm). The per-request phase decomposition
-// (queue / cache probe / MII / schedule / serialize) shows where a
-// request's wall time goes on each path; the leg lives here rather than
-// in perf::RunBench because the service layer sits above perf.
-perf::ServiceLeg RunServiceTimingLeg() {
-  perf::ServiceLeg leg;
-  const workload::Suite* suite = workload::SharedSuiteByName("kernels");
-  if (suite == nullptr || suite->size() == 0) return leg;
-  MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1"));
-  m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
-
-  std::vector<service::BatchRequest> requests;
-  requests.reserve(suite->size());
-  for (size_t i = 0; i < suite->size(); ++i) {
-    const workload::Loop& loop = (*suite)[i];
-    service::BatchRequest req;
-    // Non-owning alias: the shared suite outlives the batch.
-    req.loop = std::shared_ptr<const workload::Loop>(
-        std::shared_ptr<const void>(), &loop);
-    req.id = loop.ddg.name().empty() ? "kernel-" + std::to_string(i)
-                                     : loop.ddg.name();
-    req.machine = m;
-    requests.push_back(std::move(req));
-  }
-
-  service::ServiceConfig config;
-  std::error_code ec;
-  config.cache_dir = (fs::temp_directory_path() /
-                    ("hcrf-bench-service-" + std::to_string(::getpid())))
-                       .string();
-  fs::remove_all(config.cache_dir, ec);
-
-  const auto phases = [](const service::RequestTiming& t) {
-    perf::ServicePhaseSeconds p;
-    p.queue = t.queue_seconds;
-    p.cache_probe = t.cache_probe_seconds;
-    p.mii = t.mii_seconds;
-    p.schedule = t.schedule_seconds;
-    p.serialize = t.serialize_seconds;
-    return p;
-  };
-  const service::BatchReport cold = service::RunBatch(requests, config);
-  const service::BatchReport warm = service::RunBatch(requests, config);
-  fs::remove_all(config.cache_dir, ec);
-
-  leg.present = true;
-  leg.requests = static_cast<int>(cold.items.size());
-  leg.warm_hits = warm.hits;
-  leg.cold_seconds = cold.seconds;
-  leg.warm_seconds = warm.seconds;
-  leg.cold = phases(cold.timing);
-  leg.warm = phases(warm.timing);
-  return leg;
-}
-
-// Engine A/B perf baseline: times the incremental hot path against the
-// non-incremental reference and asserts schedules stay bit-identical.
-// Writes the BENCH_*.json trajectory artifact; CI runs `bench --smoke`.
-int CmdBench(const Args& args) {
-  if (!args.positional.empty() ||
-      !CheckFlags(args, {"out", "rf", "reps", "synth-n", "smoke", "baseline",
-                         "baseline-seconds", "current-seconds",
-                         "baseline-note", "trace", "stats"})) {
-    return Usage();
-  }
-  perf::BenchOptions bopt;
-  bopt.smoke = args.Flag("smoke") != nullptr;
-  if (const std::string* rf = args.Flag("rf")) {
-    bopt.rf_names.clear();
-    size_t start = 0;
-    while (start <= rf->size()) {
-      const size_t comma = rf->find(',', start);
-      const std::string name = rf->substr(
-          start, comma == std::string::npos ? std::string::npos
-                                            : comma - start);
-      if (!name.empty()) bopt.rf_names.push_back(name);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (bopt.rf_names.empty()) {
-      throw std::runtime_error("--rf: expected a comma-separated list of "
-                               "organizations");
-    }
-  }
-  if (const std::string* v = args.Flag("reps")) {
-    bopt.kernel_reps = ParseIntFlag("reps", *v);
-    if (bopt.kernel_reps < 1) {
-      throw std::runtime_error("--reps: expected a positive count, got '" +
-                               *v + "'");
-    }
-  }
-  if (const std::string* v = args.Flag("synth-n")) {
-    bopt.synth_loops = ParseIntFlag("synth-n", *v);
-    if (bopt.synth_loops < 1) {
-      throw std::runtime_error("--synth-n: expected a positive count, got '" +
-                               *v + "'");
-    }
-  }
-
-  perf::BenchReport report = perf::RunBench(bopt);
-  report.service = RunServiceTimingLeg();
-  // Optional comparison against a separately timed older binary (see the
-  // BENCH_*.json notes in README.md): both numbers must come from the same
-  // command, run the same way.
-  if (const std::string* v = args.Flag("baseline-seconds")) {
-    report.pre_pr.present = true;
-    report.pre_pr.baseline_seconds = ParseDoubleFlag("baseline-seconds", *v);
-    const std::string* cur = args.Flag("current-seconds");
-    if (cur == nullptr) {
-      throw std::runtime_error(
-          "--baseline-seconds requires --current-seconds (same workload, "
-          "this binary)");
-    }
-    report.pre_pr.current_seconds = ParseDoubleFlag("current-seconds", *cur);
-    if (const std::string* note = args.Flag("baseline-note")) {
-      report.pre_pr.note = *note;
-    }
-  }
-  for (const perf::BenchCase& c : report.cases) {
-    std::printf(
-        "%-8s x %-12s %4d loops x%-3d  ref %8.3f s  incr %8.3f s  "
-        "speedup %5.2fx  %s\n",
-        c.suite.c_str(), c.rf.c_str(), c.loops, c.reps, c.reference_seconds,
-        c.incremental_seconds, c.Speedup(),
-        c.identical ? "identical" : "MISMATCH");
-  }
-  std::printf(
-      "total: ref %.3f s, incr %.3f s, speedup %.2fx, %.0f placements/s, "
-      "%.0f ejections/s, schedules %s\n",
-      report.reference_seconds, report.incremental_seconds, report.Speedup(),
-      report.incremental_seconds > 0
-          ? static_cast<double>(report.placements) / report.incremental_seconds
-          : 0.0,
-      report.incremental_seconds > 0
-          ? static_cast<double>(report.ejections) / report.incremental_seconds
-          : 0.0,
-      report.identical ? "bit-identical" : "DIVERGED");
-  if (report.pre_pr.present) {
-    std::printf("pre-PR baseline: %.3f s -> %.3f s, speedup %.2fx (%s)\n",
-                report.pre_pr.baseline_seconds, report.pre_pr.current_seconds,
-                report.pre_pr.Speedup(), report.pre_pr.note.c_str());
-  }
-  if (report.service.present) {
-    std::printf(
-        "service: %d requests  cold %.3f s (mii %.3f, schedule %.3f, "
-        "serialize %.3f)  warm %.3f s (%d hits, probe %.3f)\n",
-        report.service.requests, report.service.cold_seconds,
-        report.service.cold.mii, report.service.cold.schedule,
-        report.service.cold.serialize, report.service.warm_seconds,
-        report.service.warm_hits, report.service.warm.cache_probe);
-  }
-  for (const perf::DeltaCase& d : report.delta) {
-    std::printf(
-        "delta    x %-12s %4d loops x%-3d  cold %8.3f s  warm %8.3f s  "
-        "p50 %5.2fx  p95 %5.2fx\n",
-        d.rf.c_str(), d.loops, d.reps, d.cold_seconds, d.warm_seconds,
-        d.P50Speedup(), d.P95Speedup());
-    std::printf(
-        "         repair %ld vs rebuild %ld placements, %ld seeded, "
-        "%d fallbacks, %d skipped, II %s\n",
-        d.repair_placements, d.rebuild_placements, d.seeded, d.fallbacks,
-        d.skipped, d.ii_never_worse ? "never worse" : "WORSE THAN COLD");
-  }
-
-  const std::string* out = args.Flag("out");
-  const std::string path = out != nullptr ? *out : "BENCH_PR10.json";
-  if (path != "-") {
-    io::WriteFileAtomic(path, perf::BenchJson(report));
-    std::printf("report: %s\n", path.c_str());
-  }
-  if (!report.identical) {
-    std::fprintf(stderr,
-                 "bench: incremental engine diverged from the reference "
-                 "schedules\n");
-    return 1;
-  }
-  for (const perf::DeltaCase& d : report.delta) {
-    if (!d.ii_never_worse) {
-      std::fprintf(stderr,
-                   "bench: a warm-started schedule regressed past its cold "
-                   "II on the delta leg\n");
-      return 1;
-    }
-  }
-  if (const std::string* b = args.Flag("baseline")) {
-    const perf::BaselineCheck check =
-        perf::CompareAgainstBaseline(report, io::ReadFile(*b));
-    for (const perf::BaselineCaseCheck& chk : check.checks) {
-      std::printf("baseline %-8s x %-12s serial p95 %9.3f -> %9.3f ms  %s\n",
-                  chk.suite.c_str(), chk.rf.c_str(), chk.baseline * 1e3,
-                  chk.current * 1e3, chk.regressed ? "REGRESSED" : "ok");
-    }
-    if (!check.ok) {
-      std::fprintf(stderr, "bench: --baseline=%s: %s\n", b->c_str(),
-                   check.error.c_str());
-      return 1;
-    }
-    std::printf("baseline: %d compared, %d regressions (%s)\n",
-                check.compared, check.regressions, b->c_str());
-    if (check.regressions > 0) {
-      std::fprintf(stderr,
-                   "bench: p95 regression of more than 15%% against %s\n",
-                   b->c_str());
-      return 1;
-    }
-  }
-  return 0;
-}
-
 void PrintReproSummary(const experiment::ReproReport& report,
                        const std::string& cache_dir) {
   int cells = 0, failed_cells = 0;
@@ -1407,7 +1175,6 @@ int main(int argc, char** argv) {
     if (cmd == "export") return CmdExport(args);
     if (cmd == "stats") return CmdStats(args);
     if (cmd == "smoke") return CmdSmoke(args);
-    if (cmd == "bench") return RunTraced(args, [&] { return CmdBench(args); });
     if (cmd == "repro") return RunTraced(args, [&] { return CmdRepro(args); });
     if (cmd == "serve") return CmdServe(args);
     if (cmd == "submit") return CmdSubmit(args);
