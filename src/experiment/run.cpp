@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -37,14 +36,12 @@ std::string FmtDelta(double v) {
   return std::string(buf);
 }
 
-/// Per-experiment expansion plan: the resolved workload plus, for every
-/// (machine, engine, loop) cell, the index of its deduplicated batch
-/// request.
+/// Per-experiment expansion plan: the resolved workload the batch
+/// requests alias.
 struct Plan {
   const Experiment* def = nullptr;
   std::shared_ptr<const workload::Suite> owned;  ///< Slice storage.
   std::vector<std::shared_ptr<const workload::Loop>> loops;
-  std::vector<std::size_t> cell_request;
 };
 
 std::vector<std::shared_ptr<const workload::Loop>> ResolveWorkload(
@@ -81,100 +78,66 @@ std::string LoopLabel(const workload::Loop& loop, std::size_t index) {
                                  : loop.ddg.name();
 }
 
-/// One memory replay of the post-batch phase, shared by every cell with
-/// the same (batch request, loop.trip, loop.invocations). The request
-/// fixes the graph, schedule, overrides and machine latencies; trip and
-/// invocations are the rest of what ReplayLoop reads. The first cell with
-/// the key lends its loop and machine.
-struct ReplayJob {
-  const workload::Loop* loop;
-  const MachineConfig* machine;
-  const core::ScheduleResult* result;
-};
+constexpr std::size_t kNoReplay = static_cast<std::size_t>(-1);
 
-/// One report cell: its slot in data[plan].cells, where its inputs live,
-/// and the replay it copies stall cycles from.
-struct CellJob {
+/// One report cell a batch request feeds: its slot in data[plan].cells,
+/// where its loop and machine live, and the request replay its stall
+/// cycles come from.
+struct CellRef {
   std::size_t plan;
   std::size_t idx;
   std::size_t machine;
   std::size_t loop;
-  std::size_t request;
   std::size_t replay;  ///< kNoReplay when the cell simulates no memory.
 };
 
-constexpr std::size_t kNoReplay = static_cast<std::size_t>(-1);
+/// One memory replay, shared by every cell of the request with the same
+/// (loop.trip, loop.invocations). The request fixes the graph, schedule,
+/// overrides and machine latencies; trip and invocations are the rest of
+/// what ReplayLoop reads. The first cell with the pair lends its loop and
+/// machine.
+struct ReplayRef {
+  const workload::Loop* loop;
+  const MachineConfig* machine;
+};
 
-/// Computes every cell's LoopMetrics from the batch: each distinct memory
-/// replay once, then every cell, both fanned out over the session's
-/// workers. Each job writes only its own slot, so the result is
-/// independent of the width.
-std::vector<ExperimentData> CellMetrics(const std::vector<Plan>& plans,
-                                        const service::BatchReport& batch,
-                                        bool smoke,
-                                        service::SchedulerService& session,
-                                        ReproReport* report) {
-  std::vector<ExperimentData> data(plans.size());
-  std::vector<CellJob> cells;
-  std::vector<ReplayJob> replays;
-  std::map<std::tuple<std::size_t, long, long>, std::size_t> replay_of;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const Plan& plan = plans[p];
-    const Experiment* def = plan.def;
-    ExperimentData& d = data[p];
-    d.def = def;
-    d.smoke = smoke;
-    d.loops.reserve(plan.loops.size());
-    for (const auto& loop : plan.loops) d.loops.push_back(loop.get());
-    d.cells.resize(plan.cell_request.size());
-    const std::size_t per_machine = def->engines.size() * plan.loops.size();
-    for (std::size_t idx = 0; idx < plan.cell_request.size(); ++idx) {
-      CellJob cell;
-      cell.plan = p;
-      cell.idx = idx;
-      cell.machine = idx / per_machine;
-      cell.loop = idx % plan.loops.size();
-      cell.request = plan.cell_request[idx];
-      cell.replay = kNoReplay;
-      const std::size_t engine = (idx % per_machine) / plan.loops.size();
-      const core::ScheduleResult& sr = batch.items[cell.request].result;
-      if (def->engines[engine].simulate_memory && sr.ok) {
-        const workload::Loop& loop = *plan.loops[cell.loop];
-        const auto [it, inserted] = replay_of.emplace(
-            std::make_tuple(cell.request, loop.trip, loop.invocations),
-            replays.size());
-        if (inserted) {
-          replays.push_back(
-              {&loop, &def->machines[cell.machine].machine, &sr});
-        }
-        cell.replay = it->second;
-        ++report->replayed_cells;
-      }
-      cells.push_back(cell);
+/// What the lane that completes one deduplicated request does with its
+/// result before dropping it.
+struct RequestWork {
+  std::vector<CellRef> cells;
+  std::vector<ReplayRef> replays;
+  int replayed_cells = 0;       ///< Cells with a replay.
+  double replay_seconds = 0.0;  ///< Written by the lane.
+};
+
+/// Runs the request's replays and writes every cell it feeds. Metrics
+/// derive deterministically from the schedule (cache-served results are
+/// bit-identical to fresh ones) and the replay, and each cell has one
+/// slot, so the cells are independent of the lane and the width.
+void WriteCells(const core::ScheduleResult& sr, RequestWork& work,
+                std::vector<ExperimentData>& data) {
+  std::vector<long> stall_cycles;
+  if (sr.ok && !work.replays.empty()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    stall_cycles.reserve(work.replays.size());
+    for (const ReplayRef& r : work.replays) {
+      stall_cycles.push_back(
+          memsim::ReplayLoop(*r.loop, sr, *r.machine).stall_cycles);
     }
+    work.replay_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
   }
-  report->distinct_replays = static_cast<int>(replays.size());
-
-  std::vector<long> stall_cycles(replays.size());
-  session.ParallelFor(replays.size(), [&](std::size_t i) {
-    const ReplayJob& job = replays[i];
-    stall_cycles[i] =
-        memsim::ReplayLoop(*job.loop, *job.result, *job.machine).stall_cycles;
-  });
-
-  // Metrics derive deterministically from the schedule (cache-served
-  // results are bit-identical to fresh ones) and the replay, so a warm
-  // run reproduces every cell exactly.
-  session.ParallelFor(cells.size(), [&](std::size_t i) {
-    const CellJob& cell = cells[i];
-    const Plan& plan = plans[cell.plan];
+  for (const CellRef& cell : work.cells) {
+    ExperimentData& d = data[cell.plan];
     perf::LoopMetrics lm = perf::MetricsFromResult(
-        *plan.loops[cell.loop], plan.def->machines[cell.machine].machine,
-        batch.items[cell.request].result, /*simulate_memory=*/false);
-    if (cell.replay != kNoReplay) lm.stall_cycles = stall_cycles[cell.replay];
-    data[cell.plan].cells[cell.idx] = lm;
-  });
-  return data;
+        *d.loops[cell.loop], d.def->machines[cell.machine].machine, sr,
+        /*simulate_memory=*/false);
+    if (sr.ok && cell.replay != kNoReplay) {
+      lm.stall_cycles = stall_cycles[cell.replay];
+    }
+    d.cells[cell.idx] = lm;
+  }
 }
 
 }  // namespace
@@ -209,44 +172,91 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
 
   // Expand every scheduling cell of every experiment into one flat batch,
   // deduplicated by schedule-cache key (identical (loop, machine, options,
-  // overrides) cells — within or across experiments — schedule once).
-  std::vector<Plan> plans;
+  // overrides) cells — within or across experiments — schedule once). Each
+  // request carries the cells it feeds and their distinct memory replays.
+  std::vector<Plan> plans(sel.size());
+  std::size_t num_cells = 0;
+  for (std::size_t p = 0; p < sel.size(); ++p) {
+    plans[p].def = sel[p];
+    plans[p].loops =
+        ResolveWorkload(sel[p]->workload, opt.smoke, &plans[p].owned);
+    num_cells += sel[p]->CellsPerLoop() * plans[p].loops.size();
+  }
+  std::vector<ExperimentData> metrics(sel.size());
   std::vector<service::BatchRequest> requests;
-  std::unordered_map<std::string, std::size_t> dedup;
-  for (const Experiment* def : sel) {
-    Plan plan;
-    plan.def = def;
-    plan.loops = ResolveWorkload(def->workload, opt.smoke, &plan.owned);
-    plan.cell_request.reserve(def->CellsPerLoop() * plan.loops.size());
-    for (const MachineVariant& mv : def->machines) {
+  std::vector<RequestWork> work;
+  std::unordered_map<service::CacheKey, std::size_t, service::CacheKeyHash>
+      dedup;
+  requests.reserve(num_cells);
+  work.reserve(num_cells);
+  dedup.reserve(num_cells);
+  for (std::size_t p = 0; p < sel.size(); ++p) {
+    const Experiment* def = sel[p];
+    const Plan& plan = plans[p];
+    ExperimentData& d = metrics[p];
+    d.def = def;
+    d.smoke = opt.smoke;
+    d.loops.reserve(plan.loops.size());
+    for (const auto& loop : plan.loops) d.loops.push_back(loop.get());
+    d.cells.resize(def->CellsPerLoop() * plan.loops.size());
+    std::size_t idx = 0;
+    for (std::size_t m = 0; m < def->machines.size(); ++m) {
+      const MachineVariant& mv = def->machines[m];
       for (const EngineVariant& ev : def->engines) {
-        for (std::size_t l = 0; l < plan.loops.size(); ++l) {
-          const std::shared_ptr<const workload::Loop>& loop = plan.loops[l];
-          service::BatchRequest req;
-          req.id = def->name + "/" + mv.label + "/" + ev.label + "/" +
-                   LoopLabel(*loop, l);
-          req.loop = loop;
-          req.machine = mv.machine;
-          req.options = ev.options;
+        for (std::size_t l = 0; l < plan.loops.size(); ++l, ++idx) {
+          const workload::Loop& loop = *plan.loops[l];
+          sched::LatencyOverrides overrides;
           if (ev.prefetch != memsim::PrefetchMode::kNone) {
-            req.overrides = memsim::ClassifyBindingPrefetch(
-                loop->ddg, mv.machine, loop->trip, ev.prefetch);
+            overrides = memsim::ClassifyBindingPrefetch(
+                loop.ddg, mv.machine, loop.trip, ev.prefetch);
           }
-          const std::string key =
-              service::MakeCacheKey(loop->ddg, req.machine, req.options,
-                                    req.overrides)
-                  .Hex();
-          const auto [it, inserted] = dedup.emplace(key, requests.size());
-          if (inserted) requests.push_back(std::move(req));
-          plan.cell_request.push_back(it->second);
+          const auto [it, inserted] = dedup.emplace(
+              service::MakeCacheKey(loop.ddg, mv.machine, ev.options,
+                                    overrides),
+              requests.size());
+          if (inserted) {
+            service::BatchRequest req;
+            req.id = def->name + "/" + mv.label + "/" + ev.label + "/" +
+                     LoopLabel(loop, l);
+            req.loop = plan.loops[l];
+            req.machine = mv.machine;
+            req.options = ev.options;
+            req.overrides = std::move(overrides);
+            requests.push_back(std::move(req));
+            work.emplace_back();
+          }
+          RequestWork& w = work[it->second];
+          CellRef cell{p, idx, m, l, kNoReplay};
+          if (ev.simulate_memory) {
+            std::size_t r = 0;
+            while (r < w.replays.size() &&
+                   (w.replays[r].loop->trip != loop.trip ||
+                    w.replays[r].loop->invocations != loop.invocations)) {
+              ++r;
+            }
+            if (r == w.replays.size()) {
+              w.replays.push_back({&loop, &mv.machine});
+            }
+            cell.replay = r;
+            ++w.replayed_cells;
+          }
+          w.cells.push_back(cell);
         }
       }
     }
-    plans.push_back(std::move(plan));
   }
 
+  // One streamed pass: the lane that completes a request (scheduled, cache
+  // hit or failed) writes its cells and drops the result, so its
+  // transformed graph is freed there and then, not held for the batch.
   service::BatchReport batch;
-  if (!requests.empty()) batch = session.RunBatch(requests);
+  if (!requests.empty()) {
+    batch = session.RunBatch(
+        requests, [&](std::size_t r, service::BatchItem& item) {
+          const core::ScheduleResult sr = std::move(item.result);
+          WriteCells(sr, work[r], metrics);
+        });
+  }
 
   ReproReport report;
   report.smoke = opt.smoke;
@@ -257,10 +267,15 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   report.seconds = batch.seconds;
   report.timing = batch.timing;
 
-  const auto metrics_t0 = std::chrono::steady_clock::now();
-  obs::TraceSpan metrics_span("experiment", "metrics");
-  const std::vector<ExperimentData> metrics =
-      CellMetrics(plans, batch, opt.smoke, session, &report);
+  const auto aggregate_t0 = std::chrono::steady_clock::now();
+  obs::TraceSpan aggregate_span("experiment", "aggregate");
+  for (std::size_t r = 0; r < work.size(); ++r) {
+    report.replay_seconds += work[r].replay_seconds;
+    if (batch.items[r].ok) {
+      report.replayed_cells += work[r].replayed_cells;
+      report.distinct_replays += static_cast<int>(work[r].replays.size());
+    }
+  }
 
   // Failure notes, aggregation and reference joins: serial, registry order.
   for (std::size_t p = 0; p < plans.size(); ++p) {
@@ -323,7 +338,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     report.experiments.push_back(std::move(res));
   }
   report.metrics_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - metrics_t0)
+                               std::chrono::steady_clock::now() - aggregate_t0)
                                .count();
   return report;
 }

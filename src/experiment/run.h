@@ -7,10 +7,12 @@
 // appears in Tables 1 and 6) is scheduled once — and backed by the
 // session's cache tiers: a warm rerun of the whole paper is served from
 // disk. Binding-prefetch cells carry their per-loop latency
-// overrides in the BatchRequest (part of the cache key). After the batch,
-// a parallel metrics phase derives every cell's LoopMetrics on the same
-// workers, replaying memory-system stall cycles once per distinct (batch
-// request, loop trip, loop invocations).
+// overrides in the BatchRequest (part of the cache key). The run is one
+// streamed pass: at plan time each request gets the report cells it feeds
+// and its distinct (loop trip, loop invocations) memory replays, and the
+// batch lane that completes the request runs those replays, writes the
+// cells' LoopMetrics and drops the schedule. No batch-wide set of
+// schedules is ever held; only the serial aggregation follows the batch.
 //
 // Reports are deterministic: rows, reference deltas and verdicts only, no
 // timings or cache flags — a cold and a warm run emit byte-identical CSV
@@ -83,8 +85,13 @@ struct ReproReport {
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.
   int ref_failures = 0;  ///< Enforced reference values out of tolerance.
-  double seconds = 0.0;  ///< Scheduling-batch wall.
-  /// Post-batch wall: cell metrics, memory replay, aggregation and
+  /// Batch wall: scheduling plus, on the same lanes, every request's
+  /// memory replays and cell metrics.
+  double seconds = 0.0;
+  /// Summed ReplayLoop seconds over the batch lanes (part of `seconds`;
+  /// stdout summary only).
+  double replay_seconds = 0.0;
+  /// Serial wall after the batch: failure notes, aggregation and
   /// reference joins (stdout summary only).
   double metrics_seconds = 0.0;
   int replayed_cells = 0;    ///< Cells whose stall cycles come from replay.

@@ -109,9 +109,12 @@ void SchedulerService::ParallelFor(
 }
 
 BatchReport SchedulerService::RunBatch(
-    const std::vector<BatchRequest>& requests) {
+    const std::vector<BatchRequest>& requests, const ItemConsumer& on_item) {
   BatchReport report;
   report.items.resize(requests.size());
+  // The one counter that reads the result, captured before the consumer
+  // may take it.
+  std::vector<char> warm_used(requests.size(), 0);
 
   CacheTier* cache = cache_.get();
   const TierStats stack_before = tier_stats();
@@ -207,17 +210,20 @@ BatchReport SchedulerService::RunBatch(
     req_count.Add(1);
     if (item.cache_hit) hit_count.Add(1);
     req_hist.Record(item.seconds);
+    warm_used[i] = item.result.warm.used;
+    if (on_item) on_item(i, item);
   });
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
 
-  for (const BatchItem& item : report.items) {
+  for (std::size_t i = 0; i < report.items.size(); ++i) {
+    const BatchItem& item = report.items[i];
     if (item.cache_hit) {
       ++report.hits;
     } else {
       ++report.scheduled;
-      if (item.result.warm.used) ++report.warm_starts;
+      if (warm_used[i]) ++report.warm_starts;
     }
     if (!item.ok) ++report.failed;
     report.timing.Accumulate(item.timing);

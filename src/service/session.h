@@ -68,18 +68,29 @@ class SchedulerService {
 
   const ServiceConfig& config() const { return config_; }
 
+  /// Called once per item, on the lane that completed it (scheduled,
+  /// served from the cache or failed), after any cache Put. It may take
+  /// `item.result` (move it out and drop it) but must leave the other
+  /// fields alone; it runs concurrently with other items' consumers.
+  using ItemConsumer = std::function<void(std::size_t, BatchItem&)>;
+
   /// Schedules every request in parallel against the session cache stack.
   /// Never throws for per-request failures; they surface as failed items.
   /// report.cache / report.mem_cache are deltas over this call; with
   /// write-behind on, `writes` may still be in flight at return (Drain()
-  /// for exact totals — the one-shot wrappers do).
-  BatchReport RunBatch(const std::vector<BatchRequest>& requests);
+  /// for exact totals — the one-shot wrappers do). With `on_item`, each
+  /// item is handed to it on its lane as it completes, so a caller that
+  /// reduces results as they arrive (experiment::RunExperiments,
+  /// RunSweep) never holds the whole batch's schedules at once; the
+  /// counters (scheduled, hits, failed, warm_starts, timing) are taken
+  /// from each item before the consumer runs.
+  BatchReport RunBatch(const std::vector<BatchRequest>& requests,
+                       const ItemConsumer& on_item = {});
 
   /// Runs fn(0) .. fn(n-1) on the shared worker pool, `config().threads`
   /// wide (0 = every pool worker plus the caller), and returns when every
-  /// item has finished. The one home of the session's width rule:
-  /// RunBatch and the post-batch phase of experiment::RunExperiments both
-  /// fan out through it. The caller runs one lane itself, so calls may
+  /// item has finished. The one home of the session's width rule: every
+  /// batch fans out through it. The caller runs one lane itself, so calls may
   /// nest (an item may call ParallelFor) and concurrent calls never wait
   /// for one another's items; lanes on pool workers yield between items
   /// to other queued work (write-behind, another call's lanes).

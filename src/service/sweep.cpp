@@ -309,38 +309,35 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
     }
   }
 
-  const BatchReport batch = session.RunBatch(requests);
-
   SweepReport report;
   report.name = spec.name.empty() ? "sweep" : spec.name;
   for (const SweepMachine& sm : plan.machines) report.orgs.push_back(sm.org);
   report.loops = labels;
   report.skipped = plan.skipped;
+  report.cells.resize(requests.size());
+  // Each lane reduces its item to the cell's deterministic fields and
+  // drops the schedule, so the sweep never holds the grid's results.
+  const BatchReport batch = session.RunBatch(
+      requests, [&](std::size_t k, BatchItem& item) {
+        const core::ScheduleResult r = std::move(item.result);
+        SweepCell& cell = report.cells[k];
+        cell.org = plan.machines[k / loops.size()].org;
+        cell.loop = labels[k % loops.size()];
+        cell.ok = item.ok;
+        cell.cache_hit = item.cache_hit;
+        cell.error = item.error;
+        cell.ii = r.ii;
+        cell.mii = r.mii;
+        cell.sc = r.sc;
+        cell.bound = r.bound;
+        cell.comm_ops = r.stats.comm_ops;
+        cell.spill_ops = r.stats.spill_loads + r.stats.spill_stores;
+      });
   report.cache = batch.cache;
   report.scheduled = batch.scheduled;
   report.hits = batch.hits;
   report.failed = batch.failed;
   report.seconds = batch.seconds;
-  report.cells.reserve(batch.items.size());
-  for (size_t m = 0; m < plan.machines.size(); ++m) {
-    for (size_t i = 0; i < loops.size(); ++i) {
-      const BatchItem& item = batch.items[m * loops.size() + i];
-      SweepCell cell;
-      cell.org = plan.machines[m].org;
-      cell.loop = labels[i];
-      cell.ok = item.ok;
-      cell.cache_hit = item.cache_hit;
-      cell.error = item.error;
-      const core::ScheduleResult& r = item.result;
-      cell.ii = r.ii;
-      cell.mii = r.mii;
-      cell.sc = r.sc;
-      cell.bound = r.bound;
-      cell.comm_ops = r.stats.comm_ops;
-      cell.spill_ops = r.stats.spill_loads + r.stats.spill_stores;
-      report.cells.push_back(std::move(cell));
-    }
-  }
   return report;
 }
 

@@ -185,12 +185,12 @@ TEST(ExperimentRun, SmokeColdThenWarmIsBitIdentical) {
   fs::remove_all(cache);
 }
 
-// The post-batch metrics phase fans out over the session's workers and
-// replays each distinct (request, trip, invocations) once: a serial and a
-// 4-wide run of the memory-replay experiments must render byte-identical
-// reports and count the same cells. fig6's selective cells on S64,
-// 4C32/1-1 and 4C32S16/1-1 are also ablation_prefetch cells, so some
-// replays are shared.
+// Each request's memory replays and cell metrics run on the batch lane
+// that completes it, and each distinct (request, trip, invocations) is
+// replayed once: a serial and a 4-wide run of the memory-replay
+// experiments must render byte-identical reports and count the same
+// cells. fig6's selective cells on S64, 4C32/1-1 and 4C32S16/1-1 are also
+// ablation_prefetch cells, so some replays are shared.
 TEST(ExperimentRun, MetricsFanOutIsWidthIndependent) {
   const std::vector<const Experiment*> sel = {
       FindExperiment("fig6"), FindExperiment("ablation_prefetch")};

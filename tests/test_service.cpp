@@ -4,8 +4,11 @@
 // the persistent cache. HCRF_CORPUS_DIR points at <repo>/corpus.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "io/hcl.h"
 #include "service/batch.h"
@@ -135,6 +138,92 @@ TEST(BatchService, CorpusManifestColdThenWarmIsBitIdentical) {
         << cold.items[i].id;
   }
   fs::remove_all(cache_dir);
+}
+
+// RunBatch's per-item consumer runs once per item on the lane that
+// completed it — cold, cache hit or failed — and may take the result. The
+// batch counters are read from each item before the consumer runs, so a
+// consumer that empties every result reports exactly what a batch without
+// one reports.
+TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
+  const auto daxpy =
+      std::make_shared<const workload::Loop>(workload::MakeDaxpy());
+  const auto dot = std::make_shared<const workload::Loop>(workload::MakeDot());
+  const auto request = [](const std::string& id,
+                          std::shared_ptr<const workload::Loop> loop) {
+    service::BatchRequest req;
+    req.id = id;
+    req.loop = std::move(loop);
+    req.machine = MachineConfig::Baseline();
+    return req;
+  };
+  std::vector<service::BatchRequest> requests;
+  requests.push_back(request("hit", daxpy));
+  requests.push_back(request("cold", dot));
+  requests.push_back(request("failed", dot));
+  requests.back().options.max_ii = 2;  // dot's RecMII is 4: unreachable
+  // A near-key seed from the primed daxpy entry: a warm-started item.
+  requests.push_back(request("warm", daxpy));
+  requests.back().options.budget_ratio = 3.0;
+  requests.back().allow_warm_start = true;
+
+  service::ServiceConfig config;
+  config.cache_mem_entries = 64;
+  config.threads = 4;
+  // Same primed cache state for both runs: daxpy's default cell resident.
+  const auto primed_session = [&] {
+    auto session = std::make_unique<service::SchedulerService>(config);
+    session->RunBatch({requests[0]});
+    return session;
+  };
+
+  const service::BatchReport plain = primed_session()->RunBatch(requests);
+  EXPECT_EQ(plain.hits, 1);
+  EXPECT_EQ(plain.scheduled, 3);
+  EXPECT_EQ(plain.failed, 1);
+  EXPECT_EQ(plain.warm_starts, 1);
+
+  struct Seen {
+    std::atomic<int> calls{0};
+    bool ok = false;
+    bool cache_hit = false;
+    bool warm_used = false;
+    service::RequestTiming timing;
+  };
+  std::vector<Seen> seen(requests.size());
+  const service::BatchReport consumed = primed_session()->RunBatch(
+      requests, [&](std::size_t i, service::BatchItem& item) {
+        Seen& s = seen[i];
+        s.calls.fetch_add(1);
+        s.ok = item.ok;
+        s.cache_hit = item.cache_hit;
+        s.warm_used = item.result.warm.used;
+        s.timing = item.timing;
+        item.result = core::ScheduleResult{};
+      });
+
+  ASSERT_EQ(consumed.items.size(), requests.size());
+  service::RequestTiming summed;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(requests[i].id);
+    EXPECT_EQ(seen[i].calls.load(), 1);
+    EXPECT_EQ(seen[i].ok, plain.items[i].ok);
+    EXPECT_EQ(seen[i].cache_hit, plain.items[i].cache_hit);
+    EXPECT_EQ(seen[i].warm_used, plain.items[i].result.warm.used);
+    EXPECT_FALSE(consumed.items[i].result.ok);  // emptied by the consumer
+    summed.Accumulate(seen[i].timing);
+  }
+  EXPECT_EQ(consumed.hits, plain.hits);
+  EXPECT_EQ(consumed.scheduled, plain.scheduled);
+  EXPECT_EQ(consumed.failed, plain.failed);
+  EXPECT_EQ(consumed.warm_starts, plain.warm_starts);
+  // Timing is wall clock, so it is compared with the items' own phases as
+  // the consumer saw them, summed in request order like RunBatch does.
+  EXPECT_EQ(consumed.timing.queue_seconds, summed.queue_seconds);
+  EXPECT_EQ(consumed.timing.cache_probe_seconds, summed.cache_probe_seconds);
+  EXPECT_EQ(consumed.timing.mii_seconds, summed.mii_seconds);
+  EXPECT_EQ(consumed.timing.schedule_seconds, summed.schedule_seconds);
+  EXPECT_EQ(consumed.timing.serialize_seconds, summed.serialize_seconds);
 }
 
 // Every checked-in corpus file must stay loadable and canonical (dump ==

@@ -20,6 +20,7 @@
 //
 // Run `hcrf_sched help` for per-command options. Exit status: 0 on
 // success, 1 on bad usage / failed requests / failed self-check.
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -756,9 +757,15 @@ void PrintReproSummary(const experiment::ReproReport& report,
       "(summed per-request phases)\n",
       report.timing.cache_probe_seconds, report.timing.mii_seconds,
       report.timing.schedule_seconds, report.timing.serialize_seconds);
+  // Replays run on the batch lanes (inside the wall above); only the
+  // aggregation is serial. Peak RSS covers the whole process so far.
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
   std::printf(
-      "post-batch: %.3f s wall, %d replayed cells in %d distinct replays\n",
-      report.metrics_seconds, report.replayed_cells, report.distinct_replays);
+      "cells: replay %.3f s (summed on the batch lanes), %d replayed cells "
+      "in %d distinct replays, aggregation %.3f s wall, peak RSS %.1f MiB\n",
+      report.replay_seconds, report.replayed_cells, report.distinct_replays,
+      report.metrics_seconds, static_cast<double>(ru.ru_maxrss) / 1024.0);
   if (!cache_dir.empty()) {
     std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
                 report.cache.hits, report.cache.misses, report.cache.rejects,
