@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "sched/banks.h"
 #include "sched/mrt.h"
+#include "sched/ordering.h"
 #include "sched/validate.h"
 
 namespace hcrf::core {
@@ -32,15 +33,9 @@ AttemptContext::AttemptContext(const DDG& original, const MachineConfig& m,
       base_overrides_(base_overrides),
       order_(order),
       st_(m),
-      instr_(opt.event_sink),
       comm_(st_, *this, instr_),
-      spill_policy_(opt.spill_policy
-                        ? opt.spill_policy
-                        : std::make_shared<const LongestPerUseSpillPolicy>()),
-      spill_(st_, *this, *spill_policy_, instr_),
-      selector_(opt.cluster_selector ? opt.cluster_selector()
-                                     : MakeClusterSelector(opt.cluster_policy)) {
-}
+      spill_(st_, *this, instr_),
+      selector_(MakeClusterSelector(opt.cluster_policy)) {}
 
 // ---------------------------------------------------------------------------
 // NodePlacer services
@@ -559,9 +554,7 @@ EngineDriver::EngineDriver(const DDG& loop, const MachineConfig& m,
     : original_(loop),
       m_(m),
       opt_(opt),
-      base_overrides_(base_overrides),
-      ordering_(opt.ordering ? opt.ordering
-                             : std::make_shared<const HrmsOrderPolicy>()) {
+      base_overrides_(base_overrides) {
   // Canonicalize the overrides: trailing zero entries are behaviorally
   // inert (LatencyOverrides::For falls back) but would leak into the
   // serialized result, and the schedule cache keys padding-equivalent
@@ -582,7 +575,7 @@ ScheduleResult EngineDriver::Run() {
   }
   {
     obs::TraceSpan order_span("phase", "ordering");
-    order_ = ordering_->Order(original_, m_);
+    order_ = sched::HrmsOrder(original_, m_.lat);
   }
   // Warm-start gate: one seeded attempt before the cold walk. A failed (or
   // rejected) seed falls through to the cold path with the fallback counted

@@ -1,9 +1,11 @@
 // Engine driver of MIRS_HC: owns the II-escalation loop, the budget
 // accounting of the iterative algorithm, and the force-and-eject
-// backtracking. The heuristics live in the policy layer (policies.h),
-// cross-bank edge rewriting in the communication rewriter (comm_rewrite.h),
-// register-pressure handling in the spill engine (spill.h), and counters /
-// events in the instrumentation layer (instrument.h).
+// backtracking. Node order is the HRMS ordering (sched/ordering.h),
+// cluster choice lives in the selectors (policies.h), cross-bank edge
+// rewriting in the communication rewriter (comm_rewrite.h),
+// register-pressure handling and the spill victim in the spill engine
+// (spill.h), and counters / events in the instrumentation layer
+// (instrument.h).
 //
 // The per-attempt machinery is packaged as an AttemptContext: a
 // self-contained bundle of everything one II attempt mutates (working
@@ -144,7 +146,6 @@ class AttemptContext : public NodePlacer {
   SchedState st_;
   Instrumentation instr_;
   CommRewriter comm_;
-  std::shared_ptr<const SpillVictimPolicy> spill_policy_;
   SpillEngine spill_;
   std::unique_ptr<ClusterSelector> selector_;
   BalancedClusterSelector structural_fallback_;
@@ -187,8 +188,6 @@ class EngineDriver {
   MachineConfig m_;
   MirsOptions opt_;
   sched::LatencyOverrides base_overrides_;
-
-  std::shared_ptr<const NodeOrderPolicy> ordering_;
   std::vector<NodeId> order_;  ///< Ordering, computed once per run.
 };
 

@@ -3,9 +3,10 @@
 // decisions, budget consumption, II escalation).
 //
 // The counters are the quantitative side (surfaced through ScheduleResult
-// and aggregated into perf::SuiteMetrics); the optional EventSink is the
-// qualitative side for tests and tracing. The engine funnels every state
-// change through Instrumentation so the two can never disagree.
+// and aggregated into perf::SuiteMetrics); `sched` trace instants, one per
+// event while obs tracing is on, are the qualitative side. The engine
+// funnels every state change through Instrumentation so the two can never
+// disagree.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +41,6 @@ constexpr std::string_view ToString(SchedEvent e) {
   return "?";
 }
 
-/// Observer of scheduler events. Callbacks run synchronously on the
-/// scheduling thread and must be cheap; `node` is kNoNode for events that
-/// concern the whole attempt (kIIRestart), and `ii` is the II in effect.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  virtual void OnEvent(SchedEvent e, NodeId node, int ii) = 0;
-};
-
 /// Counters accumulated over one MirsHC run (all II attempts).
 struct ScheduleStats {
   long attempts = 0;    ///< Budget spent (nodes scheduled, incl. rescheds).
@@ -71,9 +63,6 @@ struct ScheduleStats {
 /// The engine's single funnel for counters + events.
 class Instrumentation {
  public:
-  Instrumentation() = default;
-  explicit Instrumentation(EventSink* sink) : sink_(sink) {}
-
   ScheduleStats& stats() { return stats_; }
   const ScheduleStats& stats() const { return stats_; }
 
@@ -113,9 +102,6 @@ class Instrumentation {
 
  private:
   void Emit(SchedEvent e, NodeId n, int ii) {
-    if (sink_ != nullptr) {
-      sink_->OnEvent(e, n, ii);
-    }
     if (obs::TraceEnabled()) {
       obs::Tracer::Shared().Instant("sched", ToString(e).data(), ii,
                                     static_cast<int>(n));
@@ -123,7 +109,6 @@ class Instrumentation {
   }
 
   ScheduleStats stats_;
-  EventSink* sink_ = nullptr;
 };
 
 }  // namespace hcrf::core

@@ -23,12 +23,13 @@
 // at II+1.
 //
 // This header is the stable entry point. The implementation is layered
-// (see ARCHITECTURE.md): engine driver (engine.h), policies (policies.h),
-// communication rewriting (comm_rewrite.h), spilling (spill.h) and
-// instrumentation (instrument.h).
+// (see ARCHITECTURE.md): engine driver (engine.h), cluster selection
+// (policies.h), communication rewriting (comm_rewrite.h), spilling
+// (spill.h) and instrumentation (instrument.h).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -61,20 +62,13 @@ struct MirsOptions {
   /// sets false is the `PressureTrackerEngine.BitIdenticalSchedules` ctest
   /// (tests/test_pressure_tracker.cpp), which asserts that identity.
   bool incremental = true;
+  /// Cluster selection heuristic (policies.h): the paper's Section 5.1
+  /// Select_Cluster or one of its two ablations. Ordering (HRMS) and the
+  /// spill victim (longest lifetime per use) are fixed, so this enum,
+  /// budget_ratio, max_ii and iterative are the whole schedule-relevant
+  /// configuration: all four are in the schedule cache key and the `.hcl`
+  /// options document. The other fields are runtime-only.
   ClusterPolicy cluster_policy = ClusterPolicy::kBalanced;
-
-  // ---- policy-layer hooks (null = defaults from the enums above) -------
-  /// Creates the per-run cluster selector; overrides `cluster_policy` when
-  /// set. A factory (not an instance) so one MirsOptions value can be
-  /// shared across a batch's concurrent runs.
-  ClusterSelectorFactory cluster_selector;
-  /// Node-ordering policy (default: HRMS ordering).
-  std::shared_ptr<const NodeOrderPolicy> ordering;
-  /// Spill-victim ranking (default: longest lifetime per use).
-  std::shared_ptr<const SpillVictimPolicy> spill_policy;
-  /// Optional observer of scheduler events (tests, tracing). Non-owning;
-  /// must outlive the MirsHC call. Callbacks run on the scheduling thread.
-  EventSink* event_sink = nullptr;
 
   /// Precomputed MII of the loop (the batch's MII sweep cache); when
   /// set, the engine skips its own ComputeMII. Must match the loop/machine.

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "sched/banks.h"
-#include "sched/ordering.h"
 
 namespace hcrf::core {
 
@@ -17,15 +16,6 @@ std::string_view ToString(ClusterPolicy p) {
   }
   return "?";
 }
-
-std::vector<NodeId> HrmsOrderPolicy::Order(const DDG& g,
-                                           const MachineConfig& m) const {
-  return sched::HrmsOrder(g, m.lat);
-}
-
-// ---------------------------------------------------------------------------
-// Cluster selection
-// ---------------------------------------------------------------------------
 
 int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
   const RFConfig& rf = st.m.rf;
@@ -128,24 +118,6 @@ std::unique_ptr<ClusterSelector> MakeClusterSelector(ClusterPolicy p) {
       return std::make_unique<FirstFitClusterSelector>();
   }
   return std::make_unique<BalancedClusterSelector>();
-}
-
-// ---------------------------------------------------------------------------
-// Spill victim selection
-// ---------------------------------------------------------------------------
-
-const sched::ValueLifetime* LongestPerUseSpillPolicy::Pick(
-    const std::vector<const sched::ValueLifetime*>& candidates) const {
-  const sched::ValueLifetime* best = nullptr;
-  double best_score = 0.0;
-  for (const sched::ValueLifetime* v : candidates) {
-    const double score = static_cast<double>(v->Length()) / (v->uses + 1);
-    if (best == nullptr || score > best_score) {
-      best = v;
-      best_score = score;
-    }
-  }
-  return best;
 }
 
 }  // namespace hcrf::core

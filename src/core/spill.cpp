@@ -55,7 +55,7 @@ void SpillEngine::CheckAndInsert() {
   if (st_.pressure.attached()) {
     // O(1)-amortized fast path: consult the incrementally maintained
     // MaxLive. Only when some bank is over capacity do we pay for the full
-    // report (the spill policy ranks ValueLifetimes, which the tracker
+    // report (victim selection ranks ValueLifetimes, which the tracker
     // does not materialize) — and the decisions below are then identical
     // to the reference path's, since the tracker agrees with
     // ComputePressure bank for bank (cross-validated here in debug
@@ -76,7 +76,7 @@ void SpillEngine::CheckAndInsert() {
     if (!over) return;
   }
 
-  // Over capacity (or reference path): the victim policies rank the full
+  // Over capacity (or reference path): victim selection ranks the full
   // ValueLifetime list. The tracker materializes a report identical to
   // ComputePressure's at O(values); the reference path recomputes it from
   // the graph.
@@ -110,8 +110,10 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
       to_shared ? st_.m.lat.storer + st_.m.lat.loadr + 2
                 : 2 * (st_.m.lat.store + st_.m.lat.load_hit + 2);
 
-  // Filter to legal victims; the policy ranks them.
-  std::vector<const sched::ValueLifetime*> candidates;
+  // Among the legal victims, pick the longest lifetime per use (the first
+  // one wins ties).
+  const sched::ValueLifetime* best = nullptr;
+  double best_score = 0.0;
   for (const sched::ValueLifetime& v : pr.values) {
     if (v.bank != bank || v.uses < 1 || v.Length() <= min_len) continue;
     if (spilled_.contains(v.def)) continue;
@@ -123,9 +125,12 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
     // Never spill a spill copy of the same level again.
     if (nd.spill && to_shared && nd.op == OpClass::kLoadR) continue;
     if (nd.spill && !to_shared && nd.op == OpClass::kLoad) continue;
-    candidates.push_back(&v);
+    const double score = static_cast<double>(v.Length()) / (v.uses + 1);
+    if (best == nullptr || score > best_score) {
+      best = &v;
+      best_score = score;
+    }
   }
-  const sched::ValueLifetime* best = policy_.Pick(candidates);
   if (best == nullptr) return false;
 
   const NodeId def = best->def;

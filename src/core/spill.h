@@ -9,9 +9,10 @@
 // with a dedicated spill array). Loop invariants are un-pinned from an
 // overflowing bank by rematerializing per-use reloads.
 //
-// Victim ranking is delegated to the SpillVictimPolicy (policies.h); node
-// creation goes through the NodePlacer so budget accounting stays with the
-// engine driver.
+// The victim is the paper's choice: the legal lifetime with the largest
+// length per use (long, rarely read values free the most registers per
+// added memory/copy op). Node creation goes through the NodePlacer so
+// budget accounting stays with the engine driver.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 
 #include "core/comm_rewrite.h"
 #include "core/instrument.h"
-#include "core/policies.h"
 #include "core/sched_state.h"
 #include "sched/banks.h"
 #include "sched/lifetime.h"
@@ -33,9 +33,8 @@ inline constexpr std::int32_t kSpillArrayBase = 1 << 20;
 
 class SpillEngine {
  public:
-  SpillEngine(SchedState& st, NodePlacer& placer,
-              const SpillVictimPolicy& policy, Instrumentation& instr)
-      : st_(st), placer_(placer), policy_(policy), instr_(instr) {}
+  SpillEngine(SchedState& st, NodePlacer& placer, Instrumentation& instr)
+      : st_(st), placer_(placer), instr_(instr) {}
 
   /// Forgets all spill decisions (fresh II attempt).
   void Reset();
@@ -56,7 +55,6 @@ class SpillEngine {
 
   SchedState& st_;
   NodePlacer& placer_;
-  const SpillVictimPolicy& policy_;
   Instrumentation& instr_;
 
   std::set<NodeId> spilled_;

@@ -69,9 +69,11 @@ MachineConfig ParseMachine(std::string_view text,
 // ---------------------------------------------------------------------------
 // Scheduling options: `hcl 1 options`.
 //
-// Serializes the value-typed subset of core::MirsOptions (budget_ratio,
-// max_ii, iterative, cluster_policy). Injected policy objects, event sinks
-// and precomputed MIIs are runtime-only and never serialized.
+// Serializes the schedule-relevant fields of core::MirsOptions
+// (budget_ratio, max_ii, iterative, cluster_policy), the same four the
+// schedule cache key mixes. `incremental` (bit-identical either way),
+// precomputed MIIs and warm-start seeds are runtime-only and never
+// serialized.
 // ---------------------------------------------------------------------------
 
 std::string DumpOptions(const core::MirsOptions& opt);

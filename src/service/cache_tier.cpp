@@ -102,8 +102,10 @@ CacheKey MakeCacheKey(const DDG& g, const MachineConfig& m,
   DualHash f;
   MixStructural(f, g, m);
 
-  // Options (the serializable subset; injected policy objects are the
-  // caller's responsibility and keyed out by convention).
+  // Options: every schedule-relevant MirsOptions field, the same four the
+  // `.hcl` options document carries. The rest are runtime-only:
+  // `incremental` is bit-identical either way, `precomputed_mii` must match
+  // the loop, and warm-started results never enter the exact-key cache.
   f.MixDouble(opt.budget_ratio);
   f.Mix(static_cast<std::uint64_t>(opt.max_ii));
   f.Mix(static_cast<std::uint64_t>(opt.iterative ? 1 : 2));

@@ -70,7 +70,7 @@ struct CacheKeyHash {
 /// Hashes the schedule-relevant content: graph name and structure (ops,
 /// flags, memory refs, invariant uses, edges), machine (resources, RF fields,
 /// latencies, clock) and options (budget_ratio, max_ii, iterative,
-/// cluster_policy), plus per-load latency overrides when binding
+/// cluster_policy: every schedule-relevant MirsOptions field), plus per-load latency overrides when binding
 /// prefetching is in play (only the positive override entries count, so
 /// trailing-zero padding does not split keys). A format-version salt
 /// invalidates all entries when the serialization changes.

@@ -1,5 +1,6 @@
 #include "service/sweep.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -7,7 +8,6 @@
 
 #include "io/hcl.h"
 #include "io/scanner.h"
-#include "perf/tables.h"
 #include "service/session.h"
 #include "workload/suite_cache.h"
 
@@ -396,11 +396,13 @@ std::string SweepMarkdown(const SweepReport& report) {
       "|---|---|---|---|---|---|---|---|---|---|---|---|\n";
   for (const std::string& org : report.orgs) {
     const OrgAgg& a = aggs[org];
+    char avg_ratio[32] = "-";
+    if (a.ok > 0) {
+      std::snprintf(avg_ratio, sizeof avg_ratio, "%.3f",
+                    a.sum_ratio / static_cast<double>(a.ok));
+    }
     out += "| " + org + " | " + std::to_string(a.ok) + " | " +
-           std::to_string(a.failed) + " | " +
-           (a.ok > 0
-                ? perf::Table::Num(a.sum_ratio / static_cast<double>(a.ok), 3)
-                : "-") +
+           std::to_string(a.failed) + " | " + avg_ratio +
            " | " + std::to_string(a.sum_ii) + " | " +
            std::to_string(a.sum_mii) + " | " + std::to_string(a.bound[0]) +
            " | " + std::to_string(a.bound[1]) + " | " +

@@ -12,6 +12,7 @@
 #include "ddg/mii.h"
 #include "hwmodel/characterize.h"
 #include "io/hcl.h"
+#include "sched/ordering.h"
 #include "workload/suite_cache.h"
 
 namespace hcrf {
@@ -83,7 +84,6 @@ TEST(EngineDriver, NoPlacementsForTombstonedNodes) {
 TEST(EngineDriver, ReusedContextMatchesAFreshOne) {
   const workload::Suite& kernels = workload::SharedKernelSuite();
   const MachineConfig m = OrgMachine("4C16S64/2-1");
-  const core::HrmsOrderPolicy ordering;
   const sched::LatencyOverrides no_overrides;
   const core::MirsOptions opt;
   int exercised = 0;
@@ -94,7 +94,7 @@ TEST(EngineDriver, ReusedContextMatchesAFreshOne) {
     if (probe.ii == probe.mii) continue;  // needs a failed first attempt
     const std::string what = ddg.name();
     const MIIInfo mii = ComputeMII(ddg, m);
-    const std::vector<NodeId> order = ordering.Order(ddg, m);
+    const std::vector<NodeId> order = sched::HrmsOrder(ddg, m.lat);
 
     core::AttemptContext reused(ddg, m, opt, no_overrides, order);
     ASSERT_EQ(reused.TryII(mii.MII()), core::AttemptStatus::kFailed) << what;

@@ -1,14 +1,17 @@
 // Tests of the scheduler instrumentation layer: counters surfaced through
-// ScheduleResult, the EventSink observer, the internal consistency between
-// the two, and the aggregation into perf::SuiteMetrics.
+// ScheduleResult, the `sched` trace instants, the internal consistency
+// between the two, and the aggregation into perf::SuiteMetrics.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mirs.h"
 #include "hwmodel/characterize.h"
+#include "obs/trace.h"
 #include "perf/runner.h"
 #include "service/session.h"
 #include "workload/kernels.h"
@@ -75,43 +78,58 @@ TEST(Instrumentation, SpillCountersFireOnSmallRegisterFile) {
   EXPECT_GT(spill_mem_ops, 0);
 }
 
-class CountingSink : public EventSink {
+/// Counts the `sched` trace instants of one recording by event name.
+class TracedEvents {
  public:
-  void OnEvent(SchedEvent e, NodeId node, int ii) override {
-    (void)node;
-    (void)ii;
-    ++counts_[static_cast<size_t>(e)];
+  explicit TracedEvents(const std::vector<obs::Tracer::ThreadSnapshot>& rec) {
+    for (const auto& track : rec) {
+      for (const obs::TraceEvent& ev : track.events) {
+        if (ev.ph == 'i' && std::string_view(ev.cat) == "sched") {
+          ++counts_[std::string(ev.name)];
+        }
+      }
+    }
   }
-  long Of(SchedEvent e) const { return counts_[static_cast<size_t>(e)]; }
+  long Of(SchedEvent e) const {
+    const auto it = counts_.find(std::string(ToString(e)));
+    return it == counts_.end() ? 0 : it->second;
+  }
 
  private:
-  std::array<long, 8> counts_{};
+  std::map<std::string, long> counts_;
+};
+
+// Stops the process-wide tracer on scope exit, so a failing assertion
+// cannot leave tracing armed for later tests.
+struct TracerGuard {
+  ~TracerGuard() { obs::Tracer::Shared().Stop(); }
 };
 
 TEST(Instrumentation, EventStreamMatchesCounters) {
-  // Events and counters are two views of the same funnel; they must agree
-  // on every loop, including budget-constrained ones.
+  // Trace instants and counters are two views of the same funnel; they
+  // must agree on every loop, including budget-constrained ones.
   const MachineConfig m = Machine("8C16S16/1-1");
   workload::SynthParams p;
   p.num_loops = 15;
   const workload::Suite suite = workload::PerfectSynthetic(p);
   for (const auto& loop : suite.loops()) {
-    CountingSink sink;
-    MirsOptions opt;
-    opt.event_sink = &sink;
-    const ScheduleResult sr = MirsHC(loop.ddg, m, opt);
-    EXPECT_EQ(sink.Of(SchedEvent::kNodePlaced) +
-                  sink.Of(SchedEvent::kNodeForced) +
-                  sink.Of(SchedEvent::kChainBuilt),
+    TracerGuard guard;
+    obs::Tracer::Shared().Start();
+    const ScheduleResult sr = MirsHC(loop.ddg, m);
+    obs::Tracer::Shared().Stop();
+    const TracedEvents events(obs::Tracer::Shared().Snapshot());
+    EXPECT_EQ(events.Of(SchedEvent::kNodePlaced) +
+                  events.Of(SchedEvent::kNodeForced) +
+                  events.Of(SchedEvent::kChainBuilt),
               sr.stats.attempts)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kNodeEjected), sr.stats.ejections)
+    EXPECT_EQ(events.Of(SchedEvent::kNodeEjected), sr.stats.ejections)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kNodeForced), sr.stats.force_places)
+    EXPECT_EQ(events.Of(SchedEvent::kNodeForced), sr.stats.force_places)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kSpillInserted), sr.stats.spills_inserted)
+    EXPECT_EQ(events.Of(SchedEvent::kSpillInserted), sr.stats.spills_inserted)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kChainUndone), sr.stats.chains_undone)
+    EXPECT_EQ(events.Of(SchedEvent::kChainUndone), sr.stats.chains_undone)
         << loop.ddg.name();
   }
 }

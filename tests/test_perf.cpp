@@ -9,7 +9,6 @@
 
 #include "memsim/prefetch.h"
 #include "perf/runner.h"
-#include "perf/tables.h"
 #include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/perfect_synth.h"
@@ -181,17 +180,6 @@ TEST(MiiCache, CapacityBoundsResidencyWithEviction) {
   EXPECT_EQ(after.entries, 4);  // six inserts into a cap of four
   EXPECT_GE(after.evictions, trimmed.evictions + 2);
   SetMiiCacheCapacity(old_cap);
-}
-
-TEST(Tables, Formatting) {
-  EXPECT_EQ(Table::Num(1.2345, 2), "1.23");
-  EXPECT_EQ(Table::VsPaper(1.5, 2.0, 1), "1.5 (2.0)");
-  Table t({"a", "bb"});
-  t.AddRow({"1", "2"});
-  std::ostringstream os;
-  t.Print(os);
-  EXPECT_NE(os.str().find("bb"), std::string::npos);
-  EXPECT_NE(os.str().find("---"), std::string::npos);
 }
 
 }  // namespace

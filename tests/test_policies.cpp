@@ -1,15 +1,14 @@
-// Tests of the policy layer: custom policies plug in through MirsOptions,
-// and the engine respects their decisions.
+// Tests of cluster selection: every ClusterPolicy reaches its selector
+// through MirsOptions and schedules validly.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/mirs.h"
 #include "hwmodel/characterize.h"
 #include "sched/validate.h"
 #include "workload/kernels.h"
-#include "workload/perfect_synth.h"
 
 namespace hcrf::core {
 namespace {
@@ -22,95 +21,49 @@ MachineConfig Machine(const std::string& rf) {
   return m;
 }
 
-/// Pins every free node to cluster 0 and counts how often it was asked.
-class PinToZeroSelector : public ClusterSelector {
- public:
-  explicit PinToZeroSelector(std::shared_ptr<std::atomic<long>> calls)
-      : calls_(std::move(calls)) {}
-  std::string_view name() const override { return "pin-to-zero"; }
-  int Select(const SchedState& st, NodeId u) override {
-    (void)st;
-    (void)u;
-    ++*calls_;
-    return 0;
+/// The cluster of every original node (ids of the input loop survive into
+/// the transformed graph).
+std::vector<int> Clusters(const DDG& loop, const ScheduleResult& sr) {
+  std::vector<int> clusters;
+  for (const NodeId v : loop.AliveNodes()) {
+    clusters.push_back(sr.schedule.ClusterOf(v));
   }
-
- private:
-  std::shared_ptr<std::atomic<long>> calls_;
-};
-
-TEST(Policies, CustomSelectorIsConsultedAndRespected) {
-  const MachineConfig m = Machine("4C32/1-1");
-  const auto loop = workload::MakeDaxpy();
-  auto calls = std::make_shared<std::atomic<long>>(0);
-  MirsOptions opt;
-  opt.cluster_selector = [calls] {
-    return std::make_unique<PinToZeroSelector>(calls);
-  };
-  const ScheduleResult sr = MirsHC(loop.ddg, m, opt);
-  ASSERT_TRUE(sr.ok);
-  EXPECT_GT(calls->load(), 0);
-  // Everything on one cluster of a pure clustered machine: no moves.
-  EXPECT_EQ(sr.stats.move_ops, 0);
-  for (NodeId v = 0; v < sr.graph.NumSlots(); ++v) {
-    if (!sr.graph.IsAlive(v)) continue;
-    EXPECT_EQ(sr.schedule.ClusterOf(v), 0) << "node " << v;
-  }
-  const auto vr = sched::Validate(sr.graph, sr.schedule, m, sr.overrides);
-  EXPECT_TRUE(vr.ok) << vr.error;
+  return clusters;
 }
 
-/// Declines every register spill (invariant spilling may still fire).
-class NeverSpillPolicy : public SpillVictimPolicy {
- public:
-  std::string_view name() const override { return "never"; }
-  const sched::ValueLifetime* Pick(
-      const std::vector<const sched::ValueLifetime*>& candidates)
-      const override {
-    (void)candidates;
-    return nullptr;
-  }
-};
-
-TEST(Policies, CustomSpillPolicysuppressesLifetimeSpills) {
-  const MachineConfig s32 = Machine("S32");
-  workload::SynthParams p;
-  p.num_loops = 40;
-  const workload::Suite suite = workload::PerfectSynthetic(p);
-  MirsOptions opt;
-  opt.spill_policy = std::make_shared<const NeverSpillPolicy>();
-  for (const auto& loop : suite.loops()) {
-    const ScheduleResult sr = MirsHC(loop.ddg, s32, opt);
-    if (!sr.ok) continue;
-    // No store-side spill copies can exist when every victim is declined
-    // (invariant reloads add loads only).
-    EXPECT_EQ(sr.stats.spill_stores, 0) << loop.ddg.name();
-    const auto vr = sched::Validate(sr.graph, sr.schedule, s32, sr.overrides);
-    EXPECT_TRUE(vr.ok) << loop.ddg.name() << ": " << vr.error;
-  }
-}
-
-/// Worst-case ordering: ascending node id, ignoring the dependence shape.
-class IdOrderPolicy : public NodeOrderPolicy {
- public:
-  std::string_view name() const override { return "id-order"; }
-  std::vector<NodeId> Order(const DDG& g,
-                            const MachineConfig& m) const override {
-    (void)m;
-    return g.AliveNodes();
-  }
-};
-
-TEST(Policies, CustomOrderingStillSchedulesValidly) {
-  const MachineConfig m = Machine("1C32S64/4-2");
-  MirsOptions opt;
-  opt.ordering = std::make_shared<const IdOrderPolicy>();
-  for (const auto& loop :
-       {workload::MakeDaxpy(), workload::MakeFir4(), workload::MakeDot()}) {
-    const ScheduleResult sr = MirsHC(loop.ddg, m, opt);
-    ASSERT_TRUE(sr.ok) << loop.ddg.name();
-    const auto vr = sched::Validate(sr.graph, sr.schedule, m, sr.overrides);
-    EXPECT_TRUE(vr.ok) << loop.ddg.name() << ": " << vr.error;
+TEST(Policies, EveryClusterPolicySchedulesValidly) {
+  const workload::Suite kernels = workload::KernelSuite();
+  ASSERT_FALSE(kernels.loops().empty());
+  for (const std::string rf : {"4C32/1-1", "4C16S64/2-1"}) {
+    const MachineConfig m = Machine(rf);
+    int differs_rr = 0;
+    int differs_ff = 0;
+    for (const auto& loop : kernels.loops()) {
+      std::vector<int> balanced;
+      for (const ClusterPolicy p :
+           {ClusterPolicy::kBalanced, ClusterPolicy::kRoundRobin,
+            ClusterPolicy::kFirstFit}) {
+        const std::string what =
+            rf + " " + loop.ddg.name() + " " + std::string(ToString(p));
+        MirsOptions opt;
+        opt.cluster_policy = p;
+        const ScheduleResult sr = MirsHC(loop.ddg, m, opt);
+        ASSERT_TRUE(sr.ok) << what;
+        const auto vr =
+            sched::Validate(sr.graph, sr.schedule, m, sr.overrides);
+        EXPECT_TRUE(vr.ok) << what << ": " << vr.error;
+        const std::vector<int> clusters = Clusters(loop.ddg, sr);
+        if (p == ClusterPolicy::kBalanced) {
+          balanced = clusters;
+        } else if (clusters != balanced) {
+          ++(p == ClusterPolicy::kRoundRobin ? differs_rr : differs_ff);
+        }
+      }
+    }
+    // The enum must reach the selector: each ablation places at least one
+    // kernel differently from the paper's heuristic.
+    EXPECT_GT(differs_rr, 0) << rf;
+    EXPECT_GT(differs_ff, 0) << rf;
   }
 }
 

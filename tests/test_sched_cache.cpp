@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "core/mirs.h"
 #include "io/hcl.h"
@@ -173,9 +174,33 @@ TEST_F(SchedCacheTest, KeySeparatesScheduleRelevantContent) {
   m3.lat.fmul = 5;
   EXPECT_FALSE(MakeCacheKey(loop.ddg, m3, opt) == key);
 
+  // Every schedule-relevant option field is keyed.
   core::MirsOptions o2;
   o2.iterative = false;
   EXPECT_FALSE(MakeCacheKey(loop.ddg, base, o2) == key);
+
+  core::MirsOptions o3;
+  o3.budget_ratio = opt.budget_ratio + 1.0;
+  EXPECT_FALSE(MakeCacheKey(loop.ddg, base, o3) == key);
+
+  core::MirsOptions o4;
+  o4.max_ii = opt.max_ii / 2;
+  EXPECT_FALSE(MakeCacheKey(loop.ddg, base, o4) == key);
+
+  std::vector<CacheKey> policy_keys;
+  for (const core::ClusterPolicy p :
+       {core::ClusterPolicy::kBalanced, core::ClusterPolicy::kRoundRobin,
+        core::ClusterPolicy::kFirstFit}) {
+    core::MirsOptions o;
+    o.cluster_policy = p;
+    const CacheKey k = MakeCacheKey(loop.ddg, base, o);
+    for (const CacheKey& seen : policy_keys) {
+      EXPECT_FALSE(k == seen) << core::ToString(p);
+    }
+    policy_keys.push_back(k);
+  }
+  // The default policy is kBalanced, so its key is the base key.
+  EXPECT_TRUE(policy_keys.front() == key);
 
   workload::Loop mutated = workload::MakeStencil3();
   mutated.ddg.AddEdge(0, 1, DepKind::kMem, 1);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "io/hcl.h"
 #include "service/session.h"
@@ -161,6 +162,9 @@ TEST(Sweep, ColdThenWarmIsBitIdenticalAndFullyCacheServed) {
   EXPECT_EQ(cold.hits, 0);
   EXPECT_EQ(cold.scheduled, 6);
   EXPECT_EQ(cold.failed, 0);
+  // The summary's avg II/MII column is fixed-point with three decimals.
+  EXPECT_NE(service::SweepMarkdown(cold).find("| S128 | 2 | 0 | 1.000 |"),
+            std::string::npos);
 
   const SweepReport warm = RunSweep(spec, dir.string(), opt);
   EXPECT_EQ(warm.scheduled, 0);

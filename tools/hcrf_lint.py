@@ -69,9 +69,6 @@ CONSOLE_IO_ALLOWLIST = {
     "src/core/comm_rewrite.cpp":
         "HCRF_DEBUG-gated stderr diagnostics for rewrite bookkeeping; "
         "silent unless the env switch is set",
-    "src/perf/tables.h":
-        "the perf layer's report-rendering surface: Print(std::ostream&) "
-        "defaults to std::cout for the CLI table dumps",
 }
 
 # Directories whose job is writing bytes out: serialization (io/) and the

@@ -225,30 +225,43 @@ bool CheckFlags(const Args& a, std::initializer_list<const char*> known) {
   return true;
 }
 
-/// `--cache-mem=N` / `--cache-mem-bytes=B`: the memory-tier bounds every
-/// scheduling command shares. N = 0 keeps the hot tier off; the byte
-/// bound refines an enabled tier, so it requires `--cache-mem`.
-void CacheMemFromFlags(const Args& args, long* entries, long* bytes) {
+/// The session flag group every scheduling command shares: `--cache=DIR`
+/// (disk tier), `--cache-mem=N` / `--cache-mem-bytes=B` (memory tier; N =
+/// 0 keeps it off, and the byte bound refines an enabled tier, so it
+/// requires `--cache-mem`) and `--threads=N` (0 = every pool worker plus
+/// the caller). Commands reject the flags they do not take in CheckFlags.
+service::ServiceConfig SessionFromFlags(const Args& args) {
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
   if (const std::string* v = args.Flag("cache-mem")) {
-    *entries = ParseLongFlag("cache-mem", *v);
-    if (*entries < 0) {
+    config.cache_mem_entries = ParseLongFlag("cache-mem", *v);
+    if (config.cache_mem_entries < 0) {
       throw std::runtime_error(
           "--cache-mem: expected a non-negative entry count, got '" + *v +
           "'");
     }
   }
   if (const std::string* v = args.Flag("cache-mem-bytes")) {
-    *bytes = ParseLongFlag("cache-mem-bytes", *v);
-    if (*bytes < 0) {
+    config.cache_mem_bytes = ParseLongFlag("cache-mem-bytes", *v);
+    if (config.cache_mem_bytes < 0) {
       throw std::runtime_error(
           "--cache-mem-bytes: expected a non-negative byte count, got '" +
           *v + "'");
     }
-    if (*entries <= 0) {
+    if (config.cache_mem_entries <= 0) {
       throw std::runtime_error(
           "--cache-mem-bytes requires --cache-mem=N to enable the tier");
     }
   }
+  if (const std::string* v = args.Flag("threads")) {
+    config.threads = ParseIntFlag("threads", *v);
+    if (config.threads < 0) {
+      throw std::runtime_error(
+          "--threads: expected a non-negative thread count, got '" + *v +
+          "'");
+    }
+  }
+  return config;
 }
 
 /// `--stats[=json]`: dump the whole metrics registry after the command.
@@ -357,10 +370,8 @@ int CmdSchedule(const Args& args) {
   req.machine = m;
   req.options = opt;
 
-  service::ServiceConfig config;
-  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
-  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
-  const service::BatchReport report = service::RunBatch({req}, config);
+  const service::BatchReport report =
+      service::RunBatch({req}, SessionFromFlags(args));
   const service::BatchItem& item = report.items[0];
   PrintItem(item);
   if (!item.ok) return 1;
@@ -419,13 +430,7 @@ int CmdRun(const Args& args) {
                          "out-dir", "quiet", "trace", "stats"})) {
     return Usage();
   }
-  service::ServiceConfig config;
-  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
-  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    config.threads = ParseIntFlag("threads", *t);
-  }
-  return RunManifestOnce(args.positional[0], config,
+  return RunManifestOnce(args.positional[0], SessionFromFlags(args),
                          args.Flag("quiet") != nullptr, args.Flag("out-dir"),
                          nullptr);
 }
@@ -460,12 +465,7 @@ int CmdSweep(const Args& args) {
   const service::SweepSpec spec = service::LoadSweepSpecFile(spec_path);
   const std::string base_dir = fs::path(spec_path).parent_path().string();
 
-  service::ServiceConfig config;
-  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
-  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    config.threads = ParseIntFlag("threads", *t);
-  }
+  service::ServiceConfig config = SessionFromFlags(args);
 
   const bool smoke = args.Flag("smoke") != nullptr;
   std::error_code ec;
@@ -850,33 +850,33 @@ int CmdRepro(const Args& args) {
     }
   }
 
-  experiment::ReproOptions ropt;
-  ropt.smoke = args.Flag("smoke") != nullptr;
-  if (const std::string* c = args.Flag("cache")) ropt.cache_dir = *c;
-  CacheMemFromFlags(args, &ropt.cache_mem_entries, &ropt.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    ropt.threads = ParseIntFlag("threads", *t);
-  }
-
+  service::ServiceConfig config = SessionFromFlags(args);
+  const bool smoke = args.Flag("smoke") != nullptr;
   std::error_code ec;
-  if (ropt.smoke) {
+  if (smoke) {
     // Same cold-cache contract as the other smoke commands: never delete a
     // user-supplied directory, refuse one with existing contents.
-    if (ropt.cache_dir.empty()) {
-      ropt.cache_dir =
+    if (config.cache_dir.empty()) {
+      config.cache_dir =
           (fs::temp_directory_path() /
            ("hcrf-repro-smoke-" + std::to_string(::getpid())))
               .string();
-      fs::remove_all(ropt.cache_dir, ec);
-    } else if (fs::exists(ropt.cache_dir, ec) &&
-               !fs::is_empty(ropt.cache_dir, ec)) {
+      fs::remove_all(config.cache_dir, ec);
+    } else if (fs::exists(config.cache_dir, ec) &&
+               !fs::is_empty(config.cache_dir, ec)) {
       std::fprintf(stderr,
                    "repro --smoke: --cache=%s exists and is not empty; the "
                    "cold run needs a fresh cache\n",
-                   ropt.cache_dir.c_str());
+                   config.cache_dir.c_str());
       return 1;
     }
   }
+  experiment::ReproOptions ropt;
+  ropt.cache_dir = config.cache_dir;
+  ropt.cache_mem_entries = config.cache_mem_entries;
+  ropt.cache_mem_bytes = config.cache_mem_bytes;
+  ropt.threads = config.threads;
+  ropt.smoke = smoke;
 
   experiment::ReproReport report;
   bool ok = true;
@@ -884,11 +884,6 @@ int CmdRepro(const Args& args) {
     // As in `sweep --smoke`: one resident session carries both legs, so
     // the warm run probes the cache stack the cold run populated (the
     // memory tier with --cache-mem, the disk tier otherwise).
-    service::ServiceConfig config;
-    config.cache_dir = ropt.cache_dir;
-    config.cache_mem_entries = ropt.cache_mem_entries;
-    config.cache_mem_bytes = ropt.cache_mem_bytes;
-    config.threads = ropt.threads;
     service::SchedulerService session(config);
     report = experiment::RunExperiments(selection, ropt, session);
     session.Drain();  // cold writes land before the warm leg probes disk
@@ -982,14 +977,7 @@ int CmdServe(const Args& args) {
           "--timeout-ms: expected a non-negative timeout, got '" + *v + "'");
     }
   }
-  if (const std::string* c = args.Flag("cache")) {
-    config.service.cache_dir = *c;
-  }
-  CacheMemFromFlags(args, &config.service.cache_mem_entries,
-                    &config.service.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    config.service.threads = ParseIntFlag("threads", *t);
-  }
+  config.service = SessionFromFlags(args);
 
   service::Server server(config);
   server.Start();
