@@ -55,9 +55,9 @@ struct MirsOptions {
   /// scheduling passes; used as the Table 4 comparator.
   bool iterative = true;
   /// Incremental hot path: per-bank MaxLive maintained under place / eject
-  /// / spill deltas (sched/pressure_tracker.h) and an indexed priority
-  /// pick. false selects the reference path (full ComputePressure at every
-  /// spill check, linear priority scan) — schedules are bit-identical
+  /// / spill deltas (sched/pressure_tracker.h). false selects the reference
+  /// path (full ComputePressure at every spill check; the priority pick is
+  /// the same bitset scan on both) — schedules are bit-identical
   /// either way. Production always runs incremental; the only caller that
   /// sets false is the `PressureTrackerEngine.BitIdenticalSchedules` ctest
   /// (tests/test_pressure_tracker.cpp), which asserts that identity.

@@ -1,5 +1,7 @@
 #include "core/sched_state.h"
 
+#include <bit>
+
 namespace hcrf::core {
 
 void SchedState::Reset(const DDG& original,
@@ -28,19 +30,13 @@ void SchedState::Reset(const DDG& original,
     sched = std::make_unique<sched::PartialSchedule>(ii);
   }
   priority.assign(static_cast<size_t>(g.NumSlots()), 0.0);
-  unscheduled.assign(static_cast<size_t>(g.NumSlots()), 0);
+  unscheduled_.assign(Word(g.NumSlots()) + 1, 0);
   prev_cycle.assign(static_cast<size_t>(g.NumSlots()), kNoCycle);
   num_unscheduled = 0;
   cluster_fu_use.assign(static_cast<size_t>(m.rf.clusters), 0);
   cluster_defs.assign(static_cast<size_t>(m.rf.clusters), 0);
   churning = false;
   incremental = use_incremental;
-  // On small graphs the linear scan beats the heap's push/pop-per-event
-  // bookkeeping (eject churn floods the heap with lazy entries); 96 slots
-  // is comfortably past the crossover measured on the kernel and
-  // synthetic suites.
-  indexed_pick = incremental && g.NumSlots() > 96;
-  pick_heap_ = {};
   // Pressure is only ever consulted for bounded banks (the spill engine
   // and the final capacity check early-out otherwise), so organizations
   // with unbounded register files skip the tracker entirely.
@@ -76,24 +72,21 @@ Window SchedState::ComputeWindow(NodeId u) const {
 void SchedState::GrowTo(NodeId id) {
   if (static_cast<size_t>(id) >= priority.size()) {
     priority.resize(static_cast<size_t>(id) + 1, 0.0);
-    unscheduled.resize(static_cast<size_t>(id) + 1, 0);
+    unscheduled_.resize(Word(id) + 1, 0);
     prev_cycle.resize(static_cast<size_t>(id) + 1, kNoCycle);
   }
 }
 
 void SchedState::MarkUnscheduled(NodeId v) {
-  if (!unscheduled[static_cast<size_t>(v)]) {
-    unscheduled[static_cast<size_t>(v)] = 1;
+  if (!IsUnscheduled(v)) {
+    unscheduled_[Word(v)] |= std::uint64_t{1} << Bit(v);
     ++num_unscheduled;
-    if (indexed_pick) {
-      pick_heap_.emplace(priority[static_cast<size_t>(v)], v);
-    }
   }
 }
 
 void SchedState::MarkScheduled(NodeId v) {
-  if (unscheduled[static_cast<size_t>(v)]) {
-    unscheduled[static_cast<size_t>(v)] = 0;
+  if (IsUnscheduled(v)) {
+    unscheduled_[Word(v)] &= ~(std::uint64_t{1} << Bit(v));
     --num_unscheduled;
   }
 }
@@ -107,27 +100,18 @@ void SchedState::Unplace(NodeId v) {
 }
 
 NodeId SchedState::PickHighestPriority() const {
-  if (indexed_pick) {
-    // Discard entries invalidated since their push (scheduled again,
-    // priority re-seeded by a later MarkUnscheduled, or tombstoned); the
-    // first live entry is the answer and stays queued until it really
-    // leaves the unscheduled set.
-    while (!pick_heap_.empty()) {
-      const auto& [prio, v] = pick_heap_.top();
-      if (g.IsAlive(v) && unscheduled[static_cast<size_t>(v)] &&
-          priority[static_cast<size_t>(v)] == prio) {
-        return v;
-      }
-      pick_heap_.pop();
-    }
-    return kNoNode;
-  }
   NodeId best = kNoNode;
-  for (NodeId v = 0; v < g.NumSlots(); ++v) {
-    if (!g.IsAlive(v) || !unscheduled[static_cast<size_t>(v)]) continue;
-    if (best == kNoNode ||
-        priority[static_cast<size_t>(v)] > priority[static_cast<size_t>(best)]) {
-      best = v;
+  double best_priority = 0.0;
+  for (size_t w = 0; w < unscheduled_.size(); ++w) {
+    for (std::uint64_t bits = unscheduled_[w]; bits != 0; bits &= bits - 1) {
+      const NodeId v = static_cast<NodeId>(w * 64) + std::countr_zero(bits);
+      if (!g.IsAlive(v)) continue;
+      // Ascending ids and a strict `>`: the lowest id wins a tie.
+      const double p = priority[static_cast<size_t>(v)];
+      if (best == kNoNode || p > best_priority) {
+        best = v;
+        best_priority = p;
+      }
     }
   }
   return best;

@@ -10,10 +10,9 @@
 // each can be tested in isolation.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <memory>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "ddg/ddg.h"
@@ -46,10 +45,10 @@ struct SchedState {
   /// reset to the original, empty schedule/MRT, bookkeeping cleared. The
   /// caller (engine driver) fills in priorities and the unscheduled set
   /// from its ordering policy. `incremental` selects the incremental
-  /// pressure tracker + indexed priority pick; false is the reference path
-  /// (full ComputePressure per spill check, linear priority scan) that
-  /// tests/test_pressure_tracker.cpp runs to prove both produce
-  /// bit-identical schedules.
+  /// pressure tracker; false is the reference path (full ComputePressure
+  /// per spill check) that tests/test_pressure_tracker.cpp runs to prove
+  /// both produce bit-identical schedules. Both paths pick with the same
+  /// bitset scan (PickHighestPriority).
   void Reset(const DDG& original, const sched::LatencyOverrides& base, int ii,
              bool use_incremental = true);
 
@@ -67,6 +66,9 @@ struct SchedState {
 
   void MarkUnscheduled(NodeId v);
   void MarkScheduled(NodeId v);
+  bool IsUnscheduled(NodeId v) const {
+    return (unscheduled_[Word(v)] >> Bit(v)) & 1u;
+  }
 
   /// Schedule-mutation funnels: every placement and removal goes through
   /// these so the incremental pressure tracker and the per-cluster usage
@@ -88,6 +90,9 @@ struct SchedState {
   /// forced re-placement makes progress.
   void Unplace(NodeId v);
 
+  /// The live unscheduled node with the highest priority, the lowest id
+  /// on a tie; kNoNode when none is left. One ascending scan over the
+  /// unscheduled bitset.
   NodeId PickHighestPriority() const;
 
   /// True for scheduler-inserted communication chain nodes (owned by the
@@ -106,7 +111,6 @@ struct SchedState {
   std::unique_ptr<sched::ModuloReservationTable> mrt;
   std::unique_ptr<sched::PartialSchedule> sched;
   std::vector<double> priority;
-  std::vector<char> unscheduled;
   int num_unscheduled = 0;
   std::vector<int> prev_cycle;  ///< Last placement cycle (kNoCycle = never).
   std::vector<long> eject_count;
@@ -124,10 +128,6 @@ struct SchedState {
   sched::PressureTracker pressure;
   /// Incremental fast paths enabled (see Reset).
   bool incremental = true;
-  /// Use the lazy pick-heap instead of the linear priority scan. Both pick
-  /// the same node always; the heap only pays off once the linear scan has
-  /// enough slots to walk, so small graphs keep the scan (set by Reset).
-  bool indexed_pick = false;
 
  private:
   void BumpClusterUse(NodeId u, int cluster, int delta) {
@@ -142,22 +142,11 @@ struct SchedState {
     }
   }
 
-  /// Lazy max-heap over (priority, node): top is the highest-priority,
-  /// lowest-id unscheduled node — exactly what the reference linear scan
-  /// picks. Entries are pushed by MarkUnscheduled and validated against
-  /// the live state on pop, so stale entries (scheduled or tombstoned
-  /// since) are simply discarded.
-  struct PickOrder {
-    bool operator()(const std::pair<double, NodeId>& a,
-                    const std::pair<double, NodeId>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second > b.second;
-    }
-  };
-  mutable std::priority_queue<std::pair<double, NodeId>,
-                              std::vector<std::pair<double, NodeId>>,
-                              PickOrder>
-      pick_heap_;
+  static size_t Word(NodeId v) { return static_cast<size_t>(v) / 64; }
+  static unsigned Bit(NodeId v) { return static_cast<unsigned>(v) % 64; }
+
+  /// Bit v set while node v waits in the priority list.
+  std::vector<std::uint64_t> unscheduled_;
 };
 
 }  // namespace hcrf::core

@@ -243,51 +243,58 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
   // Hierarchical master copies are not spilled (the shared bank is the
   // invariant's home); monolithic organizations reload from memory.
   if (bank == kSharedBank && !rf.IsMonolithic()) return false;
-  // Pick the first invariant with scheduled consumers reading this bank.
-  for (std::int32_t inv = 0; inv < st_.g.num_invariants(); ++inv) {
-    if (spilled_invariants_.contains({inv, bank})) continue;
-    std::vector<NodeId> users;
-    for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
-      if (!st_.g.IsAlive(v)) continue;
-      const Node& n = st_.g.node(v);
-      if (std::find(n.invariant_uses.begin(), n.invariant_uses.end(), inv) ==
-          n.invariant_uses.end()) {
-        continue;
+  // Pick the lowest unspilled invariant that a scheduled node reading
+  // this bank uses: one pass over the slots finds it, a second collects
+  // its users in slot order.
+  const auto reads_bank = [&](NodeId v) {
+    return st_.g.IsAlive(v) && st_.sched->IsScheduled(v) &&
+           sched::ReadBank(st_.g.node(v).op, st_.sched->ClusterOf(v), rf) ==
+               bank;
+  };
+  std::int32_t inv = st_.g.num_invariants();
+  for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
+    if (!reads_bank(v)) continue;
+    for (const std::int32_t u : st_.g.node(v).invariant_uses) {
+      if (u >= 0 && u < inv && !spilled_invariants_.contains({u, bank})) {
+        inv = u;
       }
-      if (!st_.sched->IsScheduled(v)) continue;
-      if (sched::ReadBank(n.op, st_.sched->ClusterOf(v), rf) != bank) continue;
+    }
+  }
+  if (inv == st_.g.num_invariants()) return false;
+  std::vector<NodeId> users;
+  for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
+    const std::vector<std::int32_t>& uses = st_.g.node(v).invariant_uses;
+    if (reads_bank(v) && std::ranges::find(uses, inv) != uses.end()) {
       users.push_back(v);
     }
-    if (users.empty()) continue;
-    spilled_invariants_.insert({inv, bank});
-
-    for (NodeId w : users) {
-      Node nl;
-      nl.spill = true;
-      if (rf.IsHierarchical()) {
-        // Reload from the shared master copy.
-        nl.op = OpClass::kLoadR;
-        nl.invariant_uses = {inv};
-      } else {
-        // Reload from memory (stride 0: the invariant's home location).
-        nl.op = OpClass::kLoad;
-        nl.mem = MemRef{next_spill_array_, 0, 0};
-        ++instr_.stats().spill_loads;
-      }
-      const NodeId l = placer_.CreateNode(
-          std::move(nl), st_.priority[static_cast<size_t>(w)] + 0.1);
-      auto& uses = st_.g.node(w).invariant_uses;
-      uses.erase(std::find(uses.begin(), uses.end(), inv));
-      // invariant_uses was edited in place on a scheduled node; re-derive
-      // its pins or the tracker would keep counting the removed read.
-      st_.pressure.ResyncInvariantReads(w);
-      st_.g.AddFlow(l, w, 0);
-    }
-    if (!rf.IsHierarchical()) ++next_spill_array_;
-    instr_.SpillInserted(kNoNode, st_.ii());
-    return true;
   }
-  return false;
+  spilled_invariants_.insert({inv, bank});
+
+  for (NodeId w : users) {
+    Node nl;
+    nl.spill = true;
+    if (rf.IsHierarchical()) {
+      // Reload from the shared master copy.
+      nl.op = OpClass::kLoadR;
+      nl.invariant_uses = {inv};
+    } else {
+      // Reload from memory (stride 0: the invariant's home location).
+      nl.op = OpClass::kLoad;
+      nl.mem = MemRef{next_spill_array_, 0, 0};
+      ++instr_.stats().spill_loads;
+    }
+    const NodeId l = placer_.CreateNode(
+        std::move(nl), st_.priority[static_cast<size_t>(w)] + 0.1);
+    auto& uses = st_.g.node(w).invariant_uses;
+    uses.erase(std::find(uses.begin(), uses.end(), inv));
+    // invariant_uses was edited in place on a scheduled node; re-derive
+    // its pins or the tracker would keep counting the removed read.
+    st_.pressure.ResyncInvariantReads(w);
+    st_.g.AddFlow(l, w, 0);
+  }
+  if (!rf.IsHierarchical()) ++next_spill_array_;
+  instr_.SpillInserted(kNoNode, st_.ii());
+  return true;
 }
 
 }  // namespace hcrf::core

@@ -101,13 +101,22 @@ struct ReplayRef {
   const MachineConfig* machine;
 };
 
+/// One cell's prefetch overrides and schedule-cache key, computed on the
+/// session's lanes ahead of the serial dedup.
+struct CellKey {
+  sched::LatencyOverrides overrides;
+  service::CacheKey key;
+};
+
 /// What the lane that completes one deduplicated request does with its
 /// result before dropping it.
 struct RequestWork {
   std::vector<CellRef> cells;
   std::vector<ReplayRef> replays;
   int replayed_cells = 0;       ///< Cells with a replay.
-  double replay_seconds = 0.0;  ///< Written by the lane.
+  double replay_seconds = 0.0;  ///< Written by the lane, as are:
+  long replay_accesses = 0;
+  long replay_misses = 0;
 };
 
 /// Runs the request's replays and writes every cell it feeds. Metrics
@@ -121,8 +130,11 @@ void WriteCells(const core::ScheduleResult& sr, RequestWork& work,
     const auto t0 = std::chrono::steady_clock::now();
     stall_cycles.reserve(work.replays.size());
     for (const ReplayRef& r : work.replays) {
-      stall_cycles.push_back(
-          memsim::ReplayLoop(*r.loop, sr, *r.machine).stall_cycles);
+      const memsim::ReplayResult rr =
+          memsim::ReplayLoop(*r.loop, sr, *r.machine);
+      stall_cycles.push_back(rr.stall_cycles);
+      work.replay_accesses += rr.accesses;
+      work.replay_misses += rr.misses;
     }
     work.replay_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
@@ -187,6 +199,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   std::vector<RequestWork> work;
   std::unordered_map<service::CacheKey, std::size_t, service::CacheKeyHash>
       dedup;
+  std::vector<CellKey> keys;  // the current plan's
   requests.reserve(num_cells);
   work.reserve(num_cells);
   dedup.reserve(num_cells);
@@ -199,21 +212,31 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     d.loops.reserve(plan.loops.size());
     for (const auto& loop : plan.loops) d.loops.push_back(loop.get());
     d.cells.resize(def->CellsPerLoop() * plan.loops.size());
+    // Overrides and keys are pure functions of the cell's loop, machine
+    // and engine: compute the plan's on the session's lanes, indexed like
+    // d.cells, so the serial dedup below only consumes them.
+    keys.assign(d.cells.size(), {});
+    session.ParallelFor(keys.size(), [&](std::size_t c) {
+      const std::size_t row = c / plan.loops.size();
+      const MachineVariant& mv = def->machines[row / def->engines.size()];
+      const EngineVariant& ev = def->engines[row % def->engines.size()];
+      const workload::Loop& loop = *plan.loops[c % plan.loops.size()];
+      CellKey& k = keys[c];
+      if (ev.prefetch != memsim::PrefetchMode::kNone) {
+        k.overrides = memsim::ClassifyBindingPrefetch(
+            loop.ddg, mv.machine, loop.trip, ev.prefetch);
+      }
+      k.key = service::MakeCacheKey(loop.ddg, mv.machine, ev.options,
+                                    k.overrides);
+    });
     std::size_t idx = 0;
     for (std::size_t m = 0; m < def->machines.size(); ++m) {
       const MachineVariant& mv = def->machines[m];
       for (const EngineVariant& ev : def->engines) {
         for (std::size_t l = 0; l < plan.loops.size(); ++l, ++idx) {
           const workload::Loop& loop = *plan.loops[l];
-          sched::LatencyOverrides overrides;
-          if (ev.prefetch != memsim::PrefetchMode::kNone) {
-            overrides = memsim::ClassifyBindingPrefetch(
-                loop.ddg, mv.machine, loop.trip, ev.prefetch);
-          }
-          const auto [it, inserted] = dedup.emplace(
-              service::MakeCacheKey(loop.ddg, mv.machine, ev.options,
-                                    overrides),
-              requests.size());
+          CellKey& k = keys[idx];
+          const auto [it, inserted] = dedup.emplace(k.key, requests.size());
           if (inserted) {
             service::BatchRequest req;
             req.id = def->name + "/" + mv.label + "/" + ev.label + "/" +
@@ -221,7 +244,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
             req.loop = plan.loops[l];
             req.machine = mv.machine;
             req.options = ev.options;
-            req.overrides = std::move(overrides);
+            req.overrides = std::move(k.overrides);
             requests.push_back(std::move(req));
             work.emplace_back();
           }
@@ -271,6 +294,8 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   obs::TraceSpan aggregate_span("experiment", "aggregate");
   for (std::size_t r = 0; r < work.size(); ++r) {
     report.replay_seconds += work[r].replay_seconds;
+    report.replay_accesses += work[r].replay_accesses;
+    report.replay_misses += work[r].replay_misses;
     if (batch.items[r].ok) {
       report.replayed_cells += work[r].replayed_cells;
       report.distinct_replays += static_cast<int>(work[r].replays.size());

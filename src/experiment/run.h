@@ -96,6 +96,8 @@ struct ReproReport {
   double metrics_seconds = 0.0;
   int replayed_cells = 0;    ///< Cells whose stall cycles come from replay.
   int distinct_replays = 0;  ///< ReplayLoop runs those cells share.
+  long replay_accesses = 0;  ///< Summed ReplayResult::accesses of those.
+  long replay_misses = 0;    ///< Summed ReplayResult::misses of those.
   /// Summed per-request phase timings of the scheduling batch (stdout
   /// summary only, like `cache`: reports stay byte-identical cold/warm).
   service::RequestTiming timing;

@@ -1,5 +1,6 @@
 #include "memsim/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "core/check.h"
@@ -17,17 +18,19 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
              "cache set count %ld (%ld B / (%d B x %d ways)) is not a power "
              "of two",
              sets, cfg_.size_bytes, cfg_.line_bytes, cfg_.associativity);
+  HCRF_CHECK(cfg_.line_bytes * sets >= 2,
+             "cache of %ld set(s) of %d B lines leaves no tag bit free",
+             sets, cfg_.line_bytes);
   line_shift_ = std::countr_zero(static_cast<unsigned>(cfg_.line_bytes));
   set_bits_ = std::countr_zero(static_cast<unsigned long>(sets));
   set_mask_ = static_cast<std::uint64_t>(sets) - 1;
-  ways_.assign(static_cast<std::size_t>(sets) *
+  tags_.assign(static_cast<std::size_t>(sets) *
                    static_cast<std::size_t>(cfg_.associativity),
-               Way{});
+               kEmpty);
 }
 
 void Cache::Reset() {
-  for (Way& w : ways_) w = Way{};
-  tick_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   hits_ = 0;
   misses_ = 0;
 }

@@ -4,8 +4,10 @@
 //
 // Geometry contract: `line_bytes` and the set count (`NumSets()`) must be
 // powers of two, so an address splits into offset / set / tag with shifts
-// and a mask (the replay does one lookup per simulated access). The
-// constructor HCRF_CHECKs it; associativity may be any positive count.
+// and a mask (the replay does one lookup per simulated access), and the
+// cache must hold at least two bytes of lines (line_bytes * NumSets() >= 2),
+// so a tag never fills all 64 bits. The constructor HCRF_CHECKs it;
+// associativity may be any positive count.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +25,12 @@ struct CacheConfig {
   long NumSets() const { return size_bytes / (line_bytes * associativity); }
 };
 
-/// Timing-free tag array: Lookup returns hit/miss and updates LRU and
-/// contents (fill on miss). Miss overlap timing is handled by LoopReplay,
-/// which owns the MSHR occupancy model.
+/// Timing-free tag array: Access returns hit/miss and updates recency and
+/// contents (fill on miss). Miss overlap timing is handled by ReplayLoop,
+/// which owns the MSHR occupancy model. Each set holds its tags most
+/// recently used first, kEmpty-padded at the tail: a hit moves its tag to
+/// way 0 (an MRU hit is one compare), a miss shifts the set down one way,
+/// dropping the last (an empty way, else the LRU tag), and writes way 0.
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg = {});
@@ -34,30 +39,30 @@ class Cache {
   /// loads and stores: write-allocate) into an empty way, else the LRU way.
   bool Access(std::uint64_t addr) {
     const Location loc = Locate(addr);
-    Way* set = &ways_[loc.first_way];
-    ++tick_;
-    Way* victim = set;
-    for (int a = 0; a < cfg_.associativity; ++a) {
-      Way& w = set[a];
-      if (w.lru != 0 && w.tag == loc.tag) {
-        w.lru = tick_;
-        ++hits_;
-        return true;
-      }
-      if (w.lru < victim->lru) victim = &w;  // empty ways have lru 0
+    std::uint64_t* set = &tags_[loc.first_way];
+    if (set[0] == loc.tag) {
+      ++hits_;
+      return true;
     }
-    victim->tag = loc.tag;
-    victim->lru = tick_;
-    ++misses_;
-    return false;
+    int a = 1;
+    while (a < cfg_.associativity && set[a] != loc.tag) ++a;
+    const bool hit = a < cfg_.associativity;
+    // Shift the more recent ways down over the hit way (or, on a miss,
+    // over the last way, which drops the victim).
+    for (int b = hit ? a : cfg_.associativity - 1; b > 0; --b) {
+      set[b] = set[b - 1];
+    }
+    set[0] = loc.tag;
+    ++(hit ? hits_ : misses_);
+    return hit;
   }
 
   /// True if the address's line is currently resident (no state change).
   bool Probe(std::uint64_t addr) const {
     const Location loc = Locate(addr);
-    const Way* set = &ways_[loc.first_way];
+    const std::uint64_t* set = &tags_[loc.first_way];
     for (int a = 0; a < cfg_.associativity; ++a) {
-      if (set[a].lru != 0 && set[a].tag == loc.tag) return true;
+      if (set[a] == loc.tag) return true;
     }
     return false;
   }
@@ -69,12 +74,13 @@ class Cache {
   const CacheConfig& config() const { return cfg_; }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< Tick of the last use; 0 = empty way.
-  };
+  /// Tag of a never-filled way. Real tags are addr >> (line + set bits),
+  /// and the constructor requires at least one such bit, so no real tag
+  /// equals it.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
   struct Location {
-    std::size_t first_way;  ///< Index of the set's first way in ways_.
+    std::size_t first_way;  ///< Index of the set's first way in tags_.
     std::uint64_t tag;
   };
 
@@ -89,8 +95,8 @@ class Cache {
   int line_shift_ = 0;         ///< log2(line_bytes).
   int set_bits_ = 0;           ///< log2(NumSets()).
   std::uint64_t set_mask_ = 0; ///< NumSets() - 1.
-  std::vector<Way> ways_;      ///< sets * associativity, set-major.
-  std::uint64_t tick_ = 0;
+  /// sets * associativity, set-major; each set in recency order.
+  std::vector<std::uint64_t> tags_;
   long hits_ = 0;
   long misses_ = 0;
 };

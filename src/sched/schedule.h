@@ -35,9 +35,14 @@ class PartialSchedule {
   int ii() const { return ii_; }
 
   void Assign(NodeId node, Placement p) {
-    Ensure(node);
+    const size_t i = static_cast<size_t>(node);
     p.scheduled = true;
-    slots_[static_cast<size_t>(node)] = p;
+    if (i < slots_.size()) {
+      slots_[i] = p;
+    } else {
+      slots_.resize(i);  // unscheduled gap up to the new node
+      slots_.push_back(p);
+    }
     ++num_scheduled_;
   }
   void Unassign(NodeId node) {
@@ -70,11 +75,6 @@ class PartialSchedule {
   void Normalize();
 
  private:
-  void Ensure(NodeId node) {
-    if (static_cast<size_t>(node) >= slots_.size()) {
-      slots_.resize(static_cast<size_t>(node) + 1);
-    }
-  }
   std::vector<Placement> slots_;
   int ii_;
   int num_scheduled_ = 0;

@@ -28,8 +28,7 @@ class TestPlacer : public NodePlacer {
     const NodeId id = st_.g.AddNode(std::move(n));
     st_.GrowTo(id);
     st_.priority[static_cast<size_t>(id)] = priority;
-    st_.unscheduled[static_cast<size_t>(id)] = 1;
-    ++st_.num_unscheduled;
+    st_.MarkUnscheduled(id);
     return id;
   }
 

@@ -1,14 +1,18 @@
 // Engine-driver accounting and bookkeeping invariants: the Budget_Ratio
 // grant cap boundary, the force-and-eject path never leaving stale
-// placements for garbage-collected nodes in a final schedule, and the
-// escalation walk's reused AttemptContext behaving like a fresh one.
+// placements for garbage-collected nodes in a final schedule, the
+// escalation walk's reused AttemptContext behaving like a fresh one, and
+// the priority pick agreeing with a brute-force scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/mirs.h"
+#include "core/sched_state.h"
 #include "ddg/mii.h"
 #include "hwmodel/characterize.h"
 #include "io/hcl.h"
@@ -124,6 +128,79 @@ TEST(EngineDriver, ReusedContextMatchesAFreshOne) {
   // The hierarchical proposal's kernel runs are ejection-heavy; at least
   // one loop must escalate past its MII or this test checks nothing.
   EXPECT_GT(exercised, 0);
+}
+
+// The bitset pick against a brute-force scan: the live, unscheduled node
+// with the highest priority, the lowest id winning ties. Random mark /
+// unmark / reprioritize / tombstone / grow sequences with few distinct
+// priorities (so ties are common), on graphs starting below and above
+// 96 slots and growing across 64-bit word boundaries.
+TEST(SchedStatePick, MatchesBruteForceLinearScan) {
+  const MachineConfig m = MachineConfig::Baseline();
+  for (const int start : {5, 63, 64, 95, 97, 200}) {
+    std::mt19937 rng(static_cast<std::mt19937::result_type>(start));
+    DDG original("pick");
+    for (int i = 0; i < start; ++i) original.AddNode(OpClass::kFAdd);
+    core::SchedState st(m);
+    st.Reset(original, {}, 4);
+    std::vector<char> marked(static_cast<size_t>(start), 0);
+    std::uniform_int_distribution<int> prio_pick(0, 2);
+    const auto brute_force = [&]() {
+      NodeId best = kNoNode;
+      for (NodeId v = 0; v < st.g.NumSlots(); ++v) {
+        if (!st.g.IsAlive(v) || !marked[static_cast<size_t>(v)]) continue;
+        if (best == kNoNode || st.priority[static_cast<size_t>(v)] >
+                                   st.priority[static_cast<size_t>(best)]) {
+          best = v;
+        }
+      }
+      return best;
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const NodeId v = static_cast<NodeId>(rng() % st.g.NumSlots());
+      const size_t i = static_cast<size_t>(v);
+      switch (rng() % 8) {
+        case 0:
+        case 1:
+        case 2:  // mark, re-seeding the priority as the engine does
+          if (!marked[i]) st.priority[i] = prio_pick(rng);
+          st.MarkUnscheduled(v);
+          marked[i] = 1;
+          break;
+        case 3:
+        case 4:
+          st.MarkScheduled(v);
+          marked[i] = 0;
+          break;
+        case 5:
+          st.priority[i] = prio_pick(rng);
+          break;
+        case 6:  // tombstone: a marked dead node must never be picked
+          st.g.RemoveNode(v, /*force=*/true);
+          break;
+        default: {  // grow: an inserted node joins the list
+          Node n;
+          n.op = OpClass::kFAdd;
+          n.inserted = true;
+          const NodeId id = st.g.AddNode(std::move(n));
+          st.GrowTo(id);
+          marked.resize(static_cast<size_t>(id) + 1, 0);
+          st.priority[static_cast<size_t>(id)] = prio_pick(rng);
+          st.MarkUnscheduled(id);
+          marked[static_cast<size_t>(id)] = 1;
+          break;
+        }
+      }
+      ASSERT_EQ(st.PickHighestPriority(), brute_force())
+          << "start " << start << " step " << step;
+      ASSERT_EQ(st.IsUnscheduled(v), marked[i] != 0)
+          << "start " << start << " step " << step;
+      ASSERT_EQ(st.num_unscheduled,
+                std::count(marked.begin(), marked.end(), 1))
+          << "start " << start << " step " << step;
+    }
+    EXPECT_GT(st.g.NumSlots(), 256) << "start " << start;
+  }
 }
 
 }  // namespace

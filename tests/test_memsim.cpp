@@ -1,9 +1,12 @@
 // Unit tests for the cache model, the loop replay and the binding-prefetch
 // classifier. The cache is checked against an independent division-based
 // reference model, and the replay against golden values recorded from the
-// original division/priority-queue implementation.
+// original division/priority-queue implementation and against a reference
+// replay driving that reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <list>
 #include <random>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "core/mirs.h"
+#include "experiment/experiment.h"
 #include "hwmodel/characterize.h"
 #include "memsim/cache.h"
 #include "memsim/prefetch.h"
@@ -165,6 +169,12 @@ TEST(CacheDeathTest, NonPowerOfTwoGeometryFailsCheck) {
   EXPECT_DEATH(Cache(Geometry(3 * 1024, 32, 2)), "power of two");
   // 24-byte lines.
   EXPECT_DEATH(Cache(Geometry(24 * 64, 24, 2)), "power of two");
+}
+
+TEST(CacheDeathTest, GeometryWithoutATagBitFailsCheck) {
+  // One set of 1-byte lines: a tag could be any 64-bit value, including
+  // the empty-way sentinel.
+  EXPECT_DEATH(Cache(Geometry(4, 1, 4)), "no tag bit");
 }
 
 // ---------------------------------------------------------------------------
@@ -332,6 +342,214 @@ TEST(Replay, GoldenResultsAcrossOrganizationsAndPolicies) {
     EXPECT_EQ(rr.accesses, g.accesses);
     EXPECT_EQ(rr.misses, g.misses);
   }
+}
+
+// The replay kernel of src/memsim/replay.cpp, copied unchanged except that
+// it drives ReferenceCache instead of Cache, so any divergence between the
+// two replays is the cache's.
+
+/// Address-space layout: each array id gets its own 1 MiB region, offset by
+/// a per-array scatter so regions do not alias to the same cache sets.
+std::uint64_t ArrayBase(std::int32_t array_id) {
+  const std::uint64_t id = static_cast<std::uint32_t>(array_id);
+  return (id << 20) + ((id * 7919u) % 997u) * 32u;
+}
+
+struct MemOp {
+  int cycle;          ///< Issue cycle within the (normalized) kernel body.
+  bool is_load;
+  bool bound_miss;    ///< Scheduled assuming miss latency (prefetched).
+  std::uint64_t base;    ///< Address of iteration 0: ArrayBase + offset.
+  /// Signed stride in two's complement: unsigned wrap-around yields the
+  /// same address as signed arithmetic.
+  std::uint64_t stride;
+};
+
+/// Completion times of the outstanding misses: at most `mshrs` entries, so
+/// a flat array with a cached minimum beats a heap. Only the multiset of
+/// times matters, never their order.
+class InflightMisses {
+ public:
+  explicit InflightMisses(int mshrs)
+      : capacity_(static_cast<std::size_t>(mshrs)) {
+    times_.reserve(capacity_);
+  }
+
+  void Clear() {
+    times_.clear();
+    min_ = LONG_MAX;
+  }
+  bool Full() const { return times_.size() >= capacity_; }
+  long Min() const { return min_; }
+
+  /// Retires every miss completed by cycle `now`.
+  void RetireUntil(long now) {
+    if (min_ > now) return;
+    std::erase_if(times_, [now](long t) { return t <= now; });
+    RecomputeMin();
+  }
+
+  /// Frees the earliest-completing slot (the queue must be non-empty).
+  void PopMin() {
+    *std::min_element(times_.begin(), times_.end()) = times_.back();
+    times_.pop_back();
+    RecomputeMin();
+  }
+
+  void Push(long completion) {
+    times_.push_back(completion);
+    min_ = std::min(min_, completion);
+  }
+
+ private:
+  void RecomputeMin() {
+    min_ = times_.empty() ? LONG_MAX
+                          : *std::min_element(times_.begin(), times_.end());
+  }
+
+  std::size_t capacity_;
+  std::vector<long> times_;
+  long min_ = LONG_MAX;  ///< LONG_MAX when empty.
+};
+
+ReplayResult ReferenceReplay(const workload::Loop& loop,
+                             const core::ScheduleResult& sr,
+                             const MachineConfig& m,
+                             const CacheConfig& cache_cfg) {
+  ReplayResult out;
+  const int ii = sr.ii;
+  const long n_total = loop.TotalIterations();
+  out.useful_cycles =
+      static_cast<long>(ii) *
+      (n_total + static_cast<long>(sr.sc - 1) * loop.invocations);
+
+  // Collect memory operations of the kernel, ordered by issue cycle.
+  std::vector<MemOp> ops;
+  for (NodeId v = 0; v < sr.graph.NumSlots(); ++v) {
+    if (!sr.graph.IsAlive(v)) continue;
+    const Node& n = sr.graph.node(v);
+    if (!IsMemory(n.op) || !n.mem.has_value()) continue;
+    MemOp op;
+    op.cycle = sr.schedule.CycleOf(v);
+    op.is_load = n.op == OpClass::kLoad;
+    op.bound_miss =
+        op.is_load && sr.overrides.For(v, m.lat.load_hit) >= m.lat.load_miss;
+    op.base = ArrayBase(n.mem->array_id) +
+              static_cast<std::uint64_t>(n.mem->base);
+    op.stride = static_cast<std::uint64_t>(n.mem->stride);
+    ops.push_back(op);
+  }
+  std::sort(ops.begin(), ops.end(),
+            [](const MemOp& a, const MemOp& b) { return a.cycle < b.cycle; });
+  if (ops.empty()) return out;
+
+  HCRF_CHECK(cache_cfg.mshrs >= 1, "replay needs at least one MSHR, got %d",
+             cache_cfg.mshrs);
+  ReferenceCache cache(cache_cfg);
+  const int miss_lat = m.lat.load_miss;
+  const int hit_lat = m.lat.load_hit;
+  // Completion times of outstanding misses (absolute cycles).
+  InflightMisses inflight(cache_cfg.mshrs);
+
+  // One invocation against the current cache state; returns stall cycles.
+  auto run_invocation = [&]() -> long {
+    long stall = 0;
+    inflight.Clear();
+    for (long i = 0; i < loop.trip; ++i) {
+      const long iter_base = i * ii + stall;
+      const std::uint64_t iter = static_cast<std::uint64_t>(i);
+      for (const MemOp& op : ops) {
+        const long issue = iter_base + op.cycle;
+        inflight.RetireUntil(issue);
+        ++out.accesses;
+        const bool hit = cache.Access(op.base + op.stride * iter);
+        if (hit) continue;
+        ++out.misses;
+        // MSHR pressure: stall until a slot frees. Every remaining miss
+        // completes after `issue` (RetireUntil above), so the wait is > 0.
+        long extra = 0;
+        if (inflight.Full()) {
+          extra = inflight.Min() - issue;
+          inflight.PopMin();
+        }
+        const long completion = issue + extra + miss_lat;
+        inflight.Push(completion);
+        if (op.is_load && !op.bound_miss) {
+          // The core expects the value hit_lat cycles after issue.
+          extra += miss_lat - hit_lat;
+        }
+        stall += extra;
+      }
+    }
+    return stall;
+  };
+
+  const long cold = run_invocation();
+  long warm = 0;
+  if (loop.invocations > 1) {
+    warm = run_invocation();
+  }
+  out.stall_cycles = cold + warm * (loop.invocations - 1);
+  return out;
+}
+
+// Every kernel plus the first 64 synthetic loops, scheduled on each Figure 6
+// organization under each prefetch policy: all four ReplayResult fields
+// must match the reference replay, on the paper's L1 and on a 4-way,
+// 64-byte-line, 2-MSHR geometry (multi-way recency shifts, MSHR-bound).
+TEST(Replay, MatchesReferenceReplay) {
+  const experiment::Experiment* fig6 = experiment::FindExperiment("fig6");
+  ASSERT_NE(fig6, nullptr);
+  ASSERT_EQ(fig6->machines.size(), 7u);
+  std::vector<const workload::Loop*> loops;
+  const workload::Suite& kernels = workload::SharedKernelSuite();
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    loops.push_back(&kernels[i]);
+  }
+  const workload::Suite* synth = workload::SharedSuiteByName("synth");
+  ASSERT_NE(synth, nullptr);
+  ASSERT_GE(synth->size(), 64u);
+  for (std::size_t i = 0; i < 64; ++i) loops.push_back(&(*synth)[i]);
+
+  CacheConfig narrow;
+  narrow.size_bytes = 32 * 1024;
+  narrow.line_bytes = 64;
+  narrow.associativity = 4;
+  narrow.mshrs = 2;
+  const CacheConfig geometries[] = {CacheConfig{}, narrow};
+  long compared = 0;
+  long saturated = 0;  // narrow replays that stalled on a full MSHR file
+  for (const workload::Loop* loop : loops) {
+    for (const experiment::MachineVariant& mv : fig6->machines) {
+      for (PrefetchMode mode : {PrefetchMode::kNone, PrefetchMode::kAll,
+                                PrefetchMode::kSelective}) {
+        const sched::LatencyOverrides ov = ClassifyBindingPrefetch(
+            loop->ddg, mv.machine, loop->trip, mode);
+        const core::ScheduleResult sr =
+            core::MirsHC(loop->ddg, mv.machine, {}, ov);
+        if (!sr.ok) continue;
+        for (const CacheConfig& cfg : geometries) {
+          SCOPED_TRACE(loop->ddg.name() + " " + mv.label + " " +
+                       std::string(ToString(mode)) + " ways " +
+                       std::to_string(cfg.associativity));
+          const ReplayResult got = ReplayLoop(*loop, sr, mv.machine, cfg);
+          const ReplayResult want =
+              ReferenceReplay(*loop, sr, mv.machine, cfg);
+          ASSERT_EQ(got.stall_cycles, want.stall_cycles);
+          ASSERT_EQ(got.useful_cycles, want.useful_cycles);
+          ASSERT_EQ(got.accesses, want.accesses);
+          ASSERT_EQ(got.misses, want.misses);
+          ++compared;
+          if (cfg.mshrs == 2 && mode == PrefetchMode::kAll &&
+              got.stall_cycles > 0) {
+            ++saturated;  // bound loads stall only when the MSHRs are full
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 2 * 7 * 3 * 64);
+  EXPECT_GT(saturated, 0);
 }
 
 // ---------------------------------------------------------------------------
