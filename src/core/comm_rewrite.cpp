@@ -1,10 +1,8 @@
 #include "core/comm_rewrite.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/check.h"
-#include "core/debug.h"
 
 namespace hcrf::core {
 
@@ -118,14 +116,6 @@ bool CommRewriter::RedirectEdge(
              e.src, e.dst, std::string(ToString(e.kind)).c_str(), e.distance,
              st_.g.name().c_str(), st_.ii());
   st_.g.AddEdge(last, e.dst, DepKind::kFlow, final_distance);
-  if (DebugEnabled()) {
-    if (st_.IsCommChainNode(e.src) || st_.IsCommChainNode(e.dst)) {
-      std::fprintf(stderr,
-                   "[hcrf BUG?] fix with comm endpoint: %d(%s)->%d(%s)\n",
-                   e.src, ToString(st_.g.node(e.src).op).data(), e.dst,
-                   ToString(st_.g.node(e.dst).op).data());
-    }
-  }
   fixes_.push_back(
       CommFix{e, Edge{last, e.dst, DepKind::kFlow, final_distance}});
 
@@ -193,15 +183,7 @@ void CommRewriter::UndoFixesTouching(NodeId v) {
     // Remove the chain edge at the consumer and restore the direct edge.
     st_.g.RemoveEdge(f.final_edge.src, f.final_edge.dst, f.final_edge.kind,
                      f.final_edge.distance);
-    if ((!st_.g.IsAlive(f.original.src) || !st_.g.IsAlive(f.original.dst)) &&
-        DebugEnabled()) {
-      std::fprintf(stderr,
-                   "[hcrf BUG] undo fix with dead endpoint: orig %d(%d)->%d(%d)"
-                   " final %d->%d\n",
-                   f.original.src, (int)st_.g.IsAlive(f.original.src),
-                   f.original.dst, (int)st_.g.IsAlive(f.original.dst),
-                   f.final_edge.src, f.final_edge.dst);
-    }
+    // Restoring an edge to a dead endpoint aborts in DDG::AddEdge's check.
     st_.g.AddEdge(f.original.src, f.original.dst, f.original.kind,
                   f.original.distance);
     instr_.ChainUndone(f.original.dst, st_.ii());

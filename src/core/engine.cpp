@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 
 #include "core/check.h"
@@ -26,12 +25,14 @@ using sched::kSharedBank;
 AttemptContext::AttemptContext(const DDG& original, const MachineConfig& m,
                                const MirsOptions& opt,
                                const sched::LatencyOverrides& base_overrides,
-                               const std::vector<NodeId>& order)
+                               const std::vector<NodeId>& order,
+                               bool incremental)
     : original_(original),
       m_(m),
       opt_(opt),
       base_overrides_(base_overrides),
       order_(order),
+      incremental_(incremental),
       st_(m),
       comm_(st_, *this, instr_),
       spill_(st_, *this, instr_),
@@ -188,18 +189,6 @@ void AttemptContext::EjectScheduledNode(NodeId v) {
   instr_.NodeEjected(v, st_.ii());
   if (static_cast<size_t>(v) < st_.eject_count.size()) {
     if (++st_.eject_count[static_cast<size_t>(v)] > 60) st_.churning = true;
-    if (st_.eject_count[static_cast<size_t>(v)] == 30 &&
-        DebugEnabled()) {
-      const Window w = st_.ComputeWindow(v);
-      std::fprintf(stderr,
-                   "   [30th eject] node %d (%s%s) cluster %d prev %d "
-                   "window [%d,%d] pred=%d succ=%d II=%d\n",
-                   v, ToString(st_.g.node(v).op).data(),
-                   st_.g.node(v).spill ? ",spill" : "",
-                   st_.sched->Of(v).cluster,
-                   st_.prev_cycle[static_cast<size_t>(v)], w.early, w.late,
-                   w.has_pred, w.has_succ, st_.ii());
-    }
   }
   comm_.UndoFixesTouching(v);
   comm_.GarbageCollectComm();
@@ -339,7 +328,7 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
 }
 
 void AttemptContext::BeginAttempt(int ii) {
-  st_.Reset(original_, base_overrides_, ii, opt_.incremental);
+  st_.Reset(original_, base_overrides_, ii, incremental_);
   comm_.Reset();
   spill_.Reset();
   selector_->Reset();
@@ -362,24 +351,9 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
     obs::TraceSpan place_span("phase", "placement", ii);
     while (st_.num_unscheduled > 0) {
       if (st_.churning) {
-        return AttemptStatus::kFailed;  // livelocked ping-pong: bump the II
+        return AttemptStatus::kChurn;  // livelocked ping-pong: bump the II
       }
-      if (budget_.exhausted()) {
-        if (DebugEnabled()) {
-          std::fprintf(stderr, "[hcrf] %s II=%d budget exhausted (%d left)\n",
-                       original_.name().c_str(), ii, st_.num_unscheduled);
-          for (NodeId v = 0; v < st_.g.NumSlots() && v < 4096; ++v) {
-            if (st_.eject_count[static_cast<size_t>(v)] > 20) {
-              std::fprintf(stderr, "   node %d (%s%s%s) ejected %ld times\n",
-                           v, ToString(st_.g.node(v).op).data(),
-                           st_.g.node(v).inserted ? ",ins" : "",
-                           st_.g.node(v).spill ? ",spill" : "",
-                           st_.eject_count[static_cast<size_t>(v)]);
-            }
-          }
-        }
-        return AttemptStatus::kFailed;
-      }
+      if (budget_.exhausted()) return AttemptStatus::kBudget;
       const NodeId u = st_.PickHighestPriority();
       HCRF_CHECK(u != kNoNode,
                  "priority-list desync: %d node(s) marked unscheduled but "
@@ -404,7 +378,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
           comm_span.emplace("phase", "comm-rewrite", ii, static_cast<int>(u));
         }
         if (!comm_.EnsureCommunication(u, cluster)) {
-          return AttemptStatus::kFailed;
+          return AttemptStatus::kComm;
         }
       }
       // Building u's communication can force-place chain nodes, whose
@@ -414,7 +388,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
       // "placement of undefined node" that the strict result parser (and
       // so the schedule cache) rejects.
       if (!st_.g.IsAlive(u)) continue;
-      if (!PlaceNode(u, cluster, src_cluster)) return AttemptStatus::kFailed;
+      if (!PlaceNode(u, cluster, src_cluster)) return AttemptStatus::kPlace;
       // Register-pressure checks are O(values); checking every few
       // placements (and always when the list drains) keeps the paper's
       // incremental-spill behaviour at a fraction of the cost.
@@ -436,7 +410,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
       spill_.CheckAndInsert();
     }
     if (st_.num_unscheduled > 0) {
-      if (budget_.exhausted()) return AttemptStatus::kFailed;
+      if (budget_.exhausted()) return AttemptStatus::kBudget;
       continue;
     }
     break;
@@ -457,44 +431,19 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
             : sched::ComputePressure(st_.g, *st_.sched, m_, st_.overrides);
     if (shared_bounded &&
         pr.shared_maxlive > sched::BankCapacity(kSharedBank, rf)) {
-      if (DebugEnabled()) {
-        std::fprintf(stderr,
-                     "[hcrf] %s II=%d shared over capacity: %d > %ld\n",
-                     original_.name().c_str(), ii, pr.shared_maxlive,
-                     sched::BankCapacity(kSharedBank, rf));
-        if (DebugLifetimesEnabled()) {
-          for (const auto& v : pr.values) {
-            if (v.bank != kSharedBank || v.Length() <= 0) continue;
-            std::fprintf(stderr, "   def %d (%s%s) [%d,%d) len %d uses %d\n",
-                         v.def, ToString(st_.g.node(v.def).op).data(),
-                         st_.g.node(v.def).spill ? ",spill" : "", v.start,
-                         v.end, v.Length(), v.uses);
-          }
-        }
-      }
-      return AttemptStatus::kFailed;
+      return AttemptStatus::kOverCapacity;
     }
     for (int c = 0; cluster_bounded && c < rf.clusters; ++c) {
       if (pr.cluster_maxlive[static_cast<size_t>(c)] >
           sched::BankCapacity(c, rf)) {
-        if (DebugEnabled()) {
-          std::fprintf(stderr,
-                       "[hcrf] %s II=%d cluster %d over capacity: %d\n",
-                       original_.name().c_str(), ii, c,
-                       pr.cluster_maxlive[static_cast<size_t>(c)]);
-        }
-        return AttemptStatus::kFailed;
+        return AttemptStatus::kOverCapacity;
       }
     }
   }
 
   const sched::ValidationResult vr =
       sched::Validate(st_.g, *st_.sched, m_, st_.overrides);
-  if (!vr.ok && DebugEnabled()) {
-    std::fprintf(stderr, "[hcrf] %s II=%d validation failed: %s\n",
-                 original_.name().c_str(), ii, vr.error.c_str());
-  }
-  return vr.ok ? AttemptStatus::kScheduled : AttemptStatus::kFailed;
+  return vr.ok ? AttemptStatus::kScheduled : AttemptStatus::kInvalid;
 }
 
 ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
@@ -601,7 +550,8 @@ std::optional<ScheduleResult> EngineDriver::RunWarm(const MIIInfo& mii) {
   // seeded MRT would not even hold the replayed rows).
   const int start_ii = std::max(mii.MII(), seed.ii);
   if (start_ii <= opt_.max_ii) {
-    AttemptContext ctx(original_, m_, opt_, base_overrides_, order_);
+    AttemptContext ctx(original_, m_, opt_, base_overrides_, order_,
+                       incremental_);
     int seeded = 0;
     if (ctx.TryIISeeded(seed, start_ii, &seeded) ==
         AttemptStatus::kScheduled) {
@@ -632,7 +582,8 @@ ScheduleResult EngineDriver::FailResult(const MIIInfo& mii,
 }
 
 ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
-  AttemptContext ctx(original_, m_, opt_, base_overrides_, order_);
+  AttemptContext ctx(original_, m_, opt_, base_overrides_, order_,
+                     incremental_);
   int failures = 0;
   for (int ii = mii.MII(); ii <= opt_.max_ii;) {
     if (ctx.TryII(ii) == AttemptStatus::kScheduled) {

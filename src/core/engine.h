@@ -63,13 +63,28 @@ struct BudgetAccount {
   void Spend(double amount) { remaining -= amount; }
 };
 
-/// Outcome of one II attempt.
-enum class AttemptStatus : std::uint8_t { kScheduled, kFailed };
+/// Outcome of one II attempt: scheduled, or the check that ended it. The
+/// `attempt` trace span carries the name, so a failed II explains itself
+/// without a rerun.
+enum class AttemptStatus : std::uint8_t {
+  kScheduled,
+  kChurn,         ///< A node was ejected over 60 times (eject ping-pong).
+  kBudget,        ///< Budget_Ratio spent with nodes still unscheduled.
+  kComm,          ///< A cross-bank communication chain could not be placed.
+  kPlace,         ///< A node found no slot and could not be forced into one.
+  kOverCapacity,  ///< A bank's MaxLive exceeds its registers after spilling.
+  kInvalid,       ///< The final sched::Validate rejected the schedule.
+};
 
 constexpr std::string_view ToString(AttemptStatus s) {
   switch (s) {
     case AttemptStatus::kScheduled: return "scheduled";
-    case AttemptStatus::kFailed: return "failed";
+    case AttemptStatus::kChurn: return "churn";
+    case AttemptStatus::kBudget: return "budget";
+    case AttemptStatus::kComm: return "comm";
+    case AttemptStatus::kPlace: return "place";
+    case AttemptStatus::kOverCapacity: return "over-capacity";
+    case AttemptStatus::kInvalid: return "invalid";
   }
   return "?";
 }
@@ -81,12 +96,14 @@ constexpr std::string_view ToString(AttemptStatus s) {
 /// never interfere. The context is the only
 /// layer that mutates the reservation table through placement, so it
 /// implements NodePlacer for the comm rewriter and spill engine it owns.
+/// `incremental` = false runs the reference pressure path (see
+/// EngineDriver::UseReferencePressure).
 class AttemptContext : public NodePlacer {
  public:
   AttemptContext(const DDG& original, const MachineConfig& m,
                  const MirsOptions& opt,
                  const sched::LatencyOverrides& base_overrides,
-                 const std::vector<NodeId>& order);
+                 const std::vector<NodeId>& order, bool incremental = true);
 
   /// Runs one scheduling attempt at `ii` from a fresh state.
   AttemptStatus TryII(int ii);
@@ -141,6 +158,7 @@ class AttemptContext : public NodePlacer {
   const MirsOptions& opt_;
   const sched::LatencyOverrides& base_overrides_;
   const std::vector<NodeId>& order_;  ///< Ordering, computed once per run.
+  const bool incremental_;
 
   // ---- layers ----------------------------------------------------------
   SchedState st_;
@@ -169,6 +187,13 @@ class EngineDriver {
   /// II-escalation walk from MII to opt.max_ii.
   ScheduleResult Run();
 
+  /// Test hook: every attempt runs the reference pressure path (the
+  /// tracker stays detached and each spill check recomputes
+  /// ComputePressure in full) instead of the incremental tracker.
+  /// Schedules are bit-identical either way; the reference path is the
+  /// oracle of the `PressureTrackerEngine.BitIdenticalSchedules` ctest.
+  void UseReferencePressure() { incremental_ = false; }
+
  private:
   ScheduleResult RunSerial(const MIIInfo& mii);
   /// Warm-start gate: one seeded attempt at max(MII, seed.ii). Returns the
@@ -189,6 +214,7 @@ class EngineDriver {
   MirsOptions opt_;
   sched::LatencyOverrides base_overrides_;
   std::vector<NodeId> order_;  ///< Ordering, computed once per run.
+  bool incremental_ = true;
 };
 
 }  // namespace hcrf::core

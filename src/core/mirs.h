@@ -54,14 +54,6 @@ struct MirsOptions {
   /// force-and-eject backtracking, spill inserted only between whole
   /// scheduling passes; used as the Table 4 comparator.
   bool iterative = true;
-  /// Incremental hot path: per-bank MaxLive maintained under place / eject
-  /// / spill deltas (sched/pressure_tracker.h). false selects the reference
-  /// path (full ComputePressure at every spill check; the priority pick is
-  /// the same bitset scan on both) — schedules are bit-identical
-  /// either way. Production always runs incremental; the only caller that
-  /// sets false is the `PressureTrackerEngine.BitIdenticalSchedules` ctest
-  /// (tests/test_pressure_tracker.cpp), which asserts that identity.
-  bool incremental = true;
   /// Cluster selection heuristic (policies.h): the paper's Section 5.1
   /// Select_Cluster or one of its two ablations. Ordering (HRMS) and the
   /// spill victim (longest lifetime per use) are fixed, so this enum,

@@ -6,7 +6,7 @@ namespace hcrf::core {
 
 void SchedState::Reset(const DDG& original,
                        const sched::LatencyOverrides& base, int ii,
-                       bool use_incremental) {
+                       bool incremental) {
   // The previous attempt only wrote eject counts for its own node ids, so
   // re-zeroing that prefix is enough (the full 4096-entry window would be
   // a 32 KB memset on every II attempt).
@@ -36,7 +36,6 @@ void SchedState::Reset(const DDG& original,
   cluster_fu_use.assign(static_cast<size_t>(m.rf.clusters), 0);
   cluster_defs.assign(static_cast<size_t>(m.rf.clusters), 0);
   churning = false;
-  incremental = use_incremental;
   // Pressure is only ever consulted for bounded banks (the spill engine
   // and the final capacity check early-out otherwise), so organizations
   // with unbounded register files skip the tracker entirely.

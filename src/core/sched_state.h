@@ -44,13 +44,13 @@ struct SchedState {
   /// Rebuilds the state for a fresh attempt at the given II: working graph
   /// reset to the original, empty schedule/MRT, bookkeeping cleared. The
   /// caller (engine driver) fills in priorities and the unscheduled set
-  /// from its ordering policy. `incremental` selects the incremental
+  /// from its ordering policy. `incremental` attaches the incremental
   /// pressure tracker; false is the reference path (full ComputePressure
   /// per spill check) that tests/test_pressure_tracker.cpp runs to prove
   /// both produce bit-identical schedules. Both paths pick with the same
   /// bitset scan (PickHighestPriority).
   void Reset(const DDG& original, const sched::LatencyOverrides& base, int ii,
-             bool use_incremental = true);
+             bool incremental = true);
 
   int ii() const { return sched->ii(); }
 
@@ -123,11 +123,9 @@ struct SchedState {
   std::vector<int> cluster_fu_use;
   std::vector<int> cluster_defs;
 
-  /// Incremental per-bank MaxLive (attached to `g`/`sched` while
-  /// `incremental` is set; detached and inert on the reference path).
+  /// Incremental per-bank MaxLive (attached to `g`/`sched` unless Reset
+  /// chose the reference path; detached and inert there).
   sched::PressureTracker pressure;
-  /// Incremental fast paths enabled (see Reset).
-  bool incremental = true;
 
  private:
   void BumpClusterUse(NodeId u, int cluster, int delta) {

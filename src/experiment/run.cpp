@@ -371,15 +371,9 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
 ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
                            const ReproOptions& opt) {
   service::ServiceConfig config;
-  config.cache_dir = opt.cache_dir;
-  config.cache_mem_entries = opt.cache_mem_entries;
-  config.cache_mem_bytes = opt.cache_mem_bytes;
   config.threads = opt.threads;
   service::SchedulerService session(config);
-  ReproReport report = RunExperiments(selection, opt, session);
-  session.Drain();
-  if (session.has_cache()) report.cache = session.tier_stats();
-  return report;
+  return RunExperiments(selection, opt, session);
 }
 
 std::string ReproCsv(const ReproReport& report) {

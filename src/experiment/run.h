@@ -35,13 +35,8 @@ class SchedulerService;
 namespace hcrf::experiment {
 
 struct ReproOptions {
-  /// Persistent schedule cache directory; empty disables caching.
-  std::string cache_dir;
-  /// Memory-tier entry bound (`--cache-mem`); 0 disables the hot tier.
-  long cache_mem_entries = 0;
-  /// Memory-tier byte bound; 0 = the MemoryTier default.
-  long cache_mem_bytes = 0;
-  /// Parallelism (ServiceConfig::threads: 0 = hardware concurrency).
+  /// Parallelism of the options form's session (ServiceConfig::threads:
+  /// 0 = hardware concurrency); the session form uses the session's.
   int threads = 0;
   /// Run each experiment on its bounded smoke slice instead of the full
   /// workload. Workload-dependent reference values are reported but not
@@ -110,7 +105,8 @@ struct ReproReport {
 /// is empty). Throws on an unknown suite name; per-cell scheduling
 /// failures are data and surface in the results. The session form
 /// schedules through an existing resident session (report.cache is the
-/// per-call delta); the options form wraps a transient, drained session.
+/// per-call delta); the options form wraps a transient session with no
+/// cache, `opt.threads` wide.
 ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
                            const ReproOptions& opt,
                            service::SchedulerService& session);

@@ -71,9 +71,8 @@ MachineConfig ParseMachine(std::string_view text,
 //
 // Serializes the schedule-relevant fields of core::MirsOptions
 // (budget_ratio, max_ii, iterative, cluster_policy), the same four the
-// schedule cache key mixes. `incremental` (bit-identical either way),
-// precomputed MIIs and warm-start seeds are runtime-only and never
-// serialized.
+// schedule cache key mixes. Precomputed MIIs and warm-start seeds are
+// runtime-only and never serialized.
 // ---------------------------------------------------------------------------
 
 std::string DumpOptions(const core::MirsOptions& opt);

@@ -202,8 +202,13 @@ std::string Registry::Json() const {
       if (b == 0) continue;
       if (!bfirst) out += ", ";
       bfirst = false;
-      out += "[" + FormatDouble(Histogram::BucketUpperSeconds(i)) + ", " +
-             std::to_string(b) + "]";
+      // Appended piecewise: `"[" + std::string&&` trips GCC 12's
+      // -Wrestrict false positive in Release builds.
+      out += '[';
+      out += FormatDouble(Histogram::BucketUpperSeconds(i));
+      out += ", ";
+      out += std::to_string(b);
+      out += ']';
     }
     out += "]}";
   }

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "hwmodel/characterize.h"
 #include "io/hcl.h"
 #include "io/scanner.h"
 #include "service/session.h"
@@ -89,8 +90,7 @@ std::vector<ManifestEntry> LoadManifestFile(const std::string& path) {
 }
 
 BatchRequest ResolveManifestEntry(const ManifestEntry& e,
-                                  const std::string& base_dir,
-                                  hw::RFModelMode rf_model) {
+                                  const std::string& base_dir) {
   const fs::path base(base_dir);
   BatchRequest req;
   req.loop = std::make_shared<workload::Loop>(
@@ -102,7 +102,8 @@ BatchRequest ResolveManifestEntry(const ManifestEntry& e,
     req.machine = MachineConfig::WithRF(RFConfig::Parse(e.rf));
     if (e.characterize && !req.machine.rf.UnboundedClusterRegs() &&
         !req.machine.rf.UnboundedSharedRegs()) {
-      req.machine = hw::ApplyCharacterization(req.machine, rf_model);
+      req.machine = hw::ApplyCharacterization(req.machine,
+                                              hw::RFModelMode::kPaperTable);
     }
   }
   if (e.budget_ratio) req.options.budget_ratio = *e.budget_ratio;

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/mirs.h"
-#include "hwmodel/characterize.h"
 #include "machine/machine_config.h"
 #include "sched/lifetime.h"
 #include "service/cache_tier.h"
@@ -131,11 +130,11 @@ struct BatchReport {
 
 /// Resolves one manifest entry into a dispatchable request: loads the
 /// graph (and machine document, if named) relative to `base_dir`, applies
-/// the RF organization + hardware characterization otherwise, and folds
-/// the per-entry option overrides in. Throws on unloadable files.
+/// the RF organization + the paper-table hardware characterization
+/// otherwise, and folds the per-entry option overrides in. Throws on
+/// unloadable files.
 BatchRequest ResolveManifestEntry(const ManifestEntry& entry,
-                                  const std::string& base_dir,
-                                  hw::RFModelMode rf_model);
+                                  const std::string& base_dir);
 
 struct ServiceConfig;
 

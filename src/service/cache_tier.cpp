@@ -104,8 +104,8 @@ CacheKey MakeCacheKey(const DDG& g, const MachineConfig& m,
 
   // Options: every schedule-relevant MirsOptions field, the same four the
   // `.hcl` options document carries. The rest are runtime-only:
-  // `incremental` is bit-identical either way, `precomputed_mii` must match
-  // the loop, and warm-started results never enter the exact-key cache.
+  // `precomputed_mii` must match the loop, and warm-started results never
+  // enter the exact-key cache.
   f.MixDouble(opt.budget_ratio);
   f.Mix(static_cast<std::uint64_t>(opt.max_ii));
   f.Mix(static_cast<std::uint64_t>(opt.iterative ? 1 : 2));
@@ -301,10 +301,8 @@ std::optional<core::ScheduleResult> MemoryTier::GetNear(
 // ---------------------------------------------------------------------------
 
 TieredCache::TieredCache(std::unique_ptr<MemoryTier> memory,
-                         std::unique_ptr<DiskTier> disk, bool write_behind)
-    : memory_(std::move(memory)),
-      disk_(std::move(disk)),
-      write_behind_(write_behind) {}
+                         std::unique_ptr<DiskTier> disk)
+    : memory_(std::move(memory)), disk_(std::move(disk)) {}
 
 TieredCache::~TieredCache() { Drain(); }
 
@@ -323,17 +321,13 @@ std::optional<core::ScheduleResult> TieredCache::Get(const CacheKey& key) {
 void TieredCache::Put(const CacheKey& key, const core::ScheduleResult& result) {
   std::string body = io::DumpResult(result);
   memory_->PutSized(key, result, static_cast<long>(body.size()));
-  if (write_behind_) {
-    // The scheduling worker returns immediately; the filesystem write runs
-    // on the process worker pool (safe to feed from any thread, including
-    // pool workers). Racing writers of one key produce identical bytes and
-    // DiskTier writes are atomic, so ordering does not matter.
-    DiskTier* disk = disk_.get();
-    writes_.Submit(
-        [disk, key, body = std::move(body)] { disk->PutBody(key, body); });
-  } else {
-    disk_->PutBody(key, body);
-  }
+  // The scheduling worker returns immediately; the filesystem write runs
+  // on the process worker pool (safe to feed from any thread, including
+  // pool workers). Racing writers of one key produce identical bytes and
+  // DiskTier writes are atomic, so ordering does not matter.
+  DiskTier* disk = disk_.get();
+  writes_.Submit(
+      [disk, key, body = std::move(body)] { disk->PutBody(key, body); });
 }
 
 void TieredCache::Drain() { writes_.RunAndWait(); }

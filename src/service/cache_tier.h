@@ -252,11 +252,10 @@ class MemoryTier : public CacheTier {
 /// are required; single-tier configurations use the tier directly.
 class TieredCache : public CacheTier {
  public:
-  /// `write_behind` = false degrades disk writes to synchronous (used by
-  /// tests that need deterministic write counts mid-run; the service
-  /// default is asynchronous).
+  /// Disk writes run behind on the process worker pool; Drain() settles
+  /// them before anyone counts or reads disk state.
   TieredCache(std::unique_ptr<MemoryTier> memory,
-              std::unique_ptr<DiskTier> disk, bool write_behind = true);
+              std::unique_ptr<DiskTier> disk);
   ~TieredCache() override;  ///< Drains queued writes.
 
   std::optional<core::ScheduleResult> Get(const CacheKey& key) override;
@@ -286,7 +285,6 @@ class TieredCache : public CacheTier {
  private:
   std::unique_ptr<MemoryTier> memory_;
   std::unique_ptr<DiskTier> disk_;
-  bool write_behind_ = true;
   /// Queued disk writes; destructed (and therefore drained) before the
   /// tiers above it, so tasks never outlive the DiskTier they target.
   perf::TaskGroup writes_{perf::WorkerPool::Shared()};

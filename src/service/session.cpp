@@ -46,8 +46,7 @@ SchedulerService::SchedulerService(const ServiceConfig& config)
     if (want_disk) {
       auto disk = std::make_unique<DiskTier>(config_.cache_dir);
       disk_ = disk.get();
-      cache_ = std::make_unique<TieredCache>(std::move(mem), std::move(disk),
-                                             config_.write_behind);
+      cache_ = std::make_unique<TieredCache>(std::move(mem), std::move(disk));
     } else {
       cache_ = std::move(mem);
     }
@@ -254,7 +253,7 @@ BatchReport SchedulerService::RunManifest(const std::string& manifest_path) {
     BatchItem& item = report.items[i];
     item.id = e.graph;
     try {
-      BatchRequest req = ResolveManifestEntry(e, base, config_.rf_model);
+      BatchRequest req = ResolveManifestEntry(e, base);
       item.id = req.id;
       requests.push_back(std::move(req));
       request_slot.push_back(i);

@@ -48,14 +48,10 @@ struct ServiceConfig {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Disk writes ride the WorkerPool (Drain() settles them). Tests
-  /// that need deterministic write counts mid-run switch to synchronous.
-  bool write_behind = true;
   /// Parallelism of one batch, including the calling thread (0 = every
   /// pool worker plus the caller, 1 = serial on the caller). Clamped to
   /// the pool's workers + 1: scheduling is CPU-bound.
   int threads = 0;
-  hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
 };
 
 class SchedulerService {
@@ -77,13 +73,14 @@ class SchedulerService {
   /// Schedules every request in parallel against the session cache stack.
   /// Never throws for per-request failures; they surface as failed items.
   /// report.cache / report.mem_cache are deltas over this call; with
-  /// write-behind on, `writes` may still be in flight at return (Drain()
-  /// for exact totals — the one-shot wrappers do). With `on_item`, each
-  /// item is handed to it on its lane as it completes, so a caller that
-  /// reduces results as they arrive (experiment::RunExperiments,
-  /// RunSweep) never holds the whole batch's schedules at once; the
-  /// counters (scheduled, hits, failed, warm_starts, timing) are taken
-  /// from each item before the consumer runs.
+  /// both tiers on (write-behind), `writes` may still be in flight at
+  /// return (Drain() for exact totals — the one-shot wrappers do). With
+  /// `on_item`, each item is handed to it on its lane as it completes, so
+  /// a caller that reduces results as they arrive
+  /// (experiment::RunExperiments, RunSweep) never holds the whole batch's
+  /// schedules at once; the counters (scheduled, hits, failed,
+  /// warm_starts, timing) are taken from each item before the consumer
+  /// runs.
   BatchReport RunBatch(const std::vector<BatchRequest>& requests,
                        const ItemConsumer& on_item = {});
 
@@ -102,7 +99,7 @@ class SchedulerService {
   /// manifest throws.
   BatchReport RunManifest(const std::string& manifest_path);
 
-  /// Settles the write-behind queue (no-op for synchronous stacks).
+  /// Settles the write-behind queue (no-op unless both tiers are on).
   void Drain();
 
   bool has_cache() const { return cache_ != nullptr; }

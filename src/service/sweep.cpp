@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "hwmodel/characterize.h"
 #include "io/hcl.h"
 #include "io/scanner.h"
 #include "service/session.h"
@@ -193,8 +194,7 @@ SweepSpec LoadSweepSpecFile(const std::string& path) {
   return ParseSweepSpec(io::ReadFile(path), path);
 }
 
-SweepPlan ExpandSweepMachines(const SweepSpec& spec,
-                              hw::RFModelMode rf_model) {
+SweepPlan ExpandSweepMachines(const SweepSpec& spec) {
   MachineConfig base;
   if (spec.num_fus) base.num_fus = *spec.num_fus;
   if (spec.num_mem_ports) base.num_mem_ports = *spec.num_mem_ports;
@@ -238,7 +238,7 @@ SweepPlan ExpandSweepMachines(const SweepSpec& spec,
     if (spec.characterize && !rf.UnboundedClusterRegs() &&
         !rf.UnboundedSharedRegs()) {
       try {
-        m = hw::ApplyCharacterization(m, rf_model);
+        m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
       } catch (const std::exception& e) {
         plan.skipped.push_back(rf.Name() + ": " + e.what());
         continue;
@@ -251,8 +251,7 @@ SweepPlan ExpandSweepMachines(const SweepSpec& spec,
 
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
                      SchedulerService& session) {
-  const SweepPlan plan =
-      ExpandSweepMachines(spec, session.config().rf_model);
+  const SweepPlan plan = ExpandSweepMachines(spec);
   if (plan.machines.empty()) {
     std::string msg = "sweep expands to no valid organizations";
     for (const std::string& s : plan.skipped) msg += "\n  skipped " + s;

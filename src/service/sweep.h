@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "core/mirs.h"
-#include "hwmodel/characterize.h"
 #include "machine/machine_config.h"
 #include "service/batch.h"
 
@@ -88,8 +87,7 @@ struct SweepPlan {
   std::vector<SweepMachine> machines;
   std::vector<std::string> skipped;
 };
-SweepPlan ExpandSweepMachines(const SweepSpec& spec,
-                              hw::RFModelMode rf_model);
+SweepPlan ExpandSweepMachines(const SweepSpec& spec);
 
 /// One (organization, loop) cell of the sweep matrix — the deterministic
 /// subset of a ScheduleResult the reports are built from.

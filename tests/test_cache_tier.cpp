@@ -38,14 +38,12 @@ class CacheTierTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(dir_); }
 
   /// A fresh two-tier stack over this test's directory.
-  std::unique_ptr<TieredCache> MakeStack(long mem_entries, long mem_bytes = 0,
-                                         bool write_behind = true) {
+  std::unique_ptr<TieredCache> MakeStack(long mem_entries) {
     MemoryTier::Config mcfg;
     mcfg.max_entries = mem_entries;
-    mcfg.max_bytes = mem_bytes;
     return std::make_unique<TieredCache>(
         std::make_unique<MemoryTier>(mcfg),
-        std::make_unique<DiskTier>(dir_.string()), write_behind);
+        std::make_unique<DiskTier>(dir_.string()));
   }
 
   fs::path dir_;
@@ -213,7 +211,7 @@ TEST_F(CacheTierTest, WriteBehindDurableAfterDrain) {
   const core::ScheduleResult fresh = ScheduleKernel(loop);
   const CacheKey key = KeyOf(loop);
 
-  auto stack = MakeStack(/*mem_entries=*/16, 0, /*write_behind=*/true);
+  auto stack = MakeStack(/*mem_entries=*/16);
   stack->Put(key, fresh);
   stack->Drain();
 
@@ -227,26 +225,16 @@ TEST_F(CacheTierTest, WriteBehindDurableAfterDrain) {
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
 }
 
-TEST_F(CacheTierTest, SynchronousStackWritesInline) {
-  const workload::Loop loop = workload::MakeHydro();
-  const core::ScheduleResult fresh = ScheduleKernel(loop);
-
-  auto stack = MakeStack(/*mem_entries=*/16, 0, /*write_behind=*/false);
-  stack->Put(KeyOf(loop), fresh);
-  // No Drain(): the synchronous stack must already be durable.
-  EXPECT_EQ(DiskTier::Scan(dir_.string()).entries, 1);
-  EXPECT_EQ(stack->tier_stats().writes, 1);
-}
-
 TEST_F(CacheTierTest, TierStatsAggregateAcrossTiers) {
   const workload::Loop loop = workload::MakeHydro();
   const core::ScheduleResult fresh = ScheduleKernel(loop);
   const CacheKey key = KeyOf(loop);
 
-  auto stack = MakeStack(/*mem_entries=*/16, 0, /*write_behind=*/false);
+  auto stack = MakeStack(/*mem_entries=*/16);
   EXPECT_FALSE(stack->Get(key).has_value());  // miss in both tiers
   stack->Put(key, fresh);
   EXPECT_TRUE(stack->Get(key).has_value());  // memory hit
+  stack->Drain();  // the disk write lands before it is counted
 
   const TierStats s = stack->tier_stats();
   EXPECT_EQ(s.hits, 1);    // from any tier
@@ -353,10 +341,11 @@ TEST_F(CacheTierTest, NearKeyResolvesThroughDiskAndPromotes) {
   const core::ScheduleResult ra = ScheduleKernel(a);
   const core::ScheduleResult rb = ScheduleKernel(b);
 
-  auto stack = MakeStack(/*mem_entries=*/1, 0, /*write_behind=*/false);
+  auto stack = MakeStack(/*mem_entries=*/1);
   stack->Put(KeyOf(a), ra);
   stack->NoteStructural(StructuralOf(a), KeyOf(a));
   stack->Put(KeyOf(b), rb);  // a leaves memory, stays on disk
+  stack->Drain();            // once its write lands
 
   const auto near = stack->GetNear(StructuralOf(a), KeyVariant(a, 555));
   ASSERT_TRUE(near.has_value());

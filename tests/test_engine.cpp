@@ -101,7 +101,8 @@ TEST(EngineDriver, ReusedContextMatchesAFreshOne) {
     const std::vector<NodeId> order = sched::HrmsOrder(ddg, m.lat);
 
     core::AttemptContext reused(ddg, m, opt, no_overrides, order);
-    ASSERT_EQ(reused.TryII(mii.MII()), core::AttemptStatus::kFailed) << what;
+    ASSERT_NE(reused.TryII(mii.MII()), core::AttemptStatus::kScheduled)
+        << what;
     const core::ScheduleStats dirty = reused.instr().stats();
     ASSERT_EQ(reused.TryII(probe.ii), core::AttemptStatus::kScheduled) << what;
     core::AttemptContext fresh(ddg, m, opt, no_overrides, order);
@@ -128,6 +129,32 @@ TEST(EngineDriver, ReusedContextMatchesAFreshOne) {
   // The hierarchical proposal's kernel runs are ejection-heavy; at least
   // one loop must escalate past its MII or this test checks nothing.
   EXPECT_GT(exercised, 0);
+}
+
+// A failed attempt names the check that ended it, so the `attempt` span
+// explains a missed II without a rerun. On the hierarchical proposal four
+// kernels miss their MII: two livelock in eject ping-pong, two find a node
+// that cannot be forced into a slot. A second fresh context names the same
+// cause.
+TEST(EngineDriver, FailedAttemptNamesItsCause) {
+  const workload::Suite& kernels = workload::SharedKernelSuite();
+  const MachineConfig m = OrgMachine("4C16S64/2-1");
+  const core::MirsOptions opt;
+  std::string causes;
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    const DDG& ddg = kernels[i].ddg;
+    const core::ScheduleResult probe = core::MirsHC(ddg, m, opt);
+    ASSERT_TRUE(probe.ok);
+    if (probe.ii == probe.mii) continue;
+    const int mii = ComputeMII(ddg, m).MII();
+    const std::vector<NodeId> order = sched::HrmsOrder(ddg, m.lat);
+    core::AttemptContext ctx(ddg, m, opt, {}, order);
+    const core::AttemptStatus cause = ctx.TryII(mii);
+    core::AttemptContext again(ddg, m, opt, {}, order);
+    EXPECT_EQ(again.TryII(mii), cause) << ddg.name();
+    causes += ddg.name() + "=" + std::string(core::ToString(cause)) + " ";
+  }
+  EXPECT_EQ(causes, "hydro-lk1=churn norm2=place vdiv=place fir4=churn ");
 }
 
 // The bitset pick against a brute-force scan: the live, unscheduled node

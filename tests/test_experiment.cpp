@@ -153,17 +153,23 @@ TEST(ExperimentRun, SmokeColdThenWarmIsBitIdentical) {
   const std::string cache = FreshDir("hcrf-exp-cache-");
   ReproOptions opt;
   opt.smoke = true;
-  opt.cache_dir = cache;
+  service::ServiceConfig config;
+  config.cache_dir = cache;
   const std::vector<const Experiment*> sel = {
       FindExperiment("table4"), FindExperiment("fig4"),
       FindExperiment("ablation_budget")};
 
-  const ReproReport cold = RunExperiments(sel, opt);
+  // Each leg on its own session over the same directory, as two CLI runs.
+  const auto run = [&] {
+    service::SchedulerService session(config);
+    return RunExperiments(sel, opt, session);
+  };
+  const ReproReport cold = run();
   EXPECT_GT(cold.requests, 0);
   EXPECT_EQ(cold.hits, 0);
   EXPECT_EQ(cold.scheduled, cold.requests);
 
-  const ReproReport warm = RunExperiments(sel, opt);
+  const ReproReport warm = run();
   EXPECT_EQ(warm.scheduled, 0);
   EXPECT_EQ(warm.hits, warm.requests);
   EXPECT_EQ(warm.requests, cold.requests);

@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/mirs.h"
-#include "core/sched_state.h"
+#include "experiment/experiment.h"
 #include "hwmodel/characterize.h"
+#include "core/sched_state.h"
 #include "io/hcl.h"
 #include "machine/rf_config.h"
 #include "sched/lifetime.h"
@@ -224,29 +226,46 @@ TEST(PressureTracker, UnboundedOrganizationsDetach) {
 
 // ---------------------------------------------------------------------------
 // Engine-level A/B: the incremental engine must produce bit-identical
-// schedules to the reference (non-incremental) engine. This is the only
-// check of MirsOptions::incremental = false, so it covers every kernel and
-// a 64-loop synthetic slice on characterized machines of every
-// organization family.
+// schedules to the reference path (EngineDriver::UseReferencePressure,
+// which keeps the tracker detached and recomputes pressure at every spill
+// check). It covers every kernel and a 64-loop synthetic slice on every
+// register-bounded machine the paper reproduction schedules on, plus the
+// small hierarchical 2C16S16/1-1.
 // ---------------------------------------------------------------------------
 
-MachineConfig CharacterizedMachine(const std::string& rf_name) {
-  MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf_name));
-  if (!m.rf.UnboundedClusterRegs() && !m.rf.UnboundedSharedRegs()) {
-    m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
+/// 2C16S16/1-1, then the distinct register-bounded machines of the
+/// experiment registry (deduplicated by their canonical `.hcl` machine
+/// document). Unbounded organizations never attach the tracker, so both
+/// paths are one there.
+std::vector<MachineConfig> BoundedMachines() {
+  std::vector<MachineConfig> out = {hw::ApplyCharacterization(
+      MachineConfig::WithRF(RFConfig::Parse("2C16S16/1-1")),
+      hw::RFModelMode::kPaperTable)};
+  std::vector<std::string> seen = {io::DumpMachine(out.front())};
+  for (const experiment::Experiment& e : experiment::Registry()) {
+    for (const experiment::MachineVariant& mv : e.machines) {
+      const RFConfig& rf = mv.machine.rf;
+      if (!(rf.HasClusters() && !rf.UnboundedClusterRegs()) &&
+          !(rf.HasSharedBank() && !rf.UnboundedSharedRegs())) {
+        continue;
+      }
+      std::string doc = io::DumpMachine(mv.machine);
+      if (std::find(seen.begin(), seen.end(), doc) != seen.end()) continue;
+      seen.push_back(std::move(doc));
+      out.push_back(mv.machine);
+    }
   }
-  return m;
+  return out;
 }
 
 void ExpectEngineIdentical(const workload::Suite& suite,
                            const MachineConfig& m) {
-  core::MirsOptions ref_opt;
-  ref_opt.incremental = false;
-  const core::MirsOptions inc_opt;
   for (size_t i = 0; i < suite.size(); ++i) {
     const DDG& g = suite[i].ddg;
-    const core::ScheduleResult a = core::MirsHC(g, m, ref_opt);
-    const core::ScheduleResult b = core::MirsHC(g, m, inc_opt);
+    core::EngineDriver reference(g, m, {}, {});
+    reference.UseReferencePressure();
+    const core::ScheduleResult a = reference.Run();
+    const core::ScheduleResult b = core::MirsHC(g, m);
     ASSERT_EQ(a.ok, b.ok) << g.name();
     if (!a.ok) continue;
     EXPECT_EQ(io::DumpResult(a), io::DumpResult(b)) << g.name();
@@ -259,10 +278,10 @@ TEST(PressureTrackerEngine, BitIdenticalSchedules) {
       workload::SuiteSlice(workload::SharedSyntheticSuite(), 64);
   ASSERT_GT(kernels.size(), 0u);
   ASSERT_EQ(synth.size(), 64u);
-  for (const char* rf :
-       {"4C16S64/2-1", "4C32/1-1", "S64", "S32", "2C16S16/1-1"}) {
-    SCOPED_TRACE(rf);
-    const MachineConfig m = CharacterizedMachine(rf);
+  const std::vector<MachineConfig> machines = BoundedMachines();
+  ASSERT_GE(machines.size(), 21u);
+  for (const MachineConfig& m : machines) {
+    SCOPED_TRACE(m.rf.Name());
     ExpectEngineIdentical(kernels, m);
     ExpectEngineIdentical(synth, m);
   }

@@ -93,8 +93,7 @@ TEST(SweepPlan, GridExpandsDedupsAndSkipsInvalidCombos) {
   spec.grid_cluster_regs = {16};
   spec.grid_shared_regs = {0, 64};
   spec.characterize = false;
-  const SweepPlan plan =
-      ExpandSweepMachines(spec, hw::RFModelMode::kPaperTable);
+  const SweepPlan plan = ExpandSweepMachines(spec);
   // Explicit organizations first, then the grid cross product in
   // clusters-major order; the grid's 4C16S64 duplicates the explicit one
   // and 8C16 (pure clustered, 8 clusters > 4 memory ports) is skipped.
@@ -125,8 +124,7 @@ TEST(SweepSpec, CheckedInSpecsAreCanonicalAndExpand) {
   // silently dropped.
   const SweepSpec paper =
       LoadSweepSpecFile(CorpusPath("sweeps/paper-organizations.hcl"));
-  const SweepPlan plan =
-      ExpandSweepMachines(paper, hw::RFModelMode::kPaperTable);
+  const SweepPlan plan = ExpandSweepMachines(paper);
   EXPECT_GE(plan.machines.size(), 3u);
   EXPECT_TRUE(plan.skipped.empty());
   bool mono = false, clustered = false, hier = false;

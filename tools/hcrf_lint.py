@@ -15,6 +15,11 @@ mode it guards against:
                   bit-reproducible across runs and machines; rand()/
                   srand()/std::random_device are banned in src/ (seeded
                   mt19937 et al. are fine — the seed is part of the spec).
+  getenv          Library behaviour must not hinge on the process
+                  environment, which no cache key, manifest or test sees;
+                  the one switch left (HCRF_CHECK_PRESSURE, a safety
+                  cross-check) is read in src/core/debug.h and nowhere
+                  else in src/.
   naked-thread    All parallelism goes through perf::WorkerPool (and its
                   TaskGroups) so saturation, tracing and shutdown stay
                   centralized; raw std::thread construction outside
@@ -63,13 +68,12 @@ CONSOLE_IO_ALLOWLIST = {
     "src/core/check.h":
         "invariant-failure diagnostics: prints context to stderr on the "
         "abort path, where no report writer can run anymore",
-    "src/core/engine.cpp":
-        "HCRF_DEBUG-gated stderr diagnostics (budget exhaustion, lifetime "
-        "dumps, validation failures); silent unless the env switch is set",
-    "src/core/comm_rewrite.cpp":
-        "HCRF_DEBUG-gated stderr diagnostics for rewrite bookkeeping; "
-        "silent unless the env switch is set",
 }
+
+# The one file that reads the process environment: the engine's cached
+# debug switch (HCRF_CHECK_PRESSURE). Behaviour that depends on the
+# environment is invisible to a cache key, a manifest and a test.
+GETENV_ALLOWED_FILE = "src/core/debug.h"
 
 # Directories whose job is writing bytes out: serialization (io/) and the
 # observability dump surfaces (obs/).
@@ -232,6 +236,12 @@ class Linter:
                 self.report(rel, lineno, "nondeterminism",
                             "rand()/srand()/random_device in a "
                             "deterministic layer; use a seeded engine")
+            if (rel != GETENV_ALLOWED_FILE
+                    and re.search(r"\b(?:secure_)?getenv\s*\(", line)):
+                self.report(rel, lineno, "getenv",
+                            "environment read outside "
+                            f"{GETENV_ALLOWED_FILE}; pass a setting "
+                            "explicitly instead")
             if not thread_allowed and re.search(r"std::thread(?![\w:])",
                                                 line):
                 self.report(rel, lineno, "naked-thread",
@@ -280,6 +290,9 @@ class Linter:
             if not os.path.exists(os.path.join(self.root, rel)):
                 self.report(rel, 1, "raw-socket",
                             "stale allowlist entry: file no longer exists")
+        if not os.path.exists(os.path.join(self.root, GETENV_ALLOWED_FILE)):
+            self.report(GETENV_ALLOWED_FILE, 1, "getenv",
+                        "stale allowlist entry: file no longer exists")
         for rel in PLACEMENT_FUNNEL_ALLOWLIST:
             if not os.path.exists(os.path.join(self.root, rel)):
                 self.report(rel, 1, "placement-funnel",

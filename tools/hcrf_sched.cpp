@@ -33,6 +33,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/experiment.h"
@@ -385,20 +386,26 @@ int CmdSchedule(const Args& args) {
   return 0;
 }
 
-int RunManifestOnce(const std::string& manifest,
-                    const service::ServiceConfig& config, bool quiet,
-                    const std::string* out_dir,
-                    service::BatchReport* out_report) {
-  const service::BatchReport report = service::RunManifest(manifest, config);
+/// Writes `result` to `<out_dir>/<id>.hclr`, with path separators in the
+/// id flattened to '_': the one result-file layout of `run` and `submit`.
+void WriteResultFile(const std::string& out_dir, std::string id,
+                     const core::ScheduleResult& result) {
+  for (char& c : id) {
+    if (c == '/' || c == '\\') c = '_';
+  }
+  io::WriteFileAtomic((fs::path(out_dir) / (id + ".hclr")).string(),
+                      io::DumpResult(result));
+}
+
+/// Prints a manifest run's items (unless `quiet`) and its batch and cache
+/// summary lines, and writes each scheduled result to `out_dir`.
+void ReportManifestRun(const service::BatchReport& report,
+                       const service::ServiceConfig& config, bool quiet,
+                       const std::string* out_dir) {
   for (const service::BatchItem& item : report.items) {
     if (!quiet) PrintItem(item);
     if (out_dir != nullptr && item.ok) {
-      std::string stem = item.id;
-      for (char& c : stem) {
-        if (c == '/' || c == '\\') c = '_';
-      }
-      io::WriteFileAtomic((fs::path(*out_dir) / (stem + ".hclr")).string(),
-                          io::DumpResult(item.result));
+      WriteResultFile(*out_dir, item.id, item.result);
     }
   }
   std::printf(
@@ -420,8 +427,6 @@ int RunManifestOnce(const std::string& manifest,
         report.mem_cache.evictions, report.mem_cache.oversize,
         report.mem_cache.entries, report.mem_cache.bytes);
   }
-  if (out_report != nullptr) *out_report = report;
-  return report.failed == 0 ? 0 : 1;
 }
 
 int CmdRun(const Args& args) {
@@ -430,9 +435,79 @@ int CmdRun(const Args& args) {
                          "out-dir", "quiet", "trace", "stats"})) {
     return Usage();
   }
-  return RunManifestOnce(args.positional[0], SessionFromFlags(args),
-                         args.Flag("quiet") != nullptr, args.Flag("out-dir"),
-                         nullptr);
+  const service::ServiceConfig config = SessionFromFlags(args);
+  const service::BatchReport report =
+      service::RunManifest(args.positional[0], config);
+  ReportManifestRun(report, config, args.Flag("quiet") != nullptr,
+                    args.Flag("out-dir"));
+  return report.failed == 0 ? 0 : 1;
+}
+
+/// What one leg of a cold/warm smoke check reports.
+struct SmokeLeg {
+  int requests = 0;
+  int hits = 0;
+  int scheduled = 0;
+  bool ok = true;      ///< The leg's own checks passed (no failures).
+  std::string output;  ///< Rendered results; the warm leg's must match.
+};
+
+/// The cold/warm self-check of `smoke`, `sweep --smoke` and `repro
+/// --smoke`: `leg(session)` runs twice on one session over a fresh cache
+/// (a temporary directory unless --cache names an empty one; user data is
+/// never deleted). The warm leg must be served entirely from the cache —
+/// from the memory tier when --cache-mem configures one — and render the
+/// cold leg's output byte for byte. Prints "<name>: PASS|FAIL".
+template <typename Leg>
+bool ColdWarmSmoke(const char* name, service::ServiceConfig config,
+                   Leg&& leg) {
+  std::error_code ec;
+  const bool temporary = config.cache_dir.empty();
+  if (temporary) {
+    config.cache_dir = (fs::temp_directory_path() /
+                        ("hcrf-smoke-" + std::to_string(::getpid())))
+                           .string();
+    fs::remove_all(config.cache_dir, ec);
+  } else if (fs::exists(config.cache_dir, ec) &&
+             !fs::is_empty(config.cache_dir, ec)) {
+    std::fprintf(stderr,
+                 "%s: --cache=%s exists and is not empty; the cold run needs "
+                 "a fresh cache and will not delete user data\n",
+                 name, config.cache_dir.c_str());
+    return false;
+  }
+  bool ok;
+  {
+    service::SchedulerService session(config);
+    std::printf("== cold run ==\n");
+    const SmokeLeg cold = leg(session);
+    session.Drain();  // cold writes land before the warm leg probes disk
+    std::printf("== warm run ==\n");
+    const SmokeLeg warm = leg(session);
+    ok = cold.ok && warm.ok;
+    if (warm.scheduled != 0 || warm.hits != warm.requests) {
+      std::fprintf(stderr,
+                   "%s: warm run expected all cache hits, got %d hits / %d "
+                   "scheduled of %d requests\n",
+                   name, warm.hits, warm.scheduled, warm.requests);
+      ok = false;
+    }
+    if (warm.output != cold.output) {
+      std::fprintf(stderr, "%s: warm output differs from the cold run's\n",
+                   name);
+      ok = false;
+    }
+    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
+      std::fprintf(stderr,
+                   "%s: --cache-mem warm run never hit the memory tier\n",
+                   name);
+      ok = false;
+    }
+    std::printf("%s: %s (%d requests, warm run served %d from cache)\n", name,
+                ok ? "PASS" : "FAIL", warm.requests, warm.hits);
+  }
+  if (temporary) fs::remove_all(config.cache_dir, ec);
+  return ok;
 }
 
 void PrintSweepSummary(const service::SweepReport& report,
@@ -465,68 +540,25 @@ int CmdSweep(const Args& args) {
   const service::SweepSpec spec = service::LoadSweepSpecFile(spec_path);
   const std::string base_dir = fs::path(spec_path).parent_path().string();
 
-  service::ServiceConfig config = SessionFromFlags(args);
-
-  const bool smoke = args.Flag("smoke") != nullptr;
-  std::error_code ec;
-  if (smoke) {
-    // Same cold-cache contract as `hcrf_sched smoke`: never delete a
-    // user-supplied directory, refuse one with existing contents.
-    if (config.cache_dir.empty()) {
-      config.cache_dir =
-          (fs::temp_directory_path() /
-           ("hcrf-sweep-smoke-" + std::to_string(::getpid())))
-              .string();
-      fs::remove_all(config.cache_dir, ec);
-    } else if (fs::exists(config.cache_dir, ec) &&
-               !fs::is_empty(config.cache_dir, ec)) {
-      std::fprintf(stderr,
-                   "sweep --smoke: --cache=%s exists and is not empty; the "
-                   "cold run needs a fresh cache\n",
-                   config.cache_dir.c_str());
-      return 1;
-    }
-  }
+  const service::ServiceConfig config = SessionFromFlags(args);
 
   // Unschedulable (org, loop) cells are sweep *data* — the paper's grid
   // includes organizations where loops legitimately fail — so they do not
-  // fail the command; only smoke-check violations below do.
+  // fail the command; only smoke-check violations do.
   service::SweepReport report;
   bool ok = true;
-  if (smoke) {
-    // Cold and warm legs share ONE resident session: the warm run probes
-    // the same cache stack the cold run populated, so with --cache-mem it
-    // is served from the memory tier. (The pre-session smoke built a
-    // fresh cache per run and could only ever warm-hit disk.)
-    service::SchedulerService session(config);
-    report = service::RunSweep(spec, base_dir, session);
-    session.Drain();  // cold writes land before the warm leg probes disk
-    PrintSweepSummary(report, config.cache_dir);
-    const service::SweepReport warm =
-        service::RunSweep(spec, base_dir, session);
-    PrintSweepSummary(warm, config.cache_dir);
-    if (warm.scheduled != 0 ||
-        warm.hits != static_cast<int>(warm.cells.size())) {
-      std::fprintf(stderr,
-                   "sweep --smoke: warm run expected all cache hits, got %d "
-                   "hits / %d scheduled\n",
-                   warm.hits, warm.scheduled);
-      ok = false;
-    }
-    if (service::SweepCsv(warm) != service::SweepCsv(report) ||
-        service::SweepMarkdown(warm) != service::SweepMarkdown(report)) {
-      std::fprintf(stderr,
-                   "sweep --smoke: warm reports differ from cold reports\n");
-      ok = false;
-    }
-    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
-      std::fprintf(stderr,
-                   "sweep --smoke: --cache-mem warm run never hit the "
-                   "memory tier\n");
-      ok = false;
-    }
-    if (args.Flag("cache") == nullptr) fs::remove_all(config.cache_dir, ec);
-    std::printf("sweep smoke: %s\n", ok ? "PASS" : "FAIL");
+  if (args.Flag("smoke") != nullptr) {
+    bool cold_leg = true;
+    ok = ColdWarmSmoke(
+        "sweep smoke", config, [&](service::SchedulerService& session) {
+          service::SweepReport r = service::RunSweep(spec, base_dir, session);
+          PrintSweepSummary(r, session.config().cache_dir);
+          SmokeLeg leg{static_cast<int>(r.cells.size()), r.hits, r.scheduled,
+                       true, service::SweepCsv(r) + service::SweepMarkdown(r)};
+          if (std::exchange(cold_leg, false)) report = std::move(r);
+          return leg;
+        });
+    if (cold_leg) return 1;  // refused a non-empty --cache directory
   } else {
     report = service::RunSweep(spec, base_dir, config);
     PrintSweepSummary(report, config.cache_dir);
@@ -536,6 +568,7 @@ int CmdSweep(const Args& args) {
 
   const std::string* out_dir = args.Flag("out-dir");
   const std::string dir = out_dir != nullptr ? *out_dir : ".";
+  std::error_code ec;
   fs::create_directories(dir, ec);
   const std::string csv_path =
       (fs::path(dir) / (report.name + ".csv")).string();
@@ -668,75 +701,27 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-// Cold run, then warm run against the same fresh cache; the warm run must
-// be served entirely from the cache and produce bit-identical results.
-// This is the CI smoke and the acceptance check of the subsystem.
+// Cold run, then warm run of a manifest against one fresh cache (see
+// ColdWarmSmoke). This is the CI smoke and the acceptance check of the
+// subsystem.
 int CmdSmoke(const Args& args) {
   if (args.positional.size() != 1 || !CheckFlags(args, {"cache"})) {
     return Usage();
   }
   service::ServiceConfig config;
-  std::error_code ec;
-  if (const std::string* c = args.Flag("cache")) {
-    // Never delete a user-supplied directory; the cold run just needs it
-    // empty, so refuse anything with existing contents.
-    config.cache_dir = *c;
-    if (fs::exists(config.cache_dir, ec) &&
-        !fs::is_empty(config.cache_dir, ec)) {
-      std::fprintf(stderr,
-                   "smoke: --cache=%s exists and is not empty; smoke needs a "
-                   "cold cache and will not delete user data\n",
-                   config.cache_dir.c_str());
-      return 1;
-    }
-  } else {
-    config.cache_dir =
-        (fs::temp_directory_path() /
-         ("hcrf-smoke-cache-" + std::to_string(::getpid())))
-            .string();
-    fs::remove_all(config.cache_dir, ec);
-  }
-
-  std::printf("== cold run ==\n");
-  service::BatchReport cold;
-  if (RunManifestOnce(args.positional[0], config, /*quiet=*/true, nullptr,
-                      &cold) != 0) {
-    std::fprintf(stderr, "smoke: cold run had failures\n");
-    return 1;
-  }
-  std::printf("== warm run ==\n");
-  service::BatchReport warm;
-  if (RunManifestOnce(args.positional[0], config, /*quiet=*/true, nullptr,
-                      &warm) != 0) {
-    std::fprintf(stderr, "smoke: warm run had failures\n");
-    return 1;
-  }
-
-  bool ok = true;
-  if (warm.hits <= 0 || warm.scheduled != 0) {
-    std::fprintf(stderr,
-                 "smoke: warm run expected all cache hits, got %d hits / %d "
-                 "scheduled\n",
-                 warm.hits, warm.scheduled);
-    ok = false;
-  }
-  if (cold.items.size() != warm.items.size()) {
-    std::fprintf(stderr, "smoke: item count mismatch\n");
-    ok = false;
-  } else {
-    for (size_t i = 0; i < cold.items.size(); ++i) {
-      if (io::DumpResult(cold.items[i].result) !=
-          io::DumpResult(warm.items[i].result)) {
-        std::fprintf(stderr, "smoke: result %s differs between runs\n",
-                     cold.items[i].id.c_str());
-        ok = false;
-      }
-    }
-  }
-  if (args.Flag("cache") == nullptr) fs::remove_all(config.cache_dir, ec);
-  std::printf("smoke: %s (%d loops, warm run served %d from cache)\n",
-              ok ? "PASS" : "FAIL", static_cast<int>(warm.items.size()),
-              warm.hits);
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
+  const bool ok = ColdWarmSmoke(
+      "smoke", config, [&](service::SchedulerService& session) {
+        const service::BatchReport r =
+            session.RunManifest(args.positional[0]);
+        ReportManifestRun(r, session.config(), /*quiet=*/true, nullptr);
+        SmokeLeg leg{static_cast<int>(r.items.size()), r.hits, r.scheduled,
+                     r.failed == 0, ""};
+        for (const service::BatchItem& item : r.items) {
+          leg.output += item.id + "\n" + io::DumpResult(item.result);
+        }
+        return leg;
+      });
   return ok ? 0 : 1;
 }
 
@@ -852,73 +837,31 @@ int CmdRepro(const Args& args) {
     }
   }
 
-  service::ServiceConfig config = SessionFromFlags(args);
-  const bool smoke = args.Flag("smoke") != nullptr;
-  std::error_code ec;
-  if (smoke) {
-    // Same cold-cache contract as the other smoke commands: never delete a
-    // user-supplied directory, refuse one with existing contents.
-    if (config.cache_dir.empty()) {
-      config.cache_dir =
-          (fs::temp_directory_path() /
-           ("hcrf-repro-smoke-" + std::to_string(::getpid())))
-              .string();
-      fs::remove_all(config.cache_dir, ec);
-    } else if (fs::exists(config.cache_dir, ec) &&
-               !fs::is_empty(config.cache_dir, ec)) {
-      std::fprintf(stderr,
-                   "repro --smoke: --cache=%s exists and is not empty; the "
-                   "cold run needs a fresh cache\n",
-                   config.cache_dir.c_str());
-      return 1;
-    }
-  }
+  const service::ServiceConfig config = SessionFromFlags(args);
   experiment::ReproOptions ropt;
-  ropt.cache_dir = config.cache_dir;
-  ropt.cache_mem_entries = config.cache_mem_entries;
-  ropt.cache_mem_bytes = config.cache_mem_bytes;
-  ropt.threads = config.threads;
-  ropt.smoke = smoke;
+  ropt.smoke = args.Flag("smoke") != nullptr;
 
   experiment::ReproReport report;
-  bool ok = true;
+  bool ok;
   if (ropt.smoke) {
-    // As in `sweep --smoke`: one resident session carries both legs, so
-    // the warm run probes the cache stack the cold run populated (the
-    // memory tier with --cache-mem, the disk tier otherwise).
+    bool cold_leg = true;
+    ok = ColdWarmSmoke(
+        "repro smoke", config, [&](service::SchedulerService& session) {
+          experiment::ReproReport r =
+              experiment::RunExperiments(selection, ropt, session);
+          PrintReproSummary(r, session.config().cache_dir);
+          SmokeLeg leg{r.requests, r.hits, r.scheduled, r.ref_failures == 0,
+                       experiment::ReproCsv(r) + experiment::ReproMarkdown(r)};
+          if (std::exchange(cold_leg, false)) report = std::move(r);
+          return leg;
+        });
+    if (cold_leg) return 1;  // refused a non-empty --cache directory
+  } else {
     service::SchedulerService session(config);
     report = experiment::RunExperiments(selection, ropt, session);
-    session.Drain();  // cold writes land before the warm leg probes disk
-    PrintReproSummary(report, ropt.cache_dir);
-    ok = report.ref_failures == 0;
-    const experiment::ReproReport warm =
-        experiment::RunExperiments(selection, ropt, session);
-    PrintReproSummary(warm, ropt.cache_dir);
-    if (warm.scheduled != 0 || warm.hits != warm.requests) {
-      std::fprintf(stderr,
-                   "repro --smoke: warm run expected all cache hits, got %d "
-                   "hits / %d scheduled of %d requests\n",
-                   warm.hits, warm.scheduled, warm.requests);
-      ok = false;
-    }
-    if (experiment::ReproCsv(warm) != experiment::ReproCsv(report) ||
-        experiment::ReproMarkdown(warm) != experiment::ReproMarkdown(report)) {
-      std::fprintf(stderr,
-                   "repro --smoke: warm reports differ from cold reports\n");
-      ok = false;
-    }
-    if (ropt.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
-      std::fprintf(stderr,
-                   "repro --smoke: --cache-mem warm run never hit the "
-                   "memory tier\n");
-      ok = false;
-    }
-    if (warm.ref_failures != 0) ok = false;
-    if (args.Flag("cache") == nullptr) fs::remove_all(ropt.cache_dir, ec);
-    std::printf("repro smoke: %s\n", ok ? "PASS" : "FAIL");
-  } else {
-    report = experiment::RunExperiments(selection, ropt);
-    PrintReproSummary(report, ropt.cache_dir);
+    session.Drain();  // exact write counts for the summary's cache line
+    if (session.has_cache()) report.cache = session.tier_stats();
+    PrintReproSummary(report, config.cache_dir);
     ok = report.ref_failures == 0;
   }
   const std::string csv = experiment::ReproCsv(report);
@@ -926,6 +869,7 @@ int CmdRepro(const Args& args) {
 
   const std::string* out_dir = args.Flag("out");
   const std::string dir = out_dir != nullptr ? *out_dir : ".";
+  std::error_code ec;
   fs::create_directories(dir, ec);
   const std::string csv_path = (fs::path(dir) / "repro.csv").string();
   const std::string md_path = (fs::path(dir) / "repro.md").string();
@@ -1104,8 +1048,7 @@ int CmdSubmit(const Args& args) {
   for (const service::ManifestEntry& entry : entries) {
     // Unlike `run`, a client fails fast on an unloadable entry: nothing
     // has been submitted yet, so there is no partial batch to salvage.
-    requests.push_back(service::ResolveManifestEntry(
-        entry, base_dir, hw::RFModelMode::kPaperTable));
+    requests.push_back(service::ResolveManifestEntry(entry, base_dir));
     if (args.Flag("delta") != nullptr) {
       // Node ids are per-loop: an entry beyond this loop's slot count
       // simply has no node to perturb there.
@@ -1142,12 +1085,7 @@ int CmdSubmit(const Args& args) {
     if (item.cache_hit) ++hits;
     if (!quiet) PrintWireItem(requests[i].id, item);
     if (out_dir != nullptr && item.ok) {
-      std::string stem = requests[i].id;
-      for (char& c : stem) {
-        if (c == '/' || c == '\\') c = '_';
-      }
-      io::WriteFileAtomic((fs::path(*out_dir) / (stem + ".hclr")).string(),
-                          io::DumpResult(item.result));
+      WriteResultFile(*out_dir, requests[i].id, item.result);
     }
   }
   std::printf("submit: %zu requests, %d cache hits, %d failed (%s)\n",
