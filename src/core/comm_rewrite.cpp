@@ -50,7 +50,7 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
   // producer's bank for bus moves); the final edge to the consumer is
   // always distance 0, so the consumer-side copy lives only briefly.
   NodeId last = e.src;
-  std::vector<std::pair<NodeId, std::pair<int, int>>> to_schedule;
+  NewHops to_schedule;
   if (rf.IsHierarchical()) {
     if (def_bank != kSharedBank) {
       NodeId s = FindReusable(last, OpClass::kStoreR, def_bank, 0, e);
@@ -61,7 +61,7 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
                                st_.priority[static_cast<size_t>(last)] - 0.1);
         chain_nodes_.push_back(s);
         st_.g.AddFlow(last, s, 0);
-        to_schedule.push_back({s, {def_bank, 0}});
+        to_schedule.Add(s, def_bank, 0);
       }
       last = s;
     }
@@ -76,7 +76,7 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
                                st_.priority[static_cast<size_t>(e.src)] - 0.2);
         chain_nodes_.push_back(l);
         st_.g.AddFlow(last, l, e.distance);
-        to_schedule.push_back({l, {read_bank, 0}});
+        to_schedule.Add(l, read_bank, 0);
       }
       last = l;
       return RedirectEdge(e, last, 0, to_schedule, consumer_scheduled);
@@ -96,16 +96,15 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
                             st_.priority[static_cast<size_t>(e.src)] - 0.1);
     chain_nodes_.push_back(mv);
     st_.g.AddFlow(e.src, mv, e.distance);
-    to_schedule.push_back({mv, {read_bank, def_bank}});
+    to_schedule.Add(mv, read_bank, def_bank);
   }
   last = mv;
   return RedirectEdge(e, last, 0, to_schedule, consumer_scheduled);
 }
 
-bool CommRewriter::RedirectEdge(
-    const Edge& e, NodeId last, int final_distance,
-    std::vector<std::pair<NodeId, std::pair<int, int>>>& to_schedule,
-    bool consumer_scheduled) {
+bool CommRewriter::RedirectEdge(const Edge& e, NodeId last,
+                                int final_distance, NewHops& to_schedule,
+                                bool consumer_scheduled) {
   // Redirect the consumer edge through the chain and record the fix before
   // scheduling: ejection cascades triggered while placing chain nodes must
   // be able to unwind it.
@@ -123,12 +122,15 @@ bool CommRewriter::RedirectEdge(
   // (consumer-side fix), place the consumer-adjacent node first so each
   // node sees its constraint; otherwise producer-adjacent first.
   if (consumer_scheduled) {
-    std::reverse(to_schedule.begin(), to_schedule.end());
+    std::reverse(to_schedule.hops, to_schedule.hops + to_schedule.count);
   }
-  for (const auto& [node, where] : to_schedule) {
-    if (!st_.g.IsAlive(node)) return true;  // chain dissolved by a cascade
-    if (st_.sched->IsScheduled(node)) continue;
-    if (!placer_.PlaceNode(node, where.first, where.second)) return false;
+  for (int i = 0; i < to_schedule.count; ++i) {
+    const NewHops::Hop& hop = to_schedule.hops[i];
+    if (!st_.g.IsAlive(hop.node)) return true;  // chain dissolved by a cascade
+    if (st_.sched->IsScheduled(hop.node)) continue;
+    if (!placer_.PlaceNode(hop.node, hop.cluster, hop.src_cluster)) {
+      return false;
+    }
   }
   instr_.ChainBuilt(e.dst, st_.ii());
   return true;
@@ -206,16 +208,8 @@ void CommRewriter::GarbageCollectComm() {
         continue;
       }
       // Spill copies never enter chain_nodes_, so IsCommChainNode holds
-      // for every alive entry. Allocation-free consumer probe
-      // (FlowConsumers would materialize a vector).
-      bool has_consumer = false;
-      for (const Edge& e : st_.g.OutEdges(v)) {
-        if (e.kind == DepKind::kFlow) {
-          has_consumer = true;
-          break;
-        }
-      }
-      if (has_consumer) continue;
+      // for every alive entry.
+      if (!st_.g.FlowConsumers(v).empty()) continue;
       st_.Unplace(v);
       st_.MarkScheduled(v);  // drop from the unscheduled list before removal
       st_.g.RemoveNode(v);
@@ -229,8 +223,8 @@ void CommRewriter::GarbageCollectComm() {
   }
 }
 
-std::vector<NodeId> CommRewriter::ConsumersThrough(NodeId victim) const {
-  std::vector<NodeId> consumers;
+void CommRewriter::ConsumersThrough(NodeId victim,
+                                    std::vector<NodeId>& out) const {
   for (const CommFix& f : fixes_) {
     // Walk the chain backwards from the consumer-side edge.
     NodeId c = f.final_edge.src;
@@ -241,13 +235,12 @@ std::vector<NodeId> CommRewriter::ConsumersThrough(NodeId victim) const {
         break;
       }
       if (!st_.IsCommChainNode(c)) break;
-      const auto producers = st_.g.FlowProducers(c);
+      const FlowEdgeView producers = st_.g.FlowProducers(c);
       if (producers.empty()) break;
       c = producers.front().src;
     }
-    if (through) consumers.push_back(f.original.dst);
+    if (through) out.push_back(f.original.dst);
   }
-  return consumers;
 }
 
 }  // namespace hcrf::core

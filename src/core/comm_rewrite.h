@@ -71,16 +71,33 @@ class CommRewriter {
   /// Removes chain nodes that lost all their consumers (after undos).
   void GarbageCollectComm();
 
-  /// Consumers whose communication chain runs through the chain node
-  /// `victim`; ejecting the chain node means re-communicating them.
-  std::vector<NodeId> ConsumersThrough(NodeId victim) const;
+  /// Appends to `out` the consumers whose communication chain runs through
+  /// the chain node `victim`; ejecting the chain node means
+  /// re-communicating them. The caller owns the buffer because the
+  /// ejection cascade re-enters this while it walks an earlier list.
+  void ConsumersThrough(NodeId victim, std::vector<NodeId>& out) const;
 
  private:
+  /// The chain nodes one FixEdge created and still has to place, with
+  /// their (cluster, src_cluster): a chain has at most two hops
+  /// (StoreR -> LoadR, or one Move).
+  struct NewHops {
+    struct Hop {
+      NodeId node;
+      int cluster;
+      int src_cluster;
+    };
+    Hop hops[2];
+    int count = 0;
+
+    void Add(NodeId node, int cluster, int src_cluster) {
+      hops[count++] = Hop{node, cluster, src_cluster};
+    }
+  };
+
   bool FixEdge(const Edge& e, sched::BankId def_bank, sched::BankId read_bank);
-  bool RedirectEdge(
-      const Edge& e, NodeId last, int final_distance,
-      std::vector<std::pair<NodeId, std::pair<int, int>>>& to_schedule,
-      bool consumer_scheduled);
+  bool RedirectEdge(const Edge& e, NodeId last, int final_distance,
+                    NewHops& to_schedule, bool consumer_scheduled);
   bool ReuseFeasible(NodeId candidate, const Edge& consumer_edge) const;
   NodeId FindReusable(NodeId producer, OpClass op, int cluster, int distance,
                       const Edge& consumer_edge) const;

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 
 #include "core/check.h"
@@ -22,21 +23,35 @@ using sched::kSharedBank;
 // AttemptContext
 // ---------------------------------------------------------------------------
 
+AttemptContext::AttemptContext()
+    : st_(m_), comm_(st_, *this, instr_), spill_(st_, *this, instr_) {}
+
 AttemptContext::AttemptContext(const DDG& original, const MachineConfig& m,
                                const MirsOptions& opt,
                                const sched::LatencyOverrides& base_overrides,
                                const std::vector<NodeId>& order,
                                bool incremental)
-    : original_(original),
-      m_(m),
-      opt_(opt),
-      base_overrides_(base_overrides),
-      order_(order),
-      incremental_(incremental),
-      st_(m),
-      comm_(st_, *this, instr_),
-      spill_(st_, *this, instr_),
-      selector_(MakeClusterSelector(opt.cluster_policy)) {}
+    : AttemptContext() {
+  Bind(original, m, opt, base_overrides, order, incremental);
+}
+
+void AttemptContext::Bind(const DDG& original, const MachineConfig& m,
+                          const MirsOptions& opt,
+                          const sched::LatencyOverrides& base_overrides,
+                          const std::vector<NodeId>& order, bool incremental) {
+  original_ = &original;
+  m_ = m;
+  opt_ = opt;
+  base_overrides_ = base_overrides;
+  order_ = &order;
+  incremental_ = incremental;
+  instr_.stats() = {};
+  switch (opt.cluster_policy) {
+    case ClusterPolicy::kBalanced: selector_ = &balanced_; break;
+    case ClusterPolicy::kRoundRobin: selector_ = &round_robin_; break;
+    case ClusterPolicy::kFirstFit: selector_ = &first_fit_; break;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // NodePlacer services
@@ -176,7 +191,14 @@ void AttemptContext::Eject(NodeId victim) {
   if (st_.IsCommChainNode(victim)) {
     // Ejecting a communication node means redoing the consumer's
     // communication: eject every consumer whose chain runs through it.
-    for (NodeId c : comm_.ConsumersThrough(victim)) Eject(c);
+    // Those ejections can re-enter here before this list is walked, so
+    // each level appends its own segment to the shared stack, reads it by
+    // index (the stack may grow) and truncates it when done.
+    const size_t begin = eject_stack_.size();
+    comm_.ConsumersThrough(victim, eject_stack_);
+    const size_t end = eject_stack_.size();
+    for (size_t i = begin; i < end; ++i) Eject(eject_stack_[i]);
+    eject_stack_.resize(begin);
     return;
   }
   EjectScheduledNode(victim);
@@ -213,7 +235,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (b != kSharedBank) return b;
       }
     }
-    return structural_fallback_.Select(st_, u);
+    return balanced_.Select(st_, u);
   }
   if (n.op == OpClass::kStoreR) {
     for (const Edge& e : st_.g.FlowProducers(u)) {
@@ -223,7 +245,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (b != kSharedBank) return b;
       }
     }
-    return structural_fallback_.Select(st_, u);
+    return balanced_.Select(st_, u);
   }
   if (rf.IsPureClustered() && n.spill && IsMemory(n.op)) {
     // Spill stores read the producer's cluster; spill loads feed consumers.
@@ -236,7 +258,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (st_.sched->IsScheduled(e.dst)) return st_.sched->ClusterOf(e.dst);
       }
     }
-    return structural_fallback_.Select(st_, u);
+    return balanced_.Select(st_, u);
   }
 
   return selector_->Select(st_, u);
@@ -276,7 +298,7 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
   // Walk in priority order — the same order the cold placement loop uses —
   // so the incremental window checks below see each node's highest-priority
   // neighbours first, exactly like a conflict-free cold run would.
-  for (NodeId v : order_) {
+  for (NodeId v : *order_) {
     // Seed-compat gate, per node. Only original nodes replay: inserted
     // comm/spill nodes have seed-specific ids and are re-derived by
     // EnsureCommunication / the spill fixpoint during repair.
@@ -328,19 +350,20 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
 }
 
 void AttemptContext::BeginAttempt(int ii) {
-  st_.Reset(original_, base_overrides_, ii, incremental_);
+  st_.Reset(*original_, base_overrides_, ii, incremental_);
   comm_.Reset();
   spill_.Reset();
   selector_->Reset();
   since_spill_check_ = 0;
 
-  for (size_t r = 0; r < order_.size(); ++r) {
-    st_.priority[static_cast<size_t>(order_[r])] =
-        static_cast<double>(order_.size() - r);
+  const std::vector<NodeId>& order = *order_;
+  for (size_t r = 0; r < order.size(); ++r) {
+    st_.priority[static_cast<size_t>(order[r])] =
+        static_cast<double>(order.size() - r);
   }
-  for (NodeId v : order_) st_.MarkUnscheduled(v);
+  for (NodeId v : order) st_.MarkUnscheduled(v);
   budget_.Start(opt_.budget_ratio * st_.g.NumNodes(),
-                8.0 * opt_.budget_ratio * std::max(4, original_.NumNodes()));
+                8.0 * opt_.budget_ratio * std::max(4, original_->NumNodes()));
 }
 
 AttemptStatus AttemptContext::FinishAttempt(int ii) {
@@ -358,13 +381,13 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
       HCRF_CHECK(u != kNoNode,
                  "priority-list desync: %d node(s) marked unscheduled but "
                  "none alive in graph '%s' (II=%d, %d slots)",
-                 st_.num_unscheduled, original_.name().c_str(), ii,
+                 st_.num_unscheduled, original_->name().c_str(), ii,
                  st_.g.NumSlots());
       const int cluster = SelectCluster(u);
       int src_cluster = 0;
       if (st_.g.node(u).op == OpClass::kMove) {
         // Re-scheduled move: the source side is its producer's bank.
-        const auto producers = st_.g.FlowProducers(u);
+        const FlowEdgeView producers = st_.g.FlowProducers(u);
         if (!producers.empty() &&
             st_.sched->IsScheduled(producers.front().src)) {
           src_cluster = st_.sched->ClusterOf(producers.front().src);
@@ -425,10 +448,14 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
     if (st_.pressure.attached() && PressureCrossCheckEnabled()) {
       st_.pressure.CrossValidate("AttemptContext::TryII final check");
     }
-    const sched::PressureReport pr =
-        st_.pressure.attached()
-            ? st_.pressure.Report()
-            : sched::ComputePressure(st_.g, *st_.sched, m_, st_.overrides);
+    if (!st_.pressure.attached()) {
+      sched::ComputePressure(st_.g, *st_.sched, m_, st_.overrides,
+                             validate_scratch_.pressure,
+                             validate_scratch_.report);
+    }
+    const sched::PressureReport& pr = st_.pressure.attached()
+                                          ? st_.pressure.Report()
+                                          : validate_scratch_.report;
     if (shared_bounded &&
         pr.shared_maxlive > sched::BankCapacity(kSharedBank, rf)) {
       return AttemptStatus::kOverCapacity;
@@ -441,8 +468,8 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
     }
   }
 
-  const sched::ValidationResult vr =
-      sched::Validate(st_.g, *st_.sched, m_, st_.overrides);
+  const sched::ValidationResult vr = sched::Validate(
+      st_.g, *st_.sched, m_, st_.overrides, validate_scratch_);
   return vr.ok ? AttemptStatus::kScheduled : AttemptStatus::kInvalid;
 }
 
@@ -454,7 +481,7 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
   res.rec_mii = mii.rec_mii;
   res.mii = mii.MII();
   // Scheduling is done: stop tracking before Normalize shifts cycles
-  // and the graph/schedule are moved into the result.
+  // and the graph/schedule are copied into the result.
   st_.pressure.Detach();
   st_.sched->Normalize();
   res.sc = st_.sched->StageCount();
@@ -485,11 +512,13 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
       }
     }
   }
-  const int rec_final = RecMII(st_.g, m_.lat);
+  const int rec_final = RecMII(st_.g, m_.lat, recurrence_scratch_);
   res.bound = ClassifyBound(st_.g, m_, ii, rec_final);
-  res.graph = std::move(st_.g);
-  res.schedule = std::move(*st_.sched);
-  res.overrides = std::move(st_.overrides);
+  // Copies: the working graph, schedule and overrides keep their buffers
+  // for the next attempt or run.
+  res.graph = DDG(st_.g);
+  res.schedule = *st_.sched;
+  res.overrides = st_.overrides;
   return res;
 }
 
@@ -512,35 +541,87 @@ EngineDriver::EngineDriver(const DDG& loop, const MachineConfig& m,
   while (!pl.empty() && pl.back() <= 0) pl.pop_back();
 }
 
+namespace {
+
+/// The calling thread's engine workspace for the length of one run. A
+/// nested run on the same thread (nothing schedules from inside the
+/// engine today) gets a private workspace instead of sharing it. A run
+/// whose working graph outgrew the ejection window drops the workspace at
+/// the end, so one huge loop cannot pin its tables on a long-lived thread.
+class WorkspaceLease {
+ public:
+  WorkspaceLease() {
+    Slot& slot = ThreadSlot();
+    if (slot.busy) {
+      private_ = std::make_unique<EngineWorkspace>();
+      ws_ = private_.get();
+      return;
+    }
+    if (slot.ws == nullptr) slot.ws = std::make_unique<EngineWorkspace>();
+    slot.busy = true;
+    ws_ = slot.ws.get();
+  }
+  ~WorkspaceLease() {
+    if (private_ != nullptr) return;
+    Slot& slot = ThreadSlot();
+    slot.busy = false;
+    if (static_cast<size_t>(slot.ws->ctx.SlotCapacity()) > kEjectWindow) {
+      slot.ws.reset();
+    }
+  }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  EngineWorkspace& operator*() const { return *ws_; }
+
+ private:
+  struct Slot {
+    std::unique_ptr<EngineWorkspace> ws;
+    bool busy = false;
+  };
+  static Slot& ThreadSlot() {
+    thread_local Slot slot;
+    return slot;
+  }
+
+  EngineWorkspace* ws_ = nullptr;
+  std::unique_ptr<EngineWorkspace> private_;
+};
+
+}  // namespace
+
 ScheduleResult EngineDriver::Run() {
   obs::TraceSpan loop_span("sched", "loop");
-  loop_span.set_detail(original_.name());
+  if (loop_span.armed()) loop_span.set_detail(original_.name());
+  const WorkspaceLease lease;
+  EngineWorkspace& ws = *lease;
   MIIInfo mii;
   if (opt_.precomputed_mii) {
     mii = *opt_.precomputed_mii;
   } else {
     obs::TraceSpan mii_span("phase", "mii");
-    mii = ComputeMII(original_, m_);
+    mii = ComputeMII(original_, m_, ws.ordering.graph);
   }
   {
     obs::TraceSpan order_span("phase", "ordering");
-    order_ = sched::HrmsOrder(original_, m_.lat);
+    sched::HrmsOrder(original_, m_.lat, ws.ordering, ws.order);
   }
   // Warm-start gate: one seeded attempt before the cold walk. A failed (or
   // rejected) seed falls through to the cold path with the fallback counted
   // on the result — never silent.
   WarmStartTelemetry warm;
   if (opt_.warm_start != nullptr && opt_.warm_start->ok) {
-    if (std::optional<ScheduleResult> res = RunWarm(mii)) return *res;
+    if (std::optional<ScheduleResult> res = RunWarm(mii, ws)) return *res;
     warm.attempted = true;
     warm.fallback = true;
   }
-  ScheduleResult res = RunSerial(mii);
+  ScheduleResult res = RunSerial(mii, ws);
   res.warm = warm;
   return res;
 }
 
-std::optional<ScheduleResult> EngineDriver::RunWarm(const MIIInfo& mii) {
+std::optional<ScheduleResult> EngineDriver::RunWarm(const MIIInfo& mii,
+                                                    EngineWorkspace& ws) {
   static obs::Counter& used_counter = obs::GetCounter("engine.warm.used");
   static obs::Counter& fallback_counter =
       obs::GetCounter("engine.warm.fallback");
@@ -550,8 +631,8 @@ std::optional<ScheduleResult> EngineDriver::RunWarm(const MIIInfo& mii) {
   // seeded MRT would not even hold the replayed rows).
   const int start_ii = std::max(mii.MII(), seed.ii);
   if (start_ii <= opt_.max_ii) {
-    AttemptContext ctx(original_, m_, opt_, base_overrides_, order_,
-                       incremental_);
+    AttemptContext& ctx = ws.ctx;
+    ctx.Bind(original_, m_, opt_, base_overrides_, ws.order, incremental_);
     int seeded = 0;
     if (ctx.TryIISeeded(seed, start_ii, &seeded) ==
         AttemptStatus::kScheduled) {
@@ -581,12 +662,15 @@ ScheduleResult EngineDriver::FailResult(const MIIInfo& mii,
   return res;
 }
 
-ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
-  AttemptContext ctx(original_, m_, opt_, base_overrides_, order_,
-                     incremental_);
+ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii,
+                                       EngineWorkspace& ws) {
+  AttemptContext& ctx = ws.ctx;
+  ctx.Bind(original_, m_, opt_, base_overrides_, ws.order, incremental_);
   int failures = 0;
   for (int ii = mii.MII(); ii <= opt_.max_ii;) {
+    if (attempt_observer_) attempt_observer_(ii);
     if (ctx.TryII(ii) == AttemptStatus::kScheduled) {
+      if (attempt_observer_) attempt_observer_(0);
       return ctx.Finalize(mii, ii);
     }
     // Escalation accelerates after 24 consecutive failures.
@@ -594,6 +678,7 @@ ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
     ii += failures > 24 ? std::max(1, ii / 8) : 1;
     ctx.instr().IIRestart(ii);
   }
+  if (attempt_observer_) attempt_observer_(0);
   return FailResult(mii, ctx.instr().stats());
 }
 

@@ -10,13 +10,17 @@
 // The per-attempt machinery is packaged as an AttemptContext: a
 // self-contained bundle of everything one II attempt mutates (working
 // graph, schedule/MRT, priority list, comm rewriter, spill engine, cluster
-// selector, budget, instrumentation, scratch buffers). The driver reuses
-// one context across the whole II-escalation walk, and the warm-start gate
-// runs its seeded attempt on a context of its own.
+// selector, budget, instrumentation, scratch buffers). The context lives
+// in a per-thread EngineWorkspace, together with the ordering and
+// recurrence scratch and the node order, and each run rebinds it: the
+// warm-start gate's seeded attempt and the whole II-escalation walk reuse
+// its buffers, and so does the next run on the same thread. Once they have
+// grown to the loops a thread schedules, an attempt allocates nothing and
+// a run allocates little beyond its result (tests/test_alloc_gate.cpp).
 #pragma once
 
 #include <algorithm>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -29,6 +33,8 @@
 #include "ddg/ddg.h"
 #include "machine/machine_config.h"
 #include "sched/lifetime.h"
+#include "sched/ordering.h"
+#include "sched/validate.h"
 
 namespace hcrf::core {
 
@@ -90,20 +96,33 @@ constexpr std::string_view ToString(AttemptStatus s) {
 }
 
 /// Everything one II attempt owns and mutates. A context is reusable
-/// (TryII resets it) and self-contained — no state is shared between two
-/// contexts beyond the immutable inputs (original graph, machine, options,
-/// canonicalized overrides, node order), so concurrent runs of one loop
-/// never interfere. The context is the only
+/// (TryII resets it, Bind points it at another run) and self-contained —
+/// no state is shared between two contexts beyond the immutable inputs
+/// (original graph, node order), so concurrent runs of one loop never
+/// interfere. The context is the only
 /// layer that mutates the reservation table through placement, so it
 /// implements NodePlacer for the comm rewriter and spill engine it owns.
 /// `incremental` = false runs the reference pressure path (see
 /// EngineDriver::UseReferencePressure).
 class AttemptContext : public NodePlacer {
  public:
+  /// An unbound context; Bind it before the first attempt.
+  AttemptContext();
   AttemptContext(const DDG& original, const MachineConfig& m,
                  const MirsOptions& opt,
                  const sched::LatencyOverrides& base_overrides,
                  const std::vector<NodeId>& order, bool incremental = true);
+
+  // Not copyable or movable: the layers hold references into it.
+  AttemptContext(const AttemptContext&) = delete;
+  AttemptContext& operator=(const AttemptContext&) = delete;
+
+  /// Points the context at one run's inputs and clears its statistics,
+  /// keeping every buffer. `original` and `order` must outlive the run;
+  /// the machine, options and overrides are copied.
+  void Bind(const DDG& original, const MachineConfig& m, const MirsOptions& opt,
+            const sched::LatencyOverrides& base_overrides,
+            const std::vector<NodeId>& order, bool incremental = true);
 
   /// Runs one scheduling attempt at `ii` from a fresh state.
   AttemptStatus TryII(int ii);
@@ -118,11 +137,16 @@ class AttemptContext : public NodePlacer {
                             int* seeded_out = nullptr);
 
   /// Builds the final ScheduleResult from a successful TryII (normalizes
-  /// the schedule, recounts ops, classifies the bound; moves the graph and
-  /// schedule out, so the context must be Reset by TryII before reuse).
+  /// the schedule, recounts ops, classifies the bound). The graph,
+  /// schedule and overrides are copied out, so the context keeps its
+  /// buffers; TryII resets it before reuse.
   ScheduleResult Finalize(const MIIInfo& mii, int ii);
 
   Instrumentation& instr() { return instr_; }
+
+  /// Slots the working graph's tables hold, spares included: the largest
+  /// graph this context has worked on since it was built.
+  NodeId SlotCapacity() const { return st_.g.SlotCapacity(); }
 
   // NodePlacer (services for the comm rewriter and spill engine).
   NodeId CreateNode(Node n, double priority) override;
@@ -152,21 +176,26 @@ class AttemptContext : public NodePlacer {
   /// unconstrained nodes.
   int SelectCluster(NodeId u);
 
-  // ---- immutable inputs -------------------------------------------------
-  const DDG& original_;
-  const MachineConfig& m_;
-  const MirsOptions& opt_;
-  const sched::LatencyOverrides& base_overrides_;
-  const std::vector<NodeId>& order_;  ///< Ordering, computed once per run.
-  const bool incremental_;
+  // ---- inputs of the bound run ----------------------------------------
+  const DDG* original_ = nullptr;
+  MachineConfig m_;
+  MirsOptions opt_;
+  sched::LatencyOverrides base_overrides_;
+  const std::vector<NodeId>* order_ = nullptr;  ///< Computed once per run.
+  bool incremental_ = true;
 
   // ---- layers ----------------------------------------------------------
-  SchedState st_;
+  SchedState st_;  ///< Reads m_.
   Instrumentation instr_;
   CommRewriter comm_;
   SpillEngine spill_;
-  std::unique_ptr<ClusterSelector> selector_;
-  BalancedClusterSelector structural_fallback_;
+  /// One instance per policy; opt_.cluster_policy picks `selector_`. The
+  /// balanced one also places structurally constrained copies whose
+  /// endpoint is not scheduled yet.
+  BalancedClusterSelector balanced_;
+  RoundRobinClusterSelector round_robin_;
+  FirstFitClusterSelector first_fit_;
+  ClusterSelector* selector_ = &balanced_;
 
   // ---- per-attempt state -----------------------------------------------
   BudgetAccount budget_;
@@ -176,6 +205,20 @@ class AttemptContext : public NodePlacer {
   // hot loop never allocates.
   std::vector<NodeId> conflicts_scratch_;
   std::vector<NodeId> violated_scratch_;
+  /// Consumers to re-communicate, one segment per level of a re-entrant
+  /// ejection cascade (see Eject).
+  std::vector<NodeId> eject_stack_;
+  sched::ValidateScratch validate_scratch_;
+  GraphScratch recurrence_scratch_;  ///< Finalize's RecMII.
+};
+
+/// What the engine reuses across runs on one thread: the attempt context,
+/// the ordering and recurrence scratch, and the node order. MirsHC takes
+/// the calling thread's workspace for the length of a run.
+struct EngineWorkspace {
+  AttemptContext ctx;
+  sched::OrderingScratch ordering;
+  std::vector<NodeId> order;
 };
 
 class EngineDriver {
@@ -194,8 +237,15 @@ class EngineDriver {
   /// oracle of the `PressureTrackerEngine.BitIdenticalSchedules` ctest.
   void UseReferencePressure() { incremental_ = false; }
 
+  /// Test hook: `fn(ii)` runs before each attempt of the cold walk, and
+  /// `fn(0)` once after its last attempt, before the result is built —
+  /// the boundaries the allocation gate counts between.
+  void ObserveAttempts(std::function<void(int ii)> fn) {
+    attempt_observer_ = std::move(fn);
+  }
+
  private:
-  ScheduleResult RunSerial(const MIIInfo& mii);
+  ScheduleResult RunSerial(const MIIInfo& mii, EngineWorkspace& ws);
   /// Warm-start gate: one seeded attempt at max(MII, seed.ii). Returns the
   /// finalized result when it validates (warm.used); nullopt sends the
   /// caller down the cold path with warm.fallback stamped on its result.
@@ -204,7 +254,8 @@ class EngineDriver {
   /// than the seed's even under a latency increase. The property is only
   /// measured on the test and CI samples; a wider sweep finds it violated
   /// (ROADMAP open item 2).
-  std::optional<ScheduleResult> RunWarm(const MIIInfo& mii);
+  std::optional<ScheduleResult> RunWarm(const MIIInfo& mii,
+                                        EngineWorkspace& ws);
   ScheduleResult FailResult(const MIIInfo& mii,
                             const ScheduleStats& stats) const;
 
@@ -213,8 +264,8 @@ class EngineDriver {
   MachineConfig m_;
   MirsOptions opt_;
   sched::LatencyOverrides base_overrides_;
-  std::vector<NodeId> order_;  ///< Ordering, computed once per run.
   bool incremental_ = true;
+  std::function<void(int)> attempt_observer_;
 };
 
 }  // namespace hcrf::core

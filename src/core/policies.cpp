@@ -108,16 +108,4 @@ int FirstFitClusterSelector::Select(const SchedState& st, NodeId u) {
   return 0;
 }
 
-std::unique_ptr<ClusterSelector> MakeClusterSelector(ClusterPolicy p) {
-  switch (p) {
-    case ClusterPolicy::kBalanced:
-      return std::make_unique<BalancedClusterSelector>();
-    case ClusterPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinClusterSelector>();
-    case ClusterPolicy::kFirstFit:
-      return std::make_unique<FirstFitClusterSelector>();
-  }
-  return std::make_unique<BalancedClusterSelector>();
-}
-
 }  // namespace hcrf::core

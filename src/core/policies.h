@@ -4,13 +4,12 @@
 // its ablations. MirsOptions::cluster_policy picks one, and that enum is
 // part of the schedule cache key and of the `.hcl` options document.
 //
-// Selectors may keep per-run state (round-robin's counter), so the engine
-// creates one instance per MirsHC run with MakeClusterSelector and a
+// Selectors may keep per-attempt state (round-robin's counter), so each
+// engine context holds its own instance of every selector and a
 // MirsOptions value stays shareable across a batch's concurrent runs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "core/sched_state.h"
@@ -59,7 +58,5 @@ class FirstFitClusterSelector : public ClusterSelector {
  public:
   int Select(const SchedState& st, NodeId u) override;
 };
-
-std::unique_ptr<ClusterSelector> MakeClusterSelector(ClusterPolicy p);
 
 }  // namespace hcrf::core

@@ -8,19 +8,19 @@ void SchedState::Reset(const DDG& original,
                        const sched::LatencyOverrides& base, int ii,
                        bool incremental) {
   // The previous attempt only wrote eject counts for its own node ids, so
-  // re-zeroing that prefix is enough (the full 4096-entry window would be
-  // a 32 KB memset on every II attempt).
+  // re-zeroing that prefix is enough (the full window would be a 32 KB
+  // memset on every II attempt).
   const size_t prev_used = std::min(eject_count.size(), priority.size());
   if (eject_count.empty()) {
-    eject_count.assign(4096, 0);
+    eject_count.assign(kEjectWindow, 0);
   } else {
     std::fill_n(eject_count.begin(), prev_used, 0);
   }
 
-  g = original;
+  g.ResetFrom(original);
   overrides = base;
   if (mrt != nullptr) {
-    mrt->Rebind(ii);
+    mrt->Rebind(m, ii);
   } else {
     mrt = std::make_unique<sched::ModuloReservationTable>(m, ii);
   }

@@ -10,6 +10,7 @@
 // each can be tested in isolation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -25,6 +26,11 @@
 namespace hcrf::core {
 
 inline constexpr int kNoCycle = std::numeric_limits<int>::min();
+
+/// Node ids below this are ejection-counted (SchedState::eject_count); a
+/// loop whose working graph outgrows it also gives its engine workspace
+/// back at the end of its run (engine.cpp).
+inline constexpr size_t kEjectWindow = 4096;
 
 /// Dependence window of a node w.r.t. its scheduled neighbours.
 struct Window {
@@ -42,7 +48,8 @@ struct SchedState {
   SchedState& operator=(const SchedState&) = delete;
 
   /// Rebuilds the state for a fresh attempt at the given II: working graph
-  /// reset to the original, empty schedule/MRT, bookkeeping cleared. The
+  /// reset to the original, empty schedule/MRT, bookkeeping cleared, every
+  /// buffer kept (the machine may differ from the previous attempt's). The
   /// caller (engine driver) fills in priorities and the unscheduled set
   /// from its ordering policy. `incremental` attaches the incremental
   /// pressure tracker; false is the reference path (full ComputePressure
@@ -113,6 +120,8 @@ struct SchedState {
   std::vector<double> priority;
   int num_unscheduled = 0;
   std::vector<int> prev_cycle;  ///< Last placement cycle (kNoCycle = never).
+  /// Ejections per node id below kEjectWindow; ids at or above it stay
+  /// uncounted.
   std::vector<long> eject_count;
   bool churning = false;  ///< Livelocked eject ping-pong detected.
 

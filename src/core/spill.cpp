@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "core/check.h"
@@ -14,8 +13,11 @@ using sched::BankId;
 using sched::kSharedBank;
 
 void SpillEngine::Reset() {
-  spilled_.clear();
-  spilled_invariants_.clear();
+  std::fill(spilled_.begin(), spilled_.end(), 0);
+  spilled_invariants_.assign(
+      static_cast<size_t>(st_.g.num_invariants()) *
+          static_cast<size_t>(st_.m.rf.clusters + 1),
+      0);
   next_spill_array_ = kSpillArrayBase;
 }
 
@@ -80,10 +82,13 @@ void SpillEngine::CheckAndInsert() {
   // ValueLifetime list. The tracker materializes a report identical to
   // ComputePressure's at O(values); the reference path recomputes it from
   // the graph.
-  const sched::PressureReport pr =
-      st_.pressure.attached()
-          ? st_.pressure.Report()
-          : sched::ComputePressure(st_.g, *st_.sched, st_.m, st_.overrides);
+  if (!st_.pressure.attached()) {
+    sched::ComputePressure(st_.g, *st_.sched, st_.m, st_.overrides,
+                           pressure_scratch_, reference_report_);
+  }
+  const sched::PressureReport& pr = st_.pressure.attached()
+                                        ? st_.pressure.Report()
+                                        : reference_report_;
 
   if (cluster_bounded) {
     for (int c = 0; c < rf.clusters; ++c) {
@@ -116,7 +121,7 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
   double best_score = 0.0;
   for (const sched::ValueLifetime& v : pr.values) {
     if (v.bank != bank || v.uses < 1 || v.Length() <= min_len) continue;
-    if (spilled_.contains(v.def)) continue;
+    if (IsSpilled(v.def)) continue;
     const Node& nd = st_.g.node(v.def);
     // Never spill a communication chain's value: chains are owned by the
     // fix records and are re-routed by ejection, not by the spill engine
@@ -134,13 +139,17 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
   if (best == nullptr) return false;
 
   const NodeId def = best->def;
-  spilled_.insert(def);
+  if (static_cast<size_t>(def) >= spilled_.size()) {
+    spilled_.resize(static_cast<size_t>(def) + 1, 0);
+  }
+  spilled_[static_cast<size_t>(def)] = 1;
 
   // Consumers to reroute: every flow consumer except the earliest
   // scheduled one (keeping one direct use preserves the short head of the
   // lifetime) -- unless even that earliest read is far away, in which case
   // everything goes through the reload so the spill actually pays off.
-  std::vector<Edge> consumers;
+  std::vector<Edge>& consumers = consumers_;
+  consumers.clear();
   Edge keep{kNoNode, kNoNode, DepKind::kFlow, 0};
   int keep_time = std::numeric_limits<int>::max();
   for (const Edge& e : st_.g.FlowConsumers(def)) {
@@ -195,10 +204,11 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
     ++instr_.stats().spill_stores;
   }
 
-  std::map<int, NodeId> reload_by_distance;
+  reload_by_distance_.clear();
   auto reload_for = [&](int distance) {
-    auto it = reload_by_distance.find(distance);
-    if (it != reload_by_distance.end()) return it->second;
+    for (const auto& [d, reload] : reload_by_distance_) {
+      if (d == distance) return reload;
+    }
     NodeId l;
     if (to_shared) {
       Node nl;
@@ -216,7 +226,7 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
       st_.g.AddEdge(s, l, DepKind::kMem, distance);
       ++instr_.stats().spill_loads;
     }
-    reload_by_distance.emplace(distance, l);
+    reload_by_distance_.emplace_back(distance, l);
     return l;
   };
 
@@ -255,28 +265,29 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
   for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
     if (!reads_bank(v)) continue;
     for (const std::int32_t u : st_.g.node(v).invariant_uses) {
-      if (u >= 0 && u < inv && !spilled_invariants_.contains({u, bank})) {
+      if (u >= 0 && u < inv && !spilled_invariants_[InvariantSlot(u, bank)]) {
         inv = u;
       }
     }
   }
   if (inv == st_.g.num_invariants()) return false;
-  std::vector<NodeId> users;
+  std::vector<NodeId>& users = users_;
+  users.clear();
   for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
     const std::vector<std::int32_t>& uses = st_.g.node(v).invariant_uses;
     if (reads_bank(v) && std::ranges::find(uses, inv) != uses.end()) {
       users.push_back(v);
     }
   }
-  spilled_invariants_.insert({inv, bank});
+  spilled_invariants_[InvariantSlot(inv, bank)] = 1;
 
   for (NodeId w : users) {
     Node nl;
     nl.spill = true;
     if (rf.IsHierarchical()) {
-      // Reload from the shared master copy.
+      // Reload from the shared master copy (its invariant use is set on
+      // the created slot, whose buffer a reset graph keeps).
       nl.op = OpClass::kLoadR;
-      nl.invariant_uses = {inv};
     } else {
       // Reload from memory (stride 0: the invariant's home location).
       nl.op = OpClass::kLoad;
@@ -285,6 +296,7 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
     }
     const NodeId l = placer_.CreateNode(
         std::move(nl), st_.priority[static_cast<size_t>(w)] + 0.1);
+    if (rf.IsHierarchical()) st_.g.node(l).invariant_uses.assign(1, inv);
     auto& uses = st_.g.node(w).invariant_uses;
     uses.erase(std::find(uses.begin(), uses.end(), inv));
     // invariant_uses was edited in place on a scheduled node; re-derive

@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "core/comm_rewrite.h"
 #include "core/instrument.h"
@@ -53,13 +53,35 @@ class SpillEngine {
   bool SpillFromBank(sched::BankId bank, const sched::PressureReport& pr);
   bool SpillInvariantFromBank(sched::BankId bank);
 
+  bool IsSpilled(NodeId v) const {
+    return static_cast<size_t>(v) < spilled_.size() &&
+           spilled_[static_cast<size_t>(v)] != 0;
+  }
+  /// Index of (invariant, bank) in spilled_invariants_.
+  size_t InvariantSlot(std::int32_t inv, sched::BankId bank) const {
+    const int bank_index = bank == sched::kSharedBank ? 0 : bank + 1;
+    return static_cast<size_t>(inv) * static_cast<size_t>(st_.m.rf.clusters + 1) +
+           static_cast<size_t>(bank_index);
+  }
+
   SchedState& st_;
   NodePlacer& placer_;
   Instrumentation& instr_;
 
-  std::set<NodeId> spilled_;
-  std::set<std::pair<std::int32_t, sched::BankId>> spilled_invariants_;
+  /// Flags, reset per attempt in place: values spilled (by node id) and
+  /// invariants un-pinned from a bank (by InvariantSlot).
+  std::vector<char> spilled_;
+  std::vector<char> spilled_invariants_;
   std::int32_t next_spill_array_ = kSpillArrayBase;
+
+  // Scratch of one spill decision, kept so steady-state attempts allocate
+  // nothing.
+  std::vector<Edge> consumers_;
+  std::vector<std::pair<int, NodeId>> reload_by_distance_;
+  std::vector<NodeId> users_;
+  /// Reference-path report (tracker detached).
+  sched::PressureScratch pressure_scratch_;
+  sched::PressureReport reference_report_;
 };
 
 }  // namespace hcrf::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/check.h"
 
@@ -17,6 +18,69 @@ std::string_view ToString(DepKind kind) {
   return "?";
 }
 
+DDG::DDG(const DDG& other)
+    : name_(other.name_),
+      nodes_(other.nodes_.begin(), other.nodes_.begin() + other.num_slots_),
+      in_(other.in_.begin(), other.in_.begin() + other.num_slots_),
+      out_(other.out_.begin(), other.out_.begin() + other.num_slots_),
+      num_slots_(other.num_slots_),
+      num_invariants_(other.num_invariants_),
+      num_alive_(other.num_alive_),
+      num_edges_(other.num_edges_) {}
+
+DDG& DDG::operator=(const DDG& other) {
+  ResetFrom(other);
+  return *this;
+}
+
+DDG::DDG(DDG&& other) noexcept
+    : name_(std::move(other.name_)),
+      nodes_(std::move(other.nodes_)),
+      in_(std::move(other.in_)),
+      out_(std::move(other.out_)),
+      num_slots_(std::exchange(other.num_slots_, 0)),
+      num_invariants_(std::exchange(other.num_invariants_, 0)),
+      num_alive_(std::exchange(other.num_alive_, 0)),
+      num_edges_(std::exchange(other.num_edges_, 0)) {}
+
+DDG& DDG::operator=(DDG&& other) noexcept {
+  if (this == &other) return *this;
+  name_ = std::move(other.name_);
+  nodes_ = std::move(other.nodes_);
+  in_ = std::move(other.in_);
+  out_ = std::move(other.out_);
+  num_slots_ = std::exchange(other.num_slots_, 0);
+  num_invariants_ = std::exchange(other.num_invariants_, 0);
+  num_alive_ = std::exchange(other.num_alive_, 0);
+  num_edges_ = std::exchange(other.num_edges_, 0);
+  other.nodes_.clear();
+  other.in_.clear();
+  other.out_.clear();
+  return *this;
+}
+
+void DDG::ResetFrom(const DDG& other) {
+  if (this == &other) return;
+  name_ = other.name_;
+  const auto n = static_cast<size_t>(other.num_slots_);
+  if (nodes_.size() < n) {
+    nodes_.resize(n);
+    in_.resize(n);
+    out_.resize(n);
+  }
+  // Element-wise assignment reuses each slot's invariant-use and adjacency
+  // storage; slots past `n` become spares for AddNode.
+  for (size_t i = 0; i < n; ++i) {
+    nodes_[i] = other.nodes_[i];
+    in_[i] = other.in_[i];
+    out_[i] = other.out_[i];
+  }
+  num_slots_ = other.num_slots_;
+  num_invariants_ = other.num_invariants_;
+  num_alive_ = other.num_alive_;
+  num_edges_ = other.num_edges_;
+}
+
 void DDG::Reserve(int slots) {
   const auto n = static_cast<size_t>(slots);
   nodes_.reserve(n);
@@ -25,12 +89,29 @@ void DDG::Reserve(int slots) {
 }
 
 NodeId DDG::AddNode(Node node) {
+  const NodeId id = num_slots_++;
+  const auto i = static_cast<size_t>(id);
   node.alive = true;
-  nodes_.push_back(std::move(node));
-  in_.emplace_back();
-  out_.emplace_back();
+  if (i < nodes_.size()) {
+    // A spare slot: assign field by field so its invariant-use and
+    // adjacency buffers keep their capacity.
+    Node& slot = nodes_[i];
+    slot.op = node.op;
+    slot.mem = node.mem;
+    slot.invariant_uses.assign(node.invariant_uses.begin(),
+                               node.invariant_uses.end());
+    slot.alive = true;
+    slot.inserted = node.inserted;
+    slot.spill = node.spill;
+    in_[i].clear();
+    out_[i].clear();
+  } else {
+    nodes_.push_back(std::move(node));
+    in_.emplace_back();
+    out_.emplace_back();
+  }
   ++num_alive_;
-  return static_cast<NodeId>(nodes_.size() - 1);
+  return id;
 }
 
 void DDG::AddEdge(NodeId src, NodeId dst, DepKind kind, int distance) {
@@ -80,7 +161,7 @@ void DDG::RemoveNode(NodeId id, bool force) {
     if (e.kind == DepKind::kFlow && e.src != id) NotifyFlowEdgeRemoved(e);
   }
   in_[static_cast<size_t>(id)].clear();
-  if (listener_.ptr != nullptr) listener_.ptr->OnNodeRemoved(id);
+  if (listener_ != nullptr) listener_->OnNodeRemoved(id);
 }
 
 bool DDG::RemoveEdge(NodeId src, NodeId dst, DepKind kind, int distance) {
@@ -136,22 +217,6 @@ int DDG::EdgeLatency(const Edge& e, const LatencyTable& lat) const {
       return 1;
   }
   return 1;
-}
-
-std::vector<Edge> DDG::FlowConsumers(NodeId id) const {
-  std::vector<Edge> result;
-  for (const Edge& e : out_[static_cast<size_t>(id)]) {
-    if (e.kind == DepKind::kFlow) result.push_back(e);
-  }
-  return result;
-}
-
-std::vector<Edge> DDG::FlowProducers(NodeId id) const {
-  std::vector<Edge> result;
-  for (const Edge& e : in_[static_cast<size_t>(id)]) {
-    if (e.kind == DepKind::kFlow) result.push_back(e);
-  }
-  return result;
 }
 
 DDG::OpCounts DDG::CountOps(const LatencyTable& lat) const {

@@ -9,9 +9,17 @@
 // The graph is mutable because MIRS_HC inserts and removes communication
 // (Move/LoadR/StoreR) and spill (Load/Store) operations while scheduling.
 // Node ids are stable: removal tombstones the node and its edges.
+//
+// The node and adjacency tables keep their storage when a graph is reset
+// from another one (ResetFrom, copy assignment): slots past the new size
+// stay allocated as spares that AddNode reuses. The scheduler resets its
+// working graph from the input loop at every II attempt, and this is what
+// keeps those resets free of heap traffic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -90,10 +98,74 @@ class DdgListener {
   virtual void OnNodeRemoved(NodeId v) = 0;
 };
 
+/// The flow edges of one adjacency list, filtered lazily: iterating
+/// allocates nothing. A view reads the list in place, so any mutation of
+/// that node's adjacency invalidates it.
+class FlowEdgeView {
+ public:
+  class iterator {
+   public:
+    using value_type = Edge;
+    using difference_type = std::ptrdiff_t;
+    using reference = const Edge&;
+    using pointer = const Edge*;
+    using iterator_category = std::forward_iterator_tag;
+
+    iterator() = default;
+    iterator(const Edge* p, const Edge* end) : p_(p), end_(end) { Skip(); }
+    const Edge& operator*() const { return *p_; }
+    const Edge* operator->() const { return p_; }
+    iterator& operator++() {
+      ++p_;
+      Skip();
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& o) const { return p_ == o.p_; }
+
+   private:
+    void Skip() {
+      while (p_ != end_ && p_->kind != DepKind::kFlow) ++p_;
+    }
+    const Edge* p_ = nullptr;
+    const Edge* end_ = nullptr;
+  };
+
+  explicit FlowEdgeView(const std::vector<Edge>& list)
+      : begin_(list.data()), end_(list.data() + list.size()) {}
+  iterator begin() const { return {begin_, end_}; }
+  iterator end() const { return {end_, end_}; }
+  bool empty() const { return begin() == end(); }
+  /// The first flow edge. Precondition: !empty().
+  const Edge& front() const { return *begin(); }
+
+ private:
+  const Edge* begin_;
+  const Edge* end_;
+};
+
 class DDG {
  public:
   DDG() = default;
   explicit DDG(std::string name) : name_(std::move(name)) {}
+
+  /// Copies the graph (not its spare slots, and never the listener).
+  DDG(const DDG& other);
+  /// Same as ResetFrom(other).
+  DDG& operator=(const DDG& other);
+  DDG(DDG&& other) noexcept;
+  DDG& operator=(DDG&& other) noexcept;
+  ~DDG() = default;
+
+  /// Makes this graph equal to `other` (nodes, edges in both adjacency
+  /// orders, invariants, name) while keeping every buffer this graph
+  /// already owns: when its tables are large enough, no allocation
+  /// happens. The listener slot stays this graph's own.
+  void ResetFrom(const DDG& other);
 
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
@@ -132,9 +204,11 @@ class DDG {
   Node& node(NodeId id) { return nodes_[static_cast<size_t>(id)]; }
 
   /// Total slots including tombstones; iterate with IsAlive guard.
-  NodeId NumSlots() const { return static_cast<NodeId>(nodes_.size()); }
+  NodeId NumSlots() const { return num_slots_; }
   /// Number of alive nodes.
   int NumNodes() const { return num_alive_; }
+  /// Slots the tables hold, spares included (>= NumSlots()).
+  NodeId SlotCapacity() const { return static_cast<NodeId>(nodes_.size()); }
   /// Ids of all alive nodes, ascending.
   std::vector<NodeId> AliveNodes() const;
 
@@ -154,9 +228,13 @@ class DDG {
   int EdgeLatency(const Edge& e, const LatencyTable& lat) const;
 
   /// Flow consumers of the value defined by `id` (alive flow out-edges).
-  std::vector<Edge> FlowConsumers(NodeId id) const;
+  FlowEdgeView FlowConsumers(NodeId id) const {
+    return FlowEdgeView(OutEdges(id));
+  }
   /// Flow producers feeding `id`.
-  std::vector<Edge> FlowProducers(NodeId id) const;
+  FlowEdgeView FlowProducers(NodeId id) const {
+    return FlowEdgeView(InEdges(id));
+  }
 
   /// Counts alive nodes per kind of resource: {compute, memory, comm}.
   struct OpCounts {
@@ -172,40 +250,34 @@ class DDG {
   bool Check(std::string* why = nullptr) const;
 
   /// Installs (or clears, with nullptr) the mutation listener. The slot is
-  /// deliberately excluded from copy and move: `g = original` at the start
-  /// of an II attempt and moving the final graph into the ScheduleResult
-  /// must never transplant a tracker wired to different state.
-  void SetListener(DdgListener* listener) { listener_.ptr = listener; }
-  DdgListener* listener() const { return listener_.ptr; }
+  /// deliberately excluded from copy and move: resetting the working graph
+  /// at the start of an II attempt and copying the final graph into the
+  /// ScheduleResult must never transplant a tracker wired to different
+  /// state.
+  void SetListener(DdgListener* listener) { listener_ = listener; }
+  DdgListener* listener() const { return listener_; }
 
  private:
-  /// Pointer wrapper whose copy/move constructors produce an empty slot
-  /// and whose assignments keep the destination's slot, so DDG's implicit
-  /// special members never propagate a listener between graphs.
-  struct ListenerSlot {
-    DdgListener* ptr = nullptr;
-    ListenerSlot() = default;
-    ListenerSlot(const ListenerSlot&) noexcept {}
-    ListenerSlot(ListenerSlot&&) noexcept {}
-    ListenerSlot& operator=(const ListenerSlot&) noexcept { return *this; }
-    ListenerSlot& operator=(ListenerSlot&&) noexcept { return *this; }
-  };
-
   void NotifyFlowEdgeAdded(const Edge& e) {
-    if (listener_.ptr != nullptr) listener_.ptr->OnFlowEdgeAdded(e);
+    if (listener_ != nullptr) listener_->OnFlowEdgeAdded(e);
   }
   void NotifyFlowEdgeRemoved(const Edge& e) {
-    if (listener_.ptr != nullptr) listener_.ptr->OnFlowEdgeRemoved(e);
+    if (listener_ != nullptr) listener_->OnFlowEdgeRemoved(e);
   }
 
   std::string name_;
+  /// Node and adjacency tables, indexed by id. Entries at or past
+  /// num_slots_ are spares kept from a larger graph (see ResetFrom).
   std::vector<Node> nodes_;
   std::vector<std::vector<Edge>> in_;
   std::vector<std::vector<Edge>> out_;
+  NodeId num_slots_ = 0;
   std::int32_t num_invariants_ = 0;
   int num_alive_ = 0;
   int num_edges_ = 0;
-  ListenerSlot listener_;
+  /// Never copied or moved: the special members leave it empty on a new
+  /// graph and keep the destination's own on assignment.
+  DdgListener* listener_ = nullptr;
 };
 
 }  // namespace hcrf

@@ -113,6 +113,7 @@ struct CellKey {
 struct RequestWork {
   std::vector<CellRef> cells;
   std::vector<ReplayRef> replays;
+  bool ok = false;              ///< Set by the lane: a schedule was found.
   int replayed_cells = 0;       ///< Cells with a replay.
   double replay_seconds = 0.0;  ///< Written by the lane, as are:
   long replay_accesses = 0;
@@ -270,14 +271,15 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   }
 
   // One streamed pass: the lane that completes a request (scheduled, cache
-  // hit or failed) writes its cells and drops the result, so its
-  // transformed graph is freed there and then, not held for the batch.
+  // hit or failed) writes its cells and records `ok`; the item, with its
+  // transformed graph, is the lane's own and is freed there and then, so
+  // the batch holds no per-request item.
   service::BatchReport batch;
   if (!requests.empty()) {
     batch = session.RunBatch(
         requests, [&](std::size_t r, service::BatchItem& item) {
-          const core::ScheduleResult sr = std::move(item.result);
-          WriteCells(sr, work[r], metrics);
+          work[r].ok = item.ok;
+          WriteCells(item.result, work[r], metrics);
         });
   }
 
@@ -296,7 +298,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     report.replay_seconds += work[r].replay_seconds;
     report.replay_accesses += work[r].replay_accesses;
     report.replay_misses += work[r].replay_misses;
-    if (batch.items[r].ok) {
+    if (work[r].ok) {
       report.replayed_cells += work[r].replayed_cells;
       report.distinct_replays += static_cast<int>(work[r].replays.size());
     }

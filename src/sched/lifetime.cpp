@@ -21,17 +21,30 @@ int DependenceLatency(const DDG& g, const Edge& e, const LatencyTable& lat,
 PressureReport ComputePressure(const DDG& g, const PartialSchedule& sched,
                                const MachineConfig& m,
                                const LatencyOverrides& overrides) {
+  PressureScratch scratch;
+  PressureReport report;
+  ComputePressure(g, sched, m, overrides, scratch, report);
+  return report;
+}
+
+void ComputePressure(const DDG& g, const PartialSchedule& sched,
+                     const MachineConfig& m, const LatencyOverrides& overrides,
+                     PressureScratch& scratch, PressureReport& report) {
   const RFConfig& rf = m.rf;
   const int ii = sched.ii();
   const int num_clusters = rf.clusters;
+  const size_t banks = static_cast<size_t>(num_clusters) + 1;
 
-  PressureReport report;
   report.cluster_maxlive.assign(static_cast<size_t>(num_clusters), 0);
+  report.shared_maxlive = 0;
+  report.values.clear();
 
-  // pressure[bank index][kernel row]; bank index 0 = shared, 1.. clusters.
-  std::vector<std::vector<long>> pressure(
-      static_cast<size_t>(num_clusters) + 1,
-      std::vector<long>(static_cast<size_t>(ii), 0));
+  // Pressure per (bank index, kernel row); bank index 0 = shared, 1..
+  // clusters.
+  scratch.rows.assign(banks * static_cast<size_t>(ii), 0);
+  auto bank_rows = [&](size_t b) {
+    return scratch.rows.data() + b * static_cast<size_t>(ii);
+  };
   auto row_of = [ii](int cycle) {
     const int r = cycle % ii;
     return static_cast<size_t>(r < 0 ? r + ii : r);
@@ -67,11 +80,11 @@ PressureReport ComputePressure(const DDG& g, const PartialSchedule& sched,
     report.values.push_back(ValueLifetime{u, bank, start, end, uses});
     // A lifetime of length L occupies floor(L/II) registers in every
     // kernel row plus one more in L mod II consecutive rows.
-    auto& per_row = pressure[bank_index(bank)];
+    long* per_row = bank_rows(bank_index(bank));
     const int len = end - start;
     const long wraps = len / ii;
     if (wraps > 0) {
-      for (int r = 0; r < ii; ++r) per_row[static_cast<size_t>(r)] += wraps;
+      for (int r = 0; r < ii; ++r) per_row[r] += wraps;
     }
     const int rem = len % ii;
     for (int c = start; c < start + rem; ++c) ++per_row[row_of(c)];
@@ -82,38 +95,38 @@ PressureReport ComputePressure(const DDG& g, const PartialSchedule& sched,
   // organization has one). Pure clustered organizations keep copies only
   // in the reading clusters.
   if (g.num_invariants() > 0) {
-    std::vector<std::vector<char>> used(
-        static_cast<size_t>(g.num_invariants()),
-        std::vector<char>(static_cast<size_t>(num_clusters) + 1, 0));
-    std::vector<char> any_use(static_cast<size_t>(g.num_invariants()), 0);
+    const auto num_inv = static_cast<size_t>(g.num_invariants());
+    scratch.used.assign(num_inv * banks, 0);
+    scratch.any_use.assign(num_inv, 0);
     for (NodeId u = 0; u < g.NumSlots(); ++u) {
       if (!g.IsAlive(u) || !sched.IsScheduled(u)) continue;
       const Node& n = g.node(u);
       for (std::int32_t inv : n.invariant_uses) {
-        any_use[static_cast<size_t>(inv)] = 1;
+        scratch.any_use[static_cast<size_t>(inv)] = 1;
         const BankId bank = ReadBank(n.op, sched.ClusterOf(u), rf);
-        used[static_cast<size_t>(inv)][bank_index(bank)] = 1;
+        scratch.used[static_cast<size_t>(inv) * banks + bank_index(bank)] = 1;
       }
     }
-    for (std::int32_t inv = 0; inv < g.num_invariants(); ++inv) {
-      if (!any_use[static_cast<size_t>(inv)]) continue;
+    for (size_t inv = 0; inv < num_inv; ++inv) {
+      if (!scratch.any_use[inv]) continue;
+      char* used = scratch.used.data() + inv * banks;
       // Master copy in the shared bank for organizations that have one.
-      if (rf.HasSharedBank()) used[static_cast<size_t>(inv)][0] = 1;
-      for (size_t b = 0; b < used[static_cast<size_t>(inv)].size(); ++b) {
-        if (!used[static_cast<size_t>(inv)][b]) continue;
-        for (int r = 0; r < ii; ++r) ++pressure[b][static_cast<size_t>(r)];
+      if (rf.HasSharedBank()) used[0] = 1;
+      for (size_t b = 0; b < banks; ++b) {
+        if (!used[b]) continue;
+        long* per_row = bank_rows(b);
+        for (int r = 0; r < ii; ++r) ++per_row[r];
       }
     }
   }
 
-  report.shared_maxlive = static_cast<int>(
-      *std::max_element(pressure[0].begin(), pressure[0].end()));
+  report.shared_maxlive =
+      static_cast<int>(*std::max_element(bank_rows(0), bank_rows(0) + ii));
   for (int c = 0; c < num_clusters; ++c) {
-    report.cluster_maxlive[static_cast<size_t>(c)] = static_cast<int>(
-        *std::max_element(pressure[static_cast<size_t>(c) + 1].begin(),
-                          pressure[static_cast<size_t>(c) + 1].end()));
+    const long* rows = bank_rows(static_cast<size_t>(c) + 1);
+    report.cluster_maxlive[static_cast<size_t>(c)] =
+        static_cast<int>(*std::max_element(rows, rows + ii));
   }
-  return report;
 }
 
 }  // namespace hcrf::sched

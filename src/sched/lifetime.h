@@ -83,4 +83,17 @@ PressureReport ComputePressure(const DDG& g, const PartialSchedule& sched,
                                const MachineConfig& m,
                                const LatencyOverrides& overrides = {});
 
+/// Per-row tallies of ComputePressure, reusable across calls.
+struct PressureScratch {
+  std::vector<long> rows;     ///< [bank index * II + row]
+  std::vector<char> used;     ///< [invariant * banks + bank index]
+  std::vector<char> any_use;  ///< [invariant]
+};
+
+/// ComputePressure into `out`, reusing `scratch` and `out`'s buffers (no
+/// allocation once they have grown to the graph and II).
+void ComputePressure(const DDG& g, const PartialSchedule& sched,
+                     const MachineConfig& m, const LatencyOverrides& overrides,
+                     PressureScratch& scratch, PressureReport& out);
+
 }  // namespace hcrf::sched

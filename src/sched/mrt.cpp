@@ -42,71 +42,70 @@ ResUseList ResourceNeeds(OpClass op, int cluster, int src_cluster,
   return needs;
 }
 
-ModuloReservationTable::ModuloReservationTable(const MachineConfig& m, int ii)
-    : machine_(m), ii_(ii) {
+ModuloReservationTable::ModuloReservationTable(const MachineConfig& m, int ii) {
+  Rebind(m, ii);
+}
+
+void ModuloReservationTable::Rebind(const MachineConfig& m, int ii) {
   if (ii <= 0) throw std::invalid_argument("MRT: II must be positive");
+  machine_ = m;
   const RFConfig& rf = m.rf;
   const int clusters = m.NumClusters();
   auto clamp_ports = [](int p) {
-    return std::min(p, 1 << 20);  // "unbounded" still needs finite storage
+    return std::min(p, kUnboundedPorts);  // "unbounded" still needs finite storage
   };
-  capacity_.assign(kNumResKinds, {});
-  capacity_[static_cast<int>(ResKind::kFU)]
-      .assign(static_cast<size_t>(clusters), m.FusPerCluster());
+  auto set = [&](ResKind kind, int units, int capacity) {
+    num_units_[static_cast<size_t>(kind)] = units;
+    capacity_[static_cast<size_t>(kind)] = capacity;
+  };
+  set(ResKind::kFU, clusters, m.FusPerCluster());
   if (rf.IsPureClustered()) {
-    capacity_[static_cast<int>(ResKind::kMemPort)]
-        .assign(static_cast<size_t>(clusters), m.MemPortsPerCluster());
+    set(ResKind::kMemPort, clusters, m.MemPortsPerCluster());
   } else {
-    capacity_[static_cast<int>(ResKind::kMemPort)].assign(1, m.num_mem_ports);
+    set(ResKind::kMemPort, 1, m.num_mem_ports);
   }
-  capacity_[static_cast<int>(ResKind::kLoadRPort)]
-      .assign(static_cast<size_t>(clusters),
-              rf.IsHierarchical() ? clamp_ports(rf.lp) : 0);
-  capacity_[static_cast<int>(ResKind::kStoreRPort)]
-      .assign(static_cast<size_t>(clusters),
-              rf.IsHierarchical() ? clamp_ports(rf.sp) : 0);
-  capacity_[static_cast<int>(ResKind::kBusInPort)]
-      .assign(static_cast<size_t>(clusters),
-              rf.IsPureClustered() ? clamp_ports(rf.lp) : 0);
-  capacity_[static_cast<int>(ResKind::kBusOutPort)]
-      .assign(static_cast<size_t>(clusters),
-              rf.IsPureClustered() ? clamp_ports(rf.sp) : 0);
-  capacity_[static_cast<int>(ResKind::kBus)].assign(
-      1, rf.IsPureClustered() ? clamp_ports(rf.buses) : 0);
-
-  // One flat row-major array over all (kind, cluster, row) slots.
-  num_units_.assign(kNumResKinds, 0);
-  size_t total = 0;
+  set(ResKind::kLoadRPort, clusters,
+      rf.IsHierarchical() ? clamp_ports(rf.lp) : 0);
+  set(ResKind::kStoreRPort, clusters,
+      rf.IsHierarchical() ? clamp_ports(rf.sp) : 0);
+  set(ResKind::kBusInPort, clusters,
+      rf.IsPureClustered() ? clamp_ports(rf.lp) : 0);
+  set(ResKind::kBusOutPort, clusters,
+      rf.IsPureClustered() ? clamp_ports(rf.sp) : 0);
+  set(ResKind::kBus, 1, rf.IsPureClustered() ? clamp_ports(rf.buses) : 0);
   for (int k = 0; k < kNumResKinds; ++k) {
-    base_[static_cast<size_t>(k)] = total;
-    num_units_[static_cast<size_t>(k)] =
-        static_cast<int>(capacity_[static_cast<size_t>(k)].size());
-    total += capacity_[static_cast<size_t>(k)].size() *
-             static_cast<size_t>(ii_);
+    const int cap = capacity_[static_cast<size_t>(k)];
+    stride_[static_cast<size_t>(k)] = cap <= kMaxTrackedCapacity ? cap : 0;
   }
-  count_.assign(total, 0);
-  occupants_.assign(total, {});
+  Rebind(ii);
 }
 
 void ModuloReservationTable::Rebind(int ii) {
   if (ii <= 0) throw std::invalid_argument("MRT: II must be positive");
   ii_ = ii;
+  // One flat row-major array over all (kind, cluster, row) slots, and one
+  // over their occupant blocks.
   size_t total = 0;
-  for (int k = 0; k < kNumResKinds; ++k) {
-    base_[static_cast<size_t>(k)] = total;
-    total += capacity_[static_cast<size_t>(k)].size() *
-             static_cast<size_t>(ii_);
+  size_t occ_total = 0;
+  for (size_t k = 0; k < kNumResKinds; ++k) {
+    const size_t slots =
+        static_cast<size_t>(num_units_[k]) * static_cast<size_t>(ii_);
+    base_[k] = total;
+    occ_base_[k] = occ_total;
+    total += slots;
+    occ_total += slots * static_cast<size_t>(stride_[k]);
   }
   count_.assign(total, 0);
-  if (occupants_.size() < total) occupants_.resize(total);
-  for (auto& occ : occupants_) occ.clear();  // keeps each list's capacity
-  for (PlacedRec& rec : placed_) rec.placed = false;
+  // Blocks are read only up to their slot's count, so stale ids from an
+  // earlier attempt need no clearing.
+  if (occupants_.size() < occ_total) occupants_.resize(occ_total);
+  placed_.clear();  // keeps the capacity
 }
 
 int ModuloReservationTable::Capacity(ResKind kind, int cluster) const {
-  const auto& v = capacity_[static_cast<size_t>(kind)];
-  if (static_cast<size_t>(cluster) >= v.size()) return 0;
-  return v[static_cast<size_t>(cluster)];
+  const auto k = static_cast<size_t>(kind);
+  if (cluster < 0 || cluster >= num_units_[k]) return 0;
+  return capacity_[k];
 }
 
 int ModuloReservationTable::Usage(ResKind kind, int cluster, int row) const {
@@ -304,10 +303,15 @@ void ModuloReservationTable::Place(NodeId node, const ResUseList& needs,
              "placing node %d at cycle %d over capacity", node, cycle);
   for (const ResUse& use : needs) {
     const size_t base = Base(use.kind, use.cluster);
+    const bool tracked = stride_[static_cast<size_t>(use.kind)] > 0;
     for (int d = 0; d < use.duration; ++d) {
-      const size_t slot = base + static_cast<size_t>(Row(cycle + d));
-      ++count_[slot];
-      occupants_[slot].push_back(node);
+      const int row = Row(cycle + d);
+      int& count = count_[base + static_cast<size_t>(row)];
+      if (tracked) {
+        occupants_[OccupantBase(use.kind, use.cluster, row) +
+                   static_cast<size_t>(count)] = node;
+      }
+      ++count;
     }
   }
   if (static_cast<size_t>(node) >= placed_.size()) {
@@ -321,14 +325,22 @@ void ModuloReservationTable::Remove(NodeId node) {
   PlacedRec& rec = placed_[static_cast<size_t>(node)];
   for (const ResUse& use : rec.needs) {
     const size_t base = Base(use.kind, use.cluster);
+    const bool tracked = stride_[static_cast<size_t>(use.kind)] > 0;
     for (int d = 0; d < use.duration; ++d) {
-      const size_t slot = base + static_cast<size_t>(Row(rec.cycle + d));
-      --count_[slot];
-      auto& occ = occupants_[slot];
-      auto pos = std::find(occ.begin(), occ.end(), node);
-      HCRF_CHECK(pos != occ.end(),
-                 "node %d missing from its reserved slot occupants", node);
-      occ.erase(pos);
+      const int row = Row(rec.cycle + d);
+      int& count = count_[base + static_cast<size_t>(row)];
+      if (tracked) {
+        // Order-preserving erase: ConflictingNodes reports occupants in
+        // placement order, and the ejection order depends on it.
+        NodeId* occ =
+            occupants_.data() + OccupantBase(use.kind, use.cluster, row);
+        NodeId* last = occ + count;
+        NodeId* pos = std::find(occ, last, node);
+        HCRF_CHECK(pos != last,
+                   "node %d missing from its reserved slot occupants", node);
+        std::copy(pos + 1, last, pos);
+      }
+      --count;
     }
   }
   rec.placed = false;
@@ -343,13 +355,40 @@ void ModuloReservationTable::ConflictingNodes(std::span<const ResUse> needs,
     if (cap <= 0) continue;  // structurally impossible; caller handles
     const size_t base = Base(use.kind, use.cluster);
     for (int d = 0; d < use.duration; ++d) {
-      const size_t slot = base + static_cast<size_t>(Row(cycle + d));
-      if (count_[slot] < cap) continue;
-      for (NodeId n : occupants_[slot]) {
-        if (std::find(result.begin(), result.end(), n) == result.end()) {
-          result.push_back(n);
+      const int row = Row(cycle + d);
+      const int count = count_[base + static_cast<size_t>(row)];
+      if (count < cap) continue;
+      if (stride_[static_cast<size_t>(use.kind)] == 0) {
+        AppendOccupantsByScan(use, row, result);
+        continue;
+      }
+      const NodeId* occ =
+          occupants_.data() + OccupantBase(use.kind, use.cluster, row);
+      for (const NodeId* p = occ; p != occ + count; ++p) {
+        if (std::find(result.begin(), result.end(), *p) == result.end()) {
+          result.push_back(*p);
         }
       }
+    }
+  }
+}
+
+void ModuloReservationTable::AppendOccupantsByScan(
+    const ResUse& slot, int row, std::vector<NodeId>& result) const {
+  for (size_t v = 0; v < placed_.size(); ++v) {
+    const PlacedRec& rec = placed_[v];
+    if (!rec.placed) continue;
+    bool occupies = false;
+    for (const ResUse& use : rec.needs) {
+      if (use.kind != slot.kind || use.cluster != slot.cluster) continue;
+      for (int d = 0; d < use.duration && !occupies; ++d) {
+        occupies = Row(rec.cycle + d) == row;
+      }
+    }
+    const auto node = static_cast<NodeId>(v);
+    if (occupies &&
+        std::find(result.begin(), result.end(), node) == result.end()) {
+      result.push_back(node);
     }
   }
 }

@@ -15,13 +15,17 @@
 //   kBus         global          inter-cluster buses (nb)
 //
 // The table sits on the scheduler's hottest path (every placement probe of
-// the iterative engine scans candidate cycles through CanPlace), so the
-// representation is allocation-free: resource needs are fixed-capacity
-// inline arrays (ResUseList), occupancy counts live in one flat row-major
-// int array indexed by a precomputed (kind, cluster) base, and per-node
-// placement records are a flat vector instead of a hash map. Occupant
-// identities (needed only by force-and-eject and Remove) are kept in a
-// parallel flat array of small vectors that the probe path never touches.
+// the iterative engine scans candidate cycles through CanPlace), so it is
+// built from flat tables that a rebind reuses: resource needs are
+// fixed-capacity inline arrays (ResUseList), occupancy counts live in one
+// flat row-major int array indexed by a precomputed (kind, cluster) base,
+// and per-node placement records are a flat vector instead of a hash map.
+// Occupant identities (needed only by force-and-eject and Remove) live in
+// a second flat array with one block of `capacity` ids per slot, in
+// placement order, which the probe path never touches (units wider than
+// kMaxTrackedCapacity keep none; see stride_). Once its buffers have grown
+// to the largest II and machine seen, Rebind, Place and Remove allocate
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +84,23 @@ ResUseList ResourceNeeds(OpClass op, int cluster, int src_cluster,
 
 class ModuloReservationTable {
  public:
+  /// Port counts are clamped here: an unbounded organization still needs
+  /// finite rows.
+  static constexpr int kUnboundedPorts = 1 << 20;
+  /// Widest unit whose slots keep an occupant block (see stride_).
+  static constexpr int kMaxTrackedCapacity = 64;
+
   ModuloReservationTable(const MachineConfig& m, int ii);
+  /// A table for the baseline machine at II 1, to be rebound.
+  ModuloReservationTable() : ModuloReservationTable(MachineConfig{}, 1) {}
 
   /// Empties the table for a fresh attempt at a new II on the same
   /// machine, reusing every buffer (the per-II-attempt reset of the
   /// engine's escalation loop allocates nothing).
   void Rebind(int ii);
+  /// Same, on another machine (the engine workspace reuses one table
+  /// across calls).
+  void Rebind(const MachineConfig& m, int ii);
 
   int ii() const { return ii_; }
   const MachineConfig& machine() const { return machine_; }
@@ -119,10 +134,11 @@ class ModuloReservationTable {
   }
 
   /// Appends the nodes whose reservations block placing `needs` at `cycle`
-  /// to `result` (deduplicated, insertion order; `result` is cleared
-  /// first). Used by Force_and_Eject: ejecting these (plus dependence
-  /// violators) makes the forced placement legal. Takes a caller-owned
-  /// buffer so the engine can reuse one vector across forced placements.
+  /// to `result` (deduplicated, placement order per slot -- id order for
+  /// units wider than kMaxTrackedCapacity; `result` is cleared first).
+  /// Used by Force_and_Eject: ejecting these (plus dependence violators)
+  /// makes the forced placement legal. Takes a caller-owned buffer so the
+  /// engine can reuse one vector across forced placements.
   void ConflictingNodes(std::span<const ResUse> needs, int cycle,
                         std::vector<NodeId>& result) const;
 
@@ -139,6 +155,9 @@ class ModuloReservationTable {
   struct HoistedNeeds;  // per-use scan constants (defined in mrt.cpp)
 
   bool Hoist(std::span<const ResUse> needs, HoistedNeeds& h) const;
+  /// ConflictingNodes for a slot without an occupant block.
+  void AppendOccupantsByScan(const ResUse& slot, int row,
+                             std::vector<NodeId>& result) const;
   bool Fits(const HoistedNeeds& h, int t) const;
 
   /// Blocked row scans behind FindFirstSlotUp/Down for all-duration-1
@@ -156,21 +175,39 @@ class ModuloReservationTable {
     return base_[static_cast<size_t>(kind)] +
            static_cast<size_t>(cluster) * static_cast<size_t>(ii_);
   }
+  /// Flat index of the first occupant of the (kind, cluster, row) slot;
+  /// the slot's block holds count_ ids in placement order.
+  size_t OccupantBase(ResKind kind, int cluster, int row) const {
+    const auto k = static_cast<size_t>(kind);
+    return occ_base_[k] +
+           (static_cast<size_t>(cluster) * static_cast<size_t>(ii_) +
+            static_cast<size_t>(row)) *
+               static_cast<size_t>(stride_[k]);
+  }
   int Row(int cycle) const {
     const int r = cycle % ii_;
     return r < 0 ? r + ii_ : r;
   }
 
   std::vector<int> count_;  ///< occupancy count, [Base(kind,cluster) + row]
-  /// Occupant node ids per slot, same indexing as count_. Touched only by
+  /// Occupant ids, stride_[kind] per slot of the kind. Touched only by
   /// Place/Remove/ConflictingNodes, never by the CanPlace probe path.
-  std::vector<std::vector<NodeId>> occupants_;
-  std::vector<std::vector<int>> capacity_;  // [kind][cluster]
-  size_t base_[kNumResKinds] = {};  ///< flat offset of each kind's rows
-  std::vector<int> num_units_;      ///< clusters modelled per kind
+  std::vector<NodeId> occupants_;
+  /// Every unit of a kind has the same capacity.
+  int capacity_[kNumResKinds] = {};
+  int num_units_[kNumResKinds] = {};  ///< clusters modelled per kind
+  /// Occupant block size per slot: the capacity, or 0 for kinds wider
+  /// than kMaxTrackedCapacity (the clamped "unbounded" ports, or a machine
+  /// document's outsized counts), whose blocks would cost memory in
+  /// proportion to the capacity. Their slots practically never fill, and
+  /// when one does ConflictingNodes finds its occupants by scanning the
+  /// placement records instead.
+  int stride_[kNumResKinds] = {};
+  size_t base_[kNumResKinds] = {};      ///< flat offset of each kind's rows
+  size_t occ_base_[kNumResKinds] = {};  ///< same, into occupants_
   std::vector<PlacedRec> placed_;   ///< by NodeId
   MachineConfig machine_;
-  int ii_;
+  int ii_ = 1;
 };
 
 }  // namespace hcrf::sched

@@ -1,30 +1,34 @@
 #include "sched/ordering.h"
 
 #include <algorithm>
-#include <queue>
+#include <span>
 
 #include "core/check.h"
 #include "ddg/mii.h"
 
 namespace hcrf::sched {
 
-DepthHeight ComputeDepthHeight(const DDG& g, const LatencyTable& lat) {
+namespace {
+
+// Longest distance-0 paths into ws.depth / ws.height (see DepthHeight).
+void DepthHeightInto(const DDG& g, const LatencyTable& lat,
+                     OrderingScratch& ws) {
   const size_t n = static_cast<size_t>(g.NumSlots());
-  DepthHeight dh;
-  dh.depth.assign(n, 0);
-  dh.height.assign(n, 0);
+  ws.depth.assign(n, 0);
+  ws.height.assign(n, 0);
 
   // Topological order of the distance-0 subgraph (acyclic by construction:
   // a valid loop has no zero-distance dependence cycles).
-  std::vector<int> indeg(n, 0);
+  std::vector<int>& indeg = ws.indeg;
+  indeg.assign(n, 0);
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
     if (!g.IsAlive(v)) continue;
     for (const Edge& e : g.OutEdges(v)) {
       if (e.distance == 0) ++indeg[static_cast<size_t>(e.dst)];
     }
   }
-  std::vector<NodeId> topo;
-  topo.reserve(n);
+  std::vector<NodeId>& topo = ws.topo;
+  topo.clear();
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
     if (g.IsAlive(v) && indeg[static_cast<size_t>(v)] == 0) topo.push_back(v);
   }
@@ -32,9 +36,9 @@ DepthHeight ComputeDepthHeight(const DDG& g, const LatencyTable& lat) {
     const NodeId v = topo[i];
     for (const Edge& e : g.OutEdges(v)) {
       if (e.distance != 0) continue;
-      const long cand = dh.depth[static_cast<size_t>(v)] + g.EdgeLatency(e, lat);
-      dh.depth[static_cast<size_t>(e.dst)] =
-          std::max(dh.depth[static_cast<size_t>(e.dst)], cand);
+      const long cand = ws.depth[static_cast<size_t>(v)] + g.EdgeLatency(e, lat);
+      ws.depth[static_cast<size_t>(e.dst)] =
+          std::max(ws.depth[static_cast<size_t>(e.dst)], cand);
       if (--indeg[static_cast<size_t>(e.dst)] == 0) topo.push_back(e.dst);
     }
   }
@@ -42,137 +46,142 @@ DepthHeight ComputeDepthHeight(const DDG& g, const LatencyTable& lat) {
     const NodeId v = topo[i];
     for (const Edge& e : g.OutEdges(v)) {
       if (e.distance != 0) continue;
-      dh.height[static_cast<size_t>(v)] =
-          std::max(dh.height[static_cast<size_t>(v)],
-                   dh.height[static_cast<size_t>(e.dst)] + g.EdgeLatency(e, lat));
+      ws.height[static_cast<size_t>(v)] =
+          std::max(ws.height[static_cast<size_t>(v)],
+                   ws.height[static_cast<size_t>(e.dst)] + g.EdgeLatency(e, lat));
     }
   }
-  return dh;
 }
 
-namespace {
-
 // Reachability (over all edges, any distance) from `seeds` in the given
-// direction. Returns a membership bitmap.
-std::vector<char> Reach(const DDG& g, const std::vector<char>& seeds,
-                        bool forward) {
-  std::vector<char> seen = seeds;
-  std::queue<NodeId> q;
+// direction, as a membership bitmap in `seen`.
+void Reach(const DDG& g, const std::vector<char>& seeds, bool forward,
+           std::vector<char>& seen, std::vector<NodeId>& queue) {
+  seen.assign(seeds.begin(), seeds.end());
+  queue.clear();
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
-    if (seeds[static_cast<size_t>(v)]) q.push(v);
+    if (seeds[static_cast<size_t>(v)]) queue.push_back(v);
   }
-  while (!q.empty()) {
-    const NodeId v = q.front();
-    q.pop();
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
     const auto& edges = forward ? g.OutEdges(v) : g.InEdges(v);
     for (const Edge& e : edges) {
       const NodeId w = forward ? e.dst : e.src;
       if (!seen[static_cast<size_t>(w)]) {
         seen[static_cast<size_t>(w)] = 1;
-        q.push(w);
+        queue.push_back(w);
       }
     }
   }
-  return seen;
 }
 
 }  // namespace
 
-std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
-  const size_t n = static_cast<size_t>(g.NumSlots());
-  const DepthHeight dh = ComputeDepthHeight(g, lat);
+DepthHeight ComputeDepthHeight(const DDG& g, const LatencyTable& lat) {
+  OrderingScratch ws;
+  DepthHeightInto(g, lat, ws);
+  return DepthHeight{std::move(ws.depth), std::move(ws.height)};
+}
 
-  // Recurrence sets by descending RecMII.
-  struct RecSet {
-    std::vector<NodeId> nodes;
-    int rec_mii;
-  };
-  std::vector<RecSet> rec_sets;
-  const std::vector<bool> on_rec = NodesOnRecurrences(g);
-  for (const std::vector<NodeId>& scc : SCCs(g)) {
-    const bool is_rec =
-        scc.size() > 1 || (scc.size() == 1 && on_rec[static_cast<size_t>(scc[0])]);
-    if (!is_rec) continue;
-    rec_sets.push_back(RecSet{scc, SccRecMII(g, lat, scc)});
+std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
+  OrderingScratch ws;
+  std::vector<NodeId> order;
+  HrmsOrder(g, lat, ws, order);
+  return order;
+}
+
+void HrmsOrder(const DDG& g, const LatencyTable& lat, OrderingScratch& ws,
+               std::vector<NodeId>& order) {
+  const size_t n = static_cast<size_t>(g.NumSlots());
+  DepthHeightInto(g, lat, ws);
+  const std::vector<long>& depth = ws.depth;
+  const std::vector<long>& height = ws.height;
+
+  // Recurrence sets by descending RecMII; equal bounds keep component
+  // order.
+  SCCs(g, ws.graph);
+  const SccList& sccs = ws.graph.sccs;
+  ws.rec_sets.clear();
+  for (size_t k = 0; k < sccs.size(); ++k) {
+    if (!IsRecurrence(g, sccs[k])) continue;
+    ws.rec_sets.push_back({k, SccRecMII(g, lat, sccs[k], ws.graph)});
   }
-  std::stable_sort(rec_sets.begin(), rec_sets.end(),
-                   [](const RecSet& a, const RecSet& b) {
-                     return a.rec_mii > b.rec_mii;
-                   });
+  std::sort(ws.rec_sets.begin(), ws.rec_sets.end(),
+            [](const OrderingScratch::RecSet& a,
+               const OrderingScratch::RecSet& b) {
+              if (a.rec_mii != b.rec_mii) return a.rec_mii > b.rec_mii;
+              return a.scc < b.scc;
+            });
 
   // Build the sequence of node sets: each recurrence set is augmented with
-  // the nodes on paths between it and the union of the previous sets.
-  std::vector<char> placed_in_set(n, 0);
-  std::vector<std::vector<NodeId>> sets;
-  for (const RecSet& rs : rec_sets) {
-    std::vector<NodeId> set;
-    std::vector<char> cur(n, 0);
-    for (NodeId v : rs.nodes) cur[static_cast<size_t>(v)] = 1;
-    if (!sets.empty()) {
-      std::vector<char> prev(n, 0);
-      bool any_prev = false;
-      for (const auto& s : sets) {
-        for (NodeId v : s) {
-          prev[static_cast<size_t>(v)] = 1;
-          any_prev = true;
-        }
-      }
-      if (any_prev) {
-        // Path nodes: descendants of prev that are ancestors of cur, or
-        // descendants of cur that are ancestors of prev.
-        const auto desc_prev = Reach(g, prev, /*forward=*/true);
-        const auto anc_prev = Reach(g, prev, /*forward=*/false);
-        const auto desc_cur = Reach(g, cur, /*forward=*/true);
-        const auto anc_cur = Reach(g, cur, /*forward=*/false);
-        for (NodeId v = 0; v < g.NumSlots(); ++v) {
-          const size_t i = static_cast<size_t>(v);
-          if (!g.IsAlive(v) || placed_in_set[i] || cur[i]) continue;
-          if ((desc_prev[i] && anc_cur[i]) || (desc_cur[i] && anc_prev[i])) {
-            set.push_back(v);
-            placed_in_set[i] = 1;
-          }
+  // the nodes on paths between it and the union of the previous sets. That
+  // union is exactly placed_in_set when a set starts.
+  std::vector<char>& placed_in_set = ws.placed_in_set;
+  placed_in_set.assign(n, 0);
+  ws.set_nodes.clear();
+  ws.set_offsets.assign(1, 0);
+  std::vector<char>& cur = ws.cur;
+  cur.assign(n, 0);
+  for (const OrderingScratch::RecSet& rs : ws.rec_sets) {
+    const std::span<const NodeId> rec_nodes = sccs[rs.scc];
+    for (NodeId v : rec_nodes) cur[static_cast<size_t>(v)] = 1;
+    if (ws.set_offsets.size() > 1) {
+      // Path nodes: descendants of prev that are ancestors of cur, or
+      // descendants of cur that are ancestors of prev.
+      Reach(g, placed_in_set, /*forward=*/true, ws.desc_prev, ws.queue);
+      Reach(g, placed_in_set, /*forward=*/false, ws.anc_prev, ws.queue);
+      Reach(g, cur, /*forward=*/true, ws.desc_cur, ws.queue);
+      Reach(g, cur, /*forward=*/false, ws.anc_cur, ws.queue);
+      for (NodeId v = 0; v < g.NumSlots(); ++v) {
+        const size_t i = static_cast<size_t>(v);
+        if (!g.IsAlive(v) || placed_in_set[i] || cur[i]) continue;
+        if ((ws.desc_prev[i] && ws.anc_cur[i]) ||
+            (ws.desc_cur[i] && ws.anc_prev[i])) {
+          ws.set_nodes.push_back(v);
+          placed_in_set[i] = 1;
         }
       }
     }
-    for (NodeId v : rs.nodes) {
+    for (NodeId v : rec_nodes) {
+      cur[static_cast<size_t>(v)] = 0;
       if (!placed_in_set[static_cast<size_t>(v)]) {
-        set.push_back(v);
+        ws.set_nodes.push_back(v);
         placed_in_set[static_cast<size_t>(v)] = 1;
       }
     }
-    if (!set.empty()) sets.push_back(std::move(set));
+    if (ws.set_nodes.size() > ws.set_offsets.back()) {
+      ws.set_offsets.push_back(ws.set_nodes.size());
+    }
   }
   // Remaining nodes form the final set.
-  {
-    std::vector<NodeId> rest;
-    for (NodeId v = 0; v < g.NumSlots(); ++v) {
-      if (g.IsAlive(v) && !placed_in_set[static_cast<size_t>(v)]) {
-        rest.push_back(v);
-      }
+  for (NodeId v = 0; v < g.NumSlots(); ++v) {
+    if (g.IsAlive(v) && !placed_in_set[static_cast<size_t>(v)]) {
+      ws.set_nodes.push_back(v);
     }
-    if (!rest.empty()) sets.push_back(std::move(rest));
+  }
+  if (ws.set_nodes.size() > ws.set_offsets.back()) {
+    ws.set_offsets.push_back(ws.set_nodes.size());
   }
 
-  // Inner ordering: alternating top-down / bottom-up sweeps (SMS).
-  std::vector<NodeId> order;
-  order.reserve(n);
-  std::vector<char> ordered(n, 0);
+  // Inner ordering: alternating top-down / bottom-up sweeps (SMS). Sets
+  // are disjoint, so a node of the current set is ordered exactly when it
+  // is done within this set.
+  order.clear();
+  std::vector<char>& ordered = ws.ordered;
+  ordered.assign(n, 0);
+  std::vector<char>& member = ws.member;
+  member.assign(n, 0);
+  std::vector<NodeId>& r = ws.ready;
 
-  auto in_set = [&](const std::vector<NodeId>& s, std::vector<char>& bitmap) {
-    std::fill(bitmap.begin(), bitmap.end(), 0);
-    for (NodeId v : s) bitmap[static_cast<size_t>(v)] = 1;
-  };
-
-  std::vector<char> member(n, 0);
-  for (const std::vector<NodeId>& s : sets) {
-    in_set(s, member);
-    std::vector<char> done(n, 0);
+  for (size_t k = 0; k + 1 < ws.set_offsets.size(); ++k) {
+    const std::span<const NodeId> s(ws.set_nodes.data() + ws.set_offsets[k],
+                                    ws.set_offsets[k + 1] - ws.set_offsets[k]);
+    for (NodeId v : s) member[static_cast<size_t>(v)] = 1;
     size_t remaining = s.size();
 
-    auto preds_of_ordered = [&]() {
-      std::vector<NodeId> r;
+    auto append_preds_of_ordered = [&]() {
       for (NodeId v : s) {
-        if (done[static_cast<size_t>(v)]) continue;
+        if (ordered[static_cast<size_t>(v)]) continue;
         for (const Edge& e : g.OutEdges(v)) {
           if (ordered[static_cast<size_t>(e.dst)]) {
             r.push_back(v);
@@ -180,12 +189,10 @@ std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
           }
         }
       }
-      return r;
     };
-    auto succs_of_ordered = [&]() {
-      std::vector<NodeId> r;
+    auto append_succs_of_ordered = [&]() {
       for (NodeId v : s) {
-        if (done[static_cast<size_t>(v)]) continue;
+        if (ordered[static_cast<size_t>(v)]) continue;
         for (const Edge& e : g.InEdges(v)) {
           if (ordered[static_cast<size_t>(e.src)]) {
             r.push_back(v);
@@ -193,16 +200,16 @@ std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
           }
         }
       }
-      return r;
     };
 
     while (remaining > 0) {
       bool top_down = true;
-      std::vector<NodeId> r = preds_of_ordered();
+      r.clear();
+      append_preds_of_ordered();
       if (!r.empty()) {
         top_down = false;  // these feed ordered nodes: go bottom-up
       } else {
-        r = succs_of_ordered();
+        append_succs_of_ordered();
         if (!r.empty()) {
           top_down = true;
         } else {
@@ -210,10 +217,10 @@ std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
           // (critical source first).
           NodeId best = kNoNode;
           for (NodeId v : s) {
-            if (done[static_cast<size_t>(v)]) continue;
+            if (ordered[static_cast<size_t>(v)]) continue;
             if (best == kNoNode ||
-                dh.height[static_cast<size_t>(v)] >
-                    dh.height[static_cast<size_t>(best)]) {
+                height[static_cast<size_t>(v)] >
+                    height[static_cast<size_t>(best)]) {
               best = v;
             }
           }
@@ -228,65 +235,63 @@ std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
             // Max height first (keeps critical paths tight).
             auto it = std::max_element(
                 r.begin(), r.end(), [&](NodeId a, NodeId b) {
-                  if (dh.height[static_cast<size_t>(a)] !=
-                      dh.height[static_cast<size_t>(b)]) {
-                    return dh.height[static_cast<size_t>(a)] <
-                           dh.height[static_cast<size_t>(b)];
+                  if (height[static_cast<size_t>(a)] !=
+                      height[static_cast<size_t>(b)]) {
+                    return height[static_cast<size_t>(a)] <
+                           height[static_cast<size_t>(b)];
                   }
                   return a > b;
                 });
             const NodeId v = *it;
             r.erase(it);
-            if (done[static_cast<size_t>(v)]) continue;
-            done[static_cast<size_t>(v)] = 1;
+            if (ordered[static_cast<size_t>(v)]) continue;
             ordered[static_cast<size_t>(v)] = 1;
             order.push_back(v);
             --remaining;
             for (const Edge& e : g.OutEdges(v)) {
               if (member[static_cast<size_t>(e.dst)] &&
-                  !done[static_cast<size_t>(e.dst)]) {
+                  !ordered[static_cast<size_t>(e.dst)]) {
                 r.push_back(e.dst);
               }
             }
           }
           top_down = false;
-          for (NodeId v : preds_of_ordered()) r.push_back(v);
+          append_preds_of_ordered();
         } else {
           while (!r.empty()) {
             auto it = std::max_element(
                 r.begin(), r.end(), [&](NodeId a, NodeId b) {
-                  if (dh.depth[static_cast<size_t>(a)] !=
-                      dh.depth[static_cast<size_t>(b)]) {
-                    return dh.depth[static_cast<size_t>(a)] <
-                           dh.depth[static_cast<size_t>(b)];
+                  if (depth[static_cast<size_t>(a)] !=
+                      depth[static_cast<size_t>(b)]) {
+                    return depth[static_cast<size_t>(a)] <
+                           depth[static_cast<size_t>(b)];
                   }
                   return a > b;
                 });
             const NodeId v = *it;
             r.erase(it);
-            if (done[static_cast<size_t>(v)]) continue;
-            done[static_cast<size_t>(v)] = 1;
+            if (ordered[static_cast<size_t>(v)]) continue;
             ordered[static_cast<size_t>(v)] = 1;
             order.push_back(v);
             --remaining;
             for (const Edge& e : g.InEdges(v)) {
               if (member[static_cast<size_t>(e.src)] &&
-                  !done[static_cast<size_t>(e.src)]) {
+                  !ordered[static_cast<size_t>(e.src)]) {
                 r.push_back(e.src);
               }
             }
           }
           top_down = true;
-          for (NodeId v : succs_of_ordered()) r.push_back(v);
+          append_succs_of_ordered();
         }
       }
     }
+    for (NodeId v : s) member[static_cast<size_t>(v)] = 0;
   }
 
   HCRF_CHECK(order.size() == static_cast<size_t>(g.NumNodes()),
              "priority order covers %zu of %d nodes", order.size(),
              g.NumNodes());
-  return order;
 }
 
 }  // namespace hcrf::sched

@@ -22,8 +22,8 @@ void PressureTracker::Attach(DDG& g, const PartialSchedule& sched,
   // Re-zero in place (Attach runs once per II attempt; reusing the buffers
   // keeps the attempt loop free of vector-of-vector reallocation).
   const size_t banks = static_cast<size_t>(m.rf.clusters) + 1;
-  rows_.resize(banks);
-  for (auto& r : rows_) r.assign(static_cast<size_t>(ii_), 0);
+  num_banks_ = banks;
+  rows_.assign(banks * static_cast<size_t>(ii_), 0);
   uniform_.assign(banks, 0);
   pinned_.assign(banks, 0);
   row_max_.assign(banks, 0);
@@ -38,8 +38,8 @@ void PressureTracker::Attach(DDG& g, const PartialSchedule& sched,
     snap.bank_index = -1;
     snap.invs.clear();
   }
-  inv_bank_readers_.resize(static_cast<size_t>(g.num_invariants()));
-  for (auto& r : inv_bank_readers_) r.assign(banks, 0);
+  inv_bank_readers_.assign(static_cast<size_t>(g.num_invariants()) * banks,
+                           0);
   inv_any_readers_.assign(static_cast<size_t>(g.num_invariants()), 0);
 
   g.SetListener(this);
@@ -74,7 +74,7 @@ void PressureTracker::AddContribution(const Contribution& c, int sign) {
   uniform_[b] += sign * static_cast<long>(len / ii_);
   const int rem = len % ii_;
   if (rem > 0) {
-    auto& rows = rows_[b];
+    long* rows = BankRows(b);
     for (int cyc = c.start; cyc < c.start + rem; ++cyc) {
       rows[RowOf(cyc)] += sign;
     }
@@ -159,7 +159,8 @@ void PressureTracker::OnNodeRemoved(NodeId v) {
 void PressureTracker::BumpInvariant(std::int32_t inv, size_t bank_index,
                                     int delta) {
   if (static_cast<size_t>(inv) >= inv_any_readers_.size()) return;
-  int& bank_readers = inv_bank_readers_[static_cast<size_t>(inv)][bank_index];
+  int& bank_readers =
+      inv_bank_readers_[static_cast<size_t>(inv) * num_banks_ + bank_index];
   const int was_bank = bank_readers;
   bank_readers += delta;
   int& any = inv_any_readers_[static_cast<size_t>(inv)];
@@ -213,22 +214,24 @@ void PressureTracker::ResyncInvariantReads(NodeId u) {
 int PressureTracker::MaxLive(BankId bank) {
   FlushDirty();
   const size_t b = BankIndex(bank);
-  HCRF_CHECK(b < rows_.size(),
+  HCRF_CHECK(b < num_banks_,
              "PressureTracker::MaxLive: bank %d outside the %zu banks of "
              "the attached organization",
-             bank, rows_.size());
+             bank, num_banks_);
   if (row_dirty_[b]) {
-    row_max_[b] = *std::max_element(rows_[b].begin(), rows_[b].end());
+    const long* rows = BankRows(b);
+    row_max_[b] = *std::max_element(rows, rows + ii_);
     row_dirty_[b] = 0;
   }
   return static_cast<int>(row_max_[b] + uniform_[b] +
                           static_cast<long>(pinned_[b]));
 }
 
-PressureReport PressureTracker::Report() {
+const PressureReport& PressureTracker::Report() {
   FlushDirty();
-  PressureReport report;
+  PressureReport& report = report_;
   report.cluster_maxlive.resize(static_cast<size_t>(m_->rf.clusters));
+  report.values.clear();
   for (int c = 0; c < m_->rf.clusters; ++c) {
     report.cluster_maxlive[static_cast<size_t>(c)] = MaxLive(c);
   }
@@ -251,7 +254,7 @@ void PressureTracker::CrossValidate(const char* where) {
   HCRF_CHECK(attached(), "PressureTracker::CrossValidate(%s): not attached",
              where);
   const PressureReport pr = ComputePressure(*g_, *sched_, *m_, *overrides_);
-  const PressureReport got = Report();
+  const PressureReport& got = Report();
   HCRF_CHECK(got.shared_maxlive == pr.shared_maxlive,
              "incremental pressure tracker diverged at %s: shared bank "
              "MaxLive %d, ComputePressure says %d (graph '%s', II=%d)",

@@ -98,8 +98,10 @@ class PressureTracker final : public DdgListener {
   /// ValueLifetime list the spill policy ranks) from tracked state: O(live
   /// values), no edge walk. Field-for-field equal to ComputePressure() —
   /// the spill engine's slow path feeds it to the victim policies, so the
-  /// decisions match the reference path's exactly.
-  PressureReport Report();
+  /// decisions match the reference path's exactly. The report is a buffer
+  /// of the tracker's, refilled in place by every call: the reference is
+  /// valid until the next Report or Attach.
+  const PressureReport& Report();
 
   /// Recomputes the ground truth with ComputePressure and HCRF_CHECKs that
   /// every bank and every value lifetime agrees; `where` names the call
@@ -131,6 +133,10 @@ class PressureTracker final : public DdgListener {
   size_t RowOf(int cycle) const {
     const int r = cycle % ii_;
     return static_cast<size_t>(r < 0 ? r + ii_ : r);
+  }
+  /// Row 0 of a bank in rows_.
+  long* BankRows(size_t bank_index) {
+    return rows_.data() + bank_index * static_cast<size_t>(ii_);
   }
   void EnsureSlot(NodeId u) {
     if (static_cast<size_t>(u) >= contrib_.size()) GrowSlots(u);
@@ -165,7 +171,8 @@ class PressureTracker final : public DdgListener {
   int ii_ = 1;
   bool has_shared_ = false;
 
-  std::vector<std::vector<long>> rows_;  // [bank_index][row]
+  size_t num_banks_ = 0;
+  std::vector<long> rows_;               // [bank_index * ii + row]
   std::vector<long> uniform_;            // [bank_index]
   std::vector<int> pinned_;              // [bank_index]
   std::vector<long> row_max_;            // [bank_index], cached
@@ -175,8 +182,9 @@ class PressureTracker final : public DdgListener {
   std::vector<char> node_dirty_;       // [node]
   std::vector<NodeId> dirty_nodes_;    // marked, not yet refreshed
   std::vector<InvReads> inv_reads_;    // [node]
-  std::vector<std::vector<int>> inv_bank_readers_;  // [inv][bank_index]
-  std::vector<int> inv_any_readers_;                // [inv]
+  std::vector<int> inv_bank_readers_;  // [inv * num_banks_ + bank_index]
+  std::vector<int> inv_any_readers_;   // [inv]
+  PressureReport report_;              // Report()'s buffer
 };
 
 }  // namespace hcrf::sched

@@ -18,6 +18,14 @@ std::string Describe(const DDG& g, NodeId v) {
 ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
                           const MachineConfig& m,
                           const LatencyOverrides& overrides) {
+  ValidateScratch scratch;
+  return Validate(g, sched, m, overrides, scratch);
+}
+
+ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
+                          const MachineConfig& m,
+                          const LatencyOverrides& overrides,
+                          ValidateScratch& scratch) {
   ValidationResult res;
   auto fail = [&](const std::string& msg) {
     res.ok = false;
@@ -45,24 +53,28 @@ ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
     }
   }
 
-  // 1. Dependences.
-  for (const Edge& e : g.Edges()) {
-    const int lat = DependenceLatency(g, e, m.lat, overrides);
-    const long lhs = sched.CycleOf(e.src) + lat;
-    const long rhs =
-        sched.CycleOf(e.dst) + static_cast<long>(e.distance) * ii;
-    if (lhs > rhs) {
-      std::ostringstream os;
-      os << "dependence violated: " << Describe(g, e.src) << "@"
-         << sched.CycleOf(e.src) << " + lat " << lat << " > "
-         << Describe(g, e.dst) << "@" << sched.CycleOf(e.dst) << " + d"
-         << e.distance << "*II" << ii;
-      return fail(os.str());
+  // 1. Dependences (edges in DDG::Edges() order, read in place).
+  for (NodeId v = 0; v < g.NumSlots(); ++v) {
+    if (!g.IsAlive(v)) continue;
+    for (const Edge& e : g.OutEdges(v)) {
+      const int lat = DependenceLatency(g, e, m.lat, overrides);
+      const long lhs = sched.CycleOf(e.src) + lat;
+      const long rhs =
+          sched.CycleOf(e.dst) + static_cast<long>(e.distance) * ii;
+      if (lhs > rhs) {
+        std::ostringstream os;
+        os << "dependence violated: " << Describe(g, e.src) << "@"
+           << sched.CycleOf(e.src) << " + lat " << lat << " > "
+           << Describe(g, e.dst) << "@" << sched.CycleOf(e.dst) << " + d"
+           << e.distance << "*II" << ii;
+        return fail(os.str());
+      }
     }
   }
 
   // 2. Resources, rebuilt from scratch.
-  ModuloReservationTable mrt(m, ii);
+  ModuloReservationTable& mrt = scratch.mrt;
+  mrt.Rebind(m, ii);
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
     if (!g.IsAlive(v)) continue;
     const Placement& p = sched.Of(v);
@@ -75,37 +87,40 @@ ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
   }
 
   // 3. Bank consistency on flow edges.
-  for (const Edge& e : g.Edges()) {
-    if (e.kind != DepKind::kFlow) continue;
-    const Node& src = g.node(e.src);
-    const Node& dst = g.node(e.dst);
-    const BankId def =
-        DefBank(src.op, sched.ClusterOf(e.src), m.rf);
-    BankId read;
-    if (dst.op == OpClass::kMove) {
-      // Move reads the producer's bank by construction, but the recorded
-      // src_cluster must match it.
-      read = def;
-      if (sched.Of(e.dst).src_cluster != def) {
-        return fail("move " + Describe(g, e.dst) +
-                    " src_cluster does not match producer bank");
+  for (NodeId v = 0; v < g.NumSlots(); ++v) {
+    if (!g.IsAlive(v)) continue;
+    for (const Edge& e : g.FlowConsumers(v)) {
+      const Node& src = g.node(e.src);
+      const Node& dst = g.node(e.dst);
+      const BankId def =
+          DefBank(src.op, sched.ClusterOf(e.src), m.rf);
+      BankId read;
+      if (dst.op == OpClass::kMove) {
+        // Move reads the producer's bank by construction, but the recorded
+        // src_cluster must match it.
+        read = def;
+        if (sched.Of(e.dst).src_cluster != def) {
+          return fail("move " + Describe(g, e.dst) +
+                      " src_cluster does not match producer bank");
+        }
+        if (def == kSharedBank) {
+          return fail("move " + Describe(g, e.dst) + " reads the shared bank");
+        }
+      } else {
+        read = ReadBank(dst.op, sched.ClusterOf(e.dst), m.rf);
       }
-      if (def == kSharedBank) {
-        return fail("move " + Describe(g, e.dst) + " reads the shared bank");
+      if (def != read) {
+        std::ostringstream os;
+        os << "bank mismatch: " << Describe(g, e.src) << " defines in bank "
+           << def << " but " << Describe(g, e.dst) << " reads bank " << read;
+        return fail(os.str());
       }
-    } else {
-      read = ReadBank(dst.op, sched.ClusterOf(e.dst), m.rf);
-    }
-    if (def != read) {
-      std::ostringstream os;
-      os << "bank mismatch: " << Describe(g, e.src) << " defines in bank "
-         << def << " but " << Describe(g, e.dst) << " reads bank " << read;
-      return fail(os.str());
     }
   }
 
   // 4. Capacities.
-  const PressureReport pr = ComputePressure(g, sched, m, overrides);
+  ComputePressure(g, sched, m, overrides, scratch.pressure, scratch.report);
+  const PressureReport& pr = scratch.report;
   if (m.rf.HasSharedBank() &&
       pr.shared_maxlive > BankCapacity(kSharedBank, m.rf)) {
     return fail("shared bank over capacity: MaxLive " +

@@ -21,6 +21,7 @@
 #include "ddg/ddg.h"
 #include "machine/machine_config.h"
 #include "sched/lifetime.h"
+#include "sched/mrt.h"
 #include "sched/schedule.h"
 
 namespace hcrf::sched {
@@ -33,5 +34,20 @@ struct ValidationResult {
 ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
                           const MachineConfig& m,
                           const LatencyOverrides& overrides = {});
+
+/// The tables Validate rebuilds from scratch, kept by a caller that
+/// validates often (the engine checks every scheduled II attempt).
+struct ValidateScratch {
+  ModuloReservationTable mrt;
+  PressureScratch pressure;
+  PressureReport report;
+};
+
+/// Validate reusing `scratch`: allocates nothing on a valid schedule once
+/// the scratch has grown to the graph, machine and II.
+ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
+                          const MachineConfig& m,
+                          const LatencyOverrides& overrides,
+                          ValidateScratch& scratch);
 
 }  // namespace hcrf::sched

@@ -112,7 +112,9 @@ struct BatchItem {
 };
 
 struct BatchReport {
-  std::vector<BatchItem> items;  ///< In request order.
+  /// In request order; empty when the batch ran with an item consumer
+  /// (SchedulerService::RunBatch).
+  std::vector<BatchItem> items;
   /// Whole-stack cache counters for this batch (hits from any tier;
   /// misses/writes at the durable boundary). Zeroes when caching is
   /// disabled.

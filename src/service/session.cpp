@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 
 #include "core/mirs.h"
 #include "obs/metrics.h"
@@ -110,10 +111,11 @@ void SchedulerService::ParallelFor(
 BatchReport SchedulerService::RunBatch(
     const std::vector<BatchRequest>& requests, const ItemConsumer& on_item) {
   BatchReport report;
-  report.items.resize(requests.size());
-  // The one counter that reads the result, captured before the consumer
-  // may take it.
-  std::vector<char> warm_used(requests.size(), 0);
+  // With a consumer each item lives on its lane and is gone once consumed;
+  // without one, the report keeps them all in request order.
+  if (!on_item) report.items.resize(requests.size());
+  // Counters are tallied as items complete, before a consumer runs.
+  std::mutex tally_mu;
 
   CacheTier* cache = cache_.get();
   const TierStats stack_before = tier_stats();
@@ -126,7 +128,8 @@ BatchReport SchedulerService::RunBatch(
     static obs::Histogram& req_hist =
         obs::GetHistogram("service.request_seconds");
     const BatchRequest& req = requests[i];
-    BatchItem& item = report.items[i];
+    BatchItem lane_item;
+    BatchItem& item = on_item ? lane_item : report.items[i];
     item.id = req.id;
     const auto t0 = std::chrono::steady_clock::now();
     item.timing.queue_seconds =
@@ -209,24 +212,23 @@ BatchReport SchedulerService::RunBatch(
     req_count.Add(1);
     if (item.cache_hit) hit_count.Add(1);
     req_hist.Record(item.seconds);
-    warm_used[i] = item.result.warm.used;
+    {
+      const std::lock_guard<std::mutex> lock(tally_mu);
+      if (item.cache_hit) {
+        ++report.hits;
+      } else {
+        ++report.scheduled;
+        if (item.result.warm.used) ++report.warm_starts;
+      }
+      if (!item.ok) ++report.failed;
+      report.timing.Accumulate(item.timing);
+    }
     if (on_item) on_item(i, item);
   });
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
 
-  for (std::size_t i = 0; i < report.items.size(); ++i) {
-    const BatchItem& item = report.items[i];
-    if (item.cache_hit) {
-      ++report.hits;
-    } else {
-      ++report.scheduled;
-      if (warm_used[i]) ++report.warm_starts;
-    }
-    if (!item.ok) ++report.failed;
-    report.timing.Accumulate(item.timing);
-  }
   if (cache != nullptr) {
     // Per-batch deltas of the session-lifetime counters. With write-behind
     // on, disk `writes` queued by this batch may still be in flight; the

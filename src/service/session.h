@@ -65,9 +65,10 @@ class SchedulerService {
   const ServiceConfig& config() const { return config_; }
 
   /// Called once per item, on the lane that completed it (scheduled,
-  /// served from the cache or failed), after any cache Put. It may take
-  /// `item.result` (move it out and drop it) but must leave the other
-  /// fields alone; it runs concurrently with other items' consumers.
+  /// served from the cache or failed), after any cache Put. The item is
+  /// the lane's own and is dropped when the consumer returns, so the
+  /// consumer may take anything from it (move `item.result` out); it runs
+  /// concurrently with other items' consumers.
   using ItemConsumer = std::function<void(std::size_t, BatchItem&)>;
 
   /// Schedules every request in parallel against the session cache stack.
@@ -75,12 +76,11 @@ class SchedulerService {
   /// report.cache / report.mem_cache are deltas over this call; with
   /// both tiers on (write-behind), `writes` may still be in flight at
   /// return (Drain() for exact totals — the one-shot wrappers do). With
-  /// `on_item`, each item is handed to it on its lane as it completes, so
-  /// a caller that reduces results as they arrive
-  /// (experiment::RunExperiments, RunSweep) never holds the whole batch's
-  /// schedules at once; the counters (scheduled, hits, failed,
-  /// warm_starts, timing) are taken from each item before the consumer
-  /// runs.
+  /// `on_item`, each item is handed to it on its lane as it completes and
+  /// report.items stays empty, so a caller that reduces results as they
+  /// arrive (experiment::RunExperiments, RunSweep) never holds the whole
+  /// batch's items; the counters (scheduled, hits, failed, warm_starts,
+  /// timing) are taken from each item before the consumer runs.
   BatchReport RunBatch(const std::vector<BatchRequest>& requests,
                        const ItemConsumer& on_item = {});
 

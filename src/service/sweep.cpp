@@ -314,17 +314,18 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
   report.loops = labels;
   report.skipped = plan.skipped;
   report.cells.resize(requests.size());
-  // Each lane reduces its item to the cell's deterministic fields and
-  // drops the schedule, so the sweep never holds the grid's results.
+  // Each lane reduces its item to the cell's deterministic fields; the item
+  // and its schedule are dropped on the lane, so the sweep never holds the
+  // grid's results.
   const BatchReport batch = session.RunBatch(
       requests, [&](std::size_t k, BatchItem& item) {
-        const core::ScheduleResult r = std::move(item.result);
+        const core::ScheduleResult& r = item.result;
         SweepCell& cell = report.cells[k];
         cell.org = plan.machines[k / loops.size()].org;
         cell.loop = labels[k % loops.size()];
         cell.ok = item.ok;
         cell.cache_hit = item.cache_hit;
-        cell.error = item.error;
+        cell.error = std::move(item.error);
         cell.ii = r.ii;
         cell.mii = r.mii;
         cell.sc = r.sc;

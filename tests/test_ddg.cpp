@@ -1,6 +1,9 @@
 // Unit tests for the dependence graph and MII computation.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "ddg/ddg.h"
 #include "ddg/mii.h"
 #include "workload/kernels.h"
@@ -59,6 +62,173 @@ TEST(DDG, RemoveEdge) {
   EXPECT_EQ(g.NumEdges(), 1);
   EXPECT_EQ(g.OutEdges(a).front().distance, 0);
   EXPECT_TRUE(g.Check());
+}
+
+// Every observable of two graphs, compared: slot and edge counts, both
+// adjacency orders of every slot, the materialized edge list, liveness and
+// node contents, and the structural check.
+void ExpectSameGraph(const DDG& a, const DDG& b) {
+  ASSERT_EQ(a.NumSlots(), b.NumSlots());
+  EXPECT_EQ(a.NumNodes(), b.NumNodes());
+  EXPECT_EQ(a.NumEdges(), b.NumEdges());
+  EXPECT_EQ(a.num_invariants(), b.num_invariants());
+  EXPECT_EQ(a.name(), b.name());
+  auto same_edges = [](const std::vector<Edge>& x, const std::vector<Edge>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i].src != y[i].src || x[i].dst != y[i].dst ||
+          x[i].kind != y[i].kind || x[i].distance != y[i].distance) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (NodeId v = 0; v < a.NumSlots(); ++v) {
+    EXPECT_EQ(a.IsAlive(v), b.IsAlive(v)) << v;
+    EXPECT_EQ(a.node(v).op, b.node(v).op) << v;
+    EXPECT_EQ(a.node(v).inserted, b.node(v).inserted) << v;
+    EXPECT_EQ(a.node(v).spill, b.node(v).spill) << v;
+    EXPECT_EQ(a.node(v).invariant_uses, b.node(v).invariant_uses) << v;
+    EXPECT_EQ(a.node(v).mem.has_value(), b.node(v).mem.has_value()) << v;
+    EXPECT_TRUE(same_edges(a.InEdges(v), b.InEdges(v))) << "in-edges of " << v;
+    EXPECT_TRUE(same_edges(a.OutEdges(v), b.OutEdges(v)))
+        << "out-edges of " << v;
+  }
+  EXPECT_TRUE(same_edges(a.Edges(), b.Edges()));
+  std::string why_a;
+  std::string why_b;
+  EXPECT_TRUE(a.Check(&why_a)) << why_a;
+  EXPECT_TRUE(b.Check(&why_b)) << why_b;
+}
+
+class CountingListener : public DdgListener {
+ public:
+  void OnFlowEdgeAdded(const Edge&) override { ++events; }
+  void OnFlowEdgeRemoved(const Edge&) override { ++events; }
+  void OnNodeRemoved(NodeId) override { ++events; }
+  int events = 0;
+};
+
+// Grows `g` with inserted copies (some carrying an invariant use) wired to
+// random nodes and extra edges between the loop's own nodes, then
+// dismantles part of it: tombstones half the copies, drops some of the
+// loop's edges. Deterministic in `seed`.
+void GrowAndDismantle(DDG& g, NodeId original_slots, unsigned seed) {
+  std::mt19937 rng(seed);
+  const auto pick = [&]() {
+    return static_cast<NodeId>(rng() % static_cast<unsigned>(original_slots));
+  };
+  std::vector<NodeId> inserted;
+  for (int i = 0; i < 12; ++i) {
+    Node n;
+    n.op = i % 2 == 0 ? OpClass::kLoadR : OpClass::kStoreR;
+    n.inserted = true;
+    if (i % 3 == 0) n.invariant_uses = {i};
+    const NodeId id = g.AddNode(std::move(n));
+    inserted.push_back(id);
+    const NodeId peer = pick();
+    if (DefinesValue(g.node(peer).op)) g.AddFlow(peer, id, 0);
+    g.AddEdge(id, peer, DepKind::kMem, 1);
+  }
+  for (int i = 0; i < 8; ++i) {
+    const NodeId a = pick();
+    g.AddEdge(a, pick(), DepKind::kMem, 1 + i % 2);
+  }
+  for (size_t i = 0; i < inserted.size(); i += 2) g.RemoveNode(inserted[i]);
+  for (NodeId v = 0; v < original_slots; v += 3) {
+    if (g.OutEdges(v).empty()) continue;
+    const Edge e = g.OutEdges(v).front();
+    EXPECT_TRUE(g.RemoveEdge(e.src, e.dst, e.kind, e.distance));
+  }
+}
+
+// The engine resets its working graph from the input loop at every II
+// attempt and keeps the tables' storage. A reset graph must be
+// indistinguishable from a fresh copy, growing it again (into its spare
+// slots) must match growing a fresh copy, and it keeps its own listener.
+TEST(DDG, ResetFromMatchesAFreshCopy) {
+  const workload::Suite kernel_suite = workload::KernelSuite();
+  for (const workload::Loop& loop : kernel_suite.loops()) {
+    SCOPED_TRACE(loop.ddg.name());
+    const DDG& original = loop.ddg;
+    DDG work;
+    CountingListener listener;
+    work.SetListener(&listener);
+    work.ResetFrom(original);
+    for (unsigned round = 0; round < 3; ++round) {
+      DDG grown(original);
+      GrowAndDismantle(grown, original.NumSlots(), round);
+      GrowAndDismantle(work, original.NumSlots(), round);
+      ExpectSameGraph(work, grown);
+
+      const int events = listener.events;
+      work.ResetFrom(original);
+      EXPECT_EQ(listener.events, events);  // a reset notifies nothing
+      EXPECT_EQ(work.listener(), &listener);
+      EXPECT_GE(work.SlotCapacity(), original.NumSlots() + 12);
+      const DDG fresh(original);
+      EXPECT_EQ(fresh.listener(), nullptr);
+      ExpectSameGraph(work, fresh);
+      // Copy assignment is the same reset, and copies of a grown graph
+      // carry no spare slots.
+      DDG assigned;
+      assigned = work;
+      EXPECT_EQ(assigned.listener(), nullptr);
+      ExpectSameGraph(assigned, original);
+      EXPECT_EQ(DDG(work).SlotCapacity(), original.NumSlots());
+    }
+  }
+}
+
+// FlowConsumers/FlowProducers are filtered views over the adjacency lists:
+// on random graphs they list exactly the flow edges, in adjacency order.
+TEST(DDG, FlowViewsMatchABruteForceFilter) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 50; ++trial) {
+    DDG g;
+    const int nodes = 2 + static_cast<int>(rng() % 40);
+    for (int i = 0; i < nodes; ++i) {
+      g.AddNode(rng() % 4 == 0 ? OpClass::kStore : OpClass::kFAdd);
+    }
+    const int edges = static_cast<int>(rng() % 120);
+    for (int i = 0; i < edges; ++i) {
+      const auto a = static_cast<NodeId>(rng() % static_cast<unsigned>(nodes));
+      const auto b = static_cast<NodeId>(rng() % static_cast<unsigned>(nodes));
+      const int distance = a == b ? 1 : static_cast<int>(rng() % 2);
+      const auto kind = static_cast<DepKind>(rng() % 4);
+      if (kind == DepKind::kFlow && !DefinesValue(g.node(a).op)) continue;
+      g.AddEdge(a, b, kind, distance);
+    }
+    for (NodeId v = 0; v < g.NumSlots(); ++v) {
+      std::vector<Edge> want_out;
+      for (const Edge& e : g.OutEdges(v)) {
+        if (e.kind == DepKind::kFlow) want_out.push_back(e);
+      }
+      std::vector<Edge> want_in;
+      for (const Edge& e : g.InEdges(v)) {
+        if (e.kind == DepKind::kFlow) want_in.push_back(e);
+      }
+      std::vector<Edge> got_out(g.FlowConsumers(v).begin(),
+                                g.FlowConsumers(v).end());
+      std::vector<Edge> got_in;
+      for (const Edge& e : g.FlowProducers(v)) got_in.push_back(e);
+      ASSERT_EQ(got_out.size(), want_out.size()) << "trial " << trial;
+      ASSERT_EQ(got_in.size(), want_in.size()) << "trial " << trial;
+      for (size_t i = 0; i < want_out.size(); ++i) {
+        EXPECT_EQ(got_out[i].dst, want_out[i].dst);
+        EXPECT_EQ(got_out[i].distance, want_out[i].distance);
+      }
+      for (size_t i = 0; i < want_in.size(); ++i) {
+        EXPECT_EQ(got_in[i].src, want_in[i].src);
+        EXPECT_EQ(got_in[i].distance, want_in[i].distance);
+      }
+      EXPECT_EQ(g.FlowConsumers(v).empty(), want_out.empty());
+      EXPECT_EQ(g.FlowProducers(v).empty(), want_in.empty());
+      if (!want_in.empty()) {
+        EXPECT_EQ(g.FlowProducers(v).front().src, want_in.front().src);
+      }
+    }
+  }
 }
 
 TEST(MII, ResMIIByMemoryPorts) {

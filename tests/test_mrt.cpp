@@ -1,7 +1,10 @@
 // Unit tests for the modulo reservation table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "sched/mrt.h"
@@ -248,6 +251,145 @@ TEST(MRT, ScanWindowClampMatchesPeriodicity) {
   // The clamp must not skip candidates of a window shorter than II.
   EXPECT_EQ(mrt.FindFirstSlotUp(fu, 0, 2), ModuloReservationTable::kNoSlot);
   EXPECT_EQ(mrt.FindFirstSlotDown(fu, 2, 0), ModuloReservationTable::kNoSlot);
+}
+
+
+// ---------------------------------------------------------------------------
+// Occupant bookkeeping vs the vector-of-vectors it replaced
+// ---------------------------------------------------------------------------
+
+// The table's occupant bookkeeping as it was before the flat blocks: one
+// vector of ids per (kind, cluster, row) slot, appended on Place, erased
+// in place on Remove. ConflictingNodes' ejection order comes from it, so
+// the flat blocks must reproduce it id for id.
+class ReferenceOccupants {
+ public:
+  void Rebind(int ii) {
+    ii_ = ii;
+    slots_.clear();
+    placed_.clear();
+  }
+  void Place(NodeId node, const ResUseList& needs, int cycle) {
+    for (const ResUse& use : needs) {
+      for (int d = 0; d < use.duration; ++d) {
+        slots_[Key(use, cycle + d)].push_back(node);
+      }
+    }
+    placed_[node] = {needs, cycle};
+  }
+  void Remove(NodeId node) {
+    const auto it = placed_.find(node);
+    if (it == placed_.end()) return;
+    for (const ResUse& use : it->second.first) {
+      for (int d = 0; d < use.duration; ++d) {
+        auto& occ = slots_[Key(use, it->second.second + d)];
+        occ.erase(std::find(occ.begin(), occ.end(), node));
+      }
+    }
+    placed_.erase(it);
+  }
+  std::vector<NodeId> ConflictingNodes(const ModuloReservationTable& mrt,
+                                       std::span<const ResUse> needs,
+                                       int cycle) {
+    std::vector<NodeId> result;
+    for (const ResUse& use : needs) {
+      const int cap = mrt.Capacity(use.kind, use.cluster);
+      if (cap <= 0) continue;
+      for (int d = 0; d < use.duration; ++d) {
+        const auto& occ = slots_[Key(use, cycle + d)];
+        if (static_cast<int>(occ.size()) < cap) continue;
+        for (NodeId n : occ) {
+          if (std::find(result.begin(), result.end(), n) == result.end()) {
+            result.push_back(n);
+          }
+        }
+      }
+    }
+    return result;
+  }
+  bool IsPlaced(NodeId node) const { return placed_.contains(node); }
+
+ private:
+  std::tuple<ResKind, int, int> Key(const ResUse& use, int cycle) const {
+    const int r = cycle % ii_;
+    return {use.kind, use.cluster, r < 0 ? r + ii_ : r};
+  }
+
+  int ii_ = 1;
+  std::map<std::tuple<ResKind, int, int>, std::vector<NodeId>> slots_;
+  std::map<NodeId, std::pair<ResUseList, int>> placed_;
+};
+
+TEST(MRT, ConflictingNodesMatchesVectorOfVectorsOrder) {
+  std::mt19937 rng(20261019);
+  const MachineConfig machines[] = {Mono(), Clustered(), Hier()};
+  const int iis[] = {1, 2, 3, 4, 6, 17};
+  ModuloReservationTable mrt(Mono(), 1);
+  ReferenceOccupants ref;
+  std::vector<NodeId> got;
+  long compared = 0;
+  long nonempty = 0;
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    // Rebind, half the time onto another machine: the flat blocks are
+    // re-laid out and must start empty either way.
+    const MachineConfig& m = machines[rng() % 3];
+    const int ii = iis[rng() % (sizeof(iis) / sizeof(iis[0]))];
+    if (epoch % 2 == 0) {
+      mrt.Rebind(m, ii);
+    } else {
+      mrt = ModuloReservationTable(m, ii);
+    }
+    ref.Rebind(ii);
+    for (int step = 0; step < 400; ++step) {
+      const NodeId node = static_cast<NodeId>(rng() % 48);
+      const unsigned action = rng() % 10;
+      if (action < 5) {
+        const ResUseList needs = RandomNeeds(rng, m);
+        const int cycle = static_cast<int>(rng() % (6 * ii + 1)) - 3 * ii;
+        if (!mrt.IsPlaced(node) && mrt.CanPlace(needs, cycle)) {
+          mrt.Place(node, needs, cycle);
+          ref.Place(node, needs, cycle);
+        }
+      } else if (action < 8) {
+        mrt.Remove(node);
+        ref.Remove(node);
+      } else {
+        const ResUseList needs = RandomNeeds(rng, m);
+        const int cycle = static_cast<int>(rng() % (6 * ii + 1)) - 3 * ii;
+        mrt.ConflictingNodes(needs, cycle, got);
+        const std::vector<NodeId> want = ref.ConflictingNodes(mrt, needs, cycle);
+        ASSERT_EQ(got, want) << "epoch " << epoch << " step " << step;
+        ++compared;
+        if (!want.empty()) ++nonempty;
+      }
+      ASSERT_EQ(mrt.IsPlaced(node), ref.IsPlaced(node));
+    }
+  }
+  // Full slots must actually occur, or the order check checks nothing.
+  EXPECT_GT(nonempty, compared / 4);
+}
+
+TEST(MRT, WideUnitsReportOccupantsInIdOrder) {
+  // Units wider than kMaxTrackedCapacity keep no occupant blocks; a full
+  // slot's occupants come from the placement records, in id order.
+  MachineConfig m = Mono();
+  m.num_fus = ModuloReservationTable::kMaxTrackedCapacity + 3;
+  ModuloReservationTable mrt(m, 2);
+  const auto fu = ResourceNeeds(OpClass::kFAdd, 0, 0, m);
+  std::vector<NodeId> want;
+  for (int i = 0; i < m.num_fus; ++i) {
+    const NodeId node = static_cast<NodeId>((i * 37) % 101);  // not ascending
+    mrt.Place(node, fu, 4);
+    want.push_back(node);
+  }
+  mrt.Place(200, fu, 1);  // another row: never a conflict at row 0
+  std::sort(want.begin(), want.end());
+  std::vector<NodeId> got;
+  mrt.ConflictingNodes(fu, 0, got);
+  EXPECT_EQ(got, want);
+  mrt.Remove(want.front());
+  mrt.ConflictingNodes(fu, 0, got);
+  EXPECT_TRUE(got.empty());  // the row has headroom again
 }
 
 }  // namespace

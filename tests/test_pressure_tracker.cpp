@@ -140,8 +140,8 @@ void RunDifferential(const std::string& rf_name, unsigned seed) {
       st.GrowTo(s);
       inserted.push_back(s);
       st.g.AddFlow(v, s, 0);
-      const auto consumers = st.g.FlowConsumers(v);
-      for (const Edge& e : consumers) {
+      // A copy of the edge: RemoveEdge rewrites the list the view reads.
+      for (const Edge e : st.g.FlowConsumers(v)) {
         if (e.dst != s && e.src != e.dst) {
           ASSERT_TRUE(st.g.RemoveEdge(e.src, e.dst, e.kind, e.distance));
           st.g.AddFlow(s, e.dst, e.distance);

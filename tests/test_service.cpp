@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -141,10 +142,10 @@ TEST(BatchService, CorpusManifestColdThenWarmIsBitIdentical) {
 }
 
 // RunBatch's per-item consumer runs once per item on the lane that
-// completed it — cold, cache hit or failed — and may take the result. The
-// batch counters are read from each item before the consumer runs, so a
-// consumer that empties every result reports exactly what a batch without
-// one reports.
+// completed it — cold, cache hit or failed — and may take the result; the
+// item is the lane's own, so the report keeps none. The batch counters are
+// read from each item before the consumer runs, so a consumer that empties
+// every result reports exactly what a batch without one reports.
 TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
   const auto daxpy =
       std::make_shared<const workload::Loop>(workload::MakeDaxpy());
@@ -202,7 +203,8 @@ TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
         item.result = core::ScheduleResult{};
       });
 
-  ASSERT_EQ(consumed.items.size(), requests.size());
+  // The items were the lanes' own: the report keeps none of them.
+  EXPECT_TRUE(consumed.items.empty());
   service::RequestTiming summed;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     SCOPED_TRACE(requests[i].id);
@@ -210,7 +212,6 @@ TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
     EXPECT_EQ(seen[i].ok, plain.items[i].ok);
     EXPECT_EQ(seen[i].cache_hit, plain.items[i].cache_hit);
     EXPECT_EQ(seen[i].warm_used, plain.items[i].result.warm.used);
-    EXPECT_FALSE(consumed.items[i].result.ok);  // emptied by the consumer
     summed.Accumulate(seen[i].timing);
   }
   EXPECT_EQ(consumed.hits, plain.hits);
@@ -218,12 +219,18 @@ TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
   EXPECT_EQ(consumed.failed, plain.failed);
   EXPECT_EQ(consumed.warm_starts, plain.warm_starts);
   // Timing is wall clock, so it is compared with the items' own phases as
-  // the consumer saw them, summed in request order like RunBatch does.
-  EXPECT_EQ(consumed.timing.queue_seconds, summed.queue_seconds);
-  EXPECT_EQ(consumed.timing.cache_probe_seconds, summed.cache_probe_seconds);
-  EXPECT_EQ(consumed.timing.mii_seconds, summed.mii_seconds);
-  EXPECT_EQ(consumed.timing.schedule_seconds, summed.schedule_seconds);
-  EXPECT_EQ(consumed.timing.serialize_seconds, summed.serialize_seconds);
+  // the consumer saw them. RunBatch adds them up as the lanes finish, in
+  // completion order, so the sums agree up to rounding.
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-12 + 1e-9 * std::abs(b);
+  };
+  EXPECT_TRUE(near(consumed.timing.queue_seconds, summed.queue_seconds));
+  EXPECT_TRUE(
+      near(consumed.timing.cache_probe_seconds, summed.cache_probe_seconds));
+  EXPECT_TRUE(near(consumed.timing.mii_seconds, summed.mii_seconds));
+  EXPECT_TRUE(near(consumed.timing.schedule_seconds, summed.schedule_seconds));
+  EXPECT_TRUE(
+      near(consumed.timing.serialize_seconds, summed.serialize_seconds));
 }
 
 // Every checked-in corpus file must stay loadable and canonical (dump ==

@@ -510,8 +510,12 @@ bool ColdWarmSmoke(const char* name, service::ServiceConfig config,
   return ok;
 }
 
+/// `mii_before` is the MII sweep cache's snapshot from before the run: the
+/// cache is process-wide, so its counters are printed as this run's delta
+/// (entries stay the residency at the end).
 void PrintSweepSummary(const service::SweepReport& report,
-                       const std::string& cache_dir) {
+                       const std::string& cache_dir,
+                       const perf::MiiCacheStats& mii_before) {
   std::printf(
       "sweep %s: %zu organizations x %zu loops, %d scheduled, %d cache "
       "hits, %d failed, %.3f s wall\n",
@@ -527,7 +531,8 @@ void PrintSweepSummary(const service::SweepReport& report,
   }
   const perf::MiiCacheStats mii = perf::GetMiiCacheStats();
   std::printf("mii-cache: %ld hits, %ld misses, %ld entries, %ld evictions\n",
-              mii.hits, mii.misses, mii.entries, mii.evictions);
+              mii.hits - mii_before.hits, mii.misses - mii_before.misses,
+              mii.entries, mii.evictions - mii_before.evictions);
 }
 
 int CmdSweep(const Args& args) {
@@ -551,8 +556,9 @@ int CmdSweep(const Args& args) {
     bool cold_leg = true;
     ok = ColdWarmSmoke(
         "sweep smoke", config, [&](service::SchedulerService& session) {
+          const perf::MiiCacheStats mii_before = perf::GetMiiCacheStats();
           service::SweepReport r = service::RunSweep(spec, base_dir, session);
-          PrintSweepSummary(r, session.config().cache_dir);
+          PrintSweepSummary(r, session.config().cache_dir, mii_before);
           SmokeLeg leg{static_cast<int>(r.cells.size()), r.hits, r.scheduled,
                        true, service::SweepCsv(r) + service::SweepMarkdown(r)};
           if (std::exchange(cold_leg, false)) report = std::move(r);
@@ -560,8 +566,9 @@ int CmdSweep(const Args& args) {
         });
     if (cold_leg) return 1;  // refused a non-empty --cache directory
   } else {
+    const perf::MiiCacheStats mii_before = perf::GetMiiCacheStats();
     report = service::RunSweep(spec, base_dir, config);
-    PrintSweepSummary(report, config.cache_dir);
+    PrintSweepSummary(report, config.cache_dir, mii_before);
   }
   const std::string csv = service::SweepCsv(report);
   const std::string md = service::SweepMarkdown(report);
