@@ -53,6 +53,11 @@ void AttemptContext::Bind(const DDG& original, const MachineConfig& m,
   }
 }
 
+size_t AttemptContext::TableCapacity() const {
+  const size_t sched = st_.mrt != nullptr ? st_.mrt->TableCapacity() : 0;
+  return sched + validate_scratch_.mrt.TableCapacity();
+}
+
 // ---------------------------------------------------------------------------
 // NodePlacer services
 // ---------------------------------------------------------------------------
@@ -543,11 +548,20 @@ EngineDriver::EngineDriver(const DDG& loop, const MachineConfig& m,
 
 namespace {
 
+/// Reservation-table entries a thread's workspace may keep between runs:
+/// 2 MiB of 4-byte entries, the order of what a graph at the ejection
+/// window holds. Every machine of the paper experiments stays below it
+/// after an escalation walk to the default max_ii (8C8S64/2-1 peaks at
+/// about 360 K entries); units some 64 FUs wide at an II in the
+/// thousands go past it.
+inline constexpr size_t kRetainedTableEntries = size_t{1} << 19;
+
 /// The calling thread's engine workspace for the length of one run. A
 /// nested run on the same thread (nothing schedules from inside the
 /// engine today) gets a private workspace instead of sharing it. A run
-/// whose working graph outgrew the ejection window drops the workspace at
-/// the end, so one huge loop cannot pin its tables on a long-lived thread.
+/// whose working graph outgrew the ejection window, or whose reservation
+/// tables outgrew kRetainedTableEntries, drops the workspace at the end,
+/// so one huge loop or II cannot pin its tables on a long-lived thread.
 class WorkspaceLease {
  public:
   WorkspaceLease() {
@@ -565,7 +579,9 @@ class WorkspaceLease {
     if (private_ != nullptr) return;
     Slot& slot = ThreadSlot();
     slot.busy = false;
-    if (static_cast<size_t>(slot.ws->ctx.SlotCapacity()) > kEjectWindow) {
+    const AttemptContext& ctx = slot.ws->ctx;
+    if (static_cast<size_t>(ctx.SlotCapacity()) > kEjectWindow ||
+        ctx.TableCapacity() > kRetainedTableEntries) {
       slot.ws.reset();
     }
   }
@@ -668,9 +684,7 @@ ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii,
   ctx.Bind(original_, m_, opt_, base_overrides_, ws.order, incremental_);
   int failures = 0;
   for (int ii = mii.MII(); ii <= opt_.max_ii;) {
-    if (attempt_observer_) attempt_observer_(ii);
     if (ctx.TryII(ii) == AttemptStatus::kScheduled) {
-      if (attempt_observer_) attempt_observer_(0);
       return ctx.Finalize(mii, ii);
     }
     // Escalation accelerates after 24 consecutive failures.
@@ -678,7 +692,6 @@ ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii,
     ii += failures > 24 ? std::max(1, ii / 8) : 1;
     ctx.instr().IIRestart(ii);
   }
-  if (attempt_observer_) attempt_observer_(0);
   return FailResult(mii, ctx.instr().stats());
 }
 

@@ -20,7 +20,7 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -147,6 +147,9 @@ class AttemptContext : public NodePlacer {
   /// Slots the working graph's tables hold, spares included: the largest
   /// graph this context has worked on since it was built.
   NodeId SlotCapacity() const { return st_.g.SlotCapacity(); }
+  /// Entries its two reservation tables (the schedule's and Validate's)
+  /// hold: they grow with the widest machine and largest II it has tried.
+  size_t TableCapacity() const;
 
   // NodePlacer (services for the comm rewriter and spill engine).
   NodeId CreateNode(Node n, double priority) override;
@@ -237,13 +240,6 @@ class EngineDriver {
   /// oracle of the `PressureTrackerEngine.BitIdenticalSchedules` ctest.
   void UseReferencePressure() { incremental_ = false; }
 
-  /// Test hook: `fn(ii)` runs before each attempt of the cold walk, and
-  /// `fn(0)` once after its last attempt, before the result is built —
-  /// the boundaries the allocation gate counts between.
-  void ObserveAttempts(std::function<void(int ii)> fn) {
-    attempt_observer_ = std::move(fn);
-  }
-
  private:
   ScheduleResult RunSerial(const MIIInfo& mii, EngineWorkspace& ws);
   /// Warm-start gate: one seeded attempt at max(MII, seed.ii). Returns the
@@ -265,7 +261,6 @@ class EngineDriver {
   MirsOptions opt_;
   sched::LatencyOverrides base_overrides_;
   bool incremental_ = true;
-  std::function<void(int)> attempt_observer_;
 };
 
 }  // namespace hcrf::core

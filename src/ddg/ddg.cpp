@@ -93,16 +93,12 @@ NodeId DDG::AddNode(Node node) {
   const auto i = static_cast<size_t>(id);
   node.alive = true;
   if (i < nodes_.size()) {
-    // A spare slot: assign field by field so its invariant-use and
-    // adjacency buffers keep their capacity.
-    Node& slot = nodes_[i];
-    slot.op = node.op;
-    slot.mem = node.mem;
-    slot.invariant_uses.assign(node.invariant_uses.begin(),
-                               node.invariant_uses.end());
-    slot.alive = true;
-    slot.inserted = node.inserted;
-    slot.spill = node.spill;
+    // A spare slot: the node replaces it whole, but the slot's
+    // invariant-use and adjacency buffers keep their capacity.
+    std::vector<std::int32_t> uses = std::move(nodes_[i].invariant_uses);
+    uses.assign(node.invariant_uses.begin(), node.invariant_uses.end());
+    node.invariant_uses = std::move(uses);
+    nodes_[i] = std::move(node);
     in_[i].clear();
     out_[i].clear();
   } else {

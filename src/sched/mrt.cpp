@@ -100,6 +100,7 @@ void ModuloReservationTable::Rebind(int ii) {
   // earlier attempt need no clearing.
   if (occupants_.size() < occ_total) occupants_.resize(occ_total);
   placed_.clear();  // keeps the capacity
+  next_seq_ = 0;
 }
 
 int ModuloReservationTable::Capacity(ResKind kind, int cluster) const {
@@ -317,7 +318,8 @@ void ModuloReservationTable::Place(NodeId node, const ResUseList& needs,
   if (static_cast<size_t>(node) >= placed_.size()) {
     placed_.resize(static_cast<size_t>(node) + 1);
   }
-  placed_[static_cast<size_t>(node)] = PlacedRec{needs, cycle, true};
+  placed_[static_cast<size_t>(node)] =
+      PlacedRec{needs, cycle, true, next_seq_++};
 }
 
 void ModuloReservationTable::Remove(NodeId node) {
@@ -375,6 +377,7 @@ void ModuloReservationTable::ConflictingNodes(std::span<const ResUse> needs,
 
 void ModuloReservationTable::AppendOccupantsByScan(
     const ResUse& slot, int row, std::vector<NodeId>& result) const {
+  const auto first = static_cast<std::ptrdiff_t>(result.size());
   for (size_t v = 0; v < placed_.size(); ++v) {
     const PlacedRec& rec = placed_[v];
     if (!rec.placed) continue;
@@ -391,6 +394,12 @@ void ModuloReservationTable::AppendOccupantsByScan(
       result.push_back(node);
     }
   }
+  // The records are by id; an occupant block would list the slot in the
+  // order its occupants were placed, and the ejection order follows it.
+  std::sort(result.begin() + first, result.end(), [this](NodeId a, NodeId b) {
+    return placed_[static_cast<size_t>(a)].seq <
+           placed_[static_cast<size_t>(b)].seq;
+  });
 }
 
 }  // namespace hcrf::sched

@@ -134,8 +134,8 @@ class ModuloReservationTable {
   }
 
   /// Appends the nodes whose reservations block placing `needs` at `cycle`
-  /// to `result` (deduplicated, placement order per slot -- id order for
-  /// units wider than kMaxTrackedCapacity; `result` is cleared first).
+  /// to `result` (deduplicated, placement order per slot; `result` is
+  /// cleared first).
   /// Used by Force_and_Eject: ejecting these (plus dependence violators)
   /// makes the forced placement legal. Takes a caller-owned buffer so the
   /// engine can reuse one vector across forced placements.
@@ -146,16 +146,27 @@ class ModuloReservationTable {
   int Usage(ResKind kind, int cluster, int row) const;
   int Capacity(ResKind kind, int cluster) const;
 
+  /// Entries the count and occupant tables hold, spares included: they
+  /// grow with the widest machine and largest II the table has been bound
+  /// to, and only a fresh table gives that memory back.
+  size_t TableCapacity() const {
+    return count_.capacity() + occupants_.capacity();
+  }
+
  private:
   struct PlacedRec {
     ResUseList needs;
     int cycle = 0;
     bool placed = false;
+    /// Place calls since the last Rebind: orders a slot's occupants when
+    /// they are found by scanning these records.
+    std::uint64_t seq = 0;
   };
   struct HoistedNeeds;  // per-use scan constants (defined in mrt.cpp)
 
   bool Hoist(std::span<const ResUse> needs, HoistedNeeds& h) const;
-  /// ConflictingNodes for a slot without an occupant block.
+  /// ConflictingNodes for a slot without an occupant block: its occupants
+  /// not yet in `result`, in placement order (PlacedRec::seq).
   void AppendOccupantsByScan(const ResUse& slot, int row,
                              std::vector<NodeId>& result) const;
   bool Fits(const HoistedNeeds& h, int t) const;
@@ -201,11 +212,12 @@ class ModuloReservationTable {
   /// document's outsized counts), whose blocks would cost memory in
   /// proportion to the capacity. Their slots practically never fill, and
   /// when one does ConflictingNodes finds its occupants by scanning the
-  /// placement records instead.
+  /// placement records instead, in the same placement order.
   int stride_[kNumResKinds] = {};
   size_t base_[kNumResKinds] = {};      ///< flat offset of each kind's rows
   size_t occ_base_[kNumResKinds] = {};  ///< same, into occupants_
   std::vector<PlacedRec> placed_;   ///< by NodeId
+  std::uint64_t next_seq_ = 0;      ///< PlacedRec::seq of the next Place
   MachineConfig machine_;
   int ii_ = 1;
 };

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <mutex>
 
 #include "core/mirs.h"
 #include "obs/metrics.h"
@@ -114,8 +113,16 @@ BatchReport SchedulerService::RunBatch(
   // With a consumer each item lives on its lane and is gone once consumed;
   // without one, the report keeps them all in request order.
   if (!on_item) report.items.resize(requests.size());
-  // Counters are tallied as items complete, before a consumer runs.
-  std::mutex tally_mu;
+  // What the report counts of each item, taken before a consumer may take
+  // the item, and summed in request order after the batch: the sums do
+  // not depend on which lane finished first.
+  struct Tally {
+    RequestTiming timing;
+    bool cache_hit = false;
+    bool ok = false;
+    bool warm_used = false;
+  };
+  std::vector<Tally> tallies(requests.size());
 
   CacheTier* cache = cache_.get();
   const TierStats stack_before = tier_stats();
@@ -212,22 +219,23 @@ BatchReport SchedulerService::RunBatch(
     req_count.Add(1);
     if (item.cache_hit) hit_count.Add(1);
     req_hist.Record(item.seconds);
-    {
-      const std::lock_guard<std::mutex> lock(tally_mu);
-      if (item.cache_hit) {
-        ++report.hits;
-      } else {
-        ++report.scheduled;
-        if (item.result.warm.used) ++report.warm_starts;
-      }
-      if (!item.ok) ++report.failed;
-      report.timing.Accumulate(item.timing);
-    }
+    tallies[i] = {item.timing, item.cache_hit, item.ok,
+                  item.result.warm.used};
     if (on_item) on_item(i, item);
   });
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
+  for (const Tally& t : tallies) {
+    if (t.cache_hit) {
+      ++report.hits;
+    } else {
+      ++report.scheduled;
+      if (t.warm_used) ++report.warm_starts;
+    }
+    if (!t.ok) ++report.failed;
+    report.timing.Accumulate(t.timing);
+  }
 
   if (cache != nullptr) {
     // Per-batch deltas of the session-lifetime counters. With write-behind

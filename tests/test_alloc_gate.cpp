@@ -8,8 +8,10 @@
 //  * at most 16 allocations per MirsHC call beyond what copy-constructing
 //    its ScheduleResult costs (the result owns a copy of the final graph).
 // A change that brings back a per-attempt vector, map or graph copy fails
-// here, not in a benchmark.
+// here, not in a benchmark. A second test checks that a run at an outsized
+// II does not leave its reservation tables on the thread.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,21 +27,30 @@
 namespace {
 
 thread_local long t_allocations = 0;
+/// Bytes this thread holds through operator new (usable sizes).
+thread_local long t_live_bytes = 0;
 
-void* CountedAlloc(std::size_t n) {
-  ++t_allocations;
-  return std::malloc(n == 0 ? 1 : n);
+void* Counted(void* p) {
+  if (p != nullptr) {
+    ++t_allocations;
+    t_live_bytes += static_cast<long>(malloc_usable_size(p));
+  }
+  return p;
 }
 
+void* CountedAlloc(std::size_t n) { return Counted(std::malloc(n == 0 ? 1 : n)); }
+
 void* CountedAlignedAlloc(std::size_t n, std::align_val_t al) {
-  ++t_allocations;
   const auto a = static_cast<std::size_t>(al);
-  return std::aligned_alloc(a, (n + a - 1) / a * a);
+  return Counted(std::aligned_alloc(a, (n + a - 1) / a * a));
 }
 
 // Out of line, so the compiler does not pair an inlined `new` with this
 // `free` and warn about a mismatch the replacement makes intentional.
-[[gnu::noinline]] void Release(void* p) { std::free(p); }
+[[gnu::noinline]] void Release(void* p) {
+  if (p != nullptr) t_live_bytes -= static_cast<long>(malloc_usable_size(p));
+  std::free(p);
+}
 
 }  // namespace
 
@@ -96,17 +107,18 @@ struct PassTotals {
 };
 
 /// Schedules `loops` on `m` twice per loop: once through MirsHC (counted
-/// per call) and once through an EngineDriver whose attempt observer marks
-/// the attempt boundaries. With `check`, asserts the gate on every loop.
+/// per call), and once as the driver's cold walk over `ctx`, rebound per
+/// loop, with every attempt counted on its own. With `check`, asserts the
+/// gate on every loop.
 void RunPass(const std::vector<const workload::Loop*>& loops,
-             const MachineConfig& m, bool check, PassTotals& t) {
-  std::vector<long> marks;
-  marks.reserve(1 << 16);
+             const MachineConfig& m, core::AttemptContext& ctx, bool check,
+             PassTotals& t) {
+  const core::MirsOptions opt;
   for (const workload::Loop* loop : loops) {
     const DDG& g = loop->ddg;
 
     long before = t_allocations;
-    const core::ScheduleResult res = core::MirsHC(g, m);
+    const core::ScheduleResult res = core::MirsHC(g, m, opt);
     const long call = t_allocations - before;
     before = t_allocations;
     const core::ScheduleResult copy(res);
@@ -120,24 +132,35 @@ void RunPass(const std::vector<const workload::Loop*>& loops,
           << result << " to copy its result";
     }
 
-    marks.clear();
-    core::EngineDriver driver(g, m, {}, {});
-    driver.ObserveAttempts([&marks](int) { marks.push_back(t_allocations); });
-    const core::ScheduleResult again = driver.Run();
-    ASSERT_LT(marks.size(), marks.capacity()) << g.name();
-    ASSERT_GE(marks.size(), 2u) << g.name();
-    ASSERT_EQ(again.ii, res.ii) << g.name();
-    const size_t attempts = marks.size() - 1;
-    t.attempts += static_cast<long>(attempts);
-    for (size_t k = 1; k < attempts; ++k) {
-      const long allocated = marks[k + 1] - marks[k];
-      ++t.later_attempts;
-      t.later_attempt_allocations += allocated;
-      if (check) {
-        EXPECT_EQ(allocated, 0)
-            << g.name() << ": attempt " << k + 1 << " of " << attempts
-            << " allocated";
+    // The same walk as EngineDriver::RunSerial: TryII from MII up, with
+    // its escalation step, until an attempt schedules or max_ii is passed.
+    const std::vector<NodeId> order = sched::HrmsOrder(g, m.lat);
+    ctx.Bind(g, m, opt, {}, order);
+    int ii = ComputeMII(g, m).MII();
+    int failures = 0;
+    long attempts = 0;
+    bool scheduled = false;
+    while (!scheduled && ii <= opt.max_ii) {
+      before = t_allocations;
+      scheduled = ctx.TryII(ii) == core::AttemptStatus::kScheduled;
+      const long allocated = t_allocations - before;
+      if (attempts++ > 0) {
+        ++t.later_attempts;
+        t.later_attempt_allocations += allocated;
+        if (check) {
+          EXPECT_EQ(allocated, 0) << g.name() << ": attempt " << attempts
+                                  << " (II " << ii << ") allocated";
+        }
       }
+      if (scheduled) break;
+      ++failures;
+      ii += failures > 24 ? std::max(1, ii / 8) : 1;
+      ctx.instr().IIRestart(ii);
+    }
+    t.attempts += attempts;
+    ASSERT_EQ(scheduled, res.ok) << g.name();
+    if (scheduled) {
+      ASSERT_EQ(ii, res.ii) << g.name();
     }
   }
 }
@@ -156,10 +179,11 @@ TEST(AllocGate, SteadyStateAttemptsAndCalls) {
                                "8C8S64/2-1"}) {
     SCOPED_TRACE(rf);
     const MachineConfig m = OrgMachine(rf);
-    PassTotals warm_up;  // grows the thread's engine workspace
-    RunPass(loops, m, /*check=*/false, warm_up);
+    core::AttemptContext ctx;
+    PassTotals warm_up;  // grows the thread's engine workspace and ctx
+    RunPass(loops, m, ctx, /*check=*/false, warm_up);
     PassTotals t;
-    RunPass(loops, m, /*check=*/true, t);
+    RunPass(loops, m, ctx, /*check=*/true, t);
     later_attempts += t.later_attempts;
     std::printf(
         "%-12s %ld calls: %.1f allocations per call, %.1f to copy the "
@@ -174,6 +198,35 @@ TEST(AllocGate, SteadyStateAttemptsAndCalls) {
   // Some loop must escalate past its first II, or the per-attempt half of
   // the gate checks nothing.
   EXPECT_GT(later_attempts, 0);
+}
+
+// A two-node recurrence of 1000-cycle adds schedules at II 2000. On a
+// machine with 64 FUs per cluster, each of the run's two reservation
+// tables grows to about 4 x 2000 x 65 entries, which a thread must not
+// keep: the run gives its whole workspace back, so the thread holds no
+// more memory after it than before.
+TEST(AllocGate, OutsizedRunGivesItsTablesBack) {
+  MachineConfig m = OrgMachine("4C16S64/2-1");
+  m.num_fus = 4 * 64;
+  m.lat.fadd = 1000;
+  DDG g("outsized");
+  const NodeId a = g.AddNode(OpClass::kFAdd);
+  const NodeId b = g.AddNode(OpClass::kFAdd);
+  g.AddEdge(a, b, DepKind::kFlow, 0);
+  g.AddEdge(b, a, DepKind::kFlow, 1);
+
+  // Builds the thread's workspace and every lazily made static first.
+  DDG tiny("tiny");
+  tiny.AddNode(OpClass::kFAdd);
+  ASSERT_TRUE(core::MirsHC(tiny, m).ok);
+  const long before = t_live_bytes;
+  {
+    const core::ScheduleResult res = core::MirsHC(g, m);
+    ASSERT_TRUE(res.ok);
+    EXPECT_EQ(res.ii, 2000);
+  }
+  EXPECT_LE(t_live_bytes, before)
+      << t_live_bytes - before << " bytes left on the thread";
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -219,18 +218,12 @@ TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
   EXPECT_EQ(consumed.failed, plain.failed);
   EXPECT_EQ(consumed.warm_starts, plain.warm_starts);
   // Timing is wall clock, so it is compared with the items' own phases as
-  // the consumer saw them. RunBatch adds them up as the lanes finish, in
-  // completion order, so the sums agree up to rounding.
-  const auto near = [](double a, double b) {
-    return std::abs(a - b) <= 1e-12 + 1e-9 * std::abs(b);
-  };
-  EXPECT_TRUE(near(consumed.timing.queue_seconds, summed.queue_seconds));
-  EXPECT_TRUE(
-      near(consumed.timing.cache_probe_seconds, summed.cache_probe_seconds));
-  EXPECT_TRUE(near(consumed.timing.mii_seconds, summed.mii_seconds));
-  EXPECT_TRUE(near(consumed.timing.schedule_seconds, summed.schedule_seconds));
-  EXPECT_TRUE(
-      near(consumed.timing.serialize_seconds, summed.serialize_seconds));
+  // the consumer saw them, summed in request order like RunBatch does.
+  EXPECT_EQ(consumed.timing.queue_seconds, summed.queue_seconds);
+  EXPECT_EQ(consumed.timing.cache_probe_seconds, summed.cache_probe_seconds);
+  EXPECT_EQ(consumed.timing.mii_seconds, summed.mii_seconds);
+  EXPECT_EQ(consumed.timing.schedule_seconds, summed.schedule_seconds);
+  EXPECT_EQ(consumed.timing.serialize_seconds, summed.serialize_seconds);
 }
 
 // Every checked-in corpus file must stay loadable and canonical (dump ==
