@@ -213,6 +213,11 @@ void CommRewriter::GarbageCollectComm() {
       st_.Unplace(v);
       st_.MarkScheduled(v);  // drop from the unscheduled list before removal
       st_.g.RemoveNode(v);
+      // A fix whose original edge touches v can never be undone: its
+      // restored edge would reach a dead node.
+      std::erase_if(fixes_, [v](const CommFix& f) {
+        return f.original.src == v || f.original.dst == v;
+      });
       changed = true;
       any_dead = true;
     }
@@ -235,7 +240,7 @@ void CommRewriter::ConsumersThrough(NodeId victim,
         break;
       }
       if (!st_.IsCommChainNode(c)) break;
-      const FlowEdgeView producers = st_.g.FlowProducers(c);
+      const EdgeView producers = st_.g.FlowProducers(c);
       if (producers.empty()) break;
       c = producers.front().src;
     }

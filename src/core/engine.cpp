@@ -392,7 +392,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
       int src_cluster = 0;
       if (st_.g.node(u).op == OpClass::kMove) {
         // Re-scheduled move: the source side is its producer's bank.
-        const FlowEdgeView producers = st_.g.FlowProducers(u);
+        const EdgeView producers = st_.g.FlowProducers(u);
         if (!producers.empty() &&
             st_.sched->IsScheduled(producers.front().src)) {
           src_cluster = st_.sched->ClusterOf(producers.front().src);
@@ -556,12 +556,20 @@ namespace {
 /// thousands go past it.
 inline constexpr size_t kRetainedTableEntries = size_t{1} << 19;
 
+/// Edge records a thread's workspace may keep between runs: 2 MiB of
+/// records. An attempt's removed edges stay in the working graph's table
+/// until the next reset, so the table grows with an attempt's edge churn;
+/// the paper experiments peak at about 14 K records (0.5 MiB).
+inline constexpr size_t kRetainedEdgeRecords =
+    (size_t{2} << 20) / sizeof(EdgeRecord);
+
 /// The calling thread's engine workspace for the length of one run. A
 /// nested run on the same thread (nothing schedules from inside the
 /// engine today) gets a private workspace instead of sharing it. A run
-/// whose working graph outgrew the ejection window, or whose reservation
-/// tables outgrew kRetainedTableEntries, drops the workspace at the end,
-/// so one huge loop or II cannot pin its tables on a long-lived thread.
+/// whose working graph outgrew the ejection window or kRetainedEdgeRecords,
+/// or whose reservation tables outgrew kRetainedTableEntries, drops the
+/// workspace at the end, so one huge loop, edge churn or II cannot pin its
+/// tables on a long-lived thread.
 class WorkspaceLease {
  public:
   WorkspaceLease() {
@@ -580,7 +588,8 @@ class WorkspaceLease {
     Slot& slot = ThreadSlot();
     slot.busy = false;
     const AttemptContext& ctx = slot.ws->ctx;
-    if (static_cast<size_t>(ctx.SlotCapacity()) > kEjectWindow ||
+    if (ctx.graph().NodeCapacity() > kEjectWindow ||
+        ctx.graph().EdgeCapacity() > kRetainedEdgeRecords ||
         ctx.TableCapacity() > kRetainedTableEntries) {
       slot.ws.reset();
     }

@@ -144,9 +144,9 @@ class AttemptContext : public NodePlacer {
 
   Instrumentation& instr() { return instr_; }
 
-  /// Slots the working graph's tables hold, spares included: the largest
-  /// graph this context has worked on since it was built.
-  NodeId SlotCapacity() const { return st_.g.SlotCapacity(); }
+  /// The working graph: its table capacities are the largest graph and
+  /// the most edge churn this context has seen since it was built.
+  const DDG& graph() const { return st_.g; }
   /// Entries its two reservation tables (the schedule's and Validate's)
   /// hold: they grow with the widest machine and largest II it has tried.
   size_t TableCapacity() const;

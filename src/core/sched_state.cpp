@@ -17,7 +17,7 @@ void SchedState::Reset(const DDG& original,
     std::fill_n(eject_count.begin(), prev_used, 0);
   }
 
-  g.ResetFrom(original);
+  g = original;
   overrides = base;
   if (mrt != nullptr) {
     mrt->Rebind(m, ii);

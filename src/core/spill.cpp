@@ -264,7 +264,7 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
   std::int32_t inv = st_.g.num_invariants();
   for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
     if (!reads_bank(v)) continue;
-    for (const std::int32_t u : st_.g.node(v).invariant_uses) {
+    for (const std::int32_t u : st_.g.InvariantUses(v)) {
       if (u >= 0 && u < inv && !spilled_invariants_[InvariantSlot(u, bank)]) {
         inv = u;
       }
@@ -274,10 +274,9 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
   std::vector<NodeId>& users = users_;
   users.clear();
   for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
-    const std::vector<std::int32_t>& uses = st_.g.node(v).invariant_uses;
-    if (reads_bank(v) && std::ranges::find(uses, inv) != uses.end()) {
-      users.push_back(v);
-    }
+    if (!reads_bank(v)) continue;
+    const std::span<const std::int32_t> uses = st_.g.InvariantUses(v);
+    if (std::ranges::find(uses, inv) != uses.end()) users.push_back(v);
   }
   spilled_invariants_[InvariantSlot(inv, bank)] = 1;
 
@@ -285,8 +284,7 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
     Node nl;
     nl.spill = true;
     if (rf.IsHierarchical()) {
-      // Reload from the shared master copy (its invariant use is set on
-      // the created slot, whose buffer a reset graph keeps).
+      // Reload from the shared master copy.
       nl.op = OpClass::kLoadR;
     } else {
       // Reload from memory (stride 0: the invariant's home location).
@@ -296,11 +294,10 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
     }
     const NodeId l = placer_.CreateNode(
         std::move(nl), st_.priority[static_cast<size_t>(w)] + 0.1);
-    if (rf.IsHierarchical()) st_.g.node(l).invariant_uses.assign(1, inv);
-    auto& uses = st_.g.node(w).invariant_uses;
-    uses.erase(std::find(uses.begin(), uses.end(), inv));
-    // invariant_uses was edited in place on a scheduled node; re-derive
-    // its pins or the tracker would keep counting the removed read.
+    if (rf.IsHierarchical()) st_.g.AddInvariantUse(l, inv);
+    st_.g.RemoveInvariantUse(w, inv);
+    // The uses of a scheduled node changed; re-derive its pins or the
+    // tracker would keep counting the removed read.
     st_.pressure.ResyncInvariantReads(w);
     st_.g.AddFlow(l, w, 0);
   }

@@ -18,96 +18,34 @@ std::string_view ToString(DepKind kind) {
   return "?";
 }
 
-DDG::DDG(const DDG& other)
-    : name_(other.name_),
-      nodes_(other.nodes_.begin(), other.nodes_.begin() + other.num_slots_),
-      in_(other.in_.begin(), other.in_.begin() + other.num_slots_),
-      out_(other.out_.begin(), other.out_.begin() + other.num_slots_),
-      num_slots_(other.num_slots_),
-      num_invariants_(other.num_invariants_),
-      num_alive_(other.num_alive_),
-      num_edges_(other.num_edges_) {}
-
-DDG& DDG::operator=(const DDG& other) {
-  ResetFrom(other);
-  return *this;
-}
-
-DDG::DDG(DDG&& other) noexcept
-    : name_(std::move(other.name_)),
-      nodes_(std::move(other.nodes_)),
-      in_(std::move(other.in_)),
-      out_(std::move(other.out_)),
-      num_slots_(std::exchange(other.num_slots_, 0)),
-      num_invariants_(std::exchange(other.num_invariants_, 0)),
-      num_alive_(std::exchange(other.num_alive_, 0)),
-      num_edges_(std::exchange(other.num_edges_, 0)) {}
+DDG::DDG(DDG&& other) noexcept { *this = std::move(other); }
 
 DDG& DDG::operator=(DDG&& other) noexcept {
   if (this == &other) return *this;
-  name_ = std::move(other.name_);
-  nodes_ = std::move(other.nodes_);
-  in_ = std::move(other.in_);
-  out_ = std::move(other.out_);
-  num_slots_ = std::exchange(other.num_slots_, 0);
+  // A moved-from graph is empty, not merely valid.
+  name_ = std::exchange(other.name_, {});
+  slots_ = std::exchange(other.slots_, {});
+  edges_ = std::exchange(other.edges_, {});
+  inv_uses_ = std::exchange(other.inv_uses_, {});
   num_invariants_ = std::exchange(other.num_invariants_, 0);
   num_alive_ = std::exchange(other.num_alive_, 0);
   num_edges_ = std::exchange(other.num_edges_, 0);
-  other.nodes_.clear();
-  other.in_.clear();
-  other.out_.clear();
   return *this;
 }
 
-void DDG::ResetFrom(const DDG& other) {
-  if (this == &other) return;
-  name_ = other.name_;
-  const auto n = static_cast<size_t>(other.num_slots_);
-  if (nodes_.size() < n) {
-    nodes_.resize(n);
-    in_.resize(n);
-    out_.resize(n);
-  }
-  // Element-wise assignment reuses each slot's invariant-use and adjacency
-  // storage; slots past `n` become spares for AddNode.
-  for (size_t i = 0; i < n; ++i) {
-    nodes_[i] = other.nodes_[i];
-    in_[i] = other.in_[i];
-    out_[i] = other.out_[i];
-  }
-  num_slots_ = other.num_slots_;
-  num_invariants_ = other.num_invariants_;
-  num_alive_ = other.num_alive_;
-  num_edges_ = other.num_edges_;
-}
-
-void DDG::Reserve(int slots) {
-  const auto n = static_cast<size_t>(slots);
-  nodes_.reserve(n);
-  in_.reserve(n);
-  out_.reserve(n);
+void DDG::Reserve(int slots, int edges) {
+  slots_.reserve(static_cast<size_t>(slots));
+  edges_.reserve(static_cast<size_t>(edges));
 }
 
 NodeId DDG::AddNode(Node node) {
-  const NodeId id = num_slots_++;
-  const auto i = static_cast<size_t>(id);
   node.alive = true;
-  if (i < nodes_.size()) {
-    // A spare slot: the node replaces it whole, but the slot's
-    // invariant-use and adjacency buffers keep their capacity.
-    std::vector<std::int32_t> uses = std::move(nodes_[i].invariant_uses);
-    uses.assign(node.invariant_uses.begin(), node.invariant_uses.end());
-    node.invariant_uses = std::move(uses);
-    nodes_[i] = std::move(node);
-    in_[i].clear();
-    out_[i].clear();
-  } else {
-    nodes_.push_back(std::move(node));
-    in_.emplace_back();
-    out_.emplace_back();
-  }
+  NodeSlot s;
+  s.node = node;
+  s.inv_begin = static_cast<std::int32_t>(inv_uses_.size());
+  slots_.push_back(s);
   ++num_alive_;
-  return id;
+  return static_cast<NodeId>(slots_.size() - 1);
 }
 
 void DDG::AddEdge(NodeId src, NodeId dst, DepKind kind, int distance) {
@@ -121,86 +59,119 @@ void DDG::AddEdge(NodeId src, NodeId dst, DepKind kind, int distance) {
   HCRF_CHECK(IsAlive(src) && IsAlive(dst),
              "AddEdge touching a dead node (src=%d dst=%d)", src, dst);
   const Edge e{src, dst, kind, distance};
-  out_[static_cast<size_t>(src)].push_back(e);
-  in_[static_cast<size_t>(dst)].push_back(e);
+  const auto id = static_cast<EdgeId>(edges_.size());
+  EdgeRecord rec;
+  rec.edge = e;
+  // Append to the source's out-list (0) and the destination's in-list (1).
+  const NodeId owner[2] = {src, dst};
+  for (int d = 0; d < 2; ++d) {
+    NodeSlot& s = slots_[static_cast<size_t>(owner[d])];
+    rec.prev[d] = s.last[d];
+    if (s.last[d] == kNoEdge) {
+      s.first[d] = id;
+    } else {
+      edges_[static_cast<size_t>(s.last[d])].next[d] = id;
+    }
+    s.last[d] = id;
+  }
+  edges_.push_back(rec);
   ++num_edges_;
   if (kind == DepKind::kFlow) NotifyFlowEdgeAdded(e);
 }
 
+void DDG::Unlink(EdgeId id) {
+  EdgeRecord& rec = edges_[static_cast<size_t>(id)];
+  const NodeId owner[2] = {rec.edge.src, rec.edge.dst};
+  for (int d = 0; d < 2; ++d) {
+    NodeSlot& s = slots_[static_cast<size_t>(owner[d])];
+    if (rec.prev[d] == kNoEdge) {
+      s.first[d] = rec.next[d];
+    } else {
+      edges_[static_cast<size_t>(rec.prev[d])].next[d] = rec.next[d];
+    }
+    if (rec.next[d] == kNoEdge) {
+      s.last[d] = rec.prev[d];
+    } else {
+      edges_[static_cast<size_t>(rec.next[d])].prev[d] = rec.prev[d];
+    }
+  }
+  // The record keeps its own links: a walk that stands on it can go on.
+  rec.alive = false;
+  --num_edges_;
+}
+
 void DDG::RemoveNode(NodeId id, bool force) {
-  Node& n = nodes_[static_cast<size_t>(id)];
-  if (!n.alive) return;
-  if (!n.inserted && !force) {
+  NodeSlot& s = slots_[static_cast<size_t>(id)];
+  if (!s.node.alive) return;
+  if (!s.node.inserted && !force) {
     throw std::logic_error(
         "DDG::RemoveNode: refusing to remove an original loop operation");
   }
-  // Detach edges referencing this node from the adjacency of the peers.
-  auto detach = [&](std::vector<Edge>& list) {
-    std::erase_if(list, [id](const Edge& e) { return e.src == id || e.dst == id; });
-  };
-  for (const Edge& e : out_[static_cast<size_t>(id)]) {
-    detach(in_[static_cast<size_t>(e.dst)]);
-    --num_edges_;
-  }
-  for (const Edge& e : in_[static_cast<size_t>(id)]) {
-    detach(out_[static_cast<size_t>(e.src)]);
-    --num_edges_;
-  }
-  out_[static_cast<size_t>(id)].clear();
-  n.alive = false;
+  // Out-edges first: a self loop leaves the in-list with them.
+  while (s.first[EdgeView::kOut] != kNoEdge) Unlink(s.first[EdgeView::kOut]);
+  // Each in-edge is unlinked from the head, so the removed records stay
+  // chained through their own next-in links for the notification pass.
+  const EdgeId removed_in = s.first[EdgeView::kIn];
+  while (s.first[EdgeView::kIn] != kNoEdge) Unlink(s.first[EdgeView::kIn]);
+  s.node.alive = false;
   --num_alive_;
   // Producers losing a flow consumer are notified after their own
-  // adjacency (everything a listener reads) is consistent again; the dead
-  // node's in-list doubles as the pending-notification buffer so removal
-  // allocates nothing on the ejection/GC path.
-  for (const Edge& e : in_[static_cast<size_t>(id)]) {
-    if (e.kind == DepKind::kFlow && e.src != id) NotifyFlowEdgeRemoved(e);
+  // adjacency (everything a listener reads) is consistent again.
+  for (EdgeId e = removed_in; e != kNoEdge;
+       e = edges_[static_cast<size_t>(e)].next[EdgeView::kIn]) {
+    const Edge& edge = edges_[static_cast<size_t>(e)].edge;
+    if (edge.kind == DepKind::kFlow) NotifyFlowEdgeRemoved(edge);
   }
-  in_[static_cast<size_t>(id)].clear();
-  if (listener_ != nullptr) listener_->OnNodeRemoved(id);
+  if (listener_.p != nullptr) listener_.p->OnNodeRemoved(id);
 }
 
 bool DDG::RemoveEdge(NodeId src, NodeId dst, DepKind kind, int distance) {
-  auto matches = [&](const Edge& e) {
-    return e.src == src && e.dst == dst && e.kind == kind &&
-           e.distance == distance;
-  };
-  auto& outs = out_[static_cast<size_t>(src)];
-  auto out_it = std::find_if(outs.begin(), outs.end(), matches);
-  if (out_it == outs.end()) return false;
-  outs.erase(out_it);
-  auto& ins = in_[static_cast<size_t>(dst)];
-  auto in_it = std::find_if(ins.begin(), ins.end(), matches);
-  HCRF_CHECK(in_it != ins.end(),
-             "edge %d->%d present in out-list but missing from in-list",
-             src, dst);
-  ins.erase(in_it);
-  --num_edges_;
-  if (kind == DepKind::kFlow) {
-    NotifyFlowEdgeRemoved(Edge{src, dst, kind, distance});
+  for (EdgeId id = slots_[static_cast<size_t>(src)].first[EdgeView::kOut];
+       id != kNoEdge;
+       id = edges_[static_cast<size_t>(id)].next[EdgeView::kOut]) {
+    const Edge& e = edges_[static_cast<size_t>(id)].edge;
+    if (e.dst != dst || e.kind != kind || e.distance != distance) continue;
+    Unlink(id);
+    if (kind == DepKind::kFlow) NotifyFlowEdgeRemoved(e);
+    return true;
   }
-  return true;
+  return false;
 }
 
 std::int32_t DDG::AddInvariant() { return num_invariants_++; }
+
+void DDG::AddInvariantUse(NodeId id, std::int32_t inv) {
+  NodeSlot& s = slots_[static_cast<size_t>(id)];
+  const auto end = static_cast<std::int32_t>(inv_uses_.size());
+  if (s.inv_begin + s.inv_count != end) {
+    // Not the pool's last run: move the run to the end first.
+    const std::int32_t begin = s.inv_begin;
+    s.inv_begin = end;
+    for (std::int32_t k = 0; k < s.inv_count; ++k) {
+      inv_uses_.push_back(inv_uses_[static_cast<size_t>(begin + k)]);
+    }
+  }
+  inv_uses_.push_back(inv);
+  ++s.inv_count;
+}
+
+bool DDG::RemoveInvariantUse(NodeId id, std::int32_t inv) {
+  NodeSlot& s = slots_[static_cast<size_t>(id)];
+  const auto run = inv_uses_.begin() + s.inv_begin;
+  const auto it = std::find(run, run + s.inv_count, inv);
+  if (it == run + s.inv_count) return false;
+  std::copy(it + 1, run + s.inv_count, it);
+  --s.inv_count;
+  return true;
+}
 
 std::vector<NodeId> DDG::AliveNodes() const {
   std::vector<NodeId> ids;
   ids.reserve(static_cast<size_t>(num_alive_));
   for (NodeId i = 0; i < NumSlots(); ++i) {
-    if (nodes_[static_cast<size_t>(i)].alive) ids.push_back(i);
+    if (IsAlive(i)) ids.push_back(i);
   }
   return ids;
-}
-
-std::vector<Edge> DDG::Edges() const {
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(num_edges_));
-  for (NodeId i = 0; i < NumSlots(); ++i) {
-    if (!nodes_[static_cast<size_t>(i)].alive) continue;
-    for (const Edge& e : out_[static_cast<size_t>(i)]) edges.push_back(e);
-  }
-  return edges;
 }
 
 int DDG::EdgeLatency(const Edge& e, const LatencyTable& lat) const {
@@ -218,7 +189,7 @@ int DDG::EdgeLatency(const Edge& e, const LatencyTable& lat) const {
 DDG::OpCounts DDG::CountOps(const LatencyTable& lat) const {
   OpCounts c;
   for (NodeId i = 0; i < NumSlots(); ++i) {
-    const Node& n = nodes_[static_cast<size_t>(i)];
+    const Node& n = node(i);
     if (!n.alive) continue;
     if (IsCompute(n.op)) {
       ++c.compute;
@@ -238,29 +209,31 @@ bool DDG::Check(std::string* why) const {
     return false;
   };
   int alive = 0;
-  int edges = 0;
   for (NodeId i = 0; i < NumSlots(); ++i) {
-    const Node& n = nodes_[static_cast<size_t>(i)];
-    if (!n.alive) {
-      if (!in_[static_cast<size_t>(i)].empty() ||
-          !out_[static_cast<size_t>(i)].empty()) {
+    const NodeSlot& s = slots_[static_cast<size_t>(i)];
+    if (!s.node.alive) {
+      if (s.first[EdgeView::kOut] != kNoEdge ||
+          s.first[EdgeView::kIn] != kNoEdge) {
         return fail("tombstoned node has edges");
       }
       continue;
     }
     ++alive;
-    for (const Edge& e : out_[static_cast<size_t>(i)]) {
-      ++edges;
+    for (const Edge& e : OutEdges(i)) {
       if (e.src != i) return fail("out edge with wrong src");
-      if (!IsAlive(e.dst)) return fail("edge to dead node");
-      if (e.distance < 0) return fail("negative distance");
-      if (e.kind == DepKind::kFlow && !DefinesValue(node(e.src).op)) {
-        return fail("flow edge from non-defining op");
-      }
     }
-    for (const Edge& e : in_[static_cast<size_t>(i)]) {
+    for (const Edge& e : InEdges(i)) {
       if (e.dst != i) return fail("in edge with wrong dst");
-      if (!IsAlive(e.src)) return fail("edge from dead node");
+    }
+  }
+  int edges = 0;
+  for (const Edge& e : Edges()) {
+    ++edges;
+    if (!IsAlive(e.src)) return fail("edge from dead node");
+    if (!IsAlive(e.dst)) return fail("edge to dead node");
+    if (e.distance < 0) return fail("negative distance");
+    if (e.kind == DepKind::kFlow && !DefinesValue(node(e.src).op)) {
+      return fail("flow edge from non-defining op");
     }
   }
   if (alive != num_alive_) return fail("alive count mismatch");

@@ -10,17 +10,24 @@
 // (Move/LoadR/StoreR) and spill (Load/Store) operations while scheduling.
 // Node ids are stable: removal tombstones the node and its edges.
 //
-// The node and adjacency tables keep their storage when a graph is reset
-// from another one (ResetFrom, copy assignment): slots past the new size
-// stay allocated as spares that AddNode reuses. The scheduler resets its
-// working graph from the input loop at every II attempt, and this is what
-// keeps those resets free of heap traffic.
+// Storage is three flat tables: nodes, edges and invariant uses. Each edge
+// is stored once, as a record in the edge table, in insertion order; a
+// node's in- and out-lists are doubly linked through those records, so
+// both adjacency orders are insertion order too. Removing an edge unlinks
+// its record, which stays in the table, dead, until the graph is next
+// reset. Re-adding a graph's alive edges in table order (what the .hcl
+// loader does with a dump) therefore rebuilds both adjacency orders
+// exactly. No node owns a heap buffer, so copy assignment is three table
+// copies that keep the destination's storage: the scheduler resets its
+// working graph from the input loop at every II attempt without heap
+// traffic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,10 +65,6 @@ struct Node {
   OpClass op = OpClass::kFAdd;
   /// Valid for kLoad/kStore nodes; used by the memory simulator.
   std::optional<MemRef> mem;
-  /// Loop-invariant values (live-in for the whole loop) consumed by this
-  /// node, by invariant id. Each referenced invariant pins one register in
-  /// every bank from which it is read (paper Section 5.1).
-  std::vector<std::int32_t> invariant_uses;
   bool alive = true;
   /// True for nodes inserted by the scheduler (communication/spill); they
   /// can be removed again on ejection.
@@ -98,11 +101,30 @@ class DdgListener {
   virtual void OnNodeRemoved(NodeId v) = 0;
 };
 
-/// The flow edges of one adjacency list, filtered lazily: iterating
-/// allocates nothing. A view reads the list in place, so any mutation of
-/// that node's adjacency invalidates it.
-class FlowEdgeView {
+/// Index of a record in a graph's edge table.
+using EdgeId = std::int32_t;
+inline constexpr EdgeId kNoEdge = -1;
+
+/// One record of the edge table: the edge and its links in the source's
+/// out-list (index 0) and the destination's in-list (index 1). A dead
+/// record is unlinked from both lists.
+struct EdgeRecord {
+  Edge edge;
+  EdgeId next[2] = {kNoEdge, kNoEdge};
+  EdgeId prev[2] = {kNoEdge, kNoEdge};
+  bool alive = true;
+};
+
+/// A lazily walked sequence of alive edges: one node's out- or in-list, or
+/// the whole edge table in insertion order, optionally only its flow
+/// edges. Iterating allocates nothing. A view reads the graph in place, so
+/// adding an edge (which may grow the table) invalidates it.
+class EdgeView {
  public:
+  /// kOut and kIn follow EdgeRecord::next[kOut / kIn]; kTable steps
+  /// through the table.
+  enum Walk : std::uint8_t { kOut = 0, kIn = 1, kTable = 2 };
+
   class iterator {
    public:
     using value_type = Edge;
@@ -112,11 +134,16 @@ class FlowEdgeView {
     using iterator_category = std::forward_iterator_tag;
 
     iterator() = default;
-    iterator(const Edge* p, const Edge* end) : p_(p), end_(end) { Skip(); }
-    const Edge& operator*() const { return *p_; }
-    const Edge* operator->() const { return p_; }
+    iterator(const EdgeRecord* table, EdgeId id, EdgeId end, Walk walk,
+             bool flow_only)
+        : table_(table), id_(id), end_(end), walk_(walk),
+          flow_only_(flow_only) {
+      Skip();
+    }
+    const Edge& operator*() const { return table_[id_].edge; }
+    const Edge* operator->() const { return &table_[id_].edge; }
     iterator& operator++() {
-      ++p_;
+      Step();
       Skip();
       return *this;
     }
@@ -125,27 +152,40 @@ class FlowEdgeView {
       ++*this;
       return old;
     }
-    bool operator==(const iterator& o) const { return p_ == o.p_; }
+    bool operator==(const iterator& o) const { return id_ == o.id_; }
 
    private:
+    void Step() { id_ = walk_ == kTable ? id_ + 1 : table_[id_].next[walk_]; }
     void Skip() {
-      while (p_ != end_ && p_->kind != DepKind::kFlow) ++p_;
+      while (id_ != end_ &&
+             (!table_[id_].alive ||
+              (flow_only_ && table_[id_].edge.kind != DepKind::kFlow))) {
+        Step();
+      }
     }
-    const Edge* p_ = nullptr;
-    const Edge* end_ = nullptr;
+    const EdgeRecord* table_ = nullptr;
+    EdgeId id_ = kNoEdge;
+    EdgeId end_ = kNoEdge;
+    Walk walk_ = kOut;
+    bool flow_only_ = false;
   };
 
-  explicit FlowEdgeView(const std::vector<Edge>& list)
-      : begin_(list.data()), end_(list.data() + list.size()) {}
-  iterator begin() const { return {begin_, end_}; }
-  iterator end() const { return {end_, end_}; }
+  EdgeView(const EdgeRecord* table, EdgeId first, EdgeId end, Walk walk,
+           bool flow_only)
+      : table_(table), first_(first), end_(end), walk_(walk),
+        flow_only_(flow_only) {}
+  iterator begin() const { return {table_, first_, end_, walk_, flow_only_}; }
+  iterator end() const { return {table_, end_, end_, walk_, flow_only_}; }
   bool empty() const { return begin() == end(); }
-  /// The first flow edge. Precondition: !empty().
+  /// The first edge. Precondition: !empty().
   const Edge& front() const { return *begin(); }
 
  private:
-  const Edge* begin_;
-  const Edge* end_;
+  const EdgeRecord* table_;
+  EdgeId first_;
+  EdgeId end_;
+  Walk walk_;
+  bool flow_only_;
 };
 
 class DDG {
@@ -153,32 +193,27 @@ class DDG {
   DDG() = default;
   explicit DDG(std::string name) : name_(std::move(name)) {}
 
-  /// Copies the graph (not its spare slots, and never the listener).
-  DDG(const DDG& other);
-  /// Same as ResetFrom(other).
-  DDG& operator=(const DDG& other);
+  /// Copies the graph, never the listener. Copy assignment makes this
+  /// graph equal to `other` while keeping the buffers it already owns (no
+  /// allocation when its tables are large enough) and its own listener.
+  DDG(const DDG& other) = default;
+  DDG& operator=(const DDG& other) = default;
   DDG(DDG&& other) noexcept;
   DDG& operator=(DDG&& other) noexcept;
   ~DDG() = default;
 
-  /// Makes this graph equal to `other` (nodes, edges in both adjacency
-  /// orders, invariants, name) while keeping every buffer this graph
-  /// already owns: when its tables are large enough, no allocation
-  /// happens. The listener slot stays this graph's own.
-  void ResetFrom(const DDG& other);
-
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
 
-  /// Pre-sizes the node tables for `slots` nodes in total (a parser knows
-  /// the count up front). Changes no content.
-  void Reserve(int slots);
+  /// Pre-sizes the tables for `slots` nodes and `edges` edges in total (a
+  /// parser knows the counts up front). Changes no content.
+  void Reserve(int slots, int edges);
 
   NodeId AddNode(Node node);
   NodeId AddNode(OpClass op) {
     Node n;
     n.op = op;
-    return AddNode(std::move(n));
+    return AddNode(n);
   }
   /// Adds a dependence edge; self-edges (src==dst) require distance>0.
   void AddEdge(NodeId src, NodeId dst, DepKind kind, int distance = 0);
@@ -191,36 +226,56 @@ class DDG {
   /// operations are never removed by the scheduler.
   void RemoveNode(NodeId id, bool force = false);
 
-  /// Removes one edge matching (src, dst, kind, distance) exactly.
-  /// Returns false if no such edge exists.
+  /// Removes the first out-edge of `src` matching (dst, kind, distance)
+  /// exactly. Returns false if no such edge exists.
   bool RemoveEdge(NodeId src, NodeId dst, DepKind kind, int distance);
 
   /// Declares a loop-invariant live-in value; returns its id.
   std::int32_t AddInvariant();
   std::int32_t num_invariants() const { return num_invariants_; }
 
-  bool IsAlive(NodeId id) const { return nodes_[static_cast<size_t>(id)].alive; }
-  const Node& node(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
-  Node& node(NodeId id) { return nodes_[static_cast<size_t>(id)]; }
+  /// Loop-invariant values (live-in for the whole loop) consumed by `id`,
+  /// by invariant id, in the order they were added. Each referenced
+  /// invariant pins one register in every bank from which it is read
+  /// (paper Section 5.1). The span is invalidated by the next
+  /// AddInvariantUse on this graph.
+  std::span<const std::int32_t> InvariantUses(NodeId id) const {
+    const NodeSlot& s = slots_[static_cast<size_t>(id)];
+    return {inv_uses_.data() + s.inv_begin, static_cast<size_t>(s.inv_count)};
+  }
+  /// Appends `inv` to the invariant uses of `id`.
+  void AddInvariantUse(NodeId id, std::int32_t inv);
+  /// Removes the first use of `inv` by `id`; false if `id` does not use it.
+  bool RemoveInvariantUse(NodeId id, std::int32_t inv);
+
+  bool IsAlive(NodeId id) const { return node(id).alive; }
+  const Node& node(NodeId id) const {
+    return slots_[static_cast<size_t>(id)].node;
+  }
+  Node& node(NodeId id) { return slots_[static_cast<size_t>(id)].node; }
 
   /// Total slots including tombstones; iterate with IsAlive guard.
-  NodeId NumSlots() const { return num_slots_; }
+  NodeId NumSlots() const { return static_cast<NodeId>(slots_.size()); }
   /// Number of alive nodes.
   int NumNodes() const { return num_alive_; }
-  /// Slots the tables hold, spares included (>= NumSlots()).
-  NodeId SlotCapacity() const { return static_cast<NodeId>(nodes_.size()); }
   /// Ids of all alive nodes, ascending.
   std::vector<NodeId> AliveNodes() const;
 
-  /// Alive edges entering / leaving `id`.
-  const std::vector<Edge>& InEdges(NodeId id) const {
-    return in_[static_cast<size_t>(id)];
+  /// Node and edge records the tables have room for: the largest graph and
+  /// the most edge churn since this graph was built.
+  std::size_t NodeCapacity() const { return slots_.capacity(); }
+  std::size_t EdgeCapacity() const { return edges_.capacity(); }
+
+  /// Alive edges entering / leaving `id`, in insertion order.
+  EdgeView InEdges(NodeId id) const { return List(id, EdgeView::kIn, false); }
+  EdgeView OutEdges(NodeId id) const {
+    return List(id, EdgeView::kOut, false);
   }
-  const std::vector<Edge>& OutEdges(NodeId id) const {
-    return out_[static_cast<size_t>(id)];
+  /// All alive edges, in insertion order.
+  EdgeView Edges() const {
+    return {edges_.data(), 0, static_cast<EdgeId>(edges_.size()),
+            EdgeView::kTable, false};
   }
-  /// All alive edges (materialized; O(E)).
-  std::vector<Edge> Edges() const;
   int NumEdges() const { return num_edges_; }
 
   /// Dependence latency of an edge under the given latency table:
@@ -228,12 +283,12 @@ class DDG {
   int EdgeLatency(const Edge& e, const LatencyTable& lat) const;
 
   /// Flow consumers of the value defined by `id` (alive flow out-edges).
-  FlowEdgeView FlowConsumers(NodeId id) const {
-    return FlowEdgeView(OutEdges(id));
+  EdgeView FlowConsumers(NodeId id) const {
+    return List(id, EdgeView::kOut, true);
   }
   /// Flow producers feeding `id`.
-  FlowEdgeView FlowProducers(NodeId id) const {
-    return FlowEdgeView(InEdges(id));
+  EdgeView FlowProducers(NodeId id) const {
+    return List(id, EdgeView::kIn, true);
   }
 
   /// Counts alive nodes per kind of resource: {compute, memory, comm}.
@@ -254,30 +309,51 @@ class DDG {
   /// at the start of an II attempt and copying the final graph into the
   /// ScheduleResult must never transplant a tracker wired to different
   /// state.
-  void SetListener(DdgListener* listener) { listener_ = listener; }
-  DdgListener* listener() const { return listener_; }
+  void SetListener(DdgListener* listener) { listener_.p = listener; }
+  DdgListener* listener() const { return listener_.p; }
 
  private:
+  /// A node with the heads of its two edge lists (indexed like
+  /// EdgeRecord::next) and its run of the invariant-use pool.
+  struct NodeSlot {
+    Node node;
+    EdgeId first[2] = {kNoEdge, kNoEdge};
+    EdgeId last[2] = {kNoEdge, kNoEdge};
+    std::int32_t inv_begin = 0;
+    std::int32_t inv_count = 0;
+  };
+  /// A listener pointer that copies and moves as "none": a new graph
+  /// starts without one and an assigned graph keeps its own.
+  struct ListenerSlot {
+    DdgListener* p = nullptr;
+    ListenerSlot() = default;
+    ListenerSlot(const ListenerSlot&) {}
+    ListenerSlot& operator=(const ListenerSlot&) { return *this; }
+  };
+
+  EdgeView List(NodeId id, EdgeView::Walk walk, bool flow_only) const {
+    return {edges_.data(), slots_[static_cast<size_t>(id)].first[walk],
+            kNoEdge, walk, flow_only};
+  }
+  /// Unlinks an alive record from both of its lists and marks it dead.
+  void Unlink(EdgeId id);
   void NotifyFlowEdgeAdded(const Edge& e) {
-    if (listener_ != nullptr) listener_->OnFlowEdgeAdded(e);
+    if (listener_.p != nullptr) listener_.p->OnFlowEdgeAdded(e);
   }
   void NotifyFlowEdgeRemoved(const Edge& e) {
-    if (listener_ != nullptr) listener_->OnFlowEdgeRemoved(e);
+    if (listener_.p != nullptr) listener_.p->OnFlowEdgeRemoved(e);
   }
 
   std::string name_;
-  /// Node and adjacency tables, indexed by id. Entries at or past
-  /// num_slots_ are spares kept from a larger graph (see ResetFrom).
-  std::vector<Node> nodes_;
-  std::vector<std::vector<Edge>> in_;
-  std::vector<std::vector<Edge>> out_;
-  NodeId num_slots_ = 0;
+  std::vector<NodeSlot> slots_;
+  std::vector<EdgeRecord> edges_;
+  /// Every node's invariant uses, one contiguous run per node (see
+  /// NodeSlot); a run that grows moves to the end.
+  std::vector<std::int32_t> inv_uses_;
   std::int32_t num_invariants_ = 0;
   int num_alive_ = 0;
   int num_edges_ = 0;
-  /// Never copied or moved: the special members leave it empty on a new
-  /// graph and keep the destination's own on assignment.
-  DdgListener* listener_ = nullptr;
+  ListenerSlot listener_;
 };
 
 }  // namespace hcrf

@@ -137,7 +137,7 @@ void SCCs(const DDG& g, GraphScratch& ws) {
 
   for (NodeId root = 0; root < n; ++root) {
     if (!g.IsAlive(root) || index[static_cast<size_t>(root)] != -1) continue;
-    ws.call.push_back({root, 0});
+    ws.call.push_back({root, g.OutEdges(root).begin()});
     index[static_cast<size_t>(root)] = low[static_cast<size_t>(root)] =
         counter++;
     ws.stack.push_back(root);
@@ -145,15 +145,14 @@ void SCCs(const DDG& g, GraphScratch& ws) {
 
     while (!ws.call.empty()) {
       GraphScratch::Frame& f = ws.call.back();
-      const auto& edges = g.OutEdges(f.v);
-      if (f.edge_idx < edges.size()) {
-        const NodeId w = edges[f.edge_idx++].dst;
+      if (f.next != g.OutEdges(f.v).end()) {
+        const NodeId w = (f.next++)->dst;
         if (index[static_cast<size_t>(w)] == -1) {
           index[static_cast<size_t>(w)] = low[static_cast<size_t>(w)] =
               counter++;
           ws.stack.push_back(w);
           ws.on_stack[static_cast<size_t>(w)] = 1;
-          ws.call.push_back({w, 0});
+          ws.call.push_back({w, g.OutEdges(w).begin()});
         } else if (ws.on_stack[static_cast<size_t>(w)]) {
           low[static_cast<size_t>(f.v)] = std::min(
               low[static_cast<size_t>(f.v)], index[static_cast<size_t>(w)]);

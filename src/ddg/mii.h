@@ -39,7 +39,7 @@ struct GraphScratch {
   // Tarjan.
   struct Frame {
     NodeId v;
-    std::size_t edge_idx;
+    EdgeView::iterator next;  ///< v's next out-edge to visit.
   };
   std::vector<int> index;
   std::vector<int> low;

@@ -298,20 +298,18 @@ void DumpGraphBody(const DDG& g, TextOut& out) {
       out << " mem " << n.mem->array_id << ' ' << n.mem->base << ' '
           << n.mem->stride;
     }
-    if (!n.invariant_uses.empty()) {
-      out << " inv " << n.invariant_uses.size();
-      for (std::int32_t inv : n.invariant_uses) out << ' ' << inv;
+    const std::span<const std::int32_t> uses = g.InvariantUses(v);
+    if (!uses.empty()) {
+      out << " inv " << uses.size();
+      for (std::int32_t inv : uses) out << ' ' << inv;
     }
     if (n.inserted) out << " inserted";
     if (n.spill) out << " spill";
     out << '\n';
   }
-  for (NodeId v = 0; v < g.NumSlots(); ++v) {
-    if (!g.IsAlive(v)) continue;
-    for (const Edge& e : g.OutEdges(v)) {
-      out << "edge " << e.src << ' ' << e.dst << ' ' << ToString(e.kind) << ' '
-          << e.distance << '\n';
-    }
+  for (const Edge& e : g.Edges()) {
+    out << "edge " << e.src << ' ' << e.dst << ' ' << ToString(e.kind) << ' '
+        << e.distance << '\n';
   }
 }
 
@@ -324,8 +322,11 @@ struct GraphBuilder {
   struct NodeRec {
     Node node;
     bool defined = false;
+    std::int32_t inv_begin = 0;  ///< The node's run of `inv_uses`.
+    std::int32_t inv_count = 0;
   };
   std::vector<NodeRec> nodes;
+  std::vector<std::int32_t> inv_uses;
   struct EdgeRec {
     NodeId src, dst;
     DepKind kind;
@@ -414,8 +415,14 @@ struct GraphBuilder {
         if (count < 0 || i + 2 + static_cast<size_t>(count) > tl.toks.size()) {
           Fail(sc.file(), tl.number, "'inv' id list shorter than its count");
         }
+        // A repeated `inv` extends the run: nothing else appends to
+        // inv_uses while one node line is read.
+        if (rec.inv_count == 0) {
+          rec.inv_begin = static_cast<std::int32_t>(inv_uses.size());
+        }
+        rec.inv_count += count;
         for (int k = 0; k < count; ++k) {
-          rec.node.invariant_uses.push_back(
+          inv_uses.push_back(
               ScanInt(sc, tl.number, tl.toks[i + 2 + k], "invariant id"));
         }
         i += 2 + static_cast<size_t>(count);
@@ -436,13 +443,15 @@ struct GraphBuilder {
   DDG Build(const Scanner& sc, int end_line) {
     if (slots < 0) Fail(sc.file(), end_line, "graph missing 'slots'");
     DDG g(std::move(name));
-    g.Reserve(slots);
+    g.Reserve(slots, static_cast<int>(edges.size()));
     for (int i = 0; i < invariants; ++i) g.AddInvariant();
     for (int id = 0; id < slots; ++id) {
-      g.AddNode(std::move(nodes[static_cast<size_t>(id)].node));
-      if (!nodes[static_cast<size_t>(id)].defined) {
-        g.RemoveNode(id, /*force=*/true);
+      const NodeRec& rec = nodes[static_cast<size_t>(id)];
+      g.AddNode(rec.node);
+      for (std::int32_t k = 0; k < rec.inv_count; ++k) {
+        g.AddInvariantUse(id, inv_uses[static_cast<size_t>(rec.inv_begin + k)]);
       }
+      if (!rec.defined) g.RemoveNode(id, /*force=*/true);
     }
     for (const EdgeRec& e : edges) {
       auto check_endpoint = [&](NodeId v, const char* which) {
@@ -462,7 +471,7 @@ struct GraphBuilder {
       g.AddEdge(e.src, e.dst, e.kind, e.distance);
     }
     for (NodeId id = 0; id < slots; ++id) {
-      for (std::int32_t inv : g.node(id).invariant_uses) {
+      for (std::int32_t inv : g.InvariantUses(id)) {
         if (inv < 0 || inv >= invariants) {
           Fail(sc.file(), end_line,
                "node " + std::to_string(id) + " uses invariant " +

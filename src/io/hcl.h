@@ -6,10 +6,11 @@
 // Design rules:
 //  * Every document starts with `hcl <version> <kind>` and ends with `end`.
 //  * Dumps are canonical: a fixed line order, node ids ascending, edges in
-//    the graph's out-edge insertion order, doubles in shortest round-trip
-//    form. Loading a canonical dump and dumping it again is byte-identical
-//    (the round-trip property the corpus tools and the persistent schedule
-//    cache rely on; unit-tested in tests/test_hcl_io.cpp).
+//    insertion order, doubles in shortest round-trip form. Loading a
+//    canonical dump and dumping it again is byte-identical, and the loaded
+//    graph has the dumped graph's adjacency orders, so it schedules the
+//    same (the round-trip property the corpus tools and the persistent
+//    schedule cache rely on; unit-tested in tests/test_hcl_io.cpp).
 //  * The loader is strict: unknown directives, unknown op/dependence
 //    classes, dangling edges, duplicate ids and version mismatches are
 //    rejected with an HclError carrying the offending line number.

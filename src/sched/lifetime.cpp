@@ -101,7 +101,7 @@ void ComputePressure(const DDG& g, const PartialSchedule& sched,
     for (NodeId u = 0; u < g.NumSlots(); ++u) {
       if (!g.IsAlive(u) || !sched.IsScheduled(u)) continue;
       const Node& n = g.node(u);
-      for (std::int32_t inv : n.invariant_uses) {
+      for (std::int32_t inv : g.InvariantUses(u)) {
         scratch.any_use[static_cast<size_t>(inv)] = 1;
         const BankId bank = ReadBank(n.op, sched.ClusterOf(u), rf);
         scratch.used[static_cast<size_t>(inv) * banks + bank_index(bank)] = 1;

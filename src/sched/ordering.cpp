@@ -64,7 +64,7 @@ void Reach(const DDG& g, const std::vector<char>& seeds, bool forward,
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const NodeId v = queue[head];
-    const auto& edges = forward ? g.OutEdges(v) : g.InEdges(v);
+    const EdgeView edges = forward ? g.OutEdges(v) : g.InEdges(v);
     for (const Edge& e : edges) {
       const NodeId w = forward ? e.dst : e.src;
       if (!seen[static_cast<size_t>(w)]) {

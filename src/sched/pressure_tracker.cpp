@@ -183,12 +183,12 @@ void PressureTracker::BumpInvariant(std::int32_t inv, size_t bank_index,
 
 void PressureTracker::AddInvariantReads(NodeId u) {
   EnsureSlot(u);
-  const Node& n = g_->node(u);
-  if (n.invariant_uses.empty()) return;
+  const std::span<const std::int32_t> uses = g_->InvariantUses(u);
+  if (uses.empty()) return;
   InvReads& snap = inv_reads_[static_cast<size_t>(u)];
   snap.bank_index = static_cast<int>(
-      BankIndex(ReadBank(n.op, sched_->ClusterOf(u), m_->rf)));
-  snap.invs.assign(n.invariant_uses.begin(), n.invariant_uses.end());
+      BankIndex(ReadBank(g_->node(u).op, sched_->ClusterOf(u), m_->rf)));
+  snap.invs.assign(uses.begin(), uses.end());
   for (std::int32_t inv : snap.invs) {
     BumpInvariant(inv, static_cast<size_t>(snap.bank_index), +1);
   }

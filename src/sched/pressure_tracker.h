@@ -79,8 +79,8 @@ class PressureTracker final : public DdgListener {
   void OnPlaced(NodeId u);
   void OnUnplaced(NodeId u);
 
-  /// Re-derives `u`'s invariant-read pins after its Node::invariant_uses
-  /// was edited in place (the spill engine's invariant un-pinning).
+  /// Re-derives `u`'s invariant-read pins after DDG::RemoveInvariantUse
+  /// changed its uses (the spill engine's invariant un-pinning).
   void ResyncInvariantReads(NodeId u);
 
   // DdgListener.

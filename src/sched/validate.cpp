@@ -54,21 +54,17 @@ ValidationResult Validate(const DDG& g, const PartialSchedule& sched,
   }
 
   // 1. Dependences (edges in DDG::Edges() order, read in place).
-  for (NodeId v = 0; v < g.NumSlots(); ++v) {
-    if (!g.IsAlive(v)) continue;
-    for (const Edge& e : g.OutEdges(v)) {
-      const int lat = DependenceLatency(g, e, m.lat, overrides);
-      const long lhs = sched.CycleOf(e.src) + lat;
-      const long rhs =
-          sched.CycleOf(e.dst) + static_cast<long>(e.distance) * ii;
-      if (lhs > rhs) {
-        std::ostringstream os;
-        os << "dependence violated: " << Describe(g, e.src) << "@"
-           << sched.CycleOf(e.src) << " + lat " << lat << " > "
-           << Describe(g, e.dst) << "@" << sched.CycleOf(e.dst) << " + d"
-           << e.distance << "*II" << ii;
-        return fail(os.str());
-      }
+  for (const Edge& e : g.Edges()) {
+    const int lat = DependenceLatency(g, e, m.lat, overrides);
+    const long lhs = sched.CycleOf(e.src) + lat;
+    const long rhs = sched.CycleOf(e.dst) + static_cast<long>(e.distance) * ii;
+    if (lhs > rhs) {
+      std::ostringstream os;
+      os << "dependence violated: " << Describe(g, e.src) << "@"
+         << sched.CycleOf(e.src) << " + lat " << lat << " > "
+         << Describe(g, e.dst) << "@" << sched.CycleOf(e.dst) << " + d"
+         << e.distance << "*II" << ii;
+      return fail(os.str());
     }
   }
 

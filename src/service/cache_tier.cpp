@@ -19,7 +19,7 @@ using perf::Fnv1a;
 // 3 -> 4: the mix order moved the options block behind the graph so the
 // structural prefix (salt + machine + graph) is shared with
 // MakeStructuralHash — old entries must read as misses.
-constexpr std::uint64_t kCacheFormatSalt = 4;
+constexpr std::uint64_t kCacheFormatSalt = 5;
 
 constexpr long kDefaultMemBytes = 64L * 1024 * 1024;
 
@@ -57,7 +57,9 @@ void MixStructural(DualHash& f, const DDG& g, const MachineConfig& m) {
   f.Mix(Fnv1a(g.name()));
 
   // Graph structure. Ids are stable and tombstones keep their slot, so
-  // hashing alive slots in ascending order is canonical.
+  // hashing alive slots in ascending order is canonical. Edges are hashed
+  // in insertion order, the order the dump writes and a parse restores:
+  // it fixes both adjacency orders, which the engine reads.
   f.Mix(static_cast<std::uint64_t>(g.NumSlots()));
   f.Mix(static_cast<std::uint64_t>(g.num_invariants()));
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
@@ -72,16 +74,16 @@ void MixStructural(DualHash& f, const DDG& g, const MachineConfig& m) {
       f.Mix(static_cast<std::uint64_t>(n.mem->base));
       f.Mix(static_cast<std::uint64_t>(n.mem->stride));
     }
-    f.Mix(static_cast<std::uint64_t>(n.invariant_uses.size()));
-    for (std::int32_t inv : n.invariant_uses) {
-      f.Mix(static_cast<std::uint64_t>(inv));
-    }
-    for (const Edge& e : g.OutEdges(v)) {
-      f.Mix(static_cast<std::uint64_t>(e.src));
-      f.Mix(static_cast<std::uint64_t>(e.dst));
-      f.Mix(static_cast<std::uint64_t>(e.kind));
-      f.Mix(static_cast<std::uint64_t>(e.distance));
-    }
+    const std::span<const std::int32_t> uses = g.InvariantUses(v);
+    f.Mix(static_cast<std::uint64_t>(uses.size()));
+    for (std::int32_t inv : uses) f.Mix(static_cast<std::uint64_t>(inv));
+  }
+  f.Mix(static_cast<std::uint64_t>(g.NumEdges()));
+  for (const Edge& e : g.Edges()) {
+    f.Mix(static_cast<std::uint64_t>(e.src));
+    f.Mix(static_cast<std::uint64_t>(e.dst));
+    f.Mix(static_cast<std::uint64_t>(e.kind));
+    f.Mix(static_cast<std::uint64_t>(e.distance));
   }
 }
 

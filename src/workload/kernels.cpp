@@ -26,10 +26,8 @@ NodeId Bin(DDG& g, OpClass op, NodeId a, NodeId b) {
 }
 
 NodeId UnaryInv(DDG& g, OpClass op, NodeId a, std::int32_t inv) {
-  Node n;
-  n.op = op;
-  n.invariant_uses = {inv};
-  const NodeId id = g.AddNode(std::move(n));
+  const NodeId id = g.AddNode(op);
+  g.AddInvariantUse(id, inv);
   g.AddFlow(a, id, 0);
   return id;
 }
@@ -123,10 +121,8 @@ Loop MakeFirstOrderRec(long trip) {
   const std::int32_t a = g.AddInvariant();
   const NodeId lb = Ld(g, 0, 0, 8);
   // x = a*x + b[i]: the multiply and add form a distance-1 cycle.
-  Node nm;
-  nm.op = OpClass::kFMul;
-  nm.invariant_uses = {a};
-  const NodeId mul = g.AddNode(std::move(nm));
+  const NodeId mul = g.AddNode(OpClass::kFMul);
+  g.AddInvariantUse(mul, a);
   const NodeId add = Bin(g, OpClass::kFAdd, mul, lb);
   g.AddFlow(add, mul, 1);
   const NodeId st = St(g, 1, 0, 8);
@@ -208,10 +204,8 @@ Loop MakeHorner(long trip) {
   g.set_name("horner");
   const std::int32_t x = g.AddInvariant();
   const NodeId lc = Ld(g, 0, 0, 8);
-  Node nm;
-  nm.op = OpClass::kFMul;
-  nm.invariant_uses = {x};
-  const NodeId mul = g.AddNode(std::move(nm));  // p * x
+  const NodeId mul = g.AddNode(OpClass::kFMul);  // p * x
+  g.AddInvariantUse(mul, x);
   const NodeId add = Bin(g, OpClass::kFAdd, mul, lc);
   g.AddFlow(add, mul, 1);  // p feeds next iteration's multiply
   loop.trip = trip;

@@ -90,9 +90,10 @@ NodeId LoopBuilder::Leaf(DDG& g, bool heavy) {
     Node n;
     n.op = PickComputeOp(heavy);
     if (IsUnpipelined(n.op)) n.op = OpClass::kFMul;
-    n.invariant_uses = {invariants_[static_cast<size_t>(
-        UInt(0, static_cast<int>(invariants_.size()) - 1))]};
-    const NodeId id = g.AddNode(std::move(n));
+    const std::int32_t inv = invariants_[static_cast<size_t>(
+        UInt(0, static_cast<int>(invariants_.size()) - 1))];
+    const NodeId id = g.AddNode(n);
+    g.AddInvariantUse(id, inv);
     g.AddFlow(inner, id, 0);
     return id;
   }

@@ -5,14 +5,17 @@
 // calling thread's engine workspace, a second pass on the same thread must
 // show:
 //  * zero allocations in every II attempt after a call's first, and
-//  * at most 16 allocations per MirsHC call beyond what copy-constructing
-//    its ScheduleResult costs (the result owns a copy of the final graph).
+//  * no allocation in a MirsHC call beyond copy-constructing its
+//    ScheduleResult, and at most one per flat table in that copy (the
+//    result owns a copy of the final graph), whatever the graph's size.
 // A change that brings back a per-attempt vector, map or graph copy fails
-// here, not in a benchmark. A second test checks that a run at an outsized
-// II does not leave its reservation tables on the thread.
+// here, not in a benchmark. Two more tests check that a run at an outsized
+// II, or with an outsized edge table, does not leave its tables on the
+// thread.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -92,6 +95,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace hcrf {
 namespace {
 
+/// Allocations a ScheduleResult copy may make: one per flat table (the
+/// graph's name, node, edge and invariant-use tables, the schedule's
+/// placements and the overrides), whatever the graph's size.
+constexpr long kResultTables = 6;
+
 MachineConfig OrgMachine(const std::string& rf) {
   return hw::ApplyCharacterization(MachineConfig::WithRF(RFConfig::Parse(rf)),
                                    hw::RFModelMode::kPaperTable);
@@ -101,6 +109,8 @@ struct PassTotals {
   long calls = 0;
   long call_allocations = 0;    ///< Inside MirsHC.
   long result_allocations = 0;  ///< Copy-constructing its results.
+  long max_result = 0;          ///< The most one result copy allocated.
+  long max_call_excess = 0;     ///< The most a call allocated beyond it.
   long attempts = 0;
   long later_attempts = 0;              ///< Attempts after a call's first.
   long later_attempt_allocations = 0;
@@ -126,8 +136,12 @@ void RunPass(const std::vector<const workload::Loop*>& loops,
     ++t.calls;
     t.call_allocations += call;
     t.result_allocations += result;
+    t.max_result = std::max(t.max_result, result);
+    t.max_call_excess = std::max(t.max_call_excess, call - result);
     if (check) {
-      EXPECT_LE(call, result + 16)
+      EXPECT_LE(result, kResultTables)
+          << g.name() << ": " << result << " allocations to copy its result";
+      EXPECT_LE(call, result)
           << g.name() << ": " << call << " allocations in MirsHC, "
           << result << " to copy its result";
     }
@@ -187,12 +201,13 @@ TEST(AllocGate, SteadyStateAttemptsAndCalls) {
     later_attempts += t.later_attempts;
     std::printf(
         "%-12s %ld calls: %.1f allocations per call, %.1f to copy the "
-        "result; %ld attempts, %ld after a call's first, %ld allocations "
-        "in those\n",
+        "result (at most %ld; calls at most %ld beyond it); %ld attempts, "
+        "%ld after a call's first, %ld allocations in those\n",
         rf.c_str(), t.calls,
         static_cast<double>(t.call_allocations) / static_cast<double>(t.calls),
         static_cast<double>(t.result_allocations) /
             static_cast<double>(t.calls),
+        t.max_result, t.max_call_excess,
         t.attempts, t.later_attempts, t.later_attempt_allocations);
   }
   // Some loop must escalate past its first II, or the per-attempt half of
@@ -200,33 +215,54 @@ TEST(AllocGate, SteadyStateAttemptsAndCalls) {
   EXPECT_GT(later_attempts, 0);
 }
 
-// A two-node recurrence of 1000-cycle adds schedules at II 2000. On a
-// machine with 64 FUs per cluster, each of the run's two reservation
-// tables grows to about 4 x 2000 x 65 entries, which a thread must not
-// keep: the run gives its whole workspace back, so the thread holds no
-// more memory after it than before.
-TEST(AllocGate, OutsizedRunGivesItsTablesBack) {
-  MachineConfig m = OrgMachine("4C16S64/2-1");
-  m.num_fus = 4 * 64;
-  m.lat.fadd = 1000;
-  DDG g("outsized");
-  const NodeId a = g.AddNode(OpClass::kFAdd);
-  const NodeId b = g.AddNode(OpClass::kFAdd);
-  g.AddEdge(a, b, DepKind::kFlow, 0);
-  g.AddEdge(b, a, DepKind::kFlow, 1);
-
-  // Builds the thread's workspace and every lazily made static first.
+/// Schedules `g` on `m` after a tiny run has built the thread's workspace
+/// and every lazily made static, and returns the bytes the run left on
+/// the thread.
+long BytesLeftByRun(const DDG& g, const MachineConfig& m, int* ii) {
   DDG tiny("tiny");
   tiny.AddNode(OpClass::kFAdd);
-  ASSERT_TRUE(core::MirsHC(tiny, m).ok);
+  EXPECT_TRUE(core::MirsHC(tiny, m).ok);
   const long before = t_live_bytes;
   {
     const core::ScheduleResult res = core::MirsHC(g, m);
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.ii, 2000);
+    EXPECT_TRUE(res.ok);
+    *ii = res.ii;
   }
-  EXPECT_LE(t_live_bytes, before)
-      << t_live_bytes - before << " bytes left on the thread";
+  return t_live_bytes - before;
+}
+
+// Runs that outgrow what a thread may keep give their workspace back, so
+// the thread holds no more memory after them than before.
+TEST(AllocGate, OutsizedRunGivesItsTablesBack) {
+  // A two-node recurrence of 1000-cycle adds schedules at II 2000. On a
+  // machine with 64 FUs per cluster, each of the run's two reservation
+  // tables grows to about 4 x 2000 x 65 entries.
+  MachineConfig wide = OrgMachine("4C16S64/2-1");
+  wide.num_fus = 4 * 64;
+  wide.lat.fadd = 1000;
+  DDG rec("outsized");
+  const NodeId a = rec.AddNode(OpClass::kFAdd);
+  const NodeId b = rec.AddNode(OpClass::kFAdd);
+  rec.AddEdge(a, b, DepKind::kFlow, 0);
+  rec.AddEdge(b, a, DepKind::kFlow, 1);
+  int ii = 0;
+  EXPECT_LE(BytesLeftByRun(rec, wide, &ii), 0) << "reservation tables";
+  EXPECT_EQ(ii, 2000);
+
+  // The working graph's edge table keeps every edge an attempt added until
+  // the next reset, so it grows with edge churn as well as with the loop.
+  // 245 adds each ordered before 245 others by a memory dependence, 60,025
+  // edges, fill it past the 2 MiB a thread may keep.
+  DDG dense("edge-heavy");
+  constexpr NodeId kSide = 245;
+  for (NodeId v = 0; v < 2 * kSide; ++v) dense.AddNode(OpClass::kFAdd);
+  for (NodeId x = 0; x < kSide; ++x) {
+    for (NodeId y = kSide; y < 2 * kSide; ++y) {
+      dense.AddEdge(x, y, DepKind::kMem, 0);
+    }
+  }
+  EXPECT_LE(BytesLeftByRun(dense, OrgMachine("4C16S64/2-1"), &ii), 0)
+      << "edge table";
 }
 
 }  // namespace

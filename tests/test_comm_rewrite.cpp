@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/comm_rewrite.h"
 #include "core/instrument.h"
@@ -82,9 +83,13 @@ struct Rig {
   }
 
   bool HasEdge(NodeId src, NodeId dst) const {
-    const auto& in = st.g.InEdges(dst);
+    const EdgeView in = st.g.InEdges(dst);
     return std::any_of(in.begin(), in.end(),
                        [&](const Edge& e) { return e.src == src; });
+  }
+
+  std::vector<Edge> InEdges(NodeId v) const {
+    return {st.g.InEdges(v).begin(), st.g.InEdges(v).end()};
   }
 
   MachineConfig m;
@@ -147,10 +152,10 @@ TEST(CommRewrite, UndoRestoresOriginalEdgeAndCollectsChain) {
   EXPECT_FALSE(rig.st.mrt->IsPlaced(loadr));
   EXPECT_EQ(rig.instr.stats().chains_undone, 1);
   // Round trip: original structure back (1 flow edge into the add).
-  ASSERT_EQ(rig.st.g.InEdges(add).size(), 1u);
-  EXPECT_EQ(rig.st.g.InEdges(add)[0].src, load);
-  EXPECT_EQ(rig.st.g.InEdges(add)[0].distance, 0);
-  EXPECT_EQ(rig.st.g.InEdges(add)[0].kind, DepKind::kFlow);
+  ASSERT_EQ(rig.InEdges(add).size(), 1u);
+  EXPECT_EQ(rig.InEdges(add)[0].src, load);
+  EXPECT_EQ(rig.InEdges(add)[0].distance, 0);
+  EXPECT_EQ(rig.InEdges(add)[0].kind, DepKind::kFlow);
 }
 
 TEST(CommRewrite, PureClusteredMoveRoundTrip) {
@@ -173,8 +178,8 @@ TEST(CommRewrite, PureClusteredMoveRoundTrip) {
   // is intra-iteration.
   const auto& fix = rig.rewriter.fixes()[0];
   EXPECT_EQ(fix.final_edge.distance, 0);
-  ASSERT_EQ(rig.st.g.InEdges(mv).size(), 1u);
-  EXPECT_EQ(rig.st.g.InEdges(mv)[0].distance, 1);
+  ASSERT_EQ(rig.InEdges(mv).size(), 1u);
+  EXPECT_EQ(rig.InEdges(mv)[0].distance, 1);
 
   // Ejecting the producer also unwinds the fix (its edge touches `a`).
   rig.st.Unplace(a);
@@ -183,9 +188,9 @@ TEST(CommRewrite, PureClusteredMoveRoundTrip) {
   rig.rewriter.GarbageCollectComm();
   EXPECT_TRUE(rig.rewriter.fixes().empty());
   EXPECT_FALSE(rig.st.g.IsAlive(mv));
-  ASSERT_EQ(rig.st.g.InEdges(b).size(), 1u);
-  EXPECT_EQ(rig.st.g.InEdges(b)[0].src, a);
-  EXPECT_EQ(rig.st.g.InEdges(b)[0].distance, 1);
+  ASSERT_EQ(rig.InEdges(b).size(), 1u);
+  EXPECT_EQ(rig.InEdges(b)[0].src, a);
+  EXPECT_EQ(rig.InEdges(b)[0].distance, 1);
 }
 
 TEST(CommRewrite, SecondConsumerReusesScheduledChainNode) {

@@ -133,10 +133,8 @@ TEST(Lifetime, InvariantsPinRegisters) {
   MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("2C32S32/3-1"));
   DDG g;
   const std::int32_t inv = g.AddInvariant();
-  Node n;
-  n.op = OpClass::kFMul;
-  n.invariant_uses = {inv};
-  const NodeId mul = g.AddNode(std::move(n));
+  const NodeId mul = g.AddNode(OpClass::kFMul);
+  g.AddInvariantUse(mul, inv);
 
   PartialSchedule s(3);
   s.Assign(mul, {0, 1, 0, true});
@@ -151,10 +149,7 @@ TEST(Lifetime, UnscheduledInvariantUsersDoNotCount) {
   MachineConfig m = Mono();
   DDG g;
   const std::int32_t inv = g.AddInvariant();
-  Node n;
-  n.op = OpClass::kFMul;
-  n.invariant_uses = {inv};
-  g.AddNode(std::move(n));
+  g.AddInvariantUse(g.AddNode(OpClass::kFMul), inv);
   PartialSchedule s(2);
   const PressureReport pr = ComputePressure(g, s, m);
   EXPECT_EQ(pr.shared_maxlive, 0);

@@ -60,7 +60,7 @@ DDG RandomGraph(std::mt19937& rng, int nodes, int invariants) {
     std::uniform_int_distribution<int> inv_pick(0, invariants - 1);
     for (int i = 0; i < nodes; ++i) {
       if (node_pick(rng) % 3 == 0) {
-        g.node(i).invariant_uses.push_back(inv_pick(rng));
+        g.AddInvariantUse(i, inv_pick(rng));
       }
     }
   }
@@ -158,10 +158,10 @@ void RunDifferential(const std::string& rf_name, unsigned seed) {
         st.g.RemoveNode(dead);
       }
     } else if (action < 94) {
-      // Spill-engine invariant un-pinning: edit invariant_uses in place.
-      auto& uses = st.g.node(v).invariant_uses;
+      // Spill-engine invariant un-pinning.
+      const std::span<const std::int32_t> uses = st.g.InvariantUses(v);
       if (!uses.empty()) {
-        uses.erase(uses.begin());
+        st.g.RemoveInvariantUse(v, uses.front());
         st.pressure.ResyncInvariantReads(v);
       }
     } else {

@@ -213,6 +213,41 @@ TEST_F(SchedCacheTest, KeySeparatesScheduleRelevantContent) {
   EXPECT_FALSE(MakeCacheKey(loop.ddg, base, opt, ov) == key);
 }
 
+// Two loads feeding one add, inserted in the opposite order: every node's
+// out-list is the same, only the add's in-list order differs. The engine
+// reads in-lists, so the two graphs may schedule differently and must not
+// share a key, and their dumps must tell them apart.
+TEST_F(SchedCacheTest, KeySeparatesInListOrders) {
+  auto make = [](bool a_first) {
+    DDG g("two-loads");
+    const NodeId a = g.AddNode(OpClass::kLoad);
+    const NodeId b = g.AddNode(OpClass::kLoad);
+    const NodeId add = g.AddNode(OpClass::kFAdd);
+    g.AddFlow(a_first ? a : b, add, 0);
+    g.AddFlow(a_first ? b : a, add, 0);
+    return g;
+  };
+  const DDG x = make(true);
+  const DDG y = make(false);
+  for (NodeId v = 0; v < x.NumSlots(); ++v) {
+    const std::vector<Edge> out_x(x.OutEdges(v).begin(), x.OutEdges(v).end());
+    const std::vector<Edge> out_y(y.OutEdges(v).begin(), y.OutEdges(v).end());
+    ASSERT_EQ(out_x.size(), out_y.size());
+    for (size_t i = 0; i < out_x.size(); ++i) {
+      EXPECT_EQ(out_x[i].dst, out_y[i].dst);
+    }
+  }
+  EXPECT_NE(x.InEdges(2).front().src, y.InEdges(2).front().src);
+
+  const MachineConfig m = MachineConfig::Baseline();
+  EXPECT_FALSE(MakeCacheKey(x, m, {}) == MakeCacheKey(y, m, {}));
+  workload::Loop lx;
+  lx.ddg = x;
+  workload::Loop ly;
+  ly.ddg = y;
+  EXPECT_NE(io::DumpLoop(lx), io::DumpLoop(ly));
+}
+
 // Zero override entries are behaviorally inert: vectors that differ only
 // in trailing-zero padding must share a key — and, since the engine
 // canonicalizes its overrides, a padded request's fresh schedule is

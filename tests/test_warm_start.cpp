@@ -155,5 +155,38 @@ TEST(WarmStartTest, IdenticalSeedIsAcceptedAtItsII) {
   EXPECT_TRUE(v.ok) << v.error;
 }
 
+// Regression: warm-starting synth-stream-46 on 4C16S64/2-1 after raising
+// node 0's producer latency to 24 aborted the process in DDG::AddEdge. An
+// ejection had garbage-collected a StoreR chain node but kept the fix
+// record whose original edge ended at it, and a later ejection restored
+// that edge to the dead node. The seeded attempt now fails like any other
+// and the run falls back to the cold walk's bytes.
+TEST(WarmStartTest, CollectedChainNodeLeavesNoFixToUndo) {
+  const workload::Suite& synth = workload::SharedSyntheticSuite();
+  const DDG* ddg = nullptr;
+  for (size_t i = 0; i < synth.size(); ++i) {
+    if (synth[i].ddg.name() == "synth-stream-46") ddg = &synth[i].ddg;
+  }
+  ASSERT_NE(ddg, nullptr);
+  const MachineConfig m = OrgMachine("4C16S64/2-1");
+  core::MirsOptions opt;
+  const auto base =
+      std::make_shared<const core::ScheduleResult>(core::MirsHC(*ddg, m, opt));
+  ASSERT_TRUE(base->ok);
+  sched::LatencyOverrides ov;
+  ov.producer_latency.assign(static_cast<size_t>(ddg->NumSlots()), 0);
+  ov.producer_latency[0] = 24;
+
+  const core::ScheduleResult cold = core::MirsHC(*ddg, m, opt, ov);
+  ASSERT_TRUE(cold.ok);
+  EXPECT_EQ(cold.ii, 30);
+  opt.warm_start = base;
+  const core::ScheduleResult warm = core::MirsHC(*ddg, m, opt, ov);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_TRUE(warm.warm.attempted);
+  EXPECT_TRUE(warm.warm.fallback);
+  EXPECT_EQ(io::DumpResult(cold), io::DumpResult(warm));
+}
+
 }  // namespace
 }  // namespace hcrf
