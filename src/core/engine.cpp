@@ -85,28 +85,19 @@ bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
   }
 
   const Window w = st_.ComputeWindow(u);
-  // Scan direction per HRMS: top-down when predecessors anchor the node,
-  // bottom-up when only successors do. Reload-style copies (spill loads,
-  // LoadR) are also placed as late as possible even when both sides are
-  // anchored: their input lives in memory or the capacious shared bank, so
-  // a late placement minimizes the register lifetime of their value.
+  // Reload-style copies (spill loads, LoadR) are placed as late as
+  // possible even when both sides are anchored: their input lives in
+  // memory or the capacious shared bank, so a late placement minimizes the
+  // register lifetime of their value.
   const OpClass op_u = st_.g.node(u).op;
   const bool late_biased =
       op_u == OpClass::kLoadR ||
       (st_.g.node(u).spill && op_u == OpClass::kLoad);
-  // Window scans via the MRT's hoisted probe (kNoSlot and kNoCycle are the
-  // same sentinel).
+  const sched::ScanDir dir = w.Direction(late_biased);
+  const ScanRange range = w.Range(ii, dir);
+  // kNoSlot and kNoCycle are the same sentinel.
   static_assert(sched::ModuloReservationTable::kNoSlot == kNoCycle);
-  int found;
-  if (w.has_succ && (!w.has_pred || late_biased)) {
-    const int lo = w.has_pred ? std::max(w.early, w.late - ii + 1)
-                              : w.late - ii + 1;
-    found = st_.mrt->FindFirstSlotDown(needs, w.late, lo);
-  } else {
-    const int hi =
-        w.has_succ ? std::min(w.late, w.early + ii - 1) : w.early + ii - 1;
-    found = st_.mrt->FindFirstSlotUp(needs, w.early, hi);
-  }
+  const int found = st_.mrt->FindFirstSlot(needs, range.lo, range.hi, dir);
 
   if (found == kNoCycle) {
     if (!opt_.iterative) return false;
@@ -128,17 +119,8 @@ bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
     const bool desperate =
         static_cast<size_t>(u) < st_.eject_count.size() &&
         st_.eject_count[static_cast<size_t>(u)] > 12;
-    int t;
-    if (w.has_succ && (!w.has_pred || late_biased)) {
-      t = st_.prev_cycle[static_cast<size_t>(u)] == kNoCycle
-              ? w.late
-              : std::min(w.late, st_.prev_cycle[static_cast<size_t>(u)] - 1);
-      if (w.has_pred && !desperate) t = std::max(t, w.early);
-    } else {
-      t = st_.prev_cycle[static_cast<size_t>(u)] == kNoCycle
-              ? w.early
-              : std::max(w.early, st_.prev_cycle[static_cast<size_t>(u)] + 1);
-    }
+    const int t = w.ForcedCycle(dir, st_.prev_cycle[static_cast<size_t>(u)],
+                                desperate);
     // Eject resource conflicts.
     st_.mrt->ConflictingNodes(needs, t, conflicts_scratch_);
     for (NodeId victim : conflicts_scratch_) Eject(victim);
@@ -153,10 +135,7 @@ bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
       // up on this attempt (budget will drive an II bump).
       return false;
     }
-    st_.mrt->Place(u, needs, t);
-    st_.Assign(u, {t, cluster, src_cluster, true});
-    st_.MarkScheduled(u);
-    st_.prev_cycle[static_cast<size_t>(u)] = t;
+    st_.Place(u, needs, {t, cluster, src_cluster, true});
     // Eject scheduled neighbours whose dependences the forced placement
     // violates.
     violated_scratch_.clear();
@@ -175,10 +154,7 @@ bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
     for (NodeId v : violated_scratch_) Eject(v);
     instr_.NodeForced(u, ii);
   } else {
-    st_.mrt->Place(u, needs, found);
-    st_.Assign(u, {found, cluster, src_cluster, true});
-    st_.MarkScheduled(u);
-    st_.prev_cycle[static_cast<size_t>(u)] = found;
+    st_.Place(u, needs, {found, cluster, src_cluster, true});
     instr_.NodePlaced(u, ii);
   }
 
@@ -324,16 +300,6 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
     if (!comm_.EnsureCommunication(v, p.cluster)) break;
     // Chain force-placements may have ejected or garbage-collected v.
     if (!st_.g.IsAlive(v) || st_.sched->IsScheduled(v)) continue;
-    const auto needs =
-        sched::ResourceNeeds(st_.g.node(v).op, p.cluster, p.src_cluster, m_);
-    bool impossible = false;
-    for (const auto& need : needs) {
-      if (st_.mrt->Capacity(need.kind, need.cluster) <= 0) {
-        impossible = true;
-        break;
-      }
-    }
-    if (impossible) continue;
     // Re-check the dependence window under the CURRENT latencies and edges:
     // a node whose constraints changed since the seed (the perturbation
     // itself, or a neighbour the walk already skipped) is left unscheduled
@@ -341,14 +307,14 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
     const Window w = st_.ComputeWindow(v);
     if (w.has_pred && p.cycle < w.early) continue;
     if (w.has_succ && p.cycle > w.late) continue;
+    // CanPlace also fails a structurally impossible need (no unit at all).
+    const auto needs =
+        sched::ResourceNeeds(st_.g.node(v).op, p.cluster, p.src_cluster, m_);
     if (!st_.mrt->CanPlace(needs, p.cycle)) continue;
-    // Same funnel sequence as PlaceNode's free-slot path, minus the
-    // instrumentation and budget spend: replayed placements are not
-    // attempts, so ScheduleStats keeps measuring repair work only.
-    st_.mrt->Place(v, needs, p.cycle);
-    st_.Assign(v, {p.cycle, p.cluster, p.src_cluster, true});
-    st_.MarkScheduled(v);
-    st_.prev_cycle[static_cast<size_t>(v)] = p.cycle;
+    // PlaceNode's funnel, minus the instrumentation and budget spend:
+    // replayed placements are not attempts, so ScheduleStats keeps
+    // measuring repair work only.
+    st_.Place(v, needs, {p.cycle, p.cluster, p.src_cluster, true});
     ++seeded;
   }
   return seeded;

@@ -165,8 +165,8 @@ class AttemptContext : public NodePlacer {
   /// Replays `seed`'s placements that are still compatible with the
   /// current graph, machine and latencies (window re-checked against the
   /// live SchedState, so nodes whose constraints changed are skipped and
-  /// left to the repair cascade). Placements go through the SchedState
-  /// Assign funnel — the pressure tracker absorbs them as regular deltas —
+  /// left to the repair cascade). Placements go through SchedState::Place
+  /// — the pressure tracker absorbs them as regular deltas —
   /// but spend no budget and count as no attempts: ScheduleStats keeps
   /// measuring repair work only. Returns the number of seeded placements.
   int SeedFrom(const ScheduleResult& seed);

@@ -23,6 +23,10 @@ int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
   const int ii = st.ii();
   const Node& n = st.g.node(u);
   const Window w = st.ComputeWindow(u);
+  // The engine's scan rule, without its late bias for reloads: whether a
+  // slot exists does not depend on the scan direction.
+  const sched::ScanDir dir = w.Direction(/*late_biased=*/false);
+  const ScanRange range = w.Range(ii, dir);
 
   // Per-cluster usage of FUs (cheap balance proxy) and def counts
   // (register-pressure proxy), maintained incrementally by the SchedState
@@ -57,18 +61,10 @@ int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
       }
     }
     // Slot availability inside the dependence window.
-    bool free_slot = false;
-    {
-      const auto needs = sched::ResourceNeeds(n.op, c, 0, st.m);
-      const bool bottom_up = w.has_succ && !w.has_pred;
-      const int lo = bottom_up ? w.late - ii + 1 : w.early;
-      const int hi = bottom_up
-                         ? w.late
-                         : (w.has_succ ? std::min(w.late, w.early + ii - 1)
-                                       : w.early + ii - 1);
-      free_slot = st.mrt->FindFirstSlotUp(needs, lo, hi) !=
-                  sched::ModuloReservationTable::kNoSlot;
-    }
+    const bool free_slot =
+        st.mrt->FindFirstSlot(sched::ResourceNeeds(n.op, c, 0, st.m),
+                              range.lo, range.hi, dir) !=
+        sched::ModuloReservationTable::kNoSlot;
     const double fu_cap = static_cast<double>(st.m.FusPerCluster()) * ii;
     const double reg_cap =
         rf.UnboundedClusterRegs() ? 1e9 : static_cast<double>(rf.cluster_regs);
@@ -93,14 +89,17 @@ int RoundRobinClusterSelector::Select(const SchedState& st, NodeId u) {
 
 int FirstFitClusterSelector::Select(const SchedState& st, NodeId u) {
   const Node& n = st.g.node(u);
+  const Window w = st.ComputeWindow(u);
+  // Deliberately not Window::Range: the top-down range is not clipped at
+  // `late`, so a cluster whose only free row lies past the successors
+  // still counts as a fit. Clipping it changes the ablation_cluster_sel
+  // schedules and so the repro report.
+  const bool bottom_up = w.has_succ && !w.has_pred;
+  const int lo = bottom_up ? w.late - st.ii() + 1 : w.early;
+  const int hi = bottom_up ? w.late : w.early + st.ii() - 1;
   for (int c = 0; c < st.m.rf.clusters; ++c) {
-    const auto needs = sched::ResourceNeeds(n.op, c, 0, st.m);
-    const Window w = st.ComputeWindow(u);
-    const int hi =
-        w.has_succ && !w.has_pred ? w.late : w.early + st.ii() - 1;
-    const int lo =
-        w.has_succ && !w.has_pred ? w.late - st.ii() + 1 : w.early;
-    if (st.mrt->FindFirstSlotUp(needs, lo, hi) !=
+    if (st.mrt->FindFirstSlot(sched::ResourceNeeds(n.op, c, 0, st.m), lo, hi,
+                              sched::ScanDir::kUp) !=
         sched::ModuloReservationTable::kNoSlot) {
       return c;
     }

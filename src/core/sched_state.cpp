@@ -90,12 +90,22 @@ void SchedState::MarkScheduled(NodeId v) {
   }
 }
 
+void SchedState::Place(NodeId u, const sched::ResUseList& needs,
+                       sched::Placement p) {
+  mrt->Place(u, needs, p.cycle);
+  Assign(u, p);
+  MarkScheduled(u);
+  prev_cycle[static_cast<size_t>(u)] = p.cycle;
+}
+
 void SchedState::Unplace(NodeId v) {
-  if (sched->IsScheduled(v)) {
-    prev_cycle[static_cast<size_t>(v)] = sched->CycleOf(v);
-    mrt->Remove(v);
-    Unassign(v);
-  }
+  if (!sched->IsScheduled(v)) return;
+  const int cluster = sched->ClusterOf(v);
+  prev_cycle[static_cast<size_t>(v)] = sched->CycleOf(v);
+  mrt->Remove(v);
+  sched->Unassign(v);
+  BumpClusterUse(v, cluster, -1);
+  pressure.OnUnplaced(v);
 }
 
 NodeId SchedState::PickHighestPriority() const {

@@ -10,6 +10,7 @@
 // each can be tested in isolation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -32,12 +33,48 @@ inline constexpr int kNoCycle = std::numeric_limits<int>::min();
 /// back at the end of its run (engine.cpp).
 inline constexpr size_t kEjectWindow = 4096;
 
-/// Dependence window of a node w.r.t. its scheduled neighbours.
+/// Cycles lo..hi of a window scan (ModuloReservationTable::FindFirstSlot).
+struct ScanRange {
+  int lo;
+  int hi;
+};
+
+/// Dependence window of a node w.r.t. its scheduled neighbours, and the
+/// HRMS rules that turn it into a placement, each written once for both
+/// directions. kDown (bottom-up) needs has_succ.
 struct Window {
   int early = kNoCycle;  ///< max over scheduled predecessors.
   int late = kNoCycle;   ///< min over scheduled successors (kNoCycle=none).
   bool has_pred = false;
   bool has_succ = false;
+
+  /// Top-down (kUp from `early`) when predecessors anchor the node,
+  /// bottom-up (kDown from `late`) when only successors do, or when a
+  /// late-biased node has a successor.
+  sched::ScanDir Direction(bool late_biased) const {
+    return has_succ && (!has_pred || late_biased) ? sched::ScanDir::kDown
+                                                  : sched::ScanDir::kUp;
+  }
+  /// At most II cycles (the MRT is periodic in II) from the anchored edge,
+  /// clipped at the other edge when that side is anchored too.
+  ScanRange Range(int ii, sched::ScanDir dir) const {
+    if (dir == sched::ScanDir::kDown) {
+      return {has_pred ? std::max(early, late - ii + 1) : late - ii + 1, late};
+    }
+    return {early, has_succ ? std::min(late, early + ii - 1) : early + ii - 1};
+  }
+  /// A forced placement lands on the anchored edge, or one cycle past the
+  /// node's previous placement so repeated forcing makes progress. Only a
+  /// bottom-up cycle is clamped, up to `early`, when a predecessor anchors
+  /// the node and it is not `desperate`.
+  int ForcedCycle(sched::ScanDir dir, int prev_cycle, bool desperate) const {
+    if (dir == sched::ScanDir::kUp) {
+      return prev_cycle == kNoCycle ? early : std::max(early, prev_cycle + 1);
+    }
+    const int t =
+        prev_cycle == kNoCycle ? late : std::min(late, prev_cycle - 1);
+    return has_pred && !desperate ? std::max(t, early) : t;
+  }
 };
 
 struct SchedState {
@@ -79,20 +116,15 @@ struct SchedState {
 
   /// Schedule-mutation funnels: every placement and removal goes through
   /// these so the incremental pressure tracker and the per-cluster usage
-  /// counters can never miss a delta.
+  /// counters can never miss a delta. Assign writes the schedule only;
+  /// Place also reserves `needs` in the MRT at p.cycle, takes `u` off the
+  /// priority list and remembers the cycle (precondition: CanPlace).
   void Assign(NodeId u, sched::Placement p) {
     sched->Assign(u, p);
     BumpClusterUse(u, p.cluster, +1);
     pressure.OnPlaced(u);
   }
-  void Unassign(NodeId u) {
-    if (!sched->IsScheduled(u)) return;
-    const int cluster = sched->ClusterOf(u);
-    sched->Unassign(u);
-    BumpClusterUse(u, cluster, -1);
-    pressure.OnUnplaced(u);
-  }
-
+  void Place(NodeId u, const sched::ResUseList& needs, sched::Placement p);
   /// Removes `v` from the MRT and schedule, remembering its last cycle so a
   /// forced re-placement makes progress.
   void Unplace(NodeId v);
@@ -126,7 +158,7 @@ struct SchedState {
   bool churning = false;  ///< Livelocked eject ping-pong detected.
 
   /// Scheduled compute ops / cluster-bank defs per cluster, maintained by
-  /// the Assign/Unassign funnels. The balanced cluster selector's soft
+  /// the Assign/Unplace funnels. The balanced cluster selector's soft
   /// balancing terms used to rescan every slot per selection; these are
   /// the same sums kept incrementally.
   std::vector<int> cluster_fu_use;

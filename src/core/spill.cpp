@@ -32,19 +32,17 @@ void SpillEngine::SinkReloads() {
     const sched::Placement old = st_.sched->Of(v);
     const auto needs =
         sched::ResourceNeeds(n.op, old.cluster, old.src_cluster, st_.m);
-    st_.mrt->Remove(v);
-    st_.Unassign(v);
+    st_.Unplace(v);
     const Window w = st_.ComputeWindow(v);
     int t = old.cycle;
     if (w.has_succ) {
-      const int lo = w.has_pred ? std::max(w.early, w.late - ii + 1)
-                                : w.late - ii + 1;
-      const int cand = st_.mrt->FindFirstSlotDown(needs, w.late, lo);
+      const ScanRange range = w.Range(ii, sched::ScanDir::kDown);
+      const int cand = st_.mrt->FindFirstSlot(needs, range.lo, range.hi,
+                                              sched::ScanDir::kDown);
       if (cand != sched::ModuloReservationTable::kNoSlot) t = cand;
     }
     if (!st_.mrt->CanPlace(needs, t)) t = old.cycle;
-    st_.mrt->Place(v, needs, t);
-    st_.Assign(v, {t, old.cluster, old.src_cluster, true});
+    st_.Place(v, needs, {t, old.cluster, old.src_cluster, true});
   }
 }
 

@@ -486,6 +486,59 @@ struct GraphBuilder {
     }
     return g;
   }
+
+  /// Rejects distance-0 edges that close a cycle: no schedule can issue a
+  /// node before itself, and the ordering assumes the distance-0 subgraph
+  /// is acyclic. Names a node on the cycle, at the line of the cycle's
+  /// edge into it. Loops only: a result graph is the scheduler's rewrite
+  /// of a loop that passed.
+  void CheckNoZeroDistanceCycle(const Scanner& sc, const DDG& g) const {
+    // Ids that rise along every distance-0 edge already order the nodes
+    // (generated loops are numbered that way).
+    if (std::ranges::all_of(edges, [](const EdgeRec& e) {
+          return e.distance != 0 || e.src < e.dst;
+        })) {
+      return;
+    }
+    // Kahn's walk: each node it cannot free keeps a distance-0
+    // predecessor that is not freed either.
+    std::vector<int> left(static_cast<size_t>(slots), 0);
+    for (const Edge& e : g.Edges()) {
+      if (e.distance == 0) ++left[static_cast<size_t>(e.dst)];
+    }
+    std::vector<NodeId> freed;
+    for (NodeId v = 0; v < slots; ++v) {
+      if (left[static_cast<size_t>(v)] == 0) freed.push_back(v);
+    }
+    for (size_t i = 0; i < freed.size(); ++i) {
+      for (const Edge& e : g.OutEdges(freed[i])) {
+        if (e.distance == 0 && --left[static_cast<size_t>(e.dst)] == 0) {
+          freed.push_back(e.dst);
+        }
+      }
+    }
+    if (freed.size() == static_cast<size_t>(slots)) return;
+    // So `slots` steps back from a node not freed end on a cycle.
+    auto back = [&](NodeId v) {
+      for (const Edge& e : g.InEdges(v)) {
+        if (e.distance == 0 && left[static_cast<size_t>(e.src)] > 0) {
+          return e.src;
+        }
+      }
+      return kNoNode;
+    };
+    NodeId v = 0;
+    while (left[static_cast<size_t>(v)] == 0) ++v;
+    for (int step = 0; step < slots; ++step) v = back(v);
+    const NodeId u = back(v);
+    const auto edge = std::ranges::find_if(edges, [&](const EdgeRec& e) {
+      return e.src == u && e.dst == v && e.distance == 0;
+    });
+    Fail(sc.file(), edge->line,
+         "zero-distance dependence cycle through node " + std::to_string(v) +
+             " (edge " + std::to_string(u) + " -> " + std::to_string(v) +
+             ")");
+  }
 };
 
 }  // namespace
@@ -531,6 +584,7 @@ workload::Loop ParseLoop(std::string_view text, std::string_view filename) {
     const std::string_view d = tl.toks[0];
     if (d == "end") {
       loop.ddg = gb.Build(sc, tl.number);
+      gb.CheckNoZeroDistanceCycle(sc, loop.ddg);
       if (!sc.Done()) {
         Fail(sc.file(), sc.Peek().number, "content after 'end'");
       }

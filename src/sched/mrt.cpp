@@ -168,9 +168,10 @@ bool ModuloReservationTable::Fits(const HoistedNeeds& h, int t) const {
   return true;
 }
 
-template <int N>
-int ModuloReservationTable::ScanRowsFwd(const HoistedNeeds& h, int r0,
-                                        int len) const {
+template <int N, ScanDir D>
+int ModuloReservationTable::ScanRows(const HoistedNeeds& h, int r0,
+                                     int len) const {
+  constexpr int step = D == ScanDir::kUp ? 1 : -1;
   const int* cnt[N];
   int cap[N];
   for (int i = 0; i < N; ++i) {
@@ -180,15 +181,19 @@ int ModuloReservationTable::ScanRowsFwd(const HoistedNeeds& h, int r0,
   int done = 0;
   int r = r0;
   while (done < len) {
-    // Rows are contiguous until the kernel wraps at II-1.
-    const int seg = std::min(len - done, ii_ - r);
+    // Rows are contiguous until the walk wraps: past II-1 upward, below 0
+    // downward.
+    const int seg =
+        std::min(len - done, D == ScanDir::kUp ? ii_ - r : r + 1);
     int j = 0;
     for (; j + 8 <= seg; j += 8) {
+      // Bit b maps to the b-th step of the walk, so the lowest set bit is
+      // the first hit in either direction.
       unsigned mask = 0;
       for (int b = 0; b < 8; ++b) {
         unsigned fit = 1;
         for (int i = 0; i < N; ++i) {
-          fit &= static_cast<unsigned>(cnt[i][r + j + b] < cap[i]);
+          fit &= static_cast<unsigned>(cnt[i][r + step * (j + b)] < cap[i]);
         }
         mask |= fit << b;
       }
@@ -196,61 +201,25 @@ int ModuloReservationTable::ScanRowsFwd(const HoistedNeeds& h, int r0,
     }
     for (; j < seg; ++j) {
       bool fit = true;
-      for (int i = 0; i < N; ++i) fit = fit && cnt[i][r + j] < cap[i];
+      for (int i = 0; i < N; ++i) fit = fit && cnt[i][r + step * j] < cap[i];
       if (fit) return done + j;
     }
     done += seg;
-    r = 0;
+    r = D == ScanDir::kUp ? 0 : ii_ - 1;
   }
   return -1;
 }
 
-template <int N>
-int ModuloReservationTable::ScanRowsBwd(const HoistedNeeds& h, int r0,
-                                        int len) const {
-  const int* cnt[N];
-  int cap[N];
-  for (int i = 0; i < N; ++i) {
-    cnt[i] = count_.data() + h.bases[i];
-    cap[i] = h.caps[i];
-  }
-  int done = 0;
-  int r = r0;
-  while (done < len) {
-    // Rows are contiguous down to 0, then wrap to II-1.
-    const int seg = std::min(len - done, r + 1);
-    int j = 0;
-    for (; j + 8 <= seg; j += 8) {
-      unsigned mask = 0;
-      for (int b = 0; b < 8; ++b) {
-        unsigned fit = 1;
-        for (int i = 0; i < N; ++i) {
-          fit &= static_cast<unsigned>(cnt[i][r - j - b] < cap[i]);
-        }
-        mask |= fit << b;
-      }
-      // Bit b maps to the b-th step of the descending walk, so the lowest
-      // set bit is the first (highest-cycle) hit.
-      if (mask != 0) return done + j + std::countr_zero(mask);
-    }
-    for (; j < seg; ++j) {
-      bool fit = true;
-      for (int i = 0; i < N; ++i) fit = fit && cnt[i][r - j] < cap[i];
-      if (fit) return done + j;
-    }
-    done += seg;
-    r = ii_ - 1;
-  }
-  return -1;
-}
-
-int ModuloReservationTable::FindFirstSlotUp(std::span<const ResUse> needs,
-                                            int lo, int hi) const {
+int ModuloReservationTable::FindFirstSlot(std::span<const ResUse> needs,
+                                          int lo, int hi, ScanDir dir) const {
   HoistedNeeds h;
   if (lo > hi || !Hoist(needs, h)) return kNoSlot;
-  if (h.n == 0) return lo;
+  const bool up = dir == ScanDir::kUp;
+  const int start = up ? lo : hi;
+  const int step = up ? 1 : -1;
+  if (h.n == 0) return start;
   // Occupancy is read mod II, so a candidate at t fits iff t - II did: only
-  // the first II cycles of the range can differ, and the first fit (if any)
+  // the first II cycles of the walk can differ, and the first fit (if any)
   // lies among them.
   const int len = static_cast<int>(
       std::min<long long>(static_cast<long long>(hi) - lo + 1, ii_));
@@ -259,42 +228,28 @@ int ModuloReservationTable::FindFirstSlotUp(std::span<const ResUse> needs,
   if (!pipelined) {
     // Unpipelined FU needs probe a row range per candidate; keep the
     // scalar hoisted probe (rare: only multi-cycle unpipelined ops).
-    for (int t = lo; t < lo + len; ++t) {
-      if (Fits(h, t)) return t;
+    for (int k = 0; k < len; ++k) {
+      if (Fits(h, start + step * k)) return start + step * k;
     }
     return kNoSlot;
   }
+  const int r0 = Row(start);
   int k;
   switch (h.n) {
-    case 1: k = ScanRowsFwd<1>(h, Row(lo), len); break;
-    case 2: k = ScanRowsFwd<2>(h, Row(lo), len); break;
-    default: k = ScanRowsFwd<3>(h, Row(lo), len); break;
+    case 1:
+      k = up ? ScanRows<1, ScanDir::kUp>(h, r0, len)
+             : ScanRows<1, ScanDir::kDown>(h, r0, len);
+      break;
+    case 2:
+      k = up ? ScanRows<2, ScanDir::kUp>(h, r0, len)
+             : ScanRows<2, ScanDir::kDown>(h, r0, len);
+      break;
+    default:
+      k = up ? ScanRows<3, ScanDir::kUp>(h, r0, len)
+             : ScanRows<3, ScanDir::kDown>(h, r0, len);
+      break;
   }
-  return k < 0 ? kNoSlot : lo + k;
-}
-
-int ModuloReservationTable::FindFirstSlotDown(std::span<const ResUse> needs,
-                                              int hi, int lo) const {
-  HoistedNeeds h;
-  if (hi < lo || !Hoist(needs, h)) return kNoSlot;
-  if (h.n == 0) return hi;
-  const int len = static_cast<int>(
-      std::min<long long>(static_cast<long long>(hi) - lo + 1, ii_));
-  bool pipelined = true;
-  for (size_t i = 0; i < h.n; ++i) pipelined = pipelined && h.durs[i] == 1;
-  if (!pipelined) {
-    for (int t = hi; t > hi - len; --t) {
-      if (Fits(h, t)) return t;
-    }
-    return kNoSlot;
-  }
-  int k;
-  switch (h.n) {
-    case 1: k = ScanRowsBwd<1>(h, Row(hi), len); break;
-    case 2: k = ScanRowsBwd<2>(h, Row(hi), len); break;
-    default: k = ScanRowsBwd<3>(h, Row(hi), len); break;
-  }
-  return k < 0 ? kNoSlot : hi - k;
+  return k < 0 ? kNoSlot : start + step * k;
 }
 
 void ModuloReservationTable::Place(NodeId node, const ResUseList& needs,

@@ -15,8 +15,10 @@
 //   kBus         global          inter-cluster buses (nb)
 //
 // The table sits on the scheduler's hottest path (every placement probe of
-// the iterative engine scans candidate cycles through CanPlace), so it is
-// built from flat tables that a rebind reuses: resource needs are
+// the iterative engine scans a window of candidate cycles, top-down or
+// bottom-up, through FindFirstSlot: one routine for both directions, each
+// compiled to its own unrolled row scan), so it is built from flat tables
+// that a rebind reuses: resource needs are
 // fixed-capacity inline arrays (ResUseList), occupancy counts live in one
 // flat row-major int array indexed by a precomputed (kind, cluster) base,
 // and per-node placement records are a flat vector instead of a hash map.
@@ -48,6 +50,11 @@ enum class ResKind : std::uint8_t {
   kBus,
 };
 inline constexpr int kNumResKinds = 7;
+
+/// Direction of a window scan: up from the window's low end (HRMS
+/// top-down placement, after the predecessors) or down from its high end
+/// (bottom-up, before the successors).
+enum class ScanDir : std::uint8_t { kUp, kDown };
 
 std::string_view ToString(ResKind kind);
 
@@ -111,16 +118,17 @@ class ModuloReservationTable {
   /// Returned by FindFirstSlot when no cycle in the range fits.
   static constexpr int kNoSlot = std::numeric_limits<int>::min();
 
-  /// Window scans of the placement loop. Exactly equivalent to calling
-  /// CanPlace on lo..hi ascending (Up) / hi..lo descending (Down); an
-  /// inverted range (lo > hi) finds nothing. Internally the scans exploit
-  /// that CanPlace is periodic in the cycle with period II (only the first
-  /// II candidates of any range can differ) and, for pipelined needs
-  /// (every duration 1), run as branchless 8-wide blocked row scans that
-  /// build a fit mask per block and extract the first hit with countr_zero
-  /// — the per-use capacity/base lookups hoisted out of the probe.
-  int FindFirstSlotUp(std::span<const ResUse> needs, int lo, int hi) const;
-  int FindFirstSlotDown(std::span<const ResUse> needs, int hi, int lo) const;
+  /// The first cycle of lo..hi where CanPlace holds, walking up from `lo`
+  /// (kUp) or down from `hi` (kDown); an inverted range (lo > hi) finds
+  /// nothing. Exactly equivalent to calling CanPlace cycle by cycle.
+  /// Internally the scan exploits that CanPlace is periodic in the cycle
+  /// with period II (only the first II candidates of any walk can differ)
+  /// and, for pipelined needs (every duration 1), runs as a branchless
+  /// 8-wide blocked row scan that builds a fit mask per block and extracts
+  /// the first hit with countr_zero — the per-use capacity/base lookups
+  /// hoisted out of the probe. Each direction compiles to its own loop.
+  int FindFirstSlot(std::span<const ResUse> needs, int lo, int hi,
+                    ScanDir dir) const;
 
   /// Records the placement. Precondition: CanPlace (checked in debug).
   void Place(NodeId node, const ResUseList& needs, int cycle);
@@ -171,15 +179,13 @@ class ModuloReservationTable {
                              std::vector<NodeId>& result) const;
   bool Fits(const HoistedNeeds& h, int t) const;
 
-  /// Blocked row scans behind FindFirstSlotUp/Down for all-duration-1
-  /// needs, specialized on the use count so the inner probe unrolls flat.
-  /// Walk `len` rows (len <= II) from row `r0` forward (wrapping past
-  /// II-1) / backward (wrapping below 0); return the step count of the
-  /// first row where every use has headroom, or -1.
-  template <int N>
-  int ScanRowsFwd(const HoistedNeeds& h, int r0, int len) const;
-  template <int N>
-  int ScanRowsBwd(const HoistedNeeds& h, int r0, int len) const;
+  /// Blocked row scan behind FindFirstSlot for all-duration-1 needs,
+  /// specialized on the use count so the inner probe unrolls flat. Walks
+  /// `len` rows (len <= II) from row `r0` in direction D, wrapping around
+  /// the kernel; returns the step count of the first row where every use
+  /// has headroom, or -1.
+  template <int N, ScanDir D>
+  int ScanRows(const HoistedNeeds& h, int r0, int len) const;
 
   /// Flat index of (kind, cluster) row 0; rows are contiguous per unit.
   size_t Base(ResKind kind, int cluster) const {

@@ -10,15 +10,15 @@ namespace hcrf::sched {
 
 namespace {
 
-// Longest distance-0 paths into ws.depth / ws.height (see DepthHeight).
+// Longest distance-0 paths into ws.depth / ws.height.
 void DepthHeightInto(const DDG& g, const LatencyTable& lat,
                      OrderingScratch& ws) {
   const size_t n = static_cast<size_t>(g.NumSlots());
   ws.depth.assign(n, 0);
   ws.height.assign(n, 0);
 
-  // Topological order of the distance-0 subgraph (acyclic by construction:
-  // a valid loop has no zero-distance dependence cycles).
+  // Topological order of the distance-0 subgraph (acyclic: the generators
+  // never close a zero-distance cycle, and the strict loader rejects one).
   std::vector<int>& indeg = ws.indeg;
   indeg.assign(n, 0);
   for (NodeId v = 0; v < g.NumSlots(); ++v) {
@@ -53,6 +53,13 @@ void DepthHeightInto(const DDG& g, const LatencyTable& lat,
   }
 }
 
+// A forward (top-down) walk follows out-edges to their destinations, a
+// backward (bottom-up) one in-edges to their sources.
+EdgeView Ahead(const DDG& g, NodeId v, bool forward) {
+  return forward ? g.OutEdges(v) : g.InEdges(v);
+}
+NodeId Far(const Edge& e, bool forward) { return forward ? e.dst : e.src; }
+
 // Reachability (over all edges, any distance) from `seeds` in the given
 // direction, as a membership bitmap in `seen`.
 void Reach(const DDG& g, const std::vector<char>& seeds, bool forward,
@@ -63,10 +70,8 @@ void Reach(const DDG& g, const std::vector<char>& seeds, bool forward,
     if (seeds[static_cast<size_t>(v)]) queue.push_back(v);
   }
   for (size_t head = 0; head < queue.size(); ++head) {
-    const NodeId v = queue[head];
-    const EdgeView edges = forward ? g.OutEdges(v) : g.InEdges(v);
-    for (const Edge& e : edges) {
-      const NodeId w = forward ? e.dst : e.src;
+    for (const Edge& e : Ahead(g, queue[head], forward)) {
+      const NodeId w = Far(e, forward);
       if (!seen[static_cast<size_t>(w)]) {
         seen[static_cast<size_t>(w)] = 1;
         queue.push_back(w);
@@ -76,12 +81,6 @@ void Reach(const DDG& g, const std::vector<char>& seeds, bool forward,
 }
 
 }  // namespace
-
-DepthHeight ComputeDepthHeight(const DDG& g, const LatencyTable& lat) {
-  OrderingScratch ws;
-  DepthHeightInto(g, lat, ws);
-  return DepthHeight{std::move(ws.depth), std::move(ws.height)};
-}
 
 std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat) {
   OrderingScratch ws;
@@ -171,7 +170,16 @@ void HrmsOrder(const DDG& g, const LatencyTable& lat, OrderingScratch& ws,
   ordered.assign(n, 0);
   std::vector<char>& member = ws.member;
   member.assign(n, 0);
+  std::vector<char>& queued = ws.queued;
+  queued.assign(n, 0);
   std::vector<NodeId>& r = ws.ready;
+  r.clear();
+  auto push = [&](NodeId v) {
+    if (!queued[static_cast<size_t>(v)]) {
+      queued[static_cast<size_t>(v)] = 1;
+      r.push_back(v);
+    }
+  };
 
   for (size_t k = 0; k + 1 < ws.set_offsets.size(); ++k) {
     const std::span<const NodeId> s(ws.set_nodes.data() + ws.set_offsets[k],
@@ -179,111 +187,76 @@ void HrmsOrder(const DDG& g, const LatencyTable& lat, OrderingScratch& ws,
     for (NodeId v : s) member[static_cast<size_t>(v)] = 1;
     size_t remaining = s.size();
 
-    auto append_preds_of_ordered = [&]() {
+    // A sweep starts from the unordered nodes one edge behind an ordered
+    // node: the nodes feeding it bottom-up, the nodes it feeds top-down.
+    auto append_next_to_ordered = [&](bool top_down) {
       for (NodeId v : s) {
         if (ordered[static_cast<size_t>(v)]) continue;
-        for (const Edge& e : g.OutEdges(v)) {
-          if (ordered[static_cast<size_t>(e.dst)]) {
-            r.push_back(v);
+        for (const Edge& e : Ahead(g, v, !top_down)) {
+          if (ordered[static_cast<size_t>(Far(e, !top_down))]) {
+            push(v);
             break;
           }
         }
       }
     };
-    auto append_succs_of_ordered = [&]() {
-      for (NodeId v : s) {
-        if (ordered[static_cast<size_t>(v)]) continue;
-        for (const Edge& e : g.InEdges(v)) {
-          if (ordered[static_cast<size_t>(e.src)]) {
-            r.push_back(v);
-            break;
+    // Pops the ready node with the greatest height (top-down) or depth
+    // (bottom-up), the lowest id on a tie, and queues its unordered
+    // successors (predecessors) in the set, until the list drains. Each
+    // pop is the maximum of a total order over distinct nodes, so the
+    // list's own order does not matter.
+    auto sweep = [&](bool top_down) {
+      const std::vector<long>& key = top_down ? height : depth;
+      while (!r.empty()) {
+        auto it = std::max_element(r.begin(), r.end(), [&](NodeId a, NodeId b) {
+          if (key[static_cast<size_t>(a)] != key[static_cast<size_t>(b)]) {
+            return key[static_cast<size_t>(a)] < key[static_cast<size_t>(b)];
+          }
+          return a > b;
+        });
+        const NodeId v = *it;
+        *it = r.back();
+        r.pop_back();
+        queued[static_cast<size_t>(v)] = 0;
+        ordered[static_cast<size_t>(v)] = 1;
+        order.push_back(v);
+        --remaining;
+        for (const Edge& e : Ahead(g, v, top_down)) {
+          const NodeId w = Far(e, top_down);
+          if (member[static_cast<size_t>(w)] &&
+              !ordered[static_cast<size_t>(w)]) {
+            push(w);
           }
         }
       }
     };
 
     while (remaining > 0) {
-      bool top_down = true;
-      r.clear();
-      append_preds_of_ordered();
-      if (!r.empty()) {
-        top_down = false;  // these feed ordered nodes: go bottom-up
-      } else {
-        append_succs_of_ordered();
-        if (!r.empty()) {
-          top_down = true;
-        } else {
-          // Fresh seed: the unordered node with the greatest height
-          // (critical source first).
-          NodeId best = kNoNode;
-          for (NodeId v : s) {
-            if (ordered[static_cast<size_t>(v)]) continue;
-            if (best == kNoNode ||
-                height[static_cast<size_t>(v)] >
-                    height[static_cast<size_t>(best)]) {
-              best = v;
-            }
-          }
-          r.push_back(best);
-          top_down = true;
-        }
+      // Bottom-up from the nodes feeding ordered ones, else top-down from
+      // the nodes they feed, else top-down from a fresh seed: the
+      // unordered node with the greatest height (critical source first).
+      bool top_down = false;
+      append_next_to_ordered(top_down);
+      if (r.empty()) {
+        top_down = true;
+        append_next_to_ordered(top_down);
       }
-
-      while (!r.empty()) {
-        if (top_down) {
-          while (!r.empty()) {
-            // Max height first (keeps critical paths tight).
-            auto it = std::max_element(
-                r.begin(), r.end(), [&](NodeId a, NodeId b) {
-                  if (height[static_cast<size_t>(a)] !=
-                      height[static_cast<size_t>(b)]) {
-                    return height[static_cast<size_t>(a)] <
-                           height[static_cast<size_t>(b)];
-                  }
-                  return a > b;
-                });
-            const NodeId v = *it;
-            r.erase(it);
-            if (ordered[static_cast<size_t>(v)]) continue;
-            ordered[static_cast<size_t>(v)] = 1;
-            order.push_back(v);
-            --remaining;
-            for (const Edge& e : g.OutEdges(v)) {
-              if (member[static_cast<size_t>(e.dst)] &&
-                  !ordered[static_cast<size_t>(e.dst)]) {
-                r.push_back(e.dst);
-              }
-            }
+      if (r.empty()) {
+        NodeId best = kNoNode;
+        for (NodeId v : s) {
+          if (ordered[static_cast<size_t>(v)]) continue;
+          if (best == kNoNode ||
+              height[static_cast<size_t>(v)] >
+                  height[static_cast<size_t>(best)]) {
+            best = v;
           }
-          top_down = false;
-          append_preds_of_ordered();
-        } else {
-          while (!r.empty()) {
-            auto it = std::max_element(
-                r.begin(), r.end(), [&](NodeId a, NodeId b) {
-                  if (depth[static_cast<size_t>(a)] !=
-                      depth[static_cast<size_t>(b)]) {
-                    return depth[static_cast<size_t>(a)] <
-                           depth[static_cast<size_t>(b)];
-                  }
-                  return a > b;
-                });
-            const NodeId v = *it;
-            r.erase(it);
-            if (ordered[static_cast<size_t>(v)]) continue;
-            ordered[static_cast<size_t>(v)] = 1;
-            order.push_back(v);
-            --remaining;
-            for (const Edge& e : g.InEdges(v)) {
-              if (member[static_cast<size_t>(e.src)] &&
-                  !ordered[static_cast<size_t>(e.src)]) {
-                r.push_back(e.src);
-              }
-            }
-          }
-          top_down = true;
-          append_succs_of_ordered();
         }
+        push(best);
+      }
+      while (!r.empty()) {
+        sweep(top_down);
+        top_down = !top_down;
+        append_next_to_ordered(top_down);
       }
     }
     for (NodeId v : s) member[static_cast<size_t>(v)] = 0;

@@ -9,7 +9,11 @@
 // (same research group, equivalent intent): recurrence sets sorted by
 // RecMII descending, each set extended with the nodes on paths to the
 // previously ordered sets, inner ordering by alternating top-down /
-// bottom-up sweeps prioritized by depth/height.
+// bottom-up sweeps. One sweep routine serves both directions: top-down
+// follows successors and pops the greatest height first, bottom-up follows
+// predecessors and pops the greatest depth first, the lowest id on a tie.
+// The ready list holds each node at most once, so parallel or dense edges
+// cost one visit per edge, not one queued entry per edge.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +33,8 @@ std::vector<NodeId> HrmsOrder(const DDG& g, const LatencyTable& lat);
 /// scratch the ordering allocates nothing.
 struct OrderingScratch {
   GraphScratch graph;
+  /// Longest path (sum of latencies over distance-0 edges) from the
+  /// sources to each node, and from each node to the sinks.
   std::vector<long> depth;
   std::vector<long> height;
   std::vector<int> indeg;
@@ -48,20 +54,14 @@ struct OrderingScratch {
   std::vector<NodeId> queue;
   std::vector<char> ordered;
   std::vector<char> member;
+  /// The sweep's ready list; `queued` marks its members, so it holds each
+  /// node at most once.
   std::vector<NodeId> ready;
+  std::vector<char> queued;
 };
 
 /// HrmsOrder(g, lat) into `order`, reusing `ws`.
 void HrmsOrder(const DDG& g, const LatencyTable& lat, OrderingScratch& ws,
                std::vector<NodeId>& order);
-
-/// Longest path (sum of latencies over distance-0 edges) from sources to
-/// each node ("depth") and to sinks ("height"); used by the ordering and
-/// by the schedulers' start-cycle estimates.
-struct DepthHeight {
-  std::vector<long> depth;
-  std::vector<long> height;
-};
-DepthHeight ComputeDepthHeight(const DDG& g, const LatencyTable& lat);
 
 }  // namespace hcrf::sched

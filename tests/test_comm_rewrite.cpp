@@ -37,33 +37,15 @@ class TestPlacer : public NodePlacer {
     const auto needs =
         sched::ResourceNeeds(st_.g.node(u).op, cluster, src_cluster, st_.m);
     const Window w = st_.ComputeWindow(u);
-    const int ii = st_.ii();
-    if (w.has_succ && !w.has_pred) {
-      for (int t = w.late; t >= w.late - ii + 1; --t) {
-        if (st_.mrt->CanPlace(needs, t)) return Put(u, needs, t, cluster,
-                                                    src_cluster);
-      }
-      return false;
-    }
-    const int hi =
-        w.has_succ ? std::min(w.late, w.early + ii - 1) : w.early + ii - 1;
-    for (int t = w.early; t <= hi; ++t) {
-      if (st_.mrt->CanPlace(needs, t)) return Put(u, needs, t, cluster,
-                                                  src_cluster);
-    }
-    return false;
-  }
-
- private:
-  bool Put(NodeId u, const sched::ResUseList& needs, int t,
-           int cluster, int src_cluster) {
-    st_.mrt->Place(u, needs, t);
-    st_.Assign(u, {t, cluster, src_cluster, true});
-    st_.MarkScheduled(u);
-    st_.prev_cycle[static_cast<size_t>(u)] = t;
+    const sched::ScanDir dir = w.Direction(/*late_biased=*/false);
+    const ScanRange range = w.Range(st_.ii(), dir);
+    const int t = st_.mrt->FindFirstSlot(needs, range.lo, range.hi, dir);
+    if (t == sched::ModuloReservationTable::kNoSlot) return false;
+    st_.Place(u, needs, {t, cluster, src_cluster, true});
     return true;
   }
 
+ private:
   SchedState& st_;
 };
 

@@ -197,6 +197,29 @@ TEST(HclErrors, ZeroDistanceSelfEdgeIsRejected) {
             4);
 }
 
+TEST(HclErrors, ZeroDistanceCycleIsRejectedAtAnEdgeOnIt) {
+  // 1 -> 2 -> 1 closes at distance 0: no schedule can order it. The error
+  // names a node on the cycle at the line of the cycle's edge into it.
+  const std::string text =
+      "hcl 1 loop\nslots 4\nnode 0 load\nnode 1 fadd\nnode 2 fmul\n"
+      "node 3 store\nedge 0 1 flow 0\nedge 1 2 flow 0\nedge 2 1 mem 0\n"
+      "edge 2 3 flow 0\nedge 3 0 mem 1\nend\n";
+  EXPECT_EQ(LineOfFailure(text), 9);
+  try {
+    io::ParseLoop(text, "<test>");
+    FAIL() << "expected HclError";
+  } catch (const io::HclError& e) {
+    EXPECT_NE(
+        e.message().find("zero-distance dependence cycle through node 1"),
+        std::string::npos)
+        << e.message();
+  }
+  // The same cycle carried by one iteration is a recurrence, and legal.
+  EXPECT_NO_THROW(io::ParseLoop(
+      "hcl 1 loop\nslots 2\nnode 0 fadd\nnode 1 fadd\nedge 0 1 flow 0\n"
+      "edge 1 0 flow 1\nend\n"));
+}
+
 TEST(HclErrors, UnknownDependenceKindIsRejected) {
   EXPECT_EQ(LineOfFailure("hcl 1 loop\nslots 2\nnode 0 fadd\nnode 1 fadd\n"
                           "edge 0 1 sideways 0\nend\n"),

@@ -129,7 +129,7 @@ TEST(MRT, RejectsBadII) {
 }
 
 // ---------------------------------------------------------------------------
-// FindFirstSlotUp/Down vs the CanPlace-by-CanPlace definition
+// FindFirstSlot up/down vs the CanPlace-by-CanPlace definition
 // ---------------------------------------------------------------------------
 
 // The pre-optimization definition of the window scans. The blocked
@@ -194,9 +194,10 @@ TEST(MRT, RandomizedScanEquivalence) {
       const int lo = static_cast<int>(rng() % (4 * ii + 7)) - 2 * ii - 3;
       const int width = static_cast<int>(rng() % (3 * ii + 5)) - 2;
       const int hi = lo + width;
-      EXPECT_EQ(mrt.FindFirstSlotUp(needs, lo, hi), RefUp(mrt, needs, lo, hi))
+      EXPECT_EQ(mrt.FindFirstSlot(needs, lo, hi, ScanDir::kUp),
+                RefUp(mrt, needs, lo, hi))
           << "up ii=" << ii << " lo=" << lo << " hi=" << hi;
-      EXPECT_EQ(mrt.FindFirstSlotDown(needs, hi, lo),
+      EXPECT_EQ(mrt.FindFirstSlot(needs, lo, hi, ScanDir::kDown),
                 RefDown(mrt, needs, hi, lo))
           << "down ii=" << ii << " lo=" << lo << " hi=" << hi;
     }
@@ -217,16 +218,16 @@ TEST(MRT, ScansOnFullySaturatedTable) {
       while (mrt.CanPlace(ld, t)) mrt.Place(next++, ld, t);
     }
     for (const auto& needs : {fu, ld}) {
-      EXPECT_EQ(mrt.FindFirstSlotUp(needs, 0, 10 * ii),
+      EXPECT_EQ(mrt.FindFirstSlot(needs, 0, 10 * ii, ScanDir::kUp),
                 ModuloReservationTable::kNoSlot);
-      EXPECT_EQ(mrt.FindFirstSlotDown(needs, 10 * ii, -10 * ii),
+      EXPECT_EQ(mrt.FindFirstSlot(needs, -10 * ii, 10 * ii, ScanDir::kDown),
                 ModuloReservationTable::kNoSlot);
-      EXPECT_EQ(mrt.FindFirstSlotUp(needs, -3, -3),
+      EXPECT_EQ(mrt.FindFirstSlot(needs, -3, -3, ScanDir::kUp),
                 ModuloReservationTable::kNoSlot);
     }
     // Empty needs still fit everywhere.
-    EXPECT_EQ(mrt.FindFirstSlotUp(ResUseList{}, -5, 5), -5);
-    EXPECT_EQ(mrt.FindFirstSlotDown(ResUseList{}, 5, -5), 5);
+    EXPECT_EQ(mrt.FindFirstSlot(ResUseList{}, -5, 5, ScanDir::kUp), -5);
+    EXPECT_EQ(mrt.FindFirstSlot(ResUseList{}, -5, 5, ScanDir::kDown), 5);
   }
 }
 
@@ -243,14 +244,16 @@ TEST(MRT, ScanWindowClampMatchesPeriodicity) {
     if (t == 3) continue;  // leave row 3 open
     while (mrt.CanPlace(fu, t)) mrt.Place(next++, fu, t);
   }
-  EXPECT_EQ(mrt.FindFirstSlotUp(fu, 0, 100), 3);
-  EXPECT_EQ(mrt.FindFirstSlotUp(fu, 4, 100), 8);    // next wrap of row 3
-  EXPECT_EQ(mrt.FindFirstSlotUp(fu, -9, 100), -7);  // -7 mod 5 == 3
-  EXPECT_EQ(mrt.FindFirstSlotDown(fu, 100, 0), 98);
-  EXPECT_EQ(mrt.FindFirstSlotDown(fu, 2, -100), -2);
+  EXPECT_EQ(mrt.FindFirstSlot(fu, 0, 100, ScanDir::kUp), 3);
+  EXPECT_EQ(mrt.FindFirstSlot(fu, 4, 100, ScanDir::kUp), 8);  // row 3 again
+  EXPECT_EQ(mrt.FindFirstSlot(fu, -9, 100, ScanDir::kUp), -7);  // -7 mod 5 == 3
+  EXPECT_EQ(mrt.FindFirstSlot(fu, 0, 100, ScanDir::kDown), 98);
+  EXPECT_EQ(mrt.FindFirstSlot(fu, -100, 2, ScanDir::kDown), -2);
   // The clamp must not skip candidates of a window shorter than II.
-  EXPECT_EQ(mrt.FindFirstSlotUp(fu, 0, 2), ModuloReservationTable::kNoSlot);
-  EXPECT_EQ(mrt.FindFirstSlotDown(fu, 2, 0), ModuloReservationTable::kNoSlot);
+  EXPECT_EQ(mrt.FindFirstSlot(fu, 0, 2, ScanDir::kUp),
+            ModuloReservationTable::kNoSlot);
+  EXPECT_EQ(mrt.FindFirstSlot(fu, 0, 2, ScanDir::kDown),
+            ModuloReservationTable::kNoSlot);
 }
 
 

@@ -36,13 +36,20 @@ mode it guards against:
                   closing mid-write yields EPIPE instead of SIGPIPE.
   placement-funnel
                   Every engine placement/removal must ride the
-                  SchedState::Assign/Unassign funnels, which feed the
-                  incremental pressure tracker and the cluster usage
+                  SchedState funnels (Assign, Place, Unplace). They feed
+                  the incremental pressure tracker and the cluster usage
                   counters — a direct PartialSchedule::Assign/Unassign
                   (`sched->Assign(...)`, `schedule.Assign(...)`) outside
-                  src/sched/ silently desyncs both. Warm-start seeding
-                  made this an explicit rule: replayed seed placements
-                  are ordinary placements and must be funneled too.
+                  src/sched/ silently desyncs both. Place/Unplace also
+                  pair the reservation-table write with the schedule
+                  write and the priority-list and forced-placement
+                  bookkeeping — a direct `mrt->Place(...)`/
+                  `mrt->Remove(...)` outside src/sched/ and
+                  core/sched_state.{h,cpp} can leave a reservation
+                  without its placement or the reverse.
+                  Warm-start seeding made this an explicit rule: replayed
+                  seed placements are ordinary placements and must be
+                  funneled too.
   header-compile  Every header under src/ must compile on its own (a
                   header that leans on its includer's includes breaks the
                   next refactor).
@@ -99,20 +106,26 @@ SOCKET_ALLOWLIST = {
 # Raw thread construction is the thread-pool layer's privilege.
 NAKED_THREAD_ALLOWED_DIRS = ("src/perf/",)
 
-# Direct placement-table writes are the schedule layer's privilege; the
-# engine goes through the SchedState funnels so the pressure tracker and
-# cluster counters never miss a delta.
+# Direct placement-table and reservation-table writes are the schedule
+# layer's privilege; the engine goes through the SchedState funnels so the
+# pressure tracker, cluster counters and reservations never miss a delta.
 PLACEMENT_FUNNEL_ALLOWLIST = {
     "src/core/sched_state.h":
-        "the funnels themselves: SchedState::Assign/Unassign wrap the "
+        "the funnels themselves: SchedState::Assign wraps the "
         "placement-table write with the pressure-tracker and cluster-"
         "counter deltas every other engine layer must ride through",
+    "src/core/sched_state.cpp":
+        "the funnels' bodies: SchedState::Place/Unplace pair the "
+        "reservation-table write with the schedule write and its "
+        "pressure-tracker and cluster-counter deltas",
     "src/io/hcl.cpp":
         "deserialization: rebuilding a PartialSchedule from a parsed "
         "result document, where no SchedState (and nothing incremental "
         "to desync) exists",
 }
 PLACEMENT_FUNNEL_ALLOWED_DIRS = ("src/sched/",)
+# The reservation-table half of the rule allows only the funnel files.
+MRT_FUNNEL_FILES = ("src/core/sched_state.h", "src/core/sched_state.cpp")
 
 SOURCE_EXTENSIONS = (".h", ".cpp")
 
@@ -254,7 +267,15 @@ class Linter:
                     self.report(rel, lineno, "placement-funnel",
                                 "direct PartialSchedule placement write "
                                 "outside sched/; go through the "
-                                "SchedState::Assign/Unassign funnels")
+                                "SchedState::Assign/Place/Unplace funnels")
+            if (not rel.startswith(PLACEMENT_FUNNEL_ALLOWED_DIRS)
+                    and rel not in MRT_FUNNEL_FILES):
+                if re.search(r"\bmrt\s*(?:->|\.)\s*(?:Place|Remove)\s*\(",
+                             line):
+                    self.report(rel, lineno, "placement-funnel",
+                                "direct reservation-table write outside "
+                                "sched/; go through the "
+                                "SchedState::Place/Unplace funnels")
             if rel not in SOCKET_ALLOWLIST:
                 if re.search(r"#\s*include\s*<sys/(socket|un)\.h>", line):
                     self.report(rel, lineno, "raw-socket",
