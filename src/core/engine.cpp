@@ -101,13 +101,7 @@ bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
 
   if (found == kNoCycle) {
     if (!opt_.iterative) return false;
-    // Lazily armed: this runs once per forced placement (ejection-heavy
-    // organizations force hundreds of thousands per second), so the
-    // untraced path must pay one relaxed load, not a span's member setup.
-    std::optional<obs::TraceSpan> cascade_span;
-    if (obs::TraceEnabled()) {
-      cascade_span.emplace("phase", "eject-cascade", ii, u);
-    }
+    const obs::Phase cascade_phase({"phase", "eject-cascade"}, ii, u);
     // Force placement. Following iterative modulo scheduling, the forced
     // cycle advances past the previous placement of the node so repeated
     // forcing makes progress.
@@ -250,26 +244,24 @@ int AttemptContext::SelectCluster(NodeId u) {
 // ---------------------------------------------------------------------------
 
 AttemptStatus AttemptContext::TryII(int ii) {
-  if (!obs::TraceEnabled()) {
-    BeginAttempt(ii);
-    return FinishAttempt(ii);
-  }
-  obs::TraceSpan span("sched", "attempt", ii);
+  obs::Phase phase({"sched", "attempt"}, ii);
   BeginAttempt(ii);
   const AttemptStatus st = FinishAttempt(ii);
-  span.set_detail(std::string(ToString(st)));
+  phase.set_detail(ToString(st));
   return st;
 }
 
 AttemptStatus AttemptContext::TryIISeeded(const ScheduleResult& seed, int ii,
                                           int* seeded_out) {
-  obs::TraceSpan span("sched", "warm-attempt", ii);
+  obs::Phase phase({"sched", "warm-attempt"}, ii);
   BeginAttempt(ii);
   const int seeded = SeedFrom(seed);
   if (seeded_out != nullptr) *seeded_out = seeded;
   const AttemptStatus st = FinishAttempt(ii);
-  span.set_detail(std::string(ToString(st)) + " seeded=" +
-                  std::to_string(seeded));
+  if (phase.armed()) {
+    phase.set_detail(std::string(ToString(st)) + " seeded=" +
+                     std::to_string(seeded));
+  }
   return st;
 }
 
@@ -342,7 +334,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
     {
     // One "placement" span per drain of the priority list (a spill fixpoint
     // iteration that reschedules reloads opens another).
-    obs::TraceSpan place_span("phase", "placement", ii);
+    const obs::Phase placement_phase({"phase", "placement"}, ii);
     while (st_.num_unscheduled > 0) {
       if (st_.churning) {
         return AttemptStatus::kChurn;  // livelocked ping-pong: bump the II
@@ -365,12 +357,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
         }
       }
       {
-        // Lazily armed (one comm rewrite per placed node; see the
-        // eject-cascade span).
-        std::optional<obs::TraceSpan> comm_span;
-        if (obs::TraceEnabled()) {
-          comm_span.emplace("phase", "comm-rewrite", ii, static_cast<int>(u));
-        }
+        const obs::Phase comm_phase({"phase", "comm-rewrite"}, ii, u);
         if (!comm_.EnsureCommunication(u, cluster)) {
           return AttemptStatus::kComm;
         }
@@ -399,7 +386,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
     // shared values to memory -- so iterate sink -> spill -> schedule to a
     // fixpoint (bounded: each value spills at most once per attempt).
     {
-      obs::TraceSpan spill_span("phase", "spill", ii);
+      const obs::Phase spill_phase({"phase", "spill"}, ii);
       spill_.SinkReloads();
       spill_.CheckAndInsert();
     }
@@ -411,7 +398,7 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
   }
 
   // Final register allocation check: every bank within capacity.
-  obs::TraceSpan validate_span("phase", "validate", ii);
+  const obs::Phase validate_phase({"phase", "validate"}, ii);
   const RFConfig& rf = m_.rf;
   const bool shared_bounded = rf.HasSharedBank() && !rf.UnboundedSharedRegs();
   const bool cluster_bounded = !rf.UnboundedClusterRegs() && rf.clusters > 0;
@@ -582,19 +569,21 @@ class WorkspaceLease {
 }  // namespace
 
 ScheduleResult EngineDriver::Run() {
-  obs::TraceSpan loop_span("sched", "loop");
-  if (loop_span.armed()) loop_span.set_detail(original_.name());
+  // The engine's phases are untimed, trace spans only: an untraced run
+  // reads no clock (the service times each MirsHC call as `schedule`).
+  obs::Phase loop_phase({"sched", "loop"});
+  loop_phase.set_detail(original_.name());
   const WorkspaceLease lease;
   EngineWorkspace& ws = *lease;
   MIIInfo mii;
   if (opt_.precomputed_mii) {
     mii = *opt_.precomputed_mii;
   } else {
-    obs::TraceSpan mii_span("phase", "mii");
+    const obs::Phase mii_phase({"phase", "mii"});
     mii = ComputeMII(original_, m_, ws.ordering.graph);
   }
   {
-    obs::TraceSpan order_span("phase", "ordering");
+    const obs::Phase ordering_phase({"phase", "ordering"});
     sched::HrmsOrder(original_, m_.lat, ws.ordering, ws.order);
   }
   // Warm-start gate: one seeded attempt before the cold walk. A failed (or

@@ -1,7 +1,6 @@
 #include "core/mirs.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/engine.h"
 #include "ddg/mii.h"
@@ -15,7 +14,7 @@ namespace {
 /// once, from the final ScheduleResult, so the registry totals reconcile
 /// exactly with the summed ScheduleStats of every MirsHC call (asserted in
 /// test_obs.cpp). The engine's hot path never touches the registry.
-void RecordRunMetrics(const ScheduleResult& res, double seconds) {
+void RecordRunMetrics(const ScheduleResult& res) {
   static obs::Counter& runs = obs::GetCounter("engine.runs");
   static obs::Counter& failed = obs::GetCounter("engine.failed_runs");
   static obs::Counter& attempts = obs::GetCounter("engine.attempts");
@@ -25,7 +24,6 @@ void RecordRunMetrics(const ScheduleResult& res, double seconds) {
   static obs::Counter& spills = obs::GetCounter("engine.spills_inserted");
   static obs::Counter& chains_built = obs::GetCounter("engine.chains_built");
   static obs::Counter& chains_undone = obs::GetCounter("engine.chains_undone");
-  static obs::Histogram& latency = obs::GetHistogram("engine.schedule_seconds");
   runs.Add(1);
   if (!res.ok) failed.Add(1);
   attempts.Add(res.stats.attempts);
@@ -35,7 +33,6 @@ void RecordRunMetrics(const ScheduleResult& res, double seconds) {
   spills.Add(res.stats.spills_inserted);
   chains_built.Add(res.stats.chains_built);
   chains_undone.Add(res.stats.chains_undone);
-  latency.Record(seconds);
 }
 
 }  // namespace
@@ -57,12 +54,9 @@ std::string_view ToString(BoundClass b) {
 ScheduleResult MirsHC(const DDG& loop, const MachineConfig& m,
                       const MirsOptions& opt,
                       const sched::LatencyOverrides& load_overrides) {
-  const auto t0 = std::chrono::steady_clock::now();
   EngineDriver engine(loop, m, opt, load_overrides);
   ScheduleResult res = engine.Run();
-  RecordRunMetrics(res, std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
+  RecordRunMetrics(res);
   return res;
 }
 

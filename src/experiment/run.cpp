@@ -1,6 +1,5 @@
 #include "experiment/run.h"
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -128,7 +127,8 @@ void WriteCells(const core::ScheduleResult& sr, RequestWork& work,
                 std::vector<ExperimentData>& data) {
   std::vector<long> stall_cycles;
   if (sr.ok && !work.replays.empty()) {
-    const auto t0 = std::chrono::steady_clock::now();
+    static const auto kReplay = obs::PhaseName::Timed("experiment", "replay");
+    const obs::Phase replay_phase(kReplay, work.replay_seconds);
     stall_cycles.reserve(work.replays.size());
     for (const ReplayRef& r : work.replays) {
       const memsim::ReplayResult rr =
@@ -137,9 +137,6 @@ void WriteCells(const core::ScheduleResult& sr, RequestWork& work,
       work.replay_accesses += rr.accesses;
       work.replay_misses += rr.misses;
     }
-    work.replay_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
   }
   for (const CellRef& cell : work.cells) {
     ExperimentData& d = data[cell.plan];
@@ -292,81 +289,81 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   report.seconds = batch.seconds;
   report.timing = batch.timing;
 
-  const auto aggregate_t0 = std::chrono::steady_clock::now();
-  obs::TraceSpan aggregate_span("experiment", "aggregate");
-  for (std::size_t r = 0; r < work.size(); ++r) {
-    report.replay_seconds += work[r].replay_seconds;
-    report.replay_accesses += work[r].replay_accesses;
-    report.replay_misses += work[r].replay_misses;
-    if (work[r].ok) {
-      report.replayed_cells += work[r].replayed_cells;
-      report.distinct_replays += static_cast<int>(work[r].replays.size());
-    }
-  }
-
-  // Failure notes, aggregation and reference joins: serial, registry order.
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const Plan& plan = plans[p];
-    const Experiment* def = plan.def;
-    const ExperimentData& data = metrics[p];
-    ExperimentResult res;
-    res.name = def->name;
-    res.title = def->title;
-    res.num_loops = plan.loops.size();
-    res.cells = static_cast<int>(data.cells.size());
-    for (const perf::LoopMetrics& lm : data.cells) {
-      if (!lm.ok) ++res.cells_failed;
-    }
-    // Per-(machine, engine) failure accounting: every engine's failures
-    // are counted and reported — never only one side of a comparison.
-    for (std::size_t m = 0; m < def->machines.size(); ++m) {
-      for (std::size_t e = 0; e < def->engines.size(); ++e) {
-        int failed = 0;
-        for (std::size_t l = 0; l < plan.loops.size(); ++l) {
-          if (!data.At(m, e, l).ok) ++failed;
-        }
-        if (failed > 0) {
-          res.failure_notes.push_back(
-              def->machines[m].label + "/" + def->engines[e].label + ": " +
-              std::to_string(failed) + " of " +
-              std::to_string(plan.loops.size()) + " loops failed");
-        }
+  static const auto kAggregate =
+      obs::PhaseName::Timed("experiment", "aggregate");
+  {
+    const obs::Phase aggregate_phase(kAggregate, report.metrics_seconds);
+    for (std::size_t r = 0; r < work.size(); ++r) {
+      report.replay_seconds += work[r].replay_seconds;
+      report.replay_accesses += work[r].replay_accesses;
+      report.replay_misses += work[r].replay_misses;
+      if (work[r].ok) {
+        report.replayed_cells += work[r].replayed_cells;
+        report.distinct_replays += static_cast<int>(work[r].replays.size());
       }
     }
 
-    res.rows = def->aggregate != nullptr ? def->aggregate(data)
-                                         : std::vector<MetricValue>{};
-
-    std::map<std::pair<std::string, std::string>, double> row_values;
-    for (const MetricValue& mv : res.rows) {
-      row_values[{mv.row, mv.metric}] = mv.value;
-    }
-    for (const PaperRef* ref : RefsFor(def->name)) {
-      RefCheck c;
-      c.ref = ref;
-      const auto it = row_values.find({ref->row, ref->metric});
-      c.found = it != row_values.end();
-      if (!c.found) {
-        // A reference with no matching report row is a registry bug, not
-        // a tolerance question: always enforced, always a failure.
-        c.enforced = true;
-        c.passed = false;
-        c.verdict = "missing";
-      } else {
-        c.measured = it->second;
-        c.delta = c.measured - ref->paper;
-        c.passed = ref->Pass(c.measured);
-        c.enforced = !(opt.smoke && ref->workload_dependent);
-        c.verdict = !c.enforced ? "n/a" : (c.passed ? "pass" : "FAIL");
+    // Failure notes, aggregation and reference joins: serial, registry order.
+    for (std::size_t p = 0; p < plans.size(); ++p) {
+      const Plan& plan = plans[p];
+      const Experiment* def = plan.def;
+      const ExperimentData& data = metrics[p];
+      ExperimentResult res;
+      res.name = def->name;
+      res.title = def->title;
+      res.num_loops = plan.loops.size();
+      res.cells = static_cast<int>(data.cells.size());
+      for (const perf::LoopMetrics& lm : data.cells) {
+        if (!lm.ok) ++res.cells_failed;
       }
-      if (c.enforced && !c.passed) ++report.ref_failures;
-      res.refs.push_back(std::move(c));
+      // Per-(machine, engine) failure accounting: every engine's failures
+      // are counted and reported — never only one side of a comparison.
+      for (std::size_t m = 0; m < def->machines.size(); ++m) {
+        for (std::size_t e = 0; e < def->engines.size(); ++e) {
+          int failed = 0;
+          for (std::size_t l = 0; l < plan.loops.size(); ++l) {
+            if (!data.At(m, e, l).ok) ++failed;
+          }
+          if (failed > 0) {
+            res.failure_notes.push_back(
+                def->machines[m].label + "/" + def->engines[e].label + ": " +
+                std::to_string(failed) + " of " +
+                std::to_string(plan.loops.size()) + " loops failed");
+          }
+        }
+      }
+
+      res.rows = def->aggregate != nullptr ? def->aggregate(data)
+                                           : std::vector<MetricValue>{};
+
+      std::map<std::pair<std::string, std::string>, double> row_values;
+      for (const MetricValue& mv : res.rows) {
+        row_values[{mv.row, mv.metric}] = mv.value;
+      }
+      for (const PaperRef* ref : RefsFor(def->name)) {
+        RefCheck c;
+        c.ref = ref;
+        const auto it = row_values.find({ref->row, ref->metric});
+        c.found = it != row_values.end();
+        if (!c.found) {
+          // A reference with no matching report row is a registry bug, not
+          // a tolerance question: always enforced, always a failure.
+          c.enforced = true;
+          c.passed = false;
+          c.verdict = "missing";
+        } else {
+          c.measured = it->second;
+          c.delta = c.measured - ref->paper;
+          c.passed = ref->Pass(c.measured);
+          c.enforced = !(opt.smoke && ref->workload_dependent);
+          c.verdict = !c.enforced ? "n/a" : (c.passed ? "pass" : "FAIL");
+        }
+        if (c.enforced && !c.passed) ++report.ref_failures;
+        res.refs.push_back(std::move(c));
+      }
+      report.experiments.push_back(std::move(res));
     }
-    report.experiments.push_back(std::move(res));
   }
-  report.metrics_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - aggregate_t0)
-                               .count();
   return report;
 }
 

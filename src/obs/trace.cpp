@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <string_view>
 
+#include "obs/metrics.h"
+
 namespace hcrf::obs {
 
 namespace internal {
@@ -62,7 +64,7 @@ Tracer& Tracer::Shared() {
 void Tracer::Start() {
   MutexLock lk(mu_);
   logs_.clear();
-  start_ = std::chrono::steady_clock::now();
+  start_ = Clock::now();
   // Bumping the epoch invalidates every thread's cached buffer pointer.
   // The enable store must come last: it is the release half of the
   // publication pair with TraceEnabled()'s acquire load, making the epoch
@@ -77,10 +79,8 @@ void Tracer::Stop() {
   internal::g_trace_enabled.store(false, std::memory_order_release);
 }
 
-double Tracer::NowUs() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
+double Tracer::UsSinceStart(Clock::time_point t) const {
+  return std::chrono::duration<double, std::micro>(t - start_).count();
 }
 
 Tracer::ThreadLog* Tracer::LocalLog() {
@@ -104,29 +104,9 @@ Tracer::ThreadLog* Tracer::LocalLog() {
   return cache.log;
 }
 
-void Tracer::Complete(const char* cat, const char* name, double ts_us,
-                      double dur_us, int ii, int node, std::string detail) {
-  TraceEvent ev;
-  ev.ph = 'X';
-  ev.cat = cat;
-  ev.name = name;
-  ev.ts_us = ts_us;
-  ev.dur_us = dur_us;
-  ev.ii = ii;
-  ev.node = node;
-  ev.detail = std::move(detail);
-  LocalLog()->events.push_back(std::move(ev));
-}
-
 void Tracer::Instant(const char* cat, const char* name, int ii, int node) {
-  TraceEvent ev;
-  ev.ph = 'i';
-  ev.cat = cat;
-  ev.name = name;
-  ev.ts_us = NowUs();
-  ev.ii = ii;
-  ev.node = node;
-  LocalLog()->events.push_back(std::move(ev));
+  LocalLog()->events.push_back(
+      {'i', cat, name, UsSinceStart(Clock::now()), 0, ii, node, {}});
 }
 
 std::string Tracer::ExportJson() const {
@@ -190,10 +170,25 @@ void Tracer::SetThreadName(std::string name) {
   t.names_[std::this_thread::get_id()] = std::move(name);
 }
 
-void TraceSpan::Finish() {
-  Tracer& t = Tracer::Shared();
-  t.Complete(cat_, name_, t0_, t.NowUs() - t0_, ii_, node_,
-             std::move(detail_));
+PhaseName PhaseName::Timed(const char* cat, const char* name) {
+  PhaseName n(cat, name);
+  n.seconds = &GetHistogram(std::string("phase.") + name + ".seconds");
+  return n;
+}
+
+void Phase::Close() {
+  const Clock::time_point t1 = Clock::now();
+  const double seconds = std::chrono::duration<double>(t1 - t0_).count();
+  if (name_.seconds != nullptr) {
+    name_.seconds->Record(seconds);
+    if (slot_ != nullptr) *slot_ += seconds;
+  }
+  if (armed_) {
+    Tracer& t = Tracer::Shared();
+    t.LocalLog()->events.push_back({'X', name_.cat, name_.name,
+                                    t.UsSinceStart(t0_), seconds * 1e6, ii_,
+                                    node_, std::move(detail_)});
+  }
 }
 
 }  // namespace hcrf::obs

@@ -1,11 +1,12 @@
-// Span-based flight recorder with Chrome trace_event JSON export.
+// The one timing primitive, `Phase`, and the span-based flight recorder
+// with Chrome trace_event JSON export.
 //
-// The scheduling stack is instrumented with RAII `TraceSpan`s (loop,
-// II attempt, placement / spill / validate / eject-cascade phases) and
-// instant events (the SchedEvent funnel).
-// When the tracer is stopped — the default — every instrumentation site
-// collapses to one relaxed atomic load, so tracing support costs nothing
-// on the hot path. When started, each thread appends to its own private
+// The scheduling stack is instrumented with RAII `Phase`s (request, cache
+// probe, loop, II attempt, placement / spill / validate / eject-cascade
+// ...) and instant events (the SchedEvent funnel).
+// When the tracer is stopped — the default — every untimed phase
+// collapses to one acquire load, so tracing support costs nothing on the
+// hot path. When started, each thread appends to its own private
 // buffer (no locks, no cross-thread cacheline traffic), and ExportJson
 // renders everything in the Chrome `trace_event` format that
 // chrome://tracing and https://ui.perfetto.dev load directly: one track
@@ -25,12 +26,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/thread_annotations.h"
 
 namespace hcrf::obs {
+
+class Histogram;
+
+/// The observability layer's one clock; nothing else in src/ reads a clock.
+using Clock = std::chrono::steady_clock;
 
 namespace internal {
 extern std::atomic<bool> g_trace_enabled;
@@ -70,12 +77,9 @@ class Tracer {
   /// Stops recording; the events stay buffered for ExportJson/Snapshot.
   void Stop();
 
-  /// Microseconds since Start() on the tracer's monotonic clock.
-  double NowUs() const;
+  /// Microseconds from Start() to `t`.
+  double UsSinceStart(Clock::time_point t) const;
 
-  /// Appends a completed span to the calling thread's buffer.
-  void Complete(const char* cat, const char* name, double ts_us, double dur_us,
-                int ii, int node, std::string detail);
   /// Appends a thread-scoped instant event at the current time.
   void Instant(const char* cat, const char* name, int ii, int node);
 
@@ -105,6 +109,7 @@ class Tracer {
     std::vector<TraceEvent> events;
   };
 
+  friend class Phase;  // appends its complete event at close
   Tracer() = default;
   /// The calling thread's buffer for the current epoch (registers one on
   /// first use after each Start()).
@@ -115,51 +120,73 @@ class Tracer {
   // thread appends to its own buffer with no lock); readers (ExportJson /
   // Snapshot) rely on the documented quiescence contract, not on mu_.
   // `start_` is deliberately unguarded: it is written by Start() under the
-  // same quiescence contract and read on every hot-path NowUs() call —
+  // same quiescence contract and read on every recorded event —
   // publication happens through the g_trace_enabled release store in
   // Start() paired with the acquire load in TraceEnabled().
   mutable Mutex mu_;
   std::atomic<std::uint64_t> epoch_{0};
-  std::chrono::steady_clock::time_point start_{};
+  Clock::time_point start_{};
   std::vector<std::unique_ptr<ThreadLog>> logs_ HCRF_GUARDED_BY(mu_);
   std::map<std::thread::id, std::string> names_ HCRF_GUARDED_BY(mu_);
 };
 
-/// RAII span: samples the clock at construction if tracing is on, records
-/// a complete event at destruction. Constructing one while tracing is off
-/// costs a single relaxed load. Nested spans on one thread close inner-
-/// first, which is exactly the containment the trace viewers (and the
-/// nesting tests) expect.
-class TraceSpan {
+/// A phase's identity: the trace category and name (string literals: they
+/// are stored as pointers) and, for a timed phase, its
+/// `phase.<name>.seconds` histogram. An untimed phase names itself at its
+/// call site (`obs::Phase p({"phase", "spill"})`); a timed one is a static
+/// there, so its histogram is resolved once.
+struct PhaseName {
+  constexpr PhaseName(const char* category, const char* phase)
+      : cat(category), name(phase) {}
+  static PhaseName Timed(const char* cat, const char* name);
+
+  const char* cat;
+  const char* name;
+  Histogram* seconds = nullptr;  ///< Null for an untimed phase.
+};
+
+/// RAII phase scope. It reads the clock once when it opens and once when
+/// it closes, and those two reads feed the trace (one complete 'X' event,
+/// only while tracing) and, for a timed phase, its histogram and the
+/// caller's slot, which gains the elapsed seconds. An untimed phase while
+/// tracing is off reads no clock: it costs the one acquire load of
+/// TraceEnabled() and allocates nothing. Nested phases on one thread close
+/// inner-first, which is exactly the containment the trace viewers (and
+/// the nesting tests) expect.
+class Phase {
  public:
-  explicit TraceSpan(const char* cat, const char* name, int ii = -1,
-                     int node = -1)
-      : armed_(TraceEnabled()), cat_(cat), name_(name), ii_(ii), node_(node) {
-    if (armed_) t0_ = Tracer::Shared().NowUs();
+  explicit Phase(const PhaseName& name, int ii = -1, int node = -1)
+      : name_(name), armed_(TraceEnabled()), ii_(ii), node_(node) {
+    if (armed_ || name_.seconds != nullptr) t0_ = Clock::now();
   }
-  ~TraceSpan() {
-    if (armed_) Finish();
+  /// `name` must be timed (PhaseName::Timed).
+  Phase(const PhaseName& name, double& slot) : Phase(name) { slot_ = &slot; }
+  ~Phase() {
+    if (armed_ || name_.seconds != nullptr) Close();
   }
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
 
   bool armed() const { return armed_; }
-  /// Attaches args.detail to the span (no-op when not armed).
-  void set_detail(std::string detail) {
-    if (armed_) detail_ = std::move(detail);
+  /// Attaches args.detail to the trace event (copied only when armed).
+  void set_detail(std::string_view detail) {
+    if (armed_) detail_.assign(detail);
   }
-  void set_ii(int ii) { ii_ = ii; }
+  /// Seconds from `outer` opening to this phase opening; both timed.
+  double OpenedAfter(const Phase& outer) const {
+    return std::chrono::duration<double>(t0_ - outer.t0_).count();
+  }
 
  private:
-  void Finish();
+  void Close();
 
+  const PhaseName name_;
   bool armed_;
-  const char* cat_;
-  const char* name_;
   int ii_;
   int node_;
-  double t0_ = 0;
+  double* slot_ = nullptr;
+  Clock::time_point t0_{};
   std::string detail_;
 };
 

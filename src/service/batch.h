@@ -78,26 +78,27 @@ struct BatchRequest {
   bool allow_warm_start = false;
 };
 
-/// Wall-clock decomposition of one request's trip through the service.
-/// Phases that did not run stay zero (mii/schedule/serialize on a cache
-/// hit; cache_probe/serialize when caching is disabled).
+/// Wall-clock decomposition of one request's trip through the service: its
+/// timed phases' slots (obs::Phase) plus the queue wait. Phases that did not
+/// run stay zero (mii/schedule/cache-put on a hit; cache-probe/cache-put
+/// when caching is disabled).
 struct RequestTiming {
   double queue_seconds = 0;  ///< Batch start until a worker picked it up.
   double cache_probe_seconds = 0;  ///< Cache key + persistent-cache Get.
   double mii_seconds = 0;       ///< MII bound (sweep-cache probe/compute).
   double schedule_seconds = 0;  ///< The MirsHC run itself.
-  double serialize_seconds = 0;  ///< Result serialization + cache write.
+  double cache_put_seconds = 0;  ///< cache->Put + near-index update.
 
   double Total() const {
     return queue_seconds + cache_probe_seconds + mii_seconds +
-           schedule_seconds + serialize_seconds;
+           schedule_seconds + cache_put_seconds;
   }
   void Accumulate(const RequestTiming& d) {
     queue_seconds += d.queue_seconds;
     cache_probe_seconds += d.cache_probe_seconds;
     mii_seconds += d.mii_seconds;
     schedule_seconds += d.schedule_seconds;
-    serialize_seconds += d.serialize_seconds;
+    cache_put_seconds += d.cache_put_seconds;
   }
 };
 

@@ -217,7 +217,7 @@ void Server::Serve() {
 
 void Server::HandleConnection(int fd) {
   wire::Conn conn(fd);
-  obs::TraceSpan span("server", "connection");
+  obs::Phase connection_phase({"server", "connection"});
   static obs::Counter& conn_count = obs::GetCounter("server.connections");
   conn_count.Add(1);
 
@@ -260,7 +260,7 @@ void Server::HandleConnection(int fd) {
           requests.push_back(wire::ReadRequest(conn));
         }
       }
-      span.set_detail(verb + " " + std::to_string(*n));
+      connection_phase.set_detail(verb + " " + std::to_string(*n));
       const BatchReport report = session_.RunBatch(requests);
       std::string head =
           "hcrf 1 results " + std::to_string(report.items.size()) + "\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 
 #include "core/mirs.h"
@@ -29,6 +28,75 @@ TierStats FlowDelta(const TierStats& after, const TierStats& before) {
   d.near_misses -= before.near_misses;
   // entries/bytes are residency, not flow: keep the `after` footprint.
   return d;
+}
+
+/// One request's work after the lane picked it up: cache probe, then on a
+/// miss the MII, the schedule and the cache write, each a timed phase.
+void Serve(const BatchRequest& req, CacheTier* cache, BatchItem& item) {
+  static const auto kProbe = obs::PhaseName::Timed("phase", "cache-probe");
+  static const auto kMii = obs::PhaseName::Timed("phase", "mii");
+  static const auto kSchedule = obs::PhaseName::Timed("phase", "schedule");
+  static const auto kCachePut = obs::PhaseName::Timed("phase", "cache-put");
+  CacheKey key{};
+  std::uint64_t structural = 0;
+  if (cache != nullptr) {
+    const obs::Phase probe_phase(kProbe, item.timing.cache_probe_seconds);
+    key = MakeCacheKey(req.loop->ddg, req.machine, req.options, req.overrides);
+    structural = MakeStructuralHash(req.loop->ddg, req.machine);
+    if (std::optional<core::ScheduleResult> hit = cache->Get(key)) {
+      item.result = *std::move(hit);
+      item.ok = item.result.ok;
+      item.cache_hit = true;
+      // A resident exact entry is a valid future seed for this loop ×
+      // machine cell: keep the near index current even on pure hits, so
+      // a cold sweep primes later `delta` submissions.
+      cache->NoteStructural(structural, key);
+    }
+  }
+  if (!item.cache_hit) {
+    core::MirsOptions mirs = req.options;
+    if (req.allow_warm_start && cache != nullptr) {
+      // Near-key probe: the closest resident entry for the same loop ×
+      // machine (differing options/overrides) seeds the engine, which
+      // replays the compatible placements and repairs the rest — or
+      // falls back cold, counted on the result, never silent.
+      const obs::Phase near_phase({"phase", "near-probe"});
+      if (std::optional<core::ScheduleResult> seed =
+              cache->GetNear(structural, key)) {
+        if (seed->ok) {
+          mirs.warm_start = std::make_shared<const core::ScheduleResult>(
+              *std::move(seed));
+        }
+      }
+    }
+    if (!mirs.precomputed_mii) {
+      // The MII depends on the graph, the latency table and the global
+      // resource counts — not the RF organization — so the process-wide
+      // sweep cache shares it across the configurations of a
+      // design-space sweep (and across repeated batches in-process).
+      const obs::Phase mii_phase(kMii, item.timing.mii_seconds);
+      mirs.precomputed_mii =
+          perf::CachedMii(req.loop->ddg, req.machine, req.overrides);
+    }
+    {
+      const obs::Phase schedule_phase(kSchedule, item.timing.schedule_seconds);
+      item.result =
+          core::MirsHC(req.loop->ddg, req.machine, mirs, req.overrides);
+    }
+    item.ok = item.result.ok;
+    if (cache != nullptr && !item.result.warm.used) {
+      // Cold results only: the exact-key cache serves bytes that are
+      // bit-identical to a cold schedule, and a warm-started result
+      // carries the seed's placement history. Fallback results ARE cold
+      // results and cache normally.
+      const obs::Phase put_phase(kCachePut, item.timing.cache_put_seconds);
+      cache->Put(key, item.result);
+      cache->NoteStructural(structural, key);
+    }
+  }
+  if (!item.ok && item.error.empty()) {
+    item.error = "scheduling failed (no II <= max_ii admitted a schedule)";
+  }
 }
 
 }  // namespace
@@ -128,104 +196,29 @@ BatchReport SchedulerService::RunBatch(
   const TierStats stack_before = tier_stats();
   const TierStats mem_before = memory_stats();
 
-  const auto wall0 = std::chrono::steady_clock::now();
-  ParallelFor(requests.size(), [&](size_t i) {
-    static obs::Counter& req_count = obs::GetCounter("service.requests");
-    static obs::Counter& hit_count = obs::GetCounter("service.cache_hits");
-    static obs::Histogram& req_hist =
-        obs::GetHistogram("service.request_seconds");
-    const BatchRequest& req = requests[i];
-    BatchItem lane_item;
-    BatchItem& item = on_item ? lane_item : report.items[i];
-    item.id = req.id;
-    const auto t0 = std::chrono::steady_clock::now();
-    item.timing.queue_seconds =
-        std::chrono::duration<double>(t0 - wall0).count();
-    obs::TraceSpan req_span("service", "request");
-    req_span.set_detail(req.id);
-    const auto phase_seconds = [](const auto& since) {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           since)
-          .count();
-    };
-    CacheKey key{};
-    std::uint64_t structural = 0;
-    if (cache != nullptr) {
-      obs::TraceSpan probe_span("phase", "cache-probe");
-      const auto p0 = std::chrono::steady_clock::now();
-      key = MakeCacheKey(req.loop->ddg, req.machine, req.options,
-                         req.overrides);
-      structural = MakeStructuralHash(req.loop->ddg, req.machine);
-      if (std::optional<core::ScheduleResult> hit = cache->Get(key)) {
-        item.result = *std::move(hit);
-        item.ok = item.result.ok;
-        item.cache_hit = true;
-        // A resident exact entry is a valid future seed for this loop ×
-        // machine cell: keep the near index current even on pure hits, so
-        // a cold sweep primes later `delta` submissions.
-        cache->NoteStructural(structural, key);
+  static const auto kBatch = obs::PhaseName::Timed("service", "batch");
+  {
+    const obs::Phase batch_phase(kBatch, report.seconds);
+    ParallelFor(requests.size(), [&](size_t i) {
+      static obs::Counter& req_count = obs::GetCounter("service.requests");
+      static obs::Counter& hit_count = obs::GetCounter("service.cache_hits");
+      static const auto kRequest = obs::PhaseName::Timed("service", "request");
+      BatchItem lane_item;
+      BatchItem& item = on_item ? lane_item : report.items[i];
+      item.id = requests[i].id;
+      {
+        obs::Phase request_phase(kRequest, item.seconds);
+        item.timing.queue_seconds = request_phase.OpenedAfter(batch_phase);
+        request_phase.set_detail(item.id);
+        Serve(requests[i], cache, item);
       }
-      item.timing.cache_probe_seconds = phase_seconds(p0);
-    }
-    if (!item.cache_hit) {
-      core::MirsOptions mirs = req.options;
-      if (req.allow_warm_start && cache != nullptr) {
-        // Near-key probe: the closest resident entry for the same loop ×
-        // machine (differing options/overrides) seeds the engine, which
-        // replays the compatible placements and repairs the rest — or
-        // falls back cold, counted on the result, never silent.
-        obs::TraceSpan near_span("phase", "near-probe");
-        if (std::optional<core::ScheduleResult> seed =
-                cache->GetNear(structural, key)) {
-          if (seed->ok) {
-            mirs.warm_start = std::make_shared<const core::ScheduleResult>(
-                *std::move(seed));
-          }
-        }
-      }
-      if (!mirs.precomputed_mii) {
-        // The MII depends on the graph, the latency table and the global
-        // resource counts — not the RF organization — so the process-wide
-        // sweep cache shares it across the configurations of a
-        // design-space sweep (and across repeated batches in-process).
-        const auto m0 = std::chrono::steady_clock::now();
-        mirs.precomputed_mii =
-            perf::CachedMii(req.loop->ddg, req.machine, req.overrides);
-        item.timing.mii_seconds = phase_seconds(m0);
-      }
-      const auto s0 = std::chrono::steady_clock::now();
-      item.result =
-          core::MirsHC(req.loop->ddg, req.machine, mirs, req.overrides);
-      item.timing.schedule_seconds = phase_seconds(s0);
-      item.ok = item.result.ok;
-      if (cache != nullptr && !item.result.warm.used) {
-        // Cold results only: the exact-key cache serves bytes that are
-        // bit-identical to a cold schedule, and a warm-started result
-        // carries the seed's placement history. Fallback results ARE cold
-        // results and cache normally.
-        obs::TraceSpan write_span("phase", "serialize");
-        const auto w0 = std::chrono::steady_clock::now();
-        cache->Put(key, item.result);
-        cache->NoteStructural(structural, key);
-        item.timing.serialize_seconds = phase_seconds(w0);
-      }
-    }
-    if (!item.ok && item.error.empty()) {
-      item.error = "scheduling failed (no II <= max_ii admitted a schedule)";
-    }
-    item.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    req_count.Add(1);
-    if (item.cache_hit) hit_count.Add(1);
-    req_hist.Record(item.seconds);
-    tallies[i] = {item.timing, item.cache_hit, item.ok,
-                  item.result.warm.used};
-    if (on_item) on_item(i, item);
-  });
-  report.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+      req_count.Add(1);
+      if (item.cache_hit) hit_count.Add(1);
+      tallies[i] = {item.timing, item.cache_hit, item.ok,
+                    item.result.warm.used};
+      if (on_item) on_item(i, item);
+    });
+  }
   for (const Tally& t : tallies) {
     if (t.cache_hit) {
       ++report.hits;

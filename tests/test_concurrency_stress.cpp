@@ -49,9 +49,9 @@ TEST(ConcurrencyStress, TraceAndMetricsHammer) {
       threads.emplace_back([&tracer, &hammer, &hist, t] {
         obs::Tracer::SetThreadName("stress-" + std::to_string(t));
         for (int i = 0; i < kSpansPerThread; ++i) {
-          obs::TraceSpan outer("stress", "outer", /*ii=*/i % 7);
+          const obs::Phase outer({"stress", "outer"}, /*ii=*/i % 7);
           {
-            obs::TraceSpan inner("stress", "inner");
+            obs::Phase inner({"stress", "inner"});
             inner.set_detail("wave " + std::to_string(i));
           }
           if (i % 16 == 0) tracer.Instant("stress", "tick", -1, i);

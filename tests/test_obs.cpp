@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
@@ -281,7 +282,6 @@ TEST(Metrics, EngineCountersReconcileExactlyWithScheduleStats) {
   EXPECT_EQ(obs::GetCounter("engine.spills_inserted").value(), spills);
   EXPECT_EQ(obs::GetCounter("engine.chains_built").value(), chains_built);
   EXPECT_EQ(obs::GetCounter("engine.chains_undone").value(), chains_undone);
-  EXPECT_EQ(obs::GetHistogram("engine.schedule_seconds").count(), runs);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,14 +291,56 @@ TEST(Metrics, EngineCountersReconcileExactlyWithScheduleStats) {
 TEST(Trace, DisabledTracerRecordsNothing) {
   ASSERT_FALSE(obs::TraceEnabled());
   {
-    obs::TraceSpan span("sched", "should-not-record");
-    EXPECT_FALSE(span.armed());
+    const obs::Phase phase({"sched", "should-not-record"});
+    EXPECT_FALSE(phase.armed());
   }
   obs::Tracer::Shared().Start();
   obs::Tracer::Shared().Stop();
   // Start() discarded any previous recording; the span above predates it.
   for (const auto& t : obs::Tracer::Shared().Snapshot()) {
     EXPECT_TRUE(t.events.empty());
+  }
+}
+
+// One pair of clock reads feeds all three outputs of a timed phase: the
+// slot gains the elapsed seconds, the histogram one sample, and (only
+// while tracing) the trace one span whose duration is that same interval.
+TEST(Phase, TimedPhaseFeedsSlotHistogramAndSpan) {
+  TracerGuard guard;
+  static const obs::PhaseName kName =
+      obs::PhaseName::Timed("test_obs", "timed-phase");
+  obs::Histogram& hist = obs::GetHistogram("phase.timed-phase.seconds");
+  ASSERT_EQ(kName.seconds, &hist);
+  for (const bool tracing : {true, false}) {
+    SCOPED_TRACE(tracing ? "tracing" : "not tracing");
+    obs::Tracer::Shared().Start();  // discards earlier events
+    if (!tracing) obs::Tracer::Shared().Stop();
+    const long count_before = hist.count();
+    const double sum_before = hist.sum_seconds();
+    double slot = 0.25;  // a phase adds to its slot
+    {
+      obs::Phase phase(kName, slot);
+      EXPECT_EQ(phase.armed(), tracing);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    obs::Tracer::Shared().Stop();
+    const double elapsed = slot - 0.25;
+    EXPECT_GE(elapsed, 200e-6);
+    EXPECT_EQ(hist.count(), count_before + 1);
+    EXPECT_NEAR(hist.sum_seconds() - sum_before, elapsed, 1e-9);
+
+    std::vector<obs::TraceEvent> spans;
+    for (const auto& t : obs::Tracer::Shared().Snapshot()) {
+      for (const obs::TraceEvent& e : t.events) {
+        if (e.ph == 'X') spans.push_back(e);
+      }
+    }
+    ASSERT_EQ(spans.size(), tracing ? 1u : 0u);
+    if (tracing) {
+      EXPECT_STREQ(spans[0].cat, "test_obs");
+      EXPECT_STREQ(spans[0].name, "timed-phase");
+      EXPECT_NEAR(spans[0].dur_us, elapsed * 1e6, 1e-3);
+    }
   }
 }
 
@@ -435,38 +477,60 @@ TEST(Service, RequestTimingDecomposesColdAndWarmPaths) {
   }
 
   service::ServiceConfig opt;
+  opt.cache_mem_entries = 64;  // a memory tier over the disk tier
   std::error_code ec;
   opt.cache_dir = (fs::temp_directory_path() /
                    ("hcrf-test-obs-" + std::to_string(::getpid())))
                       .string();
   fs::remove_all(opt.cache_dir, ec);
 
+  // The process-wide phase histograms, read as deltas over the cold batch.
+  const obs::Histogram& request_hist =
+      obs::GetHistogram("phase.request.seconds");
+  const obs::Histogram& probe_hist =
+      obs::GetHistogram("phase.cache-probe.seconds");
+  const obs::Histogram& schedule_hist =
+      obs::GetHistogram("phase.schedule.seconds");
+  const long requests_before = request_hist.count();
+  const long probes_before = probe_hist.count();
+  const long schedules_before = schedule_hist.count();
   const service::BatchReport cold = service::RunBatch(reqs, opt);
+  const long n = static_cast<long>(reqs.size());
+  EXPECT_EQ(request_hist.count() - requests_before, n);
+  EXPECT_EQ(probe_hist.count() - probes_before, n);
+  EXPECT_EQ(schedule_hist.count() - schedules_before, cold.scheduled);
   const service::BatchReport warm = service::RunBatch(reqs, opt);
   fs::remove_all(opt.cache_dir, ec);
 
   ASSERT_EQ(cold.items.size(), reqs.size());
+  EXPECT_EQ(cold.scheduled, n);
   double queue_sum = 0, probe_sum = 0, mii_sum = 0, sched_sum = 0,
-         ser_sum = 0;
+         put_sum = 0;
   for (const service::BatchItem& item : cold.items) {
     ASSERT_TRUE(item.ok) << item.id;
     EXPECT_FALSE(item.cache_hit) << item.id;
     // A fresh run visits every phase; the MII may be sweep-cache-served
     // but its probe is still timed.
     EXPECT_GT(item.timing.schedule_seconds, 0.0) << item.id;
-    EXPECT_GT(item.timing.serialize_seconds, 0.0) << item.id;
+    EXPECT_GT(item.timing.cache_put_seconds, 0.0) << item.id;
     EXPECT_GE(item.timing.queue_seconds, 0.0) << item.id;
+    // The request's phases nest inside its own, so they cannot sum to
+    // more than it.
+    EXPECT_LE(item.timing.cache_probe_seconds + item.timing.mii_seconds +
+                  item.timing.schedule_seconds + item.timing.cache_put_seconds,
+              item.seconds)
+        << item.id;
     queue_sum += item.timing.queue_seconds;
     probe_sum += item.timing.cache_probe_seconds;
     mii_sum += item.timing.mii_seconds;
     sched_sum += item.timing.schedule_seconds;
-    ser_sum += item.timing.serialize_seconds;
+    put_sum += item.timing.cache_put_seconds;
   }
   EXPECT_DOUBLE_EQ(cold.timing.queue_seconds, queue_sum);
   EXPECT_DOUBLE_EQ(cold.timing.cache_probe_seconds, probe_sum);
   EXPECT_DOUBLE_EQ(cold.timing.mii_seconds, mii_sum);
   EXPECT_DOUBLE_EQ(cold.timing.schedule_seconds, sched_sum);
-  EXPECT_DOUBLE_EQ(cold.timing.serialize_seconds, ser_sum);
+  EXPECT_DOUBLE_EQ(cold.timing.cache_put_seconds, put_sum);
 
   for (const service::BatchItem& item : warm.items) {
     ASSERT_TRUE(item.ok) << item.id;
@@ -475,7 +539,7 @@ TEST(Service, RequestTimingDecomposesColdAndWarmPaths) {
     EXPECT_GT(item.timing.cache_probe_seconds, 0.0) << item.id;
     EXPECT_EQ(item.timing.mii_seconds, 0.0) << item.id;
     EXPECT_EQ(item.timing.schedule_seconds, 0.0) << item.id;
-    EXPECT_EQ(item.timing.serialize_seconds, 0.0) << item.id;
+    EXPECT_EQ(item.timing.cache_put_seconds, 0.0) << item.id;
   }
 }
 

@@ -223,7 +223,7 @@ TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
   EXPECT_EQ(consumed.timing.cache_probe_seconds, summed.cache_probe_seconds);
   EXPECT_EQ(consumed.timing.mii_seconds, summed.mii_seconds);
   EXPECT_EQ(consumed.timing.schedule_seconds, summed.schedule_seconds);
-  EXPECT_EQ(consumed.timing.serialize_seconds, summed.serialize_seconds);
+  EXPECT_EQ(consumed.timing.cache_put_seconds, summed.cache_put_seconds);
 }
 
 // Every checked-in corpus file must stay loadable and canonical (dump ==

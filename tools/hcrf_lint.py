@@ -50,6 +50,13 @@ mode it guards against:
                   Warm-start seeding made this an explicit rule: replayed
                   seed placements are ordinary placements and must be
                   funneled too.
+  clock-read      Timing goes through obs::Phase (src/obs/trace.h), which
+                  feeds the trace span, the `phase.<name>.seconds`
+                  histogram and the caller's timing slot from one pair of
+                  clock reads. A hand-rolled steady_clock/system_clock/
+                  high_resolution_clock (or obs::Clock) ::now() outside
+                  src/obs/ is a second timer that the trace and the
+                  histograms never see, and that drifts from both.
   header-compile  Every header under src/ must compile on its own (a
                   header that leans on its includer's includes breaks the
                   next refactor).
@@ -102,6 +109,9 @@ SOCKET_ALLOWLIST = {
         "a peer closing mid-write surfaces as EPIPE, not SIGPIPE; no "
         "syscall here can create or accept a connection",
 }
+
+# Clock reads are the observability layer's privilege (obs::Phase).
+CLOCK_READ_ALLOWED_DIRS = ("src/obs/",)
 
 # Raw thread construction is the thread-pool layer's privilege.
 NAKED_THREAD_ALLOWED_DIRS = ("src/perf/",)
@@ -222,6 +232,7 @@ class Linter:
         in_allowed_io_dir = rel.startswith(CONSOLE_IO_ALLOWED_DIRS)
         io_allowlisted = rel in CONSOLE_IO_ALLOWLIST
         thread_allowed = rel.startswith(NAKED_THREAD_ALLOWED_DIRS)
+        clock_allowed = rel.startswith(CLOCK_READ_ALLOWED_DIRS)
 
         for lineno, line in enumerate(lines, start=1):
             if re.search(r"(?<!static_)\bassert\s*\(", line):
@@ -260,6 +271,12 @@ class Linter:
                 self.report(rel, lineno, "naked-thread",
                             "raw std::thread outside perf/; go through "
                             "perf::WorkerPool")
+            if not clock_allowed and re.search(
+                    r"\b(?:steady_clock|system_clock|high_resolution_clock|"
+                    r"Clock)\s*::\s*now\b", line):
+                self.report(rel, lineno, "clock-read",
+                            "clock read outside obs/; time the work with "
+                            "an obs::Phase")
             if (not rel.startswith(PLACEMENT_FUNNEL_ALLOWED_DIRS)
                     and rel not in PLACEMENT_FUNNEL_ALLOWLIST):
                 if re.search(r"\bsched(?:ule)?\s*(?:->|\.)\s*"

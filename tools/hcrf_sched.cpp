@@ -745,10 +745,10 @@ void PrintReproSummary(const experiment::ReproReport& report,
       report.experiments.size(), cells, report.requests, report.scheduled,
       report.hits, failed_cells, report.seconds);
   std::printf(
-      "timing: probe %.3f s, mii %.3f s, schedule %.3f s, serialize %.3f s "
+      "timing: probe %.3f s, mii %.3f s, schedule %.3f s, cache-put %.3f s "
       "(summed per-request phases)\n",
       report.timing.cache_probe_seconds, report.timing.mii_seconds,
-      report.timing.schedule_seconds, report.timing.serialize_seconds);
+      report.timing.schedule_seconds, report.timing.cache_put_seconds);
   // Replays run on the batch lanes (inside the wall above); only the
   // aggregation is serial. Peak RSS covers the whole process so far.
   rusage ru{};
