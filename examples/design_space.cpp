@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
     std::vector<perf::LoopMetrics> loops;
     for (size_t i = 0; i < suite.size(); ++i) {
       loops.push_back(perf::MetricsFromResult(
-          suite[i], machines[c],
-          report.items[c * suite.size() + i].result));
+          suite[i], report.items[c * suite.size() + i].result));
     }
     const perf::SuiteMetrics sm = perf::Aggregate(loops);
     points[c].cycles = static_cast<double>(sm.ExecCycles());

@@ -80,12 +80,10 @@ std::string LoopLabel(const workload::Loop& loop, std::size_t index) {
 constexpr std::size_t kNoReplay = static_cast<std::size_t>(-1);
 
 /// One report cell a batch request feeds: its slot in data[plan].cells,
-/// where its loop and machine live, and the request replay its stall
-/// cycles come from.
+/// its loop, and the request replay its stall cycles come from.
 struct CellRef {
   std::size_t plan;
   std::size_t idx;
-  std::size_t machine;
   std::size_t loop;
   std::size_t replay;  ///< kNoReplay when the cell simulates no memory.
 };
@@ -117,6 +115,7 @@ struct RequestWork {
   double replay_seconds = 0.0;  ///< Written by the lane, as are:
   long replay_accesses = 0;
   long replay_misses = 0;
+  long replay_simulated = 0;
 };
 
 /// Runs the request's replays and writes every cell it feeds. Metrics
@@ -136,13 +135,12 @@ void WriteCells(const core::ScheduleResult& sr, RequestWork& work,
       stall_cycles.push_back(rr.stall_cycles);
       work.replay_accesses += rr.accesses;
       work.replay_misses += rr.misses;
+      work.replay_simulated += rr.simulated;
     }
   }
   for (const CellRef& cell : work.cells) {
     ExperimentData& d = data[cell.plan];
-    perf::LoopMetrics lm = perf::MetricsFromResult(
-        *d.loops[cell.loop], d.def->machines[cell.machine].machine, sr,
-        /*simulate_memory=*/false);
+    perf::LoopMetrics lm = perf::MetricsFromResult(*d.loops[cell.loop], sr);
     if (sr.ok && cell.replay != kNoReplay) {
       lm.stall_cycles = stall_cycles[cell.replay];
     }
@@ -247,7 +245,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
             work.emplace_back();
           }
           RequestWork& w = work[it->second];
-          CellRef cell{p, idx, m, l, kNoReplay};
+          CellRef cell{p, idx, l, kNoReplay};
           if (ev.simulate_memory) {
             std::size_t r = 0;
             while (r < w.replays.size() &&
@@ -297,6 +295,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
       report.replay_seconds += work[r].replay_seconds;
       report.replay_accesses += work[r].replay_accesses;
       report.replay_misses += work[r].replay_misses;
+      report.replay_simulated += work[r].replay_simulated;
       if (work[r].ok) {
         report.replayed_cells += work[r].replayed_cells;
         report.distinct_replays += static_cast<int>(work[r].replays.size());

@@ -93,6 +93,7 @@ struct ReproReport {
   int distinct_replays = 0;  ///< ReplayLoop runs those cells share.
   long replay_accesses = 0;  ///< Summed ReplayResult::accesses of those.
   long replay_misses = 0;    ///< Summed ReplayResult::misses of those.
+  long replay_simulated = 0; ///< Summed ReplayResult::simulated of those.
   /// Summed per-request phase timings of the scheduling batch (stdout
   /// summary only, like `cache`: reports stay byte-identical cold/warm).
   service::RequestTiming timing;

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hcrf::memsim {
@@ -37,19 +38,24 @@ class Cache {
 
   /// Accesses one address; returns true on hit. Misses allocate (both
   /// loads and stores: write-allocate) into an empty way, else the LRU way.
+  /// `kWays` is the associativity fixed at compile time, which the replay
+  /// kernel instantiates for the paper's 2-way L1; it must equal
+  /// config().associativity. The default 0 reads the configured count.
+  template <int kWays = 0>
   bool Access(std::uint64_t addr) {
-    const Location loc = Locate(addr);
+    const int ways = kWays > 0 ? kWays : cfg_.associativity;
+    const Location loc = Locate(addr, ways);
     std::uint64_t* set = &tags_[loc.first_way];
     if (set[0] == loc.tag) {
       ++hits_;
       return true;
     }
     int a = 1;
-    while (a < cfg_.associativity && set[a] != loc.tag) ++a;
-    const bool hit = a < cfg_.associativity;
+    while (a < ways && set[a] != loc.tag) ++a;
+    const bool hit = a < ways;
     // Shift the more recent ways down over the hit way (or, on a miss,
     // over the last way, which drops the victim).
-    for (int b = hit ? a : cfg_.associativity - 1; b > 0; --b) {
+    for (int b = hit ? a : ways - 1; b > 0; --b) {
       set[b] = set[b - 1];
     }
     set[0] = loc.tag;
@@ -59,7 +65,7 @@ class Cache {
 
   /// True if the address's line is currently resident (no state change).
   bool Probe(std::uint64_t addr) const {
-    const Location loc = Locate(addr);
+    const Location loc = Locate(addr, cfg_.associativity);
     const std::uint64_t* set = &tags_[loc.first_way];
     for (int a = 0; a < cfg_.associativity; ++a) {
       if (set[a] == loc.tag) return true;
@@ -69,6 +75,9 @@ class Cache {
 
   void Reset();
 
+  /// The whole tag array: two caches with equal arrays (and equal
+  /// geometry) answer every future access alike.
+  std::span<const std::uint64_t> tags() const { return tags_; }
   long hits() const { return hits_; }
   long misses() const { return misses_; }
   const CacheConfig& config() const { return cfg_; }
@@ -84,10 +93,10 @@ class Cache {
     std::uint64_t tag;
   };
 
-  Location Locate(std::uint64_t addr) const {
+  Location Locate(std::uint64_t addr, int ways) const {
     const std::uint64_t line = addr >> line_shift_;
     return {static_cast<std::size_t>(line & set_mask_) *
-                static_cast<std::size_t>(cfg_.associativity),
+                static_cast<std::size_t>(ways),
             line >> set_bits_};
   }
 

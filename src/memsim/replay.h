@@ -12,7 +12,12 @@
 // The first invocation runs against a cold cache, later invocations
 // against the warm state; we simulate one cold and one warm invocation and
 // scale (the paper simulates the whole program; all Figure 6 numbers are
-// relative, see DESIGN.md).
+// relative, see DESIGN.md). The warm invocation usually rejoins the cold
+// one: once its cache tags and outstanding misses equal the cold
+// invocation's at the same iteration (compared at iterations 64, 128,
+// 256, ...), its future is the cold one's, so it ends there and takes the
+// cold invocation's remaining stalls and misses. The result is exact: it
+// equals stepping every access.
 //
 // `cache_cfg` must meet the cache's power-of-two geometry contract
 // (cache.h: line size and set count) and have at least one MSHR; both are
@@ -31,8 +36,11 @@ namespace hcrf::memsim {
 struct ReplayResult {
   long stall_cycles = 0;   ///< Total over all invocations.
   long useful_cycles = 0;  ///< II*(N + (SC-1)*E), the paper's estimate.
-  long accesses = 0;
-  long misses = 0;
+  long accesses = 0;       ///< Modelled accesses: cold plus one warm.
+  long misses = 0;         ///< Misses among those.
+  /// Accesses actually stepped through the cache: `accesses` less the
+  /// warm invocation's tail after it rejoined the cold one.
+  long simulated = 0;
 };
 
 /// Replays the memory accesses of `sr` (a successful schedule of `loop`)

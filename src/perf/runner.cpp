@@ -6,7 +6,6 @@
 
 #include "core/thread_annotations.h"
 #include "ddg/mii.h"
-#include "memsim/replay.h"
 #include "obs/metrics.h"
 #include "perf/dual_hash.h"
 
@@ -165,9 +164,7 @@ class MiiCache {
 }  // namespace
 
 LoopMetrics MetricsFromResult(const workload::Loop& loop,
-                              const MachineConfig& m,
-                              const core::ScheduleResult& sr,
-                              bool simulate_memory) {
+                              const core::ScheduleResult& sr) {
   LoopMetrics lm;
   lm.ok = sr.ok;
   if (!sr.ok) return lm;
@@ -192,11 +189,6 @@ LoopMetrics MetricsFromResult(const workload::Loop& loop,
       (n_total + static_cast<long>(sr.sc - 1) * loop.invocations);
   lm.mem_traffic = n_total * lm.trf;
   lm.ops_executed = static_cast<long>(loop.ddg.NumNodes()) * n_total;
-
-  if (simulate_memory) {
-    const memsim::ReplayResult rr = memsim::ReplayLoop(loop, sr, m);
-    lm.stall_cycles = rr.stall_cycles;
-  }
   return lm;
 }
 

@@ -18,14 +18,12 @@
 namespace hcrf::perf {
 
 /// Derives a loop's metrics from an already-computed schedule: the
-/// Section 2.3 formulas (useful cycles, memory traffic, ops executed) plus
-/// the memory-simulation stall cycles (Figure 6's real-memory scenario)
-/// when `simulate_memory` is set; otherwise stalls are 0 (ideal memory).
-/// A cache-served result yields metrics bit-identical to a fresh one.
+/// Section 2.3 formulas (useful cycles, memory traffic, ops executed),
+/// with ideal memory (0 stall cycles; a caller that models real memory,
+/// Figure 6's scenario, sets them from memsim::ReplayLoop). A
+/// cache-served result yields metrics bit-identical to a fresh one.
 LoopMetrics MetricsFromResult(const workload::Loop& loop,
-                              const MachineConfig& m,
-                              const core::ScheduleResult& result,
-                              bool simulate_memory = false);
+                              const core::ScheduleResult& result);
 
 /// Counters of the process-wide MII sweep cache (observability for the
 /// benches and the sweep service; hits mean a configuration skipped

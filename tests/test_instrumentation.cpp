@@ -188,7 +188,7 @@ TEST(Instrumentation, SuiteMetricsAggregateSchedulerCounters) {
       service::RunBatch(requests, service::ServiceConfig{});
   std::vector<perf::LoopMetrics> det;
   for (size_t i = 0; i < suite.size(); ++i) {
-    det.push_back(perf::MetricsFromResult(suite[i], m, report.items[i].result));
+    det.push_back(perf::MetricsFromResult(suite[i], report.items[i].result));
   }
   const perf::SuiteMetrics sm = perf::Aggregate(det);
   EXPECT_GT(sm.ejections, 0);

@@ -9,8 +9,11 @@
 #include <climits>
 #include <cstdint>
 #include <list>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/mirs.h"
@@ -19,6 +22,8 @@
 #include "memsim/cache.h"
 #include "memsim/prefetch.h"
 #include "memsim/replay.h"
+#include "service/cache_tier.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/suite_cache.h"
 
@@ -344,9 +349,10 @@ TEST(Replay, GoldenResultsAcrossOrganizationsAndPolicies) {
   }
 }
 
-// The replay kernel of src/memsim/replay.cpp, copied unchanged except that
-// it drives ReferenceCache instead of Cache, so any divergence between the
-// two replays is the cache's.
+// The straightforward replay kernel, driving ReferenceCache: every access
+// of the cold and the one warm invocation stepped, eager MSHR retirement
+// before each access. src/memsim/replay.cpp must match it exactly despite
+// its warm cut-off and lazy retirement.
 
 /// Address-space layout: each array id gets its own 1 MiB region, offset by
 /// a per-array scatter so regions do not alias to the same cache sets.
@@ -550,6 +556,235 @@ TEST(Replay, MatchesReferenceReplay) {
   }
   EXPECT_GT(compared, 2 * 7 * 3 * 64);
   EXPECT_GT(saturated, 0);
+}
+
+// Replays `loop` (scheduled on `m`) on `cfg` and checks all four fields
+// against the reference replay; returns the kernel's result.
+ReplayResult ReplayMatchingReference(const workload::Loop& loop,
+                                     const core::ScheduleResult& sr,
+                                     const MachineConfig& m,
+                                     const CacheConfig& cfg = {}) {
+  const ReplayResult got = ReplayLoop(loop, sr, m, cfg);
+  const ReplayResult want = ReferenceReplay(loop, sr, m, cfg);
+  EXPECT_EQ(got.stall_cycles, want.stall_cycles);
+  EXPECT_EQ(got.useful_cycles, want.useful_cycles);
+  EXPECT_EQ(got.accesses, want.accesses);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_GT(got.simulated, 0);
+  EXPECT_LE(got.simulated, got.accesses);
+  return got;
+}
+
+// Gives every memory op of `loop` a one-line stride: each access touches a
+// new line, so the footprint outgrows the cache after a few hundred
+// iterations and the warm invocation rejoins the cold one.
+workload::Loop Streaming(workload::Loop loop) {
+  for (NodeId v = 0; v < loop.ddg.NumSlots(); ++v) {
+    Node& n = loop.ddg.node(v);
+    if (n.mem.has_value()) n.mem->stride = 256;
+  }
+  return loop;
+}
+
+// A footprint that fits in the cache: the warm invocation hits where the
+// cold one missed, never matches a checkpoint, and is stepped in full.
+TEST(Replay, ResidentFootprintSimulatesEveryWarmAccess) {
+  const MachineConfig m = MachineConfig::Baseline();
+  workload::Loop loop = workload::MakeVadd(512);  // 3 x 4 KiB
+  loop.invocations = 10;
+  const core::ScheduleResult sr = core::MirsHC(loop.ddg, m);
+  ASSERT_TRUE(sr.ok);
+  const ReplayResult rr = ReplayMatchingReference(loop, sr, m);
+  EXPECT_EQ(rr.simulated, rr.accesses);
+}
+
+// Below the first checkpoint there is nothing to compare; at a power-of-
+// two trip the last checkpoint is the one below the trip.
+TEST(Replay, TripBelowAndAtACheckpoint) {
+  const MachineConfig m = MachineConfig::Baseline();
+  for (long trip : {1L, 40L, 63L, 64L, 65L, 128L, 1024L, 2048L}) {
+    SCOPED_TRACE("trip " + std::to_string(trip));
+    workload::Loop loop = Streaming(workload::MakeDaxpy(trip));
+    loop.invocations = 3;
+    const core::ScheduleResult sr = core::MirsHC(loop.ddg, m);
+    ASSERT_TRUE(sr.ok);
+    const ReplayResult rr = ReplayMatchingReference(loop, sr, m);
+    if (trip <= 64) {
+      EXPECT_EQ(rr.simulated, rr.accesses);
+    }
+    if (trip == 2048) {
+      EXPECT_LT(rr.simulated, rr.accesses);
+    }
+  }
+}
+
+// The runtime-ways kernel cuts off too: 4 ways, 64-byte lines and 2 MSHRs
+// (MSHR-bound) over several invocations.
+TEST(Replay, WarmCutOffOnFourWayGeometry) {
+  CacheConfig narrow;
+  narrow.line_bytes = 64;
+  narrow.associativity = 4;
+  narrow.mshrs = 2;
+  const MachineConfig m = MachineConfig::Baseline();
+  for (PrefetchMode mode : {PrefetchMode::kNone, PrefetchMode::kAll}) {
+    workload::Loop loop = Streaming(workload::MakeVadd(5000));
+    loop.invocations = 4;
+    const sched::LatencyOverrides ov =
+        ClassifyBindingPrefetch(loop.ddg, m, loop.trip, mode);
+    const core::ScheduleResult sr = core::MirsHC(loop.ddg, m, {}, ov);
+    ASSERT_TRUE(sr.ok);
+    const ReplayResult rr = ReplayMatchingReference(loop, sr, m, narrow);
+    EXPECT_LT(rr.simulated, rr.accesses);
+    EXPECT_GT(rr.stall_cycles, 0);
+  }
+}
+
+// Schedules whose memory ops span stages (a cycle >= II; binding
+// prefetch stretches them): the hits that end one iteration issue after
+// the first accesses of the next, so the retirement they owe crosses the
+// iteration boundary. Two MSHRs keep the MSHR file full, where retirement
+// decides the stalls.
+TEST(Replay, MultiStageScheduleMatchesReference) {
+  CacheConfig narrow;
+  narrow.line_bytes = 64;
+  narrow.associativity = 4;
+  narrow.mshrs = 2;
+  int checked = 0;
+  for (const char* org : {"S64", "4C32/1-1"}) {
+    const MachineConfig m = hw::ApplyCharacterization(
+        MachineConfig::WithRF(RFConfig::Parse(org)),
+        hw::RFModelMode::kPaperTable);
+    for (workload::Loop loop :
+         {workload::MakeVadd(), workload::MakeDaxpy(), workload::MakeHydro(),
+          workload::MakeCmul(), Streaming(workload::MakeDaxpy())}) {
+      loop.invocations = 3;
+      for (PrefetchMode mode : {PrefetchMode::kNone, PrefetchMode::kAll}) {
+        SCOPED_TRACE(loop.ddg.name() + " " + org + " " +
+                     std::string(ToString(mode)));
+        const sched::LatencyOverrides ov =
+            ClassifyBindingPrefetch(loop.ddg, m, loop.trip, mode);
+        const core::ScheduleResult sr = core::MirsHC(loop.ddg, m, {}, ov);
+        ASSERT_TRUE(sr.ok);
+        int last = INT_MIN;
+        for (NodeId v = 0; v < sr.graph.NumSlots(); ++v) {
+          if (sr.graph.IsAlive(v) && sr.graph.node(v).mem.has_value()) {
+            last = std::max(last, sr.schedule.CycleOf(v));
+          }
+        }
+        if (last < sr.ii) continue;
+        ReplayMatchingReference(loop, sr, m);
+        ReplayMatchingReference(loop, sr, m, narrow);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 10);
+}
+
+// A long unit-stride stream: the warm invocation rejoins the cold one
+// early and most of it is never stepped.
+TEST(Replay, LongStreamSkipsMostOfTheWarmInvocation) {
+  const MachineConfig m = MachineConfig::Baseline();
+  workload::Loop loop = workload::MakeDaxpy(200000);
+  loop.invocations = 7;
+  const core::ScheduleResult sr = core::MirsHC(loop.ddg, m);
+  ASSERT_TRUE(sr.ok);
+  const ReplayResult rr = ReplayMatchingReference(loop, sr, m);
+  // The cold invocation is half the accesses; the warm one stops far
+  // before its end.
+  EXPECT_LT(rr.simulated, rr.accesses * 6 / 10);
+}
+
+// Every distinct memory replay of the paper reproduction (every
+// simulate_memory cell of every registered experiment, deduplicated as
+// experiment::RunExperiments does): all four fields must equal the
+// reference replay's. Disabled by default (~1 min at one thread);
+// CI runs it with --gtest_also_run_disabled_tests.
+TEST(Replay, DISABLED_EveryReproReplayMatchesReference) {
+  struct Case {
+    const workload::Loop* loop;
+    const MachineConfig* machine;
+  };
+  std::vector<std::shared_ptr<const workload::Suite>> slices;
+  std::vector<service::BatchRequest> requests;
+  std::vector<std::vector<Case>> cases;  // per request
+  std::unordered_map<service::CacheKey, std::size_t, service::CacheKeyHash>
+      dedup;
+  for (const experiment::Experiment& e : experiment::Registry()) {
+    const workload::Suite* suite = nullptr;
+    if (!e.workload.suite.empty()) {
+      suite = workload::SharedSuiteByName(e.workload.suite);
+      ASSERT_NE(suite, nullptr) << e.workload.suite;
+      if (e.workload.slice != 0 && e.workload.slice < suite->size()) {
+        slices.push_back(std::make_shared<const workload::Suite>(
+            workload::SuiteSlice(*suite, e.workload.slice)));
+        suite = slices.back().get();
+      }
+    }
+    for (const experiment::MachineVariant& mv : e.machines) {
+      for (const experiment::EngineVariant& ev : e.engines) {
+        if (!ev.simulate_memory || suite == nullptr) continue;
+        for (const workload::Loop& loop : suite->loops()) {
+          service::BatchRequest req;
+          // Non-owning alias: the suite outlives the batch.
+          req.loop = std::shared_ptr<const workload::Loop>(
+              std::shared_ptr<const void>(), &loop);
+          req.machine = mv.machine;
+          req.options = ev.options;
+          if (ev.prefetch != PrefetchMode::kNone) {
+            req.overrides = ClassifyBindingPrefetch(loop.ddg, mv.machine,
+                                                    loop.trip, ev.prefetch);
+          }
+          const auto [it, inserted] = dedup.emplace(
+              service::MakeCacheKey(loop.ddg, mv.machine, ev.options,
+                                    req.overrides),
+              requests.size());
+          if (inserted) {
+            requests.push_back(std::move(req));
+            cases.emplace_back();
+          }
+          std::vector<Case>& c = cases[it->second];
+          const bool seen = std::ranges::any_of(c, [&](const Case& x) {
+            return x.loop->trip == loop.trip &&
+                   x.loop->invocations == loop.invocations;
+          });
+          if (!seen) c.push_back({&loop, &mv.machine});
+        }
+      }
+    }
+  }
+
+  std::mutex mu;
+  long compared = 0;
+  long simulated = 0;
+  long accesses = 0;
+  std::vector<std::string> differing;
+  service::SchedulerService session(service::ServiceConfig{});
+  session.RunBatch(requests, [&](std::size_t r, service::BatchItem& item) {
+    if (!item.ok) return;
+    for (const Case& c : cases[r]) {
+      const ReplayResult got = ReplayLoop(*c.loop, item.result, *c.machine);
+      const ReplayResult want =
+          ReferenceReplay(*c.loop, item.result, *c.machine, CacheConfig{});
+      const std::lock_guard<std::mutex> lock(mu);
+      ++compared;
+      simulated += got.simulated;
+      accesses += got.accesses;
+      if (got.stall_cycles != want.stall_cycles ||
+          got.useful_cycles != want.useful_cycles ||
+          got.accesses != want.accesses || got.misses != want.misses) {
+        differing.push_back(requests[r].loop->ddg.name() + " trip " +
+                            std::to_string(c.loop->trip) + " x" +
+                            std::to_string(c.loop->invocations));
+      }
+    }
+  });
+  EXPECT_EQ(compared, 9762);  // repro's `cells:` line: distinct replays
+  EXPECT_EQ(accesses, 755396338);
+  EXPECT_LT(simulated, accesses);
+  EXPECT_TRUE(differing.empty())
+      << differing.size() << " of " << compared << " differ, first "
+      << differing.front();
 }
 
 // ---------------------------------------------------------------------------

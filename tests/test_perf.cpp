@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "memsim/prefetch.h"
+#include "memsim/replay.h"
 #include "perf/runner.h"
 #include "service/session.h"
 #include "workload/kernels.h"
@@ -17,7 +18,8 @@ namespace hcrf::perf {
 namespace {
 
 // Schedules every loop of `suite` on `m` in one batch `threads` wide and
-// derives each loop's metrics, in suite order.
+// derives each loop's metrics, in suite order; with `simulate_memory` its
+// stall cycles come from replaying its memory accesses.
 std::vector<LoopMetrics> ScheduleSuite(
     const workload::Suite& suite, const MachineConfig& m, int threads = 0,
     memsim::PrefetchMode prefetch = memsim::PrefetchMode::kNone,
@@ -37,8 +39,11 @@ std::vector<LoopMetrics> ScheduleSuite(
   const service::BatchReport report = service::RunBatch(requests, config);
   std::vector<LoopMetrics> out;
   for (size_t i = 0; i < suite.size(); ++i) {
-    out.push_back(MetricsFromResult(suite[i], m, report.items[i].result,
-                                    simulate_memory));
+    const core::ScheduleResult& sr = report.items[i].result;
+    LoopMetrics& lm = out.emplace_back(MetricsFromResult(suite[i], sr));
+    if (simulate_memory && lm.ok) {
+      lm.stall_cycles = memsim::ReplayLoop(suite[i], sr, m).stall_cycles;
+    }
   }
   return out;
 }

@@ -754,11 +754,12 @@ void PrintReproSummary(const experiment::ReproReport& report,
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   std::printf(
-      "cells: replay %.3f s (summed on the batch lanes), %ld accesses, %ld "
-      "misses, %d replayed cells in %d distinct replays, aggregation %.3f s "
-      "wall, peak RSS %.1f MiB\n",
-      report.replay_seconds, report.replay_accesses, report.replay_misses,
-      report.replayed_cells, report.distinct_replays, report.metrics_seconds,
+      "cells: replay %.3f s (summed on the batch lanes), %ld accesses (%ld "
+      "simulated), %ld misses, %d replayed cells in %d distinct replays, "
+      "aggregation %.3f s wall, peak RSS %.1f MiB\n",
+      report.replay_seconds, report.replay_accesses, report.replay_simulated,
+      report.replay_misses, report.replayed_cells, report.distinct_replays,
+      report.metrics_seconds,
       static_cast<double>(ru.ru_maxrss) / 1024.0);
   if (!cache_dir.empty()) {
     std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
