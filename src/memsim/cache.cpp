@@ -31,8 +31,6 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
 
 void Cache::Reset() {
   std::fill(tags_.begin(), tags_.end(), kEmpty);
-  hits_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace hcrf::memsim

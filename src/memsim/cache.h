@@ -27,11 +27,13 @@ struct CacheConfig {
 };
 
 /// Timing-free tag array: Access returns hit/miss and updates recency and
-/// contents (fill on miss). Miss overlap timing is handled by ReplayLoop,
-/// which owns the MSHR occupancy model. Each set holds its tags most
-/// recently used first, kEmpty-padded at the tail: a hit moves its tag to
-/// way 0 (an MRU hit is one compare), a miss shifts the set down one way,
-/// dropping the last (an empty way, else the LRU tag), and writes way 0.
+/// contents (fill on miss). The cache keeps no counters: callers count
+/// Access results as they need. Miss overlap timing is handled by
+/// ReplayLoop, which owns the MSHR occupancy model. Each set holds its
+/// tags most recently used first, kEmpty-padded at the tail: a hit moves
+/// its tag to way 0 (an MRU hit is one compare), a miss shifts the set
+/// down one way, dropping the last (an empty way, else the LRU tag), and
+/// writes way 0.
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg = {});
@@ -46,10 +48,7 @@ class Cache {
     const int ways = kWays > 0 ? kWays : cfg_.associativity;
     const Location loc = Locate(addr, ways);
     std::uint64_t* set = &tags_[loc.first_way];
-    if (set[0] == loc.tag) {
-      ++hits_;
-      return true;
-    }
+    if (set[0] == loc.tag) return true;
     int a = 1;
     while (a < ways && set[a] != loc.tag) ++a;
     const bool hit = a < ways;
@@ -59,7 +58,6 @@ class Cache {
       set[b] = set[b - 1];
     }
     set[0] = loc.tag;
-    ++(hit ? hits_ : misses_);
     return hit;
   }
 
@@ -78,8 +76,6 @@ class Cache {
   /// The whole tag array: two caches with equal arrays (and equal
   /// geometry) answer every future access alike.
   std::span<const std::uint64_t> tags() const { return tags_; }
-  long hits() const { return hits_; }
-  long misses() const { return misses_; }
   const CacheConfig& config() const { return cfg_; }
 
  private:
@@ -106,8 +102,6 @@ class Cache {
   std::uint64_t set_mask_ = 0; ///< NumSets() - 1.
   /// sets * associativity, set-major; each set in recency order.
   std::vector<std::uint64_t> tags_;
-  long hits_ = 0;
-  long misses_ = 0;
 };
 
 }  // namespace hcrf::memsim

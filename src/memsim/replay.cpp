@@ -139,7 +139,7 @@ class Replayer {
   }
 
   /// Accesses stepped through the cache so far.
-  long simulated() const { return cache_.hits() + cache_.misses(); }
+  long simulated() const { return simulated_; }
 
  private:
   long iter_base() const { return iter_ * ii_ + stall_; }
@@ -152,12 +152,12 @@ class Replayer {
     Begin();
     for (long at = kFirstCheckpoint;; at *= 2) {
       Step<kWays>(std::min(at, trip));
-      if (iter_ == trip) return {stall_, cache_.misses() - first_misses_};
+      if (iter_ == trip) return {stall_, misses_};
       if (!record) continue;
       Settle();
       Checkpoint& cp = checkpoints_.emplace_back();
       cp.stall = stall_;
-      cp.misses = cache_.misses() - first_misses_;
+      cp.misses = misses_;
       cp.tags.assign(cache_.tags().begin(), cache_.tags().end());
       inflight_.Relative(iter_base(), cp.inflight);
     }
@@ -180,11 +180,11 @@ class Replayer {
       if (std::ranges::equal(cache_.tags(), cp.tags) &&
           relative_ == cp.inflight) {
         return {stall_ + (cold.stall - cp.stall),
-                cache_.misses() - first_misses_ + (cold.misses - cp.misses)};
+                misses_ + (cold.misses - cp.misses)};
       }
     }
     Step<kWays>(trip);
-    return {stall_, cache_.misses() - first_misses_};
+    return {stall_, misses_};
   }
 
   void Begin() {
@@ -193,7 +193,7 @@ class Replayer {
     iter_ = 0;
     stall_ = 0;
     retire_ = LONG_MIN;
-    first_misses_ = cache_.misses();
+    misses_ = 0;
   }
 
   /// Applies the retirement owed before iteration iter_ and the one its
@@ -207,6 +207,9 @@ class Replayer {
   /// Runs iterations [iter_, end).
   template <int kWays>
   void Step(long end) {
+    if (end > iter_) {
+      simulated_ += (end - iter_) * static_cast<long>(ops_.size());
+    }
     for (; iter_ < end; ++iter_) {
       const long base = iter_base();
       bool hit = true;
@@ -220,6 +223,7 @@ class Replayer {
   }
 
   void Miss(long issue, int late) {
+    ++misses_;
     inflight_.RetireUntil(std::max(retire_, issue));
     retire_ = LONG_MIN;
     // MSHR pressure: stall until a slot frees. Every remaining miss
@@ -253,7 +257,8 @@ class Replayer {
   /// last miss the latest iteration's last op bounds all: retire_ is its
   /// issue cycle if that iteration ended in a hit, else LONG_MIN.
   long retire_ = LONG_MIN;
-  long first_misses_ = 0;  ///< cache_.misses() when the invocation began.
+  long misses_ = 0;     ///< Misses of the current invocation so far.
+  long simulated_ = 0;  ///< Accesses stepped, over every invocation.
 };
 
 }  // namespace

@@ -122,10 +122,8 @@ BatchReport RunBatch(const std::vector<BatchRequest>& requests,
   SchedulerService session(config);
   BatchReport report = session.RunBatch(requests);
   session.Drain();
-  if (session.has_cache()) {
-    report.cache = session.tier_stats();
-    report.mem_cache = session.memory_stats();
-  }
+  report.cache = session.tier_stats();
+  report.mem_cache = session.memory_stats();
   return report;
 }
 
@@ -134,10 +132,8 @@ BatchReport RunManifest(const std::string& manifest_path,
   SchedulerService session(config);
   BatchReport report = session.RunManifest(manifest_path);
   session.Drain();
-  if (session.has_cache()) {
-    report.cache = session.tier_stats();
-    report.mem_cache = session.memory_stats();
-  }
+  report.cache = session.tier_stats();
+  report.mem_cache = session.memory_stats();
   return report;
 }
 

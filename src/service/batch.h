@@ -69,7 +69,7 @@ struct BatchRequest {
   /// cache key: a prefetch run must never share an entry with a
   /// base-latency run of the same loop.
   sched::LatencyOverrides overrides;
-  /// Warm-start policy: on an exact cache miss, probe the tier stack's
+  /// Warm-start policy: on an exact cache miss, probe the cache's
   /// near-key index (same loop + machine, differing options/overrides) and
   /// seed the engine with the closest entry. Set by `delta` submissions;
   /// warm-started results stay out of the exact-key cache (the cache

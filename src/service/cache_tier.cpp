@@ -183,7 +183,7 @@ std::optional<core::ScheduleResult> MemoryTier::Get(const CacheKey& key) {
 void MemoryTier::Put(const CacheKey& key, const core::ScheduleResult& result) {
   // Standalone use (no disk tier sharing a serialization): dump once to
   // price the entry. The dump is canonical, so this is the same byte count
-  // the tiered stack passes through PutSized.
+  // TieredCache passes through PutSized.
   PutSized(key, result, static_cast<long>(io::DumpResult(result).size()));
 }
 
@@ -288,16 +288,6 @@ void MemoryTier::CountNear(bool hit) {
   }
 }
 
-std::optional<core::ScheduleResult> MemoryTier::GetNear(
-    std::uint64_t structural, const CacheKey& exclude) {
-  std::optional<core::ScheduleResult> out;
-  if (std::optional<CacheKey> key = StructuralLookup(structural, exclude)) {
-    out = Get(*key);  // may miss: the LRU can have evicted the entry
-  }
-  CountNear(out.has_value());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // TieredCache
 // ---------------------------------------------------------------------------
@@ -309,10 +299,13 @@ TieredCache::TieredCache(std::unique_ptr<MemoryTier> memory,
 TieredCache::~TieredCache() { Drain(); }
 
 std::optional<core::ScheduleResult> TieredCache::Get(const CacheKey& key) {
-  if (auto hot = memory_->Get(key)) return hot;
+  if (memory_) {
+    if (auto hot = memory_->Get(key)) return hot;
+  }
+  if (!disk_) return std::nullopt;
   long bytes = 0;
-  auto cold = disk_->GetSized(key, &bytes);
-  if (cold.has_value()) {
+  auto cold = disk_->Get(key, &bytes);
+  if (cold.has_value() && memory_) {
     // Promote: the next Get for this key is memory-served, priced at the
     // size of the document it was parsed from (a canonical dump).
     memory_->PutSized(key, *cold, bytes);
@@ -322,7 +315,14 @@ std::optional<core::ScheduleResult> TieredCache::Get(const CacheKey& key) {
 
 void TieredCache::Put(const CacheKey& key, const core::ScheduleResult& result) {
   std::string body = io::DumpResult(result);
-  memory_->PutSized(key, result, static_cast<long>(body.size()));
+  if (memory_) memory_->PutSized(key, result, static_cast<long>(body.size()));
+  if (!disk_) return;
+  if (!memory_) {
+    // Nothing in front to serve the entry meanwhile: write through, so
+    // a disk-only run's counters are exact without a drain.
+    disk_->PutBody(key, body);
+    return;
+  }
   // The scheduling worker returns immediately; the filesystem write runs
   // on the process worker pool (safe to feed from any thread, including
   // pool workers). Racing writers of one key produce identical bytes and
@@ -336,17 +336,17 @@ void TieredCache::Drain() { writes_.RunAndWait(); }
 
 void TieredCache::NoteStructural(std::uint64_t structural,
                                  const CacheKey& key) {
-  memory_->NoteStructural(structural, key);
+  if (memory_) memory_->NoteStructural(structural, key);
 }
 
 std::optional<core::ScheduleResult> TieredCache::GetNear(
     std::uint64_t structural, const CacheKey& exclude) {
+  if (!memory_) return std::nullopt;
   std::optional<core::ScheduleResult> out;
   if (std::optional<CacheKey> key =
           memory_->StructuralLookup(structural, exclude)) {
-    // Resolve through the stack's own Get: a memory hit refreshes the LRU,
-    // and a key the memory tier evicted is served from disk and promoted —
-    // the index never strands on eviction.
+    // A memory hit refreshes the LRU, and a key the memory tier evicted
+    // is served from disk and promoted.
     out = Get(*key);
   }
   memory_->CountNear(out.has_value());
@@ -354,19 +354,14 @@ std::optional<core::ScheduleResult> TieredCache::GetNear(
 }
 
 TierStats TieredCache::tier_stats() const {
-  const TierStats mem = memory_->tier_stats();
-  const TierStats disk = disk_->tier_stats();
-  TierStats t;
-  t.hits = mem.hits + disk.hits;  // served from any tier
-  t.misses = disk.misses;         // a memory miss that hits disk is not a miss
-  t.rejects = disk.rejects;
-  t.writes = disk.writes;
-  t.evictions = mem.evictions;
-  t.oversize = mem.oversize;
-  t.entries = mem.entries;
-  t.bytes = mem.bytes;
-  t.near_hits = mem.near_hits;
-  t.near_misses = mem.near_misses;
+  TierStats t = memory_ ? memory_->tier_stats() : TierStats{};
+  if (disk_) {
+    const TierStats disk = disk_->tier_stats();
+    t.hits += disk.hits;  // served from any tier
+    t.misses = disk.misses;  // a memory miss that hits disk is not a miss
+    t.rejects = disk.rejects;
+    t.writes = disk.writes;
+  }
   return t;
 }
 

@@ -1,26 +1,26 @@
-// Tiered schedule-cache interface: the storage layers behind the
-// scheduling service.
+// The schedule cache behind the scheduling service: one class,
+// service::TieredCache, with two optional tiers.
 //
 // The scheduling service began with one on-disk, content-addressed
-// schedule store (service::DiskTier). The resident daemon needs that
-// store to be a *tier* of a stack rather than a per-run local: a sharded
-// in-memory hot tier absorbs the traffic of repeated submissions without
-// lock contention or disk parses, and the on-disk tier keeps the durable,
-// process-crossing view. This header extracts the common interface —
-// CacheKey, Get/Put/Drain, per-tier counters — and provides the two new
-// layers:
+// schedule store (service::DiskTier). The resident daemon adds a sharded
+// in-memory hot tier in front of it, which absorbs the traffic of
+// repeated submissions without lock contention or disk parses, while the
+// on-disk tier keeps the durable, process-crossing view. This header
+// holds CacheKey, the per-tier counters and:
 //
 //  * MemoryTier — sharded by cache-key prefix (the top bits of the first
 //    hash word pick the shard, so concurrent workers on different keys
 //    never touch the same mutex), LRU-bounded by entry count AND resident
 //    bytes. An entry's byte cost is its canonical serialized size, so the
-//    bound means what an operator thinks it means.
-//  * TieredCache — MemoryTier in front of DiskTier. Gets probe memory
-//    first, then disk (promoting hits); Puts land in memory and are
-//    written behind to disk on the process WorkerPool, so the
-//    scheduling worker never waits on the filesystem. Drain() settles
-//    every queued write (the daemon calls it on SIGTERM; one-shot runs
-//    drain before reporting).
+//    bound means what an operator thinks it means. It also keeps the
+//    near-key index (structural hash -> latest exact key).
+//  * TieredCache — the cache the session schedules against: a MemoryTier,
+//    a DiskTier, or both. Gets probe memory first, then disk (promoting
+//    hits). A Put with both tiers lands in memory and is written behind
+//    to disk on the process WorkerPool, so the scheduling worker never
+//    waits on the filesystem; Drain() settles every queued write (the
+//    daemon calls it on SIGTERM; one-shot runs drain before reporting).
+//    A disk-only cache writes synchronously.
 //
 // Correctness contract, inherited from the disk store: a result served
 // from ANY tier is bit-identical (io::DumpResult) to a fresh schedule.
@@ -102,54 +102,10 @@ struct TierStats {
   long near_misses = 0;  ///< Near-key lookups that found nothing usable.
 };
 
-/// One storage layer of the schedule-cache stack. Implementations must be
-/// safe for concurrent Get/Put from the scheduling workers.
-class CacheTier {
- public:
-  virtual ~CacheTier() = default;
-
-  /// Returns the cached result for `key`, or nullopt (miss or reject).
-  virtual std::optional<core::ScheduleResult> Get(const CacheKey& key) = 0;
-
-  /// Stores `result` under `key`. Best-effort: failures (I/O errors, an
-  /// entry too large for the memory bound) are counted, never thrown —
-  /// the cache is an accelerator, not a correctness dependency.
-  virtual void Put(const CacheKey& key,
-                   const core::ScheduleResult& result) = 0;
-
-  /// Blocks until asynchronously queued work (write-behind) has settled.
-  /// A no-op for synchronous tiers.
-  virtual void Drain() {}
-
-  /// Remembers `key` as the latest resident entry for structural hash
-  /// `structural` (see MakeStructuralHash). Tiers without a near-key
-  /// index ignore the note.
-  virtual void NoteStructural(std::uint64_t structural,
-                              const CacheKey& key) {
-    (void)structural;
-    (void)key;
-  }
-
-  /// Near-key lookup: the closest resident entry sharing `structural`
-  /// (same graph + machine, differing options/overrides), excluding
-  /// `exclude` (the requester's own exact key, already known to miss).
-  /// Serves warm-start seeds; tiers without an index always miss.
-  virtual std::optional<core::ScheduleResult> GetNear(
-      std::uint64_t structural, const CacheKey& exclude) {
-    (void)structural;
-    (void)exclude;
-    return std::nullopt;
-  }
-
-  /// Counters since construction (aggregated across sub-tiers for a
-  /// stacked implementation).
-  virtual TierStats tier_stats() const = 0;
-};
-
 class DiskTier;  // the on-disk store, declared in service/sched_cache.h
 
-/// Sharded, LRU-bounded in-memory hot tier.
-class MemoryTier : public CacheTier {
+/// Sharded, LRU-bounded in-memory hot tier. Safe for concurrent use.
+class MemoryTier {
  public:
   struct Config {
     /// Maximum resident entries across all shards (>= 1).
@@ -164,29 +120,25 @@ class MemoryTier : public CacheTier {
 
   explicit MemoryTier(const Config& config);
 
-  std::optional<core::ScheduleResult> Get(const CacheKey& key) override;
-  void Put(const CacheKey& key, const core::ScheduleResult& result) override;
-  /// Put with the entry's canonical serialized size already known — the
-  /// tiered stack serializes once for the disk write-behind and shares
-  /// the byte count instead of dumping twice.
+  /// Returns the resident result for `key`, or nullopt.
+  std::optional<core::ScheduleResult> Get(const CacheKey& key);
+  /// Stores `result` under `key`, priced at its canonical dump size. An
+  /// entry too large for a shard's byte bound is counted, not stored.
+  void Put(const CacheKey& key, const core::ScheduleResult& result);
+  /// Put with the entry's canonical serialized size already known —
+  /// TieredCache serializes once for the disk write and shares the byte
+  /// count instead of dumping twice.
   void PutSized(const CacheKey& key, const core::ScheduleResult& result,
                 long bytes);
-  TierStats tier_stats() const override;
+  TierStats tier_stats() const;
 
   // ---- near-key index (warm-start seeds) -------------------------------
   /// structural-hash -> latest exact key noted for it (latest wins on
   /// collision: the newest neighbour is the freshest seed).
-  void NoteStructural(std::uint64_t structural, const CacheKey& key) override;
-  /// GetNear through this tier only: index lookup + memory Get. A stacked
-  /// cache uses StructuralLookup/CountNear instead, so a remembered key
-  /// whose entry was LRU-evicted from memory can still be served (and
-  /// promoted) from disk.
-  std::optional<core::ScheduleResult> GetNear(std::uint64_t structural,
-                                              const CacheKey& exclude)
-      override;
+  void NoteStructural(std::uint64_t structural, const CacheKey& key);
   /// The remembered key for `structural`, or nullopt (never `exclude`).
-  /// Does not count a near hit/miss — the caller resolves the key against
-  /// whatever tier(s) it fronts and reports the outcome via CountNear.
+  /// Does not count a near hit/miss — TieredCache::GetNear resolves the
+  /// key against every tier it has and reports the outcome via CountNear.
   std::optional<CacheKey> StructuralLookup(std::uint64_t structural,
                                            const CacheKey& exclude) const;
   /// Records the outcome of a near-key lookup (counters + obs registry).
@@ -248,39 +200,49 @@ class MemoryTier : public CacheTier {
   std::atomic<long> near_misses_{0};
 };
 
-/// MemoryTier stacked in front of DiskTier with write-behind. Both tiers
-/// are required; single-tier configurations use the tier directly.
-class TieredCache : public CacheTier {
+/// The schedule cache: a MemoryTier in front of a DiskTier, either of
+/// which may be absent (a session with neither holds no cache). Safe for
+/// concurrent use from the scheduling workers. Every operation is
+/// best-effort: failures (I/O errors, an entry too large for the memory
+/// bound) are counted, never thrown — the cache is an accelerator, not a
+/// correctness dependency.
+class TieredCache {
  public:
-  /// Disk writes run behind on the process worker pool; Drain() settles
-  /// them before anyone counts or reads disk state.
+  /// With both tiers, disk writes run behind on the process worker pool;
+  /// Drain() settles them before anyone counts or reads disk state.
   TieredCache(std::unique_ptr<MemoryTier> memory,
               std::unique_ptr<DiskTier> disk);
-  ~TieredCache() override;  ///< Drains queued writes.
+  ~TieredCache();  ///< Drains queued writes.
 
-  std::optional<core::ScheduleResult> Get(const CacheKey& key) override;
-  void Put(const CacheKey& key, const core::ScheduleResult& result) override;
-  void Drain() override;
-  /// Aggregate view: hits from any tier count, misses/rejects/writes are
-  /// the disk tier's (a memory miss that hits disk is not a stack miss),
-  /// evictions/oversize/entries/bytes are the memory tier's (near_hits/
-  /// near_misses too — the index lives there).
-  TierStats tier_stats() const override;
+  /// Returns the cached result for `key`, or nullopt (miss or reject).
+  std::optional<core::ScheduleResult> Get(const CacheKey& key);
+  /// Stores `result` under `key` in every tier.
+  void Put(const CacheKey& key, const core::ScheduleResult& result);
+  /// Blocks until queued write-behind has settled.
+  void Drain();
+  /// Counters since construction, summed over the tiers present: hits
+  /// from any tier count; misses/rejects/writes are the last tier's (a
+  /// memory miss that hits disk is not a miss); evictions/oversize/
+  /// entries/bytes and near_hits/near_misses are the memory tier's.
+  TierStats tier_stats() const;
 
-  /// The near index lives in the memory tier; notes route there.
-  void NoteStructural(std::uint64_t structural, const CacheKey& key) override;
-  /// Near lookup against the whole stack: the remembered key resolves
-  /// through the stack's own Get, so an entry the memory LRU evicted is
-  /// served from disk and promoted on the way — eviction never strands
-  /// the index.
+  /// Remembers `key` as the latest resident entry for structural hash
+  /// `structural` (see MakeStructuralHash). Without a memory tier, where
+  /// the index lives, the note is dropped.
+  void NoteStructural(std::uint64_t structural, const CacheKey& key);
+  /// Near-key lookup: the latest entry noted for `structural` (same graph
+  /// + machine, differing options/overrides), excluding `exclude` (the
+  /// requester's own exact key, already known to miss). The remembered
+  /// key resolves through Get, so an entry the memory LRU evicted is
+  /// served from disk and promoted — eviction never strands the index.
+  /// Serves warm-start seeds; without a memory tier it always misses,
+  /// uncounted.
   std::optional<core::ScheduleResult> GetNear(std::uint64_t structural,
-                                              const CacheKey& exclude)
-      override;
+                                              const CacheKey& exclude);
 
-  MemoryTier& memory() { return *memory_; }
-  DiskTier& disk() { return *disk_; }
-  const MemoryTier& memory() const { return *memory_; }
-  const DiskTier& disk() const { return *disk_; }
+  /// The tiers; nullptr when absent.
+  MemoryTier* memory() const { return memory_.get(); }
+  DiskTier* disk() const { return disk_.get(); }
 
  private:
   std::unique_ptr<MemoryTier> memory_;

@@ -35,13 +35,8 @@ std::string DiskTier::EntryPath(const CacheKey& key) const {
   return (fs::path(dir_) / (key.Hex() + ".hclc")).string();
 }
 
-std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key) {
-  long body_bytes = 0;
-  return GetSized(key, &body_bytes);
-}
-
-std::optional<core::ScheduleResult> DiskTier::GetSized(const CacheKey& key,
-                                                       long* body_bytes) {
+std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key,
+                                                  long* body_bytes) {
   const std::string path = EntryPath(key);
   std::string text;
   try {
@@ -82,7 +77,7 @@ std::optional<core::ScheduleResult> DiskTier::GetSized(const CacheKey& key,
 
   try {
     core::ScheduleResult r = io::ParseResult(body, path);
-    *body_bytes = static_cast<long>(body.size());
+    if (body_bytes != nullptr) *body_bytes = static_cast<long>(body.size());
     hits_.fetch_add(1, std::memory_order_relaxed);
     obs::GetCounter("sched_cache.hits").Add(1);
     return r;

@@ -1,4 +1,6 @@
-// Persistent, content-addressed schedule cache: the durable disk tier.
+// Persistent, content-addressed schedule cache: the durable disk tier of
+// service::TieredCache (service/cache_tier.h), alone or behind the memory
+// tier.
 //
 // Extends the in-memory MII sweep cache idea (src/perf/runner.cpp) to whole
 // schedules on disk: the key is a structural hash of everything a schedule
@@ -32,7 +34,7 @@
 
 namespace hcrf::service {
 
-class DiskTier : public CacheTier {
+class DiskTier {
  public:
   /// `dir` is created lazily on first Put.
   explicit DiskTier(std::string dir);
@@ -40,26 +42,24 @@ class DiskTier : public CacheTier {
   const std::string& dir() const { return dir_; }
 
   /// Returns the cached result for `key`, or nullopt (miss or reject).
-  std::optional<core::ScheduleResult> Get(const CacheKey& key) override;
-
-  /// Get that also sets `*body_bytes` on a hit to the size of the entry's
-  /// result document: the canonical dump size the tiered stack prices a
+  /// On a hit, a non-null `body_bytes` receives the size of the entry's
+  /// result document: the canonical dump size TieredCache prices a
   /// promoted entry at, known here without dumping the result again.
-  std::optional<core::ScheduleResult> GetSized(const CacheKey& key,
-                                               long* body_bytes);
+  std::optional<core::ScheduleResult> Get(const CacheKey& key,
+                                          long* body_bytes = nullptr);
 
   /// Stores `result` under `key` (atomic write; errors are swallowed —
   /// the cache is an accelerator, never a correctness dependency).
-  void Put(const CacheKey& key, const core::ScheduleResult& result) override;
+  void Put(const CacheKey& key, const core::ScheduleResult& result);
 
   /// Put with the canonical `hcl 1 result` document already serialized;
-  /// the tiered stack dumps once and shares the bytes with the memory
+  /// TieredCache dumps once and shares the bytes with the memory
   /// tier's size accounting.
   void PutBody(const CacheKey& key, const std::string& body);
 
   /// Flow counters only (`rejects`: stale key, bad checksum or
   /// unparsable entry); the directory census is Scan's.
-  TierStats tier_stats() const override;
+  TierStats tier_stats() const;
 
   /// Offline directory census for `hcrf_sched stats <dir>`.
   struct DirStats {

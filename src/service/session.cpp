@@ -32,7 +32,7 @@ TierStats FlowDelta(const TierStats& after, const TierStats& before) {
 
 /// One request's work after the lane picked it up: cache probe, then on a
 /// miss the MII, the schedule and the cache write, each a timed phase.
-void Serve(const BatchRequest& req, CacheTier* cache, BatchItem& item) {
+void Serve(const BatchRequest& req, TieredCache* cache, BatchItem& item) {
   static const auto kProbe = obs::PhaseName::Timed("phase", "cache-probe");
   static const auto kMii = obs::PhaseName::Timed("phase", "mii");
   static const auto kSchedule = obs::PhaseName::Timed("phase", "schedule");
@@ -103,29 +103,21 @@ void Serve(const BatchRequest& req, CacheTier* cache, BatchItem& item) {
 
 SchedulerService::SchedulerService(const ServiceConfig& config)
     : config_(config) {
-  const bool want_mem = config_.cache_mem_entries > 0;
-  const bool want_disk = !config_.cache_dir.empty();
-  if (want_mem) {
+  std::unique_ptr<MemoryTier> memory;
+  if (config_.cache_mem_entries > 0) {
     MemoryTier::Config mc;
     mc.max_entries = config_.cache_mem_entries;
     mc.max_bytes = config_.cache_mem_bytes;
-    auto mem = std::make_unique<MemoryTier>(mc);
-    memory_ = mem.get();
-    if (want_disk) {
-      auto disk = std::make_unique<DiskTier>(config_.cache_dir);
-      disk_ = disk.get();
-      cache_ = std::make_unique<TieredCache>(std::move(mem), std::move(disk));
-    } else {
-      cache_ = std::move(mem);
-    }
-  } else if (want_disk) {
-    auto disk = std::make_unique<DiskTier>(config_.cache_dir);
-    disk_ = disk.get();
-    cache_ = std::move(disk);
+    memory = std::make_unique<MemoryTier>(mc);
+  }
+  std::unique_ptr<DiskTier> disk;
+  if (!config_.cache_dir.empty()) {
+    disk = std::make_unique<DiskTier>(config_.cache_dir);
+  }
+  if (memory || disk) {
+    cache_ = std::make_unique<TieredCache>(std::move(memory), std::move(disk));
   }
 }
-
-SchedulerService::~SchedulerService() { Drain(); }
 
 void SchedulerService::Drain() {
   if (cache_) cache_->Drain();
@@ -136,7 +128,8 @@ TierStats SchedulerService::tier_stats() const {
 }
 
 TierStats SchedulerService::memory_stats() const {
-  return memory_ != nullptr ? memory_->tier_stats() : TierStats{};
+  const MemoryTier* memory = memory_tier();
+  return memory != nullptr ? memory->tier_stats() : TierStats{};
 }
 
 void SchedulerService::ParallelFor(
@@ -192,7 +185,6 @@ BatchReport SchedulerService::RunBatch(
   };
   std::vector<Tally> tallies(requests.size());
 
-  CacheTier* cache = cache_.get();
   const TierStats stack_before = tier_stats();
   const TierStats mem_before = memory_stats();
 
@@ -210,7 +202,7 @@ BatchReport SchedulerService::RunBatch(
         obs::Phase request_phase(kRequest, item.seconds);
         item.timing.queue_seconds = request_phase.OpenedAfter(batch_phase);
         request_phase.set_detail(item.id);
-        Serve(requests[i], cache, item);
+        Serve(requests[i], cache_.get(), item);
       }
       req_count.Add(1);
       if (item.cache_hit) hit_count.Add(1);
@@ -230,13 +222,11 @@ BatchReport SchedulerService::RunBatch(
     report.timing.Accumulate(t.timing);
   }
 
-  if (cache != nullptr) {
-    // Per-batch deltas of the session-lifetime counters. With write-behind
-    // on, disk `writes` queued by this batch may still be in flight; the
-    // one-shot wrappers Drain() and re-snapshot for exact totals.
-    report.cache = FlowDelta(tier_stats(), stack_before);
-    report.mem_cache = FlowDelta(memory_stats(), mem_before);
-  }
+  // Per-batch deltas of the session-lifetime counters. With write-behind
+  // on, disk `writes` queued by this batch may still be in flight; the
+  // one-shot wrappers Drain() and re-snapshot for exact totals.
+  report.cache = FlowDelta(tier_stats(), stack_before);
+  report.mem_cache = FlowDelta(memory_stats(), mem_before);
   return report;
 }
 

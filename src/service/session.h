@@ -1,16 +1,16 @@
 // SchedulerService: the resident scheduling session.
 //
-// The cache stack, the parallelism configuration and the stats views
+// The schedule cache, the parallelism configuration and the stats views
 // are fields of one long-lived SchedulerService, and every request path —
 // one-shot CLI, sweep, repro, tests, examples, the Unix-socket server —
 // schedules through the same session object. One code path, one set of
 // counters, one drain point.
 //
 // Ownership model:
-//  * The session owns the cache stack (MemoryTier / DiskTier /
-//    TieredCache, per ServiceConfig) for its whole lifetime; batch calls
-//    borrow it. Per-batch stats are deltas of the stack counters around
-//    the call.
+//  * The session owns one TieredCache, built with the memory and/or disk
+//    tier that ServiceConfig asks for (none when it asks for neither),
+//    for its whole lifetime; batch calls borrow it. Per-batch stats are
+//    deltas of the cache counters around the call.
 //  * The worker pool stays process-wide (perf::WorkerPool::Shared());
 //    the session only carries the parallelism cap applied per batch.
 //  * Drain() settles the write-behind queue; the destructor drains too.
@@ -19,7 +19,7 @@
 //
 // Thread safety: RunBatch and ParallelFor may be called from multiple
 // threads (the server dispatches concurrent submissions). Concurrent
-// calls interleave their items on the shared pool; the cache stack and
+// calls interleave their items on the shared pool; the cache and
 // stats snapshots are internally synchronized. A batch's tier deltas
 // (report.cache / report.mem_cache) are taken around the call, so they
 // can include a concurrent batch's traffic; the per-item `cache_hit`
@@ -57,7 +57,6 @@ struct ServiceConfig {
 class SchedulerService {
  public:
   explicit SchedulerService(const ServiceConfig& config);
-  ~SchedulerService();  ///< Drains queued cache writes.
 
   SchedulerService(const SchedulerService&) = delete;
   SchedulerService& operator=(const SchedulerService&) = delete;
@@ -71,7 +70,7 @@ class SchedulerService {
   /// concurrently with other items' consumers.
   using ItemConsumer = std::function<void(std::size_t, BatchItem&)>;
 
-  /// Schedules every request in parallel against the session cache stack.
+  /// Schedules every request in parallel against the session cache.
   /// Never throws for per-request failures; they surface as failed items.
   /// report.cache / report.mem_cache are deltas over this call; with
   /// both tiers on (write-behind), `writes` may still be in flight at
@@ -102,15 +101,15 @@ class SchedulerService {
   /// Settles the write-behind queue (no-op unless both tiers are on).
   void Drain();
 
-  bool has_cache() const { return cache_ != nullptr; }
-  /// The stack (or single tier); nullptr when caching is disabled.
-  CacheTier* cache() { return cache_.get(); }
   /// Borrowed tier views; nullptr when that tier is not configured.
-  MemoryTier* memory_tier() { return memory_; }
-  DiskTier* disk_tier() { return disk_; }
+  MemoryTier* memory_tier() const {
+    return cache_ ? cache_->memory() : nullptr;
+  }
+  DiskTier* disk_tier() const { return cache_ ? cache_->disk() : nullptr; }
 
-  /// Whole-stack counters since session construction (hits from any
-  /// tier; misses/rejects/writes at the durable boundary).
+  /// Whole-cache counters since session construction (hits from any
+  /// tier; misses/rejects/writes at the last tier); zeroes when caching
+  /// is disabled.
   TierStats tier_stats() const;
   /// Memory-tier counters since session construction; zeroes when the
   /// memory tier is not configured.
@@ -118,9 +117,7 @@ class SchedulerService {
 
  private:
   ServiceConfig config_;
-  std::unique_ptr<CacheTier> cache_;  ///< Null = caching disabled.
-  MemoryTier* memory_ = nullptr;      ///< View into cache_ (or null).
-  DiskTier* disk_ = nullptr;          ///< View into cache_ (or null).
+  std::unique_ptr<TieredCache> cache_;  ///< Null = caching disabled.
 };
 
 }  // namespace hcrf::service

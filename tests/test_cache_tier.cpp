@@ -1,6 +1,7 @@
-// Tiered schedule cache: memory-tier LRU/byte bounds, disk promotion,
-// write-behind durability after Drain(), and bit-identity of results
-// served from every tier. The concurrent hammer runs under TSan in CI.
+// The schedule cache: memory-tier LRU/byte bounds, disk promotion,
+// write-behind durability after Drain(), the near-key index, bit-identity
+// of results served from every tier, and the session's counters over each
+// tier configuration. The concurrent hammer runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include "io/hcl.h"
 #include "service/cache_tier.h"
 #include "service/sched_cache.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 
 namespace hcrf {
@@ -44,6 +46,13 @@ class CacheTierTest : public ::testing::Test {
     return std::make_unique<TieredCache>(
         std::make_unique<MemoryTier>(mcfg),
         std::make_unique<DiskTier>(dir_.string()));
+  }
+
+  /// A memory-only cache: no disk tier behind the memory tier.
+  static std::unique_ptr<TieredCache> MakeMemoryCache(
+      const MemoryTier::Config& mcfg) {
+    return std::make_unique<TieredCache>(std::make_unique<MemoryTier>(mcfg),
+                                         nullptr);
   }
 
   fs::path dir_;
@@ -169,7 +178,7 @@ TEST_F(CacheTierTest, TieredColdWarmHotBitIdentity) {
   const auto hot = stack->Get(key);
   ASSERT_TRUE(hot.has_value());
   EXPECT_EQ(canonical, io::DumpResult(*hot));
-  EXPECT_EQ(stack->memory().tier_stats().hits, 1);
+  EXPECT_EQ(stack->memory()->tier_stats().hits, 1);
 
   // Warm: a fresh stack over the same directory starts with an empty
   // memory tier; the hit comes off disk and is promoted.
@@ -178,12 +187,12 @@ TEST_F(CacheTierTest, TieredColdWarmHotBitIdentity) {
   const auto warm = stack->Get(key);
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(canonical, io::DumpResult(*warm));
-  EXPECT_EQ(stack->disk().tier_stats().hits, 1);
+  EXPECT_EQ(stack->disk()->tier_stats().hits, 1);
   // Promotion: the next Get is memory-served.
   const auto promoted = stack->Get(key);
   ASSERT_TRUE(promoted.has_value());
   EXPECT_EQ(canonical, io::DumpResult(*promoted));
-  EXPECT_EQ(stack->memory().tier_stats().hits, 1);
+  EXPECT_EQ(stack->memory()->tier_stats().hits, 1);
 }
 
 // A promoted disk hit is priced at the size of the document it was parsed
@@ -196,12 +205,12 @@ TEST_F(CacheTierTest, PromotionPricesTheEntryAtItsDocumentSize) {
 
   DiskTier(dir_.string()).Put(key, fresh);
   long body_bytes = 0;
-  ASSERT_TRUE(DiskTier(dir_.string()).GetSized(key, &body_bytes).has_value());
+  ASSERT_TRUE(DiskTier(dir_.string()).Get(key, &body_bytes).has_value());
   EXPECT_EQ(body_bytes, canonical_bytes);
 
   auto stack = MakeStack(/*mem_entries=*/16);
   ASSERT_TRUE(stack->Get(key).has_value());  // disk hit, promoted
-  const TierStats mem = stack->memory().tier_stats();
+  const TierStats mem = stack->memory()->tier_stats();
   EXPECT_EQ(mem.entries, 1);
   EXPECT_EQ(mem.bytes, canonical_bytes);
 }
@@ -266,21 +275,21 @@ TEST_F(CacheTierTest, NearKeyServesClosestEntryAndExcludesSelf) {
   const CacheKey other = KeyVariant(loop, 777);
   const std::uint64_t structural = StructuralOf(loop);
 
-  MemoryTier tier(MemoryTier::Config{});
-  tier.Put(exact, r);
-  tier.NoteStructural(structural, exact);
+  auto cache = MakeMemoryCache(MemoryTier::Config{});
+  cache->Put(exact, r);
+  cache->NoteStructural(structural, exact);
 
   // A differing exact key (same structure) gets the remembered entry.
-  const auto near = tier.GetNear(structural, /*exclude=*/other);
+  const auto near = cache->GetNear(structural, /*exclude=*/other);
   ASSERT_TRUE(near.has_value());
   EXPECT_EQ(io::DumpResult(r), io::DumpResult(*near));
   // Probing with the remembered key itself is not a near hit: the exact
   // path already answered (or missed) that key.
-  EXPECT_FALSE(tier.GetNear(structural, /*exclude=*/exact).has_value());
+  EXPECT_FALSE(cache->GetNear(structural, /*exclude=*/exact).has_value());
   // An unknown structural hash is a near miss.
-  EXPECT_FALSE(tier.GetNear(structural + 1, other).has_value());
+  EXPECT_FALSE(cache->GetNear(structural + 1, other).has_value());
 
-  const TierStats s = tier.tier_stats();
+  const TierStats s = cache->tier_stats();
   EXPECT_EQ(s.near_hits, 1);
   EXPECT_EQ(s.near_misses, 2);
 }
@@ -293,42 +302,43 @@ TEST_F(CacheTierTest, NearKeyCollisionKeepsLatestExactKey) {
   const CacheKey probe = KeyVariant(loop, 103);
   const std::uint64_t structural = StructuralOf(loop);
 
-  MemoryTier tier(MemoryTier::Config{});
-  tier.Put(k1, r);
-  tier.Put(k2, r);
-  tier.NoteStructural(structural, k1);
-  tier.NoteStructural(structural, k2);  // same structure: latest wins
+  auto cache = MakeMemoryCache(MemoryTier::Config{});
+  cache->Put(k1, r);
+  cache->Put(k2, r);
+  cache->NoteStructural(structural, k1);
+  cache->NoteStructural(structural, k2);  // same structure: latest wins
 
-  const auto remembered = tier.StructuralLookup(structural, probe);
+  const MemoryTier& index = *cache->memory();
+  const auto remembered = index.StructuralLookup(structural, probe);
   ASSERT_TRUE(remembered.has_value());
   EXPECT_EQ(remembered->a, k2.a);
   EXPECT_EQ(remembered->b, k2.b);
   // With the remembered key excluded, the index has nothing else to offer.
-  EXPECT_FALSE(tier.StructuralLookup(structural, k2).has_value());
+  EXPECT_FALSE(index.StructuralLookup(structural, k2).has_value());
 }
 
 TEST_F(CacheTierTest, NearKeyStaysCoherentWithEviction) {
-  // One-entry tier: the second Put evicts the first entry, but the index
-  // still remembers its key. GetNear must then miss (resolving through
-  // the exact path), never serve stale bytes.
+  // One-entry memory-only cache: the second Put evicts the first entry,
+  // but the index still remembers its key. GetNear must then miss
+  // (resolving through the exact path), never serve stale bytes.
   MemoryTier::Config cfg;
   cfg.max_entries = 1;
   cfg.shards = 1;
-  MemoryTier tier(cfg);
+  auto cache = MakeMemoryCache(cfg);
 
   const workload::Loop a = workload::MakeDaxpy();
   const workload::Loop b = workload::MakeDot();
   const core::ScheduleResult ra = ScheduleKernel(a);
   const core::ScheduleResult rb = ScheduleKernel(b);
 
-  tier.Put(KeyOf(a), ra);
-  tier.NoteStructural(StructuralOf(a), KeyOf(a));
-  tier.Put(KeyOf(b), rb);  // evicts a's entry; a's index note survives
-  EXPECT_EQ(tier.tier_stats().evictions, 1);
+  cache->Put(KeyOf(a), ra);
+  cache->NoteStructural(StructuralOf(a), KeyOf(a));
+  cache->Put(KeyOf(b), rb);  // evicts a's entry; a's index note survives
+  EXPECT_EQ(cache->tier_stats().evictions, 1);
 
-  const auto near = tier.GetNear(StructuralOf(a), KeyVariant(a, 555));
+  const auto near = cache->GetNear(StructuralOf(a), KeyVariant(a, 555));
   EXPECT_FALSE(near.has_value());
-  EXPECT_EQ(tier.tier_stats().near_misses, 1);
+  EXPECT_EQ(cache->tier_stats().near_misses, 1);
 }
 
 TEST_F(CacheTierTest, NearKeyResolvesThroughDiskAndPromotes) {
@@ -350,12 +360,91 @@ TEST_F(CacheTierTest, NearKeyResolvesThroughDiskAndPromotes) {
   const auto near = stack->GetNear(StructuralOf(a), KeyVariant(a, 555));
   ASSERT_TRUE(near.has_value());
   EXPECT_EQ(io::DumpResult(ra), io::DumpResult(*near));
-  EXPECT_EQ(stack->memory().tier_stats().near_hits, 1);
-  EXPECT_GE(stack->disk().tier_stats().hits, 1);
+  EXPECT_EQ(stack->memory()->tier_stats().near_hits, 1);
+  EXPECT_GE(stack->disk()->tier_stats().hits, 1);
   // Promotion interplay: the next exact Get of a's key is memory-served.
-  const long disk_hits = stack->disk().tier_stats().hits;
+  const long disk_hits = stack->disk()->tier_stats().hits;
   ASSERT_TRUE(stack->Get(KeyOf(a)).has_value());
-  EXPECT_EQ(stack->disk().tier_stats().hits, disk_hits);
+  EXPECT_EQ(stack->disk()->tier_stats().hits, disk_hits);
+}
+
+// One session per tier configuration — memory only, disk only, both —
+// schedules the kernel suite cold, then warm. The warm batch is served
+// wholly from the cache with byte-identical results, and the session's
+// counters follow TieredCache's rule: hits summed over the tiers,
+// misses/rejects/writes from the last tier, evictions/oversize/residency/
+// near counters from the memory tier.
+TEST_F(CacheTierTest, SessionColdWarmAcrossTierConfigurations) {
+  const MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1"));
+  const workload::Suite suite = workload::KernelSuite();
+  std::vector<service::BatchRequest> requests;
+  for (const workload::Loop& loop : suite.loops()) {
+    service::BatchRequest req;
+    req.id = loop.ddg.name();
+    req.loop = std::make_shared<const workload::Loop>(loop);
+    req.machine = m;
+    requests.push_back(std::move(req));
+  }
+  const long n = static_cast<long>(requests.size());
+
+  struct Tiers {
+    const char* name;
+    bool memory;
+    bool disk;
+  };
+  for (const Tiers& tiers : {Tiers{"memory", true, false},
+                             Tiers{"disk", false, true},
+                             Tiers{"memory+disk", true, true}}) {
+    SCOPED_TRACE(tiers.name);
+    fs::remove_all(dir_);
+    service::ServiceConfig config;
+    if (tiers.memory) config.cache_mem_entries = 256;
+    if (tiers.disk) config.cache_dir = dir_.string();
+    service::SchedulerService session(config);
+    ASSERT_EQ(session.memory_tier() != nullptr, tiers.memory);
+    ASSERT_EQ(session.disk_tier() != nullptr, tiers.disk);
+
+    const service::BatchReport cold = session.RunBatch(requests);
+    session.Drain();
+    const service::BatchReport warm = session.RunBatch(requests);
+    session.Drain();
+    EXPECT_EQ(cold.scheduled, n);
+    EXPECT_EQ(warm.hits, n);
+    ASSERT_EQ(cold.items.size(), warm.items.size());
+    for (std::size_t i = 0; i < cold.items.size(); ++i) {
+      EXPECT_EQ(io::DumpResult(cold.items[i].result),
+                io::DumpResult(warm.items[i].result))
+          << cold.items[i].id;
+    }
+
+    const TierStats s = session.tier_stats();
+    const TierStats mem = session.memory_stats();
+    const TierStats disk =
+        tiers.disk ? session.disk_tier()->tier_stats() : TierStats{};
+    const TierStats& last = tiers.disk ? disk : mem;
+    EXPECT_EQ(s.hits, mem.hits + disk.hits);
+    EXPECT_EQ(s.misses, last.misses);
+    EXPECT_EQ(s.rejects, last.rejects);
+    EXPECT_EQ(s.writes, last.writes);
+    EXPECT_EQ(s.evictions, mem.evictions);
+    EXPECT_EQ(s.oversize, mem.oversize);
+    EXPECT_EQ(s.entries, mem.entries);
+    EXPECT_EQ(s.bytes, mem.bytes);
+    EXPECT_EQ(s.near_hits, mem.near_hits);
+    EXPECT_EQ(s.near_misses, mem.near_misses);
+    // Every configuration: n cold misses and writes, n warm hits.
+    EXPECT_EQ(s.hits, n);
+    EXPECT_EQ(s.misses, n);
+    EXPECT_EQ(s.writes, n);
+    EXPECT_EQ(s.rejects, 0);
+    EXPECT_EQ(s.entries, tiers.memory ? n : 0);
+    if (!tiers.memory) {
+      EXPECT_EQ(mem.hits + mem.misses + mem.writes + mem.bytes, 0);
+    }
+    if (tiers.disk) {
+      EXPECT_EQ(DiskTier::Scan(dir_.string()).entries, n);
+    }
+  }
 }
 
 TEST_F(CacheTierTest, ConcurrentHammerStaysConsistent) {

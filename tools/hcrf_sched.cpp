@@ -868,7 +868,7 @@ int CmdRepro(const Args& args) {
     service::SchedulerService session(config);
     report = experiment::RunExperiments(selection, ropt, session);
     session.Drain();  // exact write counts for the summary's cache line
-    if (session.has_cache()) report.cache = session.tier_stats();
+    report.cache = session.tier_stats();
     PrintReproSummary(report, config.cache_dir);
     ok = report.ref_failures == 0;
   }
