@@ -60,8 +60,8 @@ class CommRewriter {
 
   /// Inserts and schedules communication chains for mismatched flow edges
   /// between `u` (about to be placed on `cluster`) and its scheduled
-  /// neighbours. Returns false if a chain could not be scheduled
-  /// (non-iterative mode only).
+  /// neighbours. Returns false if a chain could not be scheduled, in
+  /// either mode; the II attempt then ends with kComm.
   bool EnsureCommunication(NodeId u, int cluster);
 
   /// Unwinds every fix whose original edge touches `v`: removes the chain

@@ -431,6 +431,61 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
   return vr.ok ? AttemptStatus::kScheduled : AttemptStatus::kInvalid;
 }
 
+namespace {
+
+/// Classification of the achieved II against its component bounds, on the
+/// final transformed graph's counts: its FU occupancy (unpipelined ops
+/// count their latency) and the memory and communication op counts
+/// Finalize has put in `res`.
+BoundClass ClassifyBound(const ScheduleResult& res, int compute_occupancy,
+                         const MachineConfig& m, int rec_mii) {
+  const double ii = res.ii;
+  const double fu_frac =
+      static_cast<double>(compute_occupancy) / (m.num_fus * ii);
+  const double mem_frac =
+      static_cast<double>(res.mem_ops_per_iter) / (m.num_mem_ports * ii);
+  double comm_frac = 0.0;
+  const RFConfig& rf = m.rf;
+  if (rf.HasClusters()) {
+    auto frac = [&](int count, long bandwidth) {
+      if (bandwidth <= 0) return 0.0;
+      return static_cast<double>(count) / (static_cast<double>(bandwidth) * ii);
+    };
+    if (rf.IsHierarchical()) {
+      const long lp_bw = rf.UnboundedPorts()
+                             ? 1L << 20
+                             : static_cast<long>(rf.clusters) * rf.lp;
+      const long sp_bw = rf.UnboundedPorts()
+                             ? 1L << 20
+                             : static_cast<long>(rf.clusters) * rf.sp;
+      comm_frac = std::max(frac(res.stats.loadr_ops, lp_bw),
+                           frac(res.stats.storer_ops, sp_bw));
+    } else {
+      comm_frac = frac(res.stats.move_ops, rf.buses);
+    }
+  }
+  const double rec_frac = rec_mii > 1 ? rec_mii / ii : 0.0;
+
+  // Winner = the component closest to saturating the achieved II.
+  double best = mem_frac;
+  BoundClass cls = BoundClass::kMemPort;
+  if (fu_frac > best) {
+    best = fu_frac;
+    cls = BoundClass::kFU;
+  }
+  if (rec_frac > best) {
+    best = rec_frac;
+    cls = BoundClass::kRecurrence;
+  }
+  if (comm_frac > best) {
+    best = comm_frac;
+    cls = BoundClass::kComm;
+  }
+  return cls;
+}
+
+}  // namespace
+
 ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
   ScheduleResult res;
   res.ok = true;
@@ -445,7 +500,8 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
   res.sc = st_.sched->StageCount();
   res.stats = instr_.stats();
   res.stats.restarts = ii - res.mii;
-  // Count communication and memory ops in the final graph.
+  // Count compute, communication and memory ops in the final graph, in
+  // the one walk the stats and the bound class share.
   res.stats.comm_ops = 0;
   res.stats.loadr_ops = 0;
   res.stats.storer_ops = 0;
@@ -453,9 +509,13 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
   res.stats.spill_loads = 0;
   res.stats.spill_stores = 0;
   res.mem_ops_per_iter = 0;
+  int compute_occupancy = 0;
   for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
     if (!st_.g.IsAlive(v)) continue;
     const Node& n = st_.g.node(v);
+    if (IsCompute(n.op)) {
+      compute_occupancy += IsUnpipelined(n.op) ? m_.lat.Of(n.op) : 1;
+    }
     if (IsCommunication(n.op)) {
       ++res.stats.comm_ops;
       if (n.op == OpClass::kLoadR) ++res.stats.loadr_ops;
@@ -471,7 +531,7 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
     }
   }
   const int rec_final = RecMII(st_.g, m_.lat, recurrence_scratch_);
-  res.bound = ClassifyBound(st_.g, m_, ii, rec_final);
+  res.bound = ClassifyBound(res, compute_occupancy, m_, rec_final);
   // Copies: the working graph, schedule and overrides keep their buffers
   // for the next attempt or run.
   res.graph = DDG(st_.g);
@@ -575,16 +635,21 @@ ScheduleResult EngineDriver::Run() {
   loop_phase.set_detail(original_.name());
   const WorkspaceLease lease;
   EngineWorkspace& ws = *lease;
+  {
+    const obs::Phase ordering_phase({"phase", "ordering"});
+    sched::HrmsOrder(original_, m_.lat, ws.ordering, ws.order);
+  }
   MIIInfo mii;
   if (opt_.precomputed_mii) {
     mii = *opt_.precomputed_mii;
   } else {
+    // The ordering has already walked the SCCs and bounded each
+    // recurrence; its sets sort by descending RecMII, so the front one's
+    // is the loop's (1 without a recurrence).
     const obs::Phase mii_phase({"phase", "mii"});
-    mii = ComputeMII(original_, m_, ws.ordering.graph);
-  }
-  {
-    const obs::Phase ordering_phase({"phase", "ordering"});
-    sched::HrmsOrder(original_, m_.lat, ws.ordering, ws.order);
+    const auto& recs = ws.ordering.rec_sets;
+    mii.res_mii = ResMII(original_, m_);
+    mii.rec_mii = recs.empty() ? 1 : recs.front().rec_mii;
   }
   // Warm-start gate: one seeded attempt before the cold walk. A failed (or
   // rejected) seed falls through to the cold path with the fallback counted

@@ -51,8 +51,10 @@ struct MirsOptions {
   /// the workload).
   int max_ii = 2048;
   /// false selects the non-iterative baseline in the style of [36]: no
-  /// force-and-eject backtracking, spill inserted only between whole
-  /// scheduling passes; used as the Table 4 comparator.
+  /// force-and-eject backtracking, so a node with no free slot in its
+  /// window fails the II attempt. Spill insertion runs in both modes,
+  /// every 4 placements and when the priority list drains. Used as the
+  /// Table 4 comparator.
   bool iterative = true;
   /// Cluster selection heuristic (policies.h): the paper's Section 5.1
   /// Select_Cluster or one of its two ablations. Ordering (HRMS) and the
@@ -124,10 +126,5 @@ struct ScheduleResult {
 ScheduleResult MirsHC(const DDG& loop, const MachineConfig& m,
                       const MirsOptions& opt = {},
                       const sched::LatencyOverrides& load_overrides = {});
-
-/// Classification of the achieved II against its component bounds,
-/// computed on the final transformed graph.
-BoundClass ClassifyBound(const DDG& final_graph, const MachineConfig& m,
-                         int achieved_ii, int rec_mii);
 
 }  // namespace hcrf::core

@@ -36,8 +36,7 @@ namespace {
 /// the clock/latency table of the paper-calibrated hardware model.
 MachineConfig Machine(const std::string& rf_name, bool characterize = true) {
   MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf_name));
-  if (characterize && !m.rf.UnboundedClusterRegs() &&
-      !m.rf.UnboundedSharedRegs()) {
+  if (characterize) {
     m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
   }
   return m;

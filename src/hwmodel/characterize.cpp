@@ -40,6 +40,7 @@ Characterization Characterize(const MachineConfig& m, RFModelMode mode) {
 }
 
 MachineConfig ApplyCharacterization(const MachineConfig& m, RFModelMode mode) {
+  if (m.rf.UnboundedClusterRegs() || m.rf.UnboundedSharedRegs()) return m;
   const Characterization c = Characterize(m, mode);
   MachineConfig out = m;
   out.clock_ns = c.clock_ns;

@@ -28,7 +28,9 @@ Characterization Characterize(const MachineConfig& m,
                               RFModelMode mode = RFModelMode::kAnalytic);
 
 /// Returns a copy of `m` with clock_ns and the latency table replaced by
-/// the characterization's values (the form the scheduler consumes).
+/// the characterization's values (the form the scheduler consumes). A
+/// machine with an unbounded register count has no hardware realization
+/// and comes back unchanged.
 MachineConfig ApplyCharacterization(const MachineConfig& m,
                                     RFModelMode mode = RFModelMode::kAnalytic);
 

@@ -9,9 +9,10 @@
 namespace hcrf::perf {
 
 WorkerPool& WorkerPool::Shared() {
+  static obs::Gauge& workers = obs::GetGauge("pool.workers");
   static WorkerPool* pool = [] {
     auto* p = new WorkerPool();  // leaked: lives for the process
-    obs::GetGauge("pool.workers").Set(p->num_workers());
+    workers.Set(p->num_workers());
     return p;
   }();
   return *pool;

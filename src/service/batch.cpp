@@ -100,8 +100,7 @@ BatchRequest ResolveManifestEntry(const ManifestEntry& e,
     req.machine = io::LoadMachineFile((base / e.machine).string());
   } else {
     req.machine = MachineConfig::WithRF(RFConfig::Parse(e.rf));
-    if (e.characterize && !req.machine.rf.UnboundedClusterRegs() &&
-        !req.machine.rf.UnboundedSharedRegs()) {
+    if (e.characterize) {
       req.machine = hw::ApplyCharacterization(req.machine,
                                               hw::RFModelMode::kPaperTable);
     }

@@ -17,8 +17,8 @@ using perf::Fnv1a;
 // Bumped whenever the serialized result format or the hashed content set
 // changes; salts every key so stale-format entries read as misses.
 // 3 -> 4: the mix order moved the options block behind the graph so the
-// structural prefix (salt + machine + graph) is shared with
-// MakeStructuralHash — old entries must read as misses.
+// structural prefix (salt + machine + graph) is shared with the structural
+// hash — old entries must read as misses.
 constexpr std::uint64_t kCacheFormatSalt = 5;
 
 constexpr long kDefaultMemBytes = 64L * 1024 * 1024;
@@ -30,8 +30,8 @@ std::string ToHex(std::uint64_t v) {
   return std::string(buf, 16);
 }
 
-/// The structural prefix shared by MakeCacheKey and MakeStructuralHash:
-/// format salt, machine (resources, RF organization, latencies, clock)
+/// The structural prefix of every key, and the whole of the structural
+/// hash: format salt, machine (resources, RF organization, latencies, clock)
 /// and graph (name + structure) — everything except options/overrides.
 void MixStructural(DualHash& f, const DDG& g, const MachineConfig& m) {
   f.Mix(kCacheFormatSalt);
@@ -91,18 +91,16 @@ void MixStructural(DualHash& f, const DDG& g, const MachineConfig& m) {
 
 std::string CacheKey::Hex() const { return ToHex(a) + ToHex(b); }
 
-std::uint64_t MakeStructuralHash(const DDG& g, const MachineConfig& m) {
+CacheKey MakeCacheKey(const DDG& g, const MachineConfig& m,
+                      const core::MirsOptions& opt,
+                      const sched::LatencyOverrides& overrides,
+                      std::uint64_t* structural) {
   DualHash f;
   MixStructural(f, g, m);
   // Same fold as CacheKeyHash: both words' entropy survives truncation.
-  return f.a ^ (f.b * 0x9e3779b97f4a7c15ull);
-}
-
-CacheKey MakeCacheKey(const DDG& g, const MachineConfig& m,
-                      const core::MirsOptions& opt,
-                      const sched::LatencyOverrides& overrides) {
-  DualHash f;
-  MixStructural(f, g, m);
+  if (structural != nullptr) {
+    *structural = f.a ^ (f.b * 0x9e3779b97f4a7c15ull);
+  }
 
   // Options: every schedule-relevant MirsOptions field, the same four the
   // `.hcl` options document carries. The rest are runtime-only:
@@ -136,48 +134,31 @@ CacheKey MakeCacheKey(const DDG& g, const MachineConfig& m,
 // MemoryTier
 // ---------------------------------------------------------------------------
 
-MemoryTier::MemoryTier(const Config& config) {
-  max_entries_ = config.max_entries > 0 ? config.max_entries : 1;
-  max_bytes_ = config.max_bytes > 0 ? config.max_bytes : kDefaultMemBytes;
-
-  // Round the shard count down to a power of two so the prefix mask is
-  // exact, and clamp to [1, max_entries] so every shard holds >= 1 entry.
-  long shards = config.shards > 0 ? config.shards : 1;
-  if (shards > max_entries_) shards = max_entries_;
-  long pow2 = 1;
-  while (pow2 * 2 <= shards) pow2 *= 2;
-
-  shard_max_entries_ = max_entries_ / pow2;
-  shard_max_bytes_ = max_bytes_ / pow2;
-  if (shard_max_bytes_ < 1) shard_max_bytes_ = 1;
-
-  int log2 = 0;
-  for (long p = pow2; p > 1; p /= 2) ++log2;
-  // pow2 == 1 masks to shard 0 regardless; 63 keeps the shift defined.
-  shard_shift_ = log2 > 0 ? 64 - log2 : 63;
-
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(pow2));
-}
+MemoryTier::MemoryTier(const Config& config)
+    : max_entries_(config.max_entries > 0 ? config.max_entries : 1),
+      max_bytes_(config.max_bytes > 0 ? config.max_bytes : kDefaultMemBytes),
+      hits_metric_(obs::GetCounter("mem_cache.hits")),
+      misses_metric_(obs::GetCounter("mem_cache.misses")),
+      writes_metric_(obs::GetCounter("mem_cache.writes")),
+      evictions_metric_(obs::GetCounter("mem_cache.evictions")),
+      oversize_metric_(obs::GetCounter("mem_cache.oversize")),
+      near_hits_metric_(obs::GetCounter("mem_cache.near_hits")),
+      near_misses_metric_(obs::GetCounter("mem_cache.near_misses")),
+      entries_metric_(obs::GetGauge("mem_cache.entries")),
+      bytes_metric_(obs::GetGauge("mem_cache.bytes")) {}
 
 std::optional<core::ScheduleResult> MemoryTier::Get(const CacheKey& key) {
-  Shard& s = ShardFor(key);
-  std::optional<core::ScheduleResult> out;
-  {
-    MutexLock lock(s.mu);
-    auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-      out = it->second->result;
-    }
+  MutexLock lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
+    misses_metric_.Add(1);
+    return std::nullopt;
   }
-  if (out.has_value()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.hits").Add(1);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.misses").Add(1);
-  }
-  return out;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  ++stats_.hits;
+  hits_metric_.Add(1);
+  return it->second->result;
 }
 
 void MemoryTier::Put(const CacheKey& key, const core::ScheduleResult& result) {
@@ -189,78 +170,56 @@ void MemoryTier::Put(const CacheKey& key, const core::ScheduleResult& result) {
 
 void MemoryTier::PutSized(const CacheKey& key,
                           const core::ScheduleResult& result, long bytes) {
-  if (bytes > shard_max_bytes_) {
-    // Admitting it would force the shard to hold this entry alone (or not
-    // at all); count and skip rather than churn the whole shard.
-    oversize_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.oversize").Add(1);
+  MutexLock lock(mu_);
+  if (bytes > max_bytes_) {
+    // Admitting it would force the tier to hold this entry alone (or not
+    // at all); count and skip rather than churn the whole tier.
+    ++stats_.oversize;
+    oversize_metric_.Add(1);
     return;
   }
-  Shard& s = ShardFor(key);
-  int evicted = 0;
-  bool inserted = false;
-  {
-    MutexLock lock(s.mu);
-    auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      // Same key ⇒ identical bytes (the cache contract); just refresh.
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
-    } else {
-      evicted = EvictToFit(s, bytes);
-      s.lru.push_front(Entry{key, result, bytes});
-      s.index.emplace(key, s.lru.begin());
-      s.bytes += bytes;
-      inserted = true;
-    }
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    // Same key ⇒ identical bytes (the cache contract); just refresh.
+    lru_.splice(lru_.begin(), lru_, it->second);
+  } else {
+    EvictToFit(bytes);
+    lru_.push_front(Entry{key, result, bytes});
+    index_.emplace(key, lru_.begin());
+    ++stats_.writes;
+    ++stats_.entries;
+    stats_.bytes += bytes;
+    writes_metric_.Add(1);
   }
-  if (inserted) {
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    entries_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.writes").Add(1);
-  }
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.evictions").Add(evicted);
-  }
-  obs::GetGauge("mem_cache.entries")
-      .Set(entries_.load(std::memory_order_relaxed));
-  obs::GetGauge("mem_cache.bytes").Set(bytes_.load(std::memory_order_relaxed));
+  entries_metric_.Set(stats_.entries);
+  bytes_metric_.Set(stats_.bytes);
 }
 
-int MemoryTier::EvictToFit(Shard& s, long incoming_bytes) {
-  int evicted = 0;
-  while (!s.lru.empty() &&
-         (static_cast<long>(s.lru.size()) >= shard_max_entries_ ||
-          s.bytes + incoming_bytes > shard_max_bytes_)) {
-    const Entry& victim = s.lru.back();
-    s.bytes -= victim.bytes;
-    entries_.fetch_sub(1, std::memory_order_relaxed);
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    s.index.erase(victim.key);
-    s.lru.pop_back();
+void MemoryTier::EvictToFit(long incoming_bytes) {
+  long evicted = 0;
+  while (!lru_.empty() && (stats_.entries >= max_entries_ ||
+                           stats_.bytes + incoming_bytes > max_bytes_)) {
+    const Entry& victim = lru_.back();
+    --stats_.entries;
+    stats_.bytes -= victim.bytes;
+    index_.erase(victim.key);
+    lru_.pop_back();
     ++evicted;
   }
-  return evicted;
+  if (evicted > 0) {
+    stats_.evictions += evicted;
+    evictions_metric_.Add(evicted);
+  }
 }
 
 TierStats MemoryTier::tier_stats() const {
-  TierStats t;
-  t.hits = hits_.load(std::memory_order_relaxed);
-  t.misses = misses_.load(std::memory_order_relaxed);
-  t.writes = writes_.load(std::memory_order_relaxed);
-  t.evictions = evictions_.load(std::memory_order_relaxed);
-  t.oversize = oversize_.load(std::memory_order_relaxed);
-  t.entries = entries_.load(std::memory_order_relaxed);
-  t.bytes = bytes_.load(std::memory_order_relaxed);
-  t.near_hits = near_hits_.load(std::memory_order_relaxed);
-  t.near_misses = near_misses_.load(std::memory_order_relaxed);
-  return t;
+  MutexLock lock(mu_);
+  return stats_;
 }
 
 void MemoryTier::NoteStructural(std::uint64_t structural,
                                 const CacheKey& key) {
-  MutexLock lock(near_mu_);
+  MutexLock lock(mu_);
   if (static_cast<long>(near_.size()) >= 4 * max_entries_ &&
       near_.find(structural) == near_.end()) {
     // The index outgrew the tier it serves (keys churning faster than
@@ -272,19 +231,20 @@ void MemoryTier::NoteStructural(std::uint64_t structural,
 
 std::optional<CacheKey> MemoryTier::StructuralLookup(
     std::uint64_t structural, const CacheKey& exclude) const {
-  MutexLock lock(near_mu_);
+  MutexLock lock(mu_);
   auto it = near_.find(structural);
   if (it == near_.end() || it->second == exclude) return std::nullopt;
   return it->second;
 }
 
 void MemoryTier::CountNear(bool hit) {
+  MutexLock lock(mu_);
   if (hit) {
-    near_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.near_hits").Add(1);
+    ++stats_.near_hits;
+    near_hits_metric_.Add(1);
   } else {
-    near_misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("mem_cache.near_misses").Add(1);
+    ++stats_.near_misses;
+    near_misses_metric_.Add(1);
   }
 }
 

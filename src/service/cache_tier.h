@@ -2,18 +2,17 @@
 // service::TieredCache, with two optional tiers.
 //
 // The scheduling service began with one on-disk, content-addressed
-// schedule store (service::DiskTier). The resident daemon adds a sharded
+// schedule store (service::DiskTier). The resident daemon adds an
 // in-memory hot tier in front of it, which absorbs the traffic of
-// repeated submissions without lock contention or disk parses, while the
-// on-disk tier keeps the durable, process-crossing view. This header
-// holds CacheKey, the per-tier counters and:
+// repeated submissions without disk parses, while the on-disk tier keeps
+// the durable, process-crossing view. This header holds CacheKey, the
+// per-tier counters and:
 //
-//  * MemoryTier — sharded by cache-key prefix (the top bits of the first
-//    hash word pick the shard, so concurrent workers on different keys
-//    never touch the same mutex), LRU-bounded by entry count AND resident
-//    bytes. An entry's byte cost is its canonical serialized size, so the
-//    bound means what an operator thinks it means. It also keeps the
-//    near-key index (structural hash -> latest exact key).
+//  * MemoryTier — one LRU list under one lock, bounded by entry count AND
+//    resident bytes over the whole tier. An entry's byte cost is its
+//    canonical serialized size, so the bound means what an operator
+//    thinks it means. It also keeps the near-key index (structural hash
+//    -> latest exact key).
 //  * TieredCache — the cache the session schedules against: a MemoryTier,
 //    a DiskTier, or both. Gets probe memory first, then disk (promoting
 //    hits). A Put with both tiers lands in memory and is written behind
@@ -29,19 +28,18 @@
 // whole stack.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/mirs.h"
 #include "core/thread_annotations.h"
 #include "ddg/ddg.h"
 #include "machine/machine_config.h"
+#include "obs/metrics.h"
 #include "perf/thread_pool.h"
 #include "sched/lifetime.h"
 
@@ -74,16 +72,17 @@ struct CacheKeyHash {
 /// prefetching is in play (only the positive override entries count, so
 /// trailing-zero padding does not split keys). A format-version salt
 /// invalidates all entries when the serialization changes.
+///
+/// A non-null `structural` receives the structural half of the key from
+/// the same pass: graph + machine only, no options and no overrides,
+/// folded to 64 bits (same fold as CacheKeyHash). Two requests share it
+/// exactly when they schedule the same loop on the same machine — the
+/// equivalence the near-key index uses to serve warm-start seeds across
+/// differing options/override cells.
 CacheKey MakeCacheKey(const DDG& graph, const MachineConfig& m,
                       const core::MirsOptions& opt,
-                      const sched::LatencyOverrides& overrides = {});
-
-/// The structural half of MakeCacheKey: graph + machine only, no options
-/// and no overrides. Two requests share a structural hash exactly when
-/// they schedule the same loop on the same machine — the equivalence the
-/// near-key index uses to serve warm-start seeds across differing
-/// options/override cells. Folded to 64 bits (same fold as CacheKeyHash).
-std::uint64_t MakeStructuralHash(const DDG& graph, const MachineConfig& m);
+                      const sched::LatencyOverrides& overrides = {},
+                      std::uint64_t* structural = nullptr);
 
 /// Per-tier counters. Flow counters (hits/misses/rejects/writes/evictions/
 /// oversize) are monotonic since construction; residency (entries/bytes)
@@ -104,18 +103,17 @@ struct TierStats {
 
 class DiskTier;  // the on-disk store, declared in service/sched_cache.h
 
-/// Sharded, LRU-bounded in-memory hot tier. Safe for concurrent use.
+/// LRU-bounded in-memory hot tier: one lock over one LRU list, one key
+/// index, the near-key index and the counters, so both bounds hold for
+/// the whole tier and eviction follows one global recency order. Safe for
+/// concurrent use.
 class MemoryTier {
  public:
   struct Config {
-    /// Maximum resident entries across all shards (>= 1).
+    /// Maximum resident entries (>= 1).
     long max_entries = 4096;
-    /// Maximum resident serialized bytes across all shards; 0 = derive
-    /// the default (64 MiB).
+    /// Maximum resident serialized bytes; 0 = derive the default (64 MiB).
     long max_bytes = 0;
-    /// Shard count; rounded down to a power of two and clamped to
-    /// [1, max_entries] so every shard can hold at least one entry.
-    int shards = 16;
   };
 
   explicit MemoryTier(const Config& config);
@@ -123,7 +121,7 @@ class MemoryTier {
   /// Returns the resident result for `key`, or nullopt.
   std::optional<core::ScheduleResult> Get(const CacheKey& key);
   /// Stores `result` under `key`, priced at its canonical dump size. An
-  /// entry too large for a shard's byte bound is counted, not stored.
+  /// entry larger than the tier's byte bound is counted, not stored.
   void Put(const CacheKey& key, const core::ScheduleResult& result);
   /// Put with the entry's canonical serialized size already known —
   /// TieredCache serializes once for the disk write and shares the byte
@@ -144,60 +142,40 @@ class MemoryTier {
   /// Records the outcome of a near-key lookup (counters + obs registry).
   void CountNear(bool hit);
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  long max_entries() const { return max_entries_; }
-  long max_bytes() const { return max_bytes_; }
-
  private:
   struct Entry {
     CacheKey key;
     core::ScheduleResult result;
     long bytes = 0;
   };
-  /// One shard: its own mutex, LRU list (front = most recent) and index.
-  /// Per-shard capacity is the global bound divided by the shard count,
-  /// so the sum across shards can never exceed the configured bounds.
-  struct Shard {
-    mutable Mutex mu;
-    std::list<Entry> lru HCRF_GUARDED_BY(mu);
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
-        index HCRF_GUARDED_BY(mu);
-    long bytes HCRF_GUARDED_BY(mu) = 0;
-  };
+  /// Evicts from the back of the LRU until `incoming_bytes` more fit both
+  /// bounds beside one more entry.
+  void EvictToFit(long incoming_bytes) HCRF_REQUIRES(mu_);
 
-  Shard& ShardFor(const CacheKey& key) {
-    // Key *prefix* selects the shard: the top bits of the first hash word
-    // are the leading hex digits of the entry name.
-    return shards_[(key.a >> shard_shift_) & (shards_.size() - 1)];
-  }
-  /// Evicts from the back of `s` until it fits its per-shard bounds with
-  /// `incoming_bytes` about to be added. Returns evicted entry count.
-  int EvictToFit(Shard& s, long incoming_bytes) HCRF_REQUIRES(s.mu);
+  const long max_entries_;
+  const long max_bytes_;
+  mutable Mutex mu_;
+  /// Front = most recently used.
+  std::list<Entry> lru_ HCRF_GUARDED_BY(mu_);
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
+      index_ HCRF_GUARDED_BY(mu_);
+  /// Near-key index, bounded by wholesale clear at 4x max_entries_ (the
+  /// index stores 32 bytes per slot; losing it only costs future seeds,
+  /// never correctness).
+  std::unordered_map<std::uint64_t, CacheKey> near_ HCRF_GUARDED_BY(mu_);
+  /// Flow counters since construction, plus the residency (entries, bytes).
+  TierStats stats_ HCRF_GUARDED_BY(mu_);
 
-  long max_entries_ = 0;        ///< Global bound (config).
-  long max_bytes_ = 0;          ///< Global bound (config or default).
-  long shard_max_entries_ = 0;  ///< Per-shard slice of max_entries_.
-  long shard_max_bytes_ = 0;    ///< Per-shard slice of max_bytes_.
-  int shard_shift_ = 0;         ///< 64 - log2(shards): prefix extraction.
-  std::vector<Shard> shards_;
-
-  std::atomic<long> hits_{0};
-  std::atomic<long> misses_{0};
-  std::atomic<long> writes_{0};
-  std::atomic<long> evictions_{0};
-  std::atomic<long> oversize_{0};
-  std::atomic<long> entries_{0};
-  std::atomic<long> bytes_{0};
-
-  /// Near-key index. A single mutex (not sharded): NoteStructural runs
-  /// once per fresh schedule and GetNear once per exact miss — both orders
-  /// of magnitude rarer than Get — so contention is negligible. Bounded by
-  /// wholesale clear at 4x max_entries_ (the index stores 32 bytes per
-  /// slot; losing it only costs future seeds, never correctness).
-  mutable Mutex near_mu_;
-  std::unordered_map<std::uint64_t, CacheKey> near_ HCRF_GUARDED_BY(near_mu_);
-  std::atomic<long> near_hits_{0};
-  std::atomic<long> near_misses_{0};
+  // The process-wide `mem_cache.*` instruments, resolved once.
+  obs::Counter& hits_metric_;
+  obs::Counter& misses_metric_;
+  obs::Counter& writes_metric_;
+  obs::Counter& evictions_metric_;
+  obs::Counter& oversize_metric_;
+  obs::Counter& near_hits_metric_;
+  obs::Counter& near_misses_metric_;
+  obs::Gauge& entries_metric_;
+  obs::Gauge& bytes_metric_;
 };
 
 /// The schedule cache: a MemoryTier in front of a DiskTier, either of
@@ -227,7 +205,7 @@ class TieredCache {
   TierStats tier_stats() const;
 
   /// Remembers `key` as the latest resident entry for structural hash
-  /// `structural` (see MakeStructuralHash). Without a memory tier, where
+  /// `structural` (see MakeCacheKey). Without a memory tier, where
   /// the index lives, the note is dropped.
   void NoteStructural(std::uint64_t structural, const CacheKey& key);
   /// Near-key lookup: the latest entry noted for `structural` (same graph

@@ -29,7 +29,12 @@ std::string ToHex(std::uint64_t v) {
 
 }  // namespace
 
-DiskTier::DiskTier(std::string dir) : dir_(std::move(dir)) {}
+DiskTier::DiskTier(std::string dir)
+    : dir_(std::move(dir)),
+      hits_metric_(obs::GetCounter("sched_cache.hits")),
+      misses_metric_(obs::GetCounter("sched_cache.misses")),
+      rejects_metric_(obs::GetCounter("sched_cache.rejects")),
+      writes_metric_(obs::GetCounter("sched_cache.writes")) {}
 
 std::string DiskTier::EntryPath(const CacheKey& key) const {
   return (fs::path(dir_) / (key.Hex() + ".hclc")).string();
@@ -43,12 +48,12 @@ std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key,
     text = io::ReadFile(path);
   } catch (const std::runtime_error&) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("sched_cache.misses").Add(1);
+    misses_metric_.Add(1);
     return std::nullopt;
   }
   const auto reject = [&]() {
     rejects_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("sched_cache.rejects").Add(1);
+    rejects_metric_.Add(1);
     return std::nullopt;
   };
 
@@ -79,7 +84,7 @@ std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key,
     core::ScheduleResult r = io::ParseResult(body, path);
     if (body_bytes != nullptr) *body_bytes = static_cast<long>(body.size());
     hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("sched_cache.hits").Add(1);
+    hits_metric_.Add(1);
     return r;
   } catch (const io::HclError&) {
     return reject();
@@ -105,7 +110,7 @@ void DiskTier::PutBody(const CacheKey& key, const std::string& body) {
   try {
     io::WriteFileAtomic(EntryPath(key), text);
     writes_.fetch_add(1, std::memory_order_relaxed);
-    obs::GetCounter("sched_cache.writes").Add(1);
+    writes_metric_.Add(1);
   } catch (const std::runtime_error&) {
     // Cache writes are best-effort; the schedule itself already exists.
   }

@@ -30,6 +30,7 @@
 #include <string>
 
 #include "core/mirs.h"
+#include "obs/metrics.h"
 #include "service/cache_tier.h"
 
 namespace hcrf::service {
@@ -76,6 +77,11 @@ class DiskTier {
   std::atomic<long> misses_{0};
   std::atomic<long> rejects_{0};
   std::atomic<long> writes_{0};
+  // The process-wide `sched_cache.*` instruments, resolved once.
+  obs::Counter& hits_metric_;
+  obs::Counter& misses_metric_;
+  obs::Counter& rejects_metric_;
+  obs::Counter& writes_metric_;
 };
 
 }  // namespace hcrf::service

@@ -118,7 +118,12 @@ void Server::RequestStop() {
 
 void Server::Serve() {
   HCRF_CHECK(listen_fd_ >= 0, "Serve() without Start()");
-  obs::GetGauge("server.max_inflight").Set(opt_.max_inflight);
+  static obs::Gauge& max_inflight = obs::GetGauge("server.max_inflight");
+  static obs::Gauge& draining = obs::GetGauge("server.draining");
+  static obs::Counter& accept_overload =
+      obs::GetCounter("server.accept_overload");
+  static obs::Counter& busy = obs::GetCounter("server.busy");
+  max_inflight.Set(opt_.max_inflight);
 
   // Connection handlers ride the server's own pool (one worker per
   // admission slot — see server.h); the drain below (RunAndWait) steals
@@ -161,7 +166,7 @@ void Server::Serve() {
       // back off briefly so the loop cannot hot-spin, and keep serving.
       if (errno == EMFILE || errno == ENFILE || errno == ENOMEM ||
           errno == ENOBUFS) {
-        obs::GetCounter("server.accept_overload").Add(1);
+        accept_overload.Add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         continue;
       }
@@ -190,7 +195,7 @@ void Server::Serve() {
     }
     if (!admitted) {
       bounced_.fetch_add(1, std::memory_order_relaxed);
-      obs::GetCounter("server.busy").Add(1);
+      busy.Add(1);
       wire::Conn conn(fd);  // takes ownership; closes on scope exit
       conn.WriteAll("hcrf 1 busy\n");
       continue;
@@ -212,7 +217,7 @@ void Server::Serve() {
   listen_fd_ = -1;
   conns.RunAndWait();
   session_.Drain();
-  obs::GetGauge("server.draining").Set(0);
+  draining.Set(0);
 }
 
 void Server::HandleConnection(int fd) {

@@ -41,8 +41,8 @@ void Serve(const BatchRequest& req, TieredCache* cache, BatchItem& item) {
   std::uint64_t structural = 0;
   if (cache != nullptr) {
     const obs::Phase probe_phase(kProbe, item.timing.cache_probe_seconds);
-    key = MakeCacheKey(req.loop->ddg, req.machine, req.options, req.overrides);
-    structural = MakeStructuralHash(req.loop->ddg, req.machine);
+    key = MakeCacheKey(req.loop->ddg, req.machine, req.options, req.overrides,
+                       &structural);
     if (std::optional<core::ScheduleResult> hit = cache->Get(key)) {
       item.result = *std::move(hit);
       item.ok = item.result.ok;

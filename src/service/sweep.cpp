@@ -235,8 +235,7 @@ SweepPlan ExpandSweepMachines(const SweepSpec& spec) {
       plan.skipped.push_back(rf.Name() + ": " + why);
       continue;
     }
-    if (spec.characterize && !rf.UnboundedClusterRegs() &&
-        !rf.UnboundedSharedRegs()) {
+    if (spec.characterize) {
       try {
         m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
       } catch (const std::exception& e) {

@@ -23,7 +23,6 @@ namespace fs = std::filesystem;
 using service::CacheKey;
 using service::DiskTier;
 using service::MakeCacheKey;
-using service::MakeStructuralHash;
 using service::MemoryTier;
 using service::TieredCache;
 using service::TierStats;
@@ -71,6 +70,30 @@ CacheKey KeyOf(const workload::Loop& loop) {
   return MakeCacheKey(loop.ddg, m, core::MirsOptions{});
 }
 
+// Entry names on disk are key hex digits, so a change to what the key
+// hashes (or to its order) strands every existing entry. Pinned here for
+// one kernel with and without load-latency overrides; the structural
+// half ignores the overrides.
+TEST_F(CacheTierTest, CacheKeyAndStructuralHashArePinned) {
+  const workload::Loop loop = workload::MakeHydro();
+  const MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1"));
+  sched::LatencyOverrides overrides;
+  overrides.producer_latency = {0, 9, 0};
+
+  std::uint64_t plain_structural = 0;
+  std::uint64_t override_structural = 0;
+  const CacheKey plain =
+      MakeCacheKey(loop.ddg, m, core::MirsOptions{}, {}, &plain_structural);
+  const CacheKey with_overrides = MakeCacheKey(
+      loop.ddg, m, core::MirsOptions{}, overrides, &override_structural);
+  EXPECT_EQ(plain.Hex(), "aeb4522f8860730cb666a530ddd6a5e6");
+  EXPECT_EQ(with_overrides.Hex(), "ca02aae25d0c21459b0573ea237d4690");
+  EXPECT_EQ(plain_structural, 0x294f4e3becc0d89cull);
+  EXPECT_EQ(override_structural, plain_structural);
+  // The out-parameter leaves the key itself alone.
+  EXPECT_EQ(MakeCacheKey(loop.ddg, m, core::MirsOptions{}), plain);
+}
+
 TEST_F(CacheTierTest, MemoryTierHitIsBitIdentical) {
   const workload::Loop loop = workload::MakeHydro();
   const core::ScheduleResult fresh = ScheduleKernel(loop);
@@ -92,12 +115,9 @@ TEST_F(CacheTierTest, MemoryTierHitIsBitIdentical) {
 }
 
 TEST_F(CacheTierTest, MemoryTierEntryBoundEvictsLru) {
-  // One shard makes the LRU order deterministic and the bound exact.
   MemoryTier::Config cfg;
   cfg.max_entries = 2;
-  cfg.shards = 1;
   MemoryTier tier(cfg);
-  ASSERT_EQ(tier.num_shards(), 1);
 
   const workload::Loop a = workload::MakeDaxpy();
   const workload::Loop b = workload::MakeDot();
@@ -120,6 +140,29 @@ TEST_F(CacheTierTest, MemoryTierEntryBoundEvictsLru) {
   EXPECT_EQ(s.evictions, 1);
 }
 
+// The bounds hold for the whole tier: a 32-entry tier holds 32 distinct
+// keys, whatever their hash bits, without evicting any.
+TEST_F(CacheTierTest, MemoryTierHoldsItsWholeEntryBound) {
+  const workload::Loop loop = workload::MakeDaxpy();
+  const core::ScheduleResult r = ScheduleKernel(loop);
+  const MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1"));
+
+  MemoryTier::Config cfg;
+  cfg.max_entries = 32;
+  MemoryTier tier(cfg);
+  std::vector<CacheKey> keys;
+  for (int i = 0; i < 32; ++i) {
+    core::MirsOptions opt;
+    opt.max_ii = 100 + i;  // distinct keys, same payload
+    keys.push_back(MakeCacheKey(loop.ddg, m, opt));
+    tier.Put(keys.back(), r);
+  }
+  const TierStats s = tier.tier_stats();
+  EXPECT_EQ(s.entries, 32);
+  EXPECT_EQ(s.evictions, 0);
+  for (const CacheKey& key : keys) EXPECT_TRUE(tier.Get(key).has_value());
+}
+
 TEST_F(CacheTierTest, MemoryTierByteBoundHolds) {
   const workload::Loop loop = workload::MakeHydro();
   const core::ScheduleResult r = ScheduleKernel(loop);
@@ -130,7 +173,6 @@ TEST_F(CacheTierTest, MemoryTierByteBoundHolds) {
   MemoryTier::Config cfg;
   cfg.max_entries = 64;
   cfg.max_bytes = 2 * one;
-  cfg.shards = 1;
   MemoryTier tier(cfg);
 
   const MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1"));
@@ -153,7 +195,6 @@ TEST_F(CacheTierTest, MemoryTierRejectsOversizeEntry) {
   MemoryTier::Config cfg;
   cfg.max_entries = 4;
   cfg.max_bytes = 8;  // smaller than any serialized schedule
-  cfg.shards = 1;
   MemoryTier tier(cfg);
   tier.Put(KeyOf(loop), r);
 
@@ -265,7 +306,9 @@ CacheKey KeyVariant(const workload::Loop& loop, int max_ii) {
 
 std::uint64_t StructuralOf(const workload::Loop& loop) {
   const MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1"));
-  return MakeStructuralHash(loop.ddg, m);
+  std::uint64_t structural = 0;
+  MakeCacheKey(loop.ddg, m, core::MirsOptions{}, {}, &structural);
+  return structural;
 }
 
 TEST_F(CacheTierTest, NearKeyServesClosestEntryAndExcludesSelf) {
@@ -323,7 +366,6 @@ TEST_F(CacheTierTest, NearKeyStaysCoherentWithEviction) {
   // (resolving through the exact path), never serve stale bytes.
   MemoryTier::Config cfg;
   cfg.max_entries = 1;
-  cfg.shards = 1;
   auto cache = MakeMemoryCache(cfg);
 
   const workload::Loop a = workload::MakeDaxpy();
@@ -448,7 +490,7 @@ TEST_F(CacheTierTest, SessionColdWarmAcrossTierConfigurations) {
 }
 
 TEST_F(CacheTierTest, ConcurrentHammerStaysConsistent) {
-  // Many threads hammering a small, sharded tier with overlapping keys:
+  // Many threads hammering a small tier with overlapping keys:
   // TSan gates the synchronization; the assertions gate the accounting.
   const workload::Loop loop = workload::MakeDaxpy();
   const core::ScheduleResult r = ScheduleKernel(loop);
@@ -463,7 +505,6 @@ TEST_F(CacheTierTest, ConcurrentHammerStaysConsistent) {
 
   MemoryTier::Config cfg;
   cfg.max_entries = 8;  // smaller than the key set: eviction under load
-  cfg.shards = 4;
   MemoryTier tier(cfg);
 
   constexpr int kThreads = 4;

@@ -384,8 +384,7 @@ TEST_F(DaemonTest, MalformedRequestGetsErrorReplyAndDaemonSurvives) {
 TEST_F(DaemonTest, StatsAndCacheStatsEndpoints) {
   service::ServerOptions opt;
   opt.service.cache_dir = CacheDir();
-  // 64 entries over the default 16 shards leaves room for all three
-  // kernels even if they hash to one shard.
+  // 64 entries leave room for all three kernels.
   opt.service.cache_mem_entries = 64;
   StartServer(opt);
 

@@ -1,8 +1,9 @@
 // Engine-driver accounting and bookkeeping invariants: the Budget_Ratio
 // grant cap boundary, the force-and-eject path never leaving stale
 // placements for garbage-collected nodes in a final schedule, the
-// escalation walk's reused AttemptContext behaving like a fresh one, and
-// the priority pick agreeing with a brute-force scan.
+// escalation walk's reused AttemptContext behaving like a fresh one, the
+// priority pick agreeing with a brute-force scan, and the MII a direct
+// call reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,11 +27,34 @@ namespace {
 // baseline resources, run through the hardware model when register counts
 // are bounded.
 MachineConfig OrgMachine(const std::string& rf) {
-  MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf));
-  if (!m.rf.UnboundedClusterRegs() && !m.rf.UnboundedSharedRegs()) {
-    m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
+  return hw::ApplyCharacterization(MachineConfig::WithRF(RFConfig::Parse(rf)),
+                                   hw::RFModelMode::kPaperTable);
+}
+
+// Without a precomputed MII the engine takes RecMII from the ordering's
+// recurrence sets rather than walking the SCCs a second time; the bounds
+// it reports must be ComputeMII's, on every paper organization.
+TEST(EngineMii, DirectCallReportsComputeMii) {
+  for (const char* org :
+       {"S128", "4C32", "1C64S64", "2C32S64", "4C16S64", "8C8S64"}) {
+    SCOPED_TRACE(org);
+    const MachineConfig m = OrgMachine(org);
+    // The kernels schedule; the synthetic loops stop at the MII (max_ii 0
+    // admits no attempt), which is all this test reads.
+    core::MirsOptions stop_at_mii;
+    stop_at_mii.max_ii = 0;
+    for (const auto& [suite, opt] :
+         {std::pair{&workload::SharedKernelSuite(), core::MirsOptions{}},
+          std::pair{&workload::SharedSyntheticSuite(), stop_at_mii}}) {
+      for (const workload::Loop& loop : suite->loops()) {
+        const MIIInfo want = ComputeMII(loop.ddg, m);
+        const core::ScheduleResult r = core::MirsHC(loop.ddg, m, opt);
+        ASSERT_EQ(r.res_mii, want.res_mii) << loop.ddg.name();
+        ASSERT_EQ(r.rec_mii, want.rec_mii) << loop.ddg.name();
+        ASSERT_EQ(r.mii, want.MII()) << loop.ddg.name();
+      }
+    }
   }
-  return m;
 }
 
 TEST(BudgetAccount, GrantClampsToTheCapHeadroom) {

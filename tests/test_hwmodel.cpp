@@ -154,6 +154,22 @@ TEST(Characterize, RejectsUnbounded) {
   EXPECT_THROW(Characterize(m), std::invalid_argument);
 }
 
+// Unbounded register files have no hardware realization: Characterize
+// throws, and ApplyCharacterization hands the machine back unchanged, so
+// no caller has to test the register counts first.
+TEST(Characterize, ApplyPassesUnboundedThrough) {
+  for (const char* rf : {"Sinf", "4CinfSinf", "4Cinf", "4C16Sinf/2-1"}) {
+    SCOPED_TRACE(rf);
+    const MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf));
+    ASSERT_THROW(Characterize(m), std::invalid_argument);
+    const MachineConfig out =
+        ApplyCharacterization(m, RFModelMode::kPaperTable);
+    EXPECT_EQ(out.clock_ns, m.clock_ns);
+    EXPECT_TRUE(out.lat == m.lat);
+    EXPECT_TRUE(out.rf == m.rf);
+  }
+}
+
 TEST(Characterize, ApplyUpdatesMachine) {
   MachineConfig m = MachineConfig::WithRF(RFConfig::Parse("4C16S16/2-1"));
   const MachineConfig scaled = ApplyCharacterization(m, RFModelMode::kPaperTable);

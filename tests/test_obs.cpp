@@ -157,11 +157,8 @@ class JsonChecker {
 };
 
 MachineConfig OrgMachine(const std::string& rf) {
-  MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf));
-  if (!m.rf.UnboundedClusterRegs() && !m.rf.UnboundedSharedRegs()) {
-    m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
-  }
-  return m;
+  return hw::ApplyCharacterization(MachineConfig::WithRF(RFConfig::Parse(rf)),
+                                   hw::RFModelMode::kPaperTable);
 }
 
 // RAII guard: every test that starts the tracer stops it on exit, so a

@@ -22,11 +22,8 @@ namespace hcrf {
 namespace {
 
 MachineConfig OrgMachine(const std::string& rf) {
-  MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf));
-  if (!m.rf.UnboundedClusterRegs() && !m.rf.UnboundedSharedRegs()) {
-    m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
-  }
-  return m;
+  return hw::ApplyCharacterization(MachineConfig::WithRF(RFConfig::Parse(rf)),
+                                   hw::RFModelMode::kPaperTable);
 }
 
 NodeId FirstAliveLoad(const DDG& g) {

@@ -57,6 +57,13 @@ mode it guards against:
                   high_resolution_clock (or obs::Clock) ::now() outside
                   src/obs/ is a second timer that the trace and the
                   histograms never see, and that drifts from both.
+  registry-lookup Every obs::GetCounter/GetGauge/GetHistogram call in src/
+                  outside src/obs/ initializes a `static` reference or a
+                  member (`name_(obs::GetCounter(...))`, `name_ = ...`).
+                  A lookup takes the registry's global mutex and a map
+                  walk by name; one per event serializes every caller of
+                  a hot path on that lock, which the sharded counters
+                  exist to avoid. Resolve the instrument once and bump it.
   header-compile  Every header under src/ must compile on its own (a
                   header that leans on its includer's includes breaks the
                   next refactor).
@@ -112,6 +119,17 @@ SOCKET_ALLOWLIST = {
 
 # Clock reads are the observability layer's privilege (obs::Phase).
 CLOCK_READ_ALLOWED_DIRS = ("src/obs/",)
+
+# Registry lookups by name are the observability layer's own business;
+# everyone else resolves an instrument once (a static reference or a
+# member) and keeps the reference.
+REGISTRY_LOOKUP_ALLOWED_DIRS = ("src/obs/",)
+REGISTRY_LOOKUP = re.compile(r"\bobs::Get(?:Counter|Gauge|Histogram)\s*\(")
+# What may precede the lookup: a static declaration's `=` (the statement
+# starts with `static`), or a member initializer `name_(`, `name_{` or
+# `name_ =` (members carry a trailing underscore).
+STATIC_INIT = re.compile(r"^\s*static\b[^=]*=\s*\Z")
+MEMBER_INIT = re.compile(r"\b\w+_\s*(?:[({]|=)\s*\Z")
 
 # Raw thread construction is the thread-pool layer's privilege.
 NAKED_THREAD_ALLOWED_DIRS = ("src/perf/",)
@@ -308,6 +326,22 @@ class Linter:
                                 "endpoints; route connections through "
                                 "service::Server / service::Client")
 
+    def lint_registry_lookups(self, rel):
+        if rel.startswith(REGISTRY_LOOKUP_ALLOWED_DIRS):
+            return
+        # Whole-file scan: a static reference's initializer often wraps
+        # onto the next line.
+        code = strip_comments_and_strings(self.read(rel))
+        for m in REGISTRY_LOOKUP.finditer(code):
+            before = code[:m.start()]
+            stmt = before[max(before.rfind(";"), before.rfind("{"),
+                              before.rfind("}")) + 1:]
+            if STATIC_INIT.search(stmt) or MEMBER_INIT.search(before[-200:]):
+                continue
+            self.report(rel, before.count("\n") + 1, "registry-lookup",
+                        "registry lookup per event; resolve the instrument "
+                        "once into a static reference or a member")
+
     def lint_hygiene(self, rel):
         raw = self.read(rel)
         for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -387,6 +421,7 @@ def main():
     src_files = list(iter_source_files(root, "src"))
     for rel in src_files:
         linter.lint_src_file(rel)
+        linter.lint_registry_lookups(rel)
         linter.lint_hygiene(rel)
     hygiene_only = [rel for sub in ("tests", "tools")
                     for rel in iter_source_files(root, sub)]

@@ -315,8 +315,7 @@ MachineConfig MachineFromFlags(const Args& args) {
   const std::string* rf = args.Flag("rf");
   MachineConfig m =
       MachineConfig::WithRF(RFConfig::Parse(rf != nullptr ? *rf : "S128"));
-  if (args.Flag("no-characterize") == nullptr &&
-      !m.rf.UnboundedClusterRegs() && !m.rf.UnboundedSharedRegs()) {
+  if (args.Flag("no-characterize") == nullptr) {
     m = hw::ApplyCharacterization(m, hw::RFModelMode::kPaperTable);
   }
   return m;
