@@ -6,10 +6,11 @@
 // on/off, budget ratios, prefetch policies), a workload selection, and an
 // aggregation kernel that folds the per-(machine, engine, loop) metrics
 // into the artifact's report rows. The specs are data; execution is the
-// experiment runner's job (run.h), which dispatches every scheduling cell
-// of every selected experiment through service::RunBatch — one flat,
-// deduplicated, cache-backed batch on the process worker pool, so a warm
-// rerun of the whole paper is served from the persistent schedule cache.
+// experiment runner's job (run.h), which schedules every cell of every
+// selected experiment in one deduplicated, cache-backed batch on the
+// process worker pool, each request built on the lane that runs it, so a
+// warm rerun of the whole paper is served from the persistent schedule
+// cache.
 //
 // Reference values live in paper_ref.h as structured data; the runner
 // joins them against the aggregation rows by (row, metric) and renders

@@ -1,12 +1,19 @@
 #include "experiment/run.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "core/check.h"
 #include "memsim/prefetch.h"
 #include "memsim/replay.h"
 #include "obs/trace.h"
@@ -35,41 +42,27 @@ std::string FmtDelta(double v) {
   return std::string(buf);
 }
 
-/// Per-experiment expansion plan: the resolved workload the batch
-/// requests alias.
-struct Plan {
-  const Experiment* def = nullptr;
-  std::shared_ptr<const workload::Suite> owned;  ///< Slice storage.
-  std::vector<std::shared_ptr<const workload::Loop>> loops;
-};
-
-std::vector<std::shared_ptr<const workload::Loop>> ResolveWorkload(
+/// Points `loops` at the experiment's workload. Returns the storage of a
+/// slice; a whole shared suite is process-static and needs none.
+std::shared_ptr<const workload::Suite> ResolveWorkload(
     const WorkloadSpec& spec, bool smoke,
-    std::shared_ptr<const workload::Suite>* owned) {
-  std::vector<std::shared_ptr<const workload::Loop>> loops;
-  if (spec.suite.empty()) return loops;
-  const workload::Suite* base = workload::SharedSuiteByName(spec.suite);
-  if (base == nullptr) {
+    std::vector<const workload::Loop*>& loops) {
+  if (spec.suite.empty()) return nullptr;
+  const workload::Suite* suite = workload::SharedSuiteByName(spec.suite);
+  if (suite == nullptr) {
     throw std::runtime_error("experiment references unknown suite '" +
                              spec.suite + "'");
   }
   std::size_t n = smoke ? spec.smoke_slice : spec.slice;
   if (smoke && spec.slice != 0 && spec.slice < n) n = spec.slice;
-  if (n == 0 || n >= base->size()) {
-    // Whole suite: the shared suites are process-static, so alias.
-    loops.reserve(base->size());
-    for (std::size_t i = 0; i < base->size(); ++i) {
-      loops.emplace_back(std::shared_ptr<const void>(), &(*base)[i]);
-    }
-  } else {
-    *owned =
-        std::make_shared<const workload::Suite>(workload::SuiteSlice(*base, n));
-    loops.reserve((*owned)->size());
-    for (std::size_t i = 0; i < (*owned)->size(); ++i) {
-      loops.emplace_back(*owned, &(**owned)[i]);
-    }
+  std::shared_ptr<const workload::Suite> owned;
+  if (n != 0 && n < suite->size()) {
+    owned = std::make_shared<const workload::Suite>(
+        workload::SuiteSlice(*suite, n));
+    suite = owned.get();
   }
-  return loops;
+  for (std::size_t i = 0; i < suite->size(); ++i) loops.push_back(&(*suite)[i]);
+  return owned;
 }
 
 std::string LoopLabel(const workload::Loop& loop, std::size_t index) {
@@ -77,75 +70,95 @@ std::string LoopLabel(const workload::Loop& loop, std::size_t index) {
                                  : loop.ddg.name();
 }
 
-constexpr std::size_t kNoReplay = static_cast<std::size_t>(-1);
+/// Every scheduling cell of the selection, numbered in registry order
+/// (experiment, then machine, engine and loop, as ExperimentData::At
+/// indexes them), and the deduplicated requests over them: request r feeds
+/// cells[first[r]] .. cells[first[r + 1] - 1], in ascending order.
+struct Grid {
+  struct Cell {
+    std::size_t exp, idx, loop;  ///< idx: the slot in data[exp].cells.
+    const MachineVariant* machine;
+    const EngineVariant* engine;
+  };
 
-/// One report cell a batch request feeds: its slot in data[plan].cells,
-/// its loop, and the request replay its stall cycles come from.
-struct CellRef {
-  std::size_t plan;
-  std::size_t idx;
-  std::size_t loop;
-  std::size_t replay;  ///< kNoReplay when the cell simulates no memory.
-};
+  std::vector<ExperimentData> data;
+  std::vector<std::shared_ptr<const workload::Suite>> owned;  ///< Slices.
+  std::vector<std::size_t> exp_first{0};  ///< Then the cell count.
+  std::vector<std::uint32_t> first;
+  std::vector<std::uint32_t> cells;
 
-/// One memory replay, shared by every cell of the request with the same
-/// (loop.trip, loop.invocations). The request fixes the graph, schedule,
-/// overrides and machine latencies; trip and invocations are the rest of
-/// what ReplayLoop reads. The first cell with the pair lends its loop and
-/// machine.
-struct ReplayRef {
-  const workload::Loop* loop;
-  const MachineConfig* machine;
-};
-
-/// One cell's prefetch overrides and schedule-cache key, computed on the
-/// session's lanes ahead of the serial dedup.
-struct CellKey {
-  sched::LatencyOverrides overrides;
-  service::CacheKey key;
-};
-
-/// What the lane that completes one deduplicated request does with its
-/// result before dropping it.
-struct RequestWork {
-  std::vector<CellRef> cells;
-  std::vector<ReplayRef> replays;
-  bool ok = false;              ///< Set by the lane: a schedule was found.
-  int replayed_cells = 0;       ///< Cells with a replay.
-  double replay_seconds = 0.0;  ///< Written by the lane, as are:
-  long replay_accesses = 0;
-  long replay_misses = 0;
-  long replay_simulated = 0;
-};
-
-/// Runs the request's replays and writes every cell it feeds. Metrics
-/// derive deterministically from the schedule (cache-served results are
-/// bit-identical to fresh ones) and the replay, and each cell has one
-/// slot, so the cells are independent of the lane and the width.
-void WriteCells(const core::ScheduleResult& sr, RequestWork& work,
-                std::vector<ExperimentData>& data) {
-  std::vector<long> stall_cycles;
-  if (sr.ok && !work.replays.empty()) {
-    static const auto kReplay = obs::PhaseName::Timed("experiment", "replay");
-    const obs::Phase replay_phase(kReplay, work.replay_seconds);
-    stall_cycles.reserve(work.replays.size());
-    for (const ReplayRef& r : work.replays) {
-      const memsim::ReplayResult rr =
-          memsim::ReplayLoop(*r.loop, sr, *r.machine);
-      stall_cycles.push_back(rr.stall_cycles);
-      work.replay_accesses += rr.accesses;
-      work.replay_misses += rr.misses;
-      work.replay_simulated += rr.simulated;
-    }
+  Cell Locate(std::size_t g) const {
+    const auto e = static_cast<std::size_t>(
+        std::upper_bound(exp_first.begin(), exp_first.end(), g) -
+        exp_first.begin() - 1);
+    const Experiment& def = *data[e].def;
+    const std::size_t idx = g - exp_first[e];
+    const std::size_t row = idx / data[e].loops.size();
+    return {e, idx, idx % data[e].loops.size(),
+            &def.machines[row / def.engines.size()],
+            &def.engines[row % def.engines.size()]};
   }
-  for (const CellRef& cell : work.cells) {
-    ExperimentData& d = data[cell.plan];
-    perf::LoopMetrics lm = perf::MetricsFromResult(*d.loops[cell.loop], sr);
-    if (sr.ok && cell.replay != kNoReplay) {
-      lm.stall_cycles = stall_cycles[cell.replay];
-    }
-    d.cells[cell.idx] = lm;
+  const workload::Loop& LoopOf(const Cell& c) const {
+    return *data[c.exp].loops[c.loop];
   }
+};
+
+/// The cell's binding-prefetch overrides (none without a prefetch policy).
+sched::LatencyOverrides Overrides(const workload::Loop& loop,
+                                  const Grid::Cell& c) {
+  if (c.engine->prefetch == memsim::PrefetchMode::kNone) return {};
+  return memsim::ClassifyBindingPrefetch(loop.ddg, c.machine->machine,
+                                         loop.trip, c.engine->prefetch);
+}
+
+/// Writes every cell request r feeds, on the lane that completed it, and
+/// replays memory for those that simulate it; the replay counts go into
+/// `report` atomically. Metrics derive deterministically from the schedule
+/// (cache-served results are bit-identical to fresh ones) and the replay,
+/// and each cell has one slot, so the cells are independent of the lane
+/// and the width.
+void WriteCells(const core::ScheduleResult& sr, std::size_t r, Grid& grid,
+                ReproReport& report) {
+  static const auto kReplay = obs::PhaseName::Timed("experiment", "replay");
+  // One replay per distinct (loop.trip, loop.invocations): the request
+  // fixes the graph, schedule, overrides and machine latencies, and trip
+  // and invocations are the rest of what ReplayLoop reads. The cells are
+  // walked in ascending order, so the first cell with the pair lends its
+  // loop and machine.
+  struct Replay {
+    const workload::Loop* loop;
+    long stall_cycles;
+  };
+  std::vector<Replay> replays;
+  int replayed_cells = 0;
+  double seconds = 0.0;
+  for (std::uint32_t i = grid.first[r]; i < grid.first[r + 1]; ++i) {
+    const Grid::Cell c = grid.Locate(grid.cells[i]);
+    const workload::Loop& loop = grid.LoopOf(c);
+    perf::LoopMetrics lm = perf::MetricsFromResult(loop, sr);
+    if (sr.ok && c.engine->simulate_memory) {
+      auto it = std::find_if(
+          replays.begin(), replays.end(), [&](const Replay& rp) {
+            return rp.loop->trip == loop.trip &&
+                   rp.loop->invocations == loop.invocations;
+          });
+      if (it == replays.end()) {
+        const obs::Phase replay_phase(kReplay, seconds);
+        const memsim::ReplayResult rr =
+            memsim::ReplayLoop(loop, sr, c.machine->machine);
+        std::atomic_ref(report.replay_accesses) += rr.accesses;
+        std::atomic_ref(report.replay_misses) += rr.misses;
+        std::atomic_ref(report.replay_simulated) += rr.simulated;
+        it = replays.insert(it, {&loop, rr.stall_cycles});
+      }
+      lm.stall_cycles = it->stall_cycles;
+      ++replayed_cells;
+    }
+    grid.data[c.exp].cells[c.idx] = lm;
+  }
+  std::atomic_ref(report.replay_seconds) += seconds;
+  std::atomic_ref(report.replayed_cells) += replayed_cells;
+  std::atomic_ref(report.distinct_replays) += static_cast<int>(replays.size());
 }
 
 }  // namespace
@@ -178,110 +191,92 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     for (const Experiment& e : Registry()) sel.push_back(&e);
   }
 
-  // Expand every scheduling cell of every experiment into one flat batch,
-  // deduplicated by schedule-cache key (identical (loop, machine, options,
-  // overrides) cells — within or across experiments — schedule once). Each
-  // request carries the cells it feeds and their distinct memory replays.
-  std::vector<Plan> plans(sel.size());
-  std::size_t num_cells = 0;
-  for (std::size_t p = 0; p < sel.size(); ++p) {
-    plans[p].def = sel[p];
-    plans[p].loops =
-        ResolveWorkload(sel[p]->workload, opt.smoke, &plans[p].owned);
-    num_cells += sel[p]->CellsPerLoop() * plans[p].loops.size();
-  }
-  std::vector<ExperimentData> metrics(sel.size());
-  std::vector<service::BatchRequest> requests;
-  std::vector<RequestWork> work;
-  std::unordered_map<service::CacheKey, std::size_t, service::CacheKeyHash>
-      dedup;
-  std::vector<CellKey> keys;  // the current plan's
-  requests.reserve(num_cells);
-  work.reserve(num_cells);
-  dedup.reserve(num_cells);
-  for (std::size_t p = 0; p < sel.size(); ++p) {
-    const Experiment* def = sel[p];
-    const Plan& plan = plans[p];
-    ExperimentData& d = metrics[p];
-    d.def = def;
+  // Number every scheduling cell of every experiment, then deduplicate
+  // them by schedule-cache key: identical (loop, machine, options,
+  // overrides) cells, within or across experiments, schedule once.
+  Grid grid;
+  grid.data.resize(sel.size());
+  for (std::size_t e = 0; e < sel.size(); ++e) {
+    ExperimentData& d = grid.data[e];
+    d.def = sel[e];
     d.smoke = opt.smoke;
-    d.loops.reserve(plan.loops.size());
-    for (const auto& loop : plan.loops) d.loops.push_back(loop.get());
-    d.cells.resize(def->CellsPerLoop() * plan.loops.size());
-    // Overrides and keys are pure functions of the cell's loop, machine
-    // and engine: compute the plan's on the session's lanes, indexed like
-    // d.cells, so the serial dedup below only consumes them.
-    keys.assign(d.cells.size(), {});
-    session.ParallelFor(keys.size(), [&](std::size_t c) {
-      const std::size_t row = c / plan.loops.size();
-      const MachineVariant& mv = def->machines[row / def->engines.size()];
-      const EngineVariant& ev = def->engines[row % def->engines.size()];
-      const workload::Loop& loop = *plan.loops[c % plan.loops.size()];
-      CellKey& k = keys[c];
-      if (ev.prefetch != memsim::PrefetchMode::kNone) {
-        k.overrides = memsim::ClassifyBindingPrefetch(
-            loop.ddg, mv.machine, loop.trip, ev.prefetch);
+    grid.owned.push_back(ResolveWorkload(d.def->workload, opt.smoke, d.loops));
+    d.cells.resize(d.def->CellsPerLoop() * d.loops.size());
+    grid.exp_first.push_back(grid.exp_first.back() + d.cells.size());
+  }
+  const std::size_t num_cells = grid.exp_first.back();
+  HCRF_CHECK(num_cells <= std::numeric_limits<std::uint32_t>::max(),
+             "repro grid exceeds 2^32 cells");
+  {
+    std::unordered_map<service::CacheKey, std::uint32_t,
+                       service::CacheKeyHash>
+        dedup;
+    std::vector<std::uint32_t> request_of(num_cells);
+    std::vector<service::CacheKey> keys;  // the current experiment's
+    dedup.reserve(num_cells);
+    for (std::size_t e = 0; e < sel.size(); ++e) {
+      // Overrides and keys are pure functions of the cell's loop, machine
+      // and engine: compute the experiment's on the session's lanes, so
+      // the serial dedup below only consumes them.
+      const std::size_t base = grid.exp_first[e];
+      keys.assign(grid.data[e].cells.size(), {});
+      session.ParallelFor(keys.size(), [&](std::size_t c) {
+        const Grid::Cell cell = grid.Locate(base + c);
+        const workload::Loop& loop = grid.LoopOf(cell);
+        keys[c] = service::MakeCacheKey(loop.ddg, cell.machine->machine,
+                                        cell.engine->options,
+                                        Overrides(loop, cell));
+      });
+      for (std::size_t c = 0; c < keys.size(); ++c) {
+        const auto next = static_cast<std::uint32_t>(dedup.size());
+        request_of[base + c] = dedup.emplace(keys[c], next).first->second;
       }
-      k.key = service::MakeCacheKey(loop.ddg, mv.machine, ev.options,
-                                    k.overrides);
-    });
-    std::size_t idx = 0;
-    for (std::size_t m = 0; m < def->machines.size(); ++m) {
-      const MachineVariant& mv = def->machines[m];
-      for (const EngineVariant& ev : def->engines) {
-        for (std::size_t l = 0; l < plan.loops.size(); ++l, ++idx) {
-          const workload::Loop& loop = *plan.loops[l];
-          CellKey& k = keys[idx];
-          const auto [it, inserted] = dedup.emplace(k.key, requests.size());
-          if (inserted) {
-            service::BatchRequest req;
-            req.id = def->name + "/" + mv.label + "/" + ev.label + "/" +
-                     LoopLabel(loop, l);
-            req.loop = plan.loops[l];
-            req.machine = mv.machine;
-            req.options = ev.options;
-            req.overrides = std::move(k.overrides);
-            requests.push_back(std::move(req));
-            work.emplace_back();
-          }
-          RequestWork& w = work[it->second];
-          CellRef cell{p, idx, l, kNoReplay};
-          if (ev.simulate_memory) {
-            std::size_t r = 0;
-            while (r < w.replays.size() &&
-                   (w.replays[r].loop->trip != loop.trip ||
-                    w.replays[r].loop->invocations != loop.invocations)) {
-              ++r;
-            }
-            if (r == w.replays.size()) {
-              w.replays.push_back({&loop, &mv.machine});
-            }
-            cell.replay = r;
-            ++w.replayed_cells;
-          }
-          w.cells.push_back(cell);
-        }
-      }
+    }
+    // Group the cells by request with a counting sort: first[r] starts as
+    // the end of r's run and steps back once per cell, placed from the
+    // last cell down, so each run ends ascending and first[r] at its start.
+    // The map and the keys go with this scope.
+    grid.first.assign(dedup.size() + 1, 0);
+    for (const std::uint32_t r : request_of) ++grid.first[r];
+    std::partial_sum(grid.first.begin(), grid.first.end(), grid.first.begin());
+    grid.cells.resize(num_cells);
+    for (std::size_t g = num_cells; g-- > 0;) {
+      grid.cells[--grid.first[request_of[g]]] = static_cast<std::uint32_t>(g);
     }
   }
 
-  // One streamed pass: the lane that completes a request (scheduled, cache
-  // hit or failed) writes its cells and records `ok`; the item, with its
-  // transformed graph, is the lane's own and is freed there and then, so
-  // the batch holds no per-request item.
-  service::BatchReport batch;
-  if (!requests.empty()) {
-    batch = session.RunBatch(
-        requests, [&](std::size_t r, service::BatchItem& item) {
-          work[r].ok = item.ok;
-          WriteCells(item.result, work[r], metrics);
-        });
-  }
-
+  // One streamed pass. The lane that runs request r builds it from its
+  // first cell: that cell's loop, machine, engine options and overrides,
+  // which every cell of the request shares by key. Once the request
+  // completes (scheduled, cache hit or failed) the lane writes its cells.
+  // Request and item, with its transformed graph, are freed on the lane,
+  // so the batch holds no per-request state.
   ReproReport report;
   report.smoke = opt.smoke;
+  report.requests = static_cast<int>(grid.first.size() - 1);
+  service::BatchReport batch;
+  if (report.requests > 0) {
+    batch = session.RunBatch(
+        grid.first.size() - 1,
+        [&](std::size_t r, std::optional<service::BatchRequest>& scratch)
+            -> const service::BatchRequest& {
+          const Grid::Cell c = grid.Locate(grid.cells[grid.first[r]]);
+          const workload::Loop& loop = grid.LoopOf(c);
+          service::BatchRequest& req = scratch.emplace();
+          req.id = grid.data[c.exp].def->name + "/" + c.machine->label + "/" +
+                   c.engine->label + "/" + LoopLabel(loop, c.loop);
+          req.loop = std::shared_ptr<const workload::Loop>(grid.owned[c.exp],
+                                                           &loop);
+          req.machine = c.machine->machine;
+          req.options = c.engine->options;
+          req.overrides = Overrides(loop, c);
+          return req;
+        },
+        [&](std::size_t r, service::BatchItem& item) {
+          WriteCells(item.result, r, grid, report);
+        });
+  }
   report.cache = batch.cache;
-  report.requests = static_cast<int>(requests.size());
   report.scheduled = batch.scheduled;
   report.hits = batch.hits;
   report.seconds = batch.seconds;
@@ -291,26 +286,13 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
       obs::PhaseName::Timed("experiment", "aggregate");
   {
     const obs::Phase aggregate_phase(kAggregate, report.metrics_seconds);
-    for (std::size_t r = 0; r < work.size(); ++r) {
-      report.replay_seconds += work[r].replay_seconds;
-      report.replay_accesses += work[r].replay_accesses;
-      report.replay_misses += work[r].replay_misses;
-      report.replay_simulated += work[r].replay_simulated;
-      if (work[r].ok) {
-        report.replayed_cells += work[r].replayed_cells;
-        report.distinct_replays += static_cast<int>(work[r].replays.size());
-      }
-    }
-
     // Failure notes, aggregation and reference joins: serial, registry order.
-    for (std::size_t p = 0; p < plans.size(); ++p) {
-      const Plan& plan = plans[p];
-      const Experiment* def = plan.def;
-      const ExperimentData& data = metrics[p];
+    for (const ExperimentData& data : grid.data) {
+      const Experiment* def = data.def;
       ExperimentResult res;
       res.name = def->name;
       res.title = def->title;
-      res.num_loops = plan.loops.size();
+      res.num_loops = data.loops.size();
       res.cells = static_cast<int>(data.cells.size());
       for (const perf::LoopMetrics& lm : data.cells) {
         if (!lm.ok) ++res.cells_failed;
@@ -320,14 +302,14 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
       for (std::size_t m = 0; m < def->machines.size(); ++m) {
         for (std::size_t e = 0; e < def->engines.size(); ++e) {
           int failed = 0;
-          for (std::size_t l = 0; l < plan.loops.size(); ++l) {
+          for (std::size_t l = 0; l < data.loops.size(); ++l) {
             if (!data.At(m, e, l).ok) ++failed;
           }
           if (failed > 0) {
             res.failure_notes.push_back(
                 def->machines[m].label + "/" + def->engines[e].label + ": " +
                 std::to_string(failed) + " of " +
-                std::to_string(plan.loops.size()) + " loops failed");
+                std::to_string(data.loops.size()) + " loops failed");
           }
         }
       }

@@ -1,18 +1,17 @@
 // Experiment runner: executes registered experiments through the batch
 // scheduling service and renders the paper-reproduction report.
 //
-// All scheduling cells of the selected experiments are expanded into ONE
-// flat service::RunBatch call — deduplicated by schedule-cache key, so a
-// cell shared between experiments (e.g. the characterized S128 baseline
-// appears in Tables 1 and 6) is scheduled once — and backed by the
-// session's cache tiers: a warm rerun of the whole paper is served from
-// disk. Binding-prefetch cells carry their per-loop latency
-// overrides in the BatchRequest (part of the cache key). The run is one
-// streamed pass: at plan time each request gets the report cells it feeds
-// and its distinct (loop trip, loop invocations) memory replays, and the
-// batch lane that completes the request runs those replays, writes the
-// cells' LoopMetrics and drops the schedule. No batch-wide set of
-// schedules is ever held; only the serial aggregation follows the batch.
+// All scheduling cells of the selected experiments run as ONE
+// service::RunBatch call, deduplicated by schedule-cache key (a cell shared
+// between experiments, e.g. the characterized S128 baseline of Tables 1
+// and 6, is scheduled once) and backed by the session's cache tiers: a
+// warm rerun of the whole paper is served from disk. Binding-prefetch
+// cells carry their per-loop latency overrides in the request (part of the
+// cache key). What the plan keeps of a request is the list of cell numbers
+// it feeds. The batch lane that runs a request builds it from its first
+// cell, then replays memory once per distinct (loop trip, loop
+// invocations), writes the cells' LoopMetrics and drops request and
+// schedule. Only the serial aggregation follows the batch.
 //
 // Reports are deterministic: rows, reference deltas and verdicts only, no
 // timings or cache flags — a cold and a warm run emit byte-identical CSV

@@ -113,8 +113,8 @@ struct BatchItem {
 };
 
 struct BatchReport {
-  /// In request order; empty when the batch ran with an item consumer
-  /// (SchedulerService::RunBatch).
+  /// In request order; empty when the batch ran with an item consumer,
+  /// which took each item on its lane (SchedulerService::RunBatch).
   std::vector<BatchItem> items;
   /// Whole-stack cache counters for this batch (hits from any tier;
   /// misses/writes at the durable boundary). Zeroes when caching is

@@ -208,7 +208,9 @@ void Server::Serve() {
 
   // Graceful drain: stop accepting (unlink first, so new connect()s fail
   // fast instead of queueing on a dying socket), finish every admitted
-  // connection, then settle the cache write-behind queue.
+  // connection, then settle the cache write-behind queue. The gauge reads
+  // 1 for the whole drain.
+  draining.Set(1);
   if (owns_socket_) {
     ::unlink(opt_.socket_path.c_str());
     owns_socket_ = false;

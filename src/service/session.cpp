@@ -170,10 +170,18 @@ void SchedulerService::ParallelFor(
 
 BatchReport SchedulerService::RunBatch(
     const std::vector<BatchRequest>& requests, const ItemConsumer& on_item) {
+  const auto held = [&](std::size_t i, std::optional<BatchRequest>&)
+      -> const BatchRequest& { return requests[i]; };
+  return RunBatch(requests.size(), held, on_item);
+}
+
+BatchReport SchedulerService::RunBatch(std::size_t count,
+                                       const RequestSource& source,
+                                       const ItemConsumer& on_item) {
   BatchReport report;
   // With a consumer each item lives on its lane and is gone once consumed;
   // without one, the report keeps them all in request order.
-  if (!on_item) report.items.resize(requests.size());
+  if (!on_item) report.items.resize(count);
   // What the report counts of each item, taken before a consumer may take
   // the item, and summed in request order after the batch: the sums do
   // not depend on which lane finished first.
@@ -183,7 +191,7 @@ BatchReport SchedulerService::RunBatch(
     bool ok = false;
     bool warm_used = false;
   };
-  std::vector<Tally> tallies(requests.size());
+  std::vector<Tally> tallies(count);
 
   const TierStats stack_before = tier_stats();
   const TierStats mem_before = memory_stats();
@@ -191,18 +199,20 @@ BatchReport SchedulerService::RunBatch(
   static const auto kBatch = obs::PhaseName::Timed("service", "batch");
   {
     const obs::Phase batch_phase(kBatch, report.seconds);
-    ParallelFor(requests.size(), [&](size_t i) {
+    ParallelFor(count, [&](size_t i) {
       static obs::Counter& req_count = obs::GetCounter("service.requests");
       static obs::Counter& hit_count = obs::GetCounter("service.cache_hits");
       static const auto kRequest = obs::PhaseName::Timed("service", "request");
+      std::optional<BatchRequest> scratch;
       BatchItem lane_item;
       BatchItem& item = on_item ? lane_item : report.items[i];
-      item.id = requests[i].id;
       {
         obs::Phase request_phase(kRequest, item.seconds);
         item.timing.queue_seconds = request_phase.OpenedAfter(batch_phase);
+        const BatchRequest& req = source(i, scratch);
+        item.id = req.id;
         request_phase.set_detail(item.id);
-        Serve(requests[i], cache_.get(), item);
+        Serve(req, cache_.get(), item);
       }
       req_count.Add(1);
       if (item.cache_hit) hit_count.Add(1);
@@ -236,14 +246,11 @@ BatchReport SchedulerService::RunManifest(const std::string& manifest_path) {
 
   std::vector<BatchRequest> requests;
   std::vector<size_t> request_slot;  // maps run items back to report slots
-  requests.reserve(entries.size());
-
-  BatchReport report;
-  report.items.resize(entries.size());
-
+  std::vector<BatchItem> items(entries.size());
+  int unloadable = 0;
   for (size_t i = 0; i < entries.size(); ++i) {
     const ManifestEntry& e = entries[i];
-    BatchItem& item = report.items[i];
+    BatchItem& item = items[i];
     item.id = e.graph;
     try {
       BatchRequest req = ResolveManifestEntry(e, base);
@@ -253,22 +260,15 @@ BatchReport SchedulerService::RunManifest(const std::string& manifest_path) {
     } catch (const std::exception& ex) {
       item.ok = false;
       item.error = ex.what();
-      ++report.failed;
+      ++unloadable;
     }
   }
 
-  BatchReport run = RunBatch(requests);
-  for (size_t r = 0; r < run.items.size(); ++r) {
-    report.items[request_slot[r]] = std::move(run.items[r]);
-  }
-  report.cache = run.cache;
-  report.mem_cache = run.mem_cache;
-  report.scheduled = run.scheduled;
-  report.hits = run.hits;
-  report.warm_starts = run.warm_starts;
-  report.failed += run.failed;
-  report.seconds = run.seconds;
-  report.timing = run.timing;
+  BatchReport report = RunBatch(requests, [&](size_t r, BatchItem& item) {
+    items[request_slot[r]] = std::move(item);
+  });
+  report.items = std::move(items);
+  report.failed += unloadable;
   return report;
 }
 

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,23 +64,34 @@ class SchedulerService {
 
   const ServiceConfig& config() const { return config_; }
 
+  /// Hands a lane request i. A source that builds its requests fills the
+  /// lane's `scratch` and returns it; one that holds them returns a
+  /// reference and leaves `scratch` empty.
+  using RequestSource = std::function<const BatchRequest&(
+      std::size_t, std::optional<BatchRequest>& scratch)>;
+
   /// Called once per item, on the lane that completed it (scheduled,
   /// served from the cache or failed), after any cache Put. The item is
-  /// the lane's own and is dropped when the consumer returns, so the
-  /// consumer may take anything from it (move `item.result` out); it runs
-  /// concurrently with other items' consumers.
+  /// the lane's own and is dropped with its request when the consumer
+  /// returns, so the consumer may take anything from it (move
+  /// `item.result` out); it runs concurrently with other items' consumers.
   using ItemConsumer = std::function<void(std::size_t, BatchItem&)>;
 
-  /// Schedules every request in parallel against the session cache.
-  /// Never throws for per-request failures; they surface as failed items.
-  /// report.cache / report.mem_cache are deltas over this call; with
+  /// Schedules requests 0 .. count-1 in parallel against the session
+  /// cache; each lane asks `source` for its request and drops it once
+  /// served. Never throws for per-request failures; they surface as failed
+  /// items. report.cache / report.mem_cache are deltas over this call; with
   /// both tiers on (write-behind), `writes` may still be in flight at
   /// return (Drain() for exact totals — the one-shot wrappers do). With
   /// `on_item`, each item is handed to it on its lane as it completes and
-  /// report.items stays empty, so a caller that reduces results as they
-  /// arrive (experiment::RunExperiments, RunSweep) never holds the whole
-  /// batch's items; the counters (scheduled, hits, failed, warm_starts,
-  /// timing) are taken from each item before the consumer runs.
+  /// report.items stays empty, so a caller that builds requests on the
+  /// lanes and reduces results as they arrive (experiment::RunExperiments,
+  /// RunSweep) holds neither the batch's requests nor its items; the
+  /// counters (scheduled, hits, failed, warm_starts, timing) are taken
+  /// from each item before the consumer runs.
+  BatchReport RunBatch(std::size_t count, const RequestSource& source,
+                       const ItemConsumer& on_item = {});
+  /// The same over a held list, handed out by reference.
   BatchReport RunBatch(const std::vector<BatchRequest>& requests,
                        const ItemConsumer& on_item = {});
 

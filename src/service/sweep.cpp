@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "hwmodel/characterize.h"
@@ -289,35 +290,35 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
     throw std::runtime_error("sweep workload is empty");
   }
 
-  // Organization-major expansion: one flat batch keeps the worker pool
-  // saturated across the whole grid instead of per-organization waves.
-  std::vector<BatchRequest> requests;
-  requests.reserve(plan.machines.size() * loops.size());
-  for (const SweepMachine& sm : plan.machines) {
-    for (size_t i = 0; i < loops.size(); ++i) {
-      BatchRequest req;
-      req.id = sm.org + "/" + labels[i];
-      req.loop = loops[i];
-      req.machine = sm.machine;
-      if (spec.budget_ratio) req.options.budget_ratio = *spec.budget_ratio;
-      if (spec.max_ii) req.options.max_ii = *spec.max_ii;
-      if (spec.iterative) req.options.iterative = *spec.iterative;
-      if (spec.policy) req.options.cluster_policy = *spec.policy;
-      requests.push_back(std::move(req));
-    }
-  }
+  core::MirsOptions options;
+  if (spec.budget_ratio) options.budget_ratio = *spec.budget_ratio;
+  if (spec.max_ii) options.max_ii = *spec.max_ii;
+  if (spec.iterative) options.iterative = *spec.iterative;
+  if (spec.policy) options.cluster_policy = *spec.policy;
 
   SweepReport report;
   report.name = spec.name.empty() ? "sweep" : spec.name;
   for (const SweepMachine& sm : plan.machines) report.orgs.push_back(sm.org);
   report.loops = labels;
   report.skipped = plan.skipped;
-  report.cells.resize(requests.size());
-  // Each lane reduces its item to the cell's deterministic fields; the item
-  // and its schedule are dropped on the lane, so the sweep never holds the
-  // grid's results.
+  report.cells.resize(plan.machines.size() * loops.size());
+  // One flat, organization-major batch keeps the worker pool saturated
+  // across the whole grid. The lane builds cell k's request from (machine
+  // k / loops, loop k % loops) and reduces its item to the cell's
+  // deterministic fields; request, item and schedule are dropped there.
   const BatchReport batch = session.RunBatch(
-      requests, [&](std::size_t k, BatchItem& item) {
+      report.cells.size(),
+      [&](std::size_t k, std::optional<BatchRequest>& scratch)
+          -> const BatchRequest& {
+        const SweepMachine& sm = plan.machines[k / loops.size()];
+        BatchRequest& req = scratch.emplace();
+        req.id = sm.org + "/" + labels[k % loops.size()];
+        req.loop = loops[k % loops.size()];
+        req.machine = sm.machine;
+        req.options = options;
+        return req;
+      },
+      [&](std::size_t k, BatchItem& item) {
         const core::ScheduleResult& r = item.result;
         SweepCell& cell = report.cells[k];
         cell.org = plan.machines[k / loops.size()].org;

@@ -6,10 +6,11 @@
 // graph files) and a grid of RF organizations: explicit paper-notation
 // names plus an optional generative cross product of cluster counts ×
 // per-cluster register capacities × shared-bank capacities. The executor
-// expands the grid into per-(loop, machine) requests, runs them as one
-// SchedulerService::RunBatch (the process worker pool plus the session's
+// expands the organization axis only and runs the (organization, loop)
+// grid as one SchedulerService::RunBatch whose lanes build each cell's
+// request from its index (the process worker pool plus the session's
 // cache tiers, so a warm rerun is fully cache-served and the shared MII
-// cache amortizes across configurations), and aggregates the results into
+// cache amortizes across configurations). It aggregates the results into
 // per-organization comparison tables — achieved II vs MII, bound-class
 // breakdown, communication / spill op counts — emitted as CSV and
 // markdown.

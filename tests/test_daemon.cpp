@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -201,6 +202,55 @@ TEST_F(DaemonTest, SaturationAnswersBusy) {
     if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(served);
+}
+
+// `server.draining` reads 1 from the moment the accept loop stops until
+// the drain is done, and 0 once Serve() returns. An admitted connection
+// that never sends its request holds the drain open until it closes.
+TEST_F(DaemonTest, DrainingGaugeReadsOneWhileServeDrains) {
+  obs::Gauge& draining = obs::GetGauge("server.draining");
+  const obs::Counter& connections = obs::GetCounter("server.connections");
+  service::ServerOptions opt;
+  opt.socket_path = SocketPath();
+  opt.read_timeout_ms = 30000;  // longer than the test: the client closes
+  server_ = std::make_unique<service::Server>(opt);
+  server_->Start();
+  std::atomic<bool> returned{false};
+  serve_thread_ = std::thread([this, &returned] {
+    server_->Serve();
+    returned = true;
+  });
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string socket_path = SocketPath();
+  ASSERT_LT(socket_path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  const long accepted = connections.value();
+  const int idle_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(idle_fd, 0);
+  ASSERT_EQ(::connect(idle_fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // The handler counts the connection once it is admitted and running.
+  for (int i = 0; i < 500 && connections.value() == accepted; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(connections.value(), accepted);
+  EXPECT_EQ(draining.value(), 0);
+
+  server_->RequestStop();
+  for (int i = 0; i < 500 && draining.value() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(draining.value(), 1);
+  EXPECT_FALSE(returned.load());
+
+  ::close(idle_fd);  // the handler sees EOF and the drain can finish
+  serve_thread_.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(draining.value(), 0);
+  EXPECT_FALSE(fs::exists(SocketPath()));
 }
 
 /// A client whose every connection is one end of a socketpair whose peer

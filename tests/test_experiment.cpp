@@ -226,6 +226,21 @@ TEST(ExperimentRun, MetricsFanOutIsWidthIndependent) {
   EXPECT_EQ(serial.distinct_replays, wide.distinct_replays);
 }
 
+// The expansion of the whole --smoke selection, pinned: how many
+// deduplicated requests the cells collapse to, and what the memory replays
+// those requests feed count. A change to the dedup, to which cell lends a
+// request its loop and machine, or to the replay grouping moves these.
+TEST(ExperimentRun, SmokeExpansionCountsArePinned) {
+  ReproOptions opt;
+  opt.smoke = true;
+  const ReproReport report = RunExperiments({}, opt);
+  EXPECT_EQ(report.requests, 432);
+  EXPECT_EQ(report.replayed_cells, 128);
+  EXPECT_EQ(report.distinct_replays, 80);
+  EXPECT_EQ(report.replay_accesses, 11058638);
+  EXPECT_EQ(report.replay_misses, 2813619);
+}
+
 // Table 4's comparison must account for failures per engine, explicitly:
 // the experiment emits a "failures" row (noniter_only / mirs_only / both /
 // compared) and the compared count plus every failure class partitions

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,7 +145,10 @@ TEST(BatchService, CorpusManifestColdThenWarmIsBitIdentical) {
 // completed it — cold, cache hit or failed — and may take the result; the
 // item is the lane's own, so the report keeps none. The batch counters are
 // read from each item before the consumer runs, so a consumer that empties
-// every result reports exactly what a batch without one reports.
+// every result reports exactly what a batch without one reports. The
+// request-source form, whose lanes build their own requests, builds and
+// consumes each index once and matches the vector form byte for byte, at 1
+// and at 4 threads.
 TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
   const auto daxpy =
       std::make_shared<const workload::Loop>(workload::MakeDaxpy());
@@ -224,6 +228,36 @@ TEST(BatchService, ConsumerSeesEveryItemOnceAndLeavesTheCounters) {
   EXPECT_EQ(consumed.timing.mii_seconds, summed.mii_seconds);
   EXPECT_EQ(consumed.timing.schedule_seconds, summed.schedule_seconds);
   EXPECT_EQ(consumed.timing.cache_put_seconds, summed.cache_put_seconds);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    config.threads = threads;
+    std::vector<std::atomic<int>> built(requests.size());
+    std::vector<std::atomic<int>> calls(requests.size());
+    std::vector<std::string> dumps(requests.size());
+    const service::BatchReport sourced = primed_session()->RunBatch(
+        requests.size(),
+        [&](std::size_t i, std::optional<service::BatchRequest>& scratch)
+            -> const service::BatchRequest& {
+          built[i].fetch_add(1);
+          return scratch.emplace(requests[i]);
+        },
+        [&](std::size_t i, service::BatchItem& item) {
+          calls[i].fetch_add(1);
+          dumps[i] = io::DumpResult(item.result);
+        });
+    EXPECT_TRUE(sourced.items.empty());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE(requests[i].id);
+      EXPECT_EQ(built[i].load(), 1);
+      EXPECT_EQ(calls[i].load(), 1);
+      EXPECT_EQ(dumps[i], io::DumpResult(plain.items[i].result));
+    }
+    EXPECT_EQ(sourced.hits, plain.hits);
+    EXPECT_EQ(sourced.scheduled, plain.scheduled);
+    EXPECT_EQ(sourced.failed, plain.failed);
+    EXPECT_EQ(sourced.warm_starts, plain.warm_starts);
+  }
 }
 
 // Every checked-in corpus file must stay loadable and canonical (dump ==
