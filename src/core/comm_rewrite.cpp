@@ -41,6 +41,7 @@ NodeId CommRewriter::FindReusable(NodeId producer, OpClass op, int cluster,
 }
 
 bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
+  ++rewrites_;
   const RFConfig& rf = st_.m.rf;
   const bool consumer_scheduled = st_.sched->IsScheduled(e.dst);
 
@@ -59,7 +60,6 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
         n.op = OpClass::kStoreR;
         s = placer_.CreateNode(std::move(n),
                                st_.priority[static_cast<size_t>(last)] - 0.1);
-        chain_nodes_.push_back(s);
         st_.g.AddFlow(last, s, 0);
         to_schedule.Add(s, def_bank, 0);
       }
@@ -74,7 +74,6 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
         n.op = OpClass::kLoadR;
         l = placer_.CreateNode(std::move(n),
                                st_.priority[static_cast<size_t>(e.src)] - 0.2);
-        chain_nodes_.push_back(l);
         st_.g.AddFlow(last, l, e.distance);
         to_schedule.Add(l, read_bank, 0);
       }
@@ -94,7 +93,6 @@ bool CommRewriter::FixEdge(const Edge& e, BankId def_bank, BankId read_bank) {
     n.op = OpClass::kMove;
     mv = placer_.CreateNode(std::move(n),
                             st_.priority[static_cast<size_t>(e.src)] - 0.1);
-    chain_nodes_.push_back(mv);
     st_.g.AddFlow(e.src, mv, e.distance);
     to_schedule.Add(mv, read_bank, def_bank);
   }
@@ -114,6 +112,7 @@ bool CommRewriter::RedirectEdge(const Edge& e, NodeId last,
              "%d) it was about to replace; graph '%s', II=%d",
              e.src, e.dst, std::string(ToString(e.kind)).c_str(), e.distance,
              st_.g.name().c_str(), st_.ii());
+  if (st_.IsCommChainNode(e.src)) gc_candidates_.push_back(e.src);
   st_.g.AddEdge(last, e.dst, DepKind::kFlow, final_distance);
   fixes_.push_back(
       CommFix{e, Edge{last, e.dst, DepKind::kFlow, final_distance}});
@@ -136,6 +135,23 @@ bool CommRewriter::RedirectEdge(const Edge& e, NodeId last,
   return true;
 }
 
+template <class BanksOf>
+bool CommRewriter::FixMismatched(EdgeView edges, std::vector<Edge>& rest,
+                                 BanksOf banks_of) {
+  // Walk the live list up to the first edge that needs a chain; FixEdge
+  // rewrites the lists, so from there on walk a copy of the remaining
+  // edges (the same edges the list held when the walk reached them).
+  auto it = edges.begin();
+  while (it != edges.end() && !banks_of(*it).mismatched) ++it;
+  if (it == edges.end()) return true;
+  rest.assign(it, edges.end());
+  for (const Edge& e : rest) {
+    const EdgeBanks b = banks_of(e);
+    if (b.mismatched && !FixEdge(e, b.def, b.read)) return false;
+  }
+  return true;
+}
+
 bool CommRewriter::EnsureCommunication(NodeId u, int cluster) {
   const RFConfig& rf = st_.m.rf;
   if (rf.IsMonolithic()) return true;
@@ -145,37 +161,39 @@ bool CommRewriter::EnsureCommunication(NodeId u, int cluster) {
 
   // Operand side: producers already scheduled.
   if (op_u != OpClass::kMove) {  // moves read the producer bank directly
-    in_scratch_.assign(st_.g.InEdges(u).begin(), st_.g.InEdges(u).end());
-    for (const Edge& e : in_scratch_) {
-      if (e.kind != DepKind::kFlow || !st_.sched->IsScheduled(e.src)) continue;
-      const BankId def = sched::DefBank(st_.g.node(e.src).op,
-                                        st_.sched->ClusterOf(e.src), rf);
-      const BankId read = sched::ReadBank(op_u, cluster, rf);
-      if (def == read) continue;
-      if (!FixEdge(e, def, read)) return false;
-    }
+    const BankId read = sched::ReadBank(op_u, cluster, rf);
+    const bool ok = FixMismatched(
+        st_.g.InEdges(u), in_scratch_, [&](const Edge& e) -> EdgeBanks {
+          if (e.kind != DepKind::kFlow || !st_.sched->IsScheduled(e.src)) {
+            return {};
+          }
+          const BankId def = sched::DefBank(st_.g.node(e.src).op,
+                                            st_.sched->ClusterOf(e.src), rf);
+          return {def != read, def, read};
+        });
+    if (!ok) return false;
   }
 
   // Consumer side: consumers already scheduled.
   if (!DefinesValue(op_u)) return true;
   const BankId def = sched::DefBank(op_u, cluster, rf);
-  out_scratch_.assign(st_.g.OutEdges(u).begin(), st_.g.OutEdges(u).end());
-  for (const Edge& e : out_scratch_) {
-    if (e.kind != DepKind::kFlow || !st_.sched->IsScheduled(e.dst)) continue;
-    const OpClass op_c = st_.g.node(e.dst).op;
-    BankId read;
-    if (op_c == OpClass::kMove) {
-      // The move will read whatever bank we define in; it only matters that
-      // it is a cluster bank (moves cannot read the shared bank).
-      if (def != kSharedBank) continue;
-      read = st_.sched->ClusterOf(e.dst);
-    } else {
-      read = sched::ReadBank(op_c, st_.sched->ClusterOf(e.dst), rf);
-    }
-    if (def == read) continue;
-    if (!FixEdge(e, def, read)) return false;
-  }
-  return true;
+  return FixMismatched(
+      st_.g.OutEdges(u), out_scratch_, [&](const Edge& e) -> EdgeBanks {
+        if (e.kind != DepKind::kFlow || !st_.sched->IsScheduled(e.dst)) {
+          return {};
+        }
+        const OpClass op_c = st_.g.node(e.dst).op;
+        BankId read;
+        if (op_c == OpClass::kMove) {
+          // The move will read whatever bank we define in; it only matters
+          // that it is a cluster bank (moves cannot read the shared bank).
+          if (def != kSharedBank) return {};
+          read = st_.sched->ClusterOf(e.dst);
+        } else {
+          read = sched::ReadBank(op_c, st_.sched->ClusterOf(e.dst), rf);
+        }
+        return {def != read, def, read};
+      });
 }
 
 void CommRewriter::UndoFixesTouching(NodeId v) {
@@ -188,43 +206,35 @@ void CommRewriter::UndoFixesTouching(NodeId v) {
     // Restoring an edge to a dead endpoint aborts in DDG::AddEdge's check.
     st_.g.AddEdge(f.original.src, f.original.dst, f.original.kind,
                   f.original.distance);
+    // The chain's last node lost that consumer.
+    gc_candidates_.push_back(f.final_edge.src);
     instr_.ChainUndone(f.original.dst, st_.ii());
     fixes_.erase(fixes_.begin() + static_cast<long>(i));
   }
 }
 
 void CommRewriter::GarbageCollectComm() {
-  // Only chain nodes are ever collected, so scanning chain_nodes_ (short,
-  // ascending id) visits the same candidates as a full slot scan; the
-  // fixpoint is order-independent (removing a node only un-feeds its
-  // producers, picked up by the next pass).
-  bool changed = true;
-  bool any_dead = false;
-  while (changed) {
-    changed = false;
-    for (NodeId v : chain_nodes_) {
-      if (!st_.g.IsAlive(v)) {
-        any_dead = true;
-        continue;
-      }
-      // Spill copies never enter chain_nodes_, so IsCommChainNode holds
-      // for every alive entry.
-      if (!st_.g.FlowConsumers(v).empty()) continue;
-      st_.Unplace(v);
-      st_.MarkScheduled(v);  // drop from the unscheduled list before removal
-      st_.g.RemoveNode(v);
-      // A fix whose original edge touches v can never be undone: its
-      // restored edge would reach a dead node.
-      std::erase_if(fixes_, [v](const CommFix& f) {
-        return f.original.src == v || f.original.dst == v;
-      });
-      changed = true;
-      any_dead = true;
+  // Only chain nodes are ever collected. FixEdge gives each chain node a
+  // consumer before anything is placed, so one is left without a flow
+  // consumer only when RedirectEdge or UndoFixesTouching takes one away
+  // (they queue it) or when this sweep removes its consumer (queued
+  // below). The result is order-independent (removing a node only
+  // un-feeds its producers).
+  while (!gc_candidates_.empty()) {
+    const NodeId v = gc_candidates_.back();
+    gc_candidates_.pop_back();
+    if (!st_.g.IsAlive(v) || !st_.g.FlowConsumers(v).empty()) continue;
+    for (const Edge& e : st_.g.FlowProducers(v)) {
+      if (st_.IsCommChainNode(e.src)) gc_candidates_.push_back(e.src);
     }
-  }
-  if (any_dead) {
-    std::erase_if(chain_nodes_,
-                  [this](NodeId v) { return !st_.g.IsAlive(v); });
+    st_.Unplace(v);
+    st_.MarkScheduled(v);  // drop from the unscheduled list before removal
+    st_.g.RemoveNode(v);
+    // A fix whose original edge touches v can never be undone: its
+    // restored edge would reach a dead node.
+    std::erase_if(fixes_, [v](const CommFix& f) {
+      return f.original.src == v || f.original.dst == v;
+    });
   }
 }
 

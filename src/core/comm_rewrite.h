@@ -53,10 +53,14 @@ class CommRewriter {
   /// Clears the fix records (fresh II attempt).
   void Reset() {
     fixes_.clear();
-    chain_nodes_.clear();
+    gc_candidates_.clear();
   }
 
   const std::vector<CommFix>& fixes() const { return fixes_; }
+
+  /// Edges rewritten into chains so far (never decreases): a call of
+  /// EnsureCommunication that leaves it unchanged changed nothing.
+  long rewrites() const { return rewrites_; }
 
   /// Inserts and schedules communication chains for mismatched flow edges
   /// between `u` (about to be placed on `cluster`) and its scheduled
@@ -68,7 +72,8 @@ class CommRewriter {
   /// edge at the consumer and restores the direct edge.
   void UndoFixesTouching(NodeId v);
 
-  /// Removes chain nodes that lost all their consumers (after undos).
+  /// Removes chain nodes that lost all their consumers (after undos),
+  /// visiting only the chain nodes that lost one since the last sweep.
   void GarbageCollectComm();
 
   /// Appends to `out` the consumers whose communication chain runs through
@@ -95,6 +100,19 @@ class CommRewriter {
     }
   };
 
+  /// The banks one edge of EnsureCommunication joins, and whether they
+  /// differ (then it needs a chain).
+  struct EdgeBanks {
+    bool mismatched = false;
+    sched::BankId def = 0;
+    sched::BankId read = 0;
+  };
+  /// Fixes every edge of `edges` that `banks_of` finds mismatched, in list
+  /// order; `rest` holds the edges still to visit once the first fix
+  /// rewrites the lists.
+  template <class BanksOf>
+  bool FixMismatched(EdgeView edges, std::vector<Edge>& rest,
+                     BanksOf banks_of);
   bool FixEdge(const Edge& e, sched::BankId def_bank, sched::BankId read_bank);
   bool RedirectEdge(const Edge& e, NodeId last, int final_distance,
                     NewHops& to_schedule, bool consumer_scheduled);
@@ -106,15 +124,15 @@ class CommRewriter {
   NodePlacer& placer_;
   Instrumentation& instr_;
   std::vector<CommFix> fixes_;
-  /// Every chain node this rewriter created, ascending id (tombstoned ids
-  /// are pruned lazily). Only chain nodes are ever garbage-collected, so
-  /// GarbageCollectComm scans this short list instead of every graph slot
-  /// once per ejection.
-  std::vector<NodeId> chain_nodes_;
-  /// Edge snapshots of EnsureCommunication (FixEdge mutates the adjacency
-  /// lists it iterates). Members, not locals: EnsureCommunication runs once
-  /// per placement and is non-reentrant, so reusing the buffers keeps the
-  /// hot loop allocation-free.
+  long rewrites_ = 0;
+  /// Chain nodes that lost a flow consumer since the last sweep (may hold
+  /// repeats and nodes that since gained one).
+  std::vector<NodeId> gc_candidates_;
+  /// The edges of EnsureCommunication still to visit after its first fix
+  /// (FixEdge mutates the adjacency lists it iterates). Members, not
+  /// locals: EnsureCommunication runs once per placement and is
+  /// non-reentrant, so reusing the buffers keeps the hot loop
+  /// allocation-free.
   std::vector<Edge> in_scratch_;
   std::vector<Edge> out_scratch_;
 };

@@ -75,6 +75,11 @@ NodeId AttemptContext::CreateNode(Node n, double priority) {
 }
 
 bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
+  return PlaceNode(u, cluster, src_cluster, std::nullopt);
+}
+
+bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster,
+                               const std::optional<Window>& window) {
   if (budget_.exhausted()) return false;
   const int ii = st_.ii();
   const auto needs =
@@ -84,7 +89,7 @@ bool AttemptContext::PlaceNode(NodeId u, int cluster, int src_cluster) {
     if (st_.mrt->Capacity(need.kind, need.cluster) <= 0) return false;
   }
 
-  const Window w = st_.ComputeWindow(u);
+  const Window w = window ? *window : st_.ComputeWindow(u);
   // Reload-style copies (spill loads, LoadR) are placed as late as
   // possible even when both sides are anchored: their input lives in
   // memory or the capacious shared bank, so a late placement minimizes the
@@ -195,7 +200,7 @@ void AttemptContext::EjectScheduledNode(NodeId v) {
 // Cluster selection (structural constraints, then policy)
 // ---------------------------------------------------------------------------
 
-int AttemptContext::SelectCluster(NodeId u) {
+int AttemptContext::SelectCluster(NodeId u, std::optional<Window>& window) {
   const RFConfig& rf = m_.rf;
   if (!rf.HasClusters()) return 0;
   const Node& n = st_.g.node(u);
@@ -210,7 +215,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (b != kSharedBank) return b;
       }
     }
-    return balanced_.Select(st_, u);
+    return balanced_.Select(st_, u, window);
   }
   if (n.op == OpClass::kStoreR) {
     for (const Edge& e : st_.g.FlowProducers(u)) {
@@ -220,7 +225,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (b != kSharedBank) return b;
       }
     }
-    return balanced_.Select(st_, u);
+    return balanced_.Select(st_, u, window);
   }
   if (rf.IsPureClustered() && n.spill && IsMemory(n.op)) {
     // Spill stores read the producer's cluster; spill loads feed consumers.
@@ -233,10 +238,10 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (st_.sched->IsScheduled(e.dst)) return st_.sched->ClusterOf(e.dst);
       }
     }
-    return balanced_.Select(st_, u);
+    return balanced_.Select(st_, u, window);
   }
 
-  return selector_->Select(st_, u);
+  return selector_->Select(st_, u, window);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +351,9 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
                  "none alive in graph '%s' (II=%d, %d slots)",
                  st_.num_unscheduled, original_->name().c_str(), ii,
                  st_.g.NumSlots());
-      const int cluster = SelectCluster(u);
+      // u's dependence window, when the cluster policy computed it.
+      std::optional<Window> window;
+      const int cluster = SelectCluster(u, window);
       int src_cluster = 0;
       if (st_.g.node(u).op == OpClass::kMove) {
         // Re-scheduled move: the source side is its producer's bank.
@@ -358,9 +365,12 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
       }
       {
         const obs::Phase comm_phase({"phase", "comm-rewrite"}, ii, u);
+        const long rewrites = comm_.rewrites();
         if (!comm_.EnsureCommunication(u, cluster)) {
           return AttemptStatus::kComm;
         }
+        // A chain changes u's edges and places (or ejects) neighbours.
+        if (comm_.rewrites() != rewrites) window.reset();
       }
       // Building u's communication can force-place chain nodes, whose
       // ejection cascade may dissolve the very chain u belongs to and
@@ -369,7 +379,9 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
       // "placement of undefined node" that the strict result parser (and
       // so the schedule cache) rejects.
       if (!st_.g.IsAlive(u)) continue;
-      if (!PlaceNode(u, cluster, src_cluster)) return AttemptStatus::kPlace;
+      if (!PlaceNode(u, cluster, src_cluster, window)) {
+        return AttemptStatus::kPlace;
+      }
       // Register-pressure checks are O(values); checking every few
       // placements (and always when the list drains) keeps the paper's
       // incremental-spill behaviour at a fraction of the cost.
@@ -403,26 +415,25 @@ AttemptStatus AttemptContext::FinishAttempt(int ii) {
   const bool shared_bounded = rf.HasSharedBank() && !rf.UnboundedSharedRegs();
   const bool cluster_bounded = !rf.UnboundedClusterRegs() && rf.clusters > 0;
   if (shared_bounded || cluster_bounded) {
-    if (st_.pressure.attached() && PressureCrossCheckEnabled()) {
+    const bool tracked = st_.pressure.attached();
+    if (tracked && PressureCrossCheckEnabled()) {
       st_.pressure.CrossValidate("AttemptContext::TryII final check");
     }
-    if (!st_.pressure.attached()) {
+    if (!tracked) {
       sched::ComputePressure(st_.g, *st_.sched, m_, st_.overrides,
                              validate_scratch_.pressure,
                              validate_scratch_.report);
     }
-    const sched::PressureReport& pr = st_.pressure.attached()
-                                          ? st_.pressure.Report()
-                                          : validate_scratch_.report;
-    if (shared_bounded &&
-        pr.shared_maxlive > sched::BankCapacity(kSharedBank, rf)) {
+    const auto over_capacity = [&](BankId bank) {
+      const long capacity = sched::BankCapacity(bank, rf);
+      return tracked ? st_.pressure.Exceeds(bank, capacity)
+                     : validate_scratch_.report.MaxLiveOf(bank) > capacity;
+    };
+    if (shared_bounded && over_capacity(kSharedBank)) {
       return AttemptStatus::kOverCapacity;
     }
     for (int c = 0; cluster_bounded && c < rf.clusters; ++c) {
-      if (pr.cluster_maxlive[static_cast<size_t>(c)] >
-          sched::BankCapacity(c, rf)) {
-        return AttemptStatus::kOverCapacity;
-      }
+      if (over_capacity(c)) return AttemptStatus::kOverCapacity;
     }
   }
 
@@ -651,17 +662,22 @@ ScheduleResult EngineDriver::Run() {
     mii.res_mii = ResMII(original_, m_);
     mii.rec_mii = recs.empty() ? 1 : recs.front().rec_mii;
   }
+  ws.ctx.spill().tally() = {};
   // Warm-start gate: one seeded attempt before the cold walk. A failed (or
   // rejected) seed falls through to the cold path with the fallback counted
   // on the result — never silent.
   WarmStartTelemetry warm;
   if (opt_.warm_start != nullptr && opt_.warm_start->ok) {
-    if (std::optional<ScheduleResult> res = RunWarm(mii, ws)) return *res;
+    if (std::optional<ScheduleResult> res = RunWarm(mii, ws)) {
+      spill_tally_ = ws.ctx.spill().tally();
+      return *res;
+    }
     warm.attempted = true;
     warm.fallback = true;
   }
   ScheduleResult res = RunSerial(mii, ws);
   res.warm = warm;
+  spill_tally_ = ws.ctx.spill().tally();
   return res;
 }
 

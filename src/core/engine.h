@@ -143,6 +143,7 @@ class AttemptContext : public NodePlacer {
   ScheduleResult Finalize(const MIIInfo& mii, int ii);
 
   Instrumentation& instr() { return instr_; }
+  SpillEngine& spill() { return spill_; }
 
   /// The working graph: its table capacities are the largest graph and
   /// the most edge churn this context has seen since it was built.
@@ -171,13 +172,19 @@ class AttemptContext : public NodePlacer {
   /// measuring repair work only. Returns the number of seeded placements.
   int SeedFrom(const ScheduleResult& seed);
 
+  /// PlaceNode with u's dependence window when the caller still holds it
+  /// (computed on the current state), computing it otherwise.
+  bool PlaceNode(NodeId u, int cluster, int src_cluster,
+                 const std::optional<Window>& window);
+
   void Eject(NodeId victim);
   void EjectScheduledNode(NodeId v);
 
   /// Structural cluster constraints (communication and spill copies follow
   /// the scheduled endpoint they serve); defers to the selector policy for
-  /// unconstrained nodes.
-  int SelectCluster(NodeId u);
+  /// unconstrained nodes. Stores u's dependence window in `window` when the
+  /// policy computed it.
+  int SelectCluster(NodeId u, std::optional<Window>& window);
 
   // ---- inputs of the bound run ----------------------------------------
   const DDG* original_ = nullptr;
@@ -240,6 +247,10 @@ class EngineDriver {
   /// oracle of the `PressureTrackerEngine.BitIdenticalSchedules` ctest.
   void UseReferencePressure() { incremental_ = false; }
 
+  /// The spill engine's rare-path events of the last Run (the A/B test
+  /// asserts its machines reach them).
+  const SpillTally& spill_tally() const { return spill_tally_; }
+
  private:
   ScheduleResult RunSerial(const MIIInfo& mii, EngineWorkspace& ws);
   /// Warm-start gate: one seeded attempt at max(MII, seed.ii). Returns the
@@ -261,6 +272,7 @@ class EngineDriver {
   MirsOptions opt_;
   sched::LatencyOverrides base_overrides_;
   bool incremental_ = true;
+  SpillTally spill_tally_;
 };
 
 }  // namespace hcrf::core

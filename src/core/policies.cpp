@@ -17,12 +17,43 @@ std::string_view ToString(ClusterPolicy p) {
   return "?";
 }
 
-int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
+int BalancedClusterSelector::Select(const SchedState& st, NodeId u,
+                                    std::optional<Window>& window) {
   const RFConfig& rf = st.m.rf;
   const int x = rf.clusters;
   const int ii = st.ii();
-  const Node& n = st.g.node(u);
-  const Window w = st.ComputeWindow(u);
+  const OpClass op = st.g.node(u).op;
+  const bool defines = DefinesValue(op);
+
+  // One walk of u's edges gives the dependence window and the banks its
+  // scheduled neighbours use: the def bank of each flow producer and the
+  // read bank of each flow consumer (moves excepted), counted per bank
+  // (index 0 = shared, c + 1 = cluster c).
+  const auto slot = [](BankId bank) {
+    return static_cast<size_t>(bank == sched::kSharedBank ? 0 : bank + 1);
+  };
+  const size_t banks = static_cast<size_t>(x) + 1;
+  bank_uses_.assign(2 * banks, 0);
+  int* const producer_defs = bank_uses_.data();
+  int* const consumer_reads = bank_uses_.data() + banks;
+  int producers = 0;
+  int consumers = 0;
+  const Window& w = window.emplace(st.WalkWindow(
+      u,
+      [&](const Edge& e) {
+        if (e.kind != DepKind::kFlow) return;
+        ++producers;
+        ++producer_defs[slot(sched::DefBank(st.g.node(e.src).op,
+                                            st.sched->ClusterOf(e.src), rf))];
+      },
+      [&](const Edge& e) {
+        if (!defines || e.kind != DepKind::kFlow) return;
+        const OpClass consumer = st.g.node(e.dst).op;
+        if (consumer == OpClass::kMove) return;
+        ++consumers;
+        ++consumer_reads[slot(
+            sched::ReadBank(consumer, st.sched->ClusterOf(e.dst), rf))];
+      }));
   // The engine's scan rule, without its late bias for reloads: whether a
   // slot exists does not depend on the scan direction.
   const sched::ScanDir dir = w.Direction(/*late_biased=*/false);
@@ -34,46 +65,41 @@ int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
   // used to rescan every slot).
   const std::vector<int>& fu_use = st.cluster_fu_use;
   const std::vector<int>& defs = st.cluster_defs;
+  const double fu_cap = static_cast<double>(st.m.FusPerCluster()) * ii;
+  const double reg_cap =
+      rf.UnboundedClusterRegs() ? 1e9 : static_cast<double>(rf.cluster_regs);
 
   double best_cost = std::numeric_limits<double>::max();
   int best = 0;
   for (int c = 0; c < x; ++c) {
-    // Communication the placement would require.
-    int comm = 0;
-    for (const Edge& e : st.g.InEdges(u)) {
-      if (e.kind != DepKind::kFlow || !st.sched->IsScheduled(e.src)) continue;
-      const BankId def =
-          sched::DefBank(st.g.node(e.src).op, st.sched->ClusterOf(e.src), rf);
-      const BankId read = sched::ReadBank(n.op, c, rf);
-      if (def != read) ++comm;
+    // Communication the placement would require: every producer whose def
+    // bank is not the bank u reads on c, every consumer not reading the
+    // bank u defines on c.
+    int comm = producers - producer_defs[slot(sched::ReadBank(op, c, rf))];
+    if (defines) {
+      comm += consumers - consumer_reads[slot(sched::DefBank(op, c, rf))];
     }
-    if (DefinesValue(n.op)) {
-      const BankId def = sched::DefBank(n.op, c, rf);
-      for (const Edge& e : st.g.OutEdges(u)) {
-        if (e.kind != DepKind::kFlow || !st.sched->IsScheduled(e.dst)) {
-          continue;
-        }
-        const Node& nc = st.g.node(e.dst);
-        if (nc.op == OpClass::kMove) continue;
-        const BankId read =
-            sched::ReadBank(nc.op, st.sched->ClusterOf(e.dst), rf);
-        if (def != read) ++comm;
-      }
-    }
-    // Slot availability inside the dependence window.
-    const bool free_slot =
-        st.mrt->FindFirstSlot(sched::ResourceNeeds(n.op, c, 0, st.m),
-                              range.lo, range.hi, dir) !=
-        sched::ModuloReservationTable::kNoSlot;
-    const double fu_cap = static_cast<double>(st.m.FusPerCluster()) * ii;
-    const double reg_cap =
-        rf.UnboundedClusterRegs() ? 1e9 : static_cast<double>(rf.cluster_regs);
     // A missing slot almost certainly means forcing and ejection, so it
     // outweighs a couple of communication operations; communication in turn
     // outweighs the soft balancing terms.
-    const double cost = 3.0 * comm + 8.0 * (free_slot ? 0 : 1) +
-                        fu_use[static_cast<size_t>(c)] / fu_cap +
-                        defs[static_cast<size_t>(c)] / reg_cap;
+    const auto cost_of = [&](bool free_slot) {
+      return 3.0 * comm + 8.0 * (free_slot ? 0 : 1) +
+             fu_use[static_cast<size_t>(c)] / fu_cap +
+             defs[static_cast<size_t>(c)] / reg_cap;
+    };
+    // Floating-point addition is monotone and the balancing terms are not
+    // negative (a NaN cost never wins), so the communication term, then the
+    // cost with a free slot, bound the cost from below: when even the bound
+    // loses, the rest of the cost and the slot scan are moot.
+    if (!(3.0 * comm < best_cost)) continue;
+    const double if_free = cost_of(true);
+    if (!(if_free < best_cost)) continue;
+    // Slot availability inside the dependence window.
+    const bool free_slot =
+        st.mrt->FindFirstSlot(sched::ResourceNeeds(op, c, 0, st.m), range.lo,
+                              range.hi, dir) !=
+        sched::ModuloReservationTable::kNoSlot;
+    const double cost = free_slot ? if_free : cost_of(false);
     if (cost < best_cost) {
       best_cost = cost;
       best = c;
@@ -82,14 +108,15 @@ int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
   return best;
 }
 
-int RoundRobinClusterSelector::Select(const SchedState& st, NodeId u) {
-  (void)u;
+int RoundRobinClusterSelector::Select(const SchedState& st, NodeId /*u*/,
+                                      std::optional<Window>& /*window*/) {
   return (next_++) % st.m.rf.clusters;
 }
 
-int FirstFitClusterSelector::Select(const SchedState& st, NodeId u) {
+int FirstFitClusterSelector::Select(const SchedState& st, NodeId u,
+                                    std::optional<Window>& window) {
   const Node& n = st.g.node(u);
-  const Window w = st.ComputeWindow(u);
+  const Window& w = window.emplace(st.ComputeWindow(u));
   // Deliberately not Window::Range: the top-down range is not clipped at
   // `late`, so a cluster whose only free row lies past the successors
   // still counts as a fit. Clipping it changes the ablation_cluster_sel

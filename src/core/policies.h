@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "core/sched_state.h"
 #include "ddg/ddg.h"
@@ -31,8 +33,11 @@ class ClusterSelector {
   virtual ~ClusterSelector() = default;
   /// Picks the cluster for a node with no structural constraint (the
   /// engine routes communication/spill copies to the cluster dictated by
-  /// the scheduled endpoint they serve before consulting the policy).
-  virtual int Select(const SchedState& st, NodeId u) = 0;
+  /// the scheduled endpoint they serve before consulting the policy). A
+  /// policy that computes u's dependence window stores it in `window`, so
+  /// the placement that follows can reuse it while the state holds.
+  virtual int Select(const SchedState& st, NodeId u,
+                     std::optional<Window>& window) = 0;
   /// Called at the start of every II attempt (per-attempt state reset).
   virtual void Reset() {}
 };
@@ -42,12 +47,19 @@ class ClusterSelector {
 /// FU-usage / register-pressure balancing terms.
 class BalancedClusterSelector : public ClusterSelector {
  public:
-  int Select(const SchedState& st, NodeId u) override;
+  int Select(const SchedState& st, NodeId u,
+             std::optional<Window>& window) override;
+
+ private:
+  /// Select's per-bank counts of its neighbours' banks, kept so the hot
+  /// loop allocates nothing.
+  std::vector<int> bank_uses_;
 };
 
 class RoundRobinClusterSelector : public ClusterSelector {
  public:
-  int Select(const SchedState& st, NodeId u) override;
+  int Select(const SchedState& st, NodeId u,
+             std::optional<Window>& window) override;
   void Reset() override { next_ = 0; }
 
  private:
@@ -56,7 +68,8 @@ class RoundRobinClusterSelector : public ClusterSelector {
 
 class FirstFitClusterSelector : public ClusterSelector {
  public:
-  int Select(const SchedState& st, NodeId u) override;
+  int Select(const SchedState& st, NodeId u,
+             std::optional<Window>& window) override;
 };
 
 }  // namespace hcrf::core

@@ -31,6 +31,8 @@ void SchedState::Reset(const DDG& original,
   }
   priority.assign(static_cast<size_t>(g.NumSlots()), 0.0);
   unscheduled_.assign(Word(g.NumSlots()) + 1, 0);
+  pick_adds_.reserve(kPickAdds);
+  pick_cached_ = false;
   prev_cycle.assign(static_cast<size_t>(g.NumSlots()), kNoCycle);
   num_unscheduled = 0;
   cluster_fu_use.assign(static_cast<size_t>(m.rf.clusters), 0);
@@ -49,25 +51,6 @@ void SchedState::Reset(const DDG& original,
   }
 }
 
-Window SchedState::ComputeWindow(NodeId u) const {
-  Window w;
-  const int ii = sched->ii();
-  for (const Edge& e : g.InEdges(u)) {
-    if (!sched->IsScheduled(e.src)) continue;
-    const int es = sched->CycleOf(e.src) + LatOf(e) - e.distance * ii;
-    if (!w.has_pred || es > w.early) w.early = es;
-    w.has_pred = true;
-  }
-  for (const Edge& e : g.OutEdges(u)) {
-    if (!sched->IsScheduled(e.dst)) continue;
-    const int ls = sched->CycleOf(e.dst) - LatOf(e) + e.distance * ii;
-    if (!w.has_succ || ls < w.late) w.late = ls;
-    w.has_succ = true;
-  }
-  if (!w.has_pred) w.early = 0;
-  return w;
-}
-
 void SchedState::GrowTo(NodeId id) {
   if (static_cast<size_t>(id) >= priority.size()) {
     priority.resize(static_cast<size_t>(id) + 1, 0.0);
@@ -80,6 +63,13 @@ void SchedState::MarkUnscheduled(NodeId v) {
   if (!IsUnscheduled(v)) {
     unscheduled_[Word(v)] |= std::uint64_t{1} << Bit(v);
     ++num_unscheduled;
+    if (pick_cached_) {
+      if (pick_adds_.size() < kPickAdds) {
+        pick_adds_.push_back(v);
+      } else {
+        pick_cached_ = false;
+      }
+    }
   }
 }
 
@@ -101,28 +91,75 @@ void SchedState::Place(NodeId u, const sched::ResUseList& needs,
 void SchedState::Unplace(NodeId v) {
   if (!sched->IsScheduled(v)) return;
   const int cluster = sched->ClusterOf(v);
-  prev_cycle[static_cast<size_t>(v)] = sched->CycleOf(v);
+  const int cycle = sched->CycleOf(v);
+  prev_cycle[static_cast<size_t>(v)] = cycle;
   mrt->Remove(v);
   sched->Unassign(v);
   BumpClusterUse(v, cluster, -1);
-  pressure.OnUnplaced(v);
+  pressure.OnUnplaced(v, cycle);
 }
 
-NodeId SchedState::PickHighestPriority() const {
-  NodeId best = kNoNode;
-  double best_priority = 0.0;
+void SchedState::RefillPickCache() {
+  pick_size_ = 0;
+  pick_next_ = 0;
+  size_t listed = 0;
   for (size_t w = 0; w < unscheduled_.size(); ++w) {
     for (std::uint64_t bits = unscheduled_[w]; bits != 0; bits &= bits - 1) {
       const NodeId v = static_cast<NodeId>(w * 64) + std::countr_zero(bits);
-      if (!g.IsAlive(v)) continue;
-      // Ascending ids and a strict `>`: the lowest id wins a tie.
+      ++listed;
+      // Ascending ids: a node ties below every cached node of its priority.
+      // Only a node that makes the cache reads its (cold) graph slot.
       const double p = priority[static_cast<size_t>(v)];
-      if (best == kNoNode || p > best_priority) {
-        best = v;
-        best_priority = p;
+      if (pick_size_ == kPickCache &&
+          !(p > pick_cache_[kPickCache - 1].priority)) {
+        continue;
       }
+      if (!g.IsAlive(v)) continue;
+      size_t at = pick_size_ < kPickCache ? pick_size_++ : kPickCache - 1;
+      for (; at > 0 && p > pick_cache_[at - 1].priority; --at) {
+        pick_cache_[at] = pick_cache_[at - 1];
+      }
+      pick_cache_[at] = Ranked{p, v};
     }
   }
+  pick_complete_ = listed <= kPickCache;
+  pick_adds_.clear();
+  pick_cached_ = true;
+}
+
+NodeId SchedState::PickHighestPriority() {
+  if (pick_cached_) {
+    // The first cached node still on the list is the best of the nodes
+    // the scan saw (the others ranked below every cached node); a better
+    // one was listed since, and is in pick_adds_. A cached node passed
+    // over here that is listed again is in pick_adds_ too.
+    while (pick_next_ < pick_size_ && !Listed(pick_cache_[pick_next_].node)) {
+      ++pick_next_;
+    }
+    if (pick_next_ == pick_size_ && !pick_complete_) pick_cached_ = false;
+  }
+  if (!pick_cached_) RefillPickCache();
+  NodeId best = kNoNode;
+  double best_priority = 0.0;
+  if (pick_next_ < pick_size_) {
+    best = pick_cache_[pick_next_].node;
+    best_priority = pick_cache_[pick_next_].priority;
+  }
+  // Nodes that left the list since are dropped: one listed again is
+  // appended again. Only a node that would win reads its graph slot.
+  size_t kept = 0;
+  for (const NodeId v : pick_adds_) {
+    if (!IsUnscheduled(v)) continue;
+    pick_adds_[kept++] = v;
+    const double p = priority[static_cast<size_t>(v)];
+    if ((best == kNoNode || p > best_priority ||
+         (p == best_priority && v < best)) &&
+        g.IsAlive(v)) {
+      best = v;
+      best_priority = p;
+    }
+  }
+  pick_adds_.resize(kept);
   return best;
 }
 

@@ -103,7 +103,33 @@ struct SchedState {
     return sched::DependenceLatency(g, e, m.lat, overrides);
   }
 
-  Window ComputeWindow(NodeId u) const;
+  Window ComputeWindow(NodeId u) const {
+    return WalkWindow(u, [](const Edge&) {}, [](const Edge&) {});
+  }
+  /// ComputeWindow that also hands each edge from a scheduled producer to
+  /// `on_pred` and each edge to a scheduled consumer to `on_succ`, in list
+  /// order, for callers that need more from the one walk of u's edges.
+  template <class OnPred, class OnSucc>
+  Window WalkWindow(NodeId u, OnPred&& on_pred, OnSucc&& on_succ) const {
+    Window w;
+    const int ii = sched->ii();
+    for (const Edge& e : g.InEdges(u)) {
+      if (!sched->IsScheduled(e.src)) continue;
+      on_pred(e);
+      const int es = sched->CycleOf(e.src) + LatOf(e) - e.distance * ii;
+      if (!w.has_pred || es > w.early) w.early = es;
+      w.has_pred = true;
+    }
+    for (const Edge& e : g.OutEdges(u)) {
+      if (!sched->IsScheduled(e.dst)) continue;
+      on_succ(e);
+      const int ls = sched->CycleOf(e.dst) - LatOf(e) + e.distance * ii;
+      if (!w.has_succ || ls < w.late) w.late = ls;
+      w.has_succ = true;
+    }
+    if (!w.has_pred) w.early = 0;
+    return w;
+  }
 
   /// Grows the per-node arrays to cover `id` (newly inserted nodes).
   void GrowTo(NodeId id);
@@ -130,9 +156,20 @@ struct SchedState {
   void Unplace(NodeId v);
 
   /// The live unscheduled node with the highest priority, the lowest id
-  /// on a tie; kNoNode when none is left. One ascending scan over the
-  /// unscheduled bitset.
-  NodeId PickHighestPriority() const;
+  /// on a tie; kNoNode when none is left. An ascending scan over the
+  /// unscheduled bitset keeps the best kPickCache nodes; the picks after
+  /// it take the best of the cached nodes still waiting since that scan
+  /// and the nodes listed since, and scan again once the cache runs dry.
+  NodeId PickHighestPriority();
+
+  /// Changes a node's priority. The pick cache ranks the nodes once per
+  /// scan, so a priority changes only here, except that a node's first
+  /// priority (after Reset, or when GrowTo adds it) may be written to
+  /// `priority` directly before the node is listed.
+  void SetPriority(NodeId v, double p) {
+    priority[static_cast<size_t>(v)] = p;
+    pick_cached_ = false;
+  }
 
   /// True for scheduler-inserted communication chain nodes (owned by the
   /// communication rewriter; spill copies are not chain nodes).
@@ -184,8 +221,31 @@ struct SchedState {
   static size_t Word(NodeId v) { return static_cast<size_t>(v) / 64; }
   static unsigned Bit(NodeId v) { return static_cast<unsigned>(v) % 64; }
 
+  /// Caches the best nodes of a full scan of the list.
+  void RefillPickCache();
+  /// Still on the list and alive.
+  bool Listed(NodeId v) const { return IsUnscheduled(v) && g.IsAlive(v); }
+
   /// Bit v set while node v waits in the priority list.
   std::vector<std::uint64_t> unscheduled_;
+
+  /// Nodes the last full scan ranked first, best first, kept for the
+  /// picks after it.
+  static constexpr size_t kPickCache = 16;
+  /// Nodes listed since the scan that a pick compares with the cache; one
+  /// more listed node drops the cache, and the next pick scans again.
+  static constexpr size_t kPickAdds = 32;
+  struct Ranked {
+    double priority;
+    NodeId node;
+  };
+  Ranked pick_cache_[kPickCache];
+  size_t pick_size_ = 0;  ///< Cached nodes.
+  size_t pick_next_ = 0;  ///< First cached node not yet found off the list.
+  /// The scan cached every node then on the list.
+  bool pick_complete_ = false;
+  bool pick_cached_ = false;  ///< The cache and pick_adds_ are current.
+  std::vector<NodeId> pick_adds_;  ///< Listed since the scan.
 };
 
 }  // namespace hcrf::core

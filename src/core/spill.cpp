@@ -13,12 +13,15 @@ using sched::BankId;
 using sched::kSharedBank;
 
 void SpillEngine::Reset() {
-  std::fill(spilled_.begin(), spilled_.end(), 0);
+  // Only the ids spilled in the previous attempt can be set: SpillFromBank
+  // grows the flags to the def it marks.
+  spilled_.clear();
   spilled_invariants_.assign(
       static_cast<size_t>(st_.g.num_invariants()) *
           static_cast<size_t>(st_.m.rf.clusters + 1),
       0);
   next_spill_array_ = kSpillArrayBase;
+  over_.reserve(static_cast<size_t>(st_.m.rf.clusters) + 1);
 }
 
 void SpillEngine::SinkReloads() {
@@ -52,57 +55,45 @@ void SpillEngine::CheckAndInsert() {
   const bool shared_bounded = rf.HasSharedBank() && !rf.UnboundedSharedRegs();
   if (!cluster_bounded && !shared_bounded) return;
 
-  if (st_.pressure.attached()) {
-    // O(1)-amortized fast path: consult the incrementally maintained
-    // MaxLive. Only when some bank is over capacity do we pay for the full
-    // report (victim selection ranks ValueLifetimes, which the tracker
-    // does not materialize) — and the decisions below are then identical
-    // to the reference path's, since the tracker agrees with
-    // ComputePressure bank for bank (cross-validated here in debug
-    // builds and under HCRF_CHECK_PRESSURE).
-    if (PressureCrossCheckEnabled()) {
-      st_.pressure.CrossValidate("SpillEngine::CheckAndInsert");
-    }
-    bool over = false;
-    if (cluster_bounded) {
-      for (int c = 0; c < rf.clusters && !over; ++c) {
-        over = st_.pressure.MaxLive(c) > sched::BankCapacity(c, rf);
-      }
-    }
-    if (!over && shared_bounded) {
-      over = st_.pressure.MaxLive(kSharedBank) >
-             sched::BankCapacity(kSharedBank, rf);
-    }
-    if (!over) return;
+  // Which banks are over capacity, decided once before the first spill:
+  // an invariant spill from a cluster bank can unpin the shared master
+  // copy, and the shared bank must still be judged by its MaxLive here.
+  // The tracker answers in O(1) amortized (cross-validated here in debug
+  // builds and under HCRF_CHECK_PRESSURE); the reference path recomputes
+  // the full report from the graph.
+  const bool tracked = st_.pressure.attached();
+  if (tracked && PressureCrossCheckEnabled()) {
+    st_.pressure.CrossValidate("SpillEngine::CheckAndInsert");
   }
-
-  // Over capacity (or reference path): victim selection ranks the full
-  // ValueLifetime list. The tracker materializes a report identical to
-  // ComputePressure's at O(values); the reference path recomputes it from
-  // the graph.
-  if (!st_.pressure.attached()) {
+  if (!tracked) {
     sched::ComputePressure(st_.g, *st_.sched, st_.m, st_.overrides,
                            pressure_scratch_, reference_report_);
   }
-  const sched::PressureReport& pr = st_.pressure.attached()
-                                        ? st_.pressure.Report()
-                                        : reference_report_;
-
+  const auto over_capacity = [&](BankId bank) {
+    const long capacity = sched::BankCapacity(bank, rf);
+    return tracked ? st_.pressure.Exceeds(bank, capacity)
+                   : reference_report_.MaxLiveOf(bank) > capacity;
+  };
+  over_.clear();
   if (cluster_bounded) {
     for (int c = 0; c < rf.clusters; ++c) {
-      if (pr.cluster_maxlive[static_cast<size_t>(c)] >
-          sched::BankCapacity(c, rf)) {
-        if (!SpillFromBank(c, pr)) SpillInvariantFromBank(c);
-      }
+      if (over_capacity(c)) over_.push_back(c);
     }
   }
-  if (shared_bounded &&
-      pr.shared_maxlive > sched::BankCapacity(kSharedBank, rf)) {
-    if (!SpillFromBank(kSharedBank, pr)) SpillInvariantFromBank(kSharedBank);
+  if (shared_bounded && over_capacity(kSharedBank)) {
+    over_.push_back(kSharedBank);
+  }
+  if (over_.size() >= 2) ++tally_.multi_bank_checks;
+
+  // A spill moves no value of another bank (its copies are unscheduled
+  // and only the victim's own lifetime shrinks), so ranking each bank's
+  // current values equals ranking the report taken before the first spill.
+  for (const BankId bank : over_) {
+    if (!SpillFromBank(bank)) SpillInvariantFromBank(bank);
   }
 }
 
-bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
+bool SpillEngine::SpillFromBank(BankId bank) {
   const RFConfig& rf = st_.m.rf;
   // Spill destination: cluster banks of hierarchical organizations spill
   // into the shared bank (StoreR/LoadR, no memory traffic); everything else
@@ -113,30 +104,38 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
       to_shared ? st_.m.lat.storer + st_.m.lat.loadr + 2
                 : 2 * (st_.m.lat.store + st_.m.lat.load_hit + 2);
 
-  // Among the legal victims, pick the longest lifetime per use (the first
-  // one wins ties).
-  const sched::ValueLifetime* best = nullptr;
+  // Among the legal victims, pick the longest lifetime per use, the lowest
+  // def on a tie (the tracker lists a bank's values in no set order).
+  sched::ValueLifetime best;
   double best_score = 0.0;
-  for (const sched::ValueLifetime& v : pr.values) {
-    if (v.bank != bank || v.uses < 1 || v.Length() <= min_len) continue;
-    if (IsSpilled(v.def)) continue;
+  const auto consider = [&](const sched::ValueLifetime& v) {
+    if (v.uses < 1 || v.Length() <= min_len) return;
+    if (IsSpilled(v.def)) return;
     const Node& nd = st_.g.node(v.def);
     // Never spill a communication chain's value: chains are owned by the
     // fix records and are re-routed by ejection, not by the spill engine
     // (rewiring a chain edge would orphan its fix record).
-    if (st_.IsCommChainNode(v.def)) continue;
+    if (st_.IsCommChainNode(v.def)) return;
     // Never spill a spill copy of the same level again.
-    if (nd.spill && to_shared && nd.op == OpClass::kLoadR) continue;
-    if (nd.spill && !to_shared && nd.op == OpClass::kLoad) continue;
+    if (nd.spill && to_shared && nd.op == OpClass::kLoadR) return;
+    if (nd.spill && !to_shared && nd.op == OpClass::kLoad) return;
     const double score = static_cast<double>(v.Length()) / (v.uses + 1);
-    if (best == nullptr || score > best_score) {
-      best = &v;
+    if (best.def == kNoNode || score > best_score ||
+        (score == best_score && v.def < best.def)) {
+      best = v;
       best_score = score;
     }
+  };
+  if (st_.pressure.attached()) {
+    st_.pressure.ForEachValue(bank, consider);
+  } else {
+    for (const sched::ValueLifetime& v : reference_report_.values) {
+      if (v.bank == bank) consider(v);
+    }
   }
-  if (best == nullptr) return false;
+  if (best.def == kNoNode) return false;
 
-  const NodeId def = best->def;
+  const NodeId def = best.def;
   if (static_cast<size_t>(def) >= spilled_.size()) {
     spilled_.resize(static_cast<size_t>(def) + 1, 0);
   }
@@ -164,7 +163,7 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
     }
   }
   if (keep.src != kNoNode &&
-      (consumers.size() <= 1 || keep_time - best->start > 2 * min_len)) {
+      (consumers.size() <= 1 || keep_time - best.start > 2 * min_len)) {
     // A single (or uniformly distant) consumer still benefits: split the
     // whole lifetime.
     keep = Edge{kNoNode, kNoNode, DepKind::kFlow, 0};
@@ -252,23 +251,35 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
   // invariant's home); monolithic organizations reload from memory.
   if (bank == kSharedBank && !rf.IsMonolithic()) return false;
   // Pick the lowest unspilled invariant that a scheduled node reading
-  // this bank uses: one pass over the slots finds it, a second collects
-  // its users in slot order.
+  // this bank uses, then collect its users in slot order. The tracker
+  // counts each invariant's readers per bank; the reference path finds
+  // the invariant in a pass over the slots.
   const auto reads_bank = [&](NodeId v) {
     return st_.g.IsAlive(v) && st_.sched->IsScheduled(v) &&
            sched::ReadBank(st_.g.node(v).op, st_.sched->ClusterOf(v), rf) ==
                bank;
   };
-  std::int32_t inv = st_.g.num_invariants();
-  for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
-    if (!reads_bank(v)) continue;
-    for (const std::int32_t u : st_.g.InvariantUses(v)) {
-      if (u >= 0 && u < inv && !spilled_invariants_[InvariantSlot(u, bank)]) {
+  const std::int32_t invariants = st_.g.num_invariants();
+  std::int32_t inv = invariants;
+  if (st_.pressure.attached()) {
+    for (std::int32_t u = 0; u < invariants; ++u) {
+      if (!spilled_invariants_[InvariantSlot(u, bank)] &&
+          st_.pressure.InvariantReaders(u, bank) > 0) {
         inv = u;
+        break;
+      }
+    }
+  } else {
+    for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
+      if (!reads_bank(v)) continue;
+      for (const std::int32_t u : st_.g.InvariantUses(v)) {
+        if (u >= 0 && u < inv && !spilled_invariants_[InvariantSlot(u, bank)]) {
+          inv = u;
+        }
       }
     }
   }
-  if (inv == st_.g.num_invariants()) return false;
+  if (inv == invariants) return false;
   std::vector<NodeId>& users = users_;
   users.clear();
   for (NodeId v = 0; v < st_.g.NumSlots(); ++v) {
@@ -300,6 +311,7 @@ bool SpillEngine::SpillInvariantFromBank(BankId bank) {
     st_.g.AddFlow(l, w, 0);
   }
   if (!rf.IsHierarchical()) ++next_spill_array_;
+  ++tally_.invariant_spills;
   instr_.SpillInserted(kNoNode, st_.ii());
   return true;
 }

@@ -31,6 +31,12 @@ namespace hcrf::core {
 /// with workload arrays.
 inline constexpr std::int32_t kSpillArrayBase = 1 << 20;
 
+/// Spill-engine events of rare paths the engine A/B test must reach.
+struct SpillTally {
+  long invariant_spills = 0;   ///< Invariants un-pinned from a bank.
+  long multi_bank_checks = 0;  ///< Capacity checks with >= 2 banks over.
+};
+
 class SpillEngine {
  public:
   SpillEngine(SchedState& st, NodePlacer& placer, Instrumentation& instr)
@@ -39,8 +45,13 @@ class SpillEngine {
   /// Forgets all spill decisions (fresh II attempt).
   void Reset();
 
-  /// Checks every bounded bank against its MaxLive and spills while over.
+  /// Checks every bounded bank against its MaxLive and spills from each
+  /// one over capacity.
   void CheckAndInsert();
+
+  /// Rare-path events; Reset keeps them, the engine driver clears them
+  /// per run.
+  SpillTally& tally() { return tally_; }
 
   /// Re-places every reload-style copy (spill loads, LoadR) at the latest
   /// feasible slot inside its dependence window. Ejection churn can strand
@@ -50,7 +61,7 @@ class SpillEngine {
   void SinkReloads();
 
  private:
-  bool SpillFromBank(sched::BankId bank, const sched::PressureReport& pr);
+  bool SpillFromBank(sched::BankId bank);
   bool SpillInvariantFromBank(sched::BankId bank);
 
   bool IsSpilled(NodeId v) const {
@@ -79,6 +90,9 @@ class SpillEngine {
   std::vector<Edge> consumers_;
   std::vector<std::pair<int, NodeId>> reload_by_distance_;
   std::vector<NodeId> users_;
+  /// Banks over capacity at the current check.
+  std::vector<sched::BankId> over_;
+  SpillTally tally_;
   /// Reference-path report (tracker detached).
   sched::PressureScratch pressure_scratch_;
   sched::PressureReport reference_report_;

@@ -174,18 +174,6 @@ std::vector<NodeId> DDG::AliveNodes() const {
   return ids;
 }
 
-int DDG::EdgeLatency(const Edge& e, const LatencyTable& lat) const {
-  switch (e.kind) {
-    case DepKind::kFlow:
-      return lat.Of(node(e.src).op);
-    case DepKind::kAnti:
-    case DepKind::kOutput:
-    case DepKind::kMem:
-      return 1;
-  }
-  return 1;
-}
-
 DDG::OpCounts DDG::CountOps(const LatencyTable& lat) const {
   OpCounts c;
   for (NodeId i = 0; i < NumSlots(); ++i) {

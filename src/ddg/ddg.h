@@ -280,7 +280,9 @@ class DDG {
 
   /// Dependence latency of an edge under the given latency table:
   /// Flow -> producer latency; Anti/Output/Mem -> 1.
-  int EdgeLatency(const Edge& e, const LatencyTable& lat) const;
+  int EdgeLatency(const Edge& e, const LatencyTable& lat) const {
+    return e.kind == DepKind::kFlow ? lat.Of(node(e.src).op) : 1;
+  }
 
   /// Flow consumers of the value defined by `id` (alive flow out-edges).
   EdgeView FlowConsumers(NodeId id) const {

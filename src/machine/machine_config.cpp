@@ -19,21 +19,6 @@ std::string_view ToString(OpClass op) {
   return "?";
 }
 
-int LatencyTable::Of(OpClass op) const {
-  switch (op) {
-    case OpClass::kFAdd: return fadd;
-    case OpClass::kFMul: return fmul;
-    case OpClass::kFDiv: return fdiv;
-    case OpClass::kFSqrt: return fsqrt;
-    case OpClass::kLoad: return load_hit;
-    case OpClass::kStore: return store;
-    case OpClass::kMove: return move;
-    case OpClass::kLoadR: return loadr;
-    case OpClass::kStoreR: return storer;
-  }
-  return 1;
-}
-
 bool MachineConfig::IsValid(std::string* why) const {
   auto fail = [&](const char* msg) {
     if (why != nullptr) *why = msg;

@@ -29,7 +29,20 @@ struct LatencyTable {
   int storer = 1;      ///< Cluster bank -> shared bank.
 
   /// Latency of `op` when it hits in the cache (loads).
-  int Of(OpClass op) const;
+  int Of(OpClass op) const {
+    switch (op) {
+      case OpClass::kFAdd: return fadd;
+      case OpClass::kFMul: return fmul;
+      case OpClass::kFDiv: return fdiv;
+      case OpClass::kFSqrt: return fsqrt;
+      case OpClass::kLoad: return load_hit;
+      case OpClass::kStore: return store;
+      case OpClass::kMove: return move;
+      case OpClass::kLoadR: return loadr;
+      case OpClass::kStoreR: return storer;
+    }
+    return 1;
+  }
 
   bool operator==(const LatencyTable&) const = default;
 };

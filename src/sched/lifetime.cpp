@@ -5,19 +5,6 @@
 
 namespace hcrf::sched {
 
-int ProducerLatency(const DDG& g, NodeId src, const LatencyTable& lat,
-                    const LatencyOverrides& overrides) {
-  return overrides.For(src, lat.Of(g.node(src).op));
-}
-
-int DependenceLatency(const DDG& g, const Edge& e, const LatencyTable& lat,
-                      const LatencyOverrides& overrides) {
-  if (e.kind == DepKind::kFlow) {
-    return ProducerLatency(g, e.src, lat, overrides);
-  }
-  return g.EdgeLatency(e, lat);
-}
-
 PressureReport ComputePressure(const DDG& g, const PartialSchedule& sched,
                                const MachineConfig& m,
                                const LatencyOverrides& overrides) {

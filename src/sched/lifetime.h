@@ -71,12 +71,20 @@ struct LatencyOverrides {
 };
 
 /// Latency of the value produced by `src` as seen by consumers.
-int ProducerLatency(const DDG& g, NodeId src, const LatencyTable& lat,
-                    const LatencyOverrides& overrides);
+inline int ProducerLatency(const DDG& g, NodeId src, const LatencyTable& lat,
+                           const LatencyOverrides& overrides) {
+  return overrides.For(src, lat.Of(g.node(src).op));
+}
 
 /// Dependence latency of edge `e` (flow edges honour overrides).
-int DependenceLatency(const DDG& g, const Edge& e, const LatencyTable& lat,
-                      const LatencyOverrides& overrides);
+inline int DependenceLatency(const DDG& g, const Edge& e,
+                             const LatencyTable& lat,
+                             const LatencyOverrides& overrides) {
+  if (e.kind == DepKind::kFlow) {
+    return ProducerLatency(g, e.src, lat, overrides);
+  }
+  return g.EdgeLatency(e, lat);
+}
 
 /// Computes bank pressure for the scheduled subset of `g`.
 PressureReport ComputePressure(const DDG& g, const PartialSchedule& sched,

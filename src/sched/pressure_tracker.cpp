@@ -28,16 +28,17 @@ void PressureTracker::Attach(DDG& g, const PartialSchedule& sched,
   pinned_.assign(banks, 0);
   row_max_.assign(banks, 0);
   row_dirty_.assign(banks, 0);
+  value_head_.assign(banks, kNoNode);
 
+  // Per-node state: only the slots of this graph are reset here. A thread
+  // that once scheduled a larger graph keeps a longer inv_reads_, whose
+  // tail is stale until GrowSlots clears it slot by slot as the attempt
+  // adds nodes.
   const size_t slots = static_cast<size_t>(g.NumSlots());
   contrib_.assign(slots, Contribution{});
-  node_dirty_.assign(slots, 0);
   dirty_nodes_.clear();
   if (inv_reads_.size() < slots) inv_reads_.resize(slots);
-  for (InvReads& snap : inv_reads_) {
-    snap.bank_index = -1;
-    snap.invs.clear();
-  }
+  for (size_t u = 0; u < slots; ++u) ClearInvReads(inv_reads_[u]);
   inv_bank_readers_.assign(static_cast<size_t>(g.num_invariants()) * banks,
                            0);
   inv_any_readers_.assign(static_cast<size_t>(g.num_invariants()), 0);
@@ -62,71 +63,136 @@ void PressureTracker::Detach() {
 }
 
 void PressureTracker::GrowSlots(NodeId u) {
+  const size_t first = contrib_.size();
   contrib_.resize(static_cast<size_t>(u) + 1);
-  node_dirty_.resize(contrib_.size(), 0);
   if (inv_reads_.size() < contrib_.size()) inv_reads_.resize(contrib_.size());
+  // Slots past the attached graph may still hold an earlier attempt's pins.
+  for (size_t v = first; v < contrib_.size(); ++v) {
+    ClearInvReads(inv_reads_[v]);
+  }
 }
 
-void PressureTracker::AddContribution(const Contribution& c, int sign) {
-  const size_t b = static_cast<size_t>(c.bank_index);
-  const int len = c.end - c.start;
+void PressureTracker::AddRows(int bank_index, int start, int end, int sign) {
+  const int len = end - start;
   if (len <= 0) return;
+  const auto b = static_cast<size_t>(bank_index);
   uniform_[b] += sign * static_cast<long>(len / ii_);
   const int rem = len % ii_;
-  if (rem > 0) {
-    long* rows = BankRows(b);
-    for (int cyc = c.start; cyc < c.start + rem; ++cyc) {
-      rows[RowOf(cyc)] += sign;
-    }
-    row_dirty_[b] = 1;
+  if (rem == 0) return;
+  // The rem rows from start's row on, modulo II: one run, or a run to the
+  // last row and one from row 0. rows_ holds differences, so a run
+  // [lo, hi) is +sign at lo and -sign at hi.
+  long* diff = BankRows(b);
+  const int first = RowOf(start);
+  const int stop = first + rem;
+  diff[first] += sign;
+  if (stop < ii_) {
+    diff[stop] -= sign;
+  } else if (stop > ii_) {
+    diff[0] += sign;
+    diff[stop - ii_] -= sign;
   }
+  // Each row gains at most `sign`, so the cached maximum stays a bound.
+  if (sign > 0) row_max_[b] += sign;
+  row_dirty_[b] = 1;
+}
+
+void PressureTracker::LinkValue(NodeId u, int bank_index) {
+  Contribution& c = contrib_[static_cast<size_t>(u)];
+  NodeId& head = value_head_[static_cast<size_t>(bank_index)];
+  c.prev = kNoNode;
+  c.next = head;
+  if (head != kNoNode) contrib_[static_cast<size_t>(head)].prev = u;
+  head = u;
+}
+
+void PressureTracker::UnlinkValue(NodeId u) {
+  const Contribution& c = contrib_[static_cast<size_t>(u)];
+  if (c.prev == kNoNode) {
+    value_head_[static_cast<size_t>(c.bank_index)] = c.next;
+  } else {
+    contrib_[static_cast<size_t>(c.prev)].next = c.next;
+  }
+  if (c.next != kNoNode) contrib_[static_cast<size_t>(c.next)].prev = c.prev;
 }
 
 void PressureTracker::Refresh(NodeId u) {
   EnsureSlot(u);
-  Contribution& c = contrib_[static_cast<size_t>(u)];
-  if (c.active) {
-    AddContribution(c, -1);
-    c.active = false;
-  }
-  if (!g_->IsAlive(u) || !sched_->IsScheduled(u)) return;
-  const Node& n = g_->node(u);
-  if (!DefinesValue(n.op)) return;
-
-  const RFConfig& rf = m_->rf;
-  const BankId bank = DefBank(n.op, sched_->ClusterOf(u), rf);
-  // Mirrors ComputePressure: hierarchical shared-bank values are deposited
-  // on arrival (writeback decoupling), first-level values at issue.
-  int start = sched_->CycleOf(u);
-  if (bank == kSharedBank && rf.IsHierarchical()) {
-    start += ProducerLatency(*g_, u, m_->lat, *overrides_);
-  }
-  int end = start;
+  int bank_index = -1;
+  int start = 0;
+  int end = 0;
   int uses = 0;
-  for (const Edge& e : g_->OutEdges(u)) {
-    if (e.kind != DepKind::kFlow || !sched_->IsScheduled(e.dst)) continue;
-    ++uses;
-    end = std::max(end, sched_->CycleOf(e.dst) + e.distance * ii_);
+  if (g_->IsAlive(u) && sched_->IsScheduled(u)) {
+    const Node& n = g_->node(u);
+    if (DefinesValue(n.op)) {
+      const RFConfig& rf = m_->rf;
+      const BankId bank = DefBank(n.op, sched_->ClusterOf(u), rf);
+      bank_index = static_cast<int>(BankIndex(bank));
+      // Mirrors ComputePressure: hierarchical shared-bank values are
+      // deposited on arrival (writeback decoupling), first-level values at
+      // issue.
+      start = sched_->CycleOf(u);
+      if (bank == kSharedBank && rf.IsHierarchical()) {
+        start += ProducerLatency(*g_, u, m_->lat, *overrides_);
+      }
+      end = start;
+      for (const Edge& e : g_->OutEdges(u)) {
+        if (e.kind != DepKind::kFlow || !sched_->IsScheduled(e.dst)) continue;
+        ++uses;
+        end = std::max(end, sched_->CycleOf(e.dst) + e.distance * ii_);
+      }
+    }
+  }
+  Contribution& c = contrib_[static_cast<size_t>(u)];
+  // A value whose rows did not move (a consumer placed or ejected inside
+  // its lifetime, an edge rewired to a copy read no later) only updates
+  // its use count.
+  if (bank_index >= 0 && bank_index == c.bank_index && start == c.start &&
+      end == c.end) {
+    c.uses = uses;
+    return;
+  }
+  if (c.active()) {
+    AddRows(c.bank_index, c.start, c.end, -1);
+    if (bank_index != c.bank_index) UnlinkValue(u);
+  }
+  if (bank_index >= 0) {
+    AddRows(bank_index, start, end, +1);
+    if (bank_index != c.bank_index) LinkValue(u, bank_index);
   }
   c.start = start;
   c.end = end;
   c.uses = uses;
-  c.bank_index = static_cast<int>(BankIndex(bank));
-  c.active = true;
-  AddContribution(c, +1);
+  c.bank_index = bank_index;
 }
 
-void PressureTracker::MarkPlacementDirty(NodeId u) {
-  MarkDirty(u);
-  for (const Edge& e : g_->InEdges(u)) {
-    if (e.kind == DepKind::kFlow && e.src != u) MarkDirty(e.src);
+void PressureTracker::ReadAdded(NodeId p, int read) {
+  if (static_cast<size_t>(p) >= contrib_.size()) return;  // never placed
+  Contribution& c = contrib_[static_cast<size_t>(p)];
+  // A dirty value is re-derived at the next flush; a clean inactive one
+  // has no value for the read to extend.
+  if (c.dirty || !c.active()) return;
+  ++c.uses;
+  if (read > c.end) {
+    AddRows(c.bank_index, c.start, c.end, -1);
+    AddRows(c.bank_index, c.start, read, +1);
+    c.end = read;
   }
+}
+
+void PressureTracker::ReadRemoved(NodeId p, int read) {
+  if (static_cast<size_t>(p) >= contrib_.size()) return;
+  Contribution& c = contrib_[static_cast<size_t>(p)];
+  if (c.dirty || !c.active()) return;
+  --c.uses;
+  // The value may have lost its last read: re-derive its end.
+  if (read >= c.end) MarkDirty(p);
 }
 
 void PressureTracker::FlushDirty() {
   for (size_t i = 0; i < dirty_nodes_.size(); ++i) {
     const NodeId u = dirty_nodes_[i];
-    node_dirty_[static_cast<size_t>(u)] = 0;
+    contrib_[static_cast<size_t>(u)].dirty = false;
     Refresh(u);
   }
   dirty_nodes_.clear();
@@ -134,19 +200,35 @@ void PressureTracker::FlushDirty() {
 
 void PressureTracker::OnPlaced(NodeId u) {
   if (!attached()) return;
-  MarkPlacementDirty(u);
+  // u's own value is re-derived (marked first, so a self read is too);
+  // each flow producer gains a read at u's cycle.
+  MarkDirty(u);
+  const int cycle = sched_->CycleOf(u);
+  for (const Edge& e : g_->InEdges(u)) {
+    if (e.kind == DepKind::kFlow) ReadAdded(e.src, cycle + e.distance * ii_);
+  }
   AddInvariantReads(u);
 }
 
-void PressureTracker::OnUnplaced(NodeId u) {
+void PressureTracker::OnUnplaced(NodeId u, int cycle) {
   if (!attached()) return;
-  MarkPlacementDirty(u);
+  MarkDirty(u);
+  for (const Edge& e : g_->InEdges(u)) {
+    if (e.kind == DepKind::kFlow) ReadRemoved(e.src, cycle + e.distance * ii_);
+  }
   RemoveInvariantReads(u);
 }
 
-void PressureTracker::OnFlowEdgeAdded(const Edge& e) { MarkDirty(e.src); }
+void PressureTracker::OnFlowEdgeAdded(const Edge& e) {
+  // A read by an unscheduled consumer changes no value.
+  if (!sched_->IsScheduled(e.dst)) return;
+  ReadAdded(e.src, sched_->CycleOf(e.dst) + e.distance * ii_);
+}
 
-void PressureTracker::OnFlowEdgeRemoved(const Edge& e) { MarkDirty(e.src); }
+void PressureTracker::OnFlowEdgeRemoved(const Edge& e) {
+  if (!sched_->IsScheduled(e.dst)) return;
+  ReadRemoved(e.src, sched_->CycleOf(e.dst) + e.distance * ii_);
+}
 
 void PressureTracker::OnNodeRemoved(NodeId v) {
   // The dead node's contribution is dropped at the next flush (Refresh on
@@ -218,13 +300,37 @@ int PressureTracker::MaxLive(BankId bank) {
              "PressureTracker::MaxLive: bank %d outside the %zu banks of "
              "the attached organization",
              bank, num_banks_);
+  return static_cast<int>(RowMax(b) + uniform_[b] +
+                          static_cast<long>(pinned_[b]));
+}
+
+bool PressureTracker::Exceeds(BankId bank, long capacity) {
+  FlushDirty();
+  const size_t b = BankIndex(bank);
+  HCRF_CHECK(b < num_banks_,
+             "PressureTracker::Exceeds: bank %d outside the %zu banks of "
+             "the attached organization",
+             bank, num_banks_);
+  const long fixed = uniform_[b] + static_cast<long>(pinned_[b]);
+  // The bound settles most checks of a bank with room to spare.
+  if (row_max_[b] + fixed <= capacity) return false;
+  return RowMax(b) + fixed > capacity;
+}
+
+long PressureTracker::RowMax(size_t b) {
   if (row_dirty_[b]) {
-    const long* rows = BankRows(b);
-    row_max_[b] = *std::max_element(rows, rows + ii_);
+    // Rows are the running sums of the differences.
+    const long* diff = BankRows(b);
+    long row = diff[0];
+    long max = row;
+    for (int r = 1; r < ii_; ++r) {
+      row += diff[r];
+      max = std::max(max, row);
+    }
+    row_max_[b] = max;
     row_dirty_[b] = 0;
   }
-  return static_cast<int>(row_max_[b] + uniform_[b] +
-                          static_cast<long>(pinned_[b]));
+  return row_max_[b];
 }
 
 const PressureReport& PressureTracker::Report() {
@@ -243,7 +349,7 @@ const PressureReport& PressureTracker::Report() {
   for (NodeId u = 0; u < slots && static_cast<size_t>(u) < contrib_.size();
        ++u) {
     const Contribution& c = contrib_[static_cast<size_t>(u)];
-    if (!c.active) continue;
+    if (!c.active()) continue;
     report.values.push_back(
         ValueLifetime{u, BankOf(c.bank_index), c.start, c.end, c.uses});
   }
@@ -284,6 +390,48 @@ void PressureTracker::CrossValidate(const char* where) {
                "bank %d [%d,%d) uses %d (graph '%s', II=%d)",
                where, i, a.def, a.bank, a.start, a.end, a.uses, b.def, b.bank,
                b.start, b.end, b.uses, g_->name().c_str(), ii_);
+  }
+
+  // The spill engine's two direct reads: each bank's value list holds
+  // exactly the bank's values, and the per-bank invariant reader counts
+  // equal a recount over the scheduled nodes.
+  std::vector<long> listed(num_banks_, 0);
+  for (size_t b = 0; b < num_banks_; ++b) {
+    ForEachValue(BankOf(static_cast<int>(b)), [&](const ValueLifetime& v) {
+      const Contribution& c = contrib_[static_cast<size_t>(v.def)];
+      HCRF_CHECK(c.active() && static_cast<size_t>(c.bank_index) == b,
+                 "incremental pressure tracker diverged at %s: node %d is "
+                 "on bank %d's value list (graph '%s', II=%d)",
+                 where, v.def, BankOf(static_cast<int>(b)),
+                 g_->name().c_str(), ii_);
+      ++listed[b];
+    });
+  }
+  for (const ValueLifetime& v : pr.values) --listed[BankIndex(v.bank)];
+  for (size_t b = 0; b < num_banks_; ++b) {
+    HCRF_CHECK(listed[b] == 0,
+               "incremental pressure tracker diverged at %s: bank %d's value "
+               "list and ComputePressure differ in length (graph '%s', "
+               "II=%d)",
+               where, BankOf(static_cast<int>(b)), g_->name().c_str(), ii_);
+  }
+  std::vector<int> readers(inv_bank_readers_.size(), 0);
+  for (NodeId v = 0; v < g_->NumSlots(); ++v) {
+    if (!g_->IsAlive(v) || !sched_->IsScheduled(v)) continue;
+    const size_t b =
+        BankIndex(ReadBank(g_->node(v).op, sched_->ClusterOf(v), m_->rf));
+    for (const std::int32_t inv : g_->InvariantUses(v)) {
+      ++readers[static_cast<size_t>(inv) * num_banks_ + b];
+    }
+  }
+  for (size_t i = 0; i < readers.size(); ++i) {
+    HCRF_CHECK(readers[i] == inv_bank_readers_[i],
+               "incremental pressure tracker diverged at %s: invariant %zu "
+               "has %d readers on bank %d, the graph says %d (graph '%s', "
+               "II=%d)",
+               where, i / num_banks_, inv_bank_readers_[i],
+               BankOf(static_cast<int>(i % num_banks_)), readers[i],
+               g_->name().c_str(), ii_);
   }
 }
 

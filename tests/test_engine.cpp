@@ -214,7 +214,7 @@ TEST(SchedStatePick, MatchesBruteForceLinearScan) {
         case 0:
         case 1:
         case 2:  // mark, re-seeding the priority as the engine does
-          if (!marked[i]) st.priority[i] = prio_pick(rng);
+          if (!marked[i]) st.SetPriority(v, prio_pick(rng));
           st.MarkUnscheduled(v);
           marked[i] = 1;
           break;
@@ -223,8 +223,8 @@ TEST(SchedStatePick, MatchesBruteForceLinearScan) {
           st.MarkScheduled(v);
           marked[i] = 0;
           break;
-        case 5:
-          st.priority[i] = prio_pick(rng);
+        case 5:  // re-rank a node, listed or not
+          st.SetPriority(v, prio_pick(rng));
           break;
         case 6:  // tombstone: a marked dead node must never be picked
           st.g.RemoveNode(v, /*force=*/true);
@@ -251,6 +251,66 @@ TEST(SchedStatePick, MatchesBruteForceLinearScan) {
           << "start " << start << " step " << step;
     }
     EXPECT_GT(st.g.NumSlots(), 256) << "start " << start;
+  }
+}
+
+// The engine's own pattern against the same oracle: every pick is placed
+// (so the picks run the cache dry and rescan), while ejections re-list
+// placed nodes and copies join the list between picks, a few at a time or
+// in bursts past the cache's follow-up list.
+TEST(SchedStatePick, DrainMatchesBruteForceLinearScan) {
+  const MachineConfig m = MachineConfig::Baseline();
+  for (const int start : {3, 40, 130, 300}) {
+    std::mt19937 rng(static_cast<std::mt19937::result_type>(start));
+    DDG original("drain");
+    for (int i = 0; i < start; ++i) original.AddNode(OpClass::kFAdd);
+    core::SchedState st(m);
+    st.Reset(original, {}, 4);
+    std::uniform_int_distribution<int> prio_pick(0, 5);
+    for (NodeId v = 0; v < start; ++v) {
+      st.priority[static_cast<size_t>(v)] = prio_pick(rng);
+      st.MarkUnscheduled(v);
+    }
+    const auto brute_force = [&]() {
+      NodeId best = kNoNode;
+      for (NodeId v = 0; v < st.g.NumSlots(); ++v) {
+        if (!st.g.IsAlive(v) || !st.IsUnscheduled(v)) continue;
+        if (best == kNoNode || st.priority[static_cast<size_t>(v)] >
+                                   st.priority[static_cast<size_t>(best)]) {
+          best = v;
+        }
+      }
+      return best;
+    };
+    std::vector<NodeId> placed;
+    int picks = 0;
+    while (st.num_unscheduled > 0 && picks < 4 * start + 200) {
+      const NodeId u = st.PickHighestPriority();
+      ASSERT_EQ(u, brute_force()) << "start " << start << " pick " << picks;
+      ++picks;
+      st.MarkScheduled(u);
+      placed.push_back(u);
+      const int event = static_cast<int>(rng() % 10);
+      if (event < 3 && !placed.empty()) {
+        // Eject a placed node.
+        const size_t k = rng() % placed.size();
+        st.MarkUnscheduled(placed[k]);
+        placed.erase(placed.begin() + static_cast<long>(k));
+      } else if (event < 5) {
+        // A copy (or a burst of them) joins the list.
+        const int count = event == 4 && rng() % 4 == 0 ? 40 : 1;
+        for (int c = 0; c < count; ++c) {
+          Node n;
+          n.op = OpClass::kFAdd;
+          n.inserted = true;
+          const NodeId id = st.g.AddNode(std::move(n));
+          st.GrowTo(id);
+          st.priority[static_cast<size_t>(id)] = prio_pick(rng) - 0.5;
+          st.MarkUnscheduled(id);
+        }
+      }
+    }
+    EXPECT_GT(picks, start) << "start " << start;
   }
 }
 

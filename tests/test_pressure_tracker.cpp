@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/mirs.h"
 #include "experiment/experiment.h"
 #include "hwmodel/characterize.h"
 #include "core/sched_state.h"
@@ -73,6 +73,12 @@ void ExpectMatchesGroundTruth(SchedState& st, const MachineConfig& m,
                               int step) {
   const PressureReport truth =
       ComputePressure(st.g, *st.sched, m, st.overrides);
+  // Capacity checks first, while the row maxima may still be bounds.
+  for (int c = -1; c < m.rf.clusters; ++c) {
+    const int maxlive = truth.MaxLiveOf(c);
+    ASSERT_FALSE(st.pressure.Exceeds(c, maxlive)) << "step " << step;
+    ASSERT_TRUE(st.pressure.Exceeds(c, maxlive - 1)) << "step " << step;
+  }
   const PressureReport got = st.pressure.Report();
   ASSERT_EQ(got.shared_maxlive, truth.shared_maxlive) << "step " << step;
   ASSERT_EQ(got.cluster_maxlive, truth.cluster_maxlive) << "step " << step;
@@ -213,6 +219,59 @@ TEST(PressureTracker, ReattachAcrossAttempts) {
   }
 }
 
+// Attach resets only the slots of the graph it attaches to. A thread that
+// scheduled a larger graph before keeps that graph's invariant pins in the
+// slots past the small one; a node the attempt adds there must start with
+// none, or removing it unplaced would unpin what it never pinned.
+TEST(PressureTracker, ReattachAfterLargerGraph) {
+  const MachineConfig m =
+      MachineConfig::WithRF(RFConfig::Parse("2C16S16/1-1"));
+  // A chain of adds; in the large graph every node reads an invariant, in
+  // the small one only node 1 reads invariant 2, so dropping one stale
+  // read of it would unpin it.
+  const auto chain = [](const char* name, int nodes) {
+    DDG g(name);
+    for (int i = 0; i < nodes; ++i) g.AddNode(OpClass::kFAdd);
+    for (int i = 0; i < 3; ++i) g.AddInvariant();
+    for (NodeId v = 0; v + 1 < nodes; ++v) g.AddFlow(v, v + 1, 0);
+    return g;
+  };
+  DDG large = chain("large", 24);
+  for (NodeId v = 0; v < 24; ++v) large.AddInvariantUse(v, v % 3);
+  DDG small = chain("small", 8);
+  small.AddInvariantUse(1, 2);
+
+  SchedState st(m);
+  st.Reset(large, {}, 4);
+  for (NodeId v = 0; v < st.g.NumSlots(); ++v) {
+    st.Assign(v, {4 * static_cast<int>(v), 0, 0, true});
+  }
+  ExpectMatchesGroundTruth(st, m, 0);
+
+  st.Reset(small, {}, 4);
+  for (NodeId v = 0; v < st.g.NumSlots(); ++v) {
+    st.Assign(v, {4 * static_cast<int>(v), 0, 0, true});
+  }
+  ExpectMatchesGroundTruth(st, m, 1);
+  ASSERT_EQ(st.pressure.InvariantReaders(2, 0), 1);
+
+  // Slot 8 held a large-graph node reading invariant 2 from cluster 0. A
+  // copy grown into it, with invariant uses of its own, is removed
+  // unplaced: it must unpin nothing.
+  Node copy;
+  copy.op = OpClass::kLoadR;
+  copy.inserted = true;
+  const NodeId grown = st.g.AddNode(std::move(copy));
+  ASSERT_EQ(grown, 8);
+  st.GrowTo(grown);
+  st.g.AddInvariantUse(grown, 2);
+  st.g.AddInvariantUse(grown, 0);
+  st.g.RemoveNode(grown);
+  ExpectMatchesGroundTruth(st, m, 2);
+  EXPECT_EQ(st.pressure.InvariantReaders(2, 0), 1);
+  st.pressure.CrossValidate("ReattachAfterLargerGraph");
+}
+
 // Unbounded organizations skip the tracker entirely (nothing ever reads
 // pressure there).
 TEST(PressureTracker, UnboundedOrganizationsDetach) {
@@ -258,15 +317,27 @@ std::vector<MachineConfig> BoundedMachines() {
   return out;
 }
 
+/// Runs every loop of `suite` on `m` down both paths, expects identical
+/// results and spill decisions, and adds the tracked runs' rare spill
+/// events to `tally`.
 void ExpectEngineIdentical(const workload::Suite& suite,
-                           const MachineConfig& m) {
+                           const MachineConfig& m, core::SpillTally& tally) {
   for (size_t i = 0; i < suite.size(); ++i) {
     const DDG& g = suite[i].ddg;
     core::EngineDriver reference(g, m, {}, {});
     reference.UseReferencePressure();
     const core::ScheduleResult a = reference.Run();
-    const core::ScheduleResult b = core::MirsHC(g, m);
+    core::EngineDriver tracked(g, m, {}, {});
+    const core::ScheduleResult b = tracked.Run();
     ASSERT_EQ(a.ok, b.ok) << g.name();
+    EXPECT_EQ(reference.spill_tally().invariant_spills,
+              tracked.spill_tally().invariant_spills)
+        << g.name();
+    EXPECT_EQ(reference.spill_tally().multi_bank_checks,
+              tracked.spill_tally().multi_bank_checks)
+        << g.name();
+    tally.invariant_spills += tracked.spill_tally().invariant_spills;
+    tally.multi_bank_checks += tracked.spill_tally().multi_bank_checks;
     if (!a.ok) continue;
     EXPECT_EQ(io::DumpResult(a), io::DumpResult(b)) << g.name();
   }
@@ -280,11 +351,19 @@ TEST(PressureTrackerEngine, BitIdenticalSchedules) {
   ASSERT_EQ(synth.size(), 64u);
   const std::vector<MachineConfig> machines = BoundedMachines();
   ASSERT_GE(machines.size(), 21u);
+  core::SpillTally tally;
   for (const MachineConfig& m : machines) {
     SCOPED_TRACE(m.rf.Name());
-    ExpectEngineIdentical(kernels, m);
-    ExpectEngineIdentical(synth, m);
+    ExpectEngineIdentical(kernels, m, tally);
+    ExpectEngineIdentical(synth, m, tally);
   }
+  // The set reaches the tracker's rare spill paths: an invariant chosen
+  // from its per-bank reader counts, and a capacity check that ranks the
+  // values of two banks or more.
+  EXPECT_GT(tally.invariant_spills, 0);
+  EXPECT_GT(tally.multi_bank_checks, 0);
+  std::printf("invariant spills %ld, checks with >= 2 banks over %ld\n",
+              tally.invariant_spills, tally.multi_bank_checks);
 }
 
 }  // namespace
